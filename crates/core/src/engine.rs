@@ -135,12 +135,14 @@ pub struct AaDedupeConfig {
     pub cdc_by_app: Vec<(AppType, CdcParams)>,
     /// Chunking/hash policy per category (paper: Fig. 6).
     pub policy: DedupPolicy,
-    /// RAM cache entries per index partition (modelled when the index is
-    /// RAM-resident, a real write-back cache budget when disk-backed).
+    /// LRU capacity of each index partition, in entries: the write-back
+    /// cache budget when [`Self::index_dir`] gives the partitions a spill
+    /// tier, the modelled RAM budget (LRU victims stay in RAM and a later
+    /// hit on one is charged as a disk read) when it does not.
     pub ram_entries_per_partition: usize,
-    /// Root directory for on-disk index segments. `None` (the default)
-    /// keeps every partition RAM-resident with modelled disk accounting;
-    /// `Some(dir)` makes partitions spill entries beyond
+    /// Root directory for the index's spill tier. `None` (the default)
+    /// keeps every entry in RAM with modelled disk accounting;
+    /// `Some(dir)` makes partitions evict entries beyond
     /// [`Self::ram_entries_per_partition`] to real segment files under
     /// `dir/p01..p13`, guarded by per-partition existence filters. Dedup
     /// decisions are bit-identical either way — only the RAM/disk stat
@@ -445,9 +447,9 @@ impl AaDedupe {
         Self::with_config(cloud, AaDedupeConfig::default())
     }
 
-    /// Builds an index matching `config`'s storage mode: RAM-resident by
-    /// default, disk-backed under [`AaDedupeConfig::index_dir`] when set.
-    /// Recovery uses this too, so a rebuilt index keeps the same mode.
+    /// Builds the index `config` asks for: without a spill tier by
+    /// default, with one under [`AaDedupeConfig::index_dir`] when set.
+    /// Recovery uses this too, so a rebuilt index keeps its tier.
     fn build_index(config: &AaDedupeConfig) -> AppAwareIndex {
         let mut index = match &config.index_dir {
             Some(dir) => {
@@ -1059,9 +1061,9 @@ impl AaDedupe {
         })?;
         let (bytes, _t) = self.cloud.get(latest)?;
         let bytes = bytes.ok_or_else(|| BackupError::MissingObject(latest.clone()))?;
-        // A fresh index in the configured storage mode (disk-backed
-        // partitions rebuild their segments and existence filters as the
-        // snapshot loads), decoded in place.
+        // A fresh index as configured (partitions with a spill tier
+        // rebuild their segments and existence filters as the snapshot
+        // loads), decoded in place.
         let index = Self::build_index(&self.config);
         codec::decode_app_aware_into(&bytes, &index)
             .map_err(|e| BackupError::Corrupt(format!("index snapshot: {e}")))?;

@@ -87,7 +87,7 @@ impl AppAwareIndex {
 
     /// Durably persists every disk-backed partition (dirty cache slots
     /// flushed, manifest written atomically). Stops at the first failing
-    /// partition; resident partitions are no-ops.
+    /// partition; partitions without a spill tier are no-ops.
     pub fn persist(&self) -> Result<(), crate::segment::SegmentError> {
         for p in &self.partitions {
             p.persist()?;
@@ -171,20 +171,6 @@ impl AppAwareIndex {
     /// other thread touches that partition.
     pub fn insert(&self, app: AppType, fp: Fingerprint, entry: ChunkEntry) -> bool {
         self.partition(app).insert(fp, entry)
-    }
-
-    /// Inserts a batch of entries, returning how many were new. Entries
-    /// are applied in order; a repeated fingerprint within the batch keeps
-    /// its first entry (same outcome as repeated [`insert`](Self::insert)
-    /// calls). Safe to call concurrently with any other index operation.
-    pub fn insert_batch(
-        &self,
-        entries: &[(AppType, Fingerprint, ChunkEntry)],
-    ) -> usize {
-        entries
-            .iter()
-            .filter(|(app, fp, entry)| self.insert(*app, *fp, *entry))
-            .count()
     }
 
     /// Release from one application's partition.
@@ -389,23 +375,6 @@ mod tests {
             }
         }
         assert!(monolithic_small.stats().disk_reads > 0);
-    }
-
-    #[test]
-    fn insert_batch_counts_new_entries_only() {
-        let idx = AppAwareIndex::new(100);
-        idx.insert(AppType::Doc, fp(1), ChunkEntry::new(8, 0, 0));
-        let batch = [
-            (AppType::Doc, fp(1), ChunkEntry::new(8, 9, 9)), // already present
-            (AppType::Doc, fp(2), ChunkEntry::new(8, 1, 0)), // new
-            (AppType::Txt, fp(1), ChunkEntry::new(8, 2, 0)), // new (other partition)
-            (AppType::Txt, fp(1), ChunkEntry::new(8, 3, 0)), // repeat within batch
-        ];
-        assert_eq!(idx.insert_batch(&batch), 2);
-        assert_eq!(idx.len(), 3);
-        // First write wins on the in-batch repeat, as with serial inserts.
-        assert_eq!(idx.lookup(AppType::Txt, &fp(1)).unwrap().container, 2);
-        assert_eq!(idx.lookup(AppType::Doc, &fp(1)).unwrap().container, 0);
     }
 
     #[test]

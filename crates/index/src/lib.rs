@@ -14,8 +14,10 @@
 //!
 //! * [`ChunkEntry`] — the per-chunk metadata (length, container location,
 //!   reference count).
-//! * [`IndexPartition`] — one index with an LRU-modelled RAM cache and
-//!   RAM/disk hit accounting.
+//! * [`IndexPartition`] — one store: a slot table plus an LRU, with an
+//!   optional spill tier (on-disk segments behind an existence filter)
+//!   and RAM/disk hit accounting — measured with the tier, modelled
+//!   without it.
 //! * [`MonolithicIndex`] — single-partition baseline (Avamar-style).
 //! * [`AppAwareIndex`] — per-application partitions with parallel batch
 //!   lookup (the paper's design).
@@ -74,8 +76,8 @@ pub struct IndexStats {
     pub hits: u64,
     /// Lookups answered from the RAM cache.
     pub ram_hits: u64,
-    /// Lookups that had to touch the on-disk index (modelled in resident
-    /// mode, real segment reads in disk-backed mode).
+    /// Lookups that had to touch the on-disk index (real segment reads
+    /// with a spill tier, modelled without one).
     pub disk_reads: u64,
     /// Entries inserted by the query path.
     pub inserts: u64,
@@ -85,10 +87,10 @@ pub struct IndexStats {
     /// never-crashed run's query-path counts.
     pub recovered_entries: u64,
     /// Negative lookups the existence filter answered without any disk
-    /// probe (disk-backed mode only).
+    /// probe (spill tier only).
     pub filter_hits: u64,
     /// Lookups the filter passed that then found nothing on disk — its
-    /// false positives (disk-backed mode only).
+    /// false positives (spill tier only).
     pub filter_false_positives: u64,
 }
 

@@ -1,12 +1,13 @@
-//! A fixed-capacity LRU set used to model the RAM-resident portion of a
-//! chunk index.
+//! A fixed-capacity LRU set: the RAM-resident portion of a chunk index.
 //!
 //! Monolithic chunk indexes outgrow RAM; each lookup of a *random*
 //! fingerprint then costs a disk seek — the bottleneck documented by DDFS
 //! and Sparse Indexing and cited by the paper as the motivation for its
 //! application-aware partitioning. [`IndexPartition`](crate::IndexPartition)
-//! tracks which fingerprints would currently be RAM-resident with this LRU
-//! set; misses are charged as disk reads.
+//! tracks its most-recently-used fingerprints with this set. With a spill
+//! tier the set's victim is evicted to disk; without one the victim stays
+//! in the table untracked, and a later hit on it is charged as the disk
+//! read it would have cost.
 //!
 //! Implementation: a `HashMap` into a slab-allocated doubly-linked list —
 //! O(1) touch/insert/evict, no unsafe code.
@@ -37,7 +38,7 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
     /// allowed and means "nothing is ever resident").
     pub fn new(capacity: usize) -> Self {
         LruSet {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,

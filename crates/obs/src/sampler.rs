@@ -264,10 +264,9 @@ fn run_loop(core: &Arc<Mutex<SamplerCore>>, stop: &Arc<AtomicBool>, interval: Du
         let now = epoch.elapsed();
         let t_ms = u64::try_from(now.as_millis()).unwrap_or(u64::MAX);
         let dt_ms = u64::try_from((now - last).as_millis()).unwrap_or(u64::MAX);
-        if !stopping || dt_ms > 0 {
-            let mut guard = core.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.tick(t_ms, dt_ms);
-        }
+        // The final tick is taken even when under 1 ms has passed
+        // (`dt_ms == 0`): skipping it dropped the run's last deltas.
+        core.lock().unwrap_or_else(PoisonError::into_inner).tick(t_ms, dt_ms);
         if stopping {
             return;
         }

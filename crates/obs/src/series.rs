@@ -1,12 +1,9 @@
 //! Dimensional time-series storage for the background sampler.
 //!
 //! A [`TimeSeries`] is a bounded ring buffer of [`SamplePoint`]s — one per
-//! sampler tick — labelled by a [`Scope`]: the session id, an optional
-//! application tag, and a reserved tenant field. The scope is the
-//! *dimension set* of every series the sampler emits; the multi-tenant
-//! fleet service (ROADMAP) will key admission-control signals by exactly
-//! these labels, so they are first-class here even though a single-client
-//! CLI only ever fills the session dimension.
+//! sampler tick — labelled by a [`Scope`]: the session id and an optional
+//! application tag. The scope is the *dimension set* of every series the
+//! sampler emits.
 //!
 //! Memory is bounded by construction: the ring holds at most `capacity`
 //! samples and evicts the oldest on overflow, counting evictions in
@@ -28,16 +25,12 @@ pub struct Scope {
     /// Application label for app-scoped series (`None` for pipeline-wide
     /// series; per-app entries inside a sample carry their own label).
     pub app: Option<String>,
-    /// Reserved tenant dimension for the fleet-scale service. Always
-    /// `None` from the single-client CLI today; serialized when present so
-    /// downstream dashboards need no schema change when tenancy lands.
-    pub tenant: Option<String>,
 }
 
 impl Scope {
-    /// A scope labelling one session, with no app or tenant dimension.
+    /// A scope labelling one session, with no app dimension.
     pub fn session(id: impl Into<String>) -> Scope {
-        Scope { session: id.into(), app: None, tenant: None }
+        Scope { session: id.into(), app: None }
     }
 
     /// This scope narrowed to one application label.
@@ -45,21 +38,13 @@ impl Scope {
         Scope { app: Some(app.into()), ..self.clone() }
     }
 
-    /// This scope narrowed to one tenant.
-    pub fn with_tenant(&self, tenant: impl Into<String>) -> Scope {
-        Scope { tenant: Some(tenant.into()), ..self.clone() }
-    }
-
     /// The canonical series key for `metric` under this scope:
-    /// `session=<s>[,app=<a>][,tenant=<t>]|<metric>`. Stable and ordered,
+    /// `session=<s>[,app=<a>]|<metric>`. Stable and ordered,
     /// so keys compare and sort deterministically.
     pub fn series_key(&self, metric: &str) -> String {
         let mut key = format!("session={}", self.session);
         if let Some(app) = &self.app {
             key.push_str(&format!(",app={app}"));
-        }
-        if let Some(tenant) = &self.tenant {
-            key.push_str(&format!(",tenant={tenant}"));
         }
         key.push('|');
         key.push_str(metric);
@@ -71,9 +56,6 @@ impl Scope {
         let mut out = format!("{{\"session\": {}", json_str(&self.session));
         if let Some(app) = &self.app {
             out.push_str(&format!(", \"app\": {}", json_str(app)));
-        }
-        if let Some(tenant) = &self.tenant {
-            out.push_str(&format!(", \"tenant\": {}", json_str(tenant)));
         }
         out.push('}');
         out
@@ -430,16 +412,11 @@ mod tests {
         assert_eq!(base.series_key("source_bps"), "session=backup-00001|source_bps");
         let app = base.with_app("pdf");
         assert_eq!(app.series_key("hit_rate"), "session=backup-00001,app=pdf|hit_rate");
-        let tenant = app.with_tenant("t42");
-        assert_eq!(
-            tenant.series_key("hit_rate"),
-            "session=backup-00001,app=pdf,tenant=t42|hit_rate"
-        );
     }
 
     #[test]
     fn ndjson_round_trips_through_the_json_reader() {
-        let mut ts = TimeSeries::new(Scope::session("s-0").with_tenant("acme"), 250, 8);
+        let mut ts = TimeSeries::new(Scope::session("s-0"), 250, 8);
         ts.push(sample(0));
         ts.push(sample(1));
         let docs = json::parse_ndjson(&ts.to_ndjson()).expect("NDJSON parses");
@@ -451,7 +428,6 @@ mod tests {
             Some(u64::from(METRICS_SCHEMA_VERSION))
         );
         assert_eq!(header.get("scope").get("session").as_str(), Some("s-0"));
-        assert_eq!(header.get("scope").get("tenant").as_str(), Some("acme"));
         let s = &docs[1];
         assert_eq!(s.get("kind").as_str(), Some("sample"));
         assert_eq!(s.get("source_bytes").as_u64(), Some(1000));

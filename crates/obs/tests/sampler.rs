@@ -135,22 +135,18 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
 #[test]
 fn scoped_series_keys_carry_dimensions_into_the_export() {
     let rec = Recorder::shared();
-    let scope = Scope::session("backup-00042").with_tenant("acme");
+    let scope = Scope::session("backup-00042");
     let mut core = SamplerCore::new(Arc::clone(&rec), scope.clone(), SamplerConfig::default());
     rec.count(Counter::SourceBytes, 1);
     core.tick(250, 250);
     let series = core.into_series();
-    assert_eq!(
-        series.series_key("source_bps"),
-        "session=backup-00042,tenant=acme|source_bps"
-    );
+    assert_eq!(series.series_key("source_bps"), "session=backup-00042|source_bps");
     assert_eq!(
         scope.with_app("pdf").series_key("hit_rate"),
-        "session=backup-00042,app=pdf,tenant=acme|hit_rate"
+        "session=backup-00042,app=pdf|hit_rate"
     );
     let docs = json::parse_ndjson(&series.to_ndjson()).expect("NDJSON parses");
     assert_eq!(docs[0].get("scope").get("session").as_str(), Some("backup-00042"));
-    assert_eq!(docs[0].get("scope").get("tenant").as_str(), Some("acme"));
 }
 
 #[test]
