@@ -1,9 +1,9 @@
 //! Shared infrastructure for the perf-trajectory harness.
 //!
-//! Holds what `aabench` and the standalone scaling bins share: the
-//! mixed-category corpus generator (previously duplicated per-bin), the
-//! environment-knob reader, the bench JSON schema version, and machine
-//! identification for `BENCH_<label>.json` artifacts.
+//! Holds what `aabench` and the standalone `index_scaling` bin share: the
+//! mixed-category corpus generator, the environment-knob reader, the
+//! bench JSON schema version, and machine identification for
+//! `BENCH_<label>.json` artifacts.
 
 use aadedupe_filetype::MemoryFile;
 use aadedupe_workload::Prng;
@@ -13,8 +13,8 @@ use aadedupe_workload::Prng;
 /// retypings do. Consumers must tolerate unknown keys.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
-/// Version stamped into the standalone scaling bins' JSON documents
-/// (`pipeline_scaling`, `restore_scaling`, `chunking_throughput`).
+/// Version stamped into the standalone `index_scaling` bin's JSON
+/// document.
 pub const BIN_SCHEMA_VERSION: u32 = 1;
 
 /// Reads `key` from the environment, falling back to `default` when the

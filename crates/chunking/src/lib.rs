@@ -43,7 +43,7 @@ pub use params::{
     CdcAlgorithm, CdcParams, DEFAULT_CDC, DEFAULT_FASTCDC, DEFAULT_NORM_LEVEL, DEFAULT_SC_SIZE,
 };
 pub use sc::ScChunker;
-pub use stream::{InstrumentedChunker, StreamChunker, StreamedChunk};
+pub use stream::{StreamChunker, StreamedChunk};
 pub use wfc::WfcChunker;
 
 use std::fmt;

@@ -4,12 +4,14 @@
 //! in memory; fine for PC-scale files, but VM disk images (the paper's
 //! biggest category) can exceed RAM. [`StreamChunker`] produces the same
 //! chunks incrementally with bounded memory: an internal buffer of at most
-//! `2 × max_chunk` bytes, refilled as chunks are emitted.
+//! `2 × max_chunk` bytes (never more than 2^26), refilled as chunks are
+//! emitted.
 //!
 //! Equivalence with the batch API is guaranteed by construction for SC and
-//! WFC and tested exhaustively for CDC (boundaries depend only on a
-//! 48-byte window, which never spans the buffer seam thanks to the
-//! carry-over logic).
+//! tested exhaustively for CDC (boundaries depend only on a 48-byte
+//! window, which never spans the buffer seam thanks to the carry-over
+//! logic). WFC equals the batch API's single chunk up to the buffer cap:
+//! a longer stream comes out as consecutive pieces of at most 2^26 bytes.
 
 use std::io::Read;
 
@@ -45,7 +47,9 @@ enum Method {
 }
 
 impl<R: Read> StreamChunker<R> {
-    /// Whole-file streaming (accumulates everything; one chunk at EOF).
+    /// Whole-file streaming: accumulates the stream and emits it as one
+    /// chunk at EOF — or, past the 2^26-byte buffer cap, as consecutive
+    /// pieces of at most that size.
     pub fn wfc(reader: R) -> Self {
         Self::new(reader, Method::Wfc)
     }
@@ -70,24 +74,6 @@ impl<R: Read> StreamChunker<R> {
     /// chunker was built for.
     pub fn content(reader: R, chunker: ContentChunker) -> Self {
         Self::new(reader, Method::Cdc(Box::new(chunker)))
-    }
-
-    /// Streaming chunker for any [`ChunkingMethod`], constructed from the
-    /// method's parameters — the entry point the parallel backup pipeline
-    /// uses so every worker thread builds its own chunker (the type is
-    /// `Send`; see the `stream_chunker_is_send` test). For CDC, the
-    /// boundary algorithm comes from `cdc.algorithm`.
-    pub fn for_method(
-        reader: R,
-        method: ChunkingMethod,
-        sc_chunk_size: usize,
-        cdc: crate::CdcParams,
-    ) -> Self {
-        match method {
-            ChunkingMethod::Wfc => Self::wfc(reader),
-            ChunkingMethod::Sc => Self::sc(reader, ScChunker::new(sc_chunk_size)),
-            ChunkingMethod::Cdc => Self::content(reader, ContentChunker::new(cdc)),
-        }
     }
 
     fn new(reader: R, method: Method) -> Self {
@@ -134,49 +120,6 @@ impl<R: Read> StreamChunker<R> {
         self.base += len as u64;
         chunk
     }
-
-    /// Wraps the chunker so every produced chunk is timed into the
-    /// recorder's `chunk` stage and counted by chunking method. A disabled
-    /// recorder reduces each observation to one atomic load.
-    pub fn instrumented(self, recorder: std::sync::Arc<aadedupe_obs::Recorder>) -> InstrumentedChunker<R> {
-        InstrumentedChunker { inner: self, recorder }
-    }
-}
-
-/// A [`StreamChunker`] that reports per-chunk latency and chunk counts to
-/// an [`aadedupe_obs::Recorder`]. Produces exactly the chunks the inner
-/// chunker would — observation only.
-pub struct InstrumentedChunker<R: Read> {
-    inner: StreamChunker<R>,
-    recorder: std::sync::Arc<aadedupe_obs::Recorder>,
-}
-
-impl<R: Read> InstrumentedChunker<R> {
-    /// Takes the I/O error that terminated the stream, if any.
-    pub fn io_error(&mut self) -> Option<std::io::Error> {
-        self.inner.io_error()
-    }
-}
-
-impl<R: Read> Iterator for InstrumentedChunker<R> {
-    type Item = StreamedChunk;
-
-    fn next(&mut self) -> Option<StreamedChunk> {
-        use aadedupe_obs::{Counter, Stage};
-        let started = self.recorder.start();
-        let chunk = self.inner.next()?;
-        self.recorder.record(Stage::Chunk, started);
-        if started.is_some() {
-            let by_method = match chunk.method {
-                ChunkingMethod::Cdc => Counter::ChunksCdc,
-                ChunkingMethod::Sc => Counter::ChunksSc,
-                ChunkingMethod::Wfc => Counter::ChunksWfc,
-            };
-            self.recorder.count(by_method, 1);
-            self.recorder.count(Counter::ChunkBytes, chunk.data.len() as u64);
-        }
-        Some(chunk)
-    }
 }
 
 impl<R: Read> Iterator for StreamChunker<R> {
@@ -188,8 +131,7 @@ impl<R: Read> Iterator for StreamChunker<R> {
             return None;
         }
         let (len, method) = match &self.method {
-            // Everything buffered (fill reads to EOF for WFC since
-            // high_water is MAX).
+            // Everything buffered: fill reads to EOF or to its cap.
             Method::Wfc => (self.buf.len(), ChunkingMethod::Wfc),
             Method::Sc(sc) => (sc.chunk_size().min(self.buf.len()), ChunkingMethod::Sc),
             Method::Cdc(cdc) => {
@@ -307,29 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn for_method_honours_cdc_algorithm() {
-        // The same data must chunk differently under the two algorithms
-        // (they are different hash families), and for_method must route
-        // by the params' algorithm tag.
-        let data = pseudo_random(300_000, 33);
-        let rabin: Vec<usize> =
-            StreamChunker::for_method(&data[..], ChunkingMethod::Cdc, 8192, DEFAULT_CDC)
-                .map(|c| c.data.len())
-                .collect();
-        let fast: Vec<usize> =
-            StreamChunker::for_method(&data[..], ChunkingMethod::Cdc, 8192, DEFAULT_FASTCDC)
-                .map(|c| c.data.len())
-                .collect();
-        let direct_fast: Vec<usize> = StreamChunker::fastcdc(&data[..], FastCdcChunker::default())
-            .map(|c| c.data.len())
-            .collect();
-        assert_eq!(fast, direct_fast);
-        assert_ne!(rabin, fast, "algorithms unexpectedly produced identical cut sequences");
-        assert_eq!(rabin.iter().sum::<usize>(), data.len());
-        assert_eq!(fast.iter().sum::<usize>(), data.len());
-    }
-
-    #[test]
     fn wfc_stream_single_chunk() {
         let data = pseudo_random(123_456, 7);
         let batch = WfcChunker::new().chunk(&data);
@@ -369,36 +288,12 @@ mod tests {
 
     #[test]
     fn stream_chunker_is_send() {
-        // The parallel pipeline moves chunkers into worker threads; a
-        // non-Send field sneaking into StreamChunker must fail this build.
+        // A streaming source hands its chunker to whichever thread reads
+        // it; a non-Send field sneaking into StreamChunker must fail this
+        // build.
         fn assert_send<T: Send>() {}
         assert_send::<StreamChunker<std::io::Cursor<Vec<u8>>>>();
         assert_send::<StreamChunker<&[u8]>>();
-    }
-
-    #[test]
-    fn for_method_matches_dedicated_constructors() {
-        let data = pseudo_random(120_000, 21);
-        for method in [ChunkingMethod::Wfc, ChunkingMethod::Sc, ChunkingMethod::Cdc] {
-            let via_for_method: Vec<usize> =
-                StreamChunker::for_method(&data[..], method, 8192, DEFAULT_CDC)
-                    .map(|c| c.data.len())
-                    .collect();
-            let direct: Vec<usize> = match method {
-                ChunkingMethod::Wfc => {
-                    StreamChunker::wfc(&data[..]).map(|c| c.data.len()).collect()
-                }
-                ChunkingMethod::Sc => StreamChunker::sc(&data[..], ScChunker::new(8192))
-                    .map(|c| c.data.len())
-                    .collect(),
-                ChunkingMethod::Cdc => {
-                    StreamChunker::cdc(&data[..], CdcChunker::new(DEFAULT_CDC))
-                        .map(|c| c.data.len())
-                        .collect()
-                }
-            };
-            assert_eq!(via_for_method, direct, "{method:?}");
-        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn metrics_ndjson_and_progress_outputs() {
     assert!(docs.len() >= 2, "header plus at least one sample:\n{text}");
     let header = &docs[0];
     assert_eq!(header.get("kind").as_str(), Some("header"), "{text}");
-    assert_eq!(header.get("schema_version").as_u64(), Some(1));
+    assert_eq!(header.get("schema_version").as_u64(), Some(2));
     assert!(header.get("interval_ms").as_u64() == Some(5), "{text}");
     let session = header.get("scope").get("session").as_str().expect("scope.session");
     assert!(session.starts_with("backup-"), "scope labels the run: {session}");

@@ -16,8 +16,10 @@
 //! on that stream's own append sequence — never on how appends to
 //! different streams interleave. This is the property the parallel backup
 //! pipeline relies on for determinism: as long as each stream's chunks
-//! arrive in a fixed order, the produced containers are byte-identical no
-//! matter how many threads feed the store.
+//! arrive in a fixed order, the produced containers are byte-identical —
+//! whether one thread feeds every stream or each stream is taken out with
+//! [`ContainerStore::split_stream`], fed by a thread of its own and given
+//! back with [`ContainerStore::merge`].
 
 use crate::builder::ContainerBuilder;
 use crate::format::{ChunkDescriptor, ContainerError, ParsedContainer};
@@ -247,6 +249,37 @@ impl ContainerStore {
     pub fn stats(&self) -> StoreStats {
         self.stats
     }
+
+    /// Takes `stream` out of this store: its sequence counter and open
+    /// container (if any) move into a new store with the same container
+    /// size, sequence floor and recorder, for one thread to append to
+    /// while other threads own other streams. Until the part comes back
+    /// through [`merge`](Self::merge), this store must not be handed
+    /// chunks or asked for ids of `stream`.
+    pub fn split_stream(&mut self, stream: u32) -> ContainerStore {
+        let mut part = ContainerStore::new(self.container_size);
+        part.seq_floor = self.seq_floor;
+        part.recorder = Arc::clone(&self.recorder);
+        part.next_seq.extend(self.next_seq.remove_entry(&stream));
+        part.open.extend(self.open.remove_entry(&stream));
+        part
+    }
+
+    /// Gives back a store made by [`split_stream`](Self::split_stream):
+    /// its sequence counters, open containers, sealed queue (appended
+    /// after this store's own) and statistics fold into this store.
+    pub fn merge(&mut self, part: ContainerStore) {
+        for (stream, seq) in part.next_seq {
+            self.resume_stream_ids(stream, seq);
+        }
+        self.open.extend(part.open);
+        self.sealed.extend(part.sealed);
+        self.stats.sealed += part.stats.sealed;
+        self.stats.oversized += part.stats.oversized;
+        self.stats.data_bytes += part.stats.data_bytes;
+        self.stats.padding_bytes += part.stats.padding_bytes;
+        self.stats.chunks += part.stats.chunks;
+    }
 }
 
 /// A compacted container: its rewritten bytes plus the surviving chunks'
@@ -448,32 +481,70 @@ mod tests {
     fn stream_layout_independent_of_interleaving() {
         // The determinism contract: a stream's sealed containers depend
         // only on that stream's own append sequence, not on how appends
-        // to other streams interleave with it.
+        // to other streams interleave with it — nor on whether the stream
+        // was split off into a store of its own meanwhile.
         let chunks_a: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 900]).collect();
         let chunks_b: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i ^ 0x55; 700]).collect();
 
-        let run = |interleave: bool| -> Vec<(u64, Vec<u8>)> {
+        #[derive(Clone, Copy)]
+        enum Mode {
+            Interleaved,
+            StreamByStream,
+            Split,
+        }
+        type Outcome = (Vec<(u64, Vec<u8>)>, StoreStats, [u64; 3]);
+        let run = |mode: Mode| -> Outcome {
             let mut store = ContainerStore::new(2048);
-            if interleave {
-                for (a, b) in chunks_a.iter().zip(&chunks_b) {
-                    store.add_chunk(1, fp(a), a);
-                    store.add_chunk(2, fp(b), b);
+            // Stream 1 starts with an open container and stream 2 with a
+            // resumed sequence; stream 3 is never touched.
+            store.add_chunk(1, fp(b"head"), b"head");
+            store.resume_stream_ids(2, 5);
+            match mode {
+                Mode::Interleaved => {
+                    for (a, b) in chunks_a.iter().zip(&chunks_b) {
+                        store.add_chunk(1, fp(a), a);
+                        store.add_chunk(2, fp(b), b);
+                    }
                 }
-            } else {
-                for b in &chunks_b {
-                    store.add_chunk(2, fp(b), b);
+                Mode::StreamByStream => {
+                    for b in &chunks_b {
+                        store.add_chunk(2, fp(b), b);
+                    }
+                    for a in &chunks_a {
+                        store.add_chunk(1, fp(a), a);
+                    }
                 }
-                for a in &chunks_a {
-                    store.add_chunk(1, fp(a), a);
+                Mode::Split => {
+                    let mut part_a = store.split_stream(1);
+                    let mut part_b = store.split_stream(2);
+                    let untouched = store.split_stream(3);
+                    for (a, b) in chunks_a.iter().zip(&chunks_b) {
+                        part_b.add_chunk(2, fp(b), b);
+                        part_a.add_chunk(1, fp(a), a);
+                    }
+                    assert_eq!(store.pending(), 0, "parts seal into their own queues");
+                    store.merge(part_a);
+                    store.merge(part_b);
+                    store.merge(untouched);
                 }
             }
+            // Every stream's sequence continues where its appends left it.
+            let tail = store.add_chunk(1, fp(b"tail"), b"tail").container;
+            let minted = [tail, store.mint_container_id(2), store.mint_container_id(3)];
             store.seal_all();
             let mut sealed: Vec<(u64, Vec<u8>)> =
                 store.drain_sealed().into_iter().map(|s| (s.id, s.bytes)).collect();
             sealed.sort_by_key(|(id, _)| *id);
-            sealed
+            (sealed, store.stats(), minted)
         };
-        assert_eq!(run(true), run(false), "sealed containers are order-independent");
+        let (sealed, stats, minted) = run(Mode::Interleaved);
+        assert_eq!(decompose_id(sealed[0].0), (1, 0), "the open container kept its id");
+        assert_eq!(decompose_id(minted[2]), (3, 0));
+        let in_stream_2 = sealed.iter().filter(|(id, _)| decompose_id(*id).0 == 2).count() as u64;
+        assert_eq!(decompose_id(minted[1]), (2, 5 + in_stream_2), "no id is minted twice");
+        for mode in [Mode::StreamByStream, Mode::Split] {
+            assert_eq!(run(mode), (sealed.clone(), stats, minted), "layout is order-independent");
+        }
     }
 
     #[test]

@@ -8,18 +8,24 @@
 //! containers per application stream; manifests and periodic index
 //! snapshots complete the cloud state.
 //!
-//! # Parallel pipeline
+//! # One dataflow, two schedules
 //!
-//! With [`PipelineConfig::workers`] > 1 a session runs as a multi-stage
-//! pipeline built purely on `std::thread` + `std::sync::mpsc`:
+//! Every file takes the same steps whichever schedule runs them:
+//! `pack_tiny` under the size filter, else `read_and_chunk` (the file's
+//! buffer is cut *in place*: chunks are ranges of it, never copies) and
+//! `dedupe_chunks` (index lookup; a new chunk's range is appended straight
+//! into the [`ContainerStore`]); then `absorb` folds the outcome into the
+//! report and the manifest. The serial schedule is one loop over them.
+//! With [`PipelineConfig::workers`] > 1 they run as a pipeline built on
+//! `std::thread::scope` + `std::sync::mpsc`:
 //!
 //! ```text
-//!          jobs                 per-app shards            append requests
-//! main ──────────▶ workers ──────────────────▶ dedup ──────────────────▶ appender
-//!  │    (bounded)  read+classify  (bounded,     shards   (reply channel)  (owns the
-//!  │               chunk+hash      one per app)   │                       ContainerStore)
-//!  │                                              │ outcomes
-//!  └───────────── tiny files (file order) ────────┴──▶ merge (file order)
+//!  workers ───────────────────────▶ dedup shards ───────────────▶ main
+//!  claim big files from a   (bounded,      one per application;   merge in
+//!  shared cursor; read,      one channel   owns that app's index  file order
+//!  classify, chunk + hash    per shard)    partition and its         ▲
+//!                                          container stream          │
+//!  main ── tiny files, in file order, into the tiny stream ──────────┘
 //! ```
 //!
 //! Determinism contract: the output (containers, manifests, index,
@@ -31,24 +37,26 @@
 //!    container layout depends only on that stream's own append sequence;
 //! 2. each application's chunks are deduplicated by exactly one shard
 //!    thread, which processes its files in file order (a reorder buffer
-//!    absorbs out-of-order worker completions), so every stream's append
-//!    sequence — and every partition's lookup/insert sequence — matches
-//!    the serial one;
+//!    absorbs out-of-order worker completions) and owns the application's
+//!    container stream for the session
+//!    ([`ContainerStore::split_stream`]), so every stream's append
+//!    sequence — and every partition's lookup/insert sequence — is the
+//!    serial one;
 //! 3. tiny files are packed by the main thread in file order, feeding the
-//!    tiny stream the exact serial sequence;
-//! 4. a single appender thread owns the [`ContainerStore`], serving
-//!    placement requests; per-producer mpsc FIFO keeps each stream's
-//!    arrivals in its shard's send order.
+//!    tiny stream (which never leaves the engine's store) the exact
+//!    serial sequence.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
-use aadedupe_chunking::{CdcParams, StreamChunker, DEFAULT_CDC};
+use aadedupe_chunking::{
+    CdcParams, Chunker, ChunkingMethod, ContentChunker, ScChunker, DEFAULT_CDC,
+};
 use aadedupe_cloud::CloudSim;
-use aadedupe_container::{decompose_id, ContainerStore, Placement, DEFAULT_CONTAINER_SIZE};
+use aadedupe_container::{decompose_id, ContainerStore, DEFAULT_CONTAINER_SIZE};
 use aadedupe_filetype::{AppType, DedupPolicy, SourceFile};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_index::{codec, AppAwareIndex, ChunkEntry};
@@ -82,10 +90,10 @@ pub enum PipelineMode {
 pub struct PipelineConfig {
     /// Chunk+hash worker threads (1 = serial under [`PipelineMode::Auto`]).
     pub workers: usize,
-    /// Bound on in-flight items per channel: the job queue holds
-    /// `workers * queue_depth` file indices and each dedup shard buffers
-    /// `queue_depth` chunked files, keeping pipeline memory proportional
-    /// to thread count rather than dataset size.
+    /// Bound on each dedup shard's channel: a shard that is busy lets
+    /// `queue_depth` chunked files wait before the workers sending to it
+    /// block, keeping pipeline memory proportional to thread count rather
+    /// than dataset size.
     pub queue_depth: usize,
     /// Serial/parallel selection policy.
     pub mode: PipelineMode,
@@ -243,10 +251,22 @@ pub struct AaDedupe {
     pub(crate) sweep_debt: Vec<u64>,
 }
 
-/// The result of chunk+hash over one file.
+/// Longest chunk the engine records: whole-file chunking cuts a larger
+/// file into consecutive pieces of this size plus the remainder, so every
+/// [`ChunkRef::len`] fits its `u32`. Existing recipes were cut with it.
+const WFC_PIECE_MAX: usize = 1 << 26;
+
+/// Time elapsed on a [`Recorder::start`] timer; zero while recording is off.
+fn since(timer: Option<Instant>) -> Duration {
+    timer.map_or(Duration::ZERO, |t| t.elapsed())
+}
+
+/// The result of chunk+hash over one file: the file's bytes, read once,
+/// and where they were cut.
 struct ChunkedFile {
-    /// (fingerprint, chunk bytes) in file order.
-    chunks: Vec<(Fingerprint, Vec<u8>)>,
+    data: Vec<u8>,
+    /// (fingerprint, chunk length) in file order; the lengths tile `data`.
+    chunks: Vec<(Fingerprint, usize)>,
     /// CPU time spent producing them.
     cpu: Duration,
 }
@@ -261,53 +281,65 @@ struct DedupedFile {
     cpu: Duration,
 }
 
-/// A placement request sent to the single-writer appender thread.
-struct AppendReq {
-    stream: u32,
-    fp: Fingerprint,
-    bytes: Vec<u8>,
-    reply: mpsc::Sender<Placement>,
-}
-
-/// Chunk + fingerprint one file's bytes according to the policy, via the
-/// streaming chunker (identical boundaries to the batch API; each caller
-/// builds its own chunker, so worker threads share nothing).
-fn chunk_and_hash(
-    policy: &DedupPolicy,
-    sc_chunk_size: usize,
-    cdc: CdcParams,
-    app: AppType,
-    data: &[u8],
-    rec: &Arc<Recorder>,
-) -> ChunkedFile {
+/// Cuts `data` in place according to the policy and fingerprints every
+/// chunk. Each call builds its own chunker, so worker threads share
+/// nothing.
+fn chunk_and_hash(cfg: &AaDedupeConfig, app: AppType, data: Vec<u8>) -> ChunkedFile {
+    let rec = &cfg.recorder;
     let (chunks, cpu) = crate::timing::measure_cpu(|| {
-        let (method, hash) = policy.for_app(app);
-        StreamChunker::for_method(data, method, sc_chunk_size, cdc)
-            .instrumented(Arc::clone(rec))
-            .map(|c| {
+        let (method, hash) = cfg.policy.for_app(app);
+        let chunking = rec.start();
+        let (spans, by_method) = match method {
+            // One chunk per file, cut only every WFC_PIECE_MAX bytes:
+            // static chunking at that size.
+            ChunkingMethod::Wfc => (ScChunker::new(WFC_PIECE_MAX).chunk(&data), Counter::ChunksWfc),
+            ChunkingMethod::Sc => {
+                (ScChunker::new(cfg.sc_chunk_size).chunk(&data), Counter::ChunksSc)
+            }
+            ChunkingMethod::Cdc => {
+                (ContentChunker::new(cfg.cdc_for(app)).chunk(&data), Counter::ChunksCdc)
+            }
+        };
+        rec.record(Stage::Chunk, chunking);
+        rec.count(by_method, spans.len() as u64);
+        rec.count(Counter::ChunkBytes, data.len() as u64);
+        spans
+            .iter()
+            .map(|span| {
                 let hashing = rec.start();
-                let fp = Fingerprint::compute(hash, &c.data);
+                let fp = Fingerprint::compute(hash, span.slice(&data));
                 rec.record(Stage::Hash, hashing);
-                (fp, c.data)
+                (fp, span.len)
             })
             .collect()
     });
-    ChunkedFile { chunks, cpu }
+    ChunkedFile { data, chunks, cpu }
 }
 
-/// Deduplicate one chunked file against its application's partition.
-/// `append` places a unique chunk and returns where it landed — directly
-/// into the [`ContainerStore`] on the serial path, via the appender
-/// thread's request channel on the parallel path. The lookup→insert
-/// sequence per partition is what both paths execute identically.
+/// The head of the big-file path — classify, read, chunk, fingerprint —
+/// run by the serial loop and by every pipeline worker.
+fn read_and_chunk(cfg: &AaDedupeConfig, file: &dyn SourceFile) -> (AppType, ChunkedFile) {
+    let rec = &cfg.recorder;
+    let classify = rec.start();
+    let app = file.app_type();
+    rec.record(Stage::Classify, classify);
+    let data = file.read();
+    rec.count(Counter::SourceBytes, data.len() as u64);
+    (app, chunk_and_hash(cfg, app, data))
+}
+
+/// Deduplicates one chunked file against its application's partition,
+/// appending each new chunk to the application's stream in `store` — the
+/// engine's store in the serial loop, the shard's split-off part in the
+/// pipeline. The lookup→insert sequence per partition and the append
+/// sequence per stream are what both schedules execute identically.
 fn dedupe_chunks(
     index: &AppAwareIndex,
+    store: &mut ContainerStore,
     path: &str,
     app: AppType,
     chunked: ChunkedFile,
-    append: &mut dyn FnMut(Fingerprint, Vec<u8>) -> Placement,
 ) -> DedupedFile {
-    let chunk_cpu = chunked.cpu;
     let (mut deduped, elapsed) = crate::timing::measure_cpu(|| {
         let mut recipe = FileRecipe {
             path: path.to_string(),
@@ -316,43 +348,31 @@ fn dedupe_chunks(
             chunks: Vec::with_capacity(chunked.chunks.len()),
         };
         let (mut stored_bytes, mut chunks_duplicate, mut disk_reads) = (0u64, 0u64, 0u64);
-        for (fp, bytes) in chunked.chunks {
+        let mut rest = chunked.data.as_slice();
+        for &(fp, len) in &chunked.chunks {
+            let (bytes, tail) = rest.split_at(len);
+            rest = tail;
             let outcome = index.lookup_classified(app, &fp);
             if outcome.touched_disk() {
                 disk_reads += 1;
             }
-            let reference = match outcome.entry() {
+            let (container, offset) = match outcome.entry() {
                 Some(entry) => {
                     chunks_duplicate += 1;
-                    ChunkRef {
-                        fingerprint: fp,
-                        len: bytes.len() as u32,
-                        container: entry.container,
-                        offset: entry.offset,
-                    }
+                    (entry.container, entry.offset)
                 }
                 None => {
-                    let len = bytes.len();
-                    let placement = append(fp, bytes);
-                    index.insert(
-                        app,
-                        fp,
-                        ChunkEntry::new(len as u64, placement.container, placement.offset),
-                    );
+                    let at = store.add_chunk(app.tag() as u32, fp, bytes);
+                    index.insert(app, fp, ChunkEntry::new(len as u64, at.container, at.offset));
                     stored_bytes += len as u64;
-                    ChunkRef {
-                        fingerprint: fp,
-                        len: len as u32,
-                        container: placement.container,
-                        offset: placement.offset,
-                    }
+                    (at.container, at.offset)
                 }
             };
-            recipe.chunks.push(reference);
+            recipe.chunks.push(ChunkRef { fingerprint: fp, len: len as u32, container, offset });
         }
         DedupedFile { recipe, stored_bytes, chunks_duplicate, disk_reads, cpu: Duration::ZERO }
     });
-    deduped.cpu = chunk_cpu + elapsed;
+    deduped.cpu = chunked.cpu + elapsed;
     deduped
 }
 
@@ -363,58 +383,45 @@ fn dedupe_chunks(
 fn pack_tiny(
     tiny_seen: &mut HashMap<String, (u64, ChunkRef)>,
     file: &dyn SourceFile,
-    append: &mut dyn FnMut(Fingerprint, Vec<u8>) -> Placement,
+    store: &mut ContainerStore,
     rec: &Recorder,
 ) -> DedupedFile {
-    let app = file.app_type();
     let token = file.change_token();
-    if let Some((seen_token, reference)) = tiny_seen.get(file.path()) {
-        if *seen_token == token {
-            rec.count(Counter::TinyCarried, 1);
-            let reference = *reference;
-            return DedupedFile {
-                recipe: FileRecipe {
-                    path: file.path().to_string(),
-                    app,
-                    tiny: true,
-                    chunks: vec![reference],
-                },
-                stored_bytes: 0,
-                chunks_duplicate: 1,
-                disk_reads: 0,
-                cpu: Duration::ZERO,
-            };
-        }
-    }
-    let packing = rec.start();
-    rec.count(Counter::TinyPacked, 1);
-    let data = file.read();
-    rec.count(Counter::SourceBytes, data.len() as u64);
-    // Tiny files are fingerprinted only for restore-time integrity
-    // (container descriptors need a key); they are not indexed.
-    let ((fp, len, placement), cpu) = crate::timing::measure_cpu(|| {
-        let fp = Fingerprint::compute(aadedupe_hashing::HashAlgorithm::Sha1, &data);
-        let len = data.len();
-        let placement = append(fp, data);
-        (fp, len, placement)
-    });
-    let reference = ChunkRef {
-        fingerprint: fp,
-        len: len as u32,
-        container: placement.container,
-        offset: placement.offset,
+    let carried =
+        tiny_seen.get(file.path()).filter(|(seen, _)| *seen == token).map(|(_, carried)| *carried);
+    let (reference, stored_bytes, cpu) = if let Some(reference) = carried {
+        rec.count(Counter::TinyCarried, 1);
+        (reference, 0, Duration::ZERO)
+    } else {
+        let packing = rec.start();
+        rec.count(Counter::TinyPacked, 1);
+        let data = file.read();
+        rec.count(Counter::SourceBytes, data.len() as u64);
+        // Tiny files are fingerprinted only for restore-time integrity
+        // (container descriptors need a key); they are not indexed.
+        let ((fp, placement), cpu) = crate::timing::measure_cpu(|| {
+            let fp = Fingerprint::compute(aadedupe_hashing::HashAlgorithm::Sha1, &data);
+            (fp, store.add_chunk(TINY_STREAM, fp, &data))
+        });
+        let reference = ChunkRef {
+            fingerprint: fp,
+            len: data.len() as u32,
+            container: placement.container,
+            offset: placement.offset,
+        };
+        tiny_seen.insert(file.path().to_string(), (token, reference));
+        rec.record(Stage::TinyPack, packing);
+        (reference, data.len() as u64, cpu)
     };
-    tiny_seen.insert(file.path().to_string(), (token, reference));
-    rec.record(Stage::TinyPack, packing);
     DedupedFile {
         recipe: FileRecipe {
             path: file.path().to_string(),
-            app,
+            app: file.app_type(),
             tiny: true,
             chunks: vec![reference],
         },
-        stored_bytes: len as u64,
-        chunks_duplicate: 0,
+        stored_bytes,
+        chunks_duplicate: u64::from(carried.is_some()),
         disk_reads: 0,
         cpu,
     }
@@ -635,7 +642,8 @@ impl AaDedupe {
         }
     }
 
-    /// The serial path: one thread does everything, in file order.
+    /// The serial schedule: one thread does everything, in file order.
+    /// This is the oracle the pipeline is tested against.
     fn run_session_serial(
         &mut self,
         files: &[&dyn SourceFile],
@@ -645,296 +653,139 @@ impl AaDedupe {
         let mut manifest = Manifest::new(self.sessions as u64);
         let cfg = &self.config;
         let rec = &cfg.recorder;
-        let index = &self.index;
-        let containers = &mut self.containers;
-        let tiny_seen = &mut self.tiny_seen;
-        let container_live = &mut self.container_live;
         for file in files {
             let span = rec.trace_start();
             let out = if file.size() < cfg.tiny_threshold {
-                pack_tiny(
-                    tiny_seen,
-                    *file,
-                    &mut |fp, bytes| containers.add_chunk(TINY_STREAM, fp, &bytes),
-                    rec,
-                )
+                pack_tiny(&mut self.tiny_seen, *file, &mut self.containers, rec)
             } else {
-                let classify = rec.start();
-                let app = file.app_type();
-                rec.record(Stage::Classify, classify);
-                let data = file.read();
-                rec.count(Counter::SourceBytes, data.len() as u64);
-                let chunked =
-                    chunk_and_hash(&cfg.policy, cfg.sc_chunk_size, cfg.cdc_for(app), app, &data, rec);
-                dedupe_chunks(index, file.path(), app, chunked, &mut |fp, bytes| {
-                    containers.add_chunk(app.tag() as u32, fp, &bytes)
-                })
+                let (app, chunked) = read_and_chunk(cfg, *file);
+                dedupe_chunks(&self.index, &mut self.containers, file.path(), app, chunked)
             };
             rec.trace_complete("file", span);
-            manifest.files.push(absorb(out, report, clock, container_live));
+            manifest.files.push(absorb(out, report, clock, &mut self.container_live));
         }
         manifest
     }
 
-    /// The parallel pipeline (see the module docs for the dataflow and
-    /// the determinism argument).
+    /// The pipeline schedule (see the module docs for the dataflow and
+    /// the determinism argument). No thread waits on one further
+    /// upstream: a shard receives whenever the file it needs next has not
+    /// arrived and blocks on nothing else, so every worker's send
+    /// completes; workers end when the cursor runs out.
     fn run_session_parallel(
         &mut self,
         files: &[&dyn SourceFile],
         report: &mut SessionReport,
         clock: &mut DedupClock,
     ) -> Manifest {
-        let session = self.sessions as u64;
         let cfg = &self.config;
         let rec = &cfg.recorder;
         let index = &self.index;
-        let tiny_seen = &mut self.tiny_seen;
-        let container_live = &mut self.container_live;
-        let workers = cfg.pipeline.workers.max(1);
+        let containers = &mut self.containers;
         let queue_depth = cfg.pipeline.queue_depth.max(1);
-        let tiny_threshold = cfg.tiny_threshold;
 
-        // Big-file indices grouped per application (file order preserved):
-        // each group is one shard thread's work list.
-        let mut by_app: Vec<Vec<usize>> = AppType::ALL.iter().map(|_| Vec::new()).collect();
-        for (i, f) in files.iter().enumerate() {
-            if f.size() >= tiny_threshold {
-                // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len() by construction; by_app has one slot per variant
-                by_app[(f.app_type().tag() - 1) as usize].push(i);
-            }
+        // Big files in file order — the workers' job list — and the same
+        // files grouped per application: each group is one shard's work.
+        let jobs: Vec<(usize, &dyn SourceFile)> = files
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, f)| f.size() >= cfg.tiny_threshold)
+            .collect();
+        let mut by_app: BTreeMap<AppType, Vec<(usize, &dyn SourceFile)>> = BTreeMap::new();
+        for &(i, f) in &jobs {
+            by_app.entry(f.app_type()).or_default().push((i, f));
         }
-        let big_order: Vec<usize> =
-            // aalint: allow(panic-path) -- i ranges over 0..files.len()
-            (0..files.len()).filter(|&i| files[i].size() >= tiny_threshold).collect();
-        let n_big = big_order.len();
+        let cursor = AtomicUsize::new(0);
 
-        // The appender thread owns the store for the session's duration.
-        let store =
-            std::mem::replace(&mut self.containers, ContainerStore::new(cfg.container_size));
-
-        let (job_tx, job_rx) = mpsc::sync_channel::<usize>(workers * queue_depth);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (append_tx, append_rx) = mpsc::channel::<AppendReq>();
-        let (out_tx, out_rx) = mpsc::channel::<(usize, DedupedFile)>();
-
-        // One bounded channel per application shard with work.
-        let mut shard_txs: Vec<Option<mpsc::SyncSender<(usize, ChunkedFile)>>> =
-            (0..AppType::ALL.len()).map(|_| None).collect();
-        let mut shard_rxs: Vec<Option<mpsc::Receiver<(usize, ChunkedFile)>>> =
-            (0..AppType::ALL.len()).map(|_| None).collect();
-        for (tag_idx, group) in by_app.iter().enumerate() {
-            if !group.is_empty() {
-                let (tx, rx) = mpsc::sync_channel(queue_depth);
-                // aalint: allow(panic-path) -- tag_idx < AppType::ALL.len() = shard_txs.len() via enumerate over by_app
-                shard_txs[tag_idx] = Some(tx);
-                // aalint: allow(panic-path) -- same enumerate bound as the line above
-                shard_rxs[tag_idx] = Some(rx);
-            }
-        }
-
-        let (mut tiny_out, mut big_out, store) = std::thread::scope(|scope| {
-            // Single-writer appender: the only thread touching the store.
-            let appender = scope.spawn(move || {
-                let mut store = store;
-                let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                loop {
-                    let waiting = rec.start();
-                    let Ok(req) = append_rx.recv() else { break };
-                    rec.queue_pop(Queue::Appender);
-                    if let Some(w) = waiting {
-                        idle += w.elapsed();
-                    }
-                    let working = rec.start();
-                    let placement = store.add_chunk(req.stream, req.fp, &req.bytes);
-                    // aalint: allow(swallowed-result) -- a shard that already panicked dropped its reply receiver; the appender must keep serving the other shards
-                    let _ = req.reply.send(placement);
-                    if let Some(w) = working {
-                        busy += w.elapsed();
-                    }
-                }
-                rec.worker_report(WorkerRole::Appender, 0, busy, idle);
-                store
-            });
-
-            // Dedup shards: one per application with work; each processes
-            // its own files in file order via a reorder buffer.
-            for (tag_idx, rx) in shard_rxs.into_iter().enumerate() {
-                let Some(rx) = rx else { continue };
-                // aalint: allow(panic-path) -- enumerate over shard_rxs, sized to AppType::ALL.len()
-                let app = AppType::ALL[tag_idx];
-                // aalint: allow(panic-path) -- same enumerate bound as the line above
-                let my_files = std::mem::take(&mut by_app[tag_idx]);
-                let append_tx = append_tx.clone();
-                let out_tx = out_tx.clone();
-                scope.spawn(move || {
-                    let (reply_tx, reply_rx) = mpsc::channel::<Placement>();
+        let outs = std::thread::scope(|scope| {
+            // Dedup shards: one per application with work. Each takes its
+            // application's stream out of the store for the session and
+            // processes its files in file order via a reorder buffer.
+            let mut shard_txs = BTreeMap::new();
+            let mut shards = Vec::new();
+            for (app, my_files) in by_app {
+                let (tx, rx) = mpsc::sync_channel::<(usize, ChunkedFile)>(queue_depth);
+                shard_txs.insert(app, tx);
+                let mut store = containers.split_stream(app.tag() as u32);
+                shards.push(scope.spawn(move || {
                     let mut pending: BTreeMap<usize, ChunkedFile> = BTreeMap::new();
-                    let mut next = 0usize;
+                    let mut outs = Vec::with_capacity(my_files.len());
                     let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                    while next < my_files.len() {
+                    for (want, file) in my_files {
                         let waiting = rec.start();
-                        // aalint: allow(unwrap-in-lib) -- scoped-thread topology: chunk workers hold the senders until every shard drains; closure here is a harness bug worth a loud panic
-                        let (i, cf) = rx.recv().expect("workers outlive shard backlog");
-                        rec.queue_pop(Queue::Shards);
-                        if let Some(w) = waiting {
-                            idle += w.elapsed();
-                        }
-                        let working = rec.start();
-                        pending.insert(i, cf);
-                        while next < my_files.len() {
-                            // aalint: allow(panic-path) -- next < my_files.len() is the loop guard
-                            let want = my_files[next];
-                            let Some(cf) = pending.remove(&want) else { break };
-                            let span = rec.trace_start();
-                            let out = dedupe_chunks(
-                                index,
-                                // aalint: allow(panic-path) -- want came from enumerate over files
-                                files[want].path(),
-                                app,
-                                cf,
-                                &mut |fp, bytes| {
-                                    rec.queue_push(Queue::Appender);
-                                    append_tx
-                                        .send(AppendReq {
-                                            stream: app.tag() as u32,
-                                            fp,
-                                            bytes,
-                                            reply: reply_tx.clone(),
-                                        })
-                                        .expect("appender outlives shards"); // aalint: allow(unwrap-in-lib) -- appender joins only after every shard sender drops
-                                    reply_rx.recv().expect("appender replies") // aalint: allow(unwrap-in-lib) -- appender replies to every request before servicing the next
-                                },
-                            );
-                            rec.trace_complete("dedupe", span);
-                            // aalint: allow(unwrap-in-lib) -- main thread holds out_rx open for the whole scope
-                            out_tx.send((want, out)).expect("main collects outcomes");
-                            next += 1;
-                        }
-                        if let Some(w) = working {
-                            busy += w.elapsed();
-                        }
-                    }
-                    rec.worker_report(WorkerRole::Shard, tag_idx, busy, idle);
-                });
-            }
-            drop(out_tx); // shards hold the remaining clones
-
-            // Chunk+hash workers: pull file indices, push chunked files to
-            // the owning shard.
-            for w in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let shard_txs: Vec<Option<mpsc::SyncSender<(usize, ChunkedFile)>>> =
-                    shard_txs.clone();
-                scope.spawn(move || {
-                    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                    loop {
-                        let waiting = rec.start();
-                        // aalint: allow(blocking-under-lock) -- spmc handoff: the mutex exists only to share the receiver; holding it across recv() is the protocol
-                        let i = match job_rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv() {
-                            Ok(i) => i,
-                            Err(_) => break,
+                        let chunked = loop {
+                            if let Some(chunked) = pending.remove(&want) {
+                                break chunked;
+                            }
+                            // aalint: allow(unwrap-in-lib) -- the workers hold the senders until the cursor runs out, which it cannot before this backlog was sent; a closed channel means a worker panicked, and that must not be outlived quietly
+                            let (i, chunked) = rx.recv().expect("workers outlive shard backlog");
+                            rec.queue_pop(Queue::Shards);
+                            pending.insert(i, chunked);
                         };
-                        rec.queue_pop(Queue::Jobs);
-                        if let Some(t) = waiting {
-                            idle += t.elapsed();
-                        }
+                        idle += since(waiting);
                         let working = rec.start();
                         let span = rec.trace_start();
-                        // aalint: allow(panic-path) -- i came from enumerate over files, relayed through the job channel
-                        let file = files[i];
-                        let classify = rec.start();
-                        let app = file.app_type();
-                        rec.record(Stage::Classify, classify);
-                        let data = file.read();
-                        rec.count(Counter::SourceBytes, data.len() as u64);
-                        let cf = chunk_and_hash(
-                            &cfg.policy,
-                            cfg.sc_chunk_size,
-                            cfg.cdc_for(app),
-                            app,
-                            &data,
-                            rec,
-                        );
+                        let out = dedupe_chunks(index, &mut store, file.path(), app, chunked);
+                        outs.push((want, out));
+                        rec.trace_complete("dedupe", span);
+                        busy += since(working);
+                    }
+                    rec.worker_report(WorkerRole::Shard, (app.tag() - 1) as usize, busy, idle);
+                    (store, outs)
+                }));
+            }
+
+            // Chunk+hash workers: claim the next unclaimed big file, push
+            // the chunked file to the owning shard.
+            for w in 0..cfg.pipeline.workers.max(1) {
+                let (jobs, cursor, shard_txs) = (&jobs, &cursor, shard_txs.clone());
+                scope.spawn(move || {
+                    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
+                    // Relaxed: the cursor only hands out tickets; the job
+                    // list it indexes was complete before any thread began.
+                    while let Some(&(i, file)) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let working = rec.start();
+                        let span = rec.trace_start();
+                        let (app, chunked) = read_and_chunk(cfg, file);
                         rec.trace_complete("chunk_hash", span);
-                        if let Some(t) = working {
-                            busy += t.elapsed();
-                        }
+                        busy += since(working);
+                        let waiting = rec.start();
                         rec.queue_push(Queue::Shards);
-                        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); shard_txs has one slot per variant
-                        shard_txs[(app.tag() - 1) as usize]
-                            .as_ref()
-                            .expect("shard exists for routed app") // aalint: allow(unwrap-in-lib) -- a shard thread was spawned for every app with routed work
-                            .send((i, cf))
-                            .expect("shard outlives its backlog"); // aalint: allow(unwrap-in-lib) -- shard loops until its full backlog arrives, so the receiver cannot close first
+                        shard_txs
+                            .get(&app)
+                            .expect("shard exists for routed app") // aalint: allow(unwrap-in-lib) -- a shard was spawned for every application in the job list
+                            .send((i, chunked))
+                            .expect("shard outlives its backlog"); // aalint: allow(unwrap-in-lib) -- a shard ends only after its whole backlog arrived, so the receiver cannot close first
+                        idle += since(waiting);
                     }
                     rec.worker_report(WorkerRole::Chunker, w, busy, idle);
                 });
             }
             drop(shard_txs); // workers hold the remaining clones
 
-            // Feeder: bounded job queue, closed when exhausted.
-            scope.spawn(move || {
-                for i in big_order {
-                    rec.queue_push(Queue::Jobs);
-                    if job_tx.send(i).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Main thread: tiny files in file order, through the appender.
-            let mut tiny_out: BTreeMap<usize, DedupedFile> = BTreeMap::new();
-            {
-                let (reply_tx, reply_rx) = mpsc::channel::<Placement>();
-                for (i, file) in files.iter().enumerate() {
-                    if file.size() < tiny_threshold {
-                        let out = pack_tiny(
-                            tiny_seen,
-                            *file,
-                            &mut |fp, bytes| {
-                                rec.queue_push(Queue::Appender);
-                                append_tx
-                                    .send(AppendReq {
-                                        stream: TINY_STREAM,
-                                        fp,
-                                        bytes,
-                                        reply: reply_tx.clone(),
-                                    })
-                                    .expect("appender outlives tiny packing"); // aalint: allow(unwrap-in-lib) -- append_tx drops only after this loop
-                                reply_rx.recv().expect("appender replies") // aalint: allow(unwrap-in-lib) -- appender replies to every request before servicing the next
-                            },
-                            rec,
-                        );
-                        tiny_out.insert(i, out);
-                    }
+            // Main thread: tiny files in file order into the tiny stream;
+            // then each shard's stream comes home, in stream order, with
+            // the shard's outcomes.
+            let mut outs: BTreeMap<usize, DedupedFile> = BTreeMap::new();
+            for (i, file) in files.iter().enumerate() {
+                if file.size() < cfg.tiny_threshold {
+                    outs.insert(i, pack_tiny(&mut self.tiny_seen, *file, containers, rec));
                 }
             }
-            drop(append_tx); // appender exits once shards finish too
-
-            // Collect shard outcomes; the channel closes when every shard
-            // has drained its work list.
-            let mut big_out: BTreeMap<usize, DedupedFile> = BTreeMap::new();
-            for (i, out) in out_rx.iter() {
-                big_out.insert(i, out);
+            for shard in shards {
+                let (part, deduped) = shard.join().expect("shard thread panicked"); // aalint: allow(unwrap-in-lib) -- re-raising a shard's panic is the intended failure mode
+                containers.merge(part);
+                outs.extend(deduped);
             }
-            debug_assert_eq!(big_out.len(), n_big);
-
-            // aalint: allow(unwrap-in-lib) -- re-raising an appender panic at scope exit is the intended failure mode
-            let store = appender.join().expect("appender thread panicked");
-            (tiny_out, big_out, store)
+            outs
         });
-        self.containers = store;
 
         // Merge in file order — identical to the serial loop.
-        let mut manifest = Manifest::new(session);
-        for (i, file) in files.iter().enumerate() {
-            let out = if file.size() < tiny_threshold {
-                tiny_out.remove(&i)
-            } else {
-                big_out.remove(&i)
-            }
-            .expect("every file produced an outcome"); // aalint: allow(unwrap-in-lib) -- each file was routed to exactly one of the two outcome maps above
-            manifest.files.push(absorb(out, report, clock, container_live));
+        debug_assert_eq!(outs.len(), files.len());
+        let mut manifest = Manifest::new(self.sessions as u64);
+        for out in outs.into_values() {
+            manifest.files.push(absorb(out, report, clock, &mut self.container_live));
         }
         manifest
     }
@@ -1317,6 +1168,7 @@ impl BackupScheme for AaDedupe {
 mod tests {
     use super::*;
     use aadedupe_filetype::MemoryFile;
+    use aadedupe_hashing::HashAlgorithm;
 
     fn mem(path: &str, data: Vec<u8>) -> MemoryFile {
         MemoryFile::new(path, data)
@@ -1530,6 +1382,31 @@ mod tests {
         let a = serial.restore_session(0).unwrap();
         let b = parallel.restore_session(0).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn wfc_records_files_beyond_64_mib_as_64_mib_pieces() {
+        // What every repository written so far holds for a compressed
+        // file larger than 2^26 bytes; both schedules must keep to it.
+        let big: Vec<u8> = (0..(1u32 << 26) + 5).map(|i| (i ^ (i >> 13)) as u8).collect();
+        let files = vec![mem("user/iso/big.iso", big), mem("user/mp3/c.mp3", vec![9u8; 60_000])];
+        let namespaces = [1, 2].map(|workers| {
+            let cfg = AaDedupeConfig {
+                pipeline: PipelineConfig::with_workers(workers),
+                ..AaDedupeConfig::default()
+            };
+            let mut e = AaDedupe::with_config(CloudSim::with_paper_defaults(), cfg);
+            e.backup_session(&sources(&files)).unwrap();
+            assert_eq!(e.restore_session(0).unwrap()[0].data, files[0].data, "workers={workers}");
+            let store = e.cloud().store();
+            let object = |key: &String| store.get(key).unwrap().expect("listed key present");
+            let manifest = Manifest::decode(&object(&Manifest::key("aa-dedupe", 0))).unwrap();
+            let lens: Vec<u32> = manifest.files[0].chunks.iter().map(|c| c.len).collect();
+            assert_eq!(lens, [1 << 26, 5], "workers={workers}");
+            let digest = |key: &String| Fingerprint::compute(HashAlgorithm::Md5, &object(key));
+            store.list("").iter().map(|k| (k.clone(), digest(k))).collect::<Vec<_>>()
+        });
+        assert_eq!(namespaces[0], namespaces[1], "cloud objects differ between schedules");
     }
 
     #[test]

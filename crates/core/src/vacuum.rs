@@ -446,6 +446,9 @@ impl AaDedupe {
             if *key == skey {
                 continue;
             }
+            // Both arms spelled out: aalint's L7 wants a storage result's
+            // failure arm visible, not folded into an `if let`.
+            #[allow(clippy::single_match)]
             match self.cloud.delete(key) {
                 Ok(true) => report.snapshots_pruned += 1,
                 // A missed or failed snapshot delete is pruned by the

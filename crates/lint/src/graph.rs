@@ -476,6 +476,14 @@ fn rule_panic_path(
     tainted_count
 }
 
+/// A lock: (crate, lock field).
+type LockNode = (String, String);
+/// A source site: (file, line).
+type Site = (String, u32);
+/// held → acquired, with one representative site pair (where the held
+/// lock was taken, where the inner one was).
+type LockGraph = BTreeMap<LockNode, BTreeMap<LockNode, (Site, Site)>>;
+
 /// L5: aggregate acquired-while-holding edges workspace-wide and report
 /// lock-order cycles.
 #[allow(clippy::too_many_arguments)]
@@ -488,9 +496,8 @@ fn rule_lock_order(
     dirs: &mut BTreeMap<String, Vec<Directive>>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    type Node = (String, String); // (crate, lock field)
     // Transitive lock set per fn: lock node -> representative site.
-    let mut owned: Vec<BTreeMap<Node, (String, u32)>> = vec![BTreeMap::new(); defs.len()];
+    let mut owned: Vec<BTreeMap<LockNode, Site>> = vec![BTreeMap::new(); defs.len()];
     for (i, d) in defs.iter().enumerate() {
         for a in &d.lock_acqs {
             owned[i]
@@ -521,11 +528,8 @@ fn rule_lock_order(
         }
     }
 
-    // Edge map: held -> acquired, with one representative site pair
-    // (held acquisition site, inner acquisition site).
-    let mut graph: BTreeMap<Node, BTreeMap<Node, ((String, u32), (String, u32))>> =
-        BTreeMap::new();
-    let mut add_edge = |from: Node, to: Node, ha: (String, u32), aa: (String, u32)| {
+    let mut graph: LockGraph = BTreeMap::new();
+    let mut add_edge = |from: LockNode, to: LockNode, ha: Site, aa: Site| {
         if from == to {
             return; // re-acquisition of one field is out of scope here
         }
@@ -575,11 +579,11 @@ fn rule_lock_order(
     }
 
     // Shortest cycle through each node, deduplicated by node set.
-    let mut seen: BTreeSet<Vec<Node>> = BTreeSet::new();
-    let nodes: Vec<Node> = graph.keys().cloned().collect();
+    let mut seen: BTreeSet<Vec<LockNode>> = BTreeSet::new();
+    let nodes: Vec<LockNode> = graph.keys().cloned().collect();
     for start in &nodes {
         let Some(cycle) = shortest_cycle(&graph, start) else { continue };
-        let mut key: Vec<Node> = cycle.clone();
+        let mut key: Vec<LockNode> = cycle.clone();
         key.sort();
         if !seen.insert(key) {
             continue;
@@ -625,11 +629,8 @@ fn rule_lock_order(
 }
 
 /// BFS for the shortest path start → ... → start in the lock graph.
-fn shortest_cycle(
-    graph: &BTreeMap<(String, String), BTreeMap<(String, String), ((String, u32), (String, u32))>>,
-    start: &(String, String),
-) -> Option<Vec<(String, String)>> {
-    let mut prev: BTreeMap<(String, String), (String, String)> = BTreeMap::new();
+fn shortest_cycle(graph: &LockGraph, start: &LockNode) -> Option<Vec<LockNode>> {
+    let mut prev: BTreeMap<LockNode, LockNode> = BTreeMap::new();
     let mut queue = vec![start.clone()];
     let mut head = 0;
     while head < queue.len() {
@@ -954,10 +955,7 @@ fn extract_defs(file_idx: usize, f: &FileInput, defs: &mut Vec<FnDef>) {
                 _ => break,
             }
         }
-        let region = regions
-            .iter()
-            .filter(|(s, e, _, _)| *s < i && i < *e)
-            .last();
+        let region = regions.iter().rfind(|(s, e, _, _)| *s < i && i < *e);
         sigs.push(Sig {
             kw: i,
             line: toks[i].line,
@@ -1186,15 +1184,13 @@ fn analyze_body(
                         kind: match name.as_str() {
                             "panic" => "panic!",
                             "assert" | "assert_eq" | "assert_ne" => "assert!",
-                            other if other == "unreachable" => "unreachable!",
+                            "unreachable" => "unreachable!",
                             _ => "todo!",
                         },
                     });
                 } else if next_open && !NOT_CALLS.contains(&name.as_str()) {
                     let method = i > 0 && punct_is(&toks[i - 1], '.');
-                    if method && (name == "lock")
-                        || (method && name == "try_lock")
-                    {
+                    if method && (name == "lock" || name == "try_lock") {
                         // `.lock()` anywhere: an acquisition. Tail
                         // bindings are handled by the `let` arm; every
                         // occurrence also records the edge source and a
@@ -1305,17 +1301,20 @@ fn count_args(toks: &[Tok], popen: usize) -> (usize, usize) {
                     return (args, i);
                 }
             }
-            TokKind::Punct('|') if depth == 1 => {
-                // Closure params start right after `(`/`,` (or `move`).
-                if in_pipes || prev_sig == '(' || prev_sig == ',' || prev_sig == 'm' {
-                    in_pipes = !in_pipes;
-                }
+            // Closure params start right after `(`/`,` (or `move`).
+            TokKind::Punct('|')
+                if depth == 1
+                    && (in_pipes || prev_sig == '(' || prev_sig == ',' || prev_sig == 'm') =>
+            {
+                in_pipes = !in_pipes;
             }
-            TokKind::Punct(',') if depth == 1 && !in_pipes => {
-                // Trailing commas don't add an argument.
-                if !toks.get(i + 1).is_some_and(|t| punct_is(t, ')')) {
-                    commas += 1;
-                }
+            // Trailing commas don't add an argument.
+            TokKind::Punct(',')
+                if depth == 1
+                    && !in_pipes
+                    && !toks.get(i + 1).is_some_and(|t| punct_is(t, ')')) =>
+            {
+                commas += 1;
             }
             _ => {}
         }
@@ -1382,7 +1381,6 @@ fn classify_consume(
                     continue;
                 }
                 i += 2;
-                continue;
             }
             _ => break,
         }

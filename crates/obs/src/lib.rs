@@ -253,16 +253,12 @@ impl Counter {
     }
 }
 
-/// The parallel pipeline's bounded channels, tracked as depth gauges.
+/// The pipelines' bounded buffers, tracked as depth gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Queue {
-    /// Feeder → chunk+hash workers job queue.
-    Jobs,
     /// Workers → per-application dedup shards (aggregated over shards).
     Shards,
-    /// Shards/tiny-packer → single-writer appender backlog.
-    Appender,
     /// Containers resident in the restore assembler's bounded cache — the
     /// high-water mark proves the O(cache) restore memory bound.
     RestoreCache,
@@ -270,15 +266,12 @@ pub enum Queue {
 
 impl Queue {
     /// Every queue.
-    pub const ALL: [Queue; 4] =
-        [Queue::Jobs, Queue::Shards, Queue::Appender, Queue::RestoreCache];
+    pub const ALL: [Queue; 2] = [Queue::Shards, Queue::RestoreCache];
 
     /// Stable snake_case name (the JSON key).
     pub const fn name(self) -> &'static str {
         match self {
-            Queue::Jobs => "jobs",
             Queue::Shards => "shards",
-            Queue::Appender => "appender",
             Queue::RestoreCache => "restore_cache",
         }
     }
@@ -291,8 +284,6 @@ pub enum WorkerRole {
     Chunker,
     /// A per-application dedup shard.
     Shard,
-    /// The single-writer container appender.
-    Appender,
     /// A restore fetch/parse/verify worker.
     Restorer,
 }
@@ -303,7 +294,6 @@ impl WorkerRole {
         match self {
             WorkerRole::Chunker => "chunker",
             WorkerRole::Shard => "shard",
-            WorkerRole::Appender => "appender",
             WorkerRole::Restorer => "restorer",
         }
     }
@@ -662,7 +652,7 @@ mod tests {
         r.record_duration(Stage::Hash, Duration::from_millis(5));
         r.count(Counter::ChunkBytes, 100);
         r.index_outcome(1, true);
-        r.queue_push(Queue::Jobs);
+        r.queue_push(Queue::Shards);
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_secs(1), Duration::ZERO);
         r.trace_complete("x", r.trace_start());
         let s = r.snapshot();
@@ -670,7 +660,7 @@ mod tests {
         assert_eq!(s.counter(Counter::ChunkBytes), 0);
         assert!(s.apps.is_empty());
         assert!(s.workers.is_empty());
-        assert_eq!(s.queue(Queue::Jobs).hwm, 0);
+        assert_eq!(s.queue(Queue::Shards).hwm, 0);
         assert!(r.drain_trace().is_empty());
     }
 
@@ -684,17 +674,17 @@ mod tests {
         r.index_outcome(5, false);
         r.index_outcome(5, false);
         r.label_app(5, "rar");
-        r.queue_push(Queue::Appender);
-        r.queue_push(Queue::Appender);
-        r.queue_pop(Queue::Appender);
+        r.queue_push(Queue::RestoreCache);
+        r.queue_push(Queue::RestoreCache);
+        r.queue_pop(Queue::RestoreCache);
         r.worker_report(WorkerRole::Shard, 4, Duration::from_millis(2), Duration::from_millis(1));
         let s = r.snapshot();
         assert_eq!(s.stage(Stage::Chunk).hist.count, 2);
         assert_eq!(s.counter(Counter::ChunksCdc), 2);
         let app = &s.apps[0];
         assert_eq!((app.tag, app.label.as_str(), app.hits, app.misses), (5, "rar", 1, 2));
-        assert_eq!(s.queue(Queue::Appender).hwm, 2);
-        assert_eq!(s.queue(Queue::Appender).depth, 1);
+        assert_eq!(s.queue(Queue::RestoreCache).hwm, 2);
+        assert_eq!(s.queue(Queue::RestoreCache).depth, 1);
         assert_eq!(s.workers[0].role, WorkerRole::Shard);
         r.reset();
         assert_eq!(r.snapshot().counter(Counter::ChunksCdc), 0);

@@ -20,11 +20,14 @@ use std::time::Duration;
 /// * 1 — PR 2's original document (no version field).
 /// * 2 — adds `schema_version`, per-queue `underflow`, and the
 ///   `source_bytes` / `stored_bytes` / `restored_bytes` counters.
+/// * 3 — drops the `jobs` and `appender` queues and the `appender` worker
+///   role: the backup pipeline no longer has a job channel or an appender
+///   thread.
 ///
 /// Consumers must tolerate unknown keys (the `obs::json` reader does by
 /// construction: unknown members are simply never asked for), so additive
 /// changes do not bump the version; removals or retypings do.
-pub const STATS_SCHEMA_VERSION: u32 = 2;
+pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 /// One stage's histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -351,7 +354,7 @@ mod tests {
         r.count(Counter::ChunksCdc, 1);
         r.label_app(7, "pdf");
         r.index_outcome(7, true);
-        r.queue_push(Queue::Jobs);
+        r.queue_push(Queue::Shards);
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_millis(1), Duration::ZERO);
         let doc = json::parse(&r.snapshot().to_json()).expect("snapshot JSON parses");
         assert_eq!(doc.get("schema_version").as_u64(), Some(u64::from(STATS_SCHEMA_VERSION)));
@@ -364,7 +367,7 @@ mod tests {
         }
         assert_eq!(doc.get("counters").get("chunks_cdc").as_u64(), Some(1));
         assert_eq!(doc.get("apps").get("pdf").get("hits").as_u64(), Some(1));
-        assert_eq!(doc.get("queues").get("jobs").get("hwm").as_u64(), Some(1));
+        assert_eq!(doc.get("queues").get("shards").get("hwm").as_u64(), Some(1));
         assert_eq!(doc.get("workers").at(0).get("role").as_str(), Some("chunker"));
     }
 

@@ -136,17 +136,17 @@ fn queue_pop_on_empty_gauge_saturates_at_zero() {
             let rec = &rec;
             scope.spawn(move || {
                 for _ in 0..OPS {
-                    rec.queue_push(Queue::Jobs);
+                    rec.queue_push(Queue::Shards);
                 }
             });
             scope.spawn(move || {
                 for _ in 0..OPS {
-                    rec.queue_pop(Queue::Jobs);
+                    rec.queue_pop(Queue::Shards);
                 }
             });
         }
     });
-    let q = rec.snapshot().queue(Queue::Jobs);
+    let q = rec.snapshot().queue(Queue::Shards);
     // pushes = 2*OPS; pops that found the gauge non-empty = 2*OPS - underflow.
     assert_eq!(q.depth, q.underflow, "depth = pushes - (pops - underflow)");
     assert!(q.depth < u64::MAX / 2, "gauge never wrapped negative");
@@ -160,13 +160,13 @@ fn queue_gauges_track_high_water_marks_under_contention() {
             let rec = &rec;
             scope.spawn(move || {
                 for _ in 0..1000 {
-                    rec.queue_push(Queue::Appender);
-                    rec.queue_pop(Queue::Appender);
+                    rec.queue_push(Queue::RestoreCache);
+                    rec.queue_pop(Queue::RestoreCache);
                 }
             });
         }
     });
-    let q = rec.snapshot().queue(Queue::Appender);
+    let q = rec.snapshot().queue(Queue::RestoreCache);
     assert_eq!(q.depth, 0, "all pushes matched by pops");
     assert!(q.hwm >= 1 && q.hwm <= 4, "hwm bounded by concurrency, got {}", q.hwm);
 }
@@ -237,8 +237,8 @@ fn overhead_guard() {
         rec.record_duration(Stage::Hash, Duration::from_nanos(i));
         rec.count(Counter::ChunkBytes, i);
         rec.index_outcome((i % 13) as u8, i % 2 == 0);
-        rec.queue_push(Queue::Jobs);
-        rec.queue_pop(Queue::Jobs);
+        rec.queue_push(Queue::Shards);
+        rec.queue_pop(Queue::Shards);
         rec.trace_complete("noop", rec.trace_start());
     }
     let per_iter = t.elapsed().as_nanos() as f64 / ITERS as f64;

@@ -97,8 +97,8 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
     );
     rec.label_app(7, "pdf");
     rec.label_app(2, "mp3");
-    rec.queue_push(Queue::Jobs);
-    rec.queue_push(Queue::Jobs);
+    rec.queue_push(Queue::Shards);
+    rec.queue_push(Queue::Shards);
     rec.queue_push(Queue::RestoreCache);
     for _ in 0..3 {
         rec.index_outcome(7, true);
@@ -106,16 +106,16 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
     rec.index_outcome(7, false);
     rec.index_outcome(2, false);
     core.tick(250, 250);
-    rec.queue_pop(Queue::Jobs);
+    rec.queue_pop(Queue::Shards);
     rec.index_outcome(2, true);
     core.tick(500, 250);
 
     let series = core.into_series();
     let samples: Vec<_> = series.iter().collect();
-    let jobs0 = samples[0].queues.iter().find(|q| q.queue == Queue::Jobs).expect("jobs gauge");
-    assert_eq!((jobs0.depth, jobs0.hwm), (2, 2));
-    let jobs1 = samples[1].queues.iter().find(|q| q.queue == Queue::Jobs).expect("jobs gauge");
-    assert_eq!((jobs1.depth, jobs1.hwm), (1, 2), "depth drops, hwm is cumulative");
+    let first = samples[0].queues.iter().find(|q| q.queue == Queue::Shards).expect("shards gauge");
+    assert_eq!((first.depth, first.hwm), (2, 2));
+    let second = samples[1].queues.iter().find(|q| q.queue == Queue::Shards).expect("shards gauge");
+    assert_eq!((second.depth, second.hwm), (1, 2), "depth drops, hwm is cumulative");
     let cache0 = samples[0]
         .queues
         .iter()

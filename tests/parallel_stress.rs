@@ -93,3 +93,34 @@ fn many_identical_files_across_apps_stay_consistent() {
         assert_eq!(parallel, serial, "iteration {iteration}: dedup counters diverged");
     }
 }
+
+#[test]
+fn one_shard_behind_a_single_slot_channel_stays_consistent() {
+    // One application owns every big file, so a single shard takes the
+    // whole job list through one channel of depth 1. Files differ in size
+    // (workers finish out of order and queue up on the one slot) and are
+    // prefixes of one another (every chunk of a shorter file collides with
+    // a longer one). With no other shard making progress, a stall in the
+    // cursor, the reorder buffer or the channel hangs the test, and a lost
+    // or repeated file shows in the counters.
+    let content = shared_content(160 * 1024);
+    let files: Vec<MemoryFile> = (0..24)
+        .map(|i| {
+            let len = 16 * 1024 * (1 + (i * 7) % 10);
+            MemoryFile::new(format!("one/{i:02}.pdf"), content[..len].to_vec())
+        })
+        .collect();
+
+    let serial = run_once(
+        &files,
+        PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Serial },
+    );
+    assert_eq!(serial.0, 160 * 1024, "serial: only the longest prefix is stored");
+    for iteration in 0..ITERATIONS {
+        let parallel = run_once(
+            &files,
+            PipelineConfig { workers: 8, queue_depth: 1, mode: PipelineMode::Parallel },
+        );
+        assert_eq!(parallel, serial, "iteration {iteration}: dedup counters diverged");
+    }
+}
