@@ -1,17 +1,10 @@
-//! Shared infrastructure for the perf-trajectory harness.
-//!
-//! Holds what `aabench` and the standalone `index_scaling` bin share: the
-//! mixed-category corpus generator, the environment-knob reader, the
-//! bench JSON schema version, and machine identification for
-//! `BENCH_<label>.json` artifacts.
+//! What the standalone `index_scaling` bin needs beyond the evaluation
+//! sweep: the mixed-category corpus generator, the environment-knob
+//! reader, and the schema version and machine identification stamped into
+//! its JSON document.
 
 use aadedupe_filetype::MemoryFile;
 use aadedupe_workload::Prng;
-
-/// Version of the `BENCH_<label>.json` document layout. Additive changes
-/// (new benches, new metric keys) do not bump this; removals or
-/// retypings do. Consumers must tolerate unknown keys.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// Version stamped into the standalone `index_scaling` bin's JSON
 /// document.

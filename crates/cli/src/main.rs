@@ -31,8 +31,8 @@ use std::time::Duration;
 use aadedupe_chunking::CdcAlgorithm;
 use aadedupe_cloud::{CloudSim, FsObjectStore, PriceModel, WanModel};
 use aadedupe_core::{
-    AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, RestoreOptions, RetentionPolicy,
-    RetryPolicy, VacuumOptions,
+    AaDedupe, AaDedupeConfig, BackupError, BackupScheme, Manifest, PipelineConfig,
+    RestoreOptions, RetentionPolicy, RetryPolicy, VacuumOptions,
 };
 use aadedupe_obs::{Recorder, Sampler, SamplerConfig, Scope};
 
@@ -269,7 +269,7 @@ fn open_engine(
     let mut config = AaDedupeConfig {
         pipeline: PipelineConfig::with_workers(workers),
         cdc: aadedupe_chunking::DEFAULT_CDC.with_algorithm(chunker),
-        restore: RestoreOptions { workers, ..RestoreOptions::default() },
+        restore: RestoreOptions { workers },
         // Against a real disk, backoff should really wait, not just be
         // charged to the simulated clock.
         retry: RetryPolicy { sleep: true, ..RetryPolicy::default() },
@@ -451,12 +451,18 @@ fn cmd_sessions(repo: &Path, index: &IndexArgs) -> Result<(), String> {
         println!("no sessions");
         return Ok(());
     }
+    // The manifest alone names every file and its length; scrubbing the
+    // containers behind it is not the listing's job.
     for s in sessions {
-        match engine.restore_session(s) {
-            Ok(files) => {
-                let bytes: u64 = files.iter().map(|f| f.data.len() as u64).sum();
-                println!("session {s}: {} files, {}", files.len(), human(bytes));
-            }
+        let key = Manifest::key(&engine.config().scheme_key, s as u64);
+        let manifest = engine
+            .cloud()
+            .get(&key)
+            .map_err(BackupError::from)
+            .and_then(|(bytes, _)| bytes.ok_or(BackupError::UnknownSession(s)))
+            .and_then(|bytes| Manifest::decode(&bytes));
+        match manifest {
+            Ok(m) => println!("session {s}: {} files, {}", m.files.len(), human(m.logical_bytes())),
             Err(e) => println!("session {s}: unreadable ({e})"),
         }
     }

@@ -87,6 +87,8 @@ fn backup_restore_cycle_on_disk() {
     let (ok, out) = run(&["sessions", "--repo", repo_s]);
     assert!(ok, "{out}");
     assert!(out.contains("session 0") && out.contains("session 1"), "{out}");
+    // 30 000 + 40 000 + 9 source bytes, read from the manifest.
+    assert!(out.contains("session 0: 3 files, 68.37 KiB"), "{out}");
 
     // Restore session 0 and compare bytes.
     let out_dir = dirs.out();

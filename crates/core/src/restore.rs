@@ -9,36 +9,48 @@
 //! Two engines share that contract:
 //!
 //! * [`restore_session`] — the serial reference implementation: fetch
-//!   every referenced container up front, then assemble. Simple, but its
-//!   peak memory is O(session) and a single transient GET aborts it. It
-//!   is kept as the oracle the pipelined engine is differentially tested
-//!   against (and as the restore path of the baseline schemes).
-//! * [`restore_session_pipelined`] — the production path: a planner walks
-//!   the manifest and computes each container's reference window, N
-//!   fetch/parse/verify workers download containers concurrently under
-//!   the same [`RetryPolicy`] backoff/budget machinery uploads use, and
-//!   an assembler reconstructs files in manifest order from a bounded
-//!   container cache ([`aadedupe_index::LruSet`]). A container is evicted
-//!   as soon as its last referencing chunk is consumed, so peak memory is
-//!   O([`RestoreOptions::cache_capacity`]), not O(session).
+//!   every referenced container up front, then assemble in manifest
+//!   order. Simple, but it holds every container at once and a single
+//!   transient GET aborts it. It is kept as the oracle the pipelined
+//!   engine is differentially tested against (and as the restore path of
+//!   the baseline schemes).
+//! * [`restore_session_pipelined`] — the production path, container-major:
+//!   a planner walks the manifest once and lists, per container in
+//!   first-reference order, the distinct chunks read from it and every
+//!   `(file, byte position)` each lands at. N fetch/parse/verify workers
+//!   claim containers from a shared cursor, downloading under the same
+//!   [`RetryPolicy`] backoff/budget machinery uploads use, and hand each
+//!   verified container over one bounded channel to the calling thread,
+//!   which copies its chunks to all their destinations and drops it.
+//!   Every container is fetched, parsed and verified exactly once.
+//!
+//! # Memory bound
+//!
+//! Besides the restored files themselves (`Vec<RestoredFile>` is
+//! O(session) in both engines), the pipelined engine holds at most
+//! `workers + 16 + 1` containers at once: one per worker being fetched or
+//! waiting to be handed over, 16 (`QUEUED_CONTAINERS`) in the channel, one
+//! being scattered.
 //!
 //! # Determinism contract
 //!
 //! For a fixed manifest, restored bytes and verification outcomes are
-//! identical for any worker count: the assembler consumes chunks in
-//! manifest order, and a failed container download or verification is
-//! surfaced only at the failing container's first *consumed* reference —
-//! never at arrival time, which would depend on worker scheduling.
+//! identical for any worker count. Of all failed container downloads or
+//! verifications, the one returned is the container that comes first in
+//! plan (= first-reference) order — never the first to *arrive*, which
+//! would depend on worker scheduling. The cursor hands out plan indices
+//! monotonically, the first failure received stops further claims, and
+//! the caller keeps draining until every worker has exited, keeping the
+//! failure with the smallest index.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::Relaxed};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::{ChunkDescriptor, ParsedContainer};
 use aadedupe_hashing::Fingerprint;
-use aadedupe_index::LruSet;
 use aadedupe_obs::{Counter, Queue, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{FileRecipe, Manifest};
@@ -59,19 +71,18 @@ pub struct RestoredFile {
 pub struct RestoreOptions {
     /// Fetch/parse/verify worker threads.
     pub workers: usize,
-    /// Maximum containers resident (fetched or in flight) at once — the
-    /// restore memory bound. When a point in the manifest references more
-    /// overlapping containers than this, the assembler evicts the
-    /// least-recently-used one and refetches it on its next reference,
-    /// trading extra GETs for the bound.
-    pub cache_capacity: usize,
 }
 
 impl Default for RestoreOptions {
     fn default() -> Self {
-        RestoreOptions { workers: 1, cache_capacity: 16 }
+        RestoreOptions { workers: 1 }
     }
 }
+
+/// Verified containers that may wait between the workers and the scatter
+/// loop. Measured, not a knob: with only `workers` slots (1 by default) a
+/// briefly descheduled caller stalls every fetch worker.
+const QUEUED_CONTAINERS: usize = 16;
 
 /// The cloud object key for a scheme's container.
 pub fn container_key(scheme: &str, container: u64) -> String {
@@ -128,7 +139,7 @@ pub fn restore_session(
     Ok(out)
 }
 
-/// Restores every file of `session` through the pipelined bounded-memory
+/// Restores every file of `session` through the pipelined container-major
 /// engine. Byte-identical to [`restore_session`] for any `opts`.
 pub fn restore_session_pipelined(
     cloud: &CloudSim,
@@ -173,46 +184,48 @@ struct FetchedContainer {
     map: HashMap<(u32, Fingerprint), ChunkDescriptor>,
 }
 
-/// One container's fetch/verify work order: the distinct chunk references
-/// this restore resolves against it.
+/// One container's work order: what this restore reads from it and where
+/// each piece goes.
 struct ContainerJob {
     container: u64,
-    /// Distinct `(offset, fingerprint, recipe length)` references.
+    /// Distinct `(offset, fingerprint, recipe length)` references, in
+    /// first-reference order.
     refs: Vec<(u32, Fingerprint, u32)>,
+    /// Every landing site: `(index into refs, file index, byte position)`.
+    dests: Vec<(usize, usize, usize)>,
 }
 
-/// What the planner extracts from the manifest.
-struct RestorePlan {
-    /// Containers in first-reference order — the fetch issue order.
-    order: Vec<ContainerJob>,
-    /// Container id → global chunk-sequence number of its last reference
-    /// (the eviction point).
-    last_use: HashMap<u64, usize>,
+/// A fetched container that passed verification: the parsed object plus
+/// one descriptor per [`ContainerJob::refs`] entry, in the same order.
+struct VerifiedContainer {
+    parsed: ParsedContainer,
+    descriptors: Vec<ChunkDescriptor>,
 }
 
-/// Walks the recipes in manifest order, computing each container's
-/// reference window and distinct reference set.
-fn plan_restore(files: &[&FileRecipe]) -> RestorePlan {
+/// Walks the recipes in manifest order and turns them inside out: one job
+/// per container, in first-reference order — the fetch issue order.
+fn plan_restore(files: &[&FileRecipe]) -> Vec<ContainerJob> {
     let mut order: Vec<ContainerJob> = Vec::new();
     let mut slot: HashMap<u64, usize> = HashMap::new();
-    let mut seen: HashMap<u64, HashSet<(u32, Fingerprint)>> = HashMap::new();
-    let mut last_use: HashMap<u64, usize> = HashMap::new();
-    let mut seq = 0usize;
-    for f in files {
+    let mut seen: HashMap<(u64, u32, Fingerprint, u32), usize> = HashMap::new();
+    for (file, f) in files.iter().enumerate() {
+        let mut at = 0usize;
         for c in &f.chunks {
             let idx = *slot.entry(c.container).or_insert_with(|| {
-                order.push(ContainerJob { container: c.container, refs: Vec::new() });
+                order.push(ContainerJob { container: c.container, refs: Vec::new(), dests: Vec::new() });
                 order.len() - 1
             });
-            if seen.entry(c.container).or_default().insert((c.offset, c.fingerprint)) {
-                // aalint: allow(panic-path) -- idx was pushed into order in the same entry() insertion that minted it
-                order[idx].refs.push((c.offset, c.fingerprint, c.len));
-            }
-            last_use.insert(c.container, seq);
-            seq += 1;
+            // aalint: allow(panic-path) -- idx was pushed into order in the same entry() insertion that minted it
+            let job = &mut order[idx];
+            let r = *seen.entry((c.container, c.offset, c.fingerprint, c.len)).or_insert_with(|| {
+                job.refs.push((c.offset, c.fingerprint, c.len));
+                job.refs.len() - 1
+            });
+            job.dests.push((r, file, at));
+            at += c.len as usize;
         }
     }
-    RestorePlan { order, last_use }
+    order
 }
 
 /// Fetches and decodes a session's manifest, retrying transient failures.
@@ -323,7 +336,7 @@ fn fetch_parse_verify(
     policy: &RetryPolicy,
     budget: &AtomicU32,
     rec: &Recorder,
-) -> Result<FetchedContainer, BackupError> {
+) -> Result<VerifiedContainer, BackupError> {
     let key = container_key(scheme_key, job.container);
     let fetching = rec.start();
     let raw = get_with_retry(cloud, &key, policy, budget, job.container, rec)?;
@@ -334,16 +347,18 @@ fn fetch_parse_verify(
     let fc = FetchedContainer { parsed, map };
     rec.record(Stage::RestoreFetch, fetching);
     let verifying = rec.start();
+    let mut descriptors = Vec::with_capacity(job.refs.len());
     for (offset, fp, len) in &job.refs {
         let d = lookup_descriptor(&fc, job.container, *offset, fp)?;
         check_len(fp, *len, &d)?;
         verify_chunk(job.container, *offset, fp, fc.parsed.chunk_bytes(&d))?;
+        descriptors.push(d);
     }
     rec.record(Stage::RestoreVerify, verifying);
-    Ok(fc)
+    Ok(VerifiedContainer { parsed: fc.parsed, descriptors })
 }
 
-/// Runs the planner → workers → assembler pipeline over `files`.
+/// Runs the planner → workers → scatter pipeline over `files`.
 fn run_pipeline(
     cloud: &CloudSim,
     scheme_key: &str,
@@ -353,177 +368,101 @@ fn run_pipeline(
     budget: &AtomicU32,
     rec: &Recorder,
 ) -> Result<Vec<RestoredFile>, BackupError> {
-    let plan = plan_restore(files);
-    let capacity = opts.cache_capacity.max(1);
+    let order = plan_restore(files);
     // More workers than containers would just be idle threads.
-    let workers = opts.workers.max(1).min(plan.order.len().max(1));
-
-    let (job_tx, job_rx) = mpsc::channel::<ContainerJob>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (done_tx, done_rx) = mpsc::channel::<(u64, Result<FetchedContainer, BackupError>)>();
+    let workers = opts.workers.max(1).min(order.len());
+    let cursor = AtomicUsize::new(0);
+    let (done_tx, done_rx) = mpsc::sync_channel(QUEUED_CONTAINERS);
+    let mut out: Vec<RestoredFile> =
+        files.iter().map(|f| RestoredFile { path: f.path.clone(), data: Vec::new() }).collect();
+    let mut first_err: Option<(usize, BackupError)> = None;
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let job_rx = Arc::clone(&job_rx);
-            let done_tx = done_tx.clone();
+            let (order, cursor, done_tx) = (&order, &cursor, done_tx.clone());
             scope.spawn(move || {
                 let mut busy = Duration::ZERO;
                 let mut idle = Duration::ZERO;
                 loop {
-                    let waiting = rec.start();
-                    // aalint: allow(blocking-under-lock) -- spmc handoff: the mutex exists only to share the receiver; holding it across recv() is the protocol
-                    let job = job_rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv();
-                    let Ok(job) = job else { break };
-                    if let Some(t) = waiting {
-                        idle += t.elapsed();
-                    }
+                    // Relaxed: the cursor only hands out tickets; the plan
+                    // it indexes is immutable.
+                    let idx = cursor.fetch_add(1, Relaxed);
+                    let Some(job) = order.get(idx) else { break };
                     let working = rec.start();
-                    let result = fetch_parse_verify(cloud, scheme_key, &job, retry, budget, rec);
+                    let result = fetch_parse_verify(cloud, scheme_key, job, retry, budget, rec);
                     if let Some(t) = working {
                         busy += t.elapsed();
                     }
-                    // A closed completion channel means the assembler
-                    // aborted; drain out quietly.
-                    if done_tx.send((job.container, result)).is_err() {
+                    rec.queue_push(Queue::RestoreCache);
+                    let blocked = rec.start();
+                    // The caller drains until every sender is gone, so a
+                    // closed channel means it panicked; just stop.
+                    if done_tx.send((idx, job, result)).is_err() {
                         break;
+                    }
+                    if let Some(t) = blocked {
+                        idle += t.elapsed();
                     }
                 }
                 rec.worker_report(WorkerRole::Restorer, w, busy, idle);
             });
         }
         drop(done_tx);
-        // Runs on this thread; dropping `job_tx` on return shuts the
-        // workers down and the scope joins them.
-        assemble(files, plan, job_tx, &done_rx, capacity, rec)
-    })
-}
-
-/// Keeps up to `capacity` containers issued-or-resident. Issue order is
-/// first-use order, so the window always prefetches what assembly needs
-/// next. A send can only fail after a worker panic; the next completion
-/// recv surfaces that.
-fn top_up(
-    pending: &mut VecDeque<ContainerJob>,
-    in_flight: &mut HashSet<u64>,
-    resident_len: usize,
-    capacity: usize,
-    job_tx: &mpsc::Sender<ContainerJob>,
-) {
-    while in_flight.len() + resident_len < capacity {
-        let Some(job) = pending.pop_front() else { break };
-        in_flight.insert(job.container);
-        if job_tx.send(job).is_err() {
-            break;
+        // Never leave this loop early: a worker blocked on the full
+        // channel would deadlock the scope join.
+        for (idx, job, result) in &done_rx {
+            match result {
+                Ok(vc) if first_err.is_none() => scatter(job, &vc, files, &mut out, rec),
+                Ok(_) => {}
+                Err(e) => {
+                    // Stop claiming; containers already claimed still report.
+                    cursor.store(order.len(), Relaxed);
+                    if first_err.as_ref().is_none_or(|(first, _)| idx < *first) {
+                        first_err = Some((idx, e));
+                    }
+                }
+            }
+            rec.queue_pop(Queue::RestoreCache);
         }
-    }
+    });
+    first_err.map_or(Ok(out), |(_, e)| Err(e))
 }
 
-/// Reconstructs the files in manifest order from worker completions,
-/// holding at most `capacity` containers resident.
-fn assemble(
+/// Copies one verified container's chunks to every place they land. A
+/// chunk that lands at its file's current end is appended — almost every
+/// byte, since destinations are in manifest order and containers arrive
+/// close to it. One that lands further on grows the file with zeros first;
+/// the gap is overwritten when its own container arrives.
+fn scatter(
+    job: &ContainerJob,
+    vc: &VerifiedContainer,
     files: &[&FileRecipe],
-    plan: RestorePlan,
-    job_tx: mpsc::Sender<ContainerJob>,
-    done_rx: &mpsc::Receiver<(u64, Result<FetchedContainer, BackupError>)>,
-    capacity: usize,
+    out: &mut [RestoredFile],
     rec: &Recorder,
-) -> Result<Vec<RestoredFile>, BackupError> {
-    let RestorePlan { order, last_use } = plan;
-    // Reference sets are kept so a force-evicted container can be
-    // re-issued — O(distinct refs), not container data.
-    let spare_refs: HashMap<u64, Vec<(u32, Fingerprint, u32)>> =
-        order.iter().map(|j| (j.container, j.refs.clone())).collect();
-    let mut pending: VecDeque<ContainerJob> = order.into();
-    let mut in_flight: HashSet<u64> = HashSet::new();
-    let mut resident: LruSet<u64> = LruSet::new(capacity);
-    let mut cache: HashMap<u64, FetchedContainer> = HashMap::new();
-    // Failed downloads/verifications, raised only when (and if) consumed.
-    let mut failed: HashMap<u64, BackupError> = HashMap::new();
-
-    top_up(&mut pending, &mut in_flight, resident.len(), capacity, &job_tx);
-
-    let mut out = Vec::with_capacity(files.len());
-    let mut seq = 0usize;
-    for f in files {
-        let assembling = rec.start();
-        let mut data = Vec::with_capacity(f.file_len() as usize);
-        for c in &f.chunks {
-            while !cache.contains_key(&c.container) {
-                if let Some(e) = failed.remove(&c.container) {
-                    return Err(e);
-                }
-                if !in_flight.contains(&c.container) {
-                    // Its turn in issue order came while the window was
-                    // full, or it was force-evicted earlier: issue it now,
-                    // ahead of the window accounting.
-                    let job = match pending.pop_front() {
-                        Some(j) if j.container == c.container => j,
-                        other => {
-                            // Not the head of issue order (or the queue is
-                            // drained): restore the head and synthesize the
-                            // job from the spare reference sets.
-                            if let Some(j) = other {
-                                pending.push_front(j);
-                            }
-                            ContainerJob {
-                                container: c.container,
-                                // aalint: allow(panic-path) -- plan_restore seeds spare_refs with every container the plan references
-                                refs: spare_refs[&c.container].clone(),
-                            }
-                        }
-                    };
-                    in_flight.insert(c.container);
-                    // aalint: allow(swallowed-result) -- send fails only after a worker panic; the recv below surfaces it as a Cloud error
-                    let _ = job_tx.send(job);
-                }
-                let (id, result) = done_rx
-                    .recv()
-                    .map_err(|_| BackupError::Cloud("restore workers exited early".into()))?;
-                in_flight.remove(&id);
-                match result {
-                    Ok(fc) => {
-                        if resident.len() == capacity {
-                            // Over-capacity admission (more overlapping
-                            // containers than cache slots): evict the
-                            // least-recently-used resident container; it
-                            // is refetched if referenced again.
-                            // aalint: allow(unwrap-in-lib) -- guarded by len == capacity with capacity clamped to >= 1, so the LRU set is non-empty
-                            let victim = *resident.peek_lru().expect("cache is full");
-                            resident.remove(&victim);
-                            cache.remove(&victim);
-                            rec.queue_pop(Queue::RestoreCache);
-                        }
-                        rec.queue_push(Queue::RestoreCache);
-                        resident.insert(id);
-                        cache.insert(id, fc);
-                    }
-                    Err(e) => {
-                        failed.insert(id, e);
-                    }
-                }
-                top_up(&mut pending, &mut in_flight, resident.len(), capacity, &job_tx);
-            }
-            // aalint: allow(panic-path) -- the prefetch loop inserted every container this manifest references before any chunk is assembled
-            let fc = &cache[&c.container];
-            resident.touch(&c.container);
-            let d = lookup_descriptor(fc, c.container, c.offset, &c.fingerprint)?;
-            check_len(&c.fingerprint, c.len, &d)?;
-            let chunk = fc.parsed.chunk_bytes(&d);
-            rec.count(Counter::RestoredBytes, chunk.len() as u64);
-            data.extend_from_slice(chunk);
-            if last_use.get(&c.container) == Some(&seq) {
-                // Last referencing chunk consumed: free the slot.
-                resident.remove(&c.container);
-                cache.remove(&c.container);
-                rec.queue_pop(Queue::RestoreCache);
-                top_up(&mut pending, &mut in_flight, resident.len(), capacity, &job_tx);
-            }
-            seq += 1;
+) {
+    let scattering = rec.start();
+    for &(r, file, at) in &job.dests {
+        // aalint: allow(panic-path) -- plan_restore minted r as an index into this job's refs, and the worker returned one descriptor per ref
+        let chunk = vc.parsed.chunk_bytes(&vc.descriptors[r]);
+        // aalint: allow(panic-path) -- plan_restore minted file as an index into files, and out holds one entry per file
+        let (recipe, data) = (files[file], &mut out[file].data);
+        if data.capacity() == 0 {
+            // First destination in this file.
+            data.reserve_exact(recipe.file_len() as usize);
         }
-        rec.record(Stage::RestoreAssemble, assembling);
-        out.push(RestoredFile { path: f.path.clone(), data });
+        let end = at + chunk.len();
+        if at == data.len() {
+            data.extend_from_slice(chunk);
+        } else {
+            if data.len() < end {
+                data.resize(end, 0);
+            }
+            // aalint: allow(panic-path) -- the resize above guarantees data.len() >= end, and at <= end
+            data[at..end].copy_from_slice(chunk);
+        }
+        rec.count(Counter::RestoredBytes, chunk.len() as u64);
     }
-    Ok(out)
+    rec.record(Stage::RestoreAssemble, scattering);
 }
 
 #[cfg(test)]
@@ -534,36 +473,44 @@ mod tests {
     use aadedupe_filetype::AppType;
     use aadedupe_hashing::HashAlgorithm;
 
+    /// Uploads one container per group of chunks (ids 0..) and returns a
+    /// reference to every chunk, in order.
+    fn put_containers(cloud: &CloudSim, groups: &[&[&[u8]]]) -> Vec<ChunkRef> {
+        let mut store = ContainerStore::new(1 << 16);
+        let mut refs = Vec::new();
+        for group in groups {
+            for ch in *group {
+                let fp = Fingerprint::compute(HashAlgorithm::Sha1, ch);
+                let p = store.add_chunk(0, fp, ch);
+                refs.push(ChunkRef {
+                    fingerprint: fp,
+                    len: ch.len() as u32,
+                    container: p.container,
+                    offset: p.offset,
+                });
+            }
+            store.seal_all();
+        }
+        for sc in store.drain_sealed() {
+            cloud.put(&container_key("test", sc.id), sc.bytes).unwrap();
+        }
+        refs
+    }
+
+    fn put_manifest(cloud: &CloudSim, files: Vec<(&str, Vec<ChunkRef>)>) {
+        let files = files
+            .into_iter()
+            .map(|(path, chunks)| FileRecipe { path: path.into(), app: AppType::Txt, tiny: false, chunks })
+            .collect();
+        cloud.put(&Manifest::key("test", 0), Manifest { session: 0, files }.encode()).unwrap();
+    }
+
     /// Builds a one-session cloud by hand: two chunks in one container.
     fn setup() -> (CloudSim, Vec<Vec<u8>>) {
         let cloud = CloudSim::with_paper_defaults();
         let chunks = vec![b"hello world ".repeat(10), b"second chunk".repeat(20)];
-        let mut store = ContainerStore::new(1 << 16);
-        let mut refs = Vec::new();
-        for ch in &chunks {
-            let fp = Fingerprint::compute(HashAlgorithm::Sha1, ch);
-            let p = store.add_chunk(0, fp, ch);
-            refs.push(ChunkRef {
-                fingerprint: fp,
-                len: ch.len() as u32,
-                container: p.container,
-                offset: p.offset,
-            });
-        }
-        store.seal_all();
-        for sc in store.drain_sealed() {
-            cloud.put(&container_key("test", sc.id), sc.bytes).unwrap();
-        }
-        let manifest = Manifest {
-            session: 0,
-            files: vec![FileRecipe {
-                path: "user/txt/a.txt".into(),
-                app: AppType::Txt,
-                tiny: false,
-                chunks: refs,
-            }],
-        };
-        cloud.put(&Manifest::key("test", 0), manifest.encode()).unwrap();
+        let refs = put_containers(&cloud, &[&[&chunks[0], &chunks[1]]]);
+        put_manifest(&cloud, vec![("user/txt/a.txt", refs)]);
         (cloud, chunks)
     }
 
@@ -576,7 +523,7 @@ mod tests {
             cloud,
             "test",
             session,
-            &RestoreOptions { workers, cache_capacity: 2 },
+            &RestoreOptions { workers },
             &RetryPolicy::default(),
             &Recorder::disabled(),
         )
@@ -696,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_windows_and_dedups_references() {
+    fn planner_orders_dedups_and_places_references() {
         let fp = |b: &[u8]| Fingerprint::compute(HashAlgorithm::Md5, b);
         let chunk = |container: u64, offset: u32, data: &[u8]| ChunkRef {
             fingerprint: fp(data),
@@ -704,25 +651,79 @@ mod tests {
             container,
             offset,
         };
-        let file = FileRecipe {
-            path: "f".into(),
+        let recipe = |path: &str, chunks: Vec<ChunkRef>| FileRecipe {
+            path: path.into(),
             app: AppType::Txt,
             tiny: false,
-            // Containers first used in order 7, 3, 7 again (duplicate
-            // reference), then 9.
-            chunks: vec![
-                chunk(7, 0, b"a"),
-                chunk(3, 0, b"b"),
-                chunk(7, 0, b"a"),
-                chunk(9, 4, b"c"),
-            ],
+            chunks,
         };
-        let plan = plan_restore(&[&file]);
-        let ids: Vec<u64> = plan.order.iter().map(|j| j.container).collect();
+        // Containers first used in order 7, 3, 7 again (duplicate
+        // reference), then 9; the second file re-reads 3.
+        let f0 = recipe(
+            "f0",
+            vec![chunk(7, 0, b"aa"), chunk(3, 0, b"b"), chunk(7, 0, b"aa"), chunk(9, 4, b"ccc")],
+        );
+        let f1 = recipe("f1", vec![chunk(3, 8, b"dd"), chunk(3, 0, b"b")]);
+        let order = plan_restore(&[&f0, &f1]);
+        let ids: Vec<u64> = order.iter().map(|j| j.container).collect();
         assert_eq!(ids, vec![7, 3, 9], "first-use order");
-        assert_eq!(plan.order[0].refs.len(), 1, "duplicate reference deduplicated");
-        assert_eq!(plan.last_use[&7], 2, "evicted after its second use");
-        assert_eq!(plan.last_use[&3], 1);
-        assert_eq!(plan.last_use[&9], 3);
+        assert_eq!(order[0].refs, vec![(0, fp(b"aa"), 2)], "duplicate reference deduplicated");
+        assert_eq!(order[0].dests, vec![(0, 0, 0), (0, 0, 3)]);
+        assert_eq!(order[1].refs, vec![(0, fp(b"b"), 1), (8, fp(b"dd"), 2)]);
+        assert_eq!(order[1].dests, vec![(0, 0, 2), (1, 1, 0), (0, 1, 2)]);
+        assert_eq!(order[2].refs, vec![(4, fp(b"ccc"), 3)]);
+        assert_eq!(order[2].dests, vec![(0, 0, 5)]);
+    }
+
+    #[test]
+    fn interleaved_containers_fill_gaps_in_place() {
+        // One file reads containers A, B, A: A's scatter appends its first
+        // chunk, zero-fills B's gap and writes its second; B's scatter then
+        // overwrites the gap.
+        let cloud = CloudSim::with_paper_defaults();
+        let (a, b) = (b"alpha ".repeat(50), b"bravo".repeat(30));
+        let refs = put_containers(&cloud, &[&[&a], &[&b]]);
+        assert_ne!(refs[0].container, refs[1].container);
+        put_manifest(
+            &cloud,
+            vec![("aba", vec![refs[0], refs[1], refs[0]]), ("b", vec![refs[1]])],
+        );
+        let serial = restore_session(&cloud, "test", 0).unwrap();
+        assert_eq!(serial[0].data, [a.as_slice(), &b, &a].concat());
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(pipelined(&cloud, 0, workers).unwrap(), serial, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn empty_files_and_empty_sessions_restore_without_workers() {
+        let cloud = CloudSim::with_paper_defaults();
+        let refs = put_containers(&cloud, &[&[b"payload"]]);
+        put_manifest(&cloud, vec![("empty", vec![]), ("full", refs), ("also-empty", vec![])]);
+        let serial = restore_session(&cloud, "test", 0).unwrap();
+        assert_eq!(serial[0].data, b"");
+        assert_eq!(serial[1].data, b"payload");
+        assert_eq!(pipelined(&cloud, 0, 4).unwrap(), serial);
+
+        // No files at all: zero containers, so nothing may wait on a worker.
+        put_manifest(&cloud, vec![]);
+        for workers in [1, 4] {
+            assert_eq!(pipelined(&cloud, 0, workers).unwrap(), vec![], "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn second_recipe_length_for_one_chunk_is_corrupt() {
+        // The same (container, offset, fingerprint) named with two recipe
+        // lengths: the right one first, so only a per-length check sees it.
+        let cloud = CloudSim::with_paper_defaults();
+        let refs = put_containers(&cloud, &[&[b"twelve bytes"]]);
+        let wrong = ChunkRef { len: 5, ..refs[0] };
+        put_manifest(&cloud, vec![("f", vec![refs[0], wrong])]);
+        let serial = restore_session(&cloud, "test", 0).unwrap_err();
+        assert!(matches!(serial, BackupError::Corrupt(_)), "{serial:?}");
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(pipelined(&cloud, 0, workers).unwrap_err(), serial, "workers={workers}");
+        }
     }
 }

@@ -129,18 +129,6 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         self.map.contains_key(key)
     }
 
-    /// The least-recently-used resident key, if any (without touching
-    /// recency). The restore engine's bounded container cache uses this to
-    /// pick the victim when it must admit a container over capacity.
-    pub fn peek_lru(&self) -> Option<&K> {
-        if self.tail == NIL {
-            None
-        } else {
-            // aalint: allow(panic-path) -- tail != NIL was checked above
-            Some(&self.slab[self.tail].key)
-        }
-    }
-
     fn unlink(&mut self, idx: usize) {
         // aalint: allow(panic-path) -- idx is a live slab index: every caller passes head, tail, or a map entry
         let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
@@ -217,20 +205,6 @@ mod tests {
         assert_eq!(lru.insert(42), None);
         assert!(!lru.contains(&42));
         assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn peek_lru_tracks_recency() {
-        let mut lru = LruSet::new(3);
-        assert_eq!(lru.peek_lru(), None);
-        lru.insert(1);
-        lru.insert(2);
-        lru.insert(3);
-        assert_eq!(lru.peek_lru(), Some(&1));
-        lru.touch(&1);
-        assert_eq!(lru.peek_lru(), Some(&2));
-        lru.remove(&2);
-        assert_eq!(lru.peek_lru(), Some(&3));
     }
 
     #[test]

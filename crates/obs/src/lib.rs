@@ -259,8 +259,11 @@ impl Counter {
 pub enum Queue {
     /// Workers → per-application dedup shards (aggregated over shards).
     Shards,
-    /// Containers resident in the restore assembler's bounded cache — the
-    /// high-water mark proves the O(cache) restore memory bound.
+    /// Verified containers a restore has not scattered yet: counted by the
+    /// fetch worker after verify, uncounted by the caller once handled. The
+    /// high-water mark proves the `workers + 17` restore memory bound. (The
+    /// name and its `"restore_cache"` key predate the container-major
+    /// restore; renaming is a schema bump.)
     RestoreCache,
 }
 

@@ -425,7 +425,7 @@ fn restore_transient_fault_at_every_fetch_point_retries_to_success() {
             &cloud,
             "aa-dedupe",
             0,
-            &RestoreOptions { workers, cache_capacity: 16 },
+            &RestoreOptions { workers },
             &RetryPolicy::default(),
             &rec,
         )
@@ -464,7 +464,7 @@ fn restore_permanent_fault_aborts_cleanly_and_deterministically() {
             &cloud_over(faulty),
             "aa-dedupe",
             0,
-            &RestoreOptions { workers, cache_capacity: 16 },
+            &RestoreOptions { workers },
             &RetryPolicy::default(),
             &rec,
         )
@@ -502,7 +502,7 @@ fn restore_corruption_detected_identically_across_worker_counts() {
             &cloud,
             "aa-dedupe",
             0,
-            &RestoreOptions { workers, cache_capacity: 16 },
+            &RestoreOptions { workers },
             &RetryPolicy::default(),
             &Recorder::disabled(),
         )
@@ -516,6 +516,67 @@ fn restore_corruption_detected_identically_across_worker_counts() {
             serial_err.to_string(),
             "workers={workers}: pipelined error must match the serial oracle"
         );
+    }
+}
+
+#[test]
+fn restore_two_faults_surface_the_first_referenced_container() {
+    // Two containers fail permanently. Whichever worker meets which first,
+    // the error returned names the one the manifest references first.
+    let inner = Arc::new(ObjectStore::new());
+    let config = AaDedupeConfig { container_size: 16 * 1024, ..AaDedupeConfig::default() };
+    let mut engine =
+        AaDedupe::with_config(cloud_over(Arc::clone(&inner) as Arc<dyn ObjectBackend>), config);
+    // Distinct content per file, so the session spreads over dozens of
+    // small containers — more than any worker count claims at once.
+    let files: Vec<MemoryFile> = (0..16u32)
+        .map(|k| {
+            let data = (0..40_000u32).map(|i| ((i + 1) * (2 * k + 3) % 251) as u8).collect();
+            MemoryFile::new(format!("user/pdf/f{k:02}.pdf"), data)
+        })
+        .collect();
+    let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
+    engine.backup_session(&sources).expect("clean backup");
+
+    let manifest = aa_dedupe::core::Manifest::decode(
+        &inner.get("aa-dedupe/manifests/00000000").unwrap().expect("manifest committed"),
+    )
+    .expect("decode");
+    let mut order: Vec<u64> = Vec::new();
+    for c in manifest.files.iter().flat_map(|f| &f.chunks) {
+        if !order.contains(&c.container) {
+            order.push(c.container);
+        }
+    }
+    assert!(order.len() > 16, "drill needs a spread of containers, got {}", order.len());
+    let key = |i: usize| format!("aa-dedupe/containers/{:012}", order[i]);
+
+    let mid = order.len() / 2;
+    for (early, late) in [(0, order.len() - 1), (mid, mid + 1)] {
+        for workers in [1usize, 2, 4, 8] {
+            for round in 0..20 {
+                let faulty: Arc<dyn ObjectBackend> = Arc::new(FaultInjectingBackend::new(
+                    Arc::clone(&inner) as Arc<dyn ObjectBackend>,
+                    FaultPlan::new(round)
+                        .fail_prefix_gets(key(late), u32::MAX, false)
+                        .fail_prefix_gets(key(early), u32::MAX, false),
+                ));
+                let rec = Recorder::new();
+                let err = restore_session_pipelined(
+                    &cloud_over(faulty),
+                    "aa-dedupe",
+                    0,
+                    &RestoreOptions { workers },
+                    &RetryPolicy::default(),
+                    &rec,
+                )
+                .expect_err("permanent faults must abort");
+                let label = format!("faults=({early},{late}) workers={workers} round={round}");
+                assert!(matches!(err, BackupError::Cloud(_)), "{label}: {err:?}");
+                assert!(err.to_string().contains(&key(early)), "{label}: {err}");
+                assert!(rec.snapshot().counter(Counter::RestoreGiveups) >= 1, "{label}");
+            }
+        }
     }
 }
 

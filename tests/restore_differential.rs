@@ -1,12 +1,12 @@
-//! Differential test: the pipelined bounded-memory restore engine must be
+//! Differential test: the pipelined container-major restore engine must be
 //! observationally identical to the serial restore oracle.
 //!
 //! For a fixed manifest, `restore_session_pipelined` with any worker
-//! count and any cache capacity must return — bit for bit — the same
-//! files in the same order as `restore_session`, and `restore_file` must
-//! match the corresponding entry. This is the restore determinism
-//! contract of DESIGN.md §11; any scheduling-dependent divergence in
-//! fetch order, cache eviction or error surfacing shows up here.
+//! count must return — bit for bit — the same files in the same order as
+//! `restore_session`, and `restore_file` must match the corresponding
+//! entry. This is the restore determinism contract of DESIGN.md §11; any
+//! scheduling-dependent divergence in fetch order, scatter order or error
+//! surfacing shows up here.
 //!
 //! Set `AA_DIFF_WORKERS=1,4` (comma-separated) to restrict the worker
 //! matrix — used by CI to split the sweep across jobs.
@@ -49,21 +49,33 @@ fn backed_up(sessions: &[Vec<&dyn SourceFile>]) -> CloudSim {
     engine.cloud().clone()
 }
 
-fn pipelined(
-    cloud: &CloudSim,
-    session: u64,
-    workers: usize,
-    cache: usize,
-) -> Vec<RestoredFile> {
+/// A cloud over a bare [`ObjectStore`] the test keeps a handle on, to read
+/// its GET counter and committed objects.
+fn counted_cloud() -> (Arc<ObjectStore>, CloudSim) {
+    let inner = Arc::new(ObjectStore::new());
+    let cloud = CloudSim::with_backend(
+        Arc::clone(&inner) as Arc<dyn ObjectBackend>,
+        WanModel::paper_defaults(),
+        PriceModel::s3_april_2011(),
+    );
+    (inner, cloud)
+}
+
+fn committed_manifest(inner: &ObjectStore, session: u64) -> Manifest {
+    let bytes = inner.get(&Manifest::key(SCHEME, session)).unwrap().expect("manifest committed");
+    Manifest::decode(&bytes).expect("decode")
+}
+
+fn pipelined(cloud: &CloudSim, session: u64, workers: usize) -> Vec<RestoredFile> {
     restore_session_pipelined(
         cloud,
         SCHEME,
         session,
-        &RestoreOptions { workers, cache_capacity: cache },
+        &RestoreOptions { workers },
         &RetryPolicy::default(),
         &Recorder::disabled(),
     )
-    .unwrap_or_else(|e| panic!("workers={workers} cache={cache}: {e}"))
+    .unwrap_or_else(|e| panic!("workers={workers}: {e}"))
 }
 
 #[test]
@@ -76,16 +88,12 @@ fn pipelined_matches_serial_across_seeds_workers_and_caches() {
         for session in 0..SESSIONS as u64 {
             let serial = restore_session(&cloud, SCHEME, session).expect("serial oracle");
             for workers in worker_matrix() {
-                // A roomy cache and a pathologically tight one must agree:
-                // capacity changes GET traffic, never bytes.
-                for cache in [16usize, 2] {
-                    let label = format!("seed={seed} s={session} workers={workers} cache={cache}");
-                    let para = pipelined(&cloud, session, workers, cache);
-                    assert_eq!(serial.len(), para.len(), "{label}: file count");
-                    for (s, p) in serial.iter().zip(&para) {
-                        assert_eq!(s.path, p.path, "{label}: order/path");
-                        assert_eq!(s.data, p.data, "{label}: bytes of {}", s.path);
-                    }
+                let label = format!("seed={seed} s={session} workers={workers}");
+                let para = pipelined(&cloud, session, workers);
+                assert_eq!(serial.len(), para.len(), "{label}: file count");
+                for (s, p) in serial.iter().zip(&para) {
+                    assert_eq!(s.path, p.path, "{label}: order/path");
+                    assert_eq!(s.data, p.data, "{label}: bytes of {}", s.path);
                 }
             }
         }
@@ -103,7 +111,7 @@ fn restore_file_matches_the_session_entry_for_every_path() {
     let engine = AaDedupe::open(cloud, AaDedupeConfig::default()).expect("open");
     for workers in worker_matrix() {
         let mut e = engine.config().clone();
-        e.restore = RestoreOptions { workers, ..RestoreOptions::default() };
+        e.restore = RestoreOptions { workers };
         let engine = AaDedupe::open(engine.cloud().clone(), e).expect("open");
         for expect in &serial {
             let got = engine
@@ -119,12 +127,7 @@ fn restore_file_fetches_only_that_files_containers() {
     // The single-file regression: restoring one file must GET exactly
     // 1 (manifest) + the file's distinct container count — not the whole
     // session's container set.
-    let inner = Arc::new(ObjectStore::new());
-    let cloud = CloudSim::with_backend(
-        Arc::clone(&inner) as Arc<dyn ObjectBackend>,
-        WanModel::paper_defaults(),
-        PriceModel::s3_april_2011(),
-    );
+    let (inner, cloud) = counted_cloud();
     // Small containers so the session spans many of them and a single
     // file references a strict subset.
     let config = AaDedupeConfig { container_size: 16 * 1024, ..AaDedupeConfig::default() };
@@ -137,9 +140,7 @@ fn restore_file_fetches_only_that_files_containers() {
     let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
     engine.backup_session(&sources).expect("backup");
 
-    let manifest_bytes =
-        inner.get(&Manifest::key(SCHEME, 0)).unwrap().expect("manifest committed");
-    let manifest = Manifest::decode(&manifest_bytes).expect("decode");
+    let manifest = committed_manifest(&inner, 0);
     let session_containers: std::collections::HashSet<u64> =
         manifest.files.iter().flat_map(|f| f.chunks.iter().map(|c| c.container)).collect();
 
@@ -171,61 +172,49 @@ fn restore_file_fetches_only_that_files_containers() {
 }
 
 #[test]
-fn cache_capacity_bounds_resident_containers() {
-    // A session referencing far more containers than the cache holds must
-    // restore correctly while never keeping more than `cache_capacity`
-    // containers resident — the RestoreCache gauge high-water mark is the
-    // witness.
+fn every_container_is_fetched_exactly_once() {
+    // Three sessions over small containers: later sessions reference
+    // containers scattered over the earlier ones, far more than any fixed
+    // window holds. Each restore must GET the manifest once and every
+    // referenced container exactly once, and hold at most `workers + 17`
+    // verified containers (one per worker awaiting handover, 16 queued,
+    // one being scattered) — the RestoreCache gauge is the witness.
+    let (inner, cloud) = counted_cloud();
     let config = AaDedupeConfig { container_size: 16 * 1024, ..AaDedupeConfig::default() };
-    let mut engine = AaDedupe::with_config(CloudSim::with_paper_defaults(), config);
-    let files = [
-        MemoryFile::new("user/doc/big.doc", b"cache bound drill words ".repeat(20_000)),
-        MemoryFile::new("user/pdf/big.pdf", (0..400_000u32).map(|i| (i % 251) as u8).collect()),
-    ];
-    let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
-    engine.backup_session(&sources).expect("backup");
-    let cloud = engine.cloud().clone();
-
-    let containers = cloud.store().list("aa-dedupe/containers/").len();
-    let capacity = 4usize;
-    assert!(
-        containers > 2 * capacity,
-        "drill needs >2x capacity containers, got {containers}"
-    );
-
-    let serial = restore_session(&cloud, SCHEME, 0).expect("serial oracle");
-    for workers in worker_matrix() {
-        let rec = Recorder::new();
-        let restored = restore_session_pipelined(
-            &cloud,
-            SCHEME,
-            0,
-            &RestoreOptions { workers, cache_capacity: capacity },
-            &RetryPolicy::default(),
-            &rec,
-        )
-        .expect("bounded restore");
-        assert_eq!(restored, serial, "workers={workers}");
-        let hwm = rec.snapshot().queue(Queue::RestoreCache).hwm;
-        assert!(hwm > 0, "workers={workers}: the gauge must have moved");
-        assert!(
-            hwm <= capacity as u64,
-            "workers={workers}: {hwm} resident containers exceeds the bound {capacity}"
-        );
+    let mut engine = AaDedupe::with_config(cloud.clone(), config);
+    let mut generator = Generator::new(DatasetSpec::tiny_test(), SEEDS[1]);
+    for week in 0..3 {
+        engine.backup_session(&generator.snapshot(week).as_sources()).expect("backup");
     }
-}
 
-#[test]
-fn single_slot_cache_still_restores_bit_exact() {
-    // The degenerate bound: capacity 1 forces evict-and-refetch whenever
-    // container references interleave; bytes must not change.
-    let mut generator = Generator::new(DatasetSpec::tiny_test(), SEEDS[2]);
-    let snap = generator.snapshot(0);
-    let sessions = vec![snap.as_sources()];
-    let cloud = backed_up(&sessions);
-    let serial = restore_session(&cloud, SCHEME, 0).expect("serial oracle");
-    for workers in [1usize, 4] {
-        assert_eq!(pipelined(&cloud, 0, workers, 1), serial, "workers={workers}");
+    for session in 0..3u64 {
+        let manifest = committed_manifest(&inner, session);
+        let distinct: std::collections::HashSet<u64> =
+            manifest.files.iter().flat_map(|f| f.chunks.iter().map(|c| c.container)).collect();
+        assert!(distinct.len() > 64, "session {session}: drill needs many containers");
+        let serial = restore_session(&cloud, SCHEME, session).expect("serial oracle");
+
+        for workers in worker_matrix() {
+            let label = format!("s={session} workers={workers}");
+            let rec = Recorder::new();
+            let before = inner.stats().get_requests;
+            let restored = restore_session_pipelined(
+                &cloud,
+                SCHEME,
+                session,
+                &RestoreOptions { workers },
+                &RetryPolicy::default(),
+                &rec,
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let gets = inner.stats().get_requests - before;
+            assert_eq!(restored, serial, "{label}");
+            assert_eq!(gets, 1 + distinct.len() as u64, "{label}: manifest + one GET per container");
+            let gauge = rec.snapshot().queue(Queue::RestoreCache);
+            assert!(gauge.hwm > 0, "{label}: the gauge must have moved");
+            assert!(gauge.hwm <= workers as u64 + 17, "{label}: {} containers held", gauge.hwm);
+            assert_eq!(gauge.depth, 0, "{label}: every container handed over was dropped");
+        }
     }
 }
 

@@ -49,7 +49,7 @@ fn run(workers: usize, telemetry: bool) -> (Observed, Option<TimeSeries>) {
     let mode = if workers == 1 { PipelineMode::Serial } else { PipelineMode::Parallel };
     let config = AaDedupeConfig {
         pipeline: PipelineConfig { workers, queue_depth: 4, mode },
-        restore: RestoreOptions { workers, ..RestoreOptions::default() },
+        restore: RestoreOptions { workers },
         recorder: Arc::clone(&rec),
         ..AaDedupeConfig::default()
     };
