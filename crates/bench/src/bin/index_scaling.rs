@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use aadedupe_bench::perf::{env_or, machine_json, mixed_corpus, BIN_SCHEMA_VERSION};
 use aadedupe_cloud::CloudSim;
-use aadedupe_core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, PipelineMode};
+use aadedupe_core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aadedupe_filetype::{MemoryFile, SourceFile};
 use aadedupe_index::IndexStats;
 use aadedupe_obs::{Counter, Recorder};
@@ -90,11 +90,7 @@ fn run(
     );
     let recorder = Recorder::shared();
     let config = AaDedupeConfig {
-        pipeline: if workers == 1 {
-            PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Serial }
-        } else {
-            PipelineConfig { workers, queue_depth: 4, mode: PipelineMode::Parallel }
-        },
+        pipeline: PipelineConfig::with_workers(workers),
         ram_entries_per_partition: ram_entries,
         index_dir,
         recorder: Arc::clone(&recorder),

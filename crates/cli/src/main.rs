@@ -7,9 +7,10 @@
 //! restores any past session bit-exactly.
 //!
 //! ```text
-//! aabackup backup  --repo <dir> [--workers N] [--stats] [--stats-json <f>]
-//!                  [--trace <f>] <source-dir>
-//! aabackup restore --repo <dir> [--workers N] [--stats] <session> <out>
+//! aabackup backup  --repo <dir> [--workers N] [--stats] [--metrics <f>]
+//!                  [--metrics-interval-ms N] [--progress] <source-dir>
+//! aabackup restore --repo <dir> [--workers N] [--stats] [--metrics <f>]
+//!                  [--metrics-interval-ms N] [--progress] <session> <out>
 //! aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>
 //! aabackup sessions --repo <dir>                  list sessions
 //! aabackup delete  --repo <dir> <session>         delete + reclaim space
@@ -19,11 +20,15 @@
 //!                                                 prune sessions by policy
 //! aabackup stats   --repo <dir>                   repository statistics
 //! ```
+//!
+//! `--metrics <f>` writes the run's one telemetry document (NDJSON:
+//! `header`, `sample`s, `span`s, closing `summary`); `--stats` prints that
+//! summary as a table; `--progress` draws a live status line.
 
 mod progress;
 mod source;
 
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,61 +39,16 @@ use aadedupe_core::{
     AaDedupe, AaDedupeConfig, BackupError, BackupScheme, Manifest, PipelineConfig,
     RestoreOptions, RetentionPolicy, RetryPolicy, VacuumOptions,
 };
-use aadedupe_obs::{Recorder, Sampler, SamplerConfig, Scope};
+use aadedupe_obs::{Recorder, Sampler, SamplerConfig};
 
 use progress::{Progress, ProgressKind};
 use source::walk_directory;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats] [--stats-json <file>] [--trace <file>]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats] [--stats-json <file>]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n  aabackup stats   --repo <dir>"
+        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n  aabackup stats   --repo <dir>"
     );
     ExitCode::from(2)
-}
-
-/// Splits `--repo <dir>` out of the argument list.
-fn take_repo(args: &mut Vec<String>) -> Option<PathBuf> {
-    let i = args.iter().position(|a| a == "--repo")?;
-    if i + 1 >= args.len() {
-        return None;
-    }
-    let dir = args.remove(i + 1);
-    args.remove(i);
-    Some(PathBuf::from(dir))
-}
-
-/// Splits `--workers <n>` out of the argument list. `Err` means the flag
-/// was present but malformed (missing or non-numeric value, or zero).
-fn take_workers(args: &mut Vec<String>) -> Result<Option<usize>, ()> {
-    let Some(i) = args.iter().position(|a| a == "--workers") else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(());
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(()),
-    }
-}
-
-/// Splits `--chunker <rabin|fastcdc>` out of the argument list. `Err`
-/// means the flag was present but its value was missing or unknown.
-fn take_chunker(args: &mut Vec<String>) -> Result<Option<CdcAlgorithm>, ()> {
-    let Some(i) = args.iter().position(|a| a == "--chunker") else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(());
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    match CdcAlgorithm::parse(&value) {
-        Some(alg) => Ok(Some(alg)),
-        None => Err(()),
-    }
 }
 
 /// Splits a boolean `flag` out of the argument list.
@@ -102,9 +62,14 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-/// Splits `<flag> <path>` out of the argument list. `Err` means the flag
-/// was present but its value was missing.
-fn take_path(args: &mut Vec<String>, flag: &str) -> Result<Option<PathBuf>, ()> {
+/// Splits `<flag> <value>` out of the argument list and parses the value.
+/// `Ok(None)` means the flag was absent; `Err` means it was present but
+/// its value was missing or `parse` refused it.
+fn take_value<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ()> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
@@ -113,108 +78,87 @@ fn take_path(args: &mut Vec<String>, flag: &str) -> Result<Option<PathBuf>, ()> 
     }
     let value = args.remove(i + 1);
     args.remove(i);
-    Ok(Some(PathBuf::from(value)))
+    parse(&value).map(Some).ok_or(())
 }
 
-/// Splits `<flag> <n>` (a non-negative integer) out of the argument list.
-/// `Err` means the flag was present but its value was missing or
-/// non-numeric.
-fn take_u64(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, ()> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(());
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    value.parse::<u64>().map(Some).map_err(|_| ())
+fn parse_path(value: &str) -> Option<PathBuf> {
+    Some(PathBuf::from(value))
 }
 
-/// Splits `<flag> <f>` (a ratio in `0.0..=1.0`) out of the argument list.
-/// `Err` means the flag was present but its value was missing, non-numeric
-/// or out of range.
-fn take_ratio(args: &mut Vec<String>, flag: &str) -> Result<Option<f64>, ()> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(());
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    match value.parse::<f64>() {
-        Ok(f) if (0.0..=1.0).contains(&f) => Ok(Some(f)),
-        _ => Err(()),
-    }
+fn parse_u64(value: &str) -> Option<u64> {
+    value.parse().ok()
 }
 
-/// Splits `--gfs D,W,M` out of the argument list. `Err` means the flag was
-/// present but its value was missing or not three comma-separated counts.
-fn take_gfs(args: &mut Vec<String>) -> Result<Option<(usize, usize, usize)>, ()> {
-    let Some(i) = args.iter().position(|a| a == "--gfs") else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(());
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
+/// `D,W,M`: three comma-separated counts.
+fn parse_gfs(value: &str) -> Option<(usize, usize, usize)> {
     let parts: Vec<&str> = value.split(',').collect();
-    let [d, w, m] = parts.as_slice() else { return Err(()) };
-    match (d.parse(), w.parse(), m.parse()) {
-        (Ok(d), Ok(w), Ok(m)) => Ok(Some((d, w, m))),
-        _ => Err(()),
-    }
+    let [d, w, m] = parts.as_slice() else { return None };
+    Some((d.parse().ok()?, w.parse().ok()?, m.parse().ok()?))
 }
 
-/// Observability outputs requested on the command line.
+/// Telemetry outputs requested on the command line.
 struct ObsArgs {
     stats: bool,
-    stats_json: Option<PathBuf>,
-    trace: Option<PathBuf>,
     metrics: Option<PathBuf>,
     metrics_interval_ms: u64,
     progress: bool,
 }
 
+/// A run's telemetry between [`ObsArgs::start`] and [`ObsArgs::finish`].
+struct Telemetry {
+    rec: Arc<Recorder>,
+    sampler: Sampler,
+}
+
 impl ObsArgs {
-    fn any(&self) -> bool {
-        self.stats
-            || self.stats_json.is_some()
-            || self.trace.is_some()
-            || self.metrics.is_some()
-            || self.progress
-    }
-
-    /// Whether a background sampler is needed (metrics stream or live
-    /// progress line).
-    fn wants_sampler(&self) -> bool {
-        self.metrics.is_some() || self.progress
-    }
-
-    /// Spawns the sampler for `session_label` when requested; the handle
-    /// is inert when nothing needs sampling.
-    fn spawn_sampler(&self, rec: &Arc<Recorder>, session_label: String) -> Option<Sampler> {
-        self.wants_sampler().then(|| {
-            let cfg = SamplerConfig {
-                interval: Duration::from_millis(self.metrics_interval_ms.max(1)),
-                ..SamplerConfig::default()
-            };
-            Sampler::spawn(Arc::clone(rec), Scope::session(session_label), cfg)
+    /// An enabled recorder when any output was asked for, `None` (the
+    /// engine's disabled default) otherwise. Spans are buffered only for
+    /// the document.
+    fn recorder(&self) -> Option<Arc<Recorder>> {
+        (self.stats || self.metrics.is_some() || self.progress).then(|| {
+            let rec = Recorder::shared();
+            if self.metrics.is_some() {
+                rec.enable_tracing();
+            }
+            rec
         })
     }
 
-    /// Stops `sampler` and writes its NDJSON stream to `--metrics` if
-    /// requested.
-    fn finish_sampler(&self, sampler: Option<Sampler>) -> Result<(), String> {
-        let Some(sampler) = sampler else { return Ok(()) };
+    /// Starts sampling `rec` under the label `session` and, with
+    /// `--progress`, the status line (`total` bytes give it an ETA), which
+    /// the caller finishes before it prints anything else.
+    fn start(
+        &self,
+        rec: Option<Arc<Recorder>>,
+        session: &str,
+        kind: ProgressKind,
+        total: Option<u64>,
+    ) -> (Option<Telemetry>, Option<Progress>) {
+        let Some(rec) = rec else { return (None, None) };
+        let cfg = SamplerConfig {
+            interval: Duration::from_millis(self.metrics_interval_ms.max(1)),
+            ..SamplerConfig::default()
+        };
+        let sampler = Sampler::spawn(Arc::clone(&rec), session, cfg);
+        let live = self.progress.then(|| Progress::start(sampler.probe(), kind, total));
+        (Some(Telemetry { rec, sampler }), live)
+    }
+
+    /// Stops the sampler and takes the closing snapshot, once: `--metrics`
+    /// writes it as the document's summary line and `--stats` prints the
+    /// same value as a table.
+    fn finish(&self, telemetry: Option<Telemetry>) -> Result<(), String> {
+        let Some(Telemetry { rec, sampler }) = telemetry else { return Ok(()) };
         let series = sampler.stop();
+        let summary = rec.snapshot();
         if let Some(path) = &self.metrics {
-            std::fs::write(path, series.to_ndjson())
+            let mut doc = Vec::new();
+            series
+                .write_document(&rec.drain_trace(), &summary, &mut doc)
+                .and_then(|()| std::fs::write(path, doc))
                 .map_err(|e| format!("write metrics {path:?}: {e}"))?;
             println!(
-                "  metrics time-series written to {} ({} samples{})",
+                "  telemetry written to {} ({} samples{})",
                 path.display(),
                 series.len(),
                 if series.dropped() > 0 {
@@ -223,6 +167,9 @@ impl ObsArgs {
                     String::new()
                 }
             );
+        }
+        if self.stats {
+            print!("{}", summary.render_table());
         }
         Ok(())
     }
@@ -241,8 +188,8 @@ struct IndexArgs {
 impl IndexArgs {
     fn take(args: &mut Vec<String>) -> Result<IndexArgs, ()> {
         Ok(IndexArgs {
-            dir: take_path(args, "--index-dir")?,
-            ram: match take_u64(args, "--index-ram")? {
+            dir: take_value(args, "--index-dir", parse_path)?,
+            ram: match take_value(args, "--index-ram", parse_u64)? {
                 Some(0) => return Err(()), // a zero-entry cache is a mistake
                 other => other,
             },
@@ -293,15 +240,7 @@ fn cmd_backup(
     index: &IndexArgs,
     obs: &ObsArgs,
 ) -> Result<(), String> {
-    let rec = if obs.any() {
-        let rec = Recorder::shared();
-        if obs.trace.is_some() {
-            rec.enable_tracing();
-        }
-        Some(rec)
-    } else {
-        None
-    };
+    let rec = obs.recorder();
     let mut engine = open_engine(repo, workers, chunker, index, rec.clone())?;
     if engine.orphans_swept() > 0 {
         println!(
@@ -314,17 +253,9 @@ fn cmd_backup(
     let sources: Vec<&dyn aadedupe_filetype::SourceFile> =
         files.iter().map(|f| f as &dyn aadedupe_filetype::SourceFile).collect();
     let session = engine.sessions_completed();
-    let sampler = rec
-        .as_ref()
-        .and_then(|r| obs.spawn_sampler(r, format!("backup-{session:05}")));
-    let live = (obs.progress && sampler.is_some()).then(|| {
-        let total: u64 = sources.iter().map(|f| f.size()).sum();
-        Progress::start(
-            sampler.as_ref().expect("guarded above").probe(),
-            ProgressKind::Backup,
-            Some(total),
-        )
-    });
+    let total: u64 = sources.iter().map(|f| f.size()).sum();
+    let (telemetry, live) =
+        obs.start(rec, &format!("backup-{session:05}"), ProgressKind::Backup, Some(total));
     let outcome = engine.backup_session(&sources);
     if let Some(live) = live {
         live.finish();
@@ -349,27 +280,7 @@ fn cmd_backup(
         report.dedup_cpu.as_secs_f64(),
         human(report.de() as u64)
     );
-    obs.finish_sampler(sampler)?;
-    if let Some(rec) = rec {
-        let snap = rec.snapshot();
-        if obs.stats {
-            print!("{}", snap.render_table());
-        }
-        if let Some(path) = &obs.stats_json {
-            std::fs::write(path, snap.to_json())
-                .map_err(|e| format!("write stats {path:?}: {e}"))?;
-            println!("  stage stats written to {}", path.display());
-        }
-        if let Some(path) = &obs.trace {
-            let mut out = std::io::BufWriter::new(
-                std::fs::File::create(path).map_err(|e| format!("create trace {path:?}: {e}"))?,
-            );
-            rec.write_trace_ndjson(&mut out)
-                .map_err(|e| format!("write trace {path:?}: {e}"))?;
-            println!("  chrome trace written to {}", path.display());
-        }
-    }
-    Ok(())
+    obs.finish(telemetry)
 }
 
 fn cmd_restore(
@@ -380,25 +291,29 @@ fn cmd_restore(
     index: &IndexArgs,
     obs: &ObsArgs,
 ) -> Result<(), String> {
-    let rec = obs.any().then(Recorder::shared);
+    let rec = obs.recorder();
     let engine = open_engine(repo, workers, CdcAlgorithm::Rabin, index, rec.clone())?;
-    let sampler = rec
-        .as_ref()
-        .and_then(|r| obs.spawn_sampler(r, format!("restore-{session:05}")));
-    let live = (obs.progress && sampler.is_some()).then(|| {
-        Progress::start(
-            sampler.as_ref().expect("guarded above").probe(),
-            // Restore size is not known until the manifest is assembled,
-            // so the line shows throughput without an ETA.
-            ProgressKind::Restore,
-            None,
-        )
-    });
+    // Restore size is not known until the manifest is read, so the status
+    // line shows throughput without an ETA.
+    let (telemetry, live) =
+        obs.start(rec, &format!("restore-{session:05}"), ProgressKind::Restore, None);
     let outcome = engine.restore_session(session);
     if let Some(live) = live {
         live.finish();
     }
     let files = outcome.map_err(|e| format!("restore failed: {e}"))?;
+    // The manifest is outside input: `join` lets `..` climb out of `out` and
+    // an absolute path replace it, so every path is checked before the
+    // first file is created.
+    let inside =
+        |path: &str| Path::new(path).components().all(|c| matches!(c, Component::Normal(_)));
+    if let Some(bad) = files.iter().find(|f| !inside(&f.path)) {
+        return Err(format!(
+            "restore refused, nothing written: manifest names a path outside the output \
+             directory: {:?}",
+            bad.path
+        ));
+    }
     for f in &files {
         let dest = out.join(&f.path);
         if let Some(parent) = dest.parent() {
@@ -407,19 +322,7 @@ fn cmd_restore(
         std::fs::write(&dest, &f.data).map_err(|e| format!("write {dest:?}: {e}"))?;
     }
     println!("restored {} files from session {session} into {out:?}", files.len());
-    obs.finish_sampler(sampler)?;
-    if let Some(rec) = rec {
-        let snap = rec.snapshot();
-        if obs.stats {
-            print!("{}", snap.render_table());
-        }
-        if let Some(path) = &obs.stats_json {
-            std::fs::write(path, snap.to_json())
-                .map_err(|e| format!("write stats {path:?}: {e}"))?;
-            println!("  stage stats written to {}", path.display());
-        }
-    }
-    Ok(())
+    obs.finish(telemetry)
 }
 
 fn cmd_restore_file(
@@ -540,7 +443,7 @@ fn cmd_stats(repo: &Path, index: &IndexArgs) -> Result<(), String> {
     println!("repository: {} objects, {}", store.object_count(), human(store.stored_bytes()));
     println!(
         "  containers: {}",
-        store.list("aa-dedupe/containers/").len()
+        store.list(&format!("{}/containers/", engine.config().scheme_key)).len()
     );
     println!("  sessions:   {:?}", engine.list_sessions());
     println!("  index:      {} chunks", engine.index().len());
@@ -574,29 +477,35 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else { return usage() };
     args.remove(0);
-    let Some(repo) = take_repo(&mut args) else { return usage() };
-    let Ok(workers) = take_workers(&mut args) else { return usage() };
+    let Ok(Some(repo)) = take_value(&mut args, "--repo", parse_path) else { return usage() };
+    let Ok(workers) =
+        take_value(&mut args, "--workers", |v| v.parse::<usize>().ok().filter(|&n| n >= 1))
+    else {
+        return usage();
+    };
     let workers = workers.unwrap_or(1);
-    let Ok(chunker) = take_chunker(&mut args) else { return usage() };
+    let Ok(chunker) = take_value(&mut args, "--chunker", CdcAlgorithm::parse) else {
+        return usage();
+    };
     let chunker = chunker.unwrap_or(CdcAlgorithm::Rabin);
     let Ok(index) = IndexArgs::take(&mut args) else { return usage() };
     let stats = take_flag(&mut args, "--stats");
-    let Ok(stats_json) = take_path(&mut args, "--stats-json") else { return usage() };
-    let Ok(trace) = take_path(&mut args, "--trace") else { return usage() };
-    let Ok(metrics) = take_path(&mut args, "--metrics") else { return usage() };
-    let Ok(metrics_interval_ms) = take_u64(&mut args, "--metrics-interval-ms") else {
+    let Ok(metrics) = take_value(&mut args, "--metrics", parse_path) else { return usage() };
+    let Ok(metrics_interval_ms) = take_value(&mut args, "--metrics-interval-ms", parse_u64) else {
         return usage();
     };
     let progress = take_flag(&mut args, "--progress");
-    let Ok(ratio) = take_ratio(&mut args, "--ratio") else { return usage() };
+    let Ok(ratio) = take_value(&mut args, "--ratio", |v| {
+        v.parse::<f64>().ok().filter(|f| (0.0..=1.0).contains(f))
+    }) else {
+        return usage();
+    };
     let dry_run = take_flag(&mut args, "--dry-run");
-    let Ok(keep_last) = take_u64(&mut args, "--keep-last") else { return usage() };
-    let Ok(gfs) = take_gfs(&mut args) else { return usage() };
+    let Ok(keep_last) = take_value(&mut args, "--keep-last", parse_u64) else { return usage() };
+    let Ok(gfs) = take_value(&mut args, "--gfs", parse_gfs) else { return usage() };
     let vacuum_after = take_flag(&mut args, "--vacuum");
     let obs = ObsArgs {
         stats,
-        stats_json,
-        trace,
         metrics,
         metrics_interval_ms: metrics_interval_ms.unwrap_or(250),
         progress,

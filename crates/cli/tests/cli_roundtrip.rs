@@ -5,6 +5,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
+use aadedupe_cloud::{FsObjectStore, ObjectBackend};
+use aadedupe_core::Manifest;
+
 fn bin() -> PathBuf {
     // target/debug/aabackup relative to this crate's target dir.
     let mut p = PathBuf::from(env!("CARGO_BIN_EXE_aabackup"));
@@ -181,6 +184,40 @@ fn fastcdc_chunker_backup_restores_bit_exactly() {
     assert!(ok, "{text}");
     assert_eq!(fs::read(out_dir.join("essay.doc")).unwrap(), body);
     assert_eq!(fs::read(out_dir.join("note.txt")).unwrap(), b"tiny note");
+}
+
+/// The manifest comes from the repository, not from the user: a path in it
+/// that would land outside `<out>` must abort the restore before any file
+/// — even an innocent earlier one — is created.
+#[test]
+fn restore_refuses_manifest_paths_outside_the_output_directory() {
+    let dirs = Dirs::new("escape");
+    fs::write(dirs.src().join("a.doc"), b"words ".repeat(5000)).unwrap();
+    fs::write(dirs.src().join("b.doc"), b"other ".repeat(5000)).unwrap();
+    let repo = dirs.repo();
+    let repo_s = repo.to_str().unwrap();
+    let (ok, out) = run(&["backup", "--repo", repo_s, dirs.src().to_str().unwrap()]);
+    assert!(ok, "{out}");
+
+    let out_dir = dirs.out();
+    let absolute = dirs.root.join("absolute.txt");
+    for hostile in ["../escaped.txt", absolute.to_str().unwrap()] {
+        // Session 0's manifest, with its last file renamed.
+        let store = FsObjectStore::open(&repo).unwrap();
+        let key = Manifest::key("aa-dedupe", 0);
+        let mut manifest =
+            Manifest::decode(&store.get(&key).unwrap().expect("manifest stored")).unwrap();
+        manifest.files.last_mut().expect("two files").path = hostile.to_string();
+        store.put(&key, manifest.encode()).unwrap();
+
+        let (ok, text) = run(&["restore", "--repo", repo_s, "0", out_dir.to_str().unwrap()]);
+        assert!(!ok, "restore of {hostile:?} succeeded:\n{text}");
+        assert!(text.contains("error: restore refused, nothing written"), "{text}");
+        assert!(text.contains(hostile), "the message names the path:\n{text}");
+        assert!(!dirs.root.join("escaped.txt").exists(), "{hostile:?} climbed out of <out>");
+        assert!(!absolute.exists(), "{hostile:?} replaced <out>");
+        assert_eq!(fs::read_dir(&out_dir).unwrap().count(), 0, "<out> must stay empty");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! End-to-end test of the observability flags: run a real backup with
-//! `--stats`, `--stats-json` and `--trace`, then validate the emitted
-//! artifacts and reconcile the stage stats against the session report
-//! numbers the CLI prints.
+//! End-to-end test of the telemetry flags: run a real backup with
+//! `--stats`, `--metrics` and `--progress`, then validate the one document
+//! it writes and reconcile its summary against the table and the session
+//! report numbers the CLI prints.
 
 use std::fs;
 use std::path::PathBuf;
@@ -46,10 +46,11 @@ fn parse_summary(out: &str) -> (u64, u64, u64) {
     )
 }
 
-/// `--metrics` streams the background sampler's time series to disk as
-/// NDJSON: a schema-versioned header line followed by delta samples whose
-/// byte totals reconcile with the backup itself. `--progress` renders a
-/// live status line on stderr without disturbing any of it.
+/// `--metrics` writes the run's telemetry document as NDJSON: the
+/// schema-versioned header line, delta samples whose byte totals reconcile
+/// with the backup itself, the run's spans and the closing summary, in that
+/// order. `--progress` renders a live status line on stderr without
+/// disturbing any of it.
 #[test]
 fn metrics_ndjson_and_progress_outputs() {
     let root = std::env::temp_dir().join(format!("aabackup-metrics-{}", std::process::id()));
@@ -88,39 +89,43 @@ fn metrics_ndjson_and_progress_outputs() {
     assert!(out.contains("\rbackup  "), "no progress line:\n{out}");
     assert!(out.contains("/s"), "no throughput in progress line:\n{out}");
 
-    // The metrics stream parses line by line and starts with the header.
+    // The document parses line by line and starts with the header.
     let text = fs::read_to_string(&metrics_path).unwrap();
     let docs = json::parse_ndjson(&text).expect("metrics NDJSON parses");
-    assert!(docs.len() >= 2, "header plus at least one sample:\n{text}");
     let header = &docs[0];
     assert_eq!(header.get("kind").as_str(), Some("header"), "{text}");
-    assert_eq!(header.get("schema_version").as_u64(), Some(2));
+    assert_eq!(header.get("schema_version").as_u64(), Some(3));
     assert!(header.get("interval_ms").as_u64() == Some(5), "{text}");
-    let session = header.get("scope").get("session").as_str().expect("scope.session");
-    assert!(session.starts_with("backup-"), "scope labels the run: {session}");
+    let session = header.get("session").as_str().expect("header.session");
+    assert!(session.starts_with("backup-"), "header labels the run: {session}");
 
-    // Every subsequent line is a sample; interval deltas reconcile with
-    // the source corpus exactly (the final partial tick loses nothing).
+    // Kinds arrive in the fixed order header → sample+ → span+ → summary.
+    let kinds: Vec<&str> = docs.iter().map(|d| d.get("kind").as_str().expect("kind")).collect();
+    let samples = kinds.iter().filter(|k| **k == "sample").count();
+    let spans = kinds.iter().filter(|k| **k == "span").count();
+    assert!(samples >= 1 && spans >= 1, "{kinds:?}");
+    let order = [vec!["header"], vec!["sample"; samples], vec!["span"; spans], vec!["summary"]];
+    assert_eq!(kinds, order.concat(), "kind order");
+
+    // Interval deltas reconcile with the source corpus exactly (the final
+    // partial tick loses nothing), and with the closing summary.
     let mut sampled_source = 0u64;
-    let mut last_seq = None;
-    for sample in &docs[1..] {
-        assert_eq!(sample.get("kind").as_str(), Some("sample"));
-        let seq = sample.get("seq").as_u64().expect("sample seq");
-        if let Some(prev) = last_seq {
-            assert_eq!(seq, prev + 1, "contiguous sample sequence");
-        }
-        last_seq = Some(seq);
+    for (i, sample) in docs[1..=samples].iter().enumerate() {
+        assert_eq!(sample.get("seq").as_u64(), Some(i as u64), "contiguous sample sequence");
         sampled_source += sample.get("source_bytes").as_u64().expect("source_bytes");
     }
     assert_eq!(sampled_source, src_bytes, "sampled deltas sum to the corpus size:\n{text}");
-    let last = docs.last().unwrap();
-    assert_eq!(last.get("cum").get("source_bytes").as_u64(), Some(src_bytes));
+    assert_eq!(docs[samples].get("cum").get("source_bytes").as_u64(), Some(src_bytes));
+    let summary = docs.last().unwrap();
+    assert_eq!(summary.get("counters").get("source_bytes").as_u64(), Some(src_bytes));
 
     let _ = fs::remove_dir_all(&root);
 }
 
+/// One `--stats --metrics` run: the table `--stats` prints and the summary
+/// line `--metrics` writes are renderings of the same snapshot.
 #[test]
-fn stats_json_and_trace_outputs() {
+fn stats_table_and_document_summary_agree() {
     let root = std::env::temp_dir().join(format!("aabackup-obs-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     fs::create_dir_all(root.join("src")).unwrap();
@@ -139,8 +144,7 @@ fn stats_json_and_trace_outputs() {
     fs::write(root.join("src/note.txt"), b"tiny note").unwrap();
 
     let repo = root.join("repo");
-    let stats_path = root.join("stats.json");
-    let trace_path = root.join("trace.ndjson");
+    let metrics_path = root.join("metrics.ndjson");
     let (ok, out) = run(&[
         "backup",
         "--repo",
@@ -148,29 +152,35 @@ fn stats_json_and_trace_outputs() {
         "--workers",
         "4",
         "--stats",
-        "--stats-json",
-        stats_path.to_str().unwrap(),
-        "--trace",
-        trace_path.to_str().unwrap(),
+        "--metrics",
+        metrics_path.to_str().unwrap(),
         root.join("src").to_str().unwrap(),
     ]);
     assert!(ok, "{out}");
-    // The human table rendered.
-    assert!(out.contains("stage"), "missing stats table:\n{out}");
 
     let (dup, chunks_total, files_tiny) = parse_summary(&out);
 
-    // --stats-json parses and carries every stage key.
-    let doc = json::parse(&fs::read_to_string(&stats_path).unwrap()).expect("stats JSON parses");
+    // The summary line closes the document and carries every stage key.
+    let docs = json::parse_ndjson(&fs::read_to_string(&metrics_path).unwrap())
+        .expect("metrics NDJSON parses");
+    let doc = docs.last().unwrap();
+    assert_eq!(doc.get("kind").as_str(), Some("summary"));
     let stages = doc.get("stages").as_obj().expect("stages object");
     for stage in Stage::ALL {
         let entry = stages.get(stage.name()).unwrap_or_else(|| panic!("stage {}", stage.name()));
         assert!(entry.get("count").as_u64().is_some(), "{}", stage.name());
     }
-    // Work actually flowed through the pipeline stages.
+    // Work actually flowed through the pipeline stages, and the table the
+    // same run printed shows the summary's counts.
     for stage in [Stage::Chunk, Stage::Hash, Stage::Index, Stage::Upload] {
         let count = stages[stage.name()].get("count").as_u64().unwrap();
         assert!(count > 0, "stage {} recorded nothing", stage.name());
+        let row: Vec<&str> = out
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|words| words.first() == Some(&stage.name()))
+            .unwrap_or_else(|| panic!("no table row for {}:\n{out}", stage.name()));
+        assert_eq!(row[1], count.to_string(), "table count for {}:\n{out}", stage.name());
     }
 
     // Per-AppType hit/miss counts reconcile with the session summary:
@@ -187,21 +197,31 @@ fn stats_json_and_trace_outputs() {
     assert_eq!(hits + misses, chunks_total - files_tiny, "{out}");
     assert_eq!(hits, dup, "{out}");
 
-    // Trace stream: every line is an object with the chrome-trace keys.
-    let trace = fs::read_to_string(&trace_path).unwrap();
-    let mut events = 0;
-    for line in trace.lines() {
-        let ev = json::parse(line).expect("trace line parses");
-        let obj = ev.as_obj().expect("trace event object");
+    // Span lines: every one is an object with the chrome-trace keys, and
+    // the session-level span is among them.
+    let spans: Vec<_> = docs.iter().filter(|d| d.get("kind").as_str() == Some("span")).collect();
+    for ev in &spans {
+        let obj = ev.as_obj().expect("span object");
         for key in ["name", "ph", "ts", "dur", "pid", "tid"] {
-            assert!(obj.contains_key(key), "trace event missing {key}: {line}");
+            assert!(obj.contains_key(key), "span missing {key}: {ev:?}");
         }
-        assert_eq!(ev.get("ph").as_str(), Some("X"), "{line}");
-        events += 1;
+        assert_eq!(ev.get("ph").as_str(), Some("X"), "{ev:?}");
     }
-    assert!(events > 0, "empty trace");
-    // The session-level span is present.
-    assert!(trace.contains("\"session\""), "no session span in trace");
+    assert!(spans.iter().any(|ev| ev.get("name").as_str() == Some("session")), "no session span");
+
+    // The flags this document replaced are unknown arguments now.
+    for gone in ["--stats-json", "--trace"] {
+        let (ok, out) = run(&[
+            "backup",
+            "--repo",
+            repo.to_str().unwrap(),
+            gone,
+            root.join("gone").to_str().unwrap(),
+            root.join("src").to_str().unwrap(),
+        ]);
+        assert!(!ok && out.contains("usage:"), "{gone} must be a usage error:\n{out}");
+        assert!(!root.join("gone").exists(), "{gone} wrote a file");
+    }
 
     let _ = fs::remove_dir_all(&root);
 }

@@ -60,8 +60,8 @@ use aadedupe_container::{decompose_id, ContainerStore, DEFAULT_CONTAINER_SIZE};
 use aadedupe_filetype::{AppType, DedupPolicy, SourceFile};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_index::{codec, AppAwareIndex, ChunkEntry};
-use aadedupe_metrics::{SessionReport, StageCpu};
-use aadedupe_obs::{Counter, Queue, Recorder, Snapshot, Stage, WorkerRole};
+use aadedupe_metrics::SessionReport;
+use aadedupe_obs::{Counter, Queue, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{ChunkRef, FileRecipe, Manifest};
 use crate::restore::{
@@ -70,56 +70,33 @@ use crate::restore::{
 };
 use crate::retry::RetryPolicy;
 use crate::scheme::{BackupError, BackupScheme};
-use crate::timing::{DedupClock, DISK_SEEK, SOURCE_READ_BPS};
-
-/// How the engine decides between the serial and the parallel pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Parallel pipeline iff `workers > 1` (the default).
-    #[default]
-    Auto,
-    /// Always the serial path, whatever `workers` says.
-    Serial,
-    /// Always the parallel pipeline, even with one worker — useful for
-    /// exercising the pipeline machinery deterministically in tests.
-    Parallel,
-}
+use crate::timing::DedupClock;
 
 /// Worker-pool configuration for the backup pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Chunk+hash worker threads (1 = serial under [`PipelineMode::Auto`]).
+    /// Chunk+hash worker threads: 1 runs the serial schedule, more run the
+    /// pipeline.
     pub workers: usize,
-    /// Bound on each dedup shard's channel: a shard that is busy lets
-    /// `queue_depth` chunked files wait before the workers sending to it
-    /// block, keeping pipeline memory proportional to thread count rather
-    /// than dataset size.
-    pub queue_depth: usize,
-    /// Serial/parallel selection policy.
-    pub mode: PipelineMode,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Auto }
+        PipelineConfig { workers: 1 }
     }
 }
 
 impl PipelineConfig {
-    /// Pipeline with `workers` threads and default queueing.
+    /// Pipeline with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        PipelineConfig { workers, ..PipelineConfig::default() }
-    }
-
-    /// Whether a session should run the parallel pipeline.
-    fn parallel(&self) -> bool {
-        match self.mode {
-            PipelineMode::Auto => self.workers > 1,
-            PipelineMode::Serial => false,
-            PipelineMode::Parallel => true,
-        }
+        PipelineConfig { workers }
     }
 }
+
+/// Bound on each dedup shard's channel: a shard that is busy lets this many
+/// chunked files wait before the workers sending to it block, keeping
+/// pipeline memory proportional to thread count rather than dataset size.
+const SHARD_QUEUE_DEPTH: usize = 4;
 
 /// Engine configuration. Defaults are the paper's evaluation settings.
 #[derive(Debug, Clone)]
@@ -635,7 +612,7 @@ impl AaDedupe {
             }
         }
         self.config.recorder.count(Counter::FilesClassified, files.len() as u64);
-        if self.config.pipeline.parallel() {
+        if self.config.pipeline.workers > 1 {
             self.run_session_parallel(files, report, clock)
         } else {
             self.run_session_serial(files, report, clock)
@@ -682,7 +659,6 @@ impl AaDedupe {
         let rec = &cfg.recorder;
         let index = &self.index;
         let containers = &mut self.containers;
-        let queue_depth = cfg.pipeline.queue_depth.max(1);
 
         // Big files in file order — the workers' job list — and the same
         // files grouped per application: each group is one shard's work.
@@ -705,7 +681,7 @@ impl AaDedupe {
             let mut shard_txs = BTreeMap::new();
             let mut shards = Vec::new();
             for (app, my_files) in by_app {
-                let (tx, rx) = mpsc::sync_channel::<(usize, ChunkedFile)>(queue_depth);
+                let (tx, rx) = mpsc::sync_channel::<(usize, ChunkedFile)>(SHARD_QUEUE_DEPTH);
                 shard_txs.insert(app, tx);
                 let mut store = containers.split_stream(app.tag() as u32);
                 shards.push(scope.spawn(move || {
@@ -738,7 +714,7 @@ impl AaDedupe {
 
             // Chunk+hash workers: claim the next unclaimed big file, push
             // the chunked file to the owning shard.
-            for w in 0..cfg.pipeline.workers.max(1) {
+            for w in 0..cfg.pipeline.workers {
                 let (jobs, cursor, shard_txs) = (&jobs, &cursor, shard_txs.clone());
                 scope.spawn(move || {
                     let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
@@ -1030,9 +1006,6 @@ impl BackupScheme for AaDedupe {
         let mut report = SessionReport::new(self.name(), self.sessions);
         let mut clock = DedupClock::new();
         let rec = Arc::clone(&self.config.recorder);
-        // Per-session stage figures come from snapshot deltas: the
-        // recorder's histograms are lifetime-cumulative.
-        let obs_before: Option<Snapshot> = rec.is_enabled().then(|| rec.snapshot());
         let session_span = rec.trace_start();
         let wan_before = self.cloud.elapsed();
         let puts_before = self.cloud.store().stats();
@@ -1121,27 +1094,7 @@ impl BackupScheme for AaDedupe {
 
         let put_delta = self.cloud.store().stats().put_requests - puts_before.put_requests;
         report.put_requests = put_delta;
-        report.dedup_cpu = match obs_before {
-            // With the recorder on, dedup CPU is the sum of the measured
-            // chunk/hash/index stage times plus the modelled source read
-            // and disk-probe charges — same model as DedupClock::total,
-            // with the CPU term decomposed per stage.
-            Some(before) => {
-                let delta = rec.snapshot().delta_since(&before);
-                let stage = StageCpu {
-                    source_read: Duration::from_secs_f64(
-                        report.logical_bytes as f64 / SOURCE_READ_BPS,
-                    ),
-                    chunk: delta.stage_total(Stage::Chunk),
-                    hash: delta.stage_total(Stage::Hash),
-                    index: delta.stage_total(Stage::Index)
-                        + DISK_SEEK * report.index_disk_reads as u32,
-                };
-                report.stage_cpu = Some(stage);
-                stage.total()
-            }
-            None => clock.total(),
-        };
+        report.dedup_cpu = clock.total();
         report.transfer_time = self.cloud.elapsed() - wan_before;
         rec.trace_complete("session", session_span);
         self.sessions += 1;
@@ -1407,28 +1360,6 @@ mod tests {
             store.list("").iter().map(|k| (k.clone(), digest(k))).collect::<Vec<_>>()
         });
         assert_eq!(namespaces[0], namespaces[1], "cloud objects differ between schedules");
-    }
-
-    #[test]
-    fn forced_parallel_mode_single_worker_matches_serial() {
-        // PipelineMode::Parallel exercises the full pipeline machinery
-        // even with one worker; output must be identical to serial.
-        let files = vec![
-            mem("user/doc/a.doc", b"mixed workload ".repeat(3000)),
-            mem("user/tiny/t.txt", b"wee".to_vec()),
-            mem("user/pdf/b.pdf", vec![5u8; 40_000]),
-        ];
-        let mut serial = engine();
-        let cfg = AaDedupeConfig {
-            pipeline: PipelineConfig { workers: 1, queue_depth: 1, mode: PipelineMode::Parallel },
-            ..AaDedupeConfig::default()
-        };
-        let mut forced = AaDedupe::with_config(CloudSim::with_paper_defaults(), cfg);
-        let rs = serial.backup_session(&sources(&files)).unwrap();
-        let rp = forced.backup_session(&sources(&files)).unwrap();
-        assert_eq!(rs.stored_bytes, rp.stored_bytes);
-        assert_eq!(rs.put_requests, rp.put_requests);
-        assert_eq!(serial.restore_session(0).unwrap(), forced.restore_session(0).unwrap());
     }
 
     #[test]

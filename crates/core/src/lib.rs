@@ -31,7 +31,7 @@ pub mod scheme;
 pub mod timing;
 pub mod vacuum;
 
-pub use engine::{AaDedupe, AaDedupeConfig, PipelineConfig, PipelineMode};
+pub use engine::{AaDedupe, AaDedupeConfig, PipelineConfig};
 pub use recipe::{ChunkRef, FileRecipe, Manifest};
 pub use restore::{
     restore_file_pipelined, restore_session, restore_session_pipelined, RestoreOptions,

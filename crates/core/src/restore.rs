@@ -393,7 +393,7 @@ fn run_pipeline(
                     if let Some(t) = working {
                         busy += t.elapsed();
                     }
-                    rec.queue_push(Queue::RestoreCache);
+                    rec.queue_push(Queue::RestoreVerified);
                     let blocked = rec.start();
                     // The caller drains until every sender is gone, so a
                     // closed channel means it panicked; just stop.
@@ -422,7 +422,7 @@ fn run_pipeline(
                     }
                 }
             }
-            rec.queue_pop(Queue::RestoreCache);
+            rec.queue_pop(Queue::RestoreVerified);
         }
     });
     first_err.map_or(Ok(out), |(_, e)| Err(e))

@@ -28,4 +28,4 @@ pub mod report;
 
 pub use efficiency::{backup_window_secs, dedup_efficiency, dedup_ratio};
 pub use energy::EnergyModel;
-pub use report::{SessionReport, StageCpu};
+pub use report::SessionReport;

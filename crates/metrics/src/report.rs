@@ -6,30 +6,6 @@
 use crate::{backup_window_secs, dedup_efficiency, dedup_ratio, EnergyModel};
 use std::time::Duration;
 
-/// Per-stage breakdown of a session's dedup CPU time, measured by the
-/// observability recorder. When present, [`SessionReport::dedup_cpu`] is
-/// exactly [`StageCpu::total`] — the regression test
-/// `stage_cpu_parts_sum_to_dedup_cpu` in `aadedupe-core` holds both paths
-/// to that identity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCpu {
-    /// Modelled time reading the dataset off the source disk.
-    pub source_read: Duration,
-    /// Measured chunk-boundary production time.
-    pub chunk: Duration,
-    /// Measured fingerprinting time.
-    pub hash: Duration,
-    /// Measured index lookup time plus the modelled on-disk probe charge.
-    pub index: Duration,
-}
-
-impl StageCpu {
-    /// Sum of the per-stage parts (the session's dedup CPU).
-    pub fn total(&self) -> Duration {
-        self.source_read + self.chunk + self.hash + self.index
-    }
-}
-
 /// Measured outcome of one backup session under one scheme.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
@@ -47,7 +23,9 @@ pub struct SessionReport {
     pub transferred_bytes: u64,
     /// Upload (PUT) requests issued.
     pub put_requests: u64,
-    /// CPU time spent chunking, fingerprinting and indexing.
+    /// Time spent chunking, fingerprinting and indexing: measured CPU plus
+    /// the scheme's modelled source-read and index-probe charges. Computed
+    /// the same way whether or not an observability recorder is attached.
     pub dedup_cpu: Duration,
     /// Simulated WAN time for this session's uploads.
     pub transfer_time: Duration,
@@ -61,9 +39,6 @@ pub struct SessionReport {
     pub files_tiny: u64,
     /// Modelled on-disk index probes.
     pub index_disk_reads: u64,
-    /// Per-stage breakdown of `dedup_cpu`, when the session ran with the
-    /// observability recorder enabled (`None` otherwise).
-    pub stage_cpu: Option<StageCpu>,
 }
 
 impl SessionReport {
@@ -83,7 +58,6 @@ impl SessionReport {
             files_total: 0,
             files_tiny: 0,
             index_disk_reads: 0,
-            stage_cpu: None,
         }
     }
 
@@ -223,7 +197,6 @@ mod tests {
             files_total: 10,
             files_tiny: 4,
             index_disk_reads: 2,
-            stage_cpu: None,
         }
     }
 
@@ -281,17 +254,5 @@ mod tests {
         rs[2].stored_bytes = 9;
         assert_eq!(cumulative_transferred(&rs), vec![260_000, 260_100, 260_101]);
         assert_eq!(cumulative_stored(&rs), vec![250_000, 250_070, 250_079]);
-    }
-
-    #[test]
-    fn stage_cpu_total_sums_parts() {
-        let sc = StageCpu {
-            source_read: Duration::from_millis(5),
-            chunk: Duration::from_millis(3),
-            hash: Duration::from_millis(2),
-            index: Duration::from_millis(1),
-        };
-        assert_eq!(sc.total(), Duration::from_millis(11));
-        assert_eq!(StageCpu::default().total(), Duration::ZERO);
     }
 }

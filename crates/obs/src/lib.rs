@@ -7,9 +7,11 @@
 //! (classify / chunk / hash / index / container / upload), per-application
 //! index hit/miss counters, pipeline worker busy/idle time, and channel
 //! queue-depth high-water marks. A [`Recorder`] is plumbed through the
-//! engine, index, container store, and chunker; everything it records can
-//! be exported as a human table, a machine-readable JSON snapshot, or a
-//! `chrome://tracing`-compatible NDJSON event stream.
+//! engine, index, container store, and chunker; everything it records
+//! leaves through one machine-readable document
+//! ([`TimeSeries::write_document`]: a header, the [`Sampler`]'s samples,
+//! the buffered spans, and a closing [`Snapshot`] summary) and one human
+//! rendering of that same summary ([`Snapshot::render_table`]).
 //!
 //! # Zero-cost when disabled
 //!
@@ -38,13 +40,8 @@ pub mod trace;
 
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use sampler::{Sampler, SamplerConfig, SamplerCore, SamplerProbe};
-pub use series::{
-    AppInterval, QueuePoint, SamplePoint, Scope, TimeSeries, METRICS_SCHEMA_VERSION,
-};
-pub use snapshot::{
-    AppIndexSnapshot, QueueSnapshot, Snapshot, StageSnapshot, WorkerSnapshot,
-    STATS_SCHEMA_VERSION,
-};
+pub use series::{AppInterval, QueuePoint, SamplePoint, TimeSeries, METRICS_SCHEMA_VERSION};
+pub use snapshot::{AppIndexSnapshot, QueueSnapshot, Snapshot, StageSnapshot, WorkerSnapshot};
 pub use trace::{TraceEvent, TraceSink};
 
 use std::fmt;
@@ -261,21 +258,19 @@ pub enum Queue {
     Shards,
     /// Verified containers a restore has not scattered yet: counted by the
     /// fetch worker after verify, uncounted by the caller once handled. The
-    /// high-water mark proves the `workers + 17` restore memory bound. (The
-    /// name and its `"restore_cache"` key predate the container-major
-    /// restore; renaming is a schema bump.)
-    RestoreCache,
+    /// high-water mark proves the `workers + 17` restore memory bound.
+    RestoreVerified,
 }
 
 impl Queue {
     /// Every queue.
-    pub const ALL: [Queue; 2] = [Queue::Shards, Queue::RestoreCache];
+    pub const ALL: [Queue; 2] = [Queue::Shards, Queue::RestoreVerified];
 
     /// Stable snake_case name (the JSON key).
     pub const fn name(self) -> &'static str {
         match self {
             Queue::Shards => "shards",
-            Queue::RestoreCache => "restore_cache",
+            Queue::RestoreVerified => "restore_verified",
         }
     }
 }
@@ -549,15 +544,6 @@ impl Recorder {
         self.trace.drain()
     }
 
-    /// Writes the buffered trace as NDJSON (one chrome-trace complete event
-    /// per line), draining the buffer.
-    pub fn write_trace_ndjson(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        for ev in self.drain_trace() {
-            writeln!(out, "{}", ev.to_json())?;
-        }
-        Ok(())
-    }
-
     /// Point-in-time copy of every metric. Safe to call while other
     /// threads record; each histogram snapshot is internally consistent
     /// (its count is the sum of its buckets).
@@ -677,17 +663,17 @@ mod tests {
         r.index_outcome(5, false);
         r.index_outcome(5, false);
         r.label_app(5, "rar");
-        r.queue_push(Queue::RestoreCache);
-        r.queue_push(Queue::RestoreCache);
-        r.queue_pop(Queue::RestoreCache);
+        r.queue_push(Queue::RestoreVerified);
+        r.queue_push(Queue::RestoreVerified);
+        r.queue_pop(Queue::RestoreVerified);
         r.worker_report(WorkerRole::Shard, 4, Duration::from_millis(2), Duration::from_millis(1));
         let s = r.snapshot();
         assert_eq!(s.stage(Stage::Chunk).hist.count, 2);
         assert_eq!(s.counter(Counter::ChunksCdc), 2);
         let app = &s.apps[0];
         assert_eq!((app.tag, app.label.as_str(), app.hits, app.misses), (5, "rar", 1, 2));
-        assert_eq!(s.queue(Queue::RestoreCache).hwm, 2);
-        assert_eq!(s.queue(Queue::RestoreCache).depth, 1);
+        assert_eq!(s.queue(Queue::RestoreVerified).hwm, 2);
+        assert_eq!(s.queue(Queue::RestoreVerified).depth, 1);
         assert_eq!(s.workers[0].role, WorkerRole::Shard);
         r.reset();
         assert_eq!(r.snapshot().counter(Counter::ChunksCdc), 0);

@@ -20,7 +20,7 @@
 //!   struct, nothing for the hot path to pay (the `overhead_guard` test
 //!   runs with an inert sampler attached to prove it).
 
-use crate::series::{AppInterval, QueuePoint, SamplePoint, Scope, TimeSeries};
+use crate::series::{AppInterval, QueuePoint, SamplePoint, TimeSeries};
 use crate::snapshot::Snapshot;
 use crate::{Counter, Queue, Recorder};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -61,14 +61,15 @@ pub struct SamplerCore {
 
 impl SamplerCore {
     /// A core whose baseline is the recorder's state right now: the first
-    /// tick reports only activity after this call.
-    pub fn new(rec: Arc<Recorder>, scope: Scope, cfg: SamplerConfig) -> SamplerCore {
+    /// tick reports only activity after this call. `session` labels the
+    /// series.
+    pub fn new(rec: Arc<Recorder>, session: &str, cfg: SamplerConfig) -> SamplerCore {
         let prev = rec.snapshot();
         let interval_ms = u64::try_from(cfg.interval.as_millis()).unwrap_or(u64::MAX);
         SamplerCore {
             rec,
             prev,
-            series: TimeSeries::new(scope, interval_ms, cfg.capacity),
+            series: TimeSeries::new(session, interval_ms, cfg.capacity),
             cum_source: 0,
             cum_stored: 0,
             cum_restored: 0,
@@ -142,7 +143,7 @@ impl SamplerCore {
 #[derive(Debug)]
 pub struct Sampler {
     inner: Option<Running>,
-    scope: Scope,
+    session: String,
     interval_ms: u64,
 }
 
@@ -165,13 +166,13 @@ impl Sampler {
     /// [`Sampler::stop`] then returns an empty series. The recorder's
     /// enabled state is latched at spawn: enabling it later does not start
     /// a sampler retroactively.
-    pub fn spawn(rec: Arc<Recorder>, scope: Scope, cfg: SamplerConfig) -> Sampler {
+    pub fn spawn(rec: Arc<Recorder>, session: &str, cfg: SamplerConfig) -> Sampler {
         let interval_ms = u64::try_from(cfg.interval.as_millis()).unwrap_or(u64::MAX);
         if !rec.is_enabled() {
-            return Sampler { inner: None, scope, interval_ms };
+            return Sampler { inner: None, session: session.into(), interval_ms };
         }
         let interval = cfg.interval.max(Duration::from_millis(1));
-        let core = Arc::new(Mutex::new(SamplerCore::new(rec, scope.clone(), cfg)));
+        let core = Arc::new(Mutex::new(SamplerCore::new(rec, session, cfg)));
         let stop = Arc::new(AtomicBool::new(false));
         let thread_core = Arc::clone(&core);
         let thread_stop = Arc::clone(&stop);
@@ -182,7 +183,8 @@ impl Sampler {
             // resource exhaustion; observability cannot degrade gracefully
             // past "no threads left" and the engine would be failing too
             .expect("spawn obs-sampler thread");
-        Sampler { inner: Some(Running { stop, core, handle }), scope, interval_ms }
+        let inner = Some(Running { stop, core, handle });
+        Sampler { inner, session: session.into(), interval_ms }
     }
 
     /// Whether this handle is inert (recorder was disabled at spawn).
@@ -209,7 +211,7 @@ impl Sampler {
     /// activity is never lost, and returns the full series.
     pub fn stop(mut self) -> TimeSeries {
         let Some(running) = self.inner.take() else {
-            return TimeSeries::new(self.scope.clone(), self.interval_ms, 1);
+            return TimeSeries::new(&self.session, self.interval_ms, 1);
         };
         running.stop.store(true, Relaxed);
         // aalint: allow(unwrap-in-lib) -- join propagates a sampler-thread
@@ -282,20 +284,19 @@ mod tests {
     #[test]
     fn spawn_on_disabled_recorder_is_inert() {
         let rec = Recorder::shared_disabled();
-        let s = Sampler::spawn(rec, Scope::session("off"), SamplerConfig::default());
+        let s = Sampler::spawn(rec, "off", SamplerConfig::default());
         assert!(s.is_inert());
         assert_eq!(s.latest(), None);
         let series = s.stop();
         assert!(series.is_empty());
-        assert_eq!(series.scope().session, "off");
+        assert_eq!(series.session(), "off");
     }
 
     #[test]
     fn core_tick_reports_exact_deltas() {
         let rec = Recorder::shared();
         rec.count(Counter::SourceBytes, 500);
-        let mut core =
-            SamplerCore::new(Arc::clone(&rec), Scope::session("t"), SamplerConfig::default());
+        let mut core = SamplerCore::new(Arc::clone(&rec), "t", SamplerConfig::default());
         // Baseline taken after the 500 above: first tick must not see it.
         rec.count(Counter::SourceBytes, 2_000);
         rec.count(Counter::StoredBytes, 800);
@@ -323,7 +324,7 @@ mod tests {
     fn background_sampler_captures_tail_on_stop() {
         let rec = Recorder::shared();
         let cfg = SamplerConfig { interval: Duration::from_secs(3600), capacity: 16 };
-        let s = Sampler::spawn(Arc::clone(&rec), Scope::session("tail"), cfg);
+        let s = Sampler::spawn(Arc::clone(&rec), "tail", cfg);
         assert!(!s.is_inert());
         rec.count(Counter::SourceBytes, 4_096);
         // Interval is an hour; the final partial tick on stop must still

@@ -1,70 +1,40 @@
-//! Dimensional time-series storage for the background sampler.
+//! The sampler's time series and the run's telemetry document.
 //!
 //! A [`TimeSeries`] is a bounded ring buffer of [`SamplePoint`]s — one per
-//! sampler tick — labelled by a [`Scope`]: the session id and an optional
-//! application tag. The scope is the *dimension set* of every series the
-//! sampler emits.
+//! sampler tick — labelled with the session it observed. Memory is bounded
+//! by construction: the ring holds at most `capacity` samples and evicts
+//! the oldest on overflow, counting evictions in [`TimeSeries::dropped`] so
+//! the export is honest about truncation.
 //!
-//! Memory is bounded by construction: the ring holds at most `capacity`
-//! samples and evicts the oldest on overflow, counting evictions in
-//! [`TimeSeries::dropped`] so exports are honest about truncation.
+//! [`TimeSeries::write_document`] is the one writer of the run's
+//! machine-readable telemetry: an NDJSON stream of `kind`-tagged lines in a
+//! fixed order — one `header` (the only carrier of
+//! [`METRICS_SCHEMA_VERSION`]), the `sample`s, the run's `span`s, and a
+//! closing `summary`.
 
-use crate::Queue;
+use crate::{Queue, Snapshot, TraceEvent};
 use std::collections::VecDeque;
+use std::io;
 
-/// Version of the metrics NDJSON stream layout (header + sample lines).
-/// Additive changes (new keys) do not bump this; removals or retypings do.
-/// Consumers must tolerate unknown keys.
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
-
-/// Dimensional labels attached to a sampler's series.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Scope {
-    /// Session identifier (e.g. `backup-00003`, `restore-00001`).
-    pub session: String,
-    /// Application label for app-scoped series (`None` for pipeline-wide
-    /// series; per-app entries inside a sample carry their own label).
-    pub app: Option<String>,
-}
-
-impl Scope {
-    /// A scope labelling one session, with no app dimension.
-    pub fn session(id: impl Into<String>) -> Scope {
-        Scope { session: id.into(), app: None }
-    }
-
-    /// This scope narrowed to one application label.
-    pub fn with_app(&self, app: impl Into<String>) -> Scope {
-        Scope { app: Some(app.into()), ..self.clone() }
-    }
-
-    /// The canonical series key for `metric` under this scope:
-    /// `session=<s>[,app=<a>]|<metric>`. Stable and ordered,
-    /// so keys compare and sort deterministically.
-    pub fn series_key(&self, metric: &str) -> String {
-        let mut key = format!("session={}", self.session);
-        if let Some(app) = &self.app {
-            key.push_str(&format!(",app={app}"));
-        }
-        key.push('|');
-        key.push_str(metric);
-        key
-    }
-
-    /// The scope as a JSON object fragment (absent dimensions omitted).
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"session\": {}", json_str(&self.session));
-        if let Some(app) = &self.app {
-            out.push_str(&format!(", \"app\": {}", json_str(app)));
-        }
-        out.push('}');
-        out
-    }
-}
+/// Version of the telemetry document (see [`TimeSeries::write_document`]);
+/// the header line is the only place it is written. History:
+///
+/// * 1 — header + `sample` lines; the header labels the run with a `scope`
+///   object.
+/// * 2 — drops the `jobs` and `appender` queue gauges from every sample:
+///   the backup pipeline no longer has a job channel or an appender thread.
+/// * 3 — `span` and `summary` lines join the stream (until then two files
+///   in two formats of their own, each behind its own flag); header
+///   `scope: {session}` becomes `session`; the restore gauge gets its
+///   present name, `restore_verified`.
+///
+/// New keys and new line kinds do not bump this; removals or retypings do.
+/// Readers must tolerate unknown keys and unknown kinds.
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// Minimal JSON string escaping for label values (labels are short ASCII
 /// identifiers in practice; escaping keeps arbitrary ones well-formed).
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -147,7 +117,7 @@ pub struct SamplePoint {
     /// Every queue gauge at the tick (depth + high-water).
     pub queues: Vec<QueuePoint>,
     /// Per-application index traffic within the interval (only apps with
-    /// traffic; each entry is an app-dimensioned series under the scope).
+    /// traffic).
     pub apps: Vec<AppInterval>,
 }
 
@@ -260,10 +230,10 @@ fn json_ratio(r: f64) -> String {
     }
 }
 
-/// A bounded ring buffer of samples under one scope.
+/// A bounded ring buffer of one session's samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    scope: Scope,
+    session: String,
     interval_ms: u64,
     capacity: usize,
     samples: VecDeque<SamplePoint>,
@@ -271,12 +241,13 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// An empty series with the given scope, nominal sampling interval,
-    /// and ring capacity (clamped to at least 1).
-    pub fn new(scope: Scope, interval_ms: u64, capacity: usize) -> TimeSeries {
+    /// An empty series for the session labelled `session` (e.g.
+    /// `backup-00003`), with the given nominal sampling interval and ring
+    /// capacity (clamped to at least 1).
+    pub fn new(session: &str, interval_ms: u64, capacity: usize) -> TimeSeries {
         let capacity = capacity.max(1);
         TimeSeries {
-            scope,
+            session: session.into(),
             interval_ms,
             capacity,
             samples: VecDeque::with_capacity(capacity.min(1024)),
@@ -284,19 +255,9 @@ impl TimeSeries {
         }
     }
 
-    /// The series' scope.
-    pub fn scope(&self) -> &Scope {
-        &self.scope
-    }
-
-    /// The nominal sampling interval in milliseconds.
-    pub fn interval_ms(&self) -> u64 {
-        self.interval_ms
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The label of the session this series observed.
+    pub fn session(&self) -> &str {
+        &self.session
     }
 
     /// Samples currently held (≤ capacity).
@@ -333,46 +294,39 @@ impl TimeSeries {
         self.samples.iter()
     }
 
-    /// The canonical key of one of this series' metrics (scope-labelled).
-    pub fn series_key(&self, metric: &str) -> String {
-        self.scope.series_key(metric)
-    }
-
-    /// The NDJSON header line (`"kind": "header"`): schema version, scope,
-    /// nominal interval, ring capacity, and how many samples were evicted.
-    pub fn header_json(&self) -> String {
-        format!(
+    /// Writes the run's telemetry document: the `header` line (schema
+    /// version, session label, nominal interval, ring capacity, samples
+    /// evicted), one `sample` line per held sample oldest first, one `span`
+    /// line per entry of `spans`, and `summary` as the closing line.
+    pub fn write_document(
+        &self,
+        spans: &[TraceEvent],
+        summary: &Snapshot,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()> {
+        writeln!(
+            out,
             "{{\"schema_version\": {METRICS_SCHEMA_VERSION}, \"kind\": \"header\", \
-             \"scope\": {}, \"interval_ms\": {}, \"capacity\": {}, \"dropped\": {}}}",
-            self.scope.to_json(),
+             \"session\": {}, \"interval_ms\": {}, \"capacity\": {}, \"dropped\": {}}}",
+            json_str(&self.session),
             self.interval_ms,
             self.capacity,
             self.dropped
-        )
-    }
-
-    /// The whole series as NDJSON: one header line, then one line per
-    /// sample, oldest first.
-    pub fn to_ndjson(&self) -> String {
-        let mut out = self.header_json();
-        out.push('\n');
+        )?;
         for s in &self.samples {
-            out.push_str(&s.to_json());
-            out.push('\n');
+            writeln!(out, "{}", s.to_json())?;
         }
-        out
-    }
-
-    /// Writes [`TimeSeries::to_ndjson`] to `out`.
-    pub fn write_ndjson(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        out.write_all(self.to_ndjson().as_bytes())
+        for span in spans {
+            writeln!(out, "{}", span.to_json())?;
+        }
+        writeln!(out, "{}", summary.to_json())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::{json, Counter, Recorder};
 
     fn sample(seq: u64) -> SamplePoint {
         SamplePoint {
@@ -394,7 +348,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_evictions() {
-        let mut ts = TimeSeries::new(Scope::session("s"), 250, 4);
+        let mut ts = TimeSeries::new("s", 250, 4);
         for seq in 0..10 {
             ts.push(sample(seq));
         }
@@ -407,35 +361,37 @@ mod tests {
     }
 
     #[test]
-    fn scope_series_keys_are_canonical() {
-        let base = Scope::session("backup-00001");
-        assert_eq!(base.series_key("source_bps"), "session=backup-00001|source_bps");
-        let app = base.with_app("pdf");
-        assert_eq!(app.series_key("hit_rate"), "session=backup-00001,app=pdf|hit_rate");
-    }
-
-    #[test]
-    fn ndjson_round_trips_through_the_json_reader() {
-        let mut ts = TimeSeries::new(Scope::session("s-0"), 250, 8);
+    fn document_round_trips_through_the_json_reader() {
+        let rec = Recorder::new();
+        rec.enable_tracing();
+        rec.count(Counter::SourceBytes, 2000);
+        rec.trace_complete("session", rec.trace_start());
+        let mut ts = TimeSeries::new("s-0", 250, 8);
         ts.push(sample(0));
         ts.push(sample(1));
-        let docs = json::parse_ndjson(&ts.to_ndjson()).expect("NDJSON parses");
-        assert_eq!(docs.len(), 3);
+        let mut doc = Vec::new();
+        ts.write_document(&rec.drain_trace(), &rec.snapshot(), &mut doc).expect("Vec write");
+        let text = String::from_utf8(doc).expect("document is UTF-8");
+        let docs = json::parse_ndjson(&text).expect("NDJSON parses");
+        let kinds: Vec<_> = docs.iter().map(|d| d.get("kind").as_str()).collect();
+        assert_eq!(kinds, ["header", "sample", "sample", "span", "summary"].map(Some));
         let header = &docs[0];
-        assert_eq!(header.get("kind").as_str(), Some("header"));
         assert_eq!(
             header.get("schema_version").as_u64(),
             Some(u64::from(METRICS_SCHEMA_VERSION))
         );
-        assert_eq!(header.get("scope").get("session").as_str(), Some("s-0"));
+        assert_eq!(header.get("session").as_str(), Some("s-0"));
+        assert_eq!(ts.session(), "s-0");
         let s = &docs[1];
-        assert_eq!(s.get("kind").as_str(), Some("sample"));
         assert_eq!(s.get("source_bytes").as_u64(), Some(1000));
         assert_eq!(s.get("source_bps").as_f64(), Some(4000.0));
         assert_eq!(s.get("queues").get("shards").get("hwm").as_u64(), Some(5));
         assert_eq!(s.get("apps").at(0).get("app").as_str(), Some("pdf"));
         assert_eq!(s.get("apps").at(0).get("hit_rate").as_f64(), Some(0.75));
         assert_eq!(s.get("dedup_ratio").as_f64(), Some(2.5));
+        assert_eq!(docs[3].get("name").as_str(), Some("session"));
+        let sampled: u64 = docs[1..3].iter().filter_map(|d| d.get("source_bytes").as_u64()).sum();
+        assert_eq!(docs[4].get("counters").get("source_bytes").as_u64(), Some(sampled));
     }
 
     #[test]

@@ -1,33 +1,20 @@
-//! Point-in-time metric snapshots and their export formats.
+//! Point-in-time metric snapshots and their two renderings.
 //!
 //! A [`Snapshot`] is a plain-data copy of a
-//! [`Recorder`](crate::Recorder)'s state. Two exports:
+//! [`Recorder`](crate::Recorder)'s state. The same value renders as
 //!
-//! * [`Snapshot::to_json`] — the machine-readable `--stats-json` document
-//!   (top-level keys `stages`, `counters`, `apps`, `queues`, `workers`);
+//! * [`Snapshot::to_json`] — the closing `summary` line of the run's
+//!   telemetry document (members `stages`, `counters`, `apps`, `queues`,
+//!   `workers`);
 //! * [`Snapshot::render_table`] — the human `--stats` table.
 //!
 //! Snapshots also subtract ([`Snapshot::delta_since`]), which is how the
-//! engine turns lifetime-cumulative histograms into per-session stage
-//! times.
+//! sampler turns lifetime-cumulative counters into per-interval deltas.
 
 use crate::hist::HistogramSnapshot;
+use crate::series::json_str;
 use crate::{Counter, Queue, Stage, WorkerRole};
 use std::time::Duration;
-
-/// Version of the `--stats-json` document layout. History:
-///
-/// * 1 — PR 2's original document (no version field).
-/// * 2 — adds `schema_version`, per-queue `underflow`, and the
-///   `source_bytes` / `stored_bytes` / `restored_bytes` counters.
-/// * 3 — drops the `jobs` and `appender` queues and the `appender` worker
-///   role: the backup pipeline no longer has a job channel or an appender
-///   thread.
-///
-/// Consumers must tolerate unknown keys (the `obs::json` reader does by
-/// construction: unknown members are simply never asked for), so additive
-/// changes do not bump the version; removals or retypings do.
-pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 /// One stage's histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,76 +181,55 @@ impl Snapshot {
         }
     }
 
-    /// The machine-readable JSON document (`--stats-json`).
+    /// The snapshot as one `"kind": "summary"` NDJSON line.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!("{{\n  \"schema_version\": {STATS_SCHEMA_VERSION},\n  \"stages\": {{"));
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}, \"buckets\": [",
+        fn join(items: impl Iterator<Item = String>) -> String {
+            items.collect::<Vec<_>>().join(", ")
+        }
+        let stages = join(self.stages.iter().map(|s| {
+            format!(
+                "\"{}\": {{\"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}, \"buckets\": [{}]}}",
                 s.stage.name(),
                 s.hist.count,
                 s.hist.total_ns,
                 s.hist.mean_ns(),
-                s.hist.max_ns
-            ));
-            for (j, (bucket, n)) in s.hist.occupied().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{bucket}, {n}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  },\n  \"counters\": {");
-        for (i, (c, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {v}", c.name()));
-        }
-        out.push_str("\n  },\n  \"apps\": {");
-        for (i, a) in self.apps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"tag\": {}, \"hits\": {}, \"misses\": {}}}",
-                a.label, a.tag, a.hits, a.misses
-            ));
-        }
-        out.push_str("\n  },\n  \"queues\": {");
-        for (i, q) in self.queues.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"depth\": {}, \"hwm\": {}, \"underflow\": {}}}",
+                s.hist.max_ns,
+                join(s.hist.occupied().map(|(bucket, n)| format!("[{bucket}, {n}]")))
+            )
+        }));
+        let counters = join(self.counters.iter().map(|(c, v)| format!("\"{}\": {v}", c.name())));
+        let apps = join(self.apps.iter().map(|a| {
+            format!(
+                "{}: {{\"tag\": {}, \"hits\": {}, \"misses\": {}}}",
+                json_str(&a.label),
+                a.tag,
+                a.hits,
+                a.misses
+            )
+        }));
+        let queues = join(self.queues.iter().map(|q| {
+            format!(
+                "\"{}\": {{\"depth\": {}, \"hwm\": {}, \"underflow\": {}}}",
                 q.queue.name(),
                 q.depth,
                 q.hwm,
                 q.underflow
-            ));
-        }
-        out.push_str("\n  },\n  \"workers\": [");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"role\": \"{}\", \"id\": {}, \"busy_ns\": {}, \"idle_ns\": {}, \"utilization\": {:.4}}}",
+            )
+        }));
+        let workers = join(self.workers.iter().map(|w| {
+            format!(
+                "{{\"role\": \"{}\", \"id\": {}, \"busy_ns\": {}, \"idle_ns\": {}, \"utilization\": {:.4}}}",
                 w.role.name(),
                 w.id,
                 w.busy_ns,
                 w.idle_ns,
                 w.utilization()
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            )
+        }));
+        format!(
+            "{{\"kind\": \"summary\", \"stages\": {{{stages}}}, \"counters\": {{{counters}}}, \
+             \"apps\": {{{apps}}}, \"queues\": {{{queues}}}, \"workers\": [{workers}]}}"
+        )
     }
 
     /// The human-readable `--stats` table.
@@ -354,10 +320,14 @@ mod tests {
         r.count(Counter::ChunksCdc, 1);
         r.label_app(7, "pdf");
         r.index_outcome(7, true);
+        r.label_app(8, "odd \"label\"");
+        r.index_outcome(8, false);
         r.queue_push(Queue::Shards);
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_millis(1), Duration::ZERO);
-        let doc = json::parse(&r.snapshot().to_json()).expect("snapshot JSON parses");
-        assert_eq!(doc.get("schema_version").as_u64(), Some(u64::from(STATS_SCHEMA_VERSION)));
+        let line = r.snapshot().to_json();
+        assert!(!line.contains('\n'), "one NDJSON line");
+        let doc = json::parse(&line).expect("snapshot JSON parses");
+        assert_eq!(doc.get("kind").as_str(), Some("summary"));
         for stage in Stage::ALL {
             assert!(
                 doc.get("stages").get(stage.name()).get("count").as_u64().is_some(),
@@ -367,6 +337,7 @@ mod tests {
         }
         assert_eq!(doc.get("counters").get("chunks_cdc").as_u64(), Some(1));
         assert_eq!(doc.get("apps").get("pdf").get("hits").as_u64(), Some(1));
+        assert_eq!(doc.get("apps").get("odd \"label\"").get("misses").as_u64(), Some(1));
         assert_eq!(doc.get("queues").get("shards").get("hwm").as_u64(), Some(1));
         assert_eq!(doc.get("workers").at(0).get("role").as_str(), Some("chunker"));
     }

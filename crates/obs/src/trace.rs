@@ -1,10 +1,10 @@
-//! Chrome-trace-compatible event collection.
+//! Chrome-trace-compatible span collection.
 //!
 //! When tracing is enabled the recorder buffers complete events
 //! (`ph: "X"`) with microsecond timestamps relative to the recorder's
-//! epoch. Dumped as NDJSON (one JSON object per line), the stream loads
-//! directly into `chrome://tracing` / Perfetto after wrapping the lines
-//! in a JSON array — or as-is into any NDJSON-aware tool.
+//! epoch. They are the `span` lines of the run's telemetry document;
+//! every chrome-trace member is kept verbatim, so the `span` lines alone,
+//! wrapped in a JSON array, load into `chrome://tracing` / Perfetto.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -24,11 +24,11 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event as one chrome-trace JSON object (`ts`/`dur` in
-    /// microseconds, as the format requires).
+    /// The event as one `"kind": "span"` NDJSON line: a chrome-trace
+    /// complete event (`ts`/`dur` in microseconds, as the format requires).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{}}}",
+            "{{\"kind\": \"span\", \"name\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
             self.name,
             self.ts_ns as f64 / 1e3,
             self.dur_ns as f64 / 1e3,
@@ -84,7 +84,7 @@ mod tests {
         let ev = TraceEvent { name: "chunk", ts_ns: 1_500, dur_ns: 42_000, tid: 3 };
         assert_eq!(
             ev.to_json(),
-            "{\"name\":\"chunk\",\"ph\":\"X\",\"ts\":1.500,\"dur\":42.000,\"pid\":1,\"tid\":3}"
+            "{\"kind\": \"span\", \"name\": \"chunk\", \"ph\": \"X\", \"ts\": 1.500, \"dur\": 42.000, \"pid\": 1, \"tid\": 3}"
         );
     }
 

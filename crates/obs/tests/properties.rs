@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use aadedupe_obs::{
-    bucket_bounds, bucket_index, json, Counter, Queue, Recorder, Sampler, SamplerConfig, Scope,
-    Stage, BUCKETS,
+    bucket_bounds, bucket_index, json, Counter, Queue, Recorder, Sampler, SamplerConfig, Stage,
+    TraceEvent, BUCKETS,
 };
 
 #[test]
@@ -160,13 +160,13 @@ fn queue_gauges_track_high_water_marks_under_contention() {
             let rec = &rec;
             scope.spawn(move || {
                 for _ in 0..1000 {
-                    rec.queue_push(Queue::RestoreCache);
-                    rec.queue_pop(Queue::RestoreCache);
+                    rec.queue_push(Queue::RestoreVerified);
+                    rec.queue_pop(Queue::RestoreVerified);
                 }
             });
         }
     });
-    let q = rec.snapshot().queue(Queue::RestoreCache);
+    let q = rec.snapshot().queue(Queue::RestoreVerified);
     assert_eq!(q.depth, 0, "all pushes matched by pops");
     assert!(q.hwm >= 1 && q.hwm <= 4, "hwm bounded by concurrency, got {}", q.hwm);
 }
@@ -186,14 +186,13 @@ fn ndjson_trace_events_are_well_formed() {
             });
         }
     });
-    let mut buf = Vec::new();
-    rec.write_trace_ndjson(&mut buf).unwrap();
-    let text = String::from_utf8(buf).expect("trace output is UTF-8");
-    let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
+    let lines: Vec<String> = rec.drain_trace().iter().map(TraceEvent::to_json).collect();
     assert_eq!(lines.len(), 9);
     let mut last_ts = 0.0f64;
     for line in lines {
-        let ev = json::parse(line).expect("each NDJSON line parses");
+        assert!(!line.contains('\n'), "one event per NDJSON line");
+        let ev = json::parse(&line).expect("each NDJSON line parses");
+        assert_eq!(ev.get("kind").as_str(), Some("span"));
         assert_eq!(ev.get("ph").as_str(), Some("X"), "complete events only");
         assert!(ev.get("ts").as_f64().unwrap() >= last_ts, "events ordered by start");
         assert!(ev.get("dur").as_f64().unwrap() >= 0.0);
@@ -204,7 +203,7 @@ fn ndjson_trace_events_are_well_formed() {
         ));
         last_ts = ev.get("ts").as_f64().unwrap();
     }
-    assert!(rec.drain_trace().is_empty(), "write drains the buffer");
+    assert!(rec.drain_trace().is_empty(), "draining empties the buffer");
 }
 
 /// The zero-cost guard: the disabled recorder's entire API surface must
@@ -221,7 +220,7 @@ fn overhead_guard() {
     // leave the budget below untouched.
     let sampler = Sampler::spawn(
         std::sync::Arc::clone(&rec),
-        Scope::session("overhead-guard"),
+        "overhead-guard",
         SamplerConfig::default(),
     );
     assert!(sampler.is_inert(), "disabled recorder must yield an inert sampler");

@@ -8,15 +8,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use aadedupe_obs::{
-    json, Counter, Queue, Recorder, Sampler, SamplerConfig, SamplerCore, Scope,
-};
+use aadedupe_obs::{json, Counter, Queue, Recorder, Sampler, SamplerConfig, SamplerCore};
 
 #[test]
 fn ring_memory_stays_bounded_over_many_ticks() {
     let rec = Recorder::shared();
     let cfg = SamplerConfig { interval: Duration::from_millis(250), capacity: 32 };
-    let mut core = SamplerCore::new(Arc::clone(&rec), Scope::session("bounded"), cfg);
+    let mut core = SamplerCore::new(Arc::clone(&rec), "bounded", cfg);
     for i in 0..10_000u64 {
         rec.count(Counter::SourceBytes, 100);
         core.tick((i + 1) * 250, 250);
@@ -29,19 +27,17 @@ fn ring_memory_stays_bounded_over_many_ticks() {
     let expected: Vec<u64> = (10_000 - 32..10_000).collect();
     assert_eq!(seqs, expected);
     // The export is honest about the truncation.
-    let docs = json::parse_ndjson(&series.to_ndjson()).expect("NDJSON parses");
+    let mut doc = Vec::new();
+    series.write_document(&[], &rec.snapshot(), &mut doc).expect("Vec write");
+    let docs = json::parse_ndjson(&String::from_utf8(doc).expect("UTF-8")).expect("NDJSON parses");
     assert_eq!(docs[0].get("dropped").as_u64(), Some(10_000 - 32));
-    assert_eq!(docs.len(), 33, "header + capacity samples");
+    assert_eq!(docs.len(), 34, "header + capacity samples + summary");
 }
 
 #[test]
 fn delta_rates_match_a_synthetically_driven_recorder() {
     let rec = Recorder::shared();
-    let mut core = SamplerCore::new(
-        Arc::clone(&rec),
-        Scope::session("rates"),
-        SamplerConfig::default(),
-    );
+    let mut core = SamplerCore::new(Arc::clone(&rec), "rates", SamplerConfig::default());
     // A scripted drive: (interval ms, source bytes, stored bytes, upload
     // bytes, restore retries) per interval.
     let script: [(u64, u64, u64, u64, u64); 4] = [
@@ -90,16 +86,12 @@ fn delta_rates_match_a_synthetically_driven_recorder() {
 #[test]
 fn queue_depths_and_app_hit_rates_flow_into_samples() {
     let rec = Recorder::shared();
-    let mut core = SamplerCore::new(
-        Arc::clone(&rec),
-        Scope::session("dims"),
-        SamplerConfig::default(),
-    );
+    let mut core = SamplerCore::new(Arc::clone(&rec), "dims", SamplerConfig::default());
     rec.label_app(7, "pdf");
     rec.label_app(2, "mp3");
     rec.queue_push(Queue::Shards);
     rec.queue_push(Queue::Shards);
-    rec.queue_push(Queue::RestoreCache);
+    rec.queue_push(Queue::RestoreVerified);
     for _ in 0..3 {
         rec.index_outcome(7, true);
     }
@@ -119,9 +111,9 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
     let cache0 = samples[0]
         .queues
         .iter()
-        .find(|q| q.queue == Queue::RestoreCache)
-        .expect("restore cache gauge");
-    assert_eq!(cache0.depth, 1, "restore-cache occupancy is sampled");
+        .find(|q| q.queue == Queue::RestoreVerified)
+        .expect("restore-verified gauge");
+    assert_eq!(cache0.depth, 1, "verified-container occupancy is sampled");
 
     // First interval: pdf 3/1, mp3 0/1. Second: only mp3 moved.
     let pdf = samples[0].apps.iter().find(|a| a.label == "pdf").expect("pdf traffic");
@@ -133,26 +125,9 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
 }
 
 #[test]
-fn scoped_series_keys_carry_dimensions_into_the_export() {
-    let rec = Recorder::shared();
-    let scope = Scope::session("backup-00042");
-    let mut core = SamplerCore::new(Arc::clone(&rec), scope.clone(), SamplerConfig::default());
-    rec.count(Counter::SourceBytes, 1);
-    core.tick(250, 250);
-    let series = core.into_series();
-    assert_eq!(series.series_key("source_bps"), "session=backup-00042|source_bps");
-    assert_eq!(
-        scope.with_app("pdf").series_key("hit_rate"),
-        "session=backup-00042,app=pdf|hit_rate"
-    );
-    let docs = json::parse_ndjson(&series.to_ndjson()).expect("NDJSON parses");
-    assert_eq!(docs[0].get("scope").get("session").as_str(), Some("backup-00042"));
-}
-
-#[test]
 fn enabling_the_recorder_after_spawn_does_not_resurrect_an_inert_sampler() {
     let rec = Recorder::shared_disabled();
-    let sampler = Sampler::spawn(Arc::clone(&rec), Scope::session("latch"), SamplerConfig::default());
+    let sampler = Sampler::spawn(Arc::clone(&rec), "latch", SamplerConfig::default());
     assert!(sampler.is_inert());
     rec.enable();
     rec.count(Counter::SourceBytes, 42);

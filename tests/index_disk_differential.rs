@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use aa_dedupe::cloud::CloudSim;
-use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, PipelineMode};
+use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aa_dedupe::filetype::SourceFile;
 use aa_dedupe::metrics::SessionReport;
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
@@ -36,11 +36,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn config(workers: usize, index_dir: Option<PathBuf>) -> AaDedupeConfig {
     AaDedupeConfig {
-        pipeline: PipelineConfig {
-            workers,
-            queue_depth: 4,
-            mode: if workers > 1 { PipelineMode::Parallel } else { PipelineMode::Serial },
-        },
+        pipeline: PipelineConfig::with_workers(workers),
         ram_entries_per_partition: RAM_BUDGET,
         index_dir,
         ..AaDedupeConfig::default()

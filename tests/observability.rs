@@ -1,21 +1,21 @@
 //! Integration tests for the observability subsystem wired through the
 //! engine: stage stats must reconcile with `SessionReport` aggregates,
-//! `dedup_cpu` must equal the sum of its stage parts, and turning the
-//! recorder on must not perturb serial↔parallel determinism.
+//! `dedup_cpu` must cover the recorder's chunk / hash / index stage times,
+//! and turning the recorder on must not perturb serial↔parallel determinism.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use aa_dedupe::cloud::CloudSim;
-use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, PipelineMode};
+use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aa_dedupe::metrics::SessionReport;
 use aa_dedupe::obs::{Counter, Recorder, Snapshot as ObsSnapshot, Stage};
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 
-fn config(workers: usize, serial: bool, recorder: Option<Arc<Recorder>>) -> AaDedupeConfig {
-    let mode = if serial { PipelineMode::Serial } else { PipelineMode::Parallel };
+/// One worker is the serial schedule, more are the pipeline.
+fn config(workers: usize, recorder: Option<Arc<Recorder>>) -> AaDedupeConfig {
     let mut config = AaDedupeConfig {
-        pipeline: PipelineConfig { workers, queue_depth: 4, mode },
+        pipeline: PipelineConfig::with_workers(workers),
         ..AaDedupeConfig::default()
     };
     if let Some(rec) = recorder {
@@ -45,7 +45,8 @@ fn stage_stats_reconcile_with_session_report() {
     for serial in [true, false] {
         let rec = Recorder::shared();
         let snaps = dataset(2);
-        let (_, reports) = run(config(4, serial, Some(Arc::clone(&rec))), &snaps);
+        let workers = if serial { 1 } else { 4 };
+        let (_, reports) = run(config(workers, Some(Arc::clone(&rec))), &snaps);
         let snap = rec.snapshot();
         let label = if serial { "serial" } else { "parallel" };
 
@@ -97,30 +98,32 @@ fn stage_stats_reconcile_with_session_report() {
     }
 }
 
-/// With the recorder on, `dedup_cpu` is defined as the sum of the stage
-/// parts — exactly, not approximately.
+/// `dedup_cpu` is the engine's own clock whether or not a recorder
+/// watches: the chunk, hash and index stage timers all run inside that
+/// clock's measured windows, so on the serial schedule their sum can only
+/// be smaller.
 #[test]
-fn dedup_cpu_is_sum_of_stage_parts() {
+fn dedup_cpu_does_not_depend_on_the_recorder() {
     let rec = Recorder::shared();
     let snaps = dataset(2);
-    let (_, reports) = run(config(2, false, Some(rec)), &snaps);
-    for r in &reports {
-        let stage = r.stage_cpu.unwrap_or_else(|| panic!("session {}: no stage_cpu", r.session));
-        assert_eq!(r.dedup_cpu, stage.total(), "session {}", r.session);
-        assert!(stage.source_read > std::time::Duration::ZERO, "session {}", r.session);
-        assert!(stage.chunk + stage.hash > std::time::Duration::ZERO, "session {}", r.session);
-    }
+    let (_, reports) = run(config(1, Some(Arc::clone(&rec))), &snaps);
+    let snap = rec.snapshot();
+    let stages = snap.stage_total(Stage::Chunk)
+        + snap.stage_total(Stage::Hash)
+        + snap.stage_total(Stage::Index);
+    let dedup_cpu: std::time::Duration = reports.iter().map(|r| r.dedup_cpu).sum();
+    assert!(!stages.is_zero(), "stage timers ran");
+    assert!(dedup_cpu >= stages, "dedup_cpu {dedup_cpu:?} < stage sum {stages:?}");
 }
 
 /// With the default (disabled) recorder nothing is recorded and the report
-/// keeps the legacy clock-derived `dedup_cpu`.
+/// still carries the clock-derived `dedup_cpu`.
 #[test]
 fn disabled_recorder_records_nothing() {
     let rec = Recorder::shared_disabled();
     let snaps = dataset(1);
-    let (_, reports) = run(config(2, false, Some(Arc::clone(&rec))), &snaps);
-    assert!(reports[0].stage_cpu.is_none());
-    assert!(!reports[0].dedup_cpu.is_zero(), "legacy clock still charges time");
+    let (_, reports) = run(config(2, Some(Arc::clone(&rec))), &snaps);
+    assert!(!reports[0].dedup_cpu.is_zero(), "the clock still charges time");
     let snap = rec.snapshot();
     for stage in Stage::ALL {
         assert_eq!(snap.stage(stage).hist.count, 0, "stage {}", stage.name());
@@ -143,9 +146,9 @@ fn differential_serial_parallel_with_observability_enabled() {
         }).collect()
     }
     let snaps = dataset(2);
-    let serial = observe(config(1, true, Some(Recorder::shared())), &snaps);
-    for workers in [1, 4] {
-        let parallel = observe(config(workers, false, Some(Recorder::shared())), &snaps);
+    let serial = observe(config(1, Some(Recorder::shared())), &snaps);
+    for workers in [2, 4] {
+        let parallel = observe(config(workers, Some(Recorder::shared())), &snaps);
         assert_eq!(serial.len(), parallel.len(), "workers={workers}: object count");
         for (key, bytes) in &serial {
             assert_eq!(bytes, &parallel[key], "workers={workers}: cloud object {key}");
@@ -160,7 +163,7 @@ fn snapshot_delta_isolates_a_session() {
     let rec = Recorder::shared();
     let snaps = dataset(2);
     let mut engine =
-        AaDedupe::with_config(CloudSim::with_paper_defaults(), config(1, true, Some(Arc::clone(&rec))));
+        AaDedupe::with_config(CloudSim::with_paper_defaults(), config(1, Some(Arc::clone(&rec))));
     engine.backup_session(&snaps[0].as_sources()).expect("backup 0");
     let mid: ObsSnapshot = rec.snapshot();
     let r1 = engine.backup_session(&snaps[1].as_sources()).expect("backup 1");

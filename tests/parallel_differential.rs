@@ -10,10 +10,11 @@
 //! in chunking, dedup decisions, container packing or upload order shows
 //! up here as a hard failure.
 //!
-//! Set `AA_DIFF_WORKERS=1,4` (comma-separated) to restrict the worker
-//! matrix and `AA_DIFF_CHUNKER=rabin` (or `fastcdc`, comma-separated) to
-//! restrict the CDC boundary-algorithm dimension — used by CI to split
-//! the sweep across jobs. The contract is algorithm-independent: for
+//! Set `AA_DIFF_WORKERS=2,4` (comma-separated; one worker is the serial
+//! schedule itself) to restrict the worker matrix and
+//! `AA_DIFF_CHUNKER=rabin` (or `fastcdc`, comma-separated) to restrict the
+//! CDC boundary-algorithm dimension — used by CI to split the sweep across
+//! jobs. The contract is algorithm-independent: for
 //! every algorithm, parallel output must equal that algorithm's serial
 //! output.
 
@@ -21,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use aa_dedupe::chunking::CdcAlgorithm;
 use aa_dedupe::cloud::CloudSim;
-use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, PipelineMode};
+use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aa_dedupe::filetype::{MemoryFile, SourceFile};
 use aa_dedupe::index::IndexStats;
 use aa_dedupe::metrics::SessionReport;
@@ -36,7 +37,7 @@ fn worker_matrix() -> Vec<usize> {
             .split(',')
             .map(|w| w.trim().parse().expect("AA_DIFF_WORKERS entries must be integers"))
             .collect(),
-        Err(_) => vec![1, 2, 4, 8],
+        Err(_) => vec![2, 4, 8],
     }
 }
 
@@ -98,20 +99,10 @@ fn run_sessions(config: AaDedupeConfig, sessions: &[Vec<&dyn SourceFile>]) -> Ob
     observe(&engine, reports, sessions.len())
 }
 
-fn serial_config(algorithm: CdcAlgorithm) -> AaDedupeConfig {
+/// One worker is the serial schedule — the oracle; more are the pipeline.
+fn config(workers: usize, algorithm: CdcAlgorithm) -> AaDedupeConfig {
     let mut config = AaDedupeConfig {
-        pipeline: PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Serial },
-        ..AaDedupeConfig::default()
-    };
-    config.cdc.algorithm = algorithm;
-    config
-}
-
-fn parallel_config(workers: usize, algorithm: CdcAlgorithm) -> AaDedupeConfig {
-    let mut config = AaDedupeConfig {
-        // Force the pipeline even at workers = 1 so the machinery itself
-        // is differentially tested, not just the Auto-mode dispatch.
-        pipeline: PipelineConfig { workers, queue_depth: 4, mode: PipelineMode::Parallel },
+        pipeline: PipelineConfig::with_workers(workers),
         ..AaDedupeConfig::default()
     };
     config.cdc.algorithm = algorithm;
@@ -171,9 +162,9 @@ fn parallel_matches_serial_across_seeds_workers_and_chunkers() {
             let snaps: Vec<Snapshot> = (0..SESSIONS).map(|w| generator.snapshot(w)).collect();
             let sessions: Vec<Vec<&dyn SourceFile>> =
                 snaps.iter().map(|s| s.as_sources()).collect();
-            let serial = run_sessions(serial_config(algorithm), &sessions);
+            let serial = run_sessions(config(1, algorithm), &sessions);
             for workers in worker_matrix() {
-                let parallel = run_sessions(parallel_config(workers, algorithm), &sessions);
+                let parallel = run_sessions(config(workers, algorithm), &sessions);
                 assert_equivalent(
                     &serial,
                     &parallel,
@@ -206,9 +197,9 @@ fn parallel_matches_serial_on_tiny_file_heavy_set() {
     // carry-forward for tiny files and full-duplicate paths for big ones.
     let sessions = vec![sources.clone(), sources];
     for algorithm in chunker_matrix() {
-        let serial = run_sessions(serial_config(algorithm), &sessions);
+        let serial = run_sessions(config(1, algorithm), &sessions);
         for workers in worker_matrix() {
-            let parallel = run_sessions(parallel_config(workers, algorithm), &sessions);
+            let parallel = run_sessions(config(workers, algorithm), &sessions);
             assert_equivalent(
                 &serial,
                 &parallel,
@@ -228,7 +219,7 @@ fn restores_are_bit_exact_against_source_data() {
         for workers in worker_matrix() {
             let mut engine = AaDedupe::with_config(
                 CloudSim::with_paper_defaults(),
-                parallel_config(workers, algorithm),
+                config(workers, algorithm),
             );
             engine.backup_session(&snap.as_sources()).expect("backup");
             let restored = engine.restore_session(0).expect("restore");

@@ -12,7 +12,7 @@
 //! this same binary under TSan.
 
 use aa_dedupe::cloud::CloudSim;
-use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, PipelineMode};
+use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aa_dedupe::filetype::{MemoryFile, SourceFile};
 
 const ITERATIONS: usize = 16;
@@ -48,19 +48,13 @@ fn colliding_chunks_never_double_count_stored_bytes() {
         MemoryFile::new("stress/b.doc".to_string(), content),
     ];
 
-    let serial = run_once(
-        &files,
-        PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Serial },
-    );
+    let serial = run_once(&files, PipelineConfig::with_workers(1));
     let (stored, total, duplicate) = serial;
     assert_eq!(stored, 64 * 1024, "serial: second file must fully dedup");
     assert_eq!(duplicate * 2, total, "serial: exactly half the chunks are duplicates");
 
     for iteration in 0..ITERATIONS {
-        let parallel = run_once(
-            &files,
-            PipelineConfig { workers: 8, queue_depth: 2, mode: PipelineMode::Parallel },
-        );
+        let parallel = run_once(&files, PipelineConfig::with_workers(8));
         assert_eq!(
             parallel, serial,
             "iteration {iteration}: (stored, total, duplicate) diverged under workers=8"
@@ -81,26 +75,20 @@ fn many_identical_files_across_apps_stay_consistent() {
         files.push(MemoryFile::new(format!("m/{i}b.{ext}"), content));
     }
 
-    let serial = run_once(
-        &files,
-        PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Serial },
-    );
+    let serial = run_once(&files, PipelineConfig::with_workers(1));
     for iteration in 0..ITERATIONS {
-        let parallel = run_once(
-            &files,
-            PipelineConfig { workers: 8, queue_depth: 2, mode: PipelineMode::Parallel },
-        );
+        let parallel = run_once(&files, PipelineConfig::with_workers(8));
         assert_eq!(parallel, serial, "iteration {iteration}: dedup counters diverged");
     }
 }
 
 #[test]
-fn one_shard_behind_a_single_slot_channel_stays_consistent() {
+fn one_shard_taking_the_whole_job_list_stays_consistent() {
     // One application owns every big file, so a single shard takes the
-    // whole job list through one channel of depth 1. Files differ in size
-    // (workers finish out of order and queue up on the one slot) and are
-    // prefixes of one another (every chunk of a shorter file collides with
-    // a longer one). With no other shard making progress, a stall in the
+    // whole job list through one four-slot channel. Files differ in size
+    // (eight workers finish out of order and block on the four slots) and
+    // are prefixes of one another (every chunk of a shorter file collides
+    // with a longer one). With no other shard making progress, a stall in the
     // cursor, the reorder buffer or the channel hangs the test, and a lost
     // or repeated file shows in the counters.
     let content = shared_content(160 * 1024);
@@ -111,16 +99,10 @@ fn one_shard_behind_a_single_slot_channel_stays_consistent() {
         })
         .collect();
 
-    let serial = run_once(
-        &files,
-        PipelineConfig { workers: 1, queue_depth: 4, mode: PipelineMode::Serial },
-    );
+    let serial = run_once(&files, PipelineConfig::with_workers(1));
     assert_eq!(serial.0, 160 * 1024, "serial: only the longest prefix is stored");
     for iteration in 0..ITERATIONS {
-        let parallel = run_once(
-            &files,
-            PipelineConfig { workers: 8, queue_depth: 1, mode: PipelineMode::Parallel },
-        );
+        let parallel = run_once(&files, PipelineConfig::with_workers(8));
         assert_eq!(parallel, serial, "iteration {iteration}: dedup counters diverged");
     }
 }

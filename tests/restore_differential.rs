@@ -178,7 +178,7 @@ fn every_container_is_fetched_exactly_once() {
     // window holds. Each restore must GET the manifest once and every
     // referenced container exactly once, and hold at most `workers + 17`
     // verified containers (one per worker awaiting handover, 16 queued,
-    // one being scattered) — the RestoreCache gauge is the witness.
+    // one being scattered) — the RestoreVerified gauge is the witness.
     let (inner, cloud) = counted_cloud();
     let config = AaDedupeConfig { container_size: 16 * 1024, ..AaDedupeConfig::default() };
     let mut engine = AaDedupe::with_config(cloud.clone(), config);
@@ -210,7 +210,7 @@ fn every_container_is_fetched_exactly_once() {
             let gets = inner.stats().get_requests - before;
             assert_eq!(restored, serial, "{label}");
             assert_eq!(gets, 1 + distinct.len() as u64, "{label}: manifest + one GET per container");
-            let gauge = rec.snapshot().queue(Queue::RestoreCache);
+            let gauge = rec.snapshot().queue(Queue::RestoreVerified);
             assert!(gauge.hwm > 0, "{label}: the gauge must have moved");
             assert!(gauge.hwm <= workers as u64 + 17, "{label}: {} containers held", gauge.hwm);
             assert_eq!(gauge.depth, 0, "{label}: every container handed over was dropped");

@@ -14,11 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aa_dedupe::cloud::CloudSim;
-use aa_dedupe::core::{
-    AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, PipelineMode, RestoreOptions,
-};
+use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, RestoreOptions};
 use aa_dedupe::metrics::SessionReport;
-use aa_dedupe::obs::{Counter, Recorder, Sampler, SamplerConfig, Scope, TimeSeries};
+use aa_dedupe::obs::{Counter, Recorder, Sampler, SamplerConfig, TimeSeries};
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 
 const SESSIONS: usize = 2;
@@ -46,9 +44,8 @@ fn report_key(r: &SessionReport) -> (u64, u64, u64, u64, u64) {
 /// would. Returns the observed state plus the sampled series.
 fn run(workers: usize, telemetry: bool) -> (Observed, Option<TimeSeries>) {
     let rec = if telemetry { Recorder::shared() } else { Recorder::shared_disabled() };
-    let mode = if workers == 1 { PipelineMode::Serial } else { PipelineMode::Parallel };
     let config = AaDedupeConfig {
-        pipeline: PipelineConfig { workers, queue_depth: 4, mode },
+        pipeline: PipelineConfig::with_workers(workers),
         restore: RestoreOptions { workers },
         recorder: Arc::clone(&rec),
         ..AaDedupeConfig::default()
@@ -56,7 +53,7 @@ fn run(workers: usize, telemetry: bool) -> (Observed, Option<TimeSeries>) {
     let sampler = telemetry.then(|| {
         Sampler::spawn(
             Arc::clone(&rec),
-            Scope::session("diff"),
+            "diff",
             SamplerConfig { interval: Duration::from_millis(1), capacity: 1 << 16 },
         )
     });
@@ -137,11 +134,11 @@ fn interval_deltas_sum_to_cumulative_counters() {
     let rec = Recorder::shared();
     let sampler = Sampler::spawn(
         Arc::clone(&rec),
-        Scope::session("sum"),
+        "sum",
         SamplerConfig { interval: Duration::from_millis(1), capacity: 1 << 16 },
     );
     let config = AaDedupeConfig {
-        pipeline: PipelineConfig { workers: 4, queue_depth: 4, mode: PipelineMode::Parallel },
+        pipeline: PipelineConfig::with_workers(4),
         recorder: Arc::clone(&rec),
         ..AaDedupeConfig::default()
     };
