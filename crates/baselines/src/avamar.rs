@@ -17,16 +17,15 @@ use std::time::Instant;
 use aadedupe_chunking::{CdcChunker, Chunker};
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::ContainerStore;
-use aadedupe_core::recipe::{ChunkRef, FileRecipe, Manifest};
+use aadedupe_core::recipe::{FileRecipe, Manifest};
 use aadedupe_core::restore::{restore_session, RestoredFile};
 use aadedupe_core::timing::DedupClock;
 use aadedupe_core::{BackupError, BackupScheme};
 use aadedupe_filetype::SourceFile;
-use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::{ChunkEntry, ChunkIndex, MonolithicIndex};
+use aadedupe_index::MonolithicIndex;
 use aadedupe_metrics::SessionReport;
 
-use crate::common::{ship_session, PER_UNIT};
+use crate::common::{dedup_unit, ship_session, PER_UNIT};
 
 const SCHEME_KEY: &str = "avamar";
 
@@ -84,44 +83,14 @@ impl BackupScheme for Avamar {
             let spans = self.cdc.chunk(&data);
             let mut chunks = Vec::with_capacity(spans.len());
             for span in &spans {
-                let bytes = span.slice(&data);
-                let fp = Fingerprint::compute(HashAlgorithm::Sha1, bytes);
-                report.chunks_total += 1;
-                let outcome = self.index.lookup_classified(&fp);
-                if outcome.touched_disk() {
-                    clock.charge_disk_probes(1);
-                    report.index_disk_reads += 1;
-                }
-                let reference = match outcome.entry() {
-                    Some(entry) => {
-                        report.chunks_duplicate += 1;
-                        ChunkRef {
-                            fingerprint: fp,
-                            len: bytes.len() as u32,
-                            container: entry.container,
-                            offset: entry.offset,
-                        }
-                    }
-                    None => {
-                        let placement = self.containers.add_chunk(0, fp, bytes);
-                        self.index.insert(
-                            fp,
-                            ChunkEntry::new(
-                                bytes.len() as u64,
-                                placement.container,
-                                placement.offset,
-                            ),
-                        );
-                        report.stored_bytes += bytes.len() as u64;
-                        ChunkRef {
-                            fingerprint: fp,
-                            len: bytes.len() as u32,
-                            container: placement.container,
-                            offset: placement.offset,
-                        }
-                    }
-                };
-                chunks.push(reference);
+                chunks.push(dedup_unit(
+                    &self.index,
+                    &mut self.containers,
+                    0,
+                    span.slice(&data),
+                    &mut report,
+                    &mut clock,
+                ));
             }
             clock.add_cpu(start.elapsed());
             manifest.files.push(FileRecipe {

@@ -12,16 +12,15 @@ use std::time::Instant;
 
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::ContainerStore;
-use aadedupe_core::recipe::{ChunkRef, FileRecipe, Manifest};
+use aadedupe_core::recipe::{FileRecipe, Manifest};
 use aadedupe_core::restore::{restore_session, RestoredFile};
 use aadedupe_core::timing::DedupClock;
 use aadedupe_core::{BackupError, BackupScheme};
 use aadedupe_filetype::SourceFile;
-use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::{ChunkEntry, ChunkIndex, MonolithicIndex};
+use aadedupe_index::MonolithicIndex;
 use aadedupe_metrics::SessionReport;
 
-use crate::common::{ship_session, PER_UNIT};
+use crate::common::{dedup_unit, ship_session, PER_UNIT};
 
 const SCHEME_KEY: &str = "backuppc";
 
@@ -67,40 +66,10 @@ impl BackupScheme for BackupPc {
         for file in files {
             report.files_total += 1;
             report.logical_bytes += file.size();
-            report.chunks_total += 1;
             let data = file.read();
             let start = Instant::now();
-            let fp = Fingerprint::compute(HashAlgorithm::Sha1, &data);
-            let outcome = self.index.lookup_classified(&fp);
-            if outcome.touched_disk() {
-                clock.charge_disk_probes(1);
-                report.index_disk_reads += 1;
-            }
-            let reference = match outcome.entry() {
-                Some(entry) => {
-                    report.chunks_duplicate += 1;
-                    ChunkRef {
-                        fingerprint: fp,
-                        len: data.len() as u32,
-                        container: entry.container,
-                        offset: entry.offset,
-                    }
-                }
-                None => {
-                    let placement = self.containers.add_chunk(0, fp, &data);
-                    self.index.insert(
-                        fp,
-                        ChunkEntry::new(data.len() as u64, placement.container, placement.offset),
-                    );
-                    report.stored_bytes += data.len() as u64;
-                    ChunkRef {
-                        fingerprint: fp,
-                        len: data.len() as u32,
-                        container: placement.container,
-                        offset: placement.offset,
-                    }
-                }
-            };
+            let reference =
+                dedup_unit(&self.index, &mut self.containers, 0, &data, &mut report, &mut clock);
             clock.add_cpu(start.elapsed());
             manifest.files.push(FileRecipe {
                 path: file.path().to_string(),

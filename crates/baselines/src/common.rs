@@ -3,15 +3,55 @@
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::format::HEADER_LEN;
 use aadedupe_container::ContainerStore;
-use aadedupe_core::recipe::Manifest;
+use aadedupe_core::recipe::{ChunkRef, Manifest};
 use aadedupe_core::restore::container_key;
 use aadedupe_core::scheme::BackupError;
+use aadedupe_core::timing::DedupClock;
+use aadedupe_hashing::{Fingerprint, HashAlgorithm};
+use aadedupe_index::{ChunkEntry, MonolithicIndex};
 use aadedupe_metrics::SessionReport;
 
 /// Container size that forces every chunk into its own dedicated, unpadded
 /// container — modelling schemes that upload each unit (file or chunk) as
 /// an individual cloud object instead of aggregating.
 pub const PER_UNIT: usize = HEADER_LEN + 1;
+
+/// Deduplicates one unit — a whole file or one chunk — the way every
+/// baseline does: SHA-1 it, look it up in `index` (a lookup that goes to
+/// disk is counted and charged to `clock`), and reference the stored copy;
+/// a new unit is appended to container stream `stream` and indexed first.
+pub fn dedup_unit(
+    index: &MonolithicIndex,
+    containers: &mut ContainerStore,
+    stream: u32,
+    bytes: &[u8],
+    report: &mut SessionReport,
+    clock: &mut DedupClock,
+) -> ChunkRef {
+    let fingerprint = Fingerprint::compute(HashAlgorithm::Sha1, bytes);
+    report.chunks_total += 1;
+    let outcome = index.lookup_classified(&fingerprint);
+    if outcome.touched_disk() {
+        clock.charge_disk_probes(1);
+        report.index_disk_reads += 1;
+    }
+    let (container, offset) = match outcome.entry() {
+        Some(entry) => {
+            report.chunks_duplicate += 1;
+            (entry.container, entry.offset)
+        }
+        None => {
+            let placement = containers.add_chunk(stream, fingerprint, bytes);
+            index.insert(
+                fingerprint,
+                ChunkEntry::new(bytes.len() as u64, placement.container, placement.offset),
+            );
+            report.stored_bytes += bytes.len() as u64;
+            (placement.container, placement.offset)
+        }
+    };
+    ChunkRef { fingerprint, len: bytes.len() as u32, container, offset }
+}
 
 /// Seals all open containers, uploads them (and the manifest) under
 /// `scheme_key`, updating the report's transfer and request accounting.
@@ -42,7 +82,6 @@ pub fn ship_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aadedupe_hashing::{Fingerprint, HashAlgorithm};
 
     #[test]
     fn per_unit_store_gives_one_object_per_chunk() {

@@ -16,16 +16,15 @@ use std::time::Instant;
 use aadedupe_chunking::{CdcChunker, Chunker};
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::ContainerStore;
-use aadedupe_core::recipe::{ChunkRef, FileRecipe, Manifest};
+use aadedupe_core::recipe::{FileRecipe, Manifest};
 use aadedupe_core::restore::{restore_session, RestoredFile};
 use aadedupe_core::timing::DedupClock;
 use aadedupe_core::{BackupError, BackupScheme};
 use aadedupe_filetype::{Category, SourceFile};
-use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::{ChunkEntry, ChunkIndex, MonolithicIndex};
+use aadedupe_index::MonolithicIndex;
 use aadedupe_metrics::SessionReport;
 
-use crate::common::{ship_session, PER_UNIT};
+use crate::common::{dedup_unit, ship_session, PER_UNIT};
 
 const SCHEME_KEY: &str = "sam";
 
@@ -89,55 +88,24 @@ impl BackupScheme for Sam {
             let start = Instant::now();
             let mut chunks = Vec::new();
             if file_level {
-                let fp = Fingerprint::compute(HashAlgorithm::Sha1, &data);
-                report.chunks_total += 1;
-                let outcome = self.file_index.lookup_classified(&fp);
-                if outcome.touched_disk() {
-                    clock.charge_disk_probes(1);
-                    report.index_disk_reads += 1;
-                }
-                let reference = match outcome.entry() {
-                    Some(e) => {
-                        report.chunks_duplicate += 1;
-                        ChunkRef { fingerprint: fp, len: data.len() as u32, container: e.container, offset: e.offset }
-                    }
-                    None => {
-                        let p = self.containers.add_chunk(0, fp, &data);
-                        self.file_index.insert(
-                            fp,
-                            ChunkEntry::new(data.len() as u64, p.container, p.offset),
-                        );
-                        report.stored_bytes += data.len() as u64;
-                        ChunkRef { fingerprint: fp, len: data.len() as u32, container: p.container, offset: p.offset }
-                    }
-                };
-                chunks.push(reference);
+                chunks.push(dedup_unit(
+                    &self.file_index,
+                    &mut self.containers,
+                    0,
+                    &data,
+                    &mut report,
+                    &mut clock,
+                ));
             } else {
                 for span in self.cdc.chunk(&data) {
-                    let bytes = span.slice(&data);
-                    let fp = Fingerprint::compute(HashAlgorithm::Sha1, bytes);
-                    report.chunks_total += 1;
-                    let outcome = self.chunk_index.lookup_classified(&fp);
-                    if outcome.touched_disk() {
-                        clock.charge_disk_probes(1);
-                        report.index_disk_reads += 1;
-                    }
-                    let reference = match outcome.entry() {
-                        Some(e) => {
-                            report.chunks_duplicate += 1;
-                            ChunkRef { fingerprint: fp, len: bytes.len() as u32, container: e.container, offset: e.offset }
-                        }
-                        None => {
-                            let p = self.containers.add_chunk(1, fp, bytes);
-                            self.chunk_index.insert(
-                                fp,
-                                ChunkEntry::new(bytes.len() as u64, p.container, p.offset),
-                            );
-                            report.stored_bytes += bytes.len() as u64;
-                            ChunkRef { fingerprint: fp, len: bytes.len() as u32, container: p.container, offset: p.offset }
-                        }
-                    };
-                    chunks.push(reference);
+                    chunks.push(dedup_unit(
+                        &self.chunk_index,
+                        &mut self.containers,
+                        1,
+                        span.slice(&data),
+                        &mut report,
+                        &mut clock,
+                    ));
                 }
             }
             clock.add_cpu(start.elapsed());

@@ -17,7 +17,7 @@ use aadedupe_chunking::{CdcChunker, Chunker, ChunkingMethod, ScChunker, WfcChunk
 use aadedupe_core::timing::DISK_SEEK;
 use aadedupe_filetype::{AppType, DedupPolicy};
 use aadedupe_hashing::Fingerprint;
-use aadedupe_index::{AppAwareIndex, ChunkEntry, ChunkIndex, MonolithicIndex};
+use aadedupe_index::{AppAwareIndex, ChunkEntry, MonolithicIndex};
 use aadedupe_workload::{DatasetSpec, Generator};
 
 fn main() {

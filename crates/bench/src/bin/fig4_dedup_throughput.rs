@@ -14,7 +14,7 @@ use std::time::Instant;
 use aadedupe_bench::{fmt_rate, print_table};
 use aadedupe_chunking::{CdcChunker, Chunker, ScChunker, WfcChunker};
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::{ChunkEntry, ChunkIndex, MonolithicIndex};
+use aadedupe_index::{ChunkEntry, MonolithicIndex};
 use aadedupe_workload::Prng;
 
 fn corpus() -> Vec<Vec<u8>> {

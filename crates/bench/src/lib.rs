@@ -15,8 +15,6 @@
 //! * `AA_SEED` — dataset seed (default 2011).
 //! * `AA_CSV` — when `1`, also emit raw per-session CSV rows.
 
-pub mod perf;
-
 use aadedupe_cloud::CloudSim;
 use aadedupe_core::BackupScheme;
 use aadedupe_metrics::SessionReport;

@@ -24,6 +24,12 @@
 //! `--metrics <f>` writes the run's one telemetry document (NDJSON:
 //! `header`, `sample`s, `span`s, closing `summary`); `--stats` prints that
 //! summary as a table; `--progress` draws a live status line.
+//!
+//! `restore`, `restore-file` and `sessions` only read: they never modify
+//! the repository and build no index. Every other command first rebuilds
+//! the index from the repository's manifests — its one durable form;
+//! `--index-dir` names scratch space for that run, not saved state — and
+//! sweeps containers no manifest references.
 
 mod progress;
 mod source;
@@ -175,10 +181,13 @@ impl ObsArgs {
     }
 }
 
-/// Index storage settings shared by every subcommand: `--index-dir <dir>`
-/// spills index entries beyond the RAM budget to segment files under
-/// `<dir>`, and `--index-ram <entries>` sets the per-partition RAM-cache
-/// budget (defaults to the engine default when absent).
+/// Index storage settings of the commands that rebuild the index
+/// ([`open_engine`]): `--index-dir <dir>` spills index entries beyond the
+/// RAM budget to segment files under `<dir>` — scratch space the run
+/// sweeps and refills, never state a later run depends on — and
+/// `--index-ram <entries>` sets the per-partition RAM-cache budget
+/// (defaults to the engine default when absent). The reading commands
+/// accept and ignore both.
 #[derive(Clone, Default)]
 struct IndexArgs {
     dir: Option<PathBuf>,
@@ -197,13 +206,14 @@ impl IndexArgs {
     }
 }
 
-fn open_engine(
+/// The repository under `repo` as a cloud, and the configuration every
+/// command runs the engine with.
+fn repository(
     repo: &Path,
     workers: usize,
     chunker: CdcAlgorithm,
-    index: &IndexArgs,
     recorder: Option<Arc<Recorder>>,
-) -> Result<AaDedupe, String> {
+) -> Result<(CloudSim, AaDedupeConfig), String> {
     let store =
         FsObjectStore::open(repo).map_err(|e| format!("cannot open repository {repo:?}: {e}"))?;
     // A local repository has no WAN: model an ideal fast link so timings
@@ -222,14 +232,42 @@ fn open_engine(
         retry: RetryPolicy { sleep: true, ..RetryPolicy::default() },
         ..AaDedupeConfig::default()
     };
+    if let Some(rec) = recorder {
+        config.recorder = rec;
+    }
+    Ok((cloud, config))
+}
+
+/// The engine for commands that change the repository or report on its
+/// index (backup, delete, vacuum, retention, stats): [`AaDedupe::open`]
+/// rebuilds the index from the manifests and sweeps orphaned containers.
+fn open_engine(
+    repo: &Path,
+    workers: usize,
+    chunker: CdcAlgorithm,
+    index: &IndexArgs,
+    recorder: Option<Arc<Recorder>>,
+) -> Result<AaDedupe, String> {
+    let (cloud, mut config) = repository(repo, workers, chunker, recorder)?;
     config.index_dir = index.dir.clone();
     if let Some(ram) = index.ram {
         config.ram_entries_per_partition = ram as usize;
     }
-    if let Some(rec) = recorder {
-        config.recorder = rec;
-    }
     AaDedupe::open(cloud, config).map_err(|e| format!("cannot resume repository state: {e}"))
+}
+
+/// The engine for commands that only read (restore, restore-file,
+/// sessions). They consult manifests and containers, never the index, so
+/// nothing is rebuilt — and nothing is swept: a container no manifest
+/// references yet may be a concurrent backup's, on its way to the commit
+/// point. A reading command never modifies the repository.
+fn read_engine(
+    repo: &Path,
+    workers: usize,
+    recorder: Option<Arc<Recorder>>,
+) -> Result<AaDedupe, String> {
+    let (cloud, config) = repository(repo, workers, CdcAlgorithm::Rabin, recorder)?;
+    Ok(AaDedupe::with_config(cloud, config))
 }
 
 fn cmd_backup(
@@ -288,11 +326,10 @@ fn cmd_restore(
     session: usize,
     out: &Path,
     workers: usize,
-    index: &IndexArgs,
     obs: &ObsArgs,
 ) -> Result<(), String> {
     let rec = obs.recorder();
-    let engine = open_engine(repo, workers, CdcAlgorithm::Rabin, index, rec.clone())?;
+    let engine = read_engine(repo, workers, rec.clone())?;
     // Restore size is not known until the manifest is read, so the status
     // line shows throughput without an ETA.
     let (telemetry, live) =
@@ -331,9 +368,8 @@ fn cmd_restore_file(
     path: &str,
     out: &Path,
     workers: usize,
-    index: &IndexArgs,
 ) -> Result<(), String> {
-    let engine = open_engine(repo, workers, CdcAlgorithm::Rabin, index, None)?;
+    let engine = read_engine(repo, workers, None)?;
     let file = engine
         .restore_file(session, path)
         .map_err(|e| format!("restore failed: {e}"))?;
@@ -347,8 +383,8 @@ fn cmd_restore_file(
     Ok(())
 }
 
-fn cmd_sessions(repo: &Path, index: &IndexArgs) -> Result<(), String> {
-    let engine = open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?;
+fn cmd_sessions(repo: &Path) -> Result<(), String> {
+    let engine = read_engine(repo, 1, None)?;
     let sessions = engine.list_sessions();
     if sessions.is_empty() {
         println!("no sessions");
@@ -514,14 +550,14 @@ fn main() -> ExitCode {
     let result = match (command.as_str(), args.as_slice()) {
         ("backup", [src]) => cmd_backup(&repo, Path::new(src), workers, chunker, &index, &obs),
         ("restore", [session, out]) => match session.parse() {
-            Ok(s) => cmd_restore(&repo, s, Path::new(out), workers, &index, &obs),
+            Ok(s) => cmd_restore(&repo, s, Path::new(out), workers, &obs),
             Err(_) => return usage(),
         },
         ("restore-file", [session, path, out]) => match session.parse() {
-            Ok(s) => cmd_restore_file(&repo, s, path, Path::new(out), workers, &index),
+            Ok(s) => cmd_restore_file(&repo, s, path, Path::new(out), workers),
             Err(_) => return usage(),
         },
-        ("sessions", []) => cmd_sessions(&repo, &index),
+        ("sessions", []) => cmd_sessions(&repo),
         ("delete", [session]) => match session.parse() {
             Ok(s) => cmd_delete(&repo, s, &index),
             Err(_) => return usage(),

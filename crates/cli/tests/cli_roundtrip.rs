@@ -220,6 +220,53 @@ fn restore_refuses_manifest_paths_outside_the_output_directory() {
     }
 }
 
+/// `sessions`, `restore` and `restore-file` only read. A container no
+/// manifest references may be a concurrent backup's, uploaded on its way
+/// to the commit point: sweeping it is `backup`'s job on its next open,
+/// never a reader's. Nor does a reader build an index, so `--index-dir`
+/// is never written.
+#[test]
+fn read_only_commands_leave_the_repository_untouched() {
+    let dirs = Dirs::new("readonly");
+    fs::write(dirs.src().join("report.doc"), b"words ".repeat(5000)).unwrap();
+    let repo = dirs.repo();
+    let repo_s = repo.to_str().unwrap();
+    let src = dirs.src();
+    let (ok, out) = run(&["backup", "--repo", repo_s, src.to_str().unwrap()]);
+    assert!(ok, "{out}");
+
+    let store = FsObjectStore::open(&repo).unwrap();
+    let orphan = "aa-dedupe/containers/000099999999";
+    store.put(orphan, b"in flight".to_vec()).unwrap();
+    let before = store.list("");
+    assert!(before.iter().any(|k| k == orphan), "{before:?}");
+
+    let out_dir = dirs.out();
+    let out_s = out_dir.to_str().unwrap();
+    let index_dir = dirs.root.join("index");
+    let single = dirs.root.join("single.doc");
+    let readers: [&[&str]; 4] = [
+        &["sessions", "--repo", repo_s],
+        &["restore", "--repo", repo_s, "0", out_s],
+        &["restore", "--repo", repo_s, "--index-dir", index_dir.to_str().unwrap(), "0", out_s],
+        &["restore-file", "--repo", repo_s, "0", "report.doc", single.to_str().unwrap()],
+    ];
+    for args in readers {
+        let (ok, text) = run(args);
+        assert!(ok, "{args:?}: {text}");
+        assert_eq!(store.list(""), before, "{args:?} changed the repository");
+        assert!(!index_dir.exists(), "{args:?} built an index it never consults");
+    }
+    assert_eq!(fs::read(out_dir.join("report.doc")).unwrap(), b"words ".repeat(5000));
+    assert_eq!(fs::read(&single).unwrap(), b"words ".repeat(5000));
+
+    // The next backup opens the repository for writing and sweeps.
+    let (ok, out) = run(&["backup", "--repo", repo_s, src.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    assert!(out.contains("swept 1 orphaned container(s)"), "{out}");
+    assert!(!store.list("").iter().any(|k| k == orphan), "orphan survived the sweep");
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     let (ok, _) = run(&["frobnicate"]);

@@ -474,33 +474,65 @@ impl AaDedupe {
     /// A fresh namespace yields a fresh engine.
     pub fn open(cloud: CloudSim, config: AaDedupeConfig) -> Result<Self, BackupError> {
         let mut engine = Self::with_config(cloud, config);
-        let prefix = format!("{}/manifests/", engine.config.scheme_key);
-        let manifest_keys = engine.cloud.store().list(&prefix);
-        let mut max_session: Option<u64> = None;
-        for key in &manifest_keys {
-            let (bytes, _t) = engine.cloud.get(key)?;
-            let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-            let manifest = Manifest::decode(&bytes)?;
-            max_session = Some(max_session.map_or(manifest.session, |m| m.max(manifest.session)));
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    *engine.container_live.entry(c.container).or_insert(0) += 1;
-                    if !f.tiny {
-                        engine.index.partition(f.app).bump_or_insert(
-                            c.fingerprint,
-                            ChunkEntry::new(c.len as u64, c.container, c.offset),
-                        );
-                    }
-                }
-            }
-        }
-        engine.sessions = max_session.map_or(0, |m| m as usize + 1);
+        engine.rebuild_from_manifests()?;
         // Resume ids over *everything* in the namespace — orphans included —
         // before sweeping, so a resumed engine never re-mints an id that was
         // ever visible in the cloud.
         engine.resume_container_ids();
         engine.sweep_orphan_containers()?;
         Ok(engine)
+    }
+
+    /// Every committed manifest, fetched and decoded one at a time in
+    /// listing order — the repository's source of truth, and the one place
+    /// that lists, fetches and decodes them all.
+    pub(crate) fn committed_manifests(
+        &self,
+    ) -> impl Iterator<Item = Result<Manifest, BackupError>> + '_ {
+        let prefix = format!("{}/manifests/", self.config.scheme_key);
+        self.cloud.store().list(&prefix).into_iter().map(move |key| {
+            let (bytes, _t) = self.cloud.get(&key)?;
+            let bytes = bytes.ok_or(BackupError::MissingObject(key))?;
+            Manifest::decode(&bytes)
+        })
+    }
+
+    /// Rebuilds everything the manifests determine, replacing whatever was
+    /// there: exact per-application index entries (first placement wins,
+    /// one refcount per reference), exact per-container live counts, and
+    /// the session counter, continuing after the last committed manifest
+    /// (restarting at 0 would clobber session 0's manifest). Holds
+    /// O(unique chunks) transiently — the bound every session's snapshot
+    /// dump accepts.
+    fn rebuild_from_manifests(&mut self) -> Result<(), BackupError> {
+        let mut live: Vec<BTreeMap<Fingerprint, ChunkEntry>> =
+            AppType::ALL.iter().map(|_| BTreeMap::new()).collect();
+        let mut container_live: HashMap<u64, u64> = HashMap::new();
+        let mut sessions = 0;
+        for manifest in self.committed_manifests() {
+            let manifest = manifest?;
+            sessions = sessions.max(manifest.session as usize + 1);
+            for f in &manifest.files {
+                for c in &f.chunks {
+                    *container_live.entry(c.container).or_insert(0) += 1;
+                    if !f.tiny {
+                        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); live has one map per variant
+                        live[(f.app.tag() - 1) as usize]
+                            .entry(c.fingerprint)
+                            .and_modify(|e| e.refcount = e.refcount.saturating_add(1))
+                            .or_insert_with(|| {
+                                ChunkEntry::new(c.len as u64, c.container, c.offset)
+                            });
+                    }
+                }
+            }
+        }
+        for (app, entries) in AppType::ALL.iter().zip(live) {
+            self.index.partition(*app).reconcile(entries);
+        }
+        self.container_live = container_live;
+        self.sessions = sessions;
+        Ok(())
     }
 
     /// Garbage-collects containers no manifest references — the leftovers
@@ -866,21 +898,21 @@ impl AaDedupe {
         &self.sweep_debt
     }
 
-    /// Rebuilds the in-memory index from the latest cloud snapshot — the
-    /// disaster-recovery path the paper's periodic synchronisation enables.
+    /// Rebuilds the in-memory state from the cloud after the local state
+    /// was lost — the disaster-recovery path the paper's periodic
+    /// synchronisation enables.
     ///
-    /// The snapshot is only an *accelerator* and can be stale in both
-    /// directions: [`delete_session`](AaDedupe::delete_session) never
-    /// uploads a fresh one (so it resurrects fingerprints of deleted
-    /// chunks, and a backup deduping against them would commit a silently
-    /// unrestorable session), and sessions after the last sync are absent
-    /// from it. The committed manifests are the source of truth, so after
-    /// decoding the snapshot this reconciles every partition against them
-    /// — pruning resurrected entries, correcting refcounts and
-    /// placements, adding missing entries — and rebuilds the
-    /// per-container refcounts exactly as [`AaDedupe::open`] does (without
-    /// them, the first post-recovery delete used to die on a refcount
-    /// panic).
+    /// The newest snapshot is fetched, validated and loaded (a repository
+    /// without one, or with an undecodable one, is an error) — and then
+    /// the manifests decide. The snapshot can be stale in both directions:
+    /// [`delete_session`](AaDedupe::delete_session) never uploads a fresh
+    /// one (so it resurrects fingerprints of deleted chunks, and a backup
+    /// deduping against them would commit a silently unrestorable
+    /// session), and sessions after the last sync are absent from it. The
+    /// committed manifests are the source of truth, so the index, the
+    /// per-container refcounts and the session counter come out of the
+    /// same fold [`AaDedupe::open`] uses, which replaces every partition's
+    /// contents wholesale.
     pub fn recover_index_from_cloud(&mut self) -> Result<(), BackupError> {
         let keys = self.cloud.store().list(&format!("{}/index/", self.config.scheme_key));
         let latest = keys.last().ok_or_else(|| {
@@ -895,40 +927,7 @@ impl AaDedupe {
         codec::decode_app_aware_into(&bytes, &index)
             .map_err(|e| BackupError::Corrupt(format!("index snapshot: {e}")))?;
         self.index = index;
-
-        // Reconcile against the manifests: exact per-app entries (first
-        // placement wins, one refcount per reference — the same fold as
-        // `open`) and exact per-container live counts.
-        let mut live: Vec<BTreeMap<Fingerprint, ChunkEntry>> =
-            AppType::ALL.iter().map(|_| BTreeMap::new()).collect();
-        let mut container_live: HashMap<u64, u64> = HashMap::new();
-        let mut max_session: Option<u64> = None;
-        let prefix = format!("{}/manifests/", self.config.scheme_key);
-        for key in self.cloud.store().list(&prefix) {
-            let (bytes, _t) = self.cloud.get(&key)?;
-            let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-            let manifest = Manifest::decode(&bytes)?;
-            max_session = Some(max_session.map_or(manifest.session, |m| m.max(manifest.session)));
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    *container_live.entry(c.container).or_insert(0) += 1;
-                    if !f.tiny {
-                        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); live has one map per variant
-                        live[(f.app.tag() - 1) as usize]
-                            .entry(c.fingerprint)
-                            .and_modify(|e| e.refcount = e.refcount.saturating_add(1))
-                            .or_insert_with(|| {
-                                ChunkEntry::new(c.len as u64, c.container, c.offset)
-                            });
-                    }
-                }
-            }
-        }
-        for (i, app) in AppType::ALL.iter().enumerate() {
-            // aalint: allow(panic-path) -- enumerate over AppType::ALL, live is sized to it
-            self.index.partition(*app).reconcile(std::mem::take(&mut live[i]));
-        }
-        self.container_live = container_live;
+        self.rebuild_from_manifests()?;
         // Post-recovery state matches the cloud exactly, so the stale
         // tiny-file cache and the poison flag are cleared (sweep debt is
         // kept: those containers are unreferenced garbage in the cloud
@@ -940,10 +939,6 @@ impl AaDedupe {
         let mut containers = ContainerStore::new(self.config.container_size);
         containers.set_recorder(Arc::clone(&self.config.recorder));
         self.containers = containers;
-        // The session counter must survive the disaster too: continue after
-        // the last committed manifest, exactly as `open` does. Without this
-        // the next backup would reuse session 0 and clobber its manifest.
-        self.sessions = max_session.map_or(0, |m| m as usize + 1);
         self.resume_container_ids();
         Ok(())
     }

@@ -153,10 +153,8 @@ impl AaDedupe {
         let analyzing = rec.start();
         // Manifests, fetched and decoded once; rewritten in place later.
         let mut manifests: BTreeMap<u64, Manifest> = BTreeMap::new();
-        for key in self.cloud.store().list(&format!("{scheme}/manifests/")) {
-            let (bytes, _t) = self.cloud.get(&key)?;
-            let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-            let manifest = Manifest::decode(&bytes)?;
+        for manifest in self.committed_manifests() {
+            let manifest = manifest?;
             manifests.insert(manifest.session, manifest);
         }
         // Live fingerprints per container, from the manifests (the same

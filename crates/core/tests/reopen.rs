@@ -3,6 +3,8 @@
 use aadedupe_cloud::CloudSim;
 use aadedupe_core::{AaDedupe, AaDedupeConfig, BackupScheme};
 use aadedupe_filetype::{MemoryFile, SourceFile};
+use aadedupe_index::codec::encode_app_aware;
+use aadedupe_metrics::SessionReport;
 
 fn sources(files: &[MemoryFile]) -> Vec<&dyn SourceFile> {
     files.iter().map(|f| f as &dyn SourceFile).collect()
@@ -85,4 +87,54 @@ fn open_tolerates_index_sync_disabled() {
     assert_eq!(reopened.sessions_completed(), 1);
     let r = reopened.backup_session(&sources(&files)).expect("s1");
     assert_eq!(r.stored_bytes, 100, "only the tiny file re-stores");
+}
+
+#[test]
+fn open_and_recover_rebuild_the_same_state() {
+    // Two identical repositories whose newest snapshot is stale: session 1
+    // was deleted after the last index sync, so the snapshot still holds
+    // its chunks and refcounts.
+    fn repository() -> CloudSim {
+        let cloud = CloudSim::with_paper_defaults();
+        let mut engine = AaDedupe::new(cloud.clone());
+        for version in 1..=3 {
+            engine.backup_session(&sources(&week(version))).expect("backup");
+        }
+        engine.delete_session(1).expect("delete 1");
+        cloud
+    }
+    fn namespace(cloud: &CloudSim) -> Vec<(String, Vec<u8>)> {
+        let store = cloud.store();
+        let object = |key: String| {
+            let bytes = store.get(&key).expect("get").expect("listed key present");
+            (key, bytes)
+        };
+        store.list("").into_iter().map(object).collect()
+    }
+
+    let mut opened = AaDedupe::open(repository(), AaDedupeConfig::default()).expect("open");
+    let mut recovered = AaDedupe::with_config(repository(), AaDedupeConfig::default());
+    recovered.recover_index_from_cloud().expect("recover");
+
+    assert_eq!(
+        encode_app_aware(opened.index()),
+        encode_app_aware(recovered.index()),
+        "one fold: entries, placements and refcounts"
+    );
+    assert_eq!(opened.sessions_completed(), 3);
+    assert_eq!(recovered.sessions_completed(), 3);
+
+    // The next session decides, counts and writes the same on both.
+    let next = week(2);
+    let a = opened.backup_session(&sources(&next)).expect("next after open");
+    let b = recovered.backup_session(&sources(&next)).expect("next after recover");
+    let counters = |r: &SessionReport| {
+        (
+            (r.session, r.logical_bytes, r.stored_bytes, r.transferred_bytes, r.put_requests),
+            (r.chunks_total, r.chunks_duplicate, r.files_total, r.files_tiny, r.index_disk_reads),
+        )
+    };
+    assert_eq!(counters(&a), counters(&b));
+    assert_eq!(a.session, 3);
+    assert_eq!(namespace(opened.cloud()), namespace(recovered.cloud()));
 }

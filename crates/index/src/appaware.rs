@@ -16,7 +16,7 @@
 //!    ([`AppAwareIndex::lookup_batch_parallel`]).
 
 use crate::partition::{IndexPartition, RamFootprint};
-use crate::{ChunkEntry, ChunkIndex, IndexStats, LookupOutcome};
+use crate::{ChunkEntry, IndexStats, LookupOutcome};
 use aadedupe_filetype::AppType;
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Recorder, Stage};
@@ -49,7 +49,9 @@ impl AppAwareIndex {
     /// Creates a disk-backed index rooted at `dir`: each partition keeps at
     /// most `ram_per_partition` entries cached in RAM and spills the rest
     /// to its own segment subdirectory (`p01/`..`p13/` by application tag),
-    /// guarded by a per-partition existence filter.
+    /// guarded by a per-partition existence filter. The directory is this
+    /// process's scratch space: every partition starts empty and sweeps
+    /// the segment files an earlier process left on its first flush.
     pub fn disk_backed(ram_per_partition: usize, dir: &Path) -> Self {
         AppAwareIndex {
             partitions: AppType::ALL
@@ -65,28 +67,8 @@ impl AppAwareIndex {
         }
     }
 
-    /// Reopens a disk-backed index whose partitions were persisted under
-    /// `dir` by [`AppAwareIndex::persist`]. Each partition restores its
-    /// existence filter and segment fence indexes from its checksummed
-    /// manifest — zero segment reads — falling back to a full per-segment
-    /// sweep if a manifest is missing or corrupt.
-    pub fn disk_backed_reopen(ram_per_partition: usize, dir: &Path) -> Self {
-        AppAwareIndex {
-            partitions: AppType::ALL
-                .iter()
-                .map(|t| {
-                    IndexPartition::disk_backed_reopen(
-                        ram_per_partition,
-                        dir.join(format!("p{:02}", t.tag())),
-                    )
-                })
-                .collect(),
-            recorder: Recorder::shared_disabled(),
-        }
-    }
-
-    /// Durably persists every disk-backed partition (dirty cache slots
-    /// flushed, manifest written atomically). Stops at the first failing
+    /// Flushes every disk-backed partition's dirty cache slots to its
+    /// segments ([`IndexPartition::persist`]). Stops at the first failing
     /// partition; partitions without a spill tier are no-ops.
     pub fn persist(&self) -> Result<(), crate::segment::SegmentError> {
         for p in &self.partitions {
@@ -261,46 +243,6 @@ impl AppAwareIndex {
     }
 }
 
-impl ChunkIndex for AppAwareIndex {
-    /// Trait-level lookup without an app hint: searched across partitions.
-    /// Prefer [`AppAwareIndex::lookup`] with the application type; this
-    /// exists so the index can stand in where a [`ChunkIndex`] is expected.
-    ///
-    /// The owning partition is located with the side-effect-free
-    /// [`IndexPartition::peek`] so partitions that do *not* hold the
-    /// fingerprint record no lookups, misses, or disk reads and bump no
-    /// refcounts; only the owner then serves the real (stat-charging,
-    /// refcount-bumping) lookup.
-    fn lookup(&self, fp: &Fingerprint) -> Option<ChunkEntry> {
-        self.partitions
-            .iter()
-            .find(|p| p.peek(fp).is_some())
-            .and_then(|p| p.lookup(fp))
-    }
-
-    fn insert(&self, fp: Fingerprint, entry: ChunkEntry) -> bool {
-        // Without an app hint, file data defaults to the Other partition.
-        self.insert(AppType::Other, fp, entry)
-    }
-
-    /// Trait-level release without an app hint; like [`ChunkIndex::lookup`]
-    /// above, partitions that don't own the fingerprint are only peeked.
-    fn release(&self, fp: &Fingerprint) -> Option<ChunkEntry> {
-        self.partitions
-            .iter()
-            .find(|p| p.peek(fp).is_some())
-            .and_then(|p| p.release(fp))
-    }
-
-    fn len(&self) -> usize {
-        AppAwareIndex::len(self)
-    }
-
-    fn stats(&self) -> IndexStats {
-        AppAwareIndex::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +295,7 @@ mod tests {
             for i in 0..per_app {
                 let f = fp((ai * 10_000 + i) as u64);
                 app_aware.lookup(*app, &f);
-                ChunkIndex::lookup(&monolithic, &f);
+                monolithic.lookup(&f);
             }
         }
         // 13*90 = 1170 entries total: each partition (90 <= 100) is fully
@@ -371,7 +313,7 @@ mod tests {
         for (ai, _) in AppType::ALL.iter().enumerate() {
             for i in 0..per_app {
                 let f = fp((ai * 10_000 + i) as u64);
-                ChunkIndex::lookup(&monolithic_small, &f);
+                monolithic_small.lookup(&f);
             }
         }
         assert!(monolithic_small.stats().disk_reads > 0);
@@ -415,79 +357,6 @@ mod tests {
             let serial = idx.lookup(*app, f);
             assert_eq!(parallel[i].map(|e| e.container), serial.map(|e| e.container), "i={i}");
         }
-    }
-
-    #[test]
-    fn trait_fallback_search() {
-        let idx = AppAwareIndex::new(100);
-        idx.insert(AppType::Jpg, fp(5), ChunkEntry::new(3, 2, 1));
-        let as_trait: &dyn ChunkIndex = &idx;
-        assert!(as_trait.lookup(&fp(5)).is_some());
-        assert!(as_trait.lookup(&fp(6)).is_none());
-    }
-
-    #[test]
-    fn trait_fallback_does_not_pollute_other_partitions() {
-        // Regression: the fallback used to run the side-effecting lookup
-        // in every partition until one hit, charging lookups/misses/disk
-        // reads in partitions that never owned the fingerprint — and a
-        // fallback release could bump the wrong partition's refcounts.
-        let idx = AppAwareIndex::new(100);
-        // Same fingerprint lives in TWO partitions (allowed by design);
-        // the fallback must touch only the first owner it finds.
-        idx.insert(AppType::Jpg, fp(5), ChunkEntry::new(3, 2, 1));
-        idx.insert(AppType::Vmdk, fp(5), ChunkEntry::new(3, 9, 9));
-
-        let as_trait: &dyn ChunkIndex = &idx;
-        assert!(as_trait.lookup(&fp(5)).is_some());
-        assert!(as_trait.lookup(&fp(404)).is_none());
-
-        // Partitions that don't own fp(5) recorded nothing at all.
-        for (app, p) in idx.partitions() {
-            if app == AppType::Jpg {
-                continue;
-            }
-            let s = p.stats();
-            assert_eq!(s.lookups, 0, "{app:?} charged lookups by fallback");
-            assert_eq!(s.disk_reads, 0, "{app:?} charged disk reads by fallback");
-            assert_eq!(s.hits, 0, "{app:?} charged hits by fallback");
-        }
-        // The owner's refcount was bumped exactly once (insert + 1 lookup);
-        // the second copy's refcount is untouched.
-        assert_eq!(idx.partition(AppType::Jpg).peek(&fp(5)).unwrap().refcount, 2);
-        assert_eq!(idx.partition(AppType::Vmdk).peek(&fp(5)).unwrap().refcount, 1);
-
-        // Fallback release decrements only the owning partition.
-        assert!(as_trait.release(&fp(5)).is_none()); // 2 -> 1, not removed
-        assert_eq!(idx.partition(AppType::Jpg).peek(&fp(5)).unwrap().refcount, 1);
-        assert_eq!(idx.partition(AppType::Vmdk).peek(&fp(5)).unwrap().refcount, 1);
-    }
-
-    #[test]
-    fn disk_backed_persist_reopen_round_trip() {
-        let dir = std::env::temp_dir().join(format!(
-            "aadedupe-appaware-reopen-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let idx = AppAwareIndex::disk_backed(4, &dir);
-        for i in 0..80u64 {
-            idx.insert(AppType::Doc, fp(i), ChunkEntry::new(i, i, 0));
-            idx.insert(AppType::Mp3, fp(i + 1000), ChunkEntry::new(i, 0, 0));
-        }
-        let len = idx.len();
-        idx.persist().expect("persist");
-        drop(idx);
-        let back = AppAwareIndex::disk_backed_reopen(4, &dir);
-        assert!(back.is_disk_backed());
-        assert!(back.io_error().is_none(), "{:?}", back.io_error());
-        assert_eq!(back.len(), len);
-        assert_eq!(back.lookup(AppType::Doc, &fp(3)).map(|e| e.container), Some(3));
-        assert!(back.lookup(AppType::Mp3, &fp(1003)).is_some());
-        // Partition routing survives: the key only lives in its own app.
-        assert!(back.lookup(AppType::Avi, &fp(3)).is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

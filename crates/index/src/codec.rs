@@ -3,8 +3,11 @@
 //! The paper (§III.E): "a periodical data synchronization scheme is also
 //! proposed in AA-Dedupe to backup the application-aware index in the cloud
 //! storage to protect the data integrity of the PC backup datasets." This
-//! module provides the snapshot format those syncs upload, and the decoder
-//! used to rebuild a client index from the cloud after a local disk loss.
+//! module provides the snapshot format those syncs upload, and its decoder.
+//! Only the application-aware index has a snapshot — no baseline syncs one.
+//! The engine's recovery validates and loads the newest snapshot, then
+//! reconciles the result against the cloud's session manifests, which are
+//! the index's durable form.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -12,7 +15,7 @@
 //! magic   "AAIDX\x01"                    6 bytes
 //! npart   u32                            partition count
 //! per partition:
-//!   tag     u8                           AppType tag (0 for monolithic)
+//!   tag     u8                           AppType tag
 //!   count   u64                          entry count
 //!   per entry:
 //!     fingerprint                        1 + digest_len bytes
@@ -20,7 +23,7 @@
 //!     offset, refcount                   u32, u32
 //! ```
 
-use crate::{AppAwareIndex, ChunkEntry, MonolithicIndex};
+use crate::{AppAwareIndex, ChunkEntry};
 use aadedupe_filetype::AppType;
 use aadedupe_hashing::Fingerprint;
 use std::fmt;
@@ -148,7 +151,7 @@ pub fn decode_app_aware(
 /// Decodes a snapshot into a caller-constructed (typically empty) index —
 /// the recovery path uses this so the rebuilt index keeps whatever storage
 /// mode (RAM-resident or disk-backed) the engine was configured with,
-/// rebuilding segments and existence filters as entries load.
+/// building segments and existence filters as entries load.
 pub fn decode_app_aware_into(buf: &[u8], index: &AppAwareIndex) -> Result<(), CodecError> {
     let mut r = Reader { buf, pos: 0 };
     if r.take(6)? != MAGIC {
@@ -164,41 +167,9 @@ pub fn decode_app_aware_into(buf: &[u8], index: &AppAwareIndex) -> Result<(), Co
     Ok(())
 }
 
-/// Serialises a monolithic index (tag 0, one partition).
-pub fn encode_monolithic(index: &MonolithicIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.push(0);
-    let mut entries = index.partition().dump();
-    entries.sort_by(|a, b| a.0.digest().cmp(b.0.digest()));
-    encode_entries(&mut out, &entries);
-    out
-}
-
-/// Rebuilds a monolithic index from a snapshot.
-pub fn decode_monolithic(buf: &[u8], ram_capacity: usize) -> Result<MonolithicIndex, CodecError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(6)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let npart = r.u32()?;
-    if npart != 1 {
-        return Err(CodecError::Truncated);
-    }
-    let tag = r.u8()?;
-    if tag != 0 {
-        return Err(CodecError::BadAppTag(tag));
-    }
-    let index = MonolithicIndex::new(ram_capacity);
-    index.partition().load(decode_entries(&mut r)?);
-    Ok(index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChunkIndex;
     use aadedupe_hashing::HashAlgorithm;
 
     fn fp(n: u64, algo: HashAlgorithm) -> Fingerprint {
@@ -238,18 +209,6 @@ mod tests {
         let a = encode_app_aware(&populated());
         let b = encode_app_aware(&populated());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn monolithic_round_trip() {
-        let idx = MonolithicIndex::new(100);
-        for i in 0..50u64 {
-            idx.insert(fp(i, HashAlgorithm::Sha1), ChunkEntry::new(i, 0, 0));
-        }
-        let snap = encode_monolithic(&idx);
-        let back = decode_monolithic(&snap, 100).expect("decodes");
-        assert_eq!(ChunkIndex::len(&back), 50);
-        assert!(ChunkIndex::lookup(&back, &fp(7, HashAlgorithm::Sha1)).is_some());
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! filter is effectively full), [`CuckooFilter::insert`] returns
 //! [`FilterFull`]; the caller rebuilds at a larger capacity from the
 //! authoritative key set (the partition knows every live fingerprint).
+//! That is also the filter's only origin: it is built from keys by the
+//! process that uses it and never serialised.
 
 use aadedupe_hashing::Fingerprint;
 
@@ -213,68 +215,6 @@ impl CuckooFilter {
         false
     }
 
-    /// Appends the filter's complete state (bucket count, live count,
-    /// eviction-rng state, slot table) to `out` in little-endian. The
-    /// encoding is exactly what [`CuckooFilter::decode`] accepts, so a
-    /// persisted partition can restore its prefilter without re-reading
-    /// any segment.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.buckets as u64).to_le_bytes());
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&self.rng.to_le_bytes());
-        for &slot in &self.slots {
-            out.extend_from_slice(&slot.to_le_bytes());
-        }
-    }
-
-    /// Number of bytes [`CuckooFilter::encode`] produces for this filter.
-    pub fn encoded_len(&self) -> usize {
-        24 + self.slots.len() * 2
-    }
-
-    /// Decodes a filter from the front of `buf`, returning it and the
-    /// number of bytes consumed. `None` on any structural problem:
-    /// truncation, a bucket count that is zero or not a power of two, or
-    /// a live count disagreeing with the slot table. Never panics and
-    /// never allocates more than `buf` can actually back.
-    pub fn decode(buf: &[u8]) -> Option<(CuckooFilter, usize)> {
-        let word = |at: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
-        };
-        let buckets_u64 = word(0)?;
-        let len = word(8)?;
-        let rng = word(16)?;
-        let buckets = usize::try_from(buckets_u64).ok()?;
-        if buckets == 0 || !buckets.is_power_of_two() {
-            return None;
-        }
-        let slot_count = buckets.checked_mul(SLOTS_PER_BUCKET)?;
-        let slot_bytes = slot_count.checked_mul(2)?;
-        // Bound the allocation by what the buffer can actually hold
-        // before reserving anything — a corrupt bucket count must not
-        // become a multi-gigabyte Vec.
-        let table = buf.get(24..24 + slot_bytes)?;
-        if len > slot_count as u64 {
-            return None;
-        }
-        let mut slots = Vec::with_capacity(slot_count);
-        let mut live = 0u64;
-        for pair in table.chunks_exact(2) {
-            let tag = u16::from_le_bytes(pair.try_into().ok()?);
-            if tag != 0 {
-                live += 1;
-            }
-            slots.push(tag);
-        }
-        if live != len {
-            return None;
-        }
-        Some((
-            CuckooFilter { slots, buckets, len: len as usize, rng },
-            24 + slot_bytes,
-        ))
-    }
-
     fn next_rand(&mut self) -> u64 {
         // SplitMix64 step: full-period, deterministic.
         self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -347,62 +287,6 @@ mod tests {
             }
         }
         assert!(full, "tiny filter must eventually report full");
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let mut f = CuckooFilter::with_capacity(2048);
-        for i in 0..1200 {
-            f.insert(&fp(i)).unwrap();
-        }
-        for i in (0..1200).step_by(5) {
-            f.delete(&fp(i));
-        }
-        let mut bytes = Vec::new();
-        f.encode(&mut bytes);
-        assert_eq!(bytes.len(), f.encoded_len());
-        let (back, used) = CuckooFilter::decode(&bytes).expect("round trip");
-        assert_eq!(used, bytes.len());
-        assert_eq!(back.len(), f.len());
-        assert_eq!(back.slots, f.slots);
-        assert_eq!(back.rng, f.rng);
-        // The restored filter answers identically.
-        for i in 0..1200 {
-            assert_eq!(back.contains(&fp(i)), f.contains(&fp(i)), "i={i}");
-        }
-        // And keeps evolving identically (rng state restored).
-        let mut a = f;
-        let mut b = back;
-        for i in 5000..5200 {
-            assert_eq!(a.insert(&fp(i)), b.insert(&fp(i)));
-        }
-        assert_eq!(a.slots, b.slots);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let mut f = CuckooFilter::with_capacity(512);
-        for i in 0..300 {
-            f.insert(&fp(i)).unwrap();
-        }
-        let mut bytes = Vec::new();
-        f.encode(&mut bytes);
-        // Truncation at every prefix never panics.
-        for n in 0..bytes.len() {
-            assert!(CuckooFilter::decode(&bytes[..n]).is_none(), "prefix {n}");
-        }
-        // Non-power-of-two bucket count.
-        let mut bad = bytes.clone();
-        bad[0] = bad[0].wrapping_add(1);
-        assert!(CuckooFilter::decode(&bad).is_none());
-        // Live count disagreeing with the slot table.
-        let mut bad = bytes.clone();
-        bad[8] = bad[8].wrapping_add(1);
-        assert!(CuckooFilter::decode(&bad).is_none());
-        // Absurd bucket count must not allocate.
-        let mut bad = bytes.clone();
-        bad[5] = 0x40; // buckets |= 1 << 46
-        assert!(CuckooFilter::decode(&bad).is_none());
     }
 
     #[test]

@@ -18,27 +18,39 @@
 //!   optional spill tier (on-disk segments behind an existence filter)
 //!   and RAM/disk hit accounting — measured with the tier, modelled
 //!   without it.
-//! * [`MonolithicIndex`] — single-partition baseline (Avamar-style).
+//! * [`MonolithicIndex`] — single-partition baseline (Avamar-style): one
+//!   big [`IndexPartition`].
 //! * [`AppAwareIndex`] — per-application partitions with parallel batch
 //!   lookup (the paper's design).
 //! * [`codec`] — binary snapshot format used for the paper's "periodical
 //!   data synchronization" of the index into the cloud.
+//!
+//! Nothing here is durable on its own: the spill tier is per-process
+//! scratch space, and the index's durable home is the cloud — the session
+//! manifests the engine folds back into [`IndexPartition::reconcile`],
+//! with the [`codec`] snapshot as the paper's sync artefact.
 
 pub mod appaware;
 pub mod codec;
 pub mod filter;
 pub mod lru;
-pub mod monolithic;
 pub mod partition;
 pub mod segment;
 
 pub use appaware::AppAwareIndex;
 pub use filter::CuckooFilter;
 pub use lru::LruSet;
-pub use monolithic::MonolithicIndex;
 pub use partition::{IndexPartition, LookupOutcome, RamFootprint};
 
-use aadedupe_hashing::Fingerprint;
+/// The monolithic (single, full, unclassified) chunk index baseline.
+///
+/// This is the structure traditional source dedup clients (Avamar-style)
+/// maintain: every chunk of every application in one index. With the same
+/// total RAM budget as the application-aware index, its working set
+/// exceeds the cache as soon as the dataset is non-trivial, so lookups
+/// degrade to modelled disk probes — the bottleneck quantified by the
+/// `ablation_index` bench.
+pub type MonolithicIndex = IndexPartition;
 
 /// Where a stored chunk lives and how it is shared.
 ///
@@ -81,10 +93,10 @@ pub struct IndexStats {
     pub disk_reads: u64,
     /// Entries inserted by the query path.
     pub inserts: u64,
-    /// Entries re-created by state restore ([`IndexPartition::bump_or_insert`],
-    /// recovery reconciliation) rather than the query path. Kept separate
-    /// from `inserts` so post-recovery stats remain comparable with a
-    /// never-crashed run's query-path counts.
+    /// Entries re-created by state restore ([`IndexPartition::reconcile`])
+    /// rather than the query path. Kept separate from `inserts` so
+    /// post-recovery stats remain comparable with a never-crashed run's
+    /// query-path counts.
     pub recovered_entries: u64,
     /// Negative lookups the existence filter answered without any disk
     /// probe (spill tier only).
@@ -106,35 +118,6 @@ impl IndexStats {
         self.filter_hits += other.filter_hits;
         self.filter_false_positives += other.filter_false_positives;
     }
-}
-
-/// Common interface over monolithic and application-aware indexes.
-///
-/// Implementations use interior mutability ([`parking_lot`] locks) so that
-/// lookups can proceed concurrently from several worker threads.
-pub trait ChunkIndex: Send + Sync {
-    /// Looks up a fingerprint; on a hit, bumps its reference count and
-    /// returns the entry.
-    fn lookup(&self, fp: &Fingerprint) -> Option<ChunkEntry>;
-
-    /// Inserts a new entry. Returns `false` (leaving the original) if the
-    /// fingerprint was already present.
-    fn insert(&self, fp: Fingerprint, entry: ChunkEntry) -> bool;
-
-    /// Decrements a fingerprint's reference count, removing the entry when
-    /// it reaches zero. Returns the entry if it was removed.
-    fn release(&self, fp: &Fingerprint) -> Option<ChunkEntry>;
-
-    /// Number of live entries.
-    fn len(&self) -> usize;
-
-    /// True when no entries are present.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cumulative access statistics.
-    fn stats(&self) -> IndexStats;
 }
 
 #[cfg(test)]

@@ -35,11 +35,19 @@
 //! Dedup decisions, reference counts, and entry values are bit-identical
 //! with and without a tier (the differential suites pin this); only the
 //! [`IndexStats`] classification differs. Recency is refreshed the same
-//! way in both: a `release` that leaves references, a `bump_or_insert` of
-//! an existing key and a rejected duplicate `insert` of a key behind the
-//! cache re-admit it. (When the tier-less store was a separate
-//! implementation it left the LRU alone on those three; no figure or
-//! report consumes the difference.)
+//! way in both: a `release` that leaves references and a rejected
+//! duplicate `insert` of a key behind the cache re-admit it. (When the
+//! tier-less store was a separate implementation it left the LRU alone
+//! on those two; no figure or report consumes the difference.)
+//!
+//! **The tier is scratch space.** It belongs to the process that built
+//! it: [`IndexPartition::disk_backed`] always starts empty, the first
+//! flush sweeps whatever segment files an earlier process left in the
+//! directory, and neither the filter nor any segment metadata is ever
+//! serialised. The index's durable form is the cloud's session manifests
+//! (the engine folds them into [`IndexPartition::reconcile`] when it
+//! opens a repository); the [`codec`](crate::codec) snapshot is the
+//! paper's periodic sync artefact.
 //!
 //! Spill IO keeps the partition API infallible: any segment read/write
 //! failure poisons the partition (sticky [`IndexPartition::io_error`])
@@ -50,23 +58,16 @@
 
 use crate::filter::CuckooFilter;
 use crate::lru::LruSet;
-use crate::segment::{fnv1a, merge_segments, Segment, SegmentError, TMP_SUFFIX};
+use crate::segment::{merge_segments, Segment, SegmentError};
 use crate::{ChunkEntry, IndexStats};
 use aadedupe_hashing::Fingerprint;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
+use std::collections::{BTreeMap, HashMap};
+use std::path::PathBuf;
 
 /// Segment-count ceiling: a flush that leaves more than this many
 /// segments triggers a full streaming compaction.
 const MAX_SEGMENTS: usize = 8;
-
-/// File name of the persisted partition manifest (filter + segment
-/// metadata) written by [`IndexPartition::persist`].
-const MANIFEST_NAME: &str = "manifest.aamft";
-
-/// Magic header identifying a partition manifest file.
-const MANIFEST_MAGIC: &[u8; 6] = b"AAMFT\x01";
 
 /// Rough per-entry RAM cost (key + slot + map/LRU overhead) used by
 /// [`RamFootprint::approx_bytes`]. Deliberately generous.
@@ -188,9 +189,11 @@ impl Spill {
         }
     }
 
-    /// Creates the partition directory and sweeps stale files from a
-    /// previous process (segments are session-local; the cloud snapshot
-    /// is the durable store).
+    /// Creates the partition directory and sweeps the segment files a
+    /// previous process left there — the tier is per-process scratch; the
+    /// cloud's manifests are the index's durable form. Only names
+    /// [`Segment::owns_file_name`] recognises are removed: the directory
+    /// is a user-supplied path.
     fn init(&mut self) -> Result<(), SegmentError> {
         if self.initialized {
             return Ok(());
@@ -199,8 +202,12 @@ impl Spill {
             .map_err(|e| SegmentError::Io(format!("create {}: {e}", self.dir.display())))?;
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| SegmentError::Io(format!("read {}: {e}", self.dir.display())))?;
-        let mut stale: Vec<PathBuf> =
-            entries.flatten().map(|d| d.path()).filter(|p| p.is_file()).collect();
+        let mut stale: Vec<PathBuf> = entries
+            .flatten()
+            .filter(|d| d.file_name().to_str().is_some_and(Segment::owns_file_name))
+            .map(|d| d.path())
+            .filter(|p| p.is_file())
+            .collect();
         stale.sort_unstable();
         for p in stale {
             std::fs::remove_file(&p)
@@ -329,259 +336,6 @@ impl Spill {
         }
         merged
     }
-
-    /// Writes the manifest — serialized filter plus each segment's (seq,
-    /// count, records-end, fence index) — with the same tmp, `sync_all`,
-    /// rename discipline segments use, under a whole-body FNV-1a
-    /// checksum. After this, [`Spill::reopen`] restores the tier without
-    /// reading a single segment byte.
-    fn write_manifest(&mut self, live: u64) -> Result<(), SegmentError> {
-        self.init()?;
-        let mut body =
-            Vec::with_capacity(32 + self.filter.encoded_len() + self.segments.len() * 64);
-        body.extend_from_slice(&self.next_seq.to_le_bytes());
-        body.extend_from_slice(&live.to_le_bytes());
-        self.filter.encode(&mut body);
-        body.extend_from_slice(&(self.segments.len() as u64).to_le_bytes());
-        for seg in &self.segments {
-            body.extend_from_slice(&seg.seq().to_le_bytes());
-            body.extend_from_slice(&seg.count().to_le_bytes());
-            body.extend_from_slice(&seg.records_end().to_le_bytes());
-            let fences = seg.fences();
-            body.extend_from_slice(&(fences.len() as u64).to_le_bytes());
-            for (fp, off) in fences {
-                fp.encode(&mut body);
-                body.extend_from_slice(&off.to_le_bytes());
-            }
-        }
-        let path = self.dir.join(MANIFEST_NAME);
-        let tmp = self.dir.join(format!("{MANIFEST_NAME}{TMP_SUFFIX}"));
-        let result = (|| {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)
-                .map_err(|e| manifest_io(&tmp, "create", &e))?;
-            f.write_all(MANIFEST_MAGIC).map_err(|e| manifest_io(&tmp, "write", &e))?;
-            f.write_all(&body).map_err(|e| manifest_io(&tmp, "write", &e))?;
-            f.write_all(&fnv1a(&body).to_le_bytes())
-                .map_err(|e| manifest_io(&tmp, "write", &e))?;
-            f.sync_all().map_err(|e| manifest_io(&tmp, "sync", &e))?;
-            std::fs::rename(&tmp, &path).map_err(|e| manifest_io(&path, "rename", &e))?;
-            Ok(())
-        })();
-        if result.is_err() {
-            if let Err(rm) = std::fs::remove_file(&tmp) {
-                debug_assert!(
-                    rm.kind() == std::io::ErrorKind::NotFound,
-                    "manifest tmp cleanup failed: {rm}"
-                );
-            }
-        }
-        result
-    }
-
-    /// Reopens a partition directory written by [`Store::persist`],
-    /// returning the tier and its live-entry count. The happy path loads
-    /// the manifest, restores the filter from its serialized state, and
-    /// opens every referenced segment from its persisted metadata —
-    /// **zero segment reads**. Any manifest problem (missing, bad magic,
-    /// checksum mismatch, a referenced segment that fails its size check)
-    /// falls back to a full sweep that scans each segment end to end,
-    /// rebuilding fences and the filter from the authoritative records.
-    fn reopen(dir: PathBuf) -> (Self, u64) {
-        let mut spill = Spill::new(dir);
-        if !spill.dir.is_dir() {
-            // Nothing persisted: behave exactly like a fresh tier.
-            return (spill, 0);
-        }
-        // In-flight temp files from a crashed write are inert (nothing
-        // ever reads them); clear them so they don't accumulate.
-        if let Ok(entries) = std::fs::read_dir(&spill.dir) {
-            let mut stale: Vec<PathBuf> = entries
-                .flatten()
-                .map(|d| d.path())
-                .filter(|p| p.to_str().is_some_and(|s| s.ends_with(TMP_SUFFIX)))
-                .collect();
-            stale.sort_unstable();
-            for p in stale {
-                if let Err(rm) = std::fs::remove_file(&p) {
-                    debug_assert!(
-                        rm.kind() == std::io::ErrorKind::NotFound,
-                        "tmp sweep failed: {rm}"
-                    );
-                }
-            }
-        }
-        let live = spill.load_manifest().unwrap_or_else(|_| {
-            spill.segments.clear();
-            spill.rebuild_from_segments().unwrap_or_else(|e| {
-                spill.poison(&e);
-                0
-            })
-        });
-        // Adopted files must not be swept by the lazy fresh-session init.
-        spill.initialized = true;
-        (spill, live)
-    }
-
-    /// Loads the manifest and opens its segments, committing into `self`
-    /// (and returning the persisted live count) only when the whole file
-    /// parses and every segment opens. Also sweeps segment files the
-    /// manifest does not reference: they were flushed after the last
-    /// persist, so their records are absent from the restored filter —
-    /// keeping them would reintroduce exactly the false negatives the
-    /// filter contract forbids.
-    fn load_manifest(&mut self) -> Result<u64, SegmentError> {
-        let path = self.dir.join(MANIFEST_NAME);
-        let buf = std::fs::read(&path).map_err(|e| manifest_io(&path, "read", &e))?;
-        if buf.len() < MANIFEST_MAGIC.len() + 8 {
-            return Err(SegmentError::Truncated);
-        }
-        if buf.get(..6) != Some(&MANIFEST_MAGIC[..]) {
-            return Err(SegmentError::BadMagic);
-        }
-        let body = buf.get(6..buf.len() - 8).ok_or(SegmentError::Truncated)?;
-        let stored = u64::from_le_bytes(
-            buf.get(buf.len() - 8..)
-                .and_then(|s| s.try_into().ok())
-                .ok_or(SegmentError::Truncated)?,
-        );
-        if fnv1a(body) != stored {
-            return Err(SegmentError::BadChecksum);
-        }
-        let mut r = ByteReader { buf: body, pos: 0 };
-        let next_seq = r.u64()?;
-        let live = r.u64()?;
-        let (filter, used) =
-            CuckooFilter::decode(r.rest()).ok_or(SegmentError::Truncated)?;
-        r.take(used)?;
-        let seg_count = r.u64()?;
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut referenced: BTreeSet<u64> = BTreeSet::new();
-        for _ in 0..seg_count {
-            let seq = r.u64()?;
-            let count = r.u64()?;
-            let records_end = r.u64()?;
-            let fence_count = r.u64()?;
-            let mut fences: Vec<(Fingerprint, u64)> = Vec::new();
-            for _ in 0..fence_count {
-                let (fp, fp_used) =
-                    Fingerprint::decode(r.rest()).ok_or(SegmentError::BadFingerprint)?;
-                r.take(fp_used)?;
-                fences.push((fp, r.u64()?));
-            }
-            segments.push(Segment::open_with_metadata(
-                &self.dir,
-                seq,
-                count,
-                records_end,
-                fences,
-            )?);
-            referenced.insert(seq);
-        }
-        if r.pos != body.len() {
-            return Err(SegmentError::Truncated);
-        }
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| manifest_io(&self.dir, "read dir", &e))?;
-        let mut unreferenced: Vec<PathBuf> = entries
-            .flatten()
-            .filter(|d| {
-                d.file_name()
-                    .to_str()
-                    .and_then(Segment::seq_from_name)
-                    .is_some_and(|seq| !referenced.contains(&seq))
-            })
-            .map(|d| d.path())
-            .collect();
-        unreferenced.sort_unstable();
-        for p in unreferenced {
-            // A sweep failure must abort the manifest path: a segment the
-            // filter cannot see would serve false negatives.
-            std::fs::remove_file(&p).map_err(|e| manifest_io(&p, "sweep", &e))?;
-        }
-        self.next_seq = next_seq.max(referenced.last().map_or(0, |s| s + 1));
-        self.filter = filter;
-        self.segments = segments;
-        Ok(live)
-    }
-
-    /// The manifest-less recovery path: adopts every segment file in the
-    /// directory by scanning it end to end (checksum-verified), then
-    /// rebuilds the filter from the merged record set and returns the
-    /// live count. O(live) transient memory — the same bound the
-    /// snapshot codec's `dump` already accepts.
-    fn rebuild_from_segments(&mut self) -> Result<u64, SegmentError> {
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| manifest_io(&self.dir, "read dir", &e))?;
-        let mut seqs: Vec<u64> = entries
-            .flatten()
-            .filter_map(|d| d.file_name().to_str().and_then(Segment::seq_from_name))
-            .collect();
-        seqs.sort_unstable();
-        let mut segments: Vec<Segment> = Vec::new();
-        for seq in seqs {
-            segments.push(Segment::open_scan(&self.dir, seq)?);
-        }
-        self.next_seq = segments.last().map_or(1, |s| s.seq() + 1);
-        self.segments = segments;
-        let mut merged: BTreeSet<Fingerprint> = BTreeSet::new();
-        for seg in &mut self.segments {
-            let mut s = seg.stream()?;
-            while let Some((f, rec)) = s.next_record()? {
-                if rec.is_some() {
-                    merged.insert(f);
-                } else {
-                    merged.remove(&f);
-                }
-            }
-        }
-        let keys: Vec<Fingerprint> = merged.into_iter().collect();
-        self.filter = filter_from_keys(&keys)?;
-        Ok(keys.len() as u64)
-    }
-}
-
-fn manifest_io(path: &Path, what: &str, e: &std::io::Error) -> SegmentError {
-    SegmentError::Io(format!("manifest {what} {}: {e}", path.display()))
-}
-
-/// Builds a filter holding exactly `keys`, growing geometrically on
-/// overflow. The bound of eight doublings is unreachable for any real
-/// key set (it represents a 256× headroom over the initial sizing).
-fn filter_from_keys(keys: &[Fingerprint]) -> Result<CuckooFilter, SegmentError> {
-    let mut cap = (keys.len() + 2).next_power_of_two().max(1024);
-    for _ in 0..8 {
-        let mut f = CuckooFilter::with_capacity(cap);
-        if keys.iter().all(|k| f.insert(k).is_ok()) {
-            return Ok(f);
-        }
-        cap = cap.saturating_mul(2);
-    }
-    Err(SegmentError::Io("existence filter rebuild kept overflowing".to_string()))
-}
-
-/// Panic-free little-endian cursor over the manifest body.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
-        let end = self.pos.checked_add(n).ok_or(SegmentError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(SegmentError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, SegmentError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes(s.try_into().map_err(|_| SegmentError::Truncated)?))
-    }
-
-    fn rest(&self) -> &'a [u8] {
-        self.buf.get(self.pos..).unwrap_or(&[])
-    }
 }
 
 /// Sorts bulk input by fingerprint; on duplicate keys the last write wins
@@ -618,8 +372,8 @@ struct Store {
 }
 
 impl Store {
-    fn new(capacity: usize, live: u64, spill: Option<Spill>) -> Self {
-        Store { slots: HashMap::new(), lru: LruSet::new(capacity), live, spill }
+    fn new(capacity: usize, spill: Option<Spill>) -> Self {
+        Store { slots: HashMap::new(), lru: LruSet::new(capacity), live: 0, spill }
     }
 
     fn poison(&mut self, e: &SegmentError) {
@@ -910,19 +664,14 @@ impl Store {
         }
     }
 
-    /// Durably persists the tier: flushes every dirty slot into a
-    /// segment, then writes the manifest ([`Spill::write_manifest`]).
-    /// Nothing to do without a tier.
+    /// Flushes every dirty slot into a segment, so the tier alone holds
+    /// the partition's state. Refuses a poisoned tier; nothing to do
+    /// without one.
     fn persist(&mut self) -> Result<(), SegmentError> {
         if let Some(e) = self.spill.as_ref().and_then(|sp| sp.error.as_ref()) {
-            // Poisoned state must not be made durable.
             return Err(SegmentError::Io(e.clone()));
         }
-        self.flush_dirty()?;
-        match &mut self.spill {
-            Some(sp) => sp.write_manifest(self.live),
-            None => Ok(()),
-        }
+        self.flush_dirty()
     }
 }
 
@@ -945,50 +694,33 @@ impl IndexPartition {
         }
     }
 
-    /// A store with a tier. A zero-capacity cache would make the
-    /// write-back cache unbounded (`LruSet` stores nothing at capacity
-    /// 0); one slot is the honest minimum.
-    fn with_tier(ram_capacity: usize, spill: Spill, live: u64) -> Self {
-        Self::with_store(ram_capacity, Store::new(ram_capacity.max(1), live, Some(spill)))
-    }
-
     /// Creates a RAM-resident partition (no spill tier) whose modelled
     /// cache holds `ram_capacity` entries.
     pub fn new(ram_capacity: usize) -> Self {
-        Self::with_store(ram_capacity, Store::new(ram_capacity, 0, None))
+        Self::with_store(ram_capacity, Store::new(ram_capacity, None))
     }
 
     /// Creates a disk-backed partition: at most `ram_capacity` entries
     /// cached in RAM, overflow in sorted segments under `dir`, negative
     /// lookups short-circuited by a cuckoo existence filter.
     ///
-    /// Construction is infallible; the directory is created (and stale
-    /// files from a previous process swept) lazily on the first flush.
-    /// IO failures poison the partition — see [`IndexPartition::io_error`].
+    /// The tier is this process's scratch space and always starts empty:
+    /// construction is infallible, and the directory is created — and
+    /// segment files an earlier process left there swept — lazily on the
+    /// first flush. IO failures poison the partition — see
+    /// [`IndexPartition::io_error`].
     pub fn disk_backed(ram_capacity: usize, dir: PathBuf) -> Self {
-        Self::with_tier(ram_capacity, Spill::new(dir), 0)
+        // A zero-capacity cache would make the write-back cache unbounded
+        // (`LruSet` stores nothing at capacity 0); one slot is the honest
+        // minimum.
+        let store = Store::new(ram_capacity.max(1), Some(Spill::new(dir)));
+        Self::with_store(ram_capacity, store)
     }
 
-    /// Reopens a disk-backed partition from state previously made durable
-    /// by [`IndexPartition::persist`]. The persisted manifest restores the
-    /// existence filter and every segment's fence index without reading a
-    /// single segment byte; a missing or corrupt manifest falls back to a
-    /// full sweep that scans each (checksum-verified) segment to rebuild
-    /// both. Unlike [`IndexPartition::disk_backed`], existing files under
-    /// `dir` are adopted, not swept.
-    pub fn disk_backed_reopen(ram_capacity: usize, dir: PathBuf) -> Self {
-        let (spill, live) = Spill::reopen(dir);
-        Self::with_tier(ram_capacity, spill, live)
-    }
-
-    /// Durably persists a disk-backed partition: flushes dirty cache
-    /// slots to a segment, then writes a checksummed manifest (filter
-    /// state + segment metadata) with the atomic-write discipline, so
-    /// [`IndexPartition::disk_backed_reopen`] can restore the partition
-    /// with zero segment reads. No-op for partitions without a spill
-    /// tier (they have no durable form; the snapshot codec covers them).
-    /// Fails without writing if the partition is poisoned — degraded
-    /// state must not be made durable.
+    /// Flushes every dirty cache slot of a disk-backed partition to a
+    /// segment, so the partition's whole state is in its tier. No-op
+    /// without a spill tier. Fails without writing if the partition is
+    /// poisoned — degraded state must not reach disk.
     pub fn persist(&self) -> Result<(), SegmentError> {
         self.inner.lock().store.persist()
     }
@@ -1071,25 +803,6 @@ impl IndexPartition {
         }
         store.create(fp, entry, found.slot);
         stats.inserts += 1;
-        true
-    }
-
-    /// State-restore primitive: if the fingerprint exists, bumps its
-    /// reference count; otherwise inserts `entry` as given. Newly created
-    /// entries are counted as `recovered_entries`, not `inserts`, so
-    /// post-recovery statistics stay comparable with a never-crashed
-    /// run's query-path counts. Returns true if the entry was newly
-    /// inserted.
-    pub fn bump_or_insert(&self, fp: Fingerprint, entry: ChunkEntry) -> bool {
-        let mut g = self.inner.lock();
-        let Inner { store, stats } = &mut *g;
-        let prior = store.fetch(&fp).slot;
-        if let Some(CacheSlot { entry: Some(e), on_disk, .. }) = prior {
-            store.put(fp, ChunkEntry { refcount: e.refcount.saturating_add(1), ..e }, on_disk);
-            return false;
-        }
-        store.create(fp, entry, prior);
-        stats.recovered_entries += 1;
         true
     }
 
@@ -1282,6 +995,27 @@ mod tests {
     }
 
     #[test]
+    fn sequential_scan_past_the_budget_pays_one_read_per_lookup() {
+        let p = IndexPartition::new(64);
+        for i in 0..10_000 {
+            p.insert(fp(i), ChunkEntry::new(1, 0, 0));
+        }
+        for i in 0..10_000 {
+            p.lookup(&fp(i));
+        }
+        // Sequential scan of 10 000 keys through a 64-entry LRU: every
+        // lookup finds its key evicted. Exact, so the model cannot drift.
+        let expected = IndexStats {
+            lookups: 10_000,
+            hits: 10_000,
+            disk_reads: 10_000,
+            inserts: 10_000,
+            ..IndexStats::default()
+        };
+        assert_eq!(p.stats(), expected);
+    }
+
+    #[test]
     fn negative_lookup_on_big_index_probes_disk() {
         let p = IndexPartition::new(10);
         for i in 0..100 {
@@ -1366,18 +1100,6 @@ mod tests {
     }
 
     #[test]
-    fn bump_or_insert_counts_recovered_entries() {
-        // Regression: recovery-path inserts must be visible in stats
-        // (but as recovered_entries, keeping `inserts` query-path-only).
-        let p = IndexPartition::new(100);
-        assert!(p.bump_or_insert(fp(1), ChunkEntry::new(10, 0, 0)));
-        assert!(!p.bump_or_insert(fp(1), ChunkEntry::new(10, 0, 0)), "bump, not insert");
-        let s = p.stats();
-        assert_eq!(s.inserts, 0, "query-path inserts untouched");
-        assert_eq!(s.recovered_entries, 1);
-    }
-
-    #[test]
     fn reconcile_prunes_fixes_and_adds() {
         on_both_stores("rec", |make| {
             let p = make(100);
@@ -1390,6 +1112,7 @@ mod tests {
             assert_eq!((pruned, added), (1, 1));
             assert_eq!(p.len(), 2);
             assert_eq!(p.stats().recovered_entries, 1);
+            assert_eq!(p.stats().inserts, 2, "recovery never counts as a query-path insert");
             assert!(p.lookup(&fp(2)).is_none());
             let e = p.lookup(&fp(1)).unwrap(); // refcount now 4
             assert_eq!(e.container, 5);
@@ -1521,7 +1244,7 @@ mod tests {
                 let k = (x >> 33) % 300;
                 let e = ChunkEntry::new(k + 1, step, k as u32);
                 match step % 8 {
-                    0 | 1 => {
+                    0 | 1 | 5 => {
                         assert_eq!(resident.insert(fp(k), e), disk.insert(fp(k), e), "step {step}");
                     }
                     2 => assert_eq!(
@@ -1537,11 +1260,6 @@ mod tests {
                     4 => assert_eq!(
                         resident.update_placement(&fp(k), step, 7),
                         disk.update_placement(&fp(k), step, 7),
-                        "step {step}"
-                    ),
-                    5 => assert_eq!(
-                        resident.bump_or_insert(fp(k), e),
-                        disk.bump_or_insert(fp(k), e),
                         "step {step}"
                     ),
                     6 => assert_eq!(resident.peek(&fp(k)), disk.peek(&fp(k)), "step {step}"),
@@ -1653,188 +1371,32 @@ mod tests {
     }
 
     #[test]
-    fn disk_backed_persist_reopen_round_trip() {
-        let (p, dir) = disk_partition(8, "persist");
-        for i in 0..400 {
-            p.insert(fp(i), ChunkEntry::new(i, i, i as u32));
+    fn first_flush_sweeps_stale_segments_and_nothing_else() {
+        let (p, dir) = disk_partition(4, "sweep");
+        std::fs::create_dir_all(&dir).unwrap();
+        // What an earlier process left behind: a segment and an in-flight
+        // temp file at sequence numbers this run will not reach, beside a
+        // file the tier never wrote (the directory is a user's path).
+        let stale = Segment::write(&dir, 0xfff0, [(fp(9_999), Some(ChunkEntry::new(1, 0, 0)))])
+            .unwrap();
+        drop(stale);
+        let stale_seg = Segment::path_for(&dir, 0xfff0);
+        let stale_tmp = dir.join("seg-000000000000fff1.aaseg.tmp-write");
+        let foreign = dir.join("notes.txt");
+        std::fs::write(&stale_tmp, b"half a segment").unwrap();
+        std::fs::write(&foreign, b"not the tier's").unwrap();
+        for i in 0..40 {
+            p.insert(fp(i), ChunkEntry::new(i + 1, 0, 0));
         }
-        // Some deletions so tombstones and filter deletes are exercised.
-        for i in (0..100).step_by(3) {
-            p.release(&fp(i));
+        assert!(p.io_error().is_none(), "{:?}", p.io_error());
+        assert!(p.ram_footprint().segments > 0, "40 keys over a 4-slot cache must spill");
+        assert!(!stale_seg.exists(), "a previous process's segment is swept");
+        assert!(!stale_tmp.exists(), "so is its in-flight temp file");
+        assert!(foreign.exists(), "a file the tier did not write is not the tier's to delete");
+        assert!(p.lookup(&fp(9_999)).is_none(), "the tier starts empty");
+        for i in 0..40 {
+            assert_eq!(p.lookup(&fp(i)).map(|e| e.len), Some(i + 1), "i={i}");
         }
-        let before = p.dump();
-        let live = p.len();
-        p.persist().expect("persist");
-        drop(p);
-        let q = IndexPartition::disk_backed_reopen(8, dir.clone());
-        assert!(q.io_error().is_none(), "{:?}", q.io_error());
-        assert_eq!(q.len(), live);
-        assert_eq!(q.dump(), before, "contents survive the reopen");
-        // Released keys stay gone; survivors still resolve.
-        assert!(q.lookup(&fp(0)).is_none());
-        assert_eq!(q.lookup(&fp(1)).map(|e| e.container), Some(1));
-        // The restored store keeps working as a normal partition.
-        assert!(q.insert(fp(9000), ChunkEntry::new(1, 2, 3)));
-        assert_eq!(q.len(), live + 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_loads_filter_and_fences_without_segment_reads() {
-        let (p, dir) = disk_partition(8, "zeroread");
-        for i in 0..500 {
-            p.insert(fp(i), ChunkEntry::new(i, 0, 0));
-        }
-        let live = p.len();
-        p.persist().expect("persist");
-        // Footprint after persist: the flush inside persist may have
-        // added the final segment the manifest then records.
-        let foot_before = p.ram_footprint();
-        drop(p);
-        // Replace every segment's content with same-length garbage: any
-        // read of segment bytes during reopen would now fail, so a clean
-        // reopen *proves* the filter and fences came from the manifest.
-        let mut clobbered = 0;
-        for e in std::fs::read_dir(&dir).unwrap().flatten() {
-            let name = e.file_name();
-            if name.to_str().and_then(Segment::seq_from_name).is_some() {
-                let len = e.metadata().unwrap().len() as usize;
-                std::fs::write(e.path(), vec![0xAAu8; len]).unwrap();
-                clobbered += 1;
-            }
-        }
-        assert!(clobbered > 0, "expected persisted segments");
-        let q = IndexPartition::disk_backed_reopen(8, dir.clone());
-        assert!(q.io_error().is_none(), "reopen read segment bytes: {:?}", q.io_error());
-        assert_eq!(q.len(), live);
-        let foot = q.ram_footprint();
-        assert_eq!(foot.segments, foot_before.segments);
-        assert_eq!(foot.fence_bytes, foot_before.fence_bytes, "fences from manifest");
-        assert_eq!(foot.filter_bytes, foot_before.filter_bytes, "filter from manifest");
-        // The restored filter answers negatives from RAM with zero probes.
-        for i in 50_000..50_500u64 {
-            let (outcome, trace) = q.lookup_traced(&fp(i));
-            assert_eq!(outcome, LookupOutcome::MissRam, "i={i}");
-            assert_eq!(trace.disk_probes, 0, "i={i}");
-        }
-        assert_eq!(q.stats().disk_reads, 0, "no disk probe at any point");
-        assert!(q.io_error().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_manifest_falls_back_to_full_sweep() {
-        let (p, dir) = disk_partition(8, "badmft");
-        for i in 0..300 {
-            p.insert(fp(i), ChunkEntry::new(i, i, 0));
-        }
-        for i in (0..50).step_by(2) {
-            p.release(&fp(i));
-        }
-        let before = p.dump();
-        let live = p.len();
-        p.persist().expect("persist");
-        drop(p);
-        // Flip one body byte: the manifest checksum must reject it and
-        // the reopen must recover everything from the segments alone.
-        let mpath = dir.join(super::MANIFEST_NAME);
-        let mut bytes = std::fs::read(&mpath).unwrap();
-        bytes[20] ^= 0x01;
-        std::fs::write(&mpath, &bytes).unwrap();
-        let q = IndexPartition::disk_backed_reopen(8, dir.clone());
-        assert!(q.io_error().is_none(), "{:?}", q.io_error());
-        assert_eq!(q.len(), live);
-        assert_eq!(q.dump(), before, "full sweep recovers exact contents");
-        // The rebuilt filter is sound: negatives short-circuit, positives
-        // resolve.
-        let (outcome, trace) = q.lookup_traced(&fp(90_000));
-        assert_eq!(outcome, LookupOutcome::MissRam);
-        assert_eq!(trace.disk_probes, 0);
-        assert!(q.lookup(&fp(51)).is_some());
-        // A missing manifest takes the same path.
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_manifest_reopen_recovers_from_segments() {
-        let (p, dir) = disk_partition(8, "nomft");
-        for i in 0..200 {
-            p.insert(fp(i), ChunkEntry::new(i, 0, 0));
-        }
-        let before = p.dump();
-        p.persist().expect("persist");
-        drop(p);
-        std::fs::remove_file(dir.join(super::MANIFEST_NAME)).unwrap();
-        let q = IndexPartition::disk_backed_reopen(8, dir.clone());
-        assert!(q.io_error().is_none(), "{:?}", q.io_error());
-        assert_eq!(q.dump(), before);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_sweeps_segments_newer_than_the_manifest() {
-        let (p, dir) = disk_partition(4, "sweepnew");
-        for i in 0..100 {
-            p.insert(fp(i), ChunkEntry::new(i, 0, 0));
-        }
-        let persisted = p.dump();
-        let persisted_len = p.len();
-        p.persist().expect("persist");
-        drop(p);
-        // A segment flushed after the last persist: its records are
-        // invisible to the persisted filter, so keeping it would create
-        // filter false negatives.
-        let stray = fp(777_777);
-        Segment::write(&dir, 999, [(stray, Some(ChunkEntry::new(1, 0, 0)))]).unwrap();
-        let q = IndexPartition::disk_backed_reopen(4, dir.clone());
-        assert!(q.io_error().is_none(), "{:?}", q.io_error());
-        // Only the persisted checkpoint survives — the unreferenced
-        // segment was swept, and its file is gone.
-        assert_eq!(q.len(), persisted_len);
-        assert_eq!(q.dump(), persisted);
-        assert!(q.lookup(&stray).is_none());
-        assert!(!Segment::path_for(&dir, 999).exists(), "stray segment swept");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_after_post_persist_compaction_recovers_from_segments() {
-        // Mutations after a persist can compact the very segments the
-        // manifest references away; the reopen must then fall back to
-        // the sweep and recover everything the segments actually hold.
-        let (p, dir) = disk_partition(4, "postcompact");
-        for i in 0..100 {
-            p.insert(fp(i), ChunkEntry::new(i, 0, 0));
-        }
-        p.persist().expect("persist");
-        for i in 1000..1100 {
-            p.insert(fp(i), ChunkEntry::new(i, 0, 0));
-        }
-        // Flush the stragglers so the disk state is complete, then drop
-        // without persisting — the manifest is now stale.
-        p.persist().expect("second persist");
-        let full = p.dump();
-        drop(p);
-        std::fs::remove_file(dir.join(super::MANIFEST_NAME)).unwrap();
-        let q = IndexPartition::disk_backed_reopen(4, dir.clone());
-        assert!(q.io_error().is_none(), "{:?}", q.io_error());
-        assert_eq!(q.dump(), full);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_of_nonexistent_dir_is_a_fresh_store() {
-        let dir = std::env::temp_dir().join(format!(
-            "aadedupe-part-fresh-reopen-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let q = IndexPartition::disk_backed_reopen(8, dir.clone());
-        assert!(q.is_disk_backed());
-        assert_eq!(q.len(), 0);
-        assert!(q.insert(fp(1), ChunkEntry::new(1, 0, 0)));
-        assert!(q.persist().is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,6 +29,11 @@
 //! Files are written with the workspace's atomic-write discipline
 //! (temp file + `sync_all` + rename, [`FsObjectStore`]-style), so a crash
 //! never leaves a half-written segment under its final name.
+//!
+//! A segment is read only through the handle [`Segment::write`] returned:
+//! nothing opens a file an earlier process left behind. The spill tier is
+//! per-process scratch space and sweeps such files (recognised by
+//! [`Segment::owns_file_name`]) on its first flush.
 
 use crate::ChunkEntry;
 use aadedupe_hashing::Fingerprint;
@@ -47,8 +52,8 @@ pub const FENCE_EVERY: usize = 64;
 const RECORDS_START: u64 = 14;
 
 /// Suffix of in-flight atomic-write temp files (same discipline as
-/// `FsObjectStore`); shared with the partition manifest writer.
-pub(crate) const TMP_SUFFIX: &str = ".tmp-write";
+/// `FsObjectStore`).
+const TMP_SUFFIX: &str = ".tmp-write";
 
 /// A record: a live entry, or a tombstone shadowing an older segment's
 /// entry for the same fingerprint.
@@ -108,14 +113,6 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-}
-
-/// FNV-1a 64-bit over a whole buffer — the checksum the partition
-/// manifest shares with the segment format.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut f = Fnv::new();
-    f.update(bytes);
-    f.0
 }
 
 /// Serialises one record into `out`.
@@ -328,7 +325,6 @@ pub struct Segment {
     fences: Vec<(Fingerprint, u64)>,
     count: u64,
     records_end: u64,
-    seq: u64,
 }
 
 impl Segment {
@@ -352,7 +348,7 @@ impl Segment {
             f.sync_all().map_err(|e| io_err(&tmp, "sync", &e))?;
             fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename", &e))?;
             let file = File::open(&path).map_err(|e| io_err(&path, "open", &e))?;
-            Ok(Segment { path, file, fences, count, records_end, seq })
+            Ok(Segment { path, file, fences, count, records_end })
         })();
         if result.is_err() {
             // Best-effort cleanup so a retry starts clean; the original
@@ -372,103 +368,14 @@ impl Segment {
         dir.join(format!("seg-{seq:016x}.aaseg"))
     }
 
-    /// Parses a segment sequence number back out of a file name produced
-    /// by [`Segment::path_for`]. `None` for anything else (manifests,
-    /// temp files, foreign files).
-    pub fn seq_from_name(name: &str) -> Option<u64> {
-        let hex = name.strip_prefix("seg-")?.strip_suffix(".aaseg")?;
-        if hex.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(hex, 16).ok()
-    }
-
-    /// Opens an existing segment file from externally persisted metadata
-    /// (a partition manifest) **without reading any of its content** —
-    /// the fence index, record count, and records-end offset are taken on
-    /// trust. The only IO is an open plus a size check via `stat`, so a
-    /// manifest-guided partition reopen costs zero segment reads; a
-    /// record later proven corrupt surfaces through the normal
-    /// checksum/decode errors on first access.
-    pub fn open_with_metadata(
-        dir: &Path,
-        seq: u64,
-        count: u64,
-        records_end: u64,
-        fences: Vec<(Fingerprint, u64)>,
-    ) -> Result<Segment, SegmentError> {
-        let path = Self::path_for(dir, seq);
-        let file = File::open(&path).map_err(|e| io_err(&path, "open", &e))?;
-        let len = file.metadata().map_err(|e| io_err(&path, "stat", &e))?.len();
-        // records + trailing checksum must fit; a shorter file means the
-        // metadata describes a different (or truncated) segment.
-        if len < records_end + 8 || records_end < RECORDS_START {
-            return Err(SegmentError::Truncated);
-        }
-        Ok(Segment { path, file, fences, count, records_end, seq })
-    }
-
-    /// Opens an existing segment file by scanning it end to end: reads
-    /// the header, streams every record to rebuild the fence index and
-    /// records-end offset, and verifies the trailing checksum. This is
-    /// the full-sweep fallback a partition reopen uses when its manifest
-    /// is missing or fails its own checksum.
-    pub fn open_scan(dir: &Path, seq: u64) -> Result<Segment, SegmentError> {
-        let path = Self::path_for(dir, seq);
-        let file = File::open(&path).map_err(|e| io_err(&path, "open", &e))?;
-        let mut r = BufReader::new(&file);
-        let mut header = [0u8; RECORDS_START as usize];
-        read_exact_n(&mut r, &mut header)?;
-        if &header[..6] != MAGIC {
-            return Err(SegmentError::BadMagic);
-        }
-        let count = u64::from_le_bytes(
-            header[6..].try_into().map_err(|_| SegmentError::Truncated)?,
-        );
-        let mut fnv = Fnv::new();
-        let mut fences: Vec<(Fingerprint, u64)> = Vec::new();
-        let mut offset = RECORDS_START;
-        let mut raw = Vec::with_capacity(64);
-        let mut last: Option<Fingerprint> = None;
-        for i in 0..count {
-            raw.clear();
-            let (fp, _) = read_record(&mut r, &mut raw)?;
-            if last.is_some_and(|l| l >= fp) {
-                return Err(SegmentError::Unsorted);
-            }
-            last = Some(fp);
-            if (i as usize).is_multiple_of(FENCE_EVERY) {
-                fences.push((fp, offset));
-            }
-            fnv.update(&raw);
-            offset += raw.len() as u64;
-        }
-        let mut stored = [0u8; 8];
-        read_exact_n(&mut r, &mut stored)?;
-        if u64::from_le_bytes(stored) != fnv.0 {
-            return Err(SegmentError::BadChecksum);
-        }
-        drop(r);
-        let mut file = file;
-        file.seek(SeekFrom::Start(0)).map_err(|e| io_err(&path, "seek", &e))?;
-        Ok(Segment { path, file, fences, count, records_end: offset, seq })
-    }
-
-    /// The sparse fence index (every [`FENCE_EVERY`]-th fingerprint and
-    /// its byte offset) — what a partition manifest persists so reopen
-    /// can skip the scan that would otherwise rebuild it.
-    pub fn fences(&self) -> &[(Fingerprint, u64)] {
-        &self.fences
-    }
-
-    /// Byte offset where records end (the checksum follows).
-    pub fn records_end(&self) -> u64 {
-        self.records_end
-    }
-
-    /// Monotonic sequence number (newer segments shadow older ones).
-    pub fn seq(&self) -> u64 {
-        self.seq
+    /// Whether `name` is a file name this module writes: a segment
+    /// ([`Segment::path_for`]) or the in-flight temp file of one. The
+    /// spill tier's first-flush sweep deletes these and nothing else —
+    /// the directory is a user-supplied path.
+    pub fn owns_file_name(name: &str) -> bool {
+        let name = name.strip_suffix(TMP_SUFFIX).unwrap_or(name);
+        let hex = name.strip_prefix("seg-").and_then(|rest| rest.strip_suffix(".aaseg"));
+        hex.is_some_and(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
     }
 
     /// Record count (live entries plus tombstones).
@@ -772,65 +679,6 @@ mod tests {
         assert_eq!(seg.fences.len(), 100);
         assert!(seg.mem_bytes() < 6400, "fence RAM far below one entry per record");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_scan_recovers_metadata() {
-        let dir = temp_dir("openscan");
-        let recs = sorted_records(1000, 9);
-        let written = Segment::write(&dir, 7, recs.iter().copied()).unwrap();
-        let (count, records_end, fences) =
-            (written.count(), written.records_end(), written.fences().to_vec());
-        drop(written);
-        let mut reopened = Segment::open_scan(&dir, 7).unwrap();
-        assert_eq!(reopened.count(), count);
-        assert_eq!(reopened.records_end(), records_end);
-        assert_eq!(reopened.fences(), fences.as_slice());
-        assert_eq!(reopened.seq(), 7);
-        for (f, rec) in &recs {
-            assert_eq!(reopened.get(f).unwrap(), Some(*rec));
-        }
-        // Corruption is caught by the scan.
-        let path = Segment::path_for(&dir, 7);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[40] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert!(Segment::open_scan(&dir, 7).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_with_metadata_reads_nothing() {
-        let dir = temp_dir("openmeta");
-        let recs = sorted_records(500, 0);
-        let written = Segment::write(&dir, 3, recs.iter().copied()).unwrap();
-        let (count, records_end, fences) =
-            (written.count(), written.records_end(), written.fences().to_vec());
-        drop(written);
-        // Replace the file content with garbage of the same length: if
-        // the metadata open read a single record byte it would error.
-        let path = Segment::path_for(&dir, 3);
-        let len = fs::metadata(&path).unwrap().len() as usize;
-        fs::write(&path, vec![0xAAu8; len]).unwrap();
-        let seg = Segment::open_with_metadata(&dir, 3, count, records_end, fences.clone())
-            .expect("metadata open must not touch content");
-        assert_eq!(seg.count(), count);
-        assert_eq!(seg.fences(), fences.as_slice());
-        // A too-short file is rejected by the stat check alone.
-        fs::write(&path, vec![0xAAu8; (records_end as usize).saturating_sub(1)]).unwrap();
-        assert!(Segment::open_with_metadata(&dir, 3, count, records_end, fences).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn seq_round_trips_through_file_name() {
-        let dir = Path::new("/x");
-        let path = Segment::path_for(dir, 0xdead_beef);
-        let name = path.file_name().unwrap().to_str().unwrap();
-        assert_eq!(Segment::seq_from_name(name), Some(0xdead_beef));
-        assert_eq!(Segment::seq_from_name("manifest.aamft"), None);
-        assert_eq!(Segment::seq_from_name("seg-zz.aaseg"), None);
-        assert_eq!(Segment::seq_from_name("seg-0000000000000001.aaseg.tmp-write"), None);
     }
 
     #[test]

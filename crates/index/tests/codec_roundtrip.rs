@@ -10,10 +10,8 @@
 
 use aadedupe_filetype::AppType;
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::codec::{
-    decode_app_aware, decode_monolithic, encode_app_aware, encode_monolithic,
-};
-use aadedupe_index::{AppAwareIndex, ChunkEntry, MonolithicIndex};
+use aadedupe_index::codec::{decode_app_aware, encode_app_aware};
+use aadedupe_index::{AppAwareIndex, ChunkEntry};
 
 const RAM: usize = 1024;
 
@@ -104,16 +102,6 @@ fn max_size_entries_survive_exactly() {
     let got = back.partition(AppType::Vmdk).dump();
     assert_eq!(got, vec![(f, extreme)]);
     assert_eq!(snap, encode_app_aware(&back));
-}
-
-#[test]
-fn monolithic_snapshot_is_byte_stable() {
-    let index = MonolithicIndex::new(RAM);
-    index.partition().load(sample_entries(99));
-    let first = encode_monolithic(&index);
-    let decoded = decode_monolithic(&first, RAM).expect("decodes");
-    let second = encode_monolithic(&decoded);
-    assert_eq!(first, second);
 }
 
 #[test]

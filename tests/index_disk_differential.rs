@@ -17,14 +17,17 @@ use std::path::PathBuf;
 use aa_dedupe::cloud::CloudSim;
 use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aa_dedupe::filetype::SourceFile;
+use aa_dedupe::index::{IndexStats, RamFootprint};
 use aa_dedupe::metrics::SessionReport;
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 
 const SEED: u64 = 20_260_807;
 const SESSIONS: usize = 2;
 /// Small enough that the generated corpus overflows every partition's
-/// cache, forcing real segment spills and disk probes.
-const RAM_BUDGET: usize = 32;
+/// cache, forcing real segment spills and disk probes — and that the
+/// whole index is at least ten times the total cache budget
+/// ([`assert_sub_ram`]).
+const RAM_BUDGET: usize = 4;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -48,6 +51,9 @@ struct Observation {
     reports: Vec<SessionReport>,
     restores: Vec<Vec<(String, Vec<u8>)>>,
     objects: BTreeMap<String, Vec<u8>>,
+    index_len: usize,
+    index_stats: IndexStats,
+    footprint: RamFootprint,
 }
 
 fn run(cfg: AaDedupeConfig, sessions: &[Vec<&dyn SourceFile>]) -> Observation {
@@ -77,7 +83,42 @@ fn run(cfg: AaDedupeConfig, sessions: &[Vec<&dyn SourceFile>]) -> Observation {
             (key, bytes)
         })
         .collect();
-    Observation { reports, restores, objects }
+    Observation {
+        reports,
+        restores,
+        objects,
+        index_len: engine.index().len(),
+        index_stats: engine.index().stats(),
+        footprint: engine.index().ram_footprint(),
+    }
+}
+
+/// The sub-RAM contract of a disk-backed run: the index is many times the
+/// cache budget, the cache never overran it, and the negative lookups of
+/// a backup stream were answered by the existence filter, not by disk.
+fn assert_sub_ram(disk: &Observation, label: &str) {
+    let foot = &disk.footprint;
+    assert!(
+        disk.index_len >= 10 * foot.cache_capacity,
+        "{label}: corpus too small — index {} entries < 10x cache budget {}",
+        disk.index_len,
+        foot.cache_capacity
+    );
+    assert!(
+        foot.cache_entries <= foot.cache_capacity,
+        "{label}: cache overran its budget ({} > {})",
+        foot.cache_entries,
+        foot.cache_capacity
+    );
+    // False positives are the only misses allowed to probe segments.
+    let stats = &disk.index_stats;
+    let negatives = stats.filter_hits + stats.filter_false_positives;
+    assert!(stats.filter_hits > 0, "{label}: filter never short-circuited");
+    assert!(
+        (stats.filter_false_positives as f64) < (negatives as f64) * 0.01 + 8.0,
+        "{label}: filter false-positive rate too high ({} of {negatives})",
+        stats.filter_false_positives
+    );
 }
 
 /// Everything except the RAM/disk stat classification must match.
@@ -119,6 +160,7 @@ fn disk_backed_matches_resident_across_pipelines() {
         let dir = temp_dir(&format!("w{workers}"));
         let disk = run(config(workers, Some(dir.clone())), &sessions);
         assert_equivalent(&resident_serial, &disk, &format!("disk workers={workers}"));
+        assert_sub_ram(&disk, &format!("disk workers={workers}"));
         std::fs::remove_dir_all(&dir).ok();
 
         if workers > 1 {
