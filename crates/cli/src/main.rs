@@ -41,6 +41,7 @@ use std::time::Duration;
 
 use aadedupe_chunking::CdcAlgorithm;
 use aadedupe_cloud::{CloudSim, FsObjectStore, PriceModel, WanModel};
+use aadedupe_core::restore::containers_prefix;
 use aadedupe_core::{
     AaDedupe, AaDedupeConfig, BackupError, BackupScheme, Manifest, PipelineConfig,
     RestoreOptions, RetentionPolicy, RetryPolicy, VacuumOptions,
@@ -479,7 +480,7 @@ fn cmd_stats(repo: &Path, index: &IndexArgs) -> Result<(), String> {
     println!("repository: {} objects, {}", store.object_count(), human(store.stored_bytes()));
     println!(
         "  containers: {}",
-        store.list(&format!("{}/containers/", engine.config().scheme_key)).len()
+        store.list(&containers_prefix(&engine.config().scheme_key)).len()
     );
     println!("  sessions:   {:?}", engine.list_sessions());
     println!("  index:      {} chunks", engine.index().len());

@@ -46,7 +46,7 @@
 //!    tiny stream (which never leaves the engine's store) the exact
 //!    serial sequence.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -65,8 +65,8 @@ use aadedupe_obs::{Counter, Queue, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{ChunkRef, FileRecipe, Manifest};
 use crate::restore::{
-    container_key, restore_file_pipelined, restore_session_pipelined, RestoreOptions,
-    RestoredFile,
+    container_id, container_key, containers_prefix, restore_file_pipelined,
+    restore_session_pipelined, RestoreOptions, RestoredFile,
 };
 use crate::retry::RetryPolicy;
 use crate::scheme::{BackupError, BackupScheme};
@@ -190,12 +190,63 @@ impl AaDedupeConfig {
 /// use the application tag (1..=13).
 pub(crate) const TINY_STREAM: u32 = 0;
 
+/// The prefix every index snapshot key of a scheme starts with.
+pub(crate) fn snapshots_prefix(scheme: &str) -> String {
+    format!("{scheme}/index/")
+}
+
+/// The key of the index snapshot taken after `sessions` sessions.
+pub(crate) fn snapshot_key(scheme: &str, sessions: usize) -> String {
+    format!("{}{sessions:08}", snapshots_prefix(scheme))
+}
+
+/// Everything a set of committed manifests determines — the one statement
+/// of what is live. [`AaDedupe::open`], recovery, deletion and vacuum all
+/// read it from this fold: the engine keeps no count that could drift.
+#[derive(Default)]
+pub(crate) struct Liveness {
+    /// Per application, every indexed chunk (tiny files bypass the index);
+    /// the first placement folded wins.
+    entries: BTreeMap<AppType, BTreeMap<Fingerprint, ChunkEntry>>,
+    /// Every referenced container and the fingerprints referenced in it.
+    pub(crate) containers: BTreeMap<u64, BTreeSet<Fingerprint>>,
+    /// One past the newest session (restarting at 0 would clobber
+    /// session 0's manifest).
+    next_session: usize,
+}
+
+impl Liveness {
+    /// Folds `manifests`. Holds O(unique chunks) — the bound every
+    /// session's snapshot dump accepts.
+    pub(crate) fn of<'a>(manifests: impl IntoIterator<Item = &'a Manifest>) -> Self {
+        let mut live = Liveness::default();
+        manifests.into_iter().for_each(|m| live.add(m));
+        live
+    }
+
+    fn add(&mut self, manifest: &Manifest) {
+        self.next_session = self.next_session.max(manifest.session as usize + 1);
+        for f in &manifest.files {
+            for c in &f.chunks {
+                self.containers.entry(c.container).or_default().insert(c.fingerprint);
+                if !f.tiny {
+                    self.entries
+                        .entry(f.app)
+                        .or_default()
+                        .entry(c.fingerprint)
+                        .or_insert_with(|| ChunkEntry::new(c.len as u64, c.container, c.offset));
+                }
+            }
+        }
+    }
+}
+
 /// The AA-Dedupe backup client.
 ///
 /// Field visibility is `pub(crate)`: the vacuum pass
 /// ([`crate::vacuum`]) and retention policies ([`crate::retention`])
-/// are sibling modules operating on the same GC state (refcounts, index
-/// placements, container ids) under the same crash-consistency
+/// are sibling modules operating on the same state (index placements,
+/// container ids, the tiny-file cache) under the same crash-consistency
 /// invariants.
 pub struct AaDedupe {
     pub(crate) config: AaDedupeConfig,
@@ -203,9 +254,6 @@ pub struct AaDedupe {
     pub(crate) index: AppAwareIndex,
     pub(crate) containers: ContainerStore,
     pub(crate) sessions: usize,
-    /// Live-chunk count per container (deletion support: a container whose
-    /// count reaches zero is removed from the cloud).
-    pub(crate) container_live: HashMap<u64, u64>,
     /// Tiny-file incrementality: path -> (change token, last placement).
     /// Tiny files bypass the chunk *index* (the paper's size filter), but
     /// the client still skips re-packing unchanged ones, Cumulus-style.
@@ -219,13 +267,6 @@ pub struct AaDedupe {
     /// Containers garbage-collected by the orphan sweep in
     /// [`AaDedupe::open`].
     orphans_swept: u64,
-    /// Containers left behind by a partially-failed [`delete_session`]:
-    /// their manifest is gone (the un-commit succeeded) but their own
-    /// delete failed. Retried on the next deletion; the orphan sweep on
-    /// reopen reclaims them too.
-    ///
-    /// [`delete_session`]: AaDedupe::delete_session
-    pub(crate) sweep_debt: Vec<u64>,
 }
 
 /// Longest chunk the engine records: whole-file chunking cuts a larger
@@ -404,24 +445,16 @@ fn pack_tiny(
     }
 }
 
-/// Folds one file's dedup outcome into the session totals and the
-/// container reference counts, returning the recipe for the manifest.
-/// Both pipelines funnel every file through here, in file order.
-fn absorb(
-    out: DedupedFile,
-    report: &mut SessionReport,
-    clock: &mut DedupClock,
-    container_live: &mut HashMap<u64, u64>,
-) -> FileRecipe {
+/// Folds one file's dedup outcome into the session totals, returning the
+/// recipe for the manifest. Both pipelines funnel every file through
+/// here, in file order.
+fn absorb(out: DedupedFile, report: &mut SessionReport, clock: &mut DedupClock) -> FileRecipe {
     report.chunks_total += out.recipe.chunks.len() as u64;
     report.chunks_duplicate += out.chunks_duplicate;
     report.stored_bytes += out.stored_bytes;
     report.index_disk_reads += out.disk_reads;
     clock.charge_disk_probes(out.disk_reads);
     clock.add_cpu(out.cpu);
-    for c in &out.recipe.chunks {
-        *container_live.entry(c.container).or_insert(0) += 1;
-    }
     out.recipe
 }
 
@@ -457,104 +490,101 @@ impl AaDedupe {
             index,
             containers,
             sessions: 0,
-            container_live: HashMap::new(),
             tiny_seen: HashMap::new(),
             poisoned: None,
             orphans_swept: 0,
-            sweep_debt: Vec::new(),
             cloud,
             config,
         }
     }
 
     /// Opens an engine over an *existing* cloud namespace, resuming its
-    /// state: the session counter continues after the last stored
-    /// manifest, and the index and per-container reference counts are
-    /// rebuilt from the manifests themselves (exact, snapshot-independent).
-    /// A fresh namespace yields a fresh engine.
+    /// state: the index and the session counter are what the committed
+    /// manifests say ([`Liveness`] — exact, snapshot-independent), and
+    /// every listed container no manifest references is swept. A fresh
+    /// namespace yields a fresh engine.
     pub fn open(cloud: CloudSim, config: AaDedupeConfig) -> Result<Self, BackupError> {
         let mut engine = Self::with_config(cloud, config);
-        engine.rebuild_from_manifests()?;
+        let live = engine.committed_liveness(None)?;
+        let referenced = engine.install(live);
         // Resume ids over *everything* in the namespace — orphans included —
         // before sweeping, so a resumed engine never re-mints an id that was
         // ever visible in the cloud.
         engine.resume_container_ids();
-        engine.sweep_orphan_containers()?;
+        engine.orphans_swept = engine.sweep_unreferenced(&referenced)?;
+        engine.config.recorder.count(Counter::OrphansSwept, engine.orphans_swept);
         Ok(engine)
     }
 
-    /// Every committed manifest, fetched and decoded one at a time in
-    /// listing order — the repository's source of truth, and the one place
-    /// that lists, fetches and decodes them all.
+    /// Every committed manifest but session `skip`'s, fetched and decoded
+    /// one at a time in listing order — the repository's source of truth,
+    /// and the one place that lists, fetches and decodes them all. The
+    /// skipped manifest is left out by key and never fetched.
     pub(crate) fn committed_manifests(
         &self,
+        skip: Option<u64>,
     ) -> impl Iterator<Item = Result<Manifest, BackupError>> + '_ {
-        let prefix = format!("{}/manifests/", self.config.scheme_key);
-        self.cloud.store().list(&prefix).into_iter().map(move |key| {
-            let (bytes, _t) = self.cloud.get(&key)?;
-            let bytes = bytes.ok_or(BackupError::MissingObject(key))?;
-            Manifest::decode(&bytes)
-        })
+        let keys = self.cloud.store().list(&Manifest::prefix(&self.config.scheme_key));
+        keys.into_iter()
+            .filter(move |key| skip.is_none_or(|s| Manifest::session_of(key) != Some(s)))
+            .map(move |key| {
+                let (bytes, _t) = self.cloud.get(&key)?;
+                let bytes = bytes.ok_or(BackupError::MissingObject(key))?;
+                Manifest::decode(&bytes)
+            })
     }
 
-    /// Rebuilds everything the manifests determine, replacing whatever was
-    /// there: exact per-application index entries (first placement wins,
-    /// one refcount per reference), exact per-container live counts, and
-    /// the session counter, continuing after the last committed manifest
-    /// (restarting at 0 would clobber session 0's manifest). Holds
-    /// O(unique chunks) transiently — the bound every session's snapshot
-    /// dump accepts.
-    fn rebuild_from_manifests(&mut self) -> Result<(), BackupError> {
-        let mut live: Vec<BTreeMap<Fingerprint, ChunkEntry>> =
-            AppType::ALL.iter().map(|_| BTreeMap::new()).collect();
-        let mut container_live: HashMap<u64, u64> = HashMap::new();
-        let mut sessions = 0;
-        for manifest in self.committed_manifests() {
-            let manifest = manifest?;
-            sessions = sessions.max(manifest.session as usize + 1);
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    *container_live.entry(c.container).or_insert(0) += 1;
-                    if !f.tiny {
-                        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); live has one map per variant
-                        live[(f.app.tag() - 1) as usize]
-                            .entry(c.fingerprint)
-                            .and_modify(|e| e.refcount = e.refcount.saturating_add(1))
-                            .or_insert_with(|| {
-                                ChunkEntry::new(c.len as u64, c.container, c.offset)
-                            });
-                    }
+    /// What the committed manifests — all but session `skip`'s — say is
+    /// live. Reads the cloud and changes nothing.
+    fn committed_liveness(&self, skip: Option<u64>) -> Result<Liveness, BackupError> {
+        let mut live = Liveness::default();
+        for manifest in self.committed_manifests(skip) {
+            live.add(&manifest?);
+        }
+        Ok(live)
+    }
+
+    /// Makes the in-memory state say what `live` says and returns the
+    /// referenced container ids. Infallible: deletion calls it past its
+    /// point of no return. Every partition is replaced wholesale — the one
+    /// way a key leaves the index; the session counter only moves forward;
+    /// and a cached tiny-file reference survives only while some manifest
+    /// references that chunk there — carried forward past that, it would
+    /// point at bytes the sweep or the next vacuum may reclaim.
+    fn install(&mut self, mut live: Liveness) -> BTreeSet<u64> {
+        for app in AppType::ALL {
+            self.index.partition(app).reconcile(live.entries.remove(&app).unwrap_or_default());
+        }
+        // aalint: allow(unordered-iteration) -- a pure per-entry predicate: what is kept does not depend on visiting order
+        self.tiny_seen.retain(|_, (_, r)| {
+            live.containers.get(&r.container).is_some_and(|fps| fps.contains(&r.fingerprint))
+        });
+        self.sessions = self.sessions.max(live.next_session);
+        live.containers.into_keys().collect()
+    }
+
+    /// Deletes every listed container `referenced` does not name and
+    /// returns how many went: the leftovers of sessions that crashed before
+    /// their manifest (the commit point) landed, of deleted sessions, and
+    /// of earlier sweeps that failed. Safe by construction: a container is
+    /// reachable only through a committed manifest. Tries every one and
+    /// reports the first failure at the end — what it could not delete is
+    /// still listed next time.
+    fn sweep_unreferenced(&self, referenced: &BTreeSet<u64>) -> Result<u64, BackupError> {
+        let mut swept = 0;
+        let mut first_failure = None;
+        for key in self.cloud.store().list(&containers_prefix(&self.config.scheme_key)) {
+            if container_id(&key).is_some_and(|id| referenced.contains(&id)) {
+                continue;
+            }
+            match self.cloud.delete(&key) {
+                Ok(_) => swept += 1,
+                Err(e) => {
+                    first_failure.get_or_insert(e);
                 }
             }
         }
-        for (app, entries) in AppType::ALL.iter().zip(live) {
-            self.index.partition(*app).reconcile(entries);
-        }
-        self.container_live = container_live;
-        self.sessions = sessions;
-        Ok(())
-    }
-
-    /// Garbage-collects containers no manifest references — the leftovers
-    /// of sessions that crashed after uploading containers but before the
-    /// manifest (the commit point) landed. Safe by construction: a
-    /// container becomes reachable only through a committed manifest, and
-    /// every committed manifest's containers are in `container_live`.
-    fn sweep_orphan_containers(&mut self) -> Result<(), BackupError> {
-        let prefix = format!("{}/containers/", self.config.scheme_key);
-        for key in self.cloud.store().list(&prefix) {
-            let referenced = key
-                .rsplit('/')
-                .next()
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|id| self.container_live.contains_key(&id));
-            if !referenced {
-                self.cloud.delete(&key)?;
-                self.orphans_swept += 1;
-            }
-        }
-        self.config.recorder.count(Counter::OrphansSwept, self.orphans_swept);
-        Ok(())
+        first_failure.map_or(Ok(swept), |e| Err(e.into()))
     }
 
     /// Containers the orphan sweep removed when this engine was opened.
@@ -573,9 +603,8 @@ impl AaDedupe {
     /// containers. Ids minted before the per-stream scheme decompose as
     /// stream 0, which only over-advances the tiny stream — harmless.
     fn resume_container_ids(&mut self) {
-        let prefix = format!("{}/containers/", self.config.scheme_key);
-        for key in self.cloud.store().list(&prefix) {
-            if let Some(id) = key.rsplit('/').next().and_then(|s| s.parse::<u64>().ok()) {
+        for key in self.cloud.store().list(&containers_prefix(&self.config.scheme_key)) {
+            if let Some(id) = container_id(&key) {
                 let (stream, seq) = decompose_id(id);
                 self.containers.resume_stream_ids(stream, seq + 1);
             }
@@ -586,13 +615,12 @@ impl AaDedupe {
     /// numerically after parsing — backend listing order is lexicographic
     /// at best and arbitrary in general.
     pub fn list_sessions(&self) -> Vec<usize> {
-        let prefix = format!("{}/manifests/", self.config.scheme_key);
         let mut sessions: Vec<usize> = self
             .cloud
             .store()
-            .list(&prefix)
+            .list(&Manifest::prefix(&self.config.scheme_key))
             .iter()
-            .filter_map(|k| k.rsplit('/').next()?.parse::<usize>().ok())
+            .filter_map(|k| Manifest::session_of(k).map(|s| s as usize))
             .collect();
         sessions.sort_unstable();
         sessions
@@ -671,7 +699,7 @@ impl AaDedupe {
                 dedupe_chunks(&self.index, &mut self.containers, file.path(), app, chunked)
             };
             rec.trace_complete("file", span);
-            manifest.files.push(absorb(out, report, clock, &mut self.container_live));
+            manifest.files.push(absorb(out, report, clock));
         }
         manifest
     }
@@ -793,145 +821,69 @@ impl AaDedupe {
         debug_assert_eq!(outs.len(), files.len());
         let mut manifest = Manifest::new(self.sessions as u64);
         for out in outs.into_values() {
-            manifest.files.push(absorb(out, report, clock, &mut self.container_live));
+            manifest.files.push(absorb(out, report, clock));
         }
         manifest
     }
 
-    /// Checks that every container `manifest` references has a live
-    /// refcount — the precondition [`release_manifest_refs`] relies on.
-    /// Runs *before* the un-commit point so a desynchronised engine (e.g.
-    /// one recovered without rebuilding refcounts) surfaces a typed
-    /// [`BackupError::Corrupt`] with nothing mutated, instead of the
-    /// panic this used to be.
-    ///
-    /// [`release_manifest_refs`]: AaDedupe::release_manifest_refs
-    fn validate_manifest_refs(
-        &self,
-        session: usize,
-        manifest: &Manifest,
-    ) -> Result<(), BackupError> {
-        for f in &manifest.files {
-            for c in &f.chunks {
-                if !self.container_live.contains_key(&c.container) {
-                    return Err(BackupError::Corrupt(format!(
-                        "session {session}: manifest references container {:012} with no \
-                         live refcount — in-memory GC state is out of sync with the cloud \
-                         (recover or reopen the engine first)",
-                        c.container
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Drops one manifest's references from the in-memory index and the
-    /// per-container refcounts, returning the containers left with no live
-    /// chunks. Infallible by design: it runs after the manifest delete —
-    /// the un-commit point — so nothing here may abort the deletion
-    /// half-done; [`validate_manifest_refs`] establishes the refcount
-    /// precondition beforehand. Tiny-file chunks are unindexed, so their
-    /// container slots are released directly.
-    ///
-    /// [`validate_manifest_refs`]: AaDedupe::validate_manifest_refs
-    fn release_manifest_refs(&mut self, manifest: &Manifest) -> Vec<u64> {
-        let mut dead = Vec::new();
-        for f in &manifest.files {
-            for c in &f.chunks {
-                if !f.tiny {
-                    // Tiny chunks are unindexed; indexed chunks drop one
-                    // reference (removed from the index at zero).
-                    self.index.release(f.app, &c.fingerprint);
-                }
-                // Validated before the un-commit point; a slot that still
-                // vanishes mid-release means the container already hit
-                // zero via an earlier reference and was reclaimed below.
-                let Some(live) = self.container_live.get_mut(&c.container) else {
-                    continue;
-                };
-                *live = live.saturating_sub(1);
-                if *live == 0 {
-                    self.container_live.remove(&c.container);
-                    dead.push(c.container);
-                }
-            }
-        }
-        dead
-    }
-
-    /// Deletes a past session and reclaims any containers left without
-    /// live references (the background deletion process of §III.F).
+    /// Deletes a past session and reclaims the containers nothing
+    /// references any more (the background deletion process of §III.F):
+    /// [`AaDedupe::open`]'s fold over every *other* committed manifest, so
+    /// what survives is exactly what a reopen would find.
     ///
     /// Crash consistency: the *manifest* delete is the un-commit point.
-    /// Until it succeeds nothing is mutated — a failure there leaves the
-    /// session fully restorable. After it, container reclamation is
-    /// best-effort garbage collection: a failed container delete is
-    /// recorded as sweep debt (retried on the next deletion; the orphan
-    /// sweep in [`AaDedupe::open`] also reclaims it, since a container
-    /// unreferenced by every committed manifest is an orphan), never an
-    /// error — the inverse order would delete containers a still-committed
-    /// manifest references.
+    /// Until it succeeds nothing is mutated — an `Err` means the session
+    /// is still fully restorable and neither memory nor the cloud changed.
+    /// After it nothing returns `Err`: the fold is installed and container
+    /// reclamation is best-effort garbage collection. A container whose
+    /// delete failed is still listed and unreferenced, so the next
+    /// deletion, vacuum or [`AaDedupe::open`] reclaims it — the inverse
+    /// order would delete containers a still-committed manifest references.
     pub fn delete_session(&mut self, session: usize) -> Result<(), BackupError> {
         let key = Manifest::key(&self.config.scheme_key, session as u64);
-        let (bytes, _t) = self.cloud.get(&key)?;
-        let bytes = bytes.ok_or(BackupError::UnknownSession(session))?;
-        let manifest = Manifest::decode(&bytes)?;
-        self.validate_manifest_refs(session, &manifest)?;
-        self.cloud.delete(&key)?;
-        let mut reclaim = std::mem::take(&mut self.sweep_debt);
-        reclaim.extend(self.release_manifest_refs(&manifest));
-        for id in reclaim {
-            if self.cloud.delete(&container_key(&self.config.scheme_key, id)).is_err() {
-                self.sweep_debt.push(id);
-            }
+        if !self.cloud.store().contains(&key) {
+            return Err(BackupError::UnknownSession(session));
         }
-        Ok(())
-    }
-
-    /// Containers whose delete failed during a past [`delete_session`] —
-    /// unreferenced garbage awaiting reclamation by the next deletion or
-    /// by the orphan sweep on reopen.
-    ///
-    /// [`delete_session`]: AaDedupe::delete_session
-    pub fn sweep_debt(&self) -> &[u64] {
-        &self.sweep_debt
+        let live = self.committed_liveness(Some(session as u64))?;
+        self.cloud.delete(&key)?;
+        let referenced = self.install(live);
+        match self.sweep_unreferenced(&referenced) {
+            Ok(_) | Err(_) => Ok(()),
+        }
     }
 
     /// Rebuilds the in-memory state from the cloud after the local state
     /// was lost — the disaster-recovery path the paper's periodic
     /// synchronisation enables.
     ///
-    /// The newest snapshot is fetched, validated and loaded (a repository
-    /// without one, or with an undecodable one, is an error) — and then
-    /// the manifests decide. The snapshot can be stale in both directions:
+    /// The newest snapshot is fetched and validated (a repository without
+    /// one, or with an undecodable one, is an error) — and then the
+    /// manifests decide. The snapshot can be stale in both directions:
     /// [`delete_session`](AaDedupe::delete_session) never uploads a fresh
     /// one (so it resurrects fingerprints of deleted chunks, and a backup
     /// deduping against them would commit a silently unrestorable
     /// session), and sessions after the last sync are absent from it. The
-    /// committed manifests are the source of truth, so the index, the
-    /// per-container refcounts and the session counter come out of the
-    /// same fold [`AaDedupe::open`] uses, which replaces every partition's
-    /// contents wholesale.
+    /// committed manifests are the source of truth, so the index and the
+    /// session counter come out of the same fold [`AaDedupe::open`] uses,
+    /// which replaces every partition's contents wholesale. A failed
+    /// recovery leaves the engine as it was.
     pub fn recover_index_from_cloud(&mut self) -> Result<(), BackupError> {
-        let keys = self.cloud.store().list(&format!("{}/index/", self.config.scheme_key));
-        let latest = keys.last().ok_or_else(|| {
-            BackupError::MissingObject(format!("{}/index/*", self.config.scheme_key))
-        })?;
+        let prefix = snapshots_prefix(&self.config.scheme_key);
+        let keys = self.cloud.store().list(&prefix);
+        let latest =
+            keys.last().ok_or_else(|| BackupError::MissingObject(format!("{prefix}*")))?;
         let (bytes, _t) = self.cloud.get(latest)?;
         let bytes = bytes.ok_or_else(|| BackupError::MissingObject(latest.clone()))?;
-        // A fresh index as configured (partitions with a spill tier
-        // rebuild their segments and existence filters as the snapshot
-        // loads), decoded in place.
+        // A fresh index as configured, so a poisoned spill tier is left
+        // behind with the old one.
         let index = Self::build_index(&self.config);
         codec::decode_app_aware_into(&bytes, &index)
             .map_err(|e| BackupError::Corrupt(format!("index snapshot: {e}")))?;
+        let live = self.committed_liveness(None)?;
         self.index = index;
-        self.rebuild_from_manifests()?;
+        self.install(live);
         // Post-recovery state matches the cloud exactly, so the stale
-        // tiny-file cache and the poison flag are cleared (sweep debt is
-        // kept: those containers are unreferenced garbage in the cloud
-        // whether or not a disaster happened in between); the container
+        // tiny-file cache and the poison flag are cleared; the container
         // store restarts fresh with its ids resumed past every id ever
         // visible in the namespace.
         self.tiny_seen.clear();
@@ -1072,7 +1024,7 @@ impl BackupScheme for AaDedupe {
             rec.count(Counter::UploadBytes, snap.len() as u64);
             rec.count(Counter::UploadObjects, 1);
             upload_seq += 1;
-            let skey = format!("{}/index/{:08}", self.config.scheme_key, self.sessions);
+            let skey = snapshot_key(&self.config.scheme_key, self.sessions);
             if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, upload_seq) {
                 // The manifest is committed, so the session is durable and
                 // the engine's state matches the cloud; the snapshot is only
@@ -1355,6 +1307,62 @@ mod tests {
             store.list("").iter().map(|k| (k.clone(), digest(k))).collect::<Vec<_>>()
         });
         assert_eq!(namespaces[0], namespaces[1], "cloud objects differ between schedules");
+    }
+
+    #[test]
+    fn liveness_is_a_pure_fold_over_manifests() {
+        let fp = |n: u8| Fingerprint::compute(HashAlgorithm::Sha1, &[n]);
+        let chunk = |n: u8, container: u64, offset: u32| ChunkRef {
+            fingerprint: fp(n),
+            len: 100 + u32::from(n),
+            container,
+            offset,
+        };
+        let file = |path: &str, app, tiny, chunks: Vec<ChunkRef>| FileRecipe {
+            path: path.into(),
+            app,
+            tiny,
+            chunks,
+        };
+        let doc = 40u64; // a Doc-stream container id; the tiny stream's is 0
+        // Session 3 shares chunk 1 with session 5, which found it at another
+        // placement (the first one folded wins); two tiny files with equal
+        // bytes sit at two offsets of one tiny-stream container.
+        let manifests = [
+            Manifest {
+                session: 3,
+                files: vec![
+                    file("a.doc", AppType::Doc, false, vec![chunk(1, doc, 0), chunk(2, doc, 101)]),
+                    file("t.txt", AppType::Txt, true, vec![chunk(9, 0, 0)]),
+                    file("u.txt", AppType::Txt, true, vec![chunk(9, 0, 109)]),
+                ],
+            },
+            Manifest {
+                session: 5,
+                files: vec![file(
+                    "a.doc",
+                    AppType::Doc,
+                    false,
+                    vec![chunk(1, doc + 1, 7), chunk(3, doc + 1, 108)],
+                )],
+            },
+        ];
+        let live = Liveness::of(&manifests);
+        assert_eq!(live.next_session, 6);
+        let entries: Vec<(Fingerprint, ChunkEntry)> =
+            live.entries[&AppType::Doc].iter().map(|(f, e)| (*f, *e)).collect();
+        let mut expected = vec![
+            (fp(1), ChunkEntry::new(101, doc, 0)),
+            (fp(2), ChunkEntry::new(102, doc, 101)),
+            (fp(3), ChunkEntry::new(103, doc + 1, 108)),
+        ];
+        expected.sort_by_key(|(f, _)| *f);
+        assert_eq!(entries, expected);
+        assert_eq!(live.entries.len(), 1, "tiny files are not indexed");
+        let set = |fps: &[u8]| fps.iter().map(|n| fp(*n)).collect::<BTreeSet<_>>();
+        let containers =
+            BTreeMap::from([(0, set(&[9])), (doc, set(&[1, 2])), (doc + 1, set(&[1, 3]))]);
+        assert_eq!(live.containers, containers);
     }
 
     #[test]

@@ -155,9 +155,19 @@ impl Manifest {
         Ok(Manifest { session, files })
     }
 
+    /// The prefix every manifest key of a scheme starts with.
+    pub fn prefix(scheme: &str) -> String {
+        format!("{scheme}/manifests/")
+    }
+
     /// The cloud object key for a scheme's session manifest.
     pub fn key(scheme: &str, session: u64) -> String {
-        format!("{scheme}/manifests/{session:08}")
+        format!("{}{session:08}", Self::prefix(scheme))
+    }
+
+    /// The session a listed key names: the inverse of [`Manifest::key`].
+    pub fn session_of(key: &str) -> Option<u64> {
+        key.rsplit('/').next()?.parse().ok()
     }
 }
 
@@ -252,5 +262,8 @@ mod tests {
         let a = Manifest::key("aa-dedupe", 2);
         let b = Manifest::key("aa-dedupe", 10);
         assert!(a < b, "zero-padded keys sort numerically");
+        assert!(b.starts_with(&Manifest::prefix("aa-dedupe")));
+        assert_eq!(Manifest::session_of(&b), Some(10), "a listed key names its session");
+        assert_eq!(Manifest::session_of("aa-dedupe/manifests/.tmp"), None);
     }
 }

@@ -84,9 +84,19 @@ impl Default for RestoreOptions {
 /// briefly descheduled caller stalls every fetch worker.
 const QUEUED_CONTAINERS: usize = 16;
 
+/// The prefix every container key of a scheme starts with.
+pub fn containers_prefix(scheme: &str) -> String {
+    format!("{scheme}/containers/")
+}
+
 /// The cloud object key for a scheme's container.
 pub fn container_key(scheme: &str, container: u64) -> String {
-    format!("{scheme}/containers/{container:012}")
+    format!("{}{container:012}", containers_prefix(scheme))
+}
+
+/// The container a listed key names: the inverse of [`container_key`].
+pub fn container_id(key: &str) -> Option<u64> {
+    key.rsplit('/').next()?.parse().ok()
 }
 
 /// Restores every file of `session` from `scheme_key`'s cloud namespace.

@@ -13,10 +13,11 @@
 //! # Algorithm
 //!
 //! 1. **Analyze** ([`Stage::VacuumAnalyze`]): fetch every manifest,
-//!    fold the per-container live fingerprint sets and live byte counts,
-//!    fetch and parse every container, and classify each as *retained*
-//!    (healthy), *dead* (no live chunk — deleted outright, which also
-//!    covers crash leftovers and sweep debt), or a *rewrite candidate*
+//!    take the per-container live fingerprint sets from the engine's one
+//!    liveness fold, fetch and parse every container, and classify each
+//!    as *retained* (healthy), *dead* (no live chunk — deleted outright,
+//!    which also covers crash leftovers and containers an earlier sweep
+//!    failed to delete), or a *rewrite candidate*
 //!    (live ratio < `ratio`, or undersized with a same-stream partner to
 //!    combine with).
 //! 2. **Rewrite** ([`Stage::VacuumRewrite`]): per stream, in container-id
@@ -32,10 +33,10 @@
 //!    old and new pointers while *both* copies still exist; the snapshot
 //!    lands before any delete so recovery never resurrects pointers to
 //!    removed containers; and old containers are unreferenced by the time
-//!    they are deleted, so a missed delete is ordinary orphan/sweep-debt
-//!    garbage. Rerunning vacuum after any interruption converges: the
-//!    analysis starts from the cloud, and half-written rewrites are
-//!    either referenced (kept) or dead (deleted).
+//!    they are deleted, so a missed delete is ordinary orphan garbage
+//!    the listing still shows. Rerunning vacuum after any interruption
+//!    converges: the analysis starts from the cloud, and half-written
+//!    rewrites are either referenced (kept) or dead (deleted).
 //!
 //! Liveness is keyed by fingerprint per container (the
 //! [`compact_container`] contract): if the same fingerprint occupies two
@@ -50,9 +51,9 @@ use aadedupe_container::{
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Stage};
 
-use crate::engine::AaDedupe;
+use crate::engine::{snapshot_key, snapshots_prefix, AaDedupe, Liveness};
 use crate::recipe::Manifest;
-use crate::restore::container_key;
+use crate::restore::{container_id, container_key, containers_prefix};
 use crate::scheme::BackupError;
 
 /// Tuning knobs for one vacuum pass.
@@ -87,8 +88,7 @@ pub struct VacuumReport {
     pub containers_rewritten: usize,
     /// Fresh containers produced by the rewrite.
     pub containers_created: usize,
-    /// Old containers removed (rewritten sources, fully dead ones, and
-    /// settled sweep debt).
+    /// Old containers removed (rewritten sources and fully dead ones).
     pub containers_deleted: usize,
     /// Superseded index snapshots pruned (recovery only ever reads the
     /// newest; older ones are pure garbage).
@@ -153,26 +153,16 @@ impl AaDedupe {
         let analyzing = rec.start();
         // Manifests, fetched and decoded once; rewritten in place later.
         let mut manifests: BTreeMap<u64, Manifest> = BTreeMap::new();
-        for manifest in self.committed_manifests() {
+        for manifest in self.committed_manifests(None) {
             let manifest = manifest?;
             manifests.insert(manifest.session, manifest);
         }
-        // Live fingerprints per container, from the manifests (the same
-        // source of truth `open` rebuilds refcounts from).
-        let mut live_fps: BTreeMap<u64, std::collections::BTreeSet<Fingerprint>> = BTreeMap::new();
-        for manifest in manifests.values() {
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    live_fps.entry(c.container).or_default().insert(c.fingerprint);
-                }
-            }
-        }
+        // Live fingerprints per container: the fold `open` installs.
+        let live_fps = Liveness::of(manifests.values()).containers;
         // Every container in the namespace, parsed.
         let mut containers: BTreeMap<u64, Candidate> = BTreeMap::new();
-        for key in self.cloud.store().list(&format!("{scheme}/containers/")) {
-            let Some(id) = key.rsplit('/').next().and_then(|s| s.parse::<u64>().ok()) else {
-                continue;
-            };
+        for key in self.cloud.store().list(&containers_prefix(&scheme)) {
+            let Some(id) = container_id(&key) else { continue };
             let (bytes, _t) = self.cloud.get(&key)?;
             let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
             let stored_len = bytes.len() as u64;
@@ -342,21 +332,14 @@ impl AaDedupe {
         }
         report.manifests_rewritten = dirty_manifests.len();
 
-        // Old containers to delete: rewritten sources, fully dead ones,
-        // and any outstanding sweep debt (its objects may already be gone;
-        // missing keys delete as no-ops).
+        // Old containers to delete: rewritten sources and fully dead ones.
         let mut doomed: Vec<u64> = rewritten_ids.clone();
         for (&id, d) in &dispositions {
             if matches!(d, Disposition::Dead) {
                 doomed.push(id);
             }
         }
-        let mut debt = self.sweep_debt.clone();
-        // aalint: allow(panic-path) -- dispositions holds every container id; the && short-circuits absent ones
-        debt.retain(|id| !containers.contains_key(id) || matches!(dispositions[id], Disposition::Retain));
-        doomed.extend(debt);
         doomed.sort_unstable();
-        doomed.dedup();
         let reclaimable: u64 = doomed
             .iter()
             .filter_map(|id| containers.get(id).map(|c| c.stored_len))
@@ -413,7 +396,7 @@ impl AaDedupe {
         op_seq += 1;
         rec.count(Counter::UploadBytes, snap.len() as u64);
         rec.count(Counter::UploadObjects, 1);
-        let skey = format!("{scheme}/index/{:08}", self.sessions);
+        let skey = snapshot_key(&scheme, self.sessions);
         if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, op_seq) {
             rec.record(Stage::VacuumCommit, committing);
             return Err(BackupError::Cloud(format!(
@@ -422,23 +405,18 @@ impl AaDedupe {
         }
 
         // Old containers are unreferenced now; deletes are best-effort
-        // garbage collection, with failures parked as sweep debt exactly
-        // like `delete_session`.
-        self.sweep_debt.clear();
-        let mut deleted = 0usize;
+        // garbage collection exactly like `delete_session`'s: one that
+        // fails stays listed, and the next pass finds it dead.
         for id in doomed {
-            if self.cloud.delete(&container_key(&scheme, id)).is_err() {
-                self.sweep_debt.push(id);
-            } else {
-                deleted += 1;
+            if self.cloud.delete(&container_key(&scheme, id)).is_ok() {
+                report.containers_deleted += 1;
             }
         }
-        report.containers_deleted = deleted;
         // Superseded index snapshots: the fresh one is durable, recovery
         // always reads the newest key, so every older snapshot is garbage.
         // Best-effort like the container deletes — a missed one is pruned
         // by the next pass.
-        let mut snaps = self.cloud.store().list(&format!("{scheme}/index/"));
+        let mut snaps = self.cloud.store().list(&snapshots_prefix(&scheme));
         snaps.sort_unstable();
         for key in &snaps {
             if *key == skey {
@@ -450,7 +428,7 @@ impl AaDedupe {
             match self.cloud.delete(key) {
                 Ok(true) => report.snapshots_pruned += 1,
                 // A missed or failed snapshot delete is pruned by the
-                // next pass; unlike containers there is no debt list.
+                // next pass.
                 Ok(false) | Err(_) => {}
             }
         }
@@ -462,10 +440,10 @@ impl AaDedupe {
         Ok(report)
     }
 
-    /// Applies the relocation map to the in-memory GC state: index
-    /// placements (per-app, refcounts preserved), the tiny-file cache,
-    /// and the per-container refcounts. Infallible; called only after the
-    /// rewritten manifests — the pass's commit point — are durable.
+    /// Applies the relocation map to the in-memory state: index
+    /// placements (per-app) and the tiny-file cache. Infallible; called
+    /// only after the rewritten manifests — the pass's commit point — are
+    /// durable.
     fn apply_relocations(
         &mut self,
         manifests: &BTreeMap<u64, Manifest>,
@@ -499,17 +477,5 @@ impl AaDedupe {
                 }
             }
         }
-        // Refcounts: recompute from the rewritten manifests (the exact
-        // fold `open` performs).
-        let mut container_live: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::new();
-        for manifest in manifests.values() {
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    *container_live.entry(c.container).or_insert(0) += 1;
-                }
-            }
-        }
-        self.container_live = container_live;
     }
 }

@@ -155,13 +155,8 @@ impl AppAwareIndex {
         self.partition(app).insert(fp, entry)
     }
 
-    /// Release from one application's partition.
-    pub fn release(&self, app: AppType, fp: &Fingerprint) -> Option<ChunkEntry> {
-        self.partition(app).release(fp)
-    }
-
     /// Repoints one application's entry at a new `(container, offset)`
-    /// placement, preserving refcount — the vacuum relocation primitive.
+    /// placement — the vacuum relocation primitive.
     /// Returns false if the fingerprint is absent from that partition.
     pub fn update_placement(
         &self,

@@ -5,14 +5,15 @@
 //! storage to protect the data integrity of the PC backup datasets." This
 //! module provides the snapshot format those syncs upload, and its decoder.
 //! Only the application-aware index has a snapshot — no baseline syncs one.
-//! The engine's recovery validates and loads the newest snapshot, then
-//! reconciles the result against the cloud's session manifests, which are
-//! the index's durable form.
+//! The engine's recovery validates the newest snapshot, then installs what
+//! the cloud's session manifests say, which are the index's durable form.
+//! An entry is its fingerprint and placement and nothing else, so an index
+//! no session changed encodes to the same bytes again.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   "AAIDX\x01"                    6 bytes
+//! magic   "AAIDX\x02"                    6 bytes
 //! npart   u32                            partition count
 //! per partition:
 //!   tag     u8                           AppType tag
@@ -20,7 +21,7 @@
 //!   per entry:
 //!     fingerprint                        1 + digest_len bytes
 //!     len, container                     u64, u64
-//!     offset, refcount                   u32, u32
+//!     offset                             u32
 //! ```
 
 use crate::{AppAwareIndex, ChunkEntry};
@@ -28,7 +29,7 @@ use aadedupe_filetype::AppType;
 use aadedupe_hashing::Fingerprint;
 use std::fmt;
 
-const MAGIC: &[u8; 6] = b"AAIDX\x01";
+const MAGIC: &[u8; 6] = b"AAIDX\x02";
 
 /// Snapshot decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,14 +101,13 @@ fn encode_entries(out: &mut Vec<u8>, entries: &[(Fingerprint, ChunkEntry)]) {
         out.extend_from_slice(&e.len.to_le_bytes());
         out.extend_from_slice(&e.container.to_le_bytes());
         out.extend_from_slice(&e.offset.to_le_bytes());
-        out.extend_from_slice(&e.refcount.to_le_bytes());
     }
 }
 
 fn decode_entries(r: &mut Reader<'_>) -> Result<Vec<(Fingerprint, ChunkEntry)>, CodecError> {
     let count = r.u64()? as usize;
     // Guard against absurd counts from corrupt headers: each entry needs at
-    // least 13 + 24 bytes.
+    // least 13 + 20 bytes.
     if count.saturating_mul(13) > r.buf.len() {
         return Err(CodecError::Truncated);
     }
@@ -117,8 +117,7 @@ fn decode_entries(r: &mut Reader<'_>) -> Result<Vec<(Fingerprint, ChunkEntry)>, 
         let len = r.u64()?;
         let container = r.u64()?;
         let offset = r.u32()?;
-        let refcount = r.u32()?;
-        entries.push((fp, ChunkEntry { len, container, offset, refcount }));
+        entries.push((fp, ChunkEntry { len, container, offset }));
     }
     Ok(entries)
 }
@@ -148,10 +147,10 @@ pub fn decode_app_aware(
     Ok(index)
 }
 
-/// Decodes a snapshot into a caller-constructed (typically empty) index —
-/// the recovery path uses this so the rebuilt index keeps whatever storage
-/// mode (RAM-resident or disk-backed) the engine was configured with,
-/// building segments and existence filters as entries load.
+/// Decodes a snapshot into a caller-constructed index, replacing each
+/// partition's contents ([`IndexPartition::reconcile`](crate::IndexPartition::reconcile))
+/// — so the result keeps whatever storage mode (RAM-resident or
+/// disk-backed) the caller built it with.
 pub fn decode_app_aware_into(buf: &[u8], index: &AppAwareIndex) -> Result<(), CodecError> {
     let mut r = Reader { buf, pos: 0 };
     if r.take(6)? != MAGIC {
@@ -162,7 +161,7 @@ pub fn decode_app_aware_into(buf: &[u8], index: &AppAwareIndex) -> Result<(), Co
         let tag = r.u8()?;
         let app = AppType::from_tag(tag).ok_or(CodecError::BadAppTag(tag))?;
         let entries = decode_entries(&mut r)?;
-        index.partition(app).load(entries);
+        index.partition(app).reconcile(entries);
     }
     Ok(())
 }

@@ -12,9 +12,9 @@
 //!
 //! Design: a classic partial-key cuckoo filter — `SLOTS_PER_BUCKET`
 //! 16-bit tags per bucket, two candidate buckets per key
-//! (`i2 = i1 ^ hash(tag)`), bounded eviction chains. Unlike a Bloom
-//! filter it supports *deletion*, which the index needs when a release
-//! drops a fingerprint's last reference.
+//! (`i2 = i1 ^ hash(tag)`), bounded eviction chains. Tags are only ever
+//! added: a key leaves a partition only when the partition is replaced
+//! wholesale, and then the filter is built afresh from the new key set.
 //!
 //! Everything is deterministic: tag/bucket derivation hashes the full
 //! fingerprint digest with FNV-1a, and the eviction path uses an internal
@@ -25,9 +25,10 @@
 //! When an insert fails (an eviction chain exceeds its bound — the
 //! filter is effectively full), [`CuckooFilter::insert`] returns
 //! [`FilterFull`]; the caller rebuilds at a larger capacity from the
-//! authoritative key set (the partition knows every live fingerprint).
-//! That is also the filter's only origin: it is built from keys by the
-//! process that uses it and never serialised.
+//! authoritative key set (the partition knows every live fingerprint)
+//! through [`CuckooFilter::build`]. That is also the filter's only
+//! origin: it is built from keys by the process that uses it, never
+//! edited down and never serialised.
 
 use aadedupe_hashing::Fingerprint;
 
@@ -106,6 +107,27 @@ impl CuckooFilter {
         }
     }
 
+    /// A filter holding every key `keys` hands to its callback, starting
+    /// at `capacity` and doubling it whenever an insert overflows — `keys`
+    /// then runs again from the start, so it must visit the same keys in
+    /// the same order each time. The one way a filter comes to hold a key
+    /// set: a partition replacing its contents, and a live filter that
+    /// overflowed.
+    pub fn build<E>(
+        mut capacity: usize,
+        mut keys: impl FnMut(&mut dyn FnMut(&Fingerprint)) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        loop {
+            let mut filter = CuckooFilter::with_capacity(capacity);
+            let mut full = false;
+            keys(&mut |fp| full = full || filter.insert(fp).is_err())?;
+            if !full {
+                return Ok(filter);
+            }
+            capacity = capacity.saturating_mul(2);
+        }
+    }
+
     /// Live tag count.
     pub fn len(&self) -> usize {
         self.len
@@ -167,8 +189,8 @@ impl CuckooFilter {
     }
 
     /// Inserts `fp`'s tag. Duplicate inserts of the same fingerprint
-    /// store duplicate tags (and need matching deletes) — the index
-    /// never double-inserts, so this does not arise there.
+    /// store duplicate tags — the index never double-inserts, so this
+    /// does not arise there.
     pub fn insert(&mut self, fp: &Fingerprint) -> Result<(), FilterFull> {
         let (tag, i1, i2) = self.place(fp);
         if self.try_place(i1, tag) || self.try_place(i2, tag) {
@@ -196,23 +218,6 @@ impl CuckooFilter {
         // on). That is acceptable only because the caller's contract is
         // to rebuild from the authoritative key set on this error.
         Err(FilterFull)
-    }
-
-    /// Removes one instance of `fp`'s tag. Returns whether a tag was
-    /// removed. Deleting a never-inserted key can (rarely) remove a
-    /// colliding key's tag — the index only deletes keys it inserted.
-    pub fn delete(&mut self, fp: &Fingerprint) -> bool {
-        let (tag, i1, i2) = self.place(fp);
-        for &i in &[i1, i2] {
-            for slot in self.bucket_mut(i) {
-                if *slot == tag {
-                    *slot = 0;
-                    self.len -= 1;
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -247,30 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_and_len_tracks() {
-        let mut f = CuckooFilter::with_capacity(1024);
-        for i in 0..500 {
-            f.insert(&fp(i)).unwrap();
-        }
-        for i in 0..250 {
-            assert!(f.delete(&fp(i)), "delete {i}");
-        }
-        assert_eq!(f.len(), 250);
-        for i in 250..500 {
-            assert!(f.contains(&fp(i)), "survivor {i} still present");
-        }
-    }
-
-    #[test]
     fn deterministic_across_instances() {
+        // Built from far too small a start, so the eviction path and the
+        // grow-and-start-over path both run.
         let build = || {
-            let mut f = CuckooFilter::with_capacity(2048);
-            for i in 0..1500 {
-                f.insert(&fp(i)).unwrap();
-            }
-            for i in (0..1500).step_by(3) {
-                f.delete(&fp(i));
-            }
+            let keys: Vec<Fingerprint> = (0..1500).map(fp).collect();
+            let f = CuckooFilter::build(8, |insert| {
+                keys.iter().for_each(&mut *insert);
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            assert!(keys.iter().all(|k| f.contains(k)), "a grown filter holds every key");
+            assert_eq!(f.len(), 1500);
             f.slots.clone()
         };
         assert_eq!(build(), build());

@@ -12,8 +12,7 @@
 //! monolithic chunk indexes (the DDFS problem), and lookups in different
 //! partitions can proceed in parallel.
 //!
-//! * [`ChunkEntry`] — the per-chunk metadata (length, container location,
-//!   reference count).
+//! * [`ChunkEntry`] — the per-chunk metadata (length, container location).
 //! * [`IndexPartition`] — one store: a slot table plus an LRU, with an
 //!   optional spill tier (on-disk segments behind an existence filter)
 //!   and RAM/disk hit accounting — measured with the tier, modelled
@@ -28,7 +27,10 @@
 //! Nothing here is durable on its own: the spill tier is per-process
 //! scratch space, and the index's durable home is the cloud — the session
 //! manifests the engine folds back into [`IndexPartition::reconcile`],
-//! with the [`codec`] snapshot as the paper's sync artefact.
+//! with the [`codec`] snapshot as the paper's sync artefact. The manifests
+//! are also the only statement of what is live: an entry is written once
+//! and a hit only reads it, and a key leaves a partition only when
+//! `reconcile` replaces the partition's contents wholesale.
 
 pub mod appaware;
 pub mod codec;
@@ -52,10 +54,12 @@ pub use partition::{IndexPartition, LookupOutcome, RamFootprint};
 /// `ablation_index` bench.
 pub type MonolithicIndex = IndexPartition;
 
-/// Where a stored chunk lives and how it is shared.
+/// Where a stored chunk lives.
 ///
 /// The paper (§III.E): "The metadata contains the hash information such as
-/// chunk length and location."
+/// chunk length and location." An entry is written once and read many
+/// times: how many recipes share the chunk is the manifests' statement,
+/// not the index's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Chunk length in bytes.
@@ -64,14 +68,12 @@ pub struct ChunkEntry {
     pub container: u64,
     /// Byte offset of the chunk within the container's data section.
     pub offset: u32,
-    /// Number of file recipes referencing this chunk (deletion support).
-    pub refcount: u32,
 }
 
 impl ChunkEntry {
-    /// New entry with a reference count of one.
+    /// New entry.
     pub fn new(len: u64, container: u64, offset: u32) -> Self {
-        ChunkEntry { len, container, offset, refcount: 1 }
+        ChunkEntry { len, container, offset }
     }
 }
 
@@ -130,7 +132,6 @@ mod tests {
         assert_eq!(e.len, 4096);
         assert_eq!(e.container, 7);
         assert_eq!(e.offset, 128);
-        assert_eq!(e.refcount, 1);
     }
 
     #[test]

@@ -9,16 +9,18 @@
 //! sorted on-disk [`segment`](crate::segment)s behind a
 //! [`CuckooFilter`](crate::filter::CuckooFilter) existence prefilter.
 //!
-//! **Slot state machine.** A slot is `live | tombstone` × `dirty` ×
-//! `on_disk`. `on_disk` says some segment holds a (possibly stale) record
-//! for the key, so dropping the key's last reference must leave a
-//! tombstone to shadow it; `dirty` says the slot differs from the
-//! segments and must be flushed before it may leave RAM. Without a tier
-//! `on_disk` is never set, so tombstones never arise and `dirty` is inert.
+//! **Slots.** A slot is an entry and one bit: `dirty` says no segment
+//! holds this entry yet, so it must be flushed before it may leave RAM
+//! (inert without a tier). Entries are written once — by `insert`, or by
+//! `update_placement` when vacuum moves a chunk, whose newer record
+//! shadows the older one — and read many times: a hit changes nothing
+//! but recency. A key leaves a partition only when
+//! [`IndexPartition::reconcile`] replaces the contents wholesale; what
+//! is live is the manifests' statement, not the index's.
 //!
 //! **One ladder.** Every operation fetches the key's slot — slot table,
-//! then filter, then segments newest→oldest — mutates it, and admits it
-//! back as most-recently-used, which hands the LRU its victim.
+//! then filter, then segments newest→oldest — and admits it back as
+//! most-recently-used, which hands the LRU its victim.
 //!
 //! **What the LRU means.** With a tier ([`IndexPartition::disk_backed`])
 //! the victim is evicted, flushed first if dirty: at most `ram_capacity`
@@ -32,13 +34,10 @@
 //! modelled design has no filter) — unless the whole table fits the
 //! budget, when every lookup is a RAM hit. Capacity 0 tracks nothing.
 //!
-//! Dedup decisions, reference counts, and entry values are bit-identical
-//! with and without a tier (the differential suites pin this); only the
-//! [`IndexStats`] classification differs. Recency is refreshed the same
-//! way in both: a `release` that leaves references and a rejected
-//! duplicate `insert` of a key behind the cache re-admit it. (When the
-//! tier-less store was a separate implementation it left the LRU alone
-//! on those two; no figure or report consumes the difference.)
+//! Dedup decisions and entry values are bit-identical with and without
+//! a tier (the differential suites pin this); only the [`IndexStats`]
+//! classification differs. Recency is refreshed the same way in both: a
+//! rejected duplicate `insert` of a key behind the cache re-admits it.
 //!
 //! **The tier is scratch space.** It belongs to the process that built
 //! it: [`IndexPartition::disk_backed`] always starts empty, the first
@@ -81,7 +80,7 @@ pub enum LookupOutcome {
     /// Fingerprint found, required a disk probe.
     HitDisk(ChunkEntry),
     /// Fingerprint absent, absence determined in RAM (a table that fits
-    /// its budget, cached tombstone, or existence-filter short-circuit).
+    /// its budget, or existence-filter short-circuit).
     MissRam,
     /// Fingerprint absent, a disk probe was needed to prove it.
     MissDisk,
@@ -144,16 +143,12 @@ impl RamFootprint {
         self.approx_bytes += other.approx_bytes;
     }
 }
-/// One slot of the store's table. `entry == None` is a tombstone shadowing
-/// an on-disk record (or marking an in-flight delete).
+/// One slot of the store's table.
 #[derive(Debug, Clone, Copy)]
 struct CacheSlot {
-    entry: Option<ChunkEntry>,
-    /// Slot differs from disk state and must be flushed before eviction.
+    entry: ChunkEntry,
+    /// No segment holds this entry yet: flush before eviction.
     dirty: bool,
-    /// A (possibly stale) record for this fingerprint exists in some
-    /// segment, so deleting it requires a tombstone.
-    on_disk: bool,
 }
 
 /// The optional spill tier: existence filter + sorted segments on disk.
@@ -217,10 +212,10 @@ impl Spill {
         Ok(())
     }
 
-    /// Probes segments newest→oldest. Returns the shadowing record (live
-    /// or tombstone) and how many segments were consulted. IO errors
-    /// poison the tier and read as "absent".
-    fn probe(&mut self, fp: &Fingerprint) -> (Option<Option<ChunkEntry>>, u64) {
+    /// Probes segments newest→oldest. Returns the newest record for the
+    /// key and how many segments were consulted. IO errors poison the
+    /// tier and read as "absent".
+    fn probe(&mut self, fp: &Fingerprint) -> (Option<ChunkEntry>, u64) {
         let mut probes = 0u64;
         let mut found = None;
         let mut err = None;
@@ -247,7 +242,7 @@ impl Spill {
     /// Writes `records` (strictly ascending) as the next, newest segment.
     fn write_segment(
         &mut self,
-        records: impl IntoIterator<Item = (Fingerprint, Option<ChunkEntry>)>,
+        records: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
     ) -> Result<(), SegmentError> {
         self.init()?;
         let seg = Segment::write(&self.dir, self.next_seq, records)?;
@@ -256,16 +251,14 @@ impl Spill {
         Ok(())
     }
 
-    /// Full streaming merge of all segments into one, dropping
-    /// tombstones (safe: nothing older remains to shadow; cache
-    /// tombstones still overlay the result).
+    /// Full streaming merge of all segments into one.
     fn compact(&mut self) -> Result<(), SegmentError> {
         if self.segments.len() <= 1 {
             return Ok(());
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let merged = merge_segments(&self.dir, seq, &mut self.segments, true)?;
+        let merged = merge_segments(&self.dir, seq, &mut self.segments)?;
         let old = std::mem::replace(&mut self.segments, vec![merged]);
         for seg in old {
             seg.remove()?;
@@ -279,25 +272,11 @@ impl Spill {
         for seg in std::mem::take(&mut self.segments) {
             seg.remove()?;
         }
-        let mut filter = CuckooFilter::with_capacity(
-            (entries.len() + 2).next_power_of_two().max(1024),
-        );
-        for (f, _) in entries {
-            if filter.insert(f).is_err() {
-                // Geometric headroom above: a second overflow would need
-                // pathological collisions; grow once more and retry all.
-                filter = CuckooFilter::with_capacity(entries.len().saturating_mul(4).max(2048));
-                for (g, _) in entries {
-                    if filter.insert(g).is_err() {
-                        return Err(SegmentError::Io(
-                            "existence filter rebuild overflowed twice".to_string(),
-                        ));
-                    }
-                }
-                break;
-            }
-        }
-        self.filter = filter;
+        let capacity = (entries.len() + 2).next_power_of_two().max(1024);
+        self.filter = CuckooFilter::build(capacity, |insert| {
+            entries.iter().for_each(|(f, _)| insert(f));
+            Ok(())
+        })?;
         Ok(())
     }
 
@@ -317,11 +296,8 @@ impl Spill {
             };
             loop {
                 match stream.next_record() {
-                    Ok(Some((f, Some(e)))) => {
+                    Ok(Some((f, e))) => {
                         merged.insert(f, e);
-                    }
-                    Ok(Some((f, None))) => {
-                        merged.remove(&f);
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -353,8 +329,8 @@ fn sorted_last_wins(
 
 /// What [`Store::fetch`] found, and what finding it cost.
 struct Fetched {
-    /// A copy of the key's slot: cached (live or tombstone), or a live
-    /// record read from a segment and not yet admitted. `None`: absent.
+    /// A copy of the key's slot: cached, or a record read from a segment
+    /// and not yet admitted. `None`: absent.
     slot: Option<CacheSlot>,
     /// Resolved behind the cache — by segment probes, or by the one
     /// modelled read a store without a tier charges.
@@ -366,7 +342,7 @@ struct Fetched {
 struct Store {
     slots: HashMap<Fingerprint, CacheSlot>,
     lru: LruSet<Fingerprint>,
-    /// Exact live-entry count (slots ∪ segments, tombstones excluded).
+    /// Exact entry count (slots ∪ segments).
     live: u64,
     spill: Option<Spill>,
 }
@@ -384,7 +360,7 @@ impl Store {
 
     /// The lookup ladder, once: slot table → existence filter → segment
     /// probes. No side effect beyond IO-error poisoning: the caller
-    /// mutates the returned copy and [`Store::admit`]s it.
+    /// [`Store::admit`]s the returned copy.
     fn fetch(&mut self, fp: &Fingerprint) -> Fetched {
         let mut trace = ProbeTrace::default();
         let cached = self.slots.get(fp).copied();
@@ -405,17 +381,16 @@ impl Store {
         }
         let (found, probes) = sp.probe(fp);
         trace.disk_probes = probes;
-        // Disk tombstone, nothing found, or probe degraded by an IO
-        // error: the filter passed but disk disagreed.
-        let slot =
-            found.flatten().map(|e| CacheSlot { entry: Some(e), dirty: false, on_disk: true });
+        // Nothing found, or probe degraded by an IO error: the filter
+        // passed but disk disagreed.
+        let slot = found.map(|entry| CacheSlot { entry, dirty: false });
         trace.filter_false_positive = slot.is_none();
         Fetched { slot, disk: true, trace }
     }
 
-    /// The ladder's read-only form: no recency, refcount or stats effect.
+    /// The ladder's read-only form: no recency or stats effect.
     fn peek(&mut self, fp: &Fingerprint) -> Option<ChunkEntry> {
-        self.fetch(fp).slot.and_then(|slot| slot.entry)
+        self.fetch(fp).slot.map(|slot| slot.entry)
     }
 
     /// Writes a slot and makes its key most-recently-used. With a tier
@@ -449,74 +424,25 @@ impl Store {
         self.slots.remove(&victim);
     }
 
-    /// Admits a modified live entry.
-    fn put(&mut self, fp: Fingerprint, entry: ChunkEntry, on_disk: bool) {
-        self.admit(fp, CacheSlot { entry: Some(entry), dirty: true, on_disk });
-    }
-
-    /// Makes `fp` a live key holding `entry` — a brand-new slot, or a
-    /// resurrection over the cached tombstone `fetch` returned as `prior`.
-    fn create(&mut self, fp: Fingerprint, entry: ChunkEntry, prior: Option<CacheSlot>) {
-        self.put(fp, entry, prior.is_some_and(|s| s.on_disk));
-        self.filter_insert(&fp);
-        self.live += 1;
-    }
-
-    /// Drops a key whose last reference went away. A record on disk needs
-    /// a tombstone to shadow it: written in place (no recency change)
-    /// over a cached slot, admitted when the record came from a segment.
-    fn remove(&mut self, fp: &Fingerprint, on_disk: bool) {
-        let tombstone = CacheSlot { entry: None, dirty: true, on_disk: true };
-        if !on_disk {
-            self.slots.remove(fp);
-            self.lru.remove(fp);
-        } else if let Some(cached) = self.slots.get_mut(fp) {
-            *cached = tombstone;
-        } else {
-            self.admit(*fp, tombstone);
-        }
-        if let Some(sp) = &mut self.spill {
-            sp.filter.delete(fp);
-        }
-        self.live = self.live.saturating_sub(1);
+    /// Admits an entry no segment holds yet.
+    fn put(&mut self, fp: Fingerprint, entry: ChunkEntry) {
+        self.admit(fp, CacheSlot { entry, dirty: true });
     }
 
     /// Writes every dirty slot as one new sorted segment, then marks the
-    /// flushed slots clean (dropping flushed tombstones — the segment now
-    /// carries them).
+    /// flushed slots clean.
     fn flush_dirty(&mut self) -> Result<(), SegmentError> {
         let Some(sp) = &mut self.spill else { return Ok(()) };
-        let mut dirty: Vec<(Fingerprint, Option<ChunkEntry>)> = Vec::new();
-        let mut drop_keys: Vec<Fingerprint> = Vec::new();
-        for (f, s) in &self.slots {
-            if !s.dirty {
-                continue;
-            }
-            if s.entry.is_none() && !s.on_disk {
-                // A tombstone that never reached disk shadows nothing.
-                drop_keys.push(*f);
-                continue;
-            }
-            dirty.push((*f, s.entry));
-        }
+        let mut dirty: Vec<(Fingerprint, ChunkEntry)> =
+            self.slots.iter().filter(|(_, s)| s.dirty).map(|(f, s)| (*f, s.entry)).collect();
         dirty.sort_unstable_by_key(|(f, _)| *f);
         if !dirty.is_empty() {
             sp.write_segment(dirty.iter().copied())?;
         }
         for (f, _) in &dirty {
             if let Some(s) = self.slots.get_mut(f) {
-                if s.entry.is_none() {
-                    drop_keys.push(*f);
-                } else {
-                    s.dirty = false;
-                    s.on_disk = true;
-                }
+                s.dirty = false;
             }
-        }
-        drop_keys.sort_unstable();
-        for f in &drop_keys {
-            self.slots.remove(f);
-            self.lru.remove(f);
         }
         if sp.segments.len() > MAX_SEGMENTS {
             sp.compact()?;
@@ -536,45 +462,31 @@ impl Store {
         }
     }
 
-    /// Rebuilds the filter from the authoritative live-key set (cache
-    /// overlay on a freshly full-compacted segment), doubling capacity
-    /// until everything fits. O(cache + filter) RAM.
+    /// Rebuilds the filter from the authoritative key set — every cached
+    /// key, then every record of the freshly compacted segment that is not
+    /// cached — at a capacity that at least doubles. O(cache + filter) RAM.
     fn rebuild_filter(&mut self) -> Result<(), SegmentError> {
         let Some(sp) = &mut self.spill else { return Ok(()) };
         sp.compact()?;
-        let mut cap = ((self.live as usize) + 2)
+        let capacity = ((self.live as usize) + 2)
             .next_power_of_two()
             .max(sp.filter.capacity().saturating_mul(2));
-        'grow: loop {
-            let mut f = CuckooFilter::with_capacity(cap);
-            let mut cache_keys: Vec<Fingerprint> = self
-                .slots
-                .iter()
-                .filter(|(_, s)| s.entry.is_some())
-                .map(|(k, _)| *k)
-                .collect();
-            cache_keys.sort_unstable();
-            for k in &cache_keys {
-                if f.insert(k).is_err() {
-                    cap = cap.saturating_mul(2);
-                    continue 'grow;
-                }
-            }
-            if let Some(seg) = sp.segments.first_mut() {
+        let mut cached: Vec<Fingerprint> = self.slots.keys().copied().collect();
+        cached.sort_unstable();
+        let (slots, segments) = (&self.slots, &mut sp.segments);
+        sp.filter = CuckooFilter::build(capacity, |insert| {
+            cached.iter().for_each(&mut *insert);
+            if let Some(seg) = segments.first_mut() {
                 let mut s = seg.stream()?;
-                while let Some((k, rec)) = s.next_record()? {
-                    if rec.is_none() || self.slots.contains_key(&k) {
-                        continue;
-                    }
-                    if f.insert(&k).is_err() {
-                        cap = cap.saturating_mul(2);
-                        continue 'grow;
+                while let Some((k, _)) = s.next_record()? {
+                    if !slots.contains_key(&k) {
+                        insert(&k);
                     }
                 }
             }
-            sp.filter = f;
-            return Ok(());
-        }
+            Ok(())
+        })?;
+        Ok(())
     }
 
     /// Bulk-writes `sorted` behind the cache as one segment — or, with
@@ -583,36 +495,13 @@ impl Store {
     fn write_behind(&mut self, sorted: &[(Fingerprint, ChunkEntry)]) -> Result<(), SegmentError> {
         match &mut self.spill {
             Some(_) if sorted.is_empty() => Ok(()),
-            Some(sp) => sp.write_segment(sorted.iter().map(|(f, e)| (*f, Some(*e)))),
+            Some(sp) => sp.write_segment(sorted.iter().copied()),
             None => {
                 for (f, e) in sorted {
-                    self.admit(*f, CacheSlot { entry: Some(*e), dirty: false, on_disk: false });
+                    self.admit(*f, CacheSlot { entry: *e, dirty: false });
                 }
                 Ok(())
             }
-        }
-    }
-
-    /// Bulk load (sorted, deduped): existing keys are overwritten — on
-    /// disk by segment shadowing — and new keys join the live count and
-    /// the filter.
-    fn load(&mut self, sorted: &[(Fingerprint, ChunkEntry)]) {
-        let fresh: Vec<Fingerprint> =
-            sorted.iter().map(|(f, _)| *f).filter(|f| self.peek(f).is_none()).collect();
-        // Stale cache slots for loaded keys must not shadow the new
-        // records.
-        for (f, _) in sorted {
-            if self.slots.remove(f).is_some() {
-                self.lru.remove(f);
-            }
-        }
-        if let Err(e) = self.write_behind(sorted) {
-            self.poison(&e);
-            return;
-        }
-        for f in &fresh {
-            self.live += 1;
-            self.filter_insert(f);
         }
     }
 
@@ -633,19 +522,10 @@ impl Store {
     /// the slot table.
     fn dump(&mut self) -> Vec<(Fingerprint, ChunkEntry)> {
         let mut merged = self.spill.as_mut().map_or_else(BTreeMap::new, Spill::scan);
-        let mut overlay: Vec<(Fingerprint, CacheSlot)> =
-            self.slots.iter().map(|(f, s)| (*f, *s)).collect();
+        let mut overlay: Vec<(Fingerprint, ChunkEntry)> =
+            self.slots.iter().map(|(f, s)| (*f, s.entry)).collect();
         overlay.sort_unstable_by_key(|(f, _)| *f);
-        for (f, slot) in overlay {
-            match slot.entry {
-                Some(e) => {
-                    merged.insert(f, e);
-                }
-                None => {
-                    merged.remove(&f);
-                }
-            }
-        }
+        merged.extend(overlay);
         merged.into_iter().collect()
     }
 
@@ -743,8 +623,8 @@ impl IndexPartition {
         self.inner.lock().store.spill.as_ref().and_then(|sp| sp.error.clone())
     }
 
-    /// Full lookup with storage classification. On a hit the entry's
-    /// reference count is incremented and the fingerprint becomes
+    /// Full lookup with storage classification. A hit is a read: the
+    /// entry is returned as stored and the fingerprint becomes
     /// most-recently-used.
     pub fn lookup_classified(&self, fp: &Fingerprint) -> LookupOutcome {
         self.lookup_traced(fp).0
@@ -760,13 +640,11 @@ impl IndexPartition {
         stats.filter_hits += u64::from(trace.filter_short_circuit);
         stats.filter_false_positives += u64::from(trace.filter_false_positive);
         stats.disk_reads += u64::from(trace.disk_probes > 0);
-        let Some(CacheSlot { entry, on_disk, .. }) = slot else {
+        let Some(slot) = slot else {
             return (if disk { LookupOutcome::MissDisk } else { LookupOutcome::MissRam }, trace);
         };
-        // Cached tombstone: definitely absent, zero IO, recency untouched.
-        let Some(e) = entry else { return (LookupOutcome::MissRam, trace) };
-        let e = ChunkEntry { refcount: e.refcount.saturating_add(1), ..e };
-        store.put(*fp, e, on_disk);
+        let e = slot.entry;
+        store.admit(*fp, slot);
         stats.hits += 1;
         if disk {
             return (LookupOutcome::HitDisk(e), trace);
@@ -780,10 +658,8 @@ impl IndexPartition {
         self.lookup_classified(fp).entry()
     }
 
-    /// Side-effect-free existence/entry peek: no reference-count bump, no
-    /// statistics, no cache-recency change. The trait-level fallback scan
-    /// on `AppAwareIndex` uses this to find the owning partition without
-    /// polluting the others.
+    /// Side-effect-free existence/entry peek: no statistics, no
+    /// cache-recency change.
     pub fn peek(&self, fp: &Fingerprint) -> Option<ChunkEntry> {
         self.inner.lock().store.peek(fp)
     }
@@ -794,39 +670,41 @@ impl IndexPartition {
         let mut g = self.inner.lock();
         let Inner { store, stats } = &mut *g;
         let found = store.fetch(&fp);
-        if let Some(slot) = found.slot.filter(|s| s.entry.is_some()) {
+        if let Some(slot) = found.slot {
             if found.disk {
                 // Already present behind the cache; admit for locality.
                 store.admit(fp, slot);
             }
             return false;
         }
-        store.create(fp, entry, found.slot);
+        store.put(fp, entry);
+        store.filter_insert(&fp);
+        store.live += 1;
         stats.inserts += 1;
         true
     }
 
     /// Repoints an entry at a new `(container, offset)` placement while
-    /// preserving its length and reference count — the vacuum relocation
-    /// primitive. The relocated entry becomes cache-resident and
-    /// most-recently-used: a hot entry must not be charged a disk read on
-    /// its next lookup just because vacuum moved it. Returns false (and
-    /// changes nothing) if the fingerprint is absent.
+    /// preserving its length — the vacuum relocation primitive. The
+    /// relocated entry becomes cache-resident and most-recently-used: a
+    /// hot entry must not be charged a disk read on its next lookup just
+    /// because vacuum moved it. Returns false (and changes nothing) if the
+    /// fingerprint is absent.
     pub fn update_placement(&self, fp: &Fingerprint, container: u64, offset: u32) -> bool {
         let mut g = self.inner.lock();
-        let Some(CacheSlot { entry: Some(e), on_disk, .. }) = g.store.fetch(fp).slot else {
+        let Some(CacheSlot { entry, .. }) = g.store.fetch(fp).slot else {
             return false;
         };
-        g.store.put(*fp, ChunkEntry { container, offset, ..e }, on_disk);
+        g.store.put(*fp, ChunkEntry { container, offset, ..entry });
         true
     }
 
-    /// Replaces the partition's contents with exactly `entries` — the
-    /// recovery reconciliation primitive. Entries absent from `entries`
-    /// are pruned (a stale snapshot resurrected them), present ones take
-    /// the given refcount/placement verbatim; newly materialised entries
-    /// count as `recovered_entries`. Returns `(pruned, added)` counts
-    /// relative to the previous contents.
+    /// Replaces the partition's contents with exactly `entries` — the one
+    /// bulk primitive, and the only way a key leaves a partition. Keys
+    /// absent from `entries` are pruned (nothing references them any
+    /// more), present ones take the given placement verbatim; newly
+    /// materialised entries count as `recovered_entries`. Returns
+    /// `(pruned, added)` counts relative to the previous contents.
     pub fn reconcile(
         &self,
         entries: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
@@ -842,22 +720,6 @@ impl IndexPartition {
         }
         stats.recovered_entries += added as u64;
         (before - kept, added)
-    }
-
-    /// Decrements the reference count; removes and returns the entry when
-    /// it reaches zero.
-    pub fn release(&self, fp: &Fingerprint) -> Option<ChunkEntry> {
-        let mut g = self.inner.lock();
-        let CacheSlot { entry: Some(e), on_disk, .. } = g.store.fetch(fp).slot? else {
-            return None;
-        };
-        let after = ChunkEntry { refcount: e.refcount.saturating_sub(1), ..e };
-        if after.refcount > 0 {
-            g.store.put(*fp, after, on_disk);
-            return None;
-        }
-        g.store.remove(fp, on_disk);
-        Some(after)
     }
 
     /// Number of live entries.
@@ -886,13 +748,6 @@ impl IndexPartition {
     /// bytes do not depend on storage layout.
     pub fn dump(&self) -> Vec<(Fingerprint, ChunkEntry)> {
         self.inner.lock().store.dump()
-    }
-
-    /// Bulk-loads entries (used by the snapshot codec). Existing entries
-    /// with the same fingerprint are overwritten.
-    pub fn load(&self, entries: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>) {
-        let sorted = sorted_last_wins(entries);
-        self.inner.lock().store.load(&sorted);
     }
 }
 
@@ -949,15 +804,26 @@ mod tests {
     }
 
     #[test]
-    fn hits_bump_refcount_and_release_decrements() {
-        let p = IndexPartition::new(100);
-        p.insert(fp(1), ChunkEntry::new(10, 0, 0));
-        p.lookup(&fp(1)); // refcount 2
-        assert!(p.release(&fp(1)).is_none(), "still referenced");
-        let removed = p.release(&fp(1)).expect("last release removes");
-        assert_eq!(removed.len, 10);
-        assert!(p.lookup(&fp(1)).is_none());
-        assert!(p.is_empty());
+    fn a_hit_is_a_read() {
+        // Entries are written once: hits through a cache far smaller than
+        // the key set change recency and nothing else, so they leave
+        // nothing for a flush to write.
+        let (p, dir) = disk_partition(8, "hit");
+        for i in 0..100 {
+            p.insert(fp(i), ChunkEntry::new(i + 1, i, i as u32));
+        }
+        p.persist().unwrap();
+        let (segments, contents) = (p.ram_footprint().segments, p.dump());
+        for i in 0..300 {
+            let e = p.lookup(&fp((i * 37) % 100)).expect("every key is present");
+            assert_eq!(e.len, (i * 37) % 100 + 1);
+        }
+        p.persist().unwrap();
+        assert_eq!(p.ram_footprint().segments, segments, "300 hits left nothing to flush");
+        assert_eq!(p.dump(), contents);
+        assert!(p.ram_footprint().cache_entries <= 8);
+        assert!(p.io_error().is_none(), "{:?}", p.io_error());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1037,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_and_load_round_trip() {
+    fn dump_and_reconcile_round_trip() {
         on_both_stores("dl", |make| {
             let p = make(8);
             for i in 0..300 {
@@ -1047,7 +913,7 @@ mod tests {
             assert_eq!(dumped.len(), 300);
             assert!(dumped.windows(2).all(|w| w[0].0 < w[1].0), "dump is fingerprint-ordered");
             let q = make(8);
-            q.load(dumped.clone());
+            assert_eq!(q.reconcile(dumped.clone()), (0, 300));
             assert_eq!(q.len(), 300);
             assert_eq!(q.dump(), dumped);
             for (f, e) in dumped {
@@ -1058,17 +924,13 @@ mod tests {
     }
 
     #[test]
-    fn update_placement_preserves_len_and_refcount() {
+    fn update_placement_preserves_len() {
         let p = IndexPartition::new(100);
         p.insert(fp(1), ChunkEntry::new(10, 7, 3));
-        p.lookup(&fp(1)); // refcount 2
         assert!(p.update_placement(&fp(1), 42, 99));
-        let e = p.lookup(&fp(1)).unwrap(); // refcount 3
-        assert_eq!((e.len, e.container, e.offset), (10, 42, 99));
-        assert!(p.release(&fp(1)).is_none());
-        assert!(p.release(&fp(1)).is_none());
-        assert!(p.release(&fp(1)).is_some(), "refcount survived the move");
-        assert!(!p.update_placement(&fp(1), 0, 0), "absent fp is a no-op");
+        assert_eq!(p.lookup(&fp(1)), Some(ChunkEntry::new(10, 42, 99)));
+        assert_eq!(p.len(), 1);
+        assert!(!p.update_placement(&fp(2), 0, 0), "absent fp is a no-op");
     }
 
     #[test]
@@ -1103,10 +965,9 @@ mod tests {
     fn reconcile_prunes_fixes_and_adds() {
         on_both_stores("rec", |make| {
             let p = make(100);
-            p.insert(fp(1), ChunkEntry::new(10, 0, 0)); // stays, refcount corrected
+            p.insert(fp(1), ChunkEntry::new(10, 0, 0)); // stays, placement corrected
             p.insert(fp(2), ChunkEntry::new(20, 0, 16)); // pruned (stale)
-            let mut truth = ChunkEntry::new(10, 5, 0);
-            truth.refcount = 3;
+            let truth = ChunkEntry::new(10, 5, 0);
             let (pruned, added) =
                 p.reconcile([(fp(1), truth), (fp(3), ChunkEntry::new(30, 6, 0))]);
             assert_eq!((pruned, added), (1, 1));
@@ -1114,28 +975,19 @@ mod tests {
             assert_eq!(p.stats().recovered_entries, 1);
             assert_eq!(p.stats().inserts, 2, "recovery never counts as a query-path insert");
             assert!(p.lookup(&fp(2)).is_none());
-            let e = p.lookup(&fp(1)).unwrap(); // refcount now 4
-            assert_eq!(e.container, 5);
-            for _ in 0..3 {
-                assert!(p.release(&fp(1)).is_none(), "reconciled refcount respected");
-            }
-            assert!(p.release(&fp(1)).is_some());
+            assert_eq!(p.lookup(&fp(1)), Some(truth));
 
             // Far over the cache budget: reconcile down to a subset with
-            // fixed refcounts.
+            // corrected placements.
             let q = make(8);
-            q.load((0..300u64).map(|i| (fp(i), ChunkEntry::new(i, i, 0))));
-            let truth: Vec<(Fingerprint, ChunkEntry)> = (0..100u64)
-                .map(|i| {
-                    let mut e = ChunkEntry::new(i, i, 0);
-                    e.refcount = 2;
-                    (fp(i), e)
-                })
-                .collect();
+            for i in 0..300u64 {
+                q.insert(fp(i), ChunkEntry::new(i, i, 0));
+            }
+            let truth = (0..100u64).map(|i| (fp(i), ChunkEntry::new(i, i + 1000, 7)));
             assert_eq!(q.reconcile(truth), (200, 0));
             assert_eq!(q.len(), 100);
             assert!(q.lookup(&fp(250)).is_none());
-            assert_eq!(q.lookup(&fp(50)).unwrap().refcount, 3);
+            assert_eq!(q.lookup(&fp(50)), Some(ChunkEntry::new(50, 1050, 7)));
             assert!(q.io_error().is_none(), "{:?}", q.io_error());
         });
     }
@@ -1237,7 +1089,6 @@ mod tests {
             let resident = IndexPartition::new(1 << 20);
             let (disk, dir) = disk_partition(budget, &format!("diff{budget}"));
             let (mut rt, mut dt) = (Tally::default(), Tally::default());
-            let view = |e: ChunkEntry| (e.len, e.container, e.refcount);
             let mut x = 99u64;
             for step in 0..4000u64 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1247,14 +1098,9 @@ mod tests {
                     0 | 1 | 5 => {
                         assert_eq!(resident.insert(fp(k), e), disk.insert(fp(k), e), "step {step}");
                     }
-                    2 => assert_eq!(
-                        rt.lookup(&resident, &fp(k)).map(view),
-                        dt.lookup(&disk, &fp(k)).map(view),
-                        "step {step}"
-                    ),
-                    3 => assert_eq!(
-                        resident.release(&fp(k)).map(|e| e.len),
-                        disk.release(&fp(k)).map(|e| e.len),
+                    2 | 3 => assert_eq!(
+                        rt.lookup(&resident, &fp(k)),
+                        dt.lookup(&disk, &fp(k)),
                         "step {step}"
                     ),
                     4 => assert_eq!(
@@ -1269,24 +1115,24 @@ mod tests {
                     _ => {}
                 }
                 if step == 2000 {
-                    // Mid-sequence bulk load over a mix of present,
-                    // released and never-seen keys.
-                    let batch = || (280..340u64).map(|i| (fp(i), ChunkEntry::new(i, step, 9)));
-                    resident.load(batch());
-                    disk.load(batch());
+                    // Mid-sequence wholesale replacement: half of what is
+                    // there survives, under a batch that overwrites
+                    // present keys and adds never-seen ones.
+                    let mut truth = resident.dump();
+                    truth.truncate(truth.len() / 2);
+                    truth.extend((280..340u64).map(|i| (fp(i), ChunkEntry::new(i, step, 9))));
+                    assert_eq!(
+                        resident.reconcile(truth.clone()),
+                        disk.reconcile(truth),
+                        "step {step}"
+                    );
                 }
                 assert_eq!(resident.len(), disk.len(), "step {step}");
                 rt.check(&resident, step);
                 dt.check(&disk, step);
             }
             assert_eq!(resident.dump(), disk.dump(), "contents identical before reconcile");
-            let truth = || {
-                (0..400u64).step_by(3).map(|i| {
-                    let mut e = ChunkEntry::new(i, i, 1);
-                    e.refcount = 2;
-                    (fp(i), e)
-                })
-            };
+            let truth = || (0..400u64).step_by(3).map(|i| (fp(i), ChunkEntry::new(i, i, 1)));
             assert_eq!(resident.reconcile(truth()), disk.reconcile(truth()));
             assert_eq!(resident.stats().recovered_entries, disk.stats().recovered_entries);
             assert!(disk.io_error().is_none(), "{:?}", disk.io_error());
@@ -1336,15 +1182,15 @@ mod tests {
     }
 
     #[test]
-    fn disk_backed_release_and_resurrect() {
+    fn disk_backed_reconcile_away_then_reinsert() {
         let (p, dir) = disk_partition(4, "rr");
         for i in 0..50 {
             p.insert(fp(i), ChunkEntry::new(i + 1, 0, 0));
         }
-        // Entry 3 spilled to disk by now; release it to zero.
-        let removed = p.release(&fp(3)).expect("refcount 1 → removed");
-        assert_eq!(removed.len, 4);
-        assert!(p.lookup(&fp(3)).is_none(), "tombstone shadows disk record");
+        // Entry 3 spilled to disk by now; nothing references it any more.
+        let rest = p.dump().into_iter().filter(|(f, _)| *f != fp(3));
+        assert_eq!(p.reconcile(rest), (1, 0));
+        assert_eq!(p.lookup_classified(&fp(3)), LookupOutcome::MissRam, "the filter forgot it");
         assert_eq!(p.len(), 49);
         // Re-insert under the same fingerprint.
         assert!(p.insert(fp(3), ChunkEntry::new(99, 9, 9)));
@@ -1377,8 +1223,7 @@ mod tests {
         // What an earlier process left behind: a segment and an in-flight
         // temp file at sequence numbers this run will not reach, beside a
         // file the tier never wrote (the directory is a user's path).
-        let stale = Segment::write(&dir, 0xfff0, [(fp(9_999), Some(ChunkEntry::new(1, 0, 0)))])
-            .unwrap();
+        let stale = Segment::write(&dir, 0xfff0, [(fp(9_999), ChunkEntry::new(1, 0, 0))]).unwrap();
         drop(stale);
         let stale_seg = Segment::path_for(&dir, 0xfff0);
         let stale_tmp = dir.join("seg-000000000000fff1.aaseg.tmp-write");

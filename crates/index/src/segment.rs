@@ -3,10 +3,11 @@
 //! When a partition's entries outgrow its RAM budget, the overflow lives
 //! in *segments*: immutable, sorted fingerprint→[`ChunkEntry`] runs on
 //! local disk. The design is LSM-lite — the write-back cache flushes as a
-//! new segment, newer segments shadow older ones, deletions are
-//! tombstones, and a bounded segment count is maintained by a streaming
-//! k-way merge ([`merge_segments`]) that needs O(1) memory, which is what
-//! keeps the "sub-RAM index" claim honest.
+//! new segment, newer segments shadow older ones (a relocated placement
+//! shadows the old one; nothing is ever deleted key by key), and a
+//! bounded segment count is maintained by a streaming k-way merge
+//! ([`merge_segments`]) that needs O(1) memory, which is what keeps the
+//! "sub-RAM index" claim honest.
 //!
 //! Per segment the only RAM held is a sparse **fence index**: every
 //! [`FENCE_EVERY`]-th record's fingerprint and byte offset. A point
@@ -16,13 +17,12 @@
 //! File layout (all integers little-endian):
 //!
 //! ```text
-//! magic    "AASEG\x01"                   6 bytes
+//! magic    "AASEG\x02"                   6 bytes
 //! count    u64                           record count
 //! per record (sorted strictly ascending by fingerprint):
 //!   fingerprint                          1 + digest_len bytes
-//!   flags    u8                          bit 0: tombstone
 //!   len, container                       u64, u64
-//!   offset, refcount                     u32, u32
+//!   offset                               u32
 //! checksum  u64                          FNV-1a over the record bytes
 //! ```
 //!
@@ -43,7 +43,7 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic header identifying a segment file.
-pub const MAGIC: &[u8; 6] = b"AASEG\x01";
+pub const MAGIC: &[u8; 6] = b"AASEG\x02";
 
 /// One fence (fingerprint, byte offset) kept in RAM per this many records.
 pub const FENCE_EVERY: usize = 64;
@@ -55,10 +55,6 @@ const RECORDS_START: u64 = 14;
 /// `FsObjectStore`).
 const TMP_SUFFIX: &str = ".tmp-write";
 
-/// A record: a live entry, or a tombstone shadowing an older segment's
-/// entry for the same fingerprint.
-pub type Record = Option<ChunkEntry>;
-
 /// Segment encode/decode/IO failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentError {
@@ -68,8 +64,6 @@ pub enum SegmentError {
     Truncated,
     /// A fingerprint failed to decode.
     BadFingerprint,
-    /// A record carried flag bits this version does not define.
-    BadFlags(u8),
     /// The trailing checksum did not match the record bytes.
     BadChecksum,
     /// Records were not strictly ascending by fingerprint.
@@ -84,7 +78,6 @@ impl fmt::Display for SegmentError {
             SegmentError::BadMagic => write!(f, "bad segment magic"),
             SegmentError::Truncated => write!(f, "truncated segment"),
             SegmentError::BadFingerprint => write!(f, "undecodable fingerprint in segment"),
-            SegmentError::BadFlags(b) => write!(f, "unknown segment record flags {b:#x}"),
             SegmentError::BadChecksum => write!(f, "segment checksum mismatch"),
             SegmentError::Unsorted => write!(f, "segment records out of order"),
             SegmentError::Io(msg) => write!(f, "segment io: {msg}"),
@@ -116,23 +109,11 @@ impl Fnv {
 }
 
 /// Serialises one record into `out`.
-fn encode_record(out: &mut Vec<u8>, fp: &Fingerprint, rec: &Record) {
+fn encode_record(out: &mut Vec<u8>, fp: &Fingerprint, e: &ChunkEntry) {
     fp.encode(out);
-    match rec {
-        Some(e) => {
-            out.push(0);
-            out.extend_from_slice(&e.len.to_le_bytes());
-            out.extend_from_slice(&e.container.to_le_bytes());
-            out.extend_from_slice(&e.offset.to_le_bytes());
-            out.extend_from_slice(&e.refcount.to_le_bytes());
-        }
-        None => {
-            // Tombstone: flags bit 0 set, zeroed payload keeps the record
-            // size uniform and the encoding canonical.
-            out.push(1);
-            out.extend_from_slice(&[0u8; 24]);
-        }
-    }
+    out.extend_from_slice(&e.len.to_le_bytes());
+    out.extend_from_slice(&e.container.to_le_bytes());
+    out.extend_from_slice(&e.offset.to_le_bytes());
 }
 
 /// Reads exactly `n` bytes, mapping EOF to [`SegmentError::Truncated`].
@@ -148,7 +129,10 @@ fn read_exact_n(r: &mut impl Read, buf: &mut [u8]) -> Result<(), SegmentError> {
 
 /// Reads one record from a stream. Returns the record, its raw bytes
 /// appended to `raw` (for checksumming), or an error.
-fn read_record(r: &mut impl Read, raw: &mut Vec<u8>) -> Result<(Fingerprint, Record), SegmentError> {
+fn read_record(
+    r: &mut impl Read,
+    raw: &mut Vec<u8>,
+) -> Result<(Fingerprint, ChunkEntry), SegmentError> {
     let start = raw.len();
     let mut tag = [0u8; 1];
     read_exact_n(r, &mut tag)?;
@@ -156,7 +140,7 @@ fn read_record(r: &mut impl Read, raw: &mut Vec<u8>) -> Result<(Fingerprint, Rec
     let algo = aadedupe_hashing::HashAlgorithm::from_tag(tag[0])
         .ok_or(SegmentError::BadFingerprint)?;
     let dlen = algo.digest_len();
-    let body_len = dlen + 1 + 8 + 8 + 4 + 4;
+    let body_len = dlen + 8 + 8 + 4;
     raw.resize(start + 1 + body_len, 0);
     // aalint: allow(panic-path) -- raw was resized to start + 1 + body_len on the line above
     read_exact_n(r, &mut raw[start + 1..])?;
@@ -167,25 +151,13 @@ fn read_record(r: &mut impl Read, raw: &mut Vec<u8>) -> Result<(Fingerprint, Rec
     debug_assert_eq!(used, 1 + dlen);
     // aalint: allow(panic-path) -- same resize bound; body_len > dlen
     let p = &buf[1 + dlen..];
-    let flags = p[0];
-    if flags > 1 {
-        return Err(SegmentError::BadFlags(flags));
-    }
     // Fixed-width little-endian fields; the slice bounds are exact by
     // construction, so try_into cannot fail.
     let get8 = |s: &[u8]| u64::from_le_bytes(s.try_into().unwrap_or([0u8; 8]));
     let get4 = |s: &[u8]| u32::from_le_bytes(s.try_into().unwrap_or([0u8; 4]));
-    let rec = if flags & 1 == 1 {
-        None
-    } else {
-        Some(ChunkEntry {
-            len: get8(&p[1..9]),
-            container: get8(&p[9..17]),
-            offset: get4(&p[17..21]),
-            refcount: get4(&p[21..25]),
-        })
-    };
-    Ok((fp, rec))
+    let entry =
+        ChunkEntry { len: get8(&p[..8]), container: get8(&p[8..16]), offset: get4(&p[16..20]) };
+    Ok((fp, entry))
 }
 
 /// Streaming segment writer over any `Write + Seek` sink. Records must be
@@ -221,7 +193,7 @@ impl<W: Write + Seek> SegmentEncoder<W> {
         })
     }
 
-    fn push(&mut self, fp: Fingerprint, rec: &Record) -> Result<(), SegmentError> {
+    fn push(&mut self, fp: Fingerprint, entry: &ChunkEntry) -> Result<(), SegmentError> {
         if self.last.is_some_and(|l| l >= fp) {
             return Err(SegmentError::Unsorted);
         }
@@ -230,7 +202,7 @@ impl<W: Write + Seek> SegmentEncoder<W> {
             self.fences.push((fp, self.offset));
         }
         self.buf.clear();
-        encode_record(&mut self.buf, &fp, rec);
+        encode_record(&mut self.buf, &fp, entry);
         self.w
             .write_all(&self.buf)
             .map_err(|e| SegmentError::Io(format!("segment write record: {e}")))?;
@@ -260,7 +232,7 @@ impl<W: Write + Seek> SegmentEncoder<W> {
 /// Encodes records (strictly ascending by fingerprint) into the segment
 /// file format, in memory. Pure counterpart of [`Segment::write`] — the
 /// two produce identical bytes, which the property suite pins.
-pub fn encode_segment(records: &[(Fingerprint, Record)]) -> Result<Vec<u8>, SegmentError> {
+pub fn encode_segment(records: &[(Fingerprint, ChunkEntry)]) -> Result<Vec<u8>, SegmentError> {
     let mut enc = SegmentEncoder::new(io::Cursor::new(Vec::new()))?;
     for (fp, rec) in records {
         enc.push(*fp, rec)?;
@@ -271,7 +243,7 @@ pub fn encode_segment(records: &[(Fingerprint, Record)]) -> Result<Vec<u8>, Segm
 
 /// Decodes a full segment image, verifying magic, count, order, and
 /// checksum. Never panics on arbitrary input.
-pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, Record)>, SegmentError> {
+pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, ChunkEntry)>, SegmentError> {
     if buf.len() < RECORDS_START as usize + 8 {
         return if buf.len() >= 6 && &buf[..6] != MAGIC {
             Err(SegmentError::BadMagic)
@@ -283,9 +255,9 @@ pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, Record)>, SegmentE
         return Err(SegmentError::BadMagic);
     }
     let count = u64::from_le_bytes(buf[6..14].try_into().map_err(|_| SegmentError::Truncated)?);
-    // Each record is at least 38 bytes (12-byte digest); guard absurd
+    // Each record is at least 33 bytes (12-byte digest); guard absurd
     // counts from corrupt headers before allocating.
-    if count.saturating_mul(38) > buf.len() as u64 {
+    if count.saturating_mul(33) > buf.len() as u64 {
         return Err(SegmentError::Truncated);
     }
     // aalint: allow(panic-path) -- buf.len() >= RECORDS_START + 8 was checked at entry
@@ -333,7 +305,7 @@ impl Segment {
     pub fn write(
         dir: &Path,
         seq: u64,
-        records: impl IntoIterator<Item = (Fingerprint, Record)>,
+        records: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
     ) -> Result<Segment, SegmentError> {
         let path = Self::path_for(dir, seq);
         let tmp = dir.join(format!("seg-{seq:016x}.aaseg{TMP_SUFFIX}"));
@@ -378,7 +350,7 @@ impl Segment {
         hex.is_some_and(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
     }
 
-    /// Record count (live entries plus tombstones).
+    /// Record count.
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -388,10 +360,9 @@ impl Segment {
         self.fences.len() * (std::mem::size_of::<Fingerprint>() + std::mem::size_of::<u64>())
     }
 
-    /// Point lookup. `Ok(None)` = fingerprint not in this segment;
-    /// `Ok(Some(None))` = tombstoned here; `Ok(Some(Some(e)))` = live.
-    /// Costs at most one seek plus a scan of `FENCE_EVERY` records.
-    pub fn get(&mut self, fp: &Fingerprint) -> Result<Option<Record>, SegmentError> {
+    /// Point lookup; `Ok(None)` = fingerprint not in this segment. Costs
+    /// at most one seek plus a scan of `FENCE_EVERY` records.
+    pub fn get(&mut self, fp: &Fingerprint) -> Result<Option<ChunkEntry>, SegmentError> {
         let idx = self.fences.partition_point(|(f, _)| f <= fp);
         if idx == 0 {
             return Ok(None);
@@ -453,7 +424,7 @@ pub struct SegmentStream<'a> {
 impl SegmentStream<'_> {
     /// The next record, or `None` when the stream is drained (at which
     /// point the checksum has been verified).
-    pub fn next_record(&mut self) -> Result<Option<(Fingerprint, Record)>, SegmentError> {
+    pub fn next_record(&mut self) -> Result<Option<(Fingerprint, ChunkEntry)>, SegmentError> {
         if self.remaining == 0 {
             let mut stored = [0u8; 8];
             read_exact_n(&mut self.r, &mut stored)?;
@@ -477,20 +448,17 @@ impl SegmentStream<'_> {
 }
 
 /// Streams a k-way merge of `segments` (oldest→newest order) into a new
-/// segment `seq` under `dir`, with newest-wins shadowing. When
-/// `drop_tombstones` is true (full merges — nothing older remains to
-/// shadow) tombstones are elided; otherwise they are carried forward.
-/// Memory use is O(segments), not O(records).
+/// segment `seq` under `dir`, with newest-wins shadowing. Memory use is
+/// O(segments), not O(records).
 pub fn merge_segments(
     dir: &Path,
     seq: u64,
     segments: &mut [Segment],
-    drop_tombstones: bool,
 ) -> Result<Segment, SegmentError> {
     // One cursor per segment, each holding its next undelivered record.
     struct Cursor<'a> {
         stream: SegmentStream<'a>,
-        head: Option<(Fingerprint, Record)>,
+        head: Option<(Fingerprint, ChunkEntry)>,
         age: usize, // position in `segments`: higher = newer
     }
     let mut cursors = Vec::with_capacity(segments.len());
@@ -504,40 +472,22 @@ pub fn merge_segments(
     // fingerprints the newest segment wins and the others are skipped.
     let mut merged_err: Option<SegmentError> = None;
     let iter = std::iter::from_fn(|| {
-        loop {
-            let min_fp = cursors
-                .iter()
-                .filter_map(|c| c.head.as_ref().map(|(fp, _)| *fp))
-                .min()?;
-            let mut winner: Option<(usize, Record)> = None;
-            for c in &mut cursors {
-                if c.head.as_ref().is_some_and(|(fp, _)| *fp == min_fp) {
-                    let (_, rec) = match c.head.take() {
-                        Some(h) => h,
-                        None => continue,
-                    };
-                    match c.stream.next_record() {
-                        Ok(next) => c.head = next,
-                        Err(e) => {
-                            merged_err = Some(e);
-                            return None;
-                        }
-                    }
-                    if winner.as_ref().is_none_or(|(age, _)| c.age > *age) {
-                        winner = Some((c.age, rec));
-                    }
+        let min_fp = cursors.iter().filter_map(|c| c.head.as_ref().map(|(fp, _)| *fp)).min()?;
+        let mut winner: Option<(usize, ChunkEntry)> = None;
+        for c in &mut cursors {
+            let Some((_, entry)) = c.head.take_if(|(fp, _)| *fp == min_fp) else { continue };
+            match c.stream.next_record() {
+                Ok(next) => c.head = next,
+                Err(e) => {
+                    merged_err = Some(e);
+                    return None;
                 }
             }
-            match winner {
-                Some((_, rec)) => {
-                    if rec.is_none() && drop_tombstones {
-                        continue; // fully merged away
-                    }
-                    return Some((min_fp, rec));
-                }
-                None => return None,
+            if winner.as_ref().is_none_or(|(age, _)| c.age > *age) {
+                winner = Some((c.age, entry));
             }
         }
+        winner.map(|(_, entry)| (min_fp, entry))
     });
     let merged = Segment::write(dir, seq, iter);
     match merged_err {
@@ -555,17 +505,9 @@ mod tests {
         Fingerprint::compute(HashAlgorithm::Sha1, &n.to_le_bytes())
     }
 
-    fn sorted_records(n: u64, tomb_every: u64) -> Vec<(Fingerprint, Record)> {
-        let mut v: Vec<(Fingerprint, Record)> = (0..n)
-            .map(|i| {
-                let rec = if tomb_every > 0 && i % tomb_every == 0 {
-                    None
-                } else {
-                    Some(ChunkEntry { len: i, container: i * 2, offset: i as u32, refcount: 1 })
-                };
-                (fp(i), rec)
-            })
-            .collect();
+    fn sorted_records(n: u64) -> Vec<(Fingerprint, ChunkEntry)> {
+        let mut v: Vec<(Fingerprint, ChunkEntry)> =
+            (0..n).map(|i| (fp(i), ChunkEntry::new(i, i * 2, i as u32))).collect();
         v.sort_unstable_by_key(|(f, _)| *f);
         v
     }
@@ -583,7 +525,7 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        let recs = sorted_records(500, 7);
+        let recs = sorted_records(500);
         let bytes = encode_segment(&recs).unwrap();
         let back = decode_segment(&bytes).unwrap();
         assert_eq!(back, recs);
@@ -593,14 +535,14 @@ mod tests {
 
     #[test]
     fn encode_rejects_unsorted() {
-        let mut recs = sorted_records(10, 0);
+        let mut recs = sorted_records(10);
         recs.swap(0, 5);
         assert_eq!(encode_segment(&recs).err(), Some(SegmentError::Unsorted));
     }
 
     #[test]
     fn decode_rejects_corruption() {
-        let bytes = encode_segment(&sorted_records(100, 5)).unwrap();
+        let bytes = encode_segment(&sorted_records(100)).unwrap();
         // Checksum catches any record-region flip.
         let mut bad = bytes.clone();
         bad[40] ^= 0x01;
@@ -618,13 +560,12 @@ mod tests {
     #[test]
     fn file_round_trip_and_point_lookups() {
         let dir = temp_dir("rt");
-        let recs = sorted_records(1000, 9);
+        let recs = sorted_records(1000);
         let mut seg = Segment::write(&dir, 1, recs.iter().copied()).unwrap();
         assert_eq!(seg.count(), 1000);
         for (f, rec) in &recs {
             assert_eq!(seg.get(f).unwrap(), Some(*rec));
         }
-        // Absent fingerprints come back None (not tombstone).
         assert_eq!(seg.get(&fp(999_999)).unwrap(), None);
         // File bytes match the pure encoder exactly.
         let on_disk = fs::read(Segment::path_for(&dir, 1)).unwrap();
@@ -635,7 +576,7 @@ mod tests {
     #[test]
     fn stream_verifies_checksum() {
         let dir = temp_dir("stream");
-        let recs = sorted_records(300, 0);
+        let recs = sorted_records(300);
         let mut seg = Segment::write(&dir, 1, recs.iter().copied()).unwrap();
         let mut out = Vec::new();
         let mut s = seg.stream().unwrap();
@@ -647,35 +588,27 @@ mod tests {
     }
 
     #[test]
-    fn merge_shadows_and_drops_tombstones() {
+    fn merge_lets_the_newest_segment_win() {
         let dir = temp_dir("merge");
-        // Old segment: fps 0..100 live.
-        let old = sorted_records(100, 0);
-        // New segment: tombstone evens < 20, update fp 50.
-        let mut newer: Vec<(Fingerprint, Record)> = Vec::new();
-        for i in (0..20u64).step_by(2) {
-            newer.push((fp(i), None));
-        }
-        newer.push((fp(50), Some(ChunkEntry::new(5050, 7, 7))));
+        // Old segment: fps 0..100. Newer: fp 50 relocated, fp 100 new.
+        let old = sorted_records(100);
+        let mut newer =
+            [(fp(50), ChunkEntry::new(5050, 7, 7)), (fp(100), ChunkEntry::new(100, 200, 100))];
         newer.sort_unstable_by_key(|(f, _)| *f);
         let s1 = Segment::write(&dir, 1, old.iter().copied()).unwrap();
         let s2 = Segment::write(&dir, 2, newer.iter().copied()).unwrap();
-        let mut segs = vec![s1, s2];
-        let mut merged = merge_segments(&dir, 3, &mut segs, true).unwrap();
-        assert_eq!(merged.count(), 90, "10 tombstoned entries elided");
-        assert_eq!(merged.get(&fp(0)).unwrap(), None, "tombstone dropped entirely");
-        assert_eq!(merged.get(&fp(50)).unwrap().unwrap().unwrap().len, 5050, "newest wins");
-        assert_eq!(merged.get(&fp(99)).unwrap().unwrap().unwrap().len, 99);
-        // Partial merge keeps tombstones.
-        let merged2 = merge_segments(&dir, 4, &mut segs, false).unwrap();
-        assert_eq!(merged2.count(), 100, "tombstones carried forward");
+        let mut merged = merge_segments(&dir, 3, &mut [s1, s2]).unwrap();
+        assert_eq!(merged.count(), 101, "a shadowed key is written once");
+        assert_eq!(merged.get(&fp(50)).unwrap().unwrap().len, 5050, "newest wins");
+        assert_eq!(merged.get(&fp(99)).unwrap().unwrap().len, 99);
+        assert_eq!(merged.get(&fp(100)).unwrap().unwrap().container, 200);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fences_stay_sparse() {
         let dir = temp_dir("fence");
-        let seg = Segment::write(&dir, 1, sorted_records(6400, 0).iter().copied()).unwrap();
+        let seg = Segment::write(&dir, 1, sorted_records(6400).iter().copied()).unwrap();
         assert_eq!(seg.fences.len(), 100);
         assert!(seg.mem_bytes() < 6400, "fence RAM far below one entry per record");
         let _ = fs::remove_dir_all(&dir);
@@ -683,17 +616,14 @@ mod tests {
 
     #[test]
     fn mixed_algorithms_round_trip() {
-        let mut recs: Vec<(Fingerprint, Record)> = (0..50u64)
+        let mut recs: Vec<(Fingerprint, ChunkEntry)> = (0..50u64)
             .map(|i| {
                 let algo = match i % 3 {
                     0 => HashAlgorithm::Rabin96,
                     1 => HashAlgorithm::Md5,
                     _ => HashAlgorithm::Sha1,
                 };
-                (
-                    Fingerprint::compute(algo, &i.to_le_bytes()),
-                    Some(ChunkEntry::new(i, i, 0)),
-                )
+                (Fingerprint::compute(algo, &i.to_le_bytes()), ChunkEntry::new(i, i, 0))
             })
             .collect();
         recs.sort_unstable_by_key(|(f, _)| *f);

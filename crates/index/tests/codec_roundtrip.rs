@@ -24,20 +24,15 @@ fn sample_entries(salt: u64) -> Vec<(Fingerprint, ChunkEntry)> {
     vec![
         (
             fp(salt, HashAlgorithm::Sha1),
-            ChunkEntry { len: 0, container: 0, offset: 0, refcount: 1 },
+            ChunkEntry { len: 0, container: 0, offset: 0 },
         ),
         (
             fp(salt.wrapping_add(1), HashAlgorithm::Md5),
-            ChunkEntry { len: 8192, container: salt, offset: 4096, refcount: 3 },
+            ChunkEntry { len: 8192, container: salt, offset: 4096 },
         ),
         (
             fp(salt.wrapping_add(2), HashAlgorithm::Rabin96),
-            ChunkEntry {
-                len: u64::MAX,
-                container: u64::MAX,
-                offset: u32::MAX,
-                refcount: u32::MAX,
-            },
+            ChunkEntry { len: u64::MAX, container: u64::MAX, offset: u32::MAX },
         ),
     ]
 }
@@ -48,7 +43,7 @@ fn encode_decode_encode_is_byte_stable_per_partition() {
     // AppType individually while all other partitions are empty.
     for (i, &app) in AppType::ALL.iter().enumerate() {
         let index = AppAwareIndex::new(RAM);
-        index.partition(app).load(sample_entries(i as u64 * 1000));
+        index.partition(app).reconcile(sample_entries(i as u64 * 1000));
         let first = encode_app_aware(&index);
         let decoded = decode_app_aware(&first, RAM).expect("snapshot decodes");
         let second = encode_app_aware(&decoded);
@@ -61,7 +56,7 @@ fn encode_decode_encode_is_byte_stable_per_partition() {
 fn encode_decode_encode_is_byte_stable_fully_populated() {
     let index = AppAwareIndex::new(RAM);
     for (i, &app) in AppType::ALL.iter().enumerate() {
-        index.partition(app).load(sample_entries(i as u64 * 1000 + 7));
+        index.partition(app).reconcile(sample_entries(i as u64 * 1000 + 7));
     }
     let first = encode_app_aware(&index);
     let decoded = decode_app_aware(&first, RAM).expect("snapshot decodes");
@@ -89,14 +84,9 @@ fn empty_index_is_byte_stable_and_lists_every_partition() {
 #[test]
 fn max_size_entries_survive_exactly() {
     let index = AppAwareIndex::new(RAM);
-    let extreme = ChunkEntry {
-        len: u64::MAX,
-        container: u64::MAX,
-        offset: u32::MAX,
-        refcount: u32::MAX,
-    };
+    let extreme = ChunkEntry { len: u64::MAX, container: u64::MAX, offset: u32::MAX };
     let f = fp(u64::MAX, HashAlgorithm::Sha1);
-    index.partition(AppType::Vmdk).load(vec![(f, extreme)]);
+    index.partition(AppType::Vmdk).reconcile(vec![(f, extreme)]);
     let snap = encode_app_aware(&index);
     let back = decode_app_aware(&snap, RAM).expect("decodes");
     let got = back.partition(AppType::Vmdk).dump();
@@ -112,10 +102,10 @@ fn stability_is_independent_of_insertion_order() {
     // serial index-sync uploads byte-identical.
     let entries = sample_entries(4242);
     let forward = AppAwareIndex::new(RAM);
-    forward.partition(AppType::Mp3).load(entries.clone());
+    forward.partition(AppType::Mp3).reconcile(entries.clone());
     let backward = AppAwareIndex::new(RAM);
     let mut reversed = entries;
     reversed.reverse();
-    backward.partition(AppType::Mp3).load(reversed);
+    backward.partition(AppType::Mp3).reconcile(reversed);
     assert_eq!(encode_app_aware(&forward), encode_app_aware(&backward));
 }

@@ -13,7 +13,8 @@ use aadedupe_index::{codec, AppAwareIndex, ChunkEntry, MonolithicIndex};
 enum Op {
     Insert(u8, u64),
     Lookup(u8),
-    Release(u8),
+    /// Nothing references the keys at or above the bound any more.
+    KeepBelow(u8),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -21,7 +22,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             (any::<u8>(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
             any::<u8>().prop_map(Op::Lookup),
-            any::<u8>().prop_map(Op::Release),
+            any::<u8>().prop_map(Op::KeepBelow),
         ],
         0..200,
     )
@@ -32,42 +33,25 @@ fn fp(k: u8) -> Fingerprint {
 }
 
 proptest! {
-    /// The monolithic index behaves like a refcounted HashMap.
+    /// The monolithic index behaves like a first-insert-wins HashMap whose
+    /// keys leave only by wholesale replacement.
     #[test]
     fn monolithic_matches_reference_model(ops in arb_ops()) {
         let index = MonolithicIndex::new(1 << 12);
-        let mut model: HashMap<u8, (u64, u32)> = HashMap::new(); // key -> (len, refs)
+        let mut model: HashMap<u8, ChunkEntry> = HashMap::new();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
-                    let inserted = index.insert(fp(k), ChunkEntry::new(v, 0, 0));
-                    prop_assert_eq!(inserted, !model.contains_key(&k));
-                    model.entry(k).or_insert((v, 1));
+                    let entry = ChunkEntry::new(v, 0, 0);
+                    prop_assert_eq!(index.insert(fp(k), entry), !model.contains_key(&k));
+                    model.entry(k).or_insert(entry);
                 }
-                Op::Lookup(k) => {
-                    let got = index.lookup(&fp(k));
-                    match model.get_mut(&k) {
-                        Some((len, refs)) => {
-                            *refs += 1;
-                            prop_assert_eq!(got.map(|e| e.len), Some(*len));
-                        }
-                        None => prop_assert!(got.is_none()),
-                    }
-                }
-                Op::Release(k) => {
-                    let removed = index.release(&fp(k));
-                    match model.get_mut(&k) {
-                        Some((_, refs)) => {
-                            *refs -= 1;
-                            if *refs == 0 {
-                                prop_assert!(removed.is_some());
-                                model.remove(&k);
-                            } else {
-                                prop_assert!(removed.is_none());
-                            }
-                        }
-                        None => prop_assert!(removed.is_none()),
-                    }
+                Op::Lookup(k) => prop_assert_eq!(index.lookup(&fp(k)), model.get(&k).copied()),
+                Op::KeepBelow(bound) => {
+                    let before = model.len();
+                    model.retain(|k, _| *k < bound);
+                    let truth = model.iter().map(|(k, e)| (fp(*k), *e));
+                    prop_assert_eq!(index.reconcile(truth), (before - model.len(), 0));
                 }
             }
             prop_assert_eq!(index.len(), model.len());
@@ -90,7 +74,11 @@ proptest! {
             match op {
                 Op::Insert(k, v) => { index.insert(a, fp(*k), ChunkEntry::new(*v, 0, 0)); }
                 Op::Lookup(k) => { index.lookup(a, &fp(*k)); }
-                Op::Release(k) => { index.release(a, &fp(*k)); }
+                Op::KeepBelow(bound) => {
+                    let part = index.partition(a);
+                    let below = (0..*bound).filter_map(|k| Some((fp(k), part.peek(&fp(k))?)));
+                    part.reconcile(below.collect::<Vec<_>>());
+                }
             }
         }
         // Partition b never saw anything.
@@ -155,10 +143,8 @@ proptest! {
         let qs: Vec<(AppType, Fingerprint)> =
             queries.iter().map(|(a, k)| (AppType::ALL[*a], fp(*k))).collect();
         let parallel = index.lookup_batch_parallel(&qs);
-        // Lookups bump refcounts, so compare presence/len only.
         for ((app, f), got) in qs.iter().zip(parallel) {
-            let serial = index.lookup(*app, f);
-            prop_assert_eq!(got.map(|e| e.len), serial.map(|e| e.len));
+            prop_assert_eq!(got, index.lookup(*app, f));
         }
     }
 }

@@ -1,19 +1,22 @@
-//! Recovery-path GC regressions: the interaction of disaster recovery
-//! (`recover_index_from_cloud`) with session deletion.
+//! GC regressions: session deletion, alone and after disaster recovery
+//! (`recover_index_from_cloud`).
 //!
-//! Two historical bugs are pinned here:
+//! The engine once kept its own incremental copy of what is live
+//! (per-chunk and per-container reference counts), and every bug pinned
+//! here was that copy drifting from the committed manifests:
 //!
-//! 1. Recovery restored the index but left the per-container refcounts
-//!    empty, so the first `delete_session` after a recovery panicked on
-//!    a missing refcount. Recovery must rebuild refcounts from the
-//!    manifests, and a delete on an engine whose GC state is missing
-//!    must surface a typed [`BackupError::Corrupt`], never panic.
+//! 1. Recovery restored the index but left the per-container counts
+//!    empty, so the first `delete_session` after a recovery panicked
+//!    (later: refused with a typed error). Deletion now folds the
+//!    manifests itself and needs no state of its own.
 //! 2. `delete_session` removes index entries in memory but uploads no
 //!    fresh snapshot, so a later recovery resurrected the deleted
 //!    fingerprints from the stale snapshot; backing up the same data
 //!    again then deduplicated against containers that no longer exist —
-//!    silently unrestorable sessions. Recovery must reconcile the
-//!    snapshot against the live manifests.
+//!    silently unrestorable sessions. Recovery must install what the
+//!    live manifests say, not what the snapshot says.
+//! 3. The tiny-file cache was never told about a deletion, so an
+//!    unchanged tiny file was carried forward into a reclaimed container.
 
 use std::sync::Arc;
 
@@ -80,23 +83,45 @@ fn delete_after_recovery_succeeds() {
 }
 
 #[test]
-fn delete_without_gc_state_is_a_typed_error_not_a_panic() {
-    // A blank engine pointed at a populated repository has no refcounts.
-    // Deleting through it must refuse with Corrupt — the alternative was
-    // a panic (historically) or silently corrupting shared containers.
-    let inner: Arc<dyn ObjectBackend> = Arc::new(ObjectStore::new());
-    let files = base_files();
-    {
+fn delete_needs_no_state_of_its_own() {
+    // Deletion reads liveness from the manifests, so a blank engine pointed
+    // at a populated repository deletes exactly as an opened one does.
+    let (files, changed) = (base_files(), changed_files());
+    let repository = || {
+        let inner: Arc<dyn ObjectBackend> = Arc::new(ObjectStore::new());
         let mut e0 = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
         backup(&mut e0, &files);
+        backup(&mut e0, &changed);
+        inner
+    };
+    let (a, b) = (repository(), repository());
+    let mut blank = AaDedupe::with_config(cloud_over(Arc::clone(&a)), config());
+    let mut opened = AaDedupe::open(cloud_over(Arc::clone(&b)), config()).expect("open");
+    blank.delete_session(0).expect("delete through a blank engine");
+    opened.delete_session(0).expect("delete through an opened engine");
+    assert_eq!(a.list(""), b.list(""), "both reclaimed exactly the same containers");
+    for engine in [&mut blank, &mut opened] {
+        let err = engine.delete_session(0).expect_err("second delete");
+        assert!(matches!(err, BackupError::UnknownSession(0)), "{err:?}");
+        assert_restores_bit_exact(engine, 1, &changed);
     }
-    let mut blank = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
-    let err = blank.delete_session(0).expect_err("no GC state");
-    assert!(matches!(err, BackupError::Corrupt(_)), "{err:?}");
-    // The refusal happened before the un-commit point: the session is
-    // fully intact and restorable through a properly opened engine.
-    let e = AaDedupe::open(cloud_over(Arc::clone(&inner)), config()).expect("open");
-    assert_restores_bit_exact(&e, 0, &files);
+}
+
+#[test]
+fn tiny_file_is_not_carried_into_a_reclaimed_container() {
+    // Regression for bug 3. Session 1 is the only one that references the
+    // tiny file's container; deleting it reclaims the container, so the
+    // next session must pack the unchanged tiny file anew.
+    let inner: Arc<dyn ObjectBackend> = Arc::new(ObjectStore::new());
+    let files = base_files();
+    let mut e = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
+    backup(&mut e, &files[..2]);
+    backup(&mut e, &files);
+    e.delete_session(1).expect("delete");
+    backup(&mut e, &files);
+    assert_restores_bit_exact(&e, 2, &files);
+    let verifier = AaDedupe::open(cloud_over(Arc::clone(&inner)), config()).expect("open");
+    assert_restores_bit_exact(&verifier, 2, &files);
 }
 
 #[test]
@@ -131,9 +156,8 @@ fn recovery_does_not_resurrect_deleted_fingerprints() {
 
 #[test]
 fn recovery_rebuilds_refcounts_that_match_open() {
-    // The refcounts recovery rebuilds must agree with what a fresh `open`
-    // computes from the same cloud state: deleting every session through
-    // the recovered engine reclaims every container.
+    // Deleting every session through a recovered engine reclaims every
+    // container, as it would through a freshly opened one.
     let inner: Arc<dyn ObjectBackend> = Arc::new(ObjectStore::new());
     {
         let mut e0 = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
