@@ -6,6 +6,13 @@
 //! same hash — the cost is in the hash itself, not in chunk bookkeeping
 //! (Observation 4).
 //!
+//! Those columns hash one chunk at a time, as the paper did. The last two
+//! hash each file's chunks as one batch (`Fingerprint::compute_many`), as
+//! the engine does: MD5 then runs four equal-length chunks wide, which is
+//! where static chunks get their cheap strong hash on a superscalar core.
+//! (Single-stream MD5 is one serial dependency chain and no longer beats
+//! SHA-1 there; see EXPERIMENTS.md.)
+//!
 //! Run: `cargo run --release -p aadedupe-bench --bin fig3_hash_overhead`
 
 use std::time::Instant;
@@ -33,15 +40,25 @@ fn corpus() -> Vec<Vec<u8>> {
 }
 
 /// Total time to chunk `files` with `chunker` and fingerprint every chunk
-/// with `algo`.
-fn run(files: &[Vec<u8>], chunker: &dyn Chunker, algo: HashAlgorithm) -> (f64, usize) {
+/// with `algo` — one chunk at a time, or each file's chunks as one batch.
+fn run(
+    files: &[Vec<u8>],
+    chunker: &dyn Chunker,
+    algo: HashAlgorithm,
+    batched: bool,
+) -> (f64, usize) {
     let start = Instant::now();
     let mut chunks = 0usize;
     for f in files {
-        for span in chunker.chunk(f) {
-            let fp = Fingerprint::compute(algo, span.slice(f));
-            std::hint::black_box(fp);
-            chunks += 1;
+        let spans = chunker.chunk(f);
+        chunks += spans.len();
+        if batched {
+            let pieces: Vec<&[u8]> = spans.iter().map(|span| span.slice(f)).collect();
+            std::hint::black_box(Fingerprint::compute_many(algo, &pieces));
+        } else {
+            for span in &spans {
+                std::hint::black_box(Fingerprint::compute(algo, span.slice(f)));
+            }
         }
     }
     (start.elapsed().as_secs_f64(), chunks)
@@ -62,9 +79,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut times = std::collections::HashMap::new();
     for algo in algos {
-        let (t_wfc, c_wfc) = run(&files, &wfc, algo);
-        let (t_sc, c_sc) = run(&files, &sc, algo);
-        times.insert(algo, (t_wfc, t_sc));
+        let (t_wfc, c_wfc) = run(&files, &wfc, algo, false);
+        let (t_sc, c_sc) = run(&files, &sc, algo, false);
+        let (t_batched, _) = run(&files, &sc, algo, true);
+        times.insert(algo, (t_wfc, t_sc, t_batched));
         rows.push(vec![
             algo.name().to_string(),
             format!("{:.3} s", t_wfc),
@@ -72,25 +90,41 @@ fn main() {
             format!("{:.3} s", t_sc),
             format!("{c_sc}"),
             fmt_rate(total as f64 / t_sc),
+            format!("{:.3} s", t_batched),
+            fmt_rate(total as f64 / t_batched),
         ]);
     }
     print_table(
         "Fig. 3: execution time per hash × chunking",
-        &["hash", "WFC time", "WFC chunks", "SC time", "SC chunks", "SC throughput"],
+        &[
+            "hash",
+            "WFC time",
+            "WFC chunks",
+            "SC time",
+            "SC chunks",
+            "SC throughput",
+            "SC batched",
+            "batched throughput",
+        ],
         &rows,
     );
 
-    let (r_wfc, r_sc) = times[&HashAlgorithm::Rabin96];
-    let (m_wfc, m_sc) = times[&HashAlgorithm::Md5];
-    let (s_wfc, s_sc) = times[&HashAlgorithm::Sha1];
+    let (r_wfc, r_sc, _) = times[&HashAlgorithm::Rabin96];
+    let (m_wfc, m_sc, m_batched) = times[&HashAlgorithm::Md5];
+    let (s_wfc, s_sc, s_batched) = times[&HashAlgorithm::Sha1];
     println!("\nshape checks (paper Fig. 3):");
     println!(
-        "  Rabin < MD5 < SHA-1:       {} ({:.2}s < {:.2}s < {:.2}s)",
+        "  Rabin < MD5 < SHA-1, one chunk at a time: {} ({:.2}s < {:.2}s < {:.2}s)",
         if r_sc < m_sc && m_sc < s_sc { "ok" } else { "VIOLATED" },
         r_sc, m_sc, s_sc
     );
     println!(
-        "  WFC ≈ SC per hash (±25%):  {}",
+        "  MD5 < SHA-1 as the engine hashes SC (batched): {} ({:.2}s < {:.2}s)",
+        if m_batched < s_batched { "ok" } else { "VIOLATED" },
+        m_batched, s_batched
+    );
+    println!(
+        "  WFC ≈ SC per hash (±25%), one chunk at a time: {}",
         if (r_wfc - r_sc).abs() / r_sc < 0.25
             && (m_wfc - m_sc).abs() / m_sc < 0.25
             && (s_wfc - s_sc).abs() / s_sc < 0.25

@@ -7,6 +7,11 @@
 //! higher throughput (Rabin > MD5 > SHA-1), and for CDC the hash choice
 //! barely matters because boundary detection dominates.
 //!
+//! The three hash columns fingerprint one chunk at a time, as the paper
+//! did; "MD5 batched" hashes each file's chunks as one batch
+//! (`Fingerprint::compute_many`), as the engine does — it differs from the
+//! MD5 column only where chunks have equal lengths, i.e. on the SC row.
+//!
 //! Run: `cargo run --release -p aadedupe-bench --bin fig4_dedup_throughput`
 
 use std::time::Instant;
@@ -32,16 +37,26 @@ fn corpus() -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Full dedup pass: chunk, fingerprint, index lookup/insert.
-fn dedup_pass(files: &[Vec<u8>], chunker: &dyn Chunker, algo: HashAlgorithm) -> f64 {
+/// Full dedup pass: chunk, fingerprint (one chunk at a time, or each
+/// file's chunks as one batch), index lookup/insert.
+fn dedup_pass(files: &[Vec<u8>], chunker: &dyn Chunker, algo: HashAlgorithm, batched: bool) -> f64 {
     let index = MonolithicIndex::new(1 << 20);
     let start = Instant::now();
+    let dedup = |fp: Fingerprint, len: usize| {
+        if index.lookup(&fp).is_none() {
+            index.insert(fp, ChunkEntry::new(len as u64, 0, 0));
+        }
+    };
     for f in files {
-        for span in chunker.chunk(f) {
-            let bytes = span.slice(f);
-            let fp = Fingerprint::compute(algo, bytes);
-            if index.lookup(&fp).is_none() {
-                index.insert(fp, ChunkEntry::new(bytes.len() as u64, 0, 0));
+        let spans = chunker.chunk(f);
+        if batched {
+            let pieces: Vec<&[u8]> = spans.iter().map(|span| span.slice(f)).collect();
+            for (fp, span) in Fingerprint::compute_many(algo, &pieces).into_iter().zip(&spans) {
+                dedup(fp, span.len);
+            }
+        } else {
+            for span in &spans {
+                dedup(Fingerprint::compute(algo, span.slice(f)), span.len);
             }
         }
     }
@@ -65,19 +80,23 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut tp = std::collections::HashMap::new();
+    let mut md5_batched = std::collections::HashMap::new();
     for (cname, chunker) in &chunkers {
         let mut row = vec![cname.to_string()];
         for algo in algos {
-            let t = dedup_pass(&files, chunker.as_ref(), algo);
+            let t = dedup_pass(&files, chunker.as_ref(), algo, false);
             let rate = total as f64 / t;
             tp.insert((*cname, algo), rate);
             row.push(fmt_rate(rate));
         }
+        let batched = total as f64 / dedup_pass(&files, chunker.as_ref(), HashAlgorithm::Md5, true);
+        md5_batched.insert(*cname, batched);
+        row.push(fmt_rate(batched));
         rows.push(row);
     }
     print_table(
         "Fig. 4: dedup throughput, chunking × hash",
-        &["chunking", "Rabin hash", "MD5", "SHA-1"],
+        &["chunking", "Rabin hash", "MD5", "SHA-1", "MD5 batched"],
         &rows,
     );
 
@@ -94,7 +113,7 @@ fn main() {
         }
     );
     println!(
-        "  Rabin ≥ MD5 ≥ SHA-1 (with SC): {}",
+        "  Rabin ≥ MD5 ≥ SHA-1 (with SC, one chunk at a time): {}",
         if get("SC", HashAlgorithm::Rabin96) >= get("SC", HashAlgorithm::Md5)
             && get("SC", HashAlgorithm::Md5) >= get("SC", HashAlgorithm::Sha1)
         {
@@ -102,6 +121,10 @@ fn main() {
         } else {
             "VIOLATED"
         }
+    );
+    println!(
+        "  MD5 ≥ SHA-1 as the engine hashes SC (batched): {}",
+        if md5_batched["SC"] >= get("SC", HashAlgorithm::Sha1) { "ok" } else { "VIOLATED" }
     );
     let cdc_spread = (get("CDC", HashAlgorithm::Rabin96) - get("CDC", HashAlgorithm::Sha1)).abs()
         / get("CDC", HashAlgorithm::Sha1);

@@ -321,15 +321,13 @@ fn chunk_and_hash(cfg: &AaDedupeConfig, app: AppType, data: Vec<u8>) -> ChunkedF
         rec.record(Stage::Chunk, chunking);
         rec.count(by_method, spans.len() as u64);
         rec.count(Counter::ChunkBytes, data.len() as u64);
-        spans
-            .iter()
-            .map(|span| {
-                let hashing = rec.start();
-                let fp = Fingerprint::compute(hash, span.slice(&data));
-                rec.record(Stage::Hash, hashing);
-                (fp, span.len)
-            })
-            .collect()
+        // One file's chunks are one batch: static chunking's equal-length
+        // chunks are what `compute_many` hashes four at a time.
+        let pieces: Vec<&[u8]> = spans.iter().map(|span| span.slice(&data)).collect();
+        let hashing = rec.start();
+        let fingerprints = Fingerprint::compute_many(hash, &pieces);
+        rec.record(Stage::Hash, hashing);
+        fingerprints.into_iter().zip(&spans).map(|(fp, span)| (fp, span.len)).collect()
     });
     ChunkedFile { data, chunks, cpu }
 }

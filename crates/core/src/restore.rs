@@ -326,7 +326,15 @@ fn verify_chunk(
     fp: &Fingerprint,
     chunk: &[u8],
 ) -> Result<(), BackupError> {
-    let recomputed = Fingerprint::compute(fp.algorithm(), chunk);
+    check_fingerprint(container, offset, fp, Fingerprint::compute(fp.algorithm(), chunk))
+}
+
+fn check_fingerprint(
+    container: u64,
+    offset: u32,
+    fp: &Fingerprint,
+    recomputed: Fingerprint,
+) -> Result<(), BackupError> {
     if recomputed != *fp {
         return Err(BackupError::Verification(format!(
             "chunk at {container}:{offset} does not match fingerprint {fp}"
@@ -337,8 +345,11 @@ fn verify_chunk(
 
 /// Fetches, parses and verifies one container (worker body). Verification
 /// resolves every distinct reference through the descriptor map and
-/// checks length then fingerprint — the same order, and the same error
-/// messages, as the serial engine.
+/// checks length then fingerprint, and reports the first reference to fail
+/// either — the same error, with the same message, as the serial engine's
+/// chunk-at-a-time [`verify_chunk`]. The re-hash itself is batched
+/// ([`Fingerprint::compute_many`]), one run of same-algorithm references
+/// at a time.
 fn fetch_parse_verify(
     cloud: &CloudSim,
     scheme_key: &str,
@@ -358,11 +369,34 @@ fn fetch_parse_verify(
     rec.record(Stage::RestoreFetch, fetching);
     let verifying = rec.start();
     let mut descriptors = Vec::with_capacity(job.refs.len());
-    for (offset, fp, len) in &job.refs {
-        let d = lookup_descriptor(&fc, job.container, *offset, fp)?;
-        check_len(fp, *len, &d)?;
-        verify_chunk(job.container, *offset, fp, fc.parsed.chunk_bytes(&d))?;
-        descriptors.push(d);
+    for run in job.refs.chunk_by(|a, b| a.1.algorithm() == b.1.algorithm()) {
+        let Some((_, first, _)) = run.first() else { continue };
+        // Resolve the run up to its first lookup or length error, and
+        // re-hash what resolved before reporting it: a corrupt chunk
+        // ahead of the bad reference is the earlier failure.
+        let mut chunks = Vec::with_capacity(run.len());
+        let mut unresolved = None;
+        for (offset, fp, len) in run {
+            let resolved = lookup_descriptor(&fc, job.container, *offset, fp)
+                .and_then(|d| check_len(fp, *len, &d).map(|()| d));
+            match resolved {
+                Ok(d) => {
+                    chunks.push(fc.parsed.chunk_bytes(&d));
+                    descriptors.push(d);
+                }
+                Err(e) => {
+                    unresolved = Some(e);
+                    break;
+                }
+            }
+        }
+        let recomputed = Fingerprint::compute_many(first.algorithm(), &chunks);
+        for ((offset, fp, _), recomputed) in run.iter().zip(recomputed) {
+            check_fingerprint(job.container, *offset, fp, recomputed)?;
+        }
+        if let Some(e) = unresolved {
+            return Err(e);
+        }
     }
     rec.record(Stage::RestoreVerify, verifying);
     Ok(VerifiedContainer { parsed: fc.parsed, descriptors })
@@ -486,11 +520,19 @@ mod tests {
     /// Uploads one container per group of chunks (ids 0..) and returns a
     /// reference to every chunk, in order.
     fn put_containers(cloud: &CloudSim, groups: &[&[&[u8]]]) -> Vec<ChunkRef> {
+        put_containers_hashed(cloud, HashAlgorithm::Sha1, groups)
+    }
+
+    fn put_containers_hashed(
+        cloud: &CloudSim,
+        algo: HashAlgorithm,
+        groups: &[&[&[u8]]],
+    ) -> Vec<ChunkRef> {
         let mut store = ContainerStore::new(1 << 16);
         let mut refs = Vec::new();
         for group in groups {
             for ch in *group {
-                let fp = Fingerprint::compute(HashAlgorithm::Sha1, ch);
+                let fp = Fingerprint::compute(algo, ch);
                 let p = store.add_chunk(0, fp, ch);
                 refs.push(ChunkRef {
                     fingerprint: fp,
@@ -637,6 +679,43 @@ mod tests {
                 matches!(perr, BackupError::Verification(_) | BackupError::Corrupt(_)),
                 "workers={workers}: {perr:?}"
             );
+        }
+    }
+
+    /// The batched re-hash must not change *which* failure a container
+    /// reports: a corrupt chunk k alone, and a wrong recipe length at
+    /// reference j with the corrupt chunk after it (k > j: the length error
+    /// comes first) and before it (k < j: the pending batch is verified
+    /// before the length error is returned).
+    #[test]
+    fn batched_verify_reports_the_error_serial_reports() {
+        let chunks: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 256]).collect();
+        let group: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        for algo in [HashAlgorithm::Md5, HashAlgorithm::Sha1] {
+            for (k, j) in [(5, None), (6, Some(2)), (2, Some(6))] {
+                let cloud = CloudSim::with_paper_defaults();
+                let mut refs = put_containers_hashed(&cloud, algo, &[&group]);
+                if let Some(j) = j {
+                    refs[j].len += 1;
+                }
+                put_manifest(&cloud, vec![("f", refs)]);
+                let key = cloud.store().list("test/containers/")[0].clone();
+                let parsed =
+                    ParsedContainer::parse(&cloud.store().get(&key).unwrap().unwrap()).unwrap();
+                let payload = aadedupe_container::format::HEADER_LEN
+                    + parsed.descriptors.iter().map(ChunkDescriptor::encoded_len).sum::<usize>();
+                cloud.store().corrupt(&key, payload + parsed.descriptors[k].offset as usize);
+
+                let serial = restore_session(&cloud, "test", 0).unwrap_err();
+                match j {
+                    Some(j) if j < k => assert!(matches!(serial, BackupError::Corrupt(_))),
+                    _ => assert!(matches!(serial, BackupError::Verification(_))),
+                }
+                for workers in [1, 4] {
+                    let err = pipelined(&cloud, 0, workers).unwrap_err();
+                    assert_eq!(err.to_string(), serial.to_string(), "{algo} k={k} j={j:?}");
+                }
+            }
         }
     }
 

@@ -5,6 +5,13 @@
 //! chunking (CDC). Because most of CDC's computational cost is spent on
 //! Rabin-window boundary detection rather than fingerprinting, the paper
 //! keeps the strong hash here "with only a slight increase in overhead".
+//!
+//! One scalar `compress`: SHA-1's message schedule and five-word state
+//! already give a superscalar core independent work within one block, and
+//! running several messages in `[u32; N]` lanes (as [`mod@crate::md5`] does)
+//! measured no faster at two lanes and slower at four and eight.
+
+use crate::block::BlockBuffer;
 
 /// Streaming SHA-1 hasher.
 ///
@@ -17,10 +24,7 @@
 #[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    /// Total message length in bytes.
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
+    block: BlockBuffer,
 }
 
 impl Default for Sha1 {
@@ -34,111 +38,91 @@ impl Sha1 {
     pub fn new() -> Self {
         Sha1 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            len: 0,
-            buf: [0; 64],
-            buf_len: 0,
+            block: BlockBuffer::new(),
         }
     }
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut data = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            // aalint: allow(panic-path) -- take = (64 - buf_len).min(data.len()) with buf_len < 64 invariant: both slices in bounds
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            // aalint: allow(panic-path) -- take <= data.len() by the min() above
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        // After the buffered branch either the buffer was flushed
-        // (buf_len == 0) or the input was fully absorbed; in the latter
-        // case the remainder logic below must not clobber the buffer.
-        if data.is_empty() {
-            return;
-        }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let rem = chunks.remainder();
-        // aalint: allow(panic-path) -- chunks_exact(64) remainder is < 64 = buf.len()
-        self.buf[..rem.len()].copy_from_slice(rem);
-        self.buf_len = rem.len();
+        self.block.update(data, |block| compress(&mut self.state, block));
     }
 
     /// Completes the hash, returning the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Big-endian length, written directly into the final block.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-
+        self.block.finish(u64::to_be_bytes, |block| compress(&mut self.state, block));
         let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                // aalint: allow(panic-path) -- i < 16, so i * 4 + 3 < 64 = block.len()
-                block[i * 4],
-                // aalint: allow(panic-path) -- i < 16 bound as above
-                block[i * 4 + 1],
-                // aalint: allow(panic-path) -- i < 16 bound as above
-                block[i * 4 + 2],
-                // aalint: allow(panic-path) -- i < 16 bound as above
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..80 {
-            // aalint: allow(panic-path) -- i ranges over 16..80 and w is [u32; 80]; i - 16 >= 0
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
+/// The FIPS 180-1 §7 block transform, on the 16-word rolling schedule of
+/// its §8 ("alternate method"). The only SHA-1 round code in the crate.
+#[inline(always)]
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    // W(t) for t >= 16, written over W(t - 16), which no later step reads.
+    macro_rules! next {
+        ($t:literal) => {{
+            // aalint: allow(panic-path) -- `& 15` keeps every index below 16 = w.len()
+            w[$t & 15] = (w[($t + 13) & 15] ^ w[($t + 8) & 15] ^ w[($t + 2) & 15] ^ w[$t & 15]).rotate_left(1);
+            // aalint: allow(panic-path) -- `& 15` as above
+            w[$t & 15]
+        }};
+    }
+    macro_rules! ch { ($b:expr, $c:expr, $d:expr) => { $d ^ ($b & ($c ^ $d)) } }
+    macro_rules! parity { ($b:expr, $c:expr, $d:expr) => { $b ^ $c ^ $d } }
+    macro_rules! maj { ($b:expr, $c:expr, $d:expr) => { ($b & $c) | ($d & ($b | $c)) } }
+    // e += (a <<< 5) + f(b, c, d) + k + W(t); b <<<= 30.
+    macro_rules! step {
+        ($f:ident, $k:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $w:expr) => {
+            $e = $e
+                .wrapping_add($a.rotate_left(5))
+                .wrapping_add($f!($b, $c, $d))
+                .wrapping_add($k)
+                .wrapping_add($w);
+            $b = $b.rotate_left(30);
+        };
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    // Five steps bring the five names back round to where they started.
+    macro_rules! five {
+        ($f:ident, $k:expr, $w0:expr, $w1:expr, $w2:expr, $w3:expr, $w4:expr) => {
+            step!($f, $k, a, b, c, d, e, $w0);
+            step!($f, $k, e, a, b, c, d, $w1);
+            step!($f, $k, d, e, a, b, c, $w2);
+            step!($f, $k, c, d, e, a, b, $w3);
+            step!($f, $k, b, c, d, e, a, $w4);
+        };
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i / 20 {
-                0 => ((b & c) | (!b & d), 0x5a827999),
-                1 => (b ^ c ^ d, 0x6ed9eba1),
-                2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
+    five!(ch, 0x5a827999, w[0], w[1], w[2], w[3], w[4]);
+    five!(ch, 0x5a827999, w[5], w[6], w[7], w[8], w[9]);
+    five!(ch, 0x5a827999, w[10], w[11], w[12], w[13], w[14]);
+    five!(ch, 0x5a827999, w[15], next!(16), next!(17), next!(18), next!(19));
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+    five!(parity, 0x6ed9eba1, next!(20), next!(21), next!(22), next!(23), next!(24));
+    five!(parity, 0x6ed9eba1, next!(25), next!(26), next!(27), next!(28), next!(29));
+    five!(parity, 0x6ed9eba1, next!(30), next!(31), next!(32), next!(33), next!(34));
+    five!(parity, 0x6ed9eba1, next!(35), next!(36), next!(37), next!(38), next!(39));
+
+    five!(maj, 0x8f1bbcdc, next!(40), next!(41), next!(42), next!(43), next!(44));
+    five!(maj, 0x8f1bbcdc, next!(45), next!(46), next!(47), next!(48), next!(49));
+    five!(maj, 0x8f1bbcdc, next!(50), next!(51), next!(52), next!(53), next!(54));
+    five!(maj, 0x8f1bbcdc, next!(55), next!(56), next!(57), next!(58), next!(59));
+
+    five!(parity, 0xca62c1d6, next!(60), next!(61), next!(62), next!(63), next!(64));
+    five!(parity, 0xca62c1d6, next!(65), next!(66), next!(67), next!(68), next!(69));
+    five!(parity, 0xca62c1d6, next!(70), next!(71), next!(72), next!(73), next!(74));
+    five!(parity, 0xca62c1d6, next!(75), next!(76), next!(77), next!(78), next!(79));
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e]) {
+        *word = word.wrapping_add(add);
     }
 }
 

@@ -29,6 +29,13 @@ fn workspace_is_aalint_clean() {
         report.graph.panic_tainted > 0,
         "zero panic-tainted fns is implausible — leaf detection broke"
     );
+    // Ratchet: the suppression inventory may shrink, never grow. Lower the
+    // bound (here and in CI's aalint step) when a PR removes suppressions.
+    assert!(
+        report.allows.len() <= 123,
+        "{} `aalint: allow` sites, bound is 123: remove the leaf instead of annotating it",
+        report.allows.len()
+    );
     // Every suppression carries a justification by construction; keep the
     // inventory visible in test output so reviewers see the count move.
     println!(
