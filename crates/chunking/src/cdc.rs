@@ -20,13 +20,20 @@ use aadedupe_hashing::rabin::RollingHash;
 /// every position.
 const BOUNDARY_MAGIC: u64 = 0x1d3;
 
+/// Candidate cuts are tested `LANES` stripes of `STRIPE` at a time. Both
+/// are measured (`examples/cdc_rates.rs`), not knobs: fewer lanes leave
+/// issue slots idle, eight gain ≈ 6 % here but need every register x86-64
+/// has; a stripe this long amortises priming three lanes and bounds the
+/// scan past a cut to one block.
+const LANES: usize = 4;
+const STRIPE: usize = 256;
+
 /// Content-defined chunker with Rabin-window boundary detection.
 #[derive(Clone)]
 pub struct CdcChunker {
     params: CdcParams,
-    /// Prototype rolling hash; cloned per file so `chunk(&self)` stays
-    /// shareable across threads. Cloning copies the precomputed tables
-    /// (~4 KiB), negligible against per-file work.
+    /// The window's tables (shared, see [`RollingHash`]); every scan keeps
+    /// its hash states in locals, so `&self` serves any number of threads.
     hasher: RollingHash,
 }
 
@@ -55,39 +62,49 @@ impl CdcChunker {
         &self.params
     }
 
-    /// One chunk decision over the stream remainder `data`, using (and
-    /// resetting) the caller's rolling hash. Returns the cut length.
-    fn cut_with(&self, rh: &mut RollingHash, data: &[u8]) -> usize {
-        let CdcParams { min_size, max_size, window, .. } = self.params;
+    /// The only Rabin scan loop in the crate: tests `N` stripes of `n`
+    /// candidates, back to back. Candidate `k` hashes `block[k..k + window]`
+    /// and `fp` enters as candidate 0's hash. A window hash depends on its
+    /// own bytes alone, so the stripes run in lock-step — `N` independent
+    /// dependency chains for the core to overlap — and the first hit in
+    /// position order is the one a byte-serial scan stops at. Returns it;
+    /// without one, `fp` leaves as the hash of the next window.
+    #[inline(always)]
+    fn scan<const N: usize>(&self, fp: &mut u64, block: &[u8], n: usize) -> Option<usize> {
+        let (t, window) = (&self.hasher, self.params.window);
         let mask = self.params.mask();
         let magic = BOUNDARY_MAGIC & mask;
-        if data.len() <= min_size {
-            return data.len();
-        }
-        // Prime the window with the `window` bytes preceding the first
-        // candidate cut at `min_size`.
-        rh.reset();
-        // aalint: allow(panic-path) -- validate() pins window <= min_size, and data.len() > min_size was checked above
-        for &b in &data[min_size - window..min_size] {
-            rh.push(b);
-        }
-        let upper = data.len().min(max_size);
-        // Candidate cut lengths: min_size ..= upper. The window for a cut
-        // of length L ends at byte L-1.
-        if rh.value() & mask == magic {
-            return min_size;
-        }
-        for len in min_size + 1..=upper {
-            // aalint: allow(panic-path) -- len ranges over min_size+1..=upper with upper <= data.len()
-            let incoming = data[len - 1];
-            // aalint: allow(panic-path) -- len - 1 - window >= min_size - window >= 0 by validate()
-            let outgoing = data[len - 1 - window];
-            rh.roll(outgoing, incoming);
-            if rh.value() & mask == magic {
-                return len;
+        // Lane 0 continues from `fp`; the others prime theirs, in lock-step too.
+        let mut fps = [0u64; N];
+        fps[0] = *fp;
+        for k in 0..window {
+            for (j, fp) in fps.iter_mut().enumerate().skip(1) {
+                // aalint: allow(panic-path) -- the caller's block holds N * n candidates: j * n + k < (N - 1) * n + window < block.len()
+                *fp = t.pushed(*fp, block[j * n + k]);
             }
         }
-        upper
+        // Per lane, the bytes that leave and the bytes that enter.
+        // aalint: allow(panic-path) -- j < N, and the caller's block holds N * n + window bytes
+        let lanes: [_; N] = std::array::from_fn(|j| (&block[j * n..][..n], &block[j * n + window..][..n]));
+        // The lowest matching candidate so far; `N * n` while there is none.
+        let mut first = N * n;
+        for i in 0..n {
+            // One candidate in `avg_size` matches: one well-predicted
+            // branch a step keeps the bookkeeping off the lanes' path.
+            if fps.iter().any(|fp| fp & mask == magic) {
+                for (j, fp) in fps.iter().enumerate() {
+                    if fp & mask == magic {
+                        first = first.min(j * n + i);
+                    }
+                }
+            }
+            for (fp, (out, inc)) in fps.iter_mut().zip(&lanes) {
+                // aalint: allow(panic-path) -- i < n, the length both slices were cut to
+                *fp = t.rolled(*fp, out[i], inc[i]);
+            }
+        }
+        *fp = fps[N - 1];
+        (first < N * n).then_some(first)
     }
 
     /// Length of the first chunk of `data`, treating `data` as the
@@ -95,21 +112,56 @@ impl CdcChunker {
     /// `max_size` bytes of lookahead (or end-of-stream). Mirrors
     /// [`FastCdcChunker::first_cut`](crate::FastCdcChunker::first_cut).
     pub fn first_cut(&self, data: &[u8]) -> usize {
-        let mut rh = self.hasher.clone();
-        self.cut_with(&mut rh, data)
+        self.first_cut_lanes::<LANES>(data)
+    }
+
+    /// [`CdcChunker::first_cut`] at another lane count, for the lane-width
+    /// experiment in `examples/cdc_rates.rs`; the cut is the same at any.
+    #[doc(hidden)]
+    pub fn first_cut_lanes<const N: usize>(&self, data: &[u8]) -> usize {
+        let CdcParams { min_size, max_size, window, .. } = self.params;
+        if data.len() <= min_size {
+            return data.len();
+        }
+        let upper = data.len().min(max_size);
+        // Candidate cut lengths: min_size ..= upper, the window for length
+        // L ending at byte L-1. `upper` is the forced cut and needs no
+        // test, so no byte at or past it is read: a cut found in
+        // `data[..upper]` is final (`StreamChunker` relies on it).
+        // `at` is the first untested candidate, `fp` its window's hash.
+        let mut at = min_size;
+        let mut fp =
+            data.iter().skip(at - window).take(window).fold(0, |fp, &b| self.hasher.pushed(fp, b));
+        while at < upper {
+            let (left, stripe) = (upper - at, (upper - at) / N);
+            // aalint: allow(panic-path) -- validate() pins window <= min_size <= at, and at < upper <= data.len()
+            let block = &data[at - window..upper];
+            // Full stripes (a constant the loop is compiled for) while
+            // that much is left, shorter ones after; a stripe shorter than
+            // the window that primes it is not worth its lane.
+            let (hit, tested) = if stripe >= STRIPE {
+                (self.scan::<N>(&mut fp, block, STRIPE), N * STRIPE)
+            } else if stripe >= window {
+                (self.scan::<N>(&mut fp, block, stripe), N * stripe)
+            } else {
+                (self.scan::<1>(&mut fp, block, left), left)
+            };
+            if let Some(hit) = hit {
+                return at + hit;
+            }
+            at += tested;
+        }
+        upper
     }
 
     /// Finds all chunk boundaries (cut positions, exclusive end offsets) in
     /// `data`. The final position `data.len()` is always the last cut.
     pub fn boundaries(&self, data: &[u8]) -> Vec<usize> {
         let mut cuts = Vec::new();
-        let mut start = 0usize;
-        let mut rh = self.hasher.clone();
-        while start < data.len() {
-            // aalint: allow(panic-path) -- start < data.len() is the loop guard
-            let cut = start + self.cut_with(&mut rh, &data[start..]);
-            cuts.push(cut);
-            start = cut;
+        let mut rest = data;
+        while !rest.is_empty() {
+            rest = rest.split_at(self.first_cut(rest)).1;
+            cuts.push(data.len() - rest.len());
         }
         cuts
     }

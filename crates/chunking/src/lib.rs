@@ -18,11 +18,12 @@
 //!
 //! The CDC family has two interchangeable boundary algorithms, selected by
 //! [`CdcParams::algorithm`] and dispatched through [`ContentChunker`]:
-//! the paper's Rabin scan ([`cdc`], the fidelity oracle) and the gear-hash
-//! FastCDC kernel ([`fastcdc`], backed by the compile-time [`gear`] table)
-//! which delivers the same dedup ratio at a fraction of the CPU. Their
-//! equivalence is enforced by the differential fidelity harness
-//! (`tests/chunker_fidelity.rs` at the workspace root).
+//! the paper's Rabin scan ([`cdc`], the default and the fidelity oracle:
+//! four stripes in lock-step, cut for cut the byte-serial scan kept in
+//! `tests/oracle/`) and the gear-hash FastCDC kernel ([`fastcdc`], over the
+//! compile-time [`gear`] table): the same dedup ratio at about two thirds
+//! of the CPU. Their equivalence is enforced by the differential fidelity
+//! harness (`tests/chunker_fidelity.rs` at the workspace root).
 //!
 //! All chunkers implement the [`Chunker`] trait over byte slices and return
 //! byte *ranges* so callers can avoid copying. The crate also provides
@@ -129,8 +130,7 @@ impl ChunkSpan {
 #[derive(Clone)]
 pub enum ContentChunker {
     /// The paper's 48-byte-window Rabin scan (the fidelity oracle).
-    /// Boxed: the precomputed Rabin tables dwarf the gear variant.
-    Rabin(Box<CdcChunker>),
+    Rabin(CdcChunker),
     /// Gear-hash FastCDC with normalized chunking.
     FastCdc(FastCdcChunker),
 }
@@ -139,7 +139,7 @@ impl ContentChunker {
     /// Builds the chunker named by `params.algorithm`.
     pub fn new(params: CdcParams) -> Self {
         match params.algorithm {
-            CdcAlgorithm::Rabin => ContentChunker::Rabin(Box::new(CdcChunker::new(params))),
+            CdcAlgorithm::Rabin => ContentChunker::Rabin(CdcChunker::new(params)),
             CdcAlgorithm::FastCdc => ContentChunker::FastCdc(FastCdcChunker::new(params)),
         }
     }

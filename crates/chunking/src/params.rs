@@ -149,7 +149,7 @@ pub const DEFAULT_CDC: CdcParams = CdcParams {
     min_size: 2 * 1024,
     avg_size: 8 * 1024,
     max_size: 16 * 1024,
-    window: 48,
+    window: aadedupe_hashing::rabin::DEFAULT_WINDOW,
     algorithm: CdcAlgorithm::Rabin,
     norm_level: DEFAULT_NORM_LEVEL,
 };

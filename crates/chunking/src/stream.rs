@@ -42,8 +42,7 @@ pub struct StreamChunker<R: Read> {
 enum Method {
     Wfc,
     Sc(ScChunker),
-    // Boxed: the Rabin variant embeds its 4 KiB roll table.
-    Cdc(Box<ContentChunker>),
+    Cdc(ContentChunker),
 }
 
 impl<R: Read> StreamChunker<R> {
@@ -62,7 +61,7 @@ impl<R: Read> StreamChunker<R> {
     /// Content-defined streaming with Rabin boundaries (the historical
     /// entry point; [`StreamChunker::content`] takes either algorithm).
     pub fn cdc(reader: R, chunker: CdcChunker) -> Self {
-        Self::content(reader, ContentChunker::Rabin(Box::new(chunker)))
+        Self::content(reader, ContentChunker::Rabin(chunker))
     }
 
     /// Content-defined streaming with gear-hash FastCDC boundaries.
@@ -73,7 +72,7 @@ impl<R: Read> StreamChunker<R> {
     /// Content-defined streaming with whichever boundary algorithm the
     /// chunker was built for.
     pub fn content(reader: R, chunker: ContentChunker) -> Self {
-        Self::new(reader, Method::Cdc(Box::new(chunker)))
+        Self::new(reader, Method::Cdc(chunker))
     }
 
     fn new(reader: R, method: Method) -> Self {

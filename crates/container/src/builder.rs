@@ -10,6 +10,18 @@
 use crate::format::{encode_container, ChunkDescriptor, HEADER_LEN};
 use bytes::BufMut;
 
+/// Serialized size of one chunk: its descriptor plus its data.
+fn entry_len(len: usize, digest_len: usize) -> usize {
+    ChunkDescriptor::encoded_len_for(digest_len) + len
+}
+
+/// Whether a chunk of `len` bytes under a `digest_len`-byte fingerprint
+/// fits an *empty* container of `target_size`. One that does not fits none
+/// and gets a dedicated oversized container.
+pub(crate) fn fits_empty(target_size: usize, len: usize, digest_len: usize) -> bool {
+    HEADER_LEN + entry_len(len, digest_len) <= target_size
+}
+
 /// An open, partially-filled container.
 pub struct ContainerBuilder {
     container_id: u64,
@@ -63,8 +75,7 @@ impl ContainerBuilder {
     /// algorithm with `digest_len` would keep the container within its
     /// fixed size.
     pub fn fits(&self, len: usize, digest_len: usize) -> bool {
-        let desc = 1 + digest_len + 8;
-        self.projected + desc + len <= self.target_size
+        self.projected + entry_len(len, digest_len) <= self.target_size
     }
 
     /// Appends a chunk, returning its offset within the data section.
@@ -86,7 +97,7 @@ impl ContainerBuilder {
             len: chunk.len() as u32,
         });
         self.data.put_slice(chunk);
-        self.projected += 1 + digest_len + 8 + chunk.len();
+        self.projected += entry_len(chunk.len(), digest_len);
         offset
     }
 

@@ -40,9 +40,15 @@ pub struct ChunkDescriptor {
 }
 
 impl ChunkDescriptor {
+    /// Encoded size of a descriptor over a `digest_len`-byte fingerprint:
+    /// algorithm tag, digest, offset, length.
+    pub(crate) const fn encoded_len_for(digest_len: usize) -> usize {
+        1 + digest_len + 4 + 4
+    }
+
     /// Encoded size of this descriptor.
     pub fn encoded_len(&self) -> usize {
-        1 + self.fingerprint.algorithm().digest_len() + 4 + 4
+        Self::encoded_len_for(self.fingerprint.algorithm().digest_len())
     }
 }
 

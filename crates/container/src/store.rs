@@ -21,7 +21,7 @@
 //! [`ContainerStore::split_stream`], fed by a thread of its own and given
 //! back with [`ContainerStore::merge`].
 
-use crate::builder::ContainerBuilder;
+use crate::builder::{fits_empty, ContainerBuilder};
 use crate::format::{ChunkDescriptor, ContainerError, ParsedContainer};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Recorder, Stage};
@@ -172,9 +172,7 @@ impl ContainerStore {
         let digest_len = fp.algorithm().digest_len();
 
         // Oversized chunk: dedicated container, sealed at once, unpadded.
-        let fits_any = ContainerBuilder::new(u64::MAX, self.container_size)
-            .fits(chunk.len(), digest_len);
-        if !fits_any {
+        if !fits_empty(self.container_size, chunk.len(), digest_len) {
             let id = self.fresh_id(stream);
             let mut b = ContainerBuilder::new(id, self.container_size);
             let offset = b.append(fp, chunk);
@@ -371,6 +369,35 @@ mod tests {
         assert_ne!(a.container, b.container, "distinct streams use distinct containers");
         store.seal_all();
         assert_eq!(store.drain_sealed().len(), 2);
+    }
+
+    /// The largest chunk an empty container holds goes into the stream's
+    /// open container; one byte more gets a dedicated one — at every
+    /// digest length the policy uses.
+    #[test]
+    fn oversized_boundary_is_exact_for_every_digest_length() {
+        use crate::format::HEADER_LEN;
+        let size = 4096;
+        for alg in [HashAlgorithm::Rabin96, HashAlgorithm::Md5, HashAlgorithm::Sha1] {
+            let digest_len = alg.digest_len();
+            assert!([12, 16, 20].contains(&digest_len));
+            // Header, then one descriptor: algorithm tag, digest, offset, length.
+            let largest = size - HEADER_LEN - (1 + digest_len + 4 + 4);
+            let mut store = ContainerStore::new(size);
+
+            let chunk = vec![7u8; largest];
+            let fits = store.add_chunk(0, Fingerprint::compute(alg, &chunk), &chunk);
+            assert_eq!((store.stats().oversized, store.pending()), (0, 0), "{alg:?}: stays open");
+            store.seal_all();
+            let sealed = store.drain_sealed();
+            assert_eq!((sealed[0].id, sealed[0].bytes.len(), sealed[0].padding), (fits.container, size, 0));
+
+            let chunk = vec![7u8; largest + 1];
+            let over = store.add_chunk(0, Fingerprint::compute(alg, &chunk), &chunk);
+            assert_eq!((store.stats().oversized, store.pending()), (1, 1), "{alg:?}: sealed at once");
+            let sealed = store.drain_sealed();
+            assert_eq!((sealed[0].id, sealed[0].bytes.len(), sealed[0].padding), (over.container, size + 1, 0));
+        }
     }
 
     #[test]

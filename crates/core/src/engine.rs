@@ -300,8 +300,9 @@ struct DedupedFile {
 }
 
 /// Cuts `data` in place according to the policy and fingerprints every
-/// chunk. Each call builds its own chunker, so worker threads share
-/// nothing.
+/// chunk. Each call builds its own chunker — parameters and a reference to
+/// the process-wide Rabin tables, no table is computed or copied per file —
+/// so worker threads share nothing they write.
 fn chunk_and_hash(cfg: &AaDedupeConfig, app: AppType, data: Vec<u8>) -> ChunkedFile {
     let rec = &cfg.recorder;
     let (chunks, cpu) = crate::timing::measure_cpu(|| {

@@ -30,9 +30,11 @@
 //! On a superscalar core the paper's single-stream ordering (MD5 cheaper
 //! than SHA-1) inverts: MD5's steps form one serial dependency chain, SHA-1's
 //! schedule and five-word state expose parallel work. What the policy needs
-//! — static chunks get the cheapest strong hash, CDC's hash hides behind the
-//! boundary scan — holds where the engine hashes: in batches, through
-//! [`Fingerprint::compute_many`], whose MD5 path is four chunks wide. The
+//! — static chunks get the cheapest strong hash — holds where the engine
+//! hashes: in batches, through [`Fingerprint::compute_many`], whose MD5 path
+//! is four chunks wide. The same overlap — four windows over one table set,
+//! [`rabin::RollingHash::rolled`] — puts CDC's boundary scan ahead of the
+//! SHA-1 it feeds: "detection dominates" described a byte-serial scan. The
 //! textbook kernels the crate used to ship live on in `tests/textbook/` as
 //! the differential oracle for all of this.
 //!

@@ -22,6 +22,8 @@
 //! lookup tables and to *prove in the test suite* that the chosen moduli are
 //! irreducible.
 
+use std::sync::{Arc, OnceLock};
+
 /// Default modulus: an irreducible polynomial of degree 53
 /// (`x^53 + x^51 + x^49 + ... `), the same default used by several
 /// production CDC implementations descended from LBFS.
@@ -305,7 +307,6 @@ impl RabinFingerprinter {
 /// ~94 combined bits keep accidental collision probability far below
 /// hardware error rates for TB-scale personal datasets.
 pub fn extended_fingerprint(data: &[u8]) -> [u8; 12] {
-    use std::sync::OnceLock;
     static TABLES: OnceLock<(Tables32, Tables32, Tables, Tables)> = OnceLock::new();
     let (ta, tb, ba, bb) = TABLES.get_or_init(|| {
         (
@@ -350,12 +351,44 @@ pub fn extended_fingerprint(data: &[u8]) -> [u8; 12] {
     out
 }
 
+/// The paper's CDC window: 48 bytes, slid one byte at a time.
+pub const DEFAULT_WINDOW: usize = 48;
+
+/// A rolling hash's lookup tables for one window size over [`POLY_53`].
+struct RollTables {
+    push: Tables,
+    /// `pop[b] = (b * x^(8*(window-1))) mod poly` — the contribution of
+    /// the byte about to leave, *before* the incoming shift multiplies
+    /// everything by another `x^8`.
+    pop: [u64; 256],
+}
+
+impl RollTables {
+    fn new(window: usize) -> Self {
+        // aalint: allow(panic-path) -- construction-time parameter validation: a zero window is a caller bug
+        assert!(window > 0, "window must be nonzero");
+        let xw = gf2::xpowmod(8 * (window as u64 - 1), POLY_53);
+        let mut pop = [0u64; 256];
+        for (b, entry) in pop.iter_mut().enumerate() {
+            *entry = gf2::pmulmod(b as u64, xw, POLY_53);
+        }
+        RollTables { push: Tables::new(POLY_53), pop }
+    }
+}
+
 /// Fixed-window rolling Rabin hash: the boundary detector of content-defined
 /// chunking.
 ///
 /// The window slides one byte at a time (the paper's 48-byte window, 1-byte
 /// step); [`RollingHash::roll`] updates the fingerprint in O(1) using a
 /// pop-table for the byte leaving the window.
+///
+/// The tables are shared, never copied: a clone is a reference count, and
+/// those for [`DEFAULT_WINDOW`] are built once per process.
+/// [`RollingHash::pushed`] / [`RollingHash::rolled`] are the same steps
+/// with the state in the caller's hands, so one table set serves several
+/// interleaved windows (the striped CDC scan); the stateful API is the
+/// reference the property tests hold them to.
 ///
 /// ```
 /// use aadedupe_hashing::rabin::RollingHash;
@@ -369,42 +402,33 @@ pub fn extended_fingerprint(data: &[u8]) -> [u8; 12] {
 /// ```
 #[derive(Clone)]
 pub struct RollingHash {
-    tables: Tables,
-    /// `pop[b] = (b * x^(8*(window-1))) mod poly` — the contribution of
-    /// the byte about to leave, *before* the incoming shift multiplies
-    /// everything by another `x^8`.
-    pop: [u64; 256],
-    window: usize,
+    tables: Arc<RollTables>,
     fp: u64,
 }
 
 impl RollingHash {
-    /// Rolling hash with the given window size over the default modulus.
+    /// Rolling hash with the given window size over [`POLY_53`].
     pub fn new(window: usize) -> Self {
-        Self::with_poly(window, POLY_53)
+        static DEFAULT: OnceLock<Arc<RollTables>> = OnceLock::new();
+        let tables = match window {
+            DEFAULT_WINDOW => Arc::clone(DEFAULT.get_or_init(|| Arc::new(RollTables::new(window)))),
+            _ => Arc::new(RollTables::new(window)),
+        };
+        RollingHash { tables, fp: 0 }
     }
 
-    /// Rolling hash with a caller-supplied irreducible modulus.
-    pub fn with_poly(window: usize, poly: u64) -> Self {
-        // aalint: allow(panic-path) -- construction-time parameter validation: a zero window is a caller bug
-        assert!(window > 0, "window must be nonzero");
-        let tables = Tables::new(poly);
-        let xw = gf2::xpowmod(8 * (window as u64 - 1), poly);
-        let mut pop = [0u64; 256];
-        for (b, entry) in pop.iter_mut().enumerate() {
-            *entry = gf2::pmulmod(b as u64, xw, poly);
-        }
-        RollingHash {
-            tables,
-            pop,
-            window,
-            fp: 0,
-        }
+    /// `fp` with `incoming` appended: the stateless [`RollingHash::push`].
+    #[inline(always)]
+    pub fn pushed(&self, fp: u64, incoming: u8) -> u64 {
+        self.tables.push.push_byte(fp, incoming)
     }
 
-    /// Window size in bytes.
-    pub fn window(&self) -> usize {
-        self.window
+    /// `fp` slid one byte — `outgoing` leaves, `incoming` enters: the
+    /// stateless [`RollingHash::roll`].
+    #[inline(always)]
+    pub fn rolled(&self, fp: u64, outgoing: u8, incoming: u8) -> u64 {
+        // aalint: allow(panic-path) -- outgoing is a u8 and pop is a full [u64; 256]
+        self.pushed(fp ^ self.tables.pop[outgoing as usize], incoming)
     }
 
     /// Appends `incoming` without expiring anything — used to prime the
@@ -412,15 +436,13 @@ impl RollingHash {
     /// leaves stale contributions in the state.
     #[inline(always)]
     pub fn push(&mut self, incoming: u8) {
-        self.fp = self.tables.push_byte(self.fp, incoming);
+        self.fp = self.pushed(self.fp, incoming);
     }
 
     /// Slides the window one byte: `outgoing` leaves, `incoming` enters.
     #[inline(always)]
     pub fn roll(&mut self, outgoing: u8, incoming: u8) {
-        // aalint: allow(panic-path) -- outgoing is a u8 and pop is a full [u64; 256]
-        let fp = self.fp ^ self.pop[outgoing as usize];
-        self.fp = self.tables.push_byte(fp, incoming);
+        self.fp = self.rolled(self.fp, outgoing, incoming);
     }
 
     /// Current fingerprint of the window contents.
@@ -542,6 +564,22 @@ mod tests {
                 "offset {i}"
             );
         }
+    }
+
+    #[test]
+    fn shared_default_tables_equal_fresh_ones() {
+        let (a, b) = (RollingHash::new(DEFAULT_WINDOW), RollingHash::new(DEFAULT_WINDOW));
+        assert!(Arc::ptr_eq(&a.tables, &b.tables), "built once per process");
+        assert!(!Arc::ptr_eq(&a.tables, &RollingHash::new(DEFAULT_WINDOW - 1).tables));
+        let fresh = RollTables::new(DEFAULT_WINDOW);
+        assert_eq!(a.tables.pop, fresh.pop);
+        assert_eq!(a.tables.push.push, fresh.push.push);
+        assert_eq!(a.tables.push.degree, fresh.push.degree);
+        // A clone shares them too; the state is its own.
+        let mut c = a.clone();
+        c.push(7);
+        assert!(Arc::ptr_eq(&a.tables, &c.tables));
+        assert_eq!((a.value(), c.value()), (0, 7));
     }
 
     #[test]

@@ -62,6 +62,30 @@ proptest! {
         }
     }
 
+    /// The stateless steps are the stateful ones with the state in the
+    /// caller's hands: any mix of pushes and rolls, over the shared default
+    /// tables (window 48) and over freshly built ones, agrees step by step.
+    #[test]
+    fn pushed_and_rolled_equal_push_and_roll(
+        window in prop_oneof![Just(rabin::DEFAULT_WINDOW), 1usize..64],
+        steps in proptest::collection::vec((any::<bool>(), any::<u8>(), any::<u8>()), 1..300),
+    ) {
+        let mut rh = RollingHash::new(window);
+        let tables = RollingHash::new(window);
+        let mut fp = 0u64;
+        for (roll, outgoing, incoming) in steps {
+            if roll {
+                rh.roll(outgoing, incoming);
+                fp = tables.rolled(fp, outgoing, incoming);
+            } else {
+                rh.push(incoming);
+                fp = tables.pushed(fp, incoming);
+            }
+            prop_assert_eq!(rh.value(), fp);
+        }
+        prop_assert_eq!(tables.value(), 0, "the stateless steps leave the receiver alone");
+    }
+
     /// Rabin fingerprints are linear-free: appending data changes the
     /// fingerprint (no trivial extension fixed points for nonempty tails).
     #[test]
