@@ -16,16 +16,14 @@
 //! `dedupe_chunks` (index lookup; a new chunk's range is appended straight
 //! into the [`ContainerStore`]); then `absorb` folds the outcome into the
 //! report and the manifest. The serial schedule is one loop over them.
-//! With [`PipelineConfig::workers`] > 1 they run as a pipeline built on
-//! `std::thread::scope` + `std::sync::mpsc`:
+//! With [`PipelineConfig::workers`] > 1 they run on exactly that many
+//! `std::thread::scope` threads and one *lane* per application:
 //!
 //! ```text
-//!  workers ───────────────────────▶ dedup shards ───────────────▶ main
-//!  claim big files from a   (bounded,      one per application;   merge in
-//!  shared cursor; read,      one channel   owns that app's index  file order
-//!  classify, chunk + hash    per shard)    partition and its         ▲
-//!                                          container stream          │
-//!  main ── tiny files, in file order, into the tiny stream ──────────┘
+//!  workers ── claim the next big file (shared cursor); read, classify, chunk,
+//!             hash; deposit it in its lane, dedupe the lane's ready run ──┐
+//!  main ── tiny files, in file order, into the tiny stream                 │
+//!          after the workers: each lane's stream and outcomes, in order ◀─┘
 //! ```
 //!
 //! Determinism contract: the output (containers, manifests, index,
@@ -35,10 +33,9 @@
 //! 1. container ids are per-stream
 //!    ([`compose_id`](aadedupe_container::compose_id)), so a stream's
 //!    container layout depends only on that stream's own append sequence;
-//! 2. each application's chunks are deduplicated by exactly one shard
-//!    thread, which processes its files in file order (a reorder buffer
-//!    absorbs out-of-order worker completions) and owns the application's
-//!    container stream for the session
+//! 2. a lane dedupes its application's files one at a time, under its
+//!    lock and in file order — whichever worker holds the lock — and owns
+//!    the application's container stream for the session
 //!    ([`ContainerStore::split_stream`]), so every stream's append
 //!    sequence — and every partition's lookup/insert sequence — is the
 //!    serial one;
@@ -48,8 +45,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use aadedupe_chunking::{
@@ -61,7 +58,7 @@ use aadedupe_filetype::{AppType, DedupPolicy, SourceFile};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_index::{codec, AppAwareIndex, ChunkEntry};
 use aadedupe_metrics::SessionReport;
-use aadedupe_obs::{Counter, Queue, Recorder, Stage, WorkerRole};
+use aadedupe_obs::{Counter, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{ChunkRef, FileRecipe, Manifest};
 use crate::restore::{
@@ -93,10 +90,10 @@ impl PipelineConfig {
     }
 }
 
-/// Bound on each dedup shard's channel: a shard that is busy lets this many
-/// chunked files wait before the workers sending to it block, keeping
-/// pipeline memory proportional to thread count rather than dataset size.
-const SHARD_QUEUE_DEPTH: usize = 4;
+/// Chunked bytes that may wait for their turn in the pipeline, in
+/// containers: 64 MiB at the paper's 1 MiB. A worker whose deposit finds
+/// more waiting claims nothing further until its own file is deduped.
+const AHEAD_CONTAINERS: usize = 64;
 
 /// Engine configuration. Defaults are the paper's evaluation settings.
 #[derive(Debug, Clone)]
@@ -137,8 +134,7 @@ pub struct AaDedupeConfig {
     pub index_sync_interval: usize,
     /// Backup pipeline worker-pool settings.
     pub pipeline: PipelineConfig,
-    /// Restore pipeline settings (worker threads and the bounded
-    /// container-cache size).
+    /// Restore pipeline settings (fetch/parse/verify worker threads).
     pub restore: RestoreOptions,
     /// Retry/backoff policy for transient backend failures, shared by
     /// uploads and restore downloads.
@@ -299,6 +295,41 @@ struct DedupedFile {
     cpu: Duration,
 }
 
+/// One application's big files in a pipelined session. Whichever worker
+/// holds `state` dedupes the lane's ready run, in file order.
+struct Lane<'a> {
+    /// (file index, file), in file order.
+    files: Vec<(usize, &'a dyn SourceFile)>,
+    state: Mutex<LaneState>,
+    /// Signalled whenever files leave `ready`.
+    turn: Condvar,
+}
+
+struct LaneState {
+    /// Chunked files that arrived ahead of their turn, by file index.
+    ready: BTreeMap<usize, ChunkedFile>,
+    /// The application's container stream, split off for the session.
+    store: ContainerStore,
+    /// The outcomes of the lane's first `outs.len()` files: its position.
+    outs: Vec<DedupedFile>,
+}
+
+/// Held by every pipeline worker. One that unwinds never deposits its file,
+/// so this sets the flag and ends every wait: the scope re-raises, not hangs.
+struct WakeOnUnwind<'s, 'a>(&'s [Lane<'a>], &'s AtomicBool);
+
+impl Drop for WakeOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.1.store(true, Relaxed);
+            for lane in self.0 {
+                drop(lane.state.lock()); // orders the store before each waiter's next check
+                lane.turn.notify_all();
+            }
+        }
+    }
+}
+
 /// Cuts `data` in place according to the policy and fingerprints every
 /// chunk. Each call builds its own chunker — parameters and a reference to
 /// the process-wide Rabin tables, no table is computed or copied per file —
@@ -347,7 +378,7 @@ fn read_and_chunk(cfg: &AaDedupeConfig, file: &dyn SourceFile) -> (AppType, Chun
 
 /// Deduplicates one chunked file against its application's partition,
 /// appending each new chunk to the application's stream in `store` — the
-/// engine's store in the serial loop, the shard's split-off part in the
+/// engine's store in the serial loop, the lane's split-off part in the
 /// pipeline. The lookup→insert sequence per partition and the append
 /// sequence per stream are what both schedules execute identically.
 fn dedupe_chunks(
@@ -703,11 +734,10 @@ impl AaDedupe {
         manifest
     }
 
-    /// The pipeline schedule (see the module docs for the dataflow and
-    /// the determinism argument). No thread waits on one further
-    /// upstream: a shard receives whenever the file it needs next has not
-    /// arrived and blocks on nothing else, so every worker's send
-    /// completes; workers end when the cursor runs out.
+    /// The pipeline schedule (module docs: dataflow, determinism). A worker
+    /// waits only for an earlier file of its own lane, and the oldest file
+    /// not yet deduped is being chunked by a worker that is not waiting —
+    /// deposited, it is its lane's next file — so every wait ends.
     fn run_session_parallel(
         &mut self,
         files: &[&dyn SourceFile],
@@ -719,102 +749,77 @@ impl AaDedupe {
         let index = &self.index;
         let containers = &mut self.containers;
 
-        // Big files in file order — the workers' job list — and the same
-        // files grouped per application: each group is one shard's work.
-        let jobs: Vec<(usize, &dyn SourceFile)> = files
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(_, f)| f.size() >= cfg.tiny_threshold)
-            .collect();
+        // One lane per application with big files; each owns its stream.
         let mut by_app: BTreeMap<AppType, Vec<(usize, &dyn SourceFile)>> = BTreeMap::new();
-        for &(i, f) in &jobs {
+        let big = files.iter().copied().enumerate().filter(|(_, f)| f.size() >= cfg.tiny_threshold);
+        for (i, f) in big {
             by_app.entry(f.app_type()).or_default().push((i, f));
         }
-        let cursor = AtomicUsize::new(0);
+        let lanes: Vec<Lane> = by_app.into_iter().map(|(app, files)| {
+            let store = containers.split_stream(app.tag() as u32);
+            let state = LaneState { ready: BTreeMap::new(), store, outs: Vec::new() };
+            Lane { files, state: Mutex::new(state), turn: Condvar::new() }
+        }).collect();
+        // The workers' job list: every big file, in file order, with its lane.
+        let mut jobs: Vec<(usize, &dyn SourceFile, &Lane)> = lanes
+            .iter()
+            .flat_map(|lane| lane.files.iter().map(move |&(i, f)| (i, f, lane)))
+            .collect();
+        jobs.sort_unstable_by_key(|&(i, ..)| i);
+        let (cursor, ahead) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
+        let unwinding = &AtomicBool::new(false);
 
-        let outs = std::thread::scope(|scope| {
-            // Dedup shards: one per application with work. Each takes its
-            // application's stream out of the store for the session and
-            // processes its files in file order via a reorder buffer.
-            let mut shard_txs = BTreeMap::new();
-            let mut shards = Vec::new();
-            for (app, my_files) in by_app {
-                let (tx, rx) = mpsc::sync_channel::<(usize, ChunkedFile)>(SHARD_QUEUE_DEPTH);
-                shard_txs.insert(app, tx);
-                let mut store = containers.split_stream(app.tag() as u32);
-                shards.push(scope.spawn(move || {
-                    let mut pending: BTreeMap<usize, ChunkedFile> = BTreeMap::new();
-                    let mut outs = Vec::with_capacity(my_files.len());
-                    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                    for (want, file) in my_files {
-                        let waiting = rec.start();
-                        let chunked = loop {
-                            if let Some(chunked) = pending.remove(&want) {
-                                break chunked;
-                            }
-                            // aalint: allow(unwrap-in-lib) -- the workers hold the senders until the cursor runs out, which it cannot before this backlog was sent; a closed channel means a worker panicked, and that must not be outlived quietly
-                            let (i, chunked) = rx.recv().expect("workers outlive shard backlog");
-                            rec.queue_pop(Queue::Shards);
-                            pending.insert(i, chunked);
-                        };
-                        idle += since(waiting);
-                        let working = rec.start();
-                        let span = rec.trace_start();
-                        let out = dedupe_chunks(index, &mut store, file.path(), app, chunked);
-                        outs.push((want, out));
-                        rec.trace_complete("dedupe", span);
-                        busy += since(working);
-                    }
-                    rec.worker_report(WorkerRole::Shard, (app.tag() - 1) as usize, busy, idle);
-                    (store, outs)
-                }));
-            }
-
-            // Chunk+hash workers: claim the next unclaimed big file, push
-            // the chunked file to the owning shard.
+        let mut outs = std::thread::scope(|scope| {
             for w in 0..cfg.pipeline.workers {
-                let (jobs, cursor, shard_txs) = (&jobs, &cursor, shard_txs.clone());
+                let (jobs, lanes) = (&jobs, &lanes);
                 scope.spawn(move || {
+                    let _wake = WakeOnUnwind(lanes, unwinding);
                     let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
                     // Relaxed: the cursor only hands out tickets; the job
                     // list it indexes was complete before any thread began.
-                    while let Some(&(i, file)) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    while let Some(&(i, file, lane)) = jobs.get(cursor.fetch_add(1, Relaxed)) {
                         let working = rec.start();
                         let span = rec.trace_start();
                         let (app, chunked) = read_and_chunk(cfg, file);
                         rec.trace_complete("chunk_hash", span);
+                        // Poisoned only by a panicking worker; the scope re-raises it.
+                        let mut state = lane.state.lock().unwrap_or_else(PoisonError::into_inner);
+                        ahead.fetch_add(chunked.data.len(), Relaxed);
+                        state.ready.insert(i, chunked);
+                        // Dedupe the lane's ready run, in file order.
+                        while let Some(&(j, f)) = lane.files.get(state.outs.len()) {
+                            let Some(next) = state.ready.remove(&j) else { break };
+                            ahead.fetch_sub(next.data.len(), Relaxed);
+                            let span = rec.trace_start();
+                            let out = dedupe_chunks(index, &mut state.store, f.path(), app, next);
+                            rec.trace_complete("dedupe", span);
+                            state.outs.push(out);
+                        }
+                        lane.turn.notify_all();
                         busy += since(working);
-                        let waiting = rec.start();
-                        rec.queue_push(Queue::Shards);
-                        shard_txs
-                            .get(&app)
-                            .expect("shard exists for routed app") // aalint: allow(unwrap-in-lib) -- a shard was spawned for every application in the job list
-                            .send((i, chunked))
-                            .expect("shard outlives its backlog"); // aalint: allow(unwrap-in-lib) -- a shard ends only after its whole backlog arrived, so the receiver cannot close first
-                        idle += since(waiting);
+                        if ahead.load(Relaxed) > AHEAD_CONTAINERS * cfg.container_size {
+                            let waiting = rec.start();
+                            drop(lane.turn.wait_while(state, |s| {
+                                s.ready.contains_key(&i) && !unwinding.load(Relaxed)
+                            }));
+                            idle += since(waiting);
+                        }
                     }
                     rec.worker_report(WorkerRole::Chunker, w, busy, idle);
                 });
             }
-            drop(shard_txs); // workers hold the remaining clones
 
-            // Main thread: tiny files in file order into the tiny stream;
-            // then each shard's stream comes home, in stream order, with
-            // the shard's outcomes.
-            let mut outs: BTreeMap<usize, DedupedFile> = BTreeMap::new();
-            for (i, file) in files.iter().enumerate() {
-                if file.size() < cfg.tiny_threshold {
-                    outs.insert(i, pack_tiny(&mut self.tiny_seen, *file, containers, rec));
-                }
-            }
-            for shard in shards {
-                let (part, deduped) = shard.join().expect("shard thread panicked"); // aalint: allow(unwrap-in-lib) -- re-raising a shard's panic is the intended failure mode
-                containers.merge(part);
-                outs.extend(deduped);
-            }
-            outs
+            // Main thread: tiny files in file order into the tiny stream.
+            let tiny = files.iter().enumerate().filter(|(_, f)| f.size() < cfg.tiny_threshold);
+            tiny.map(|(i, f)| (i, pack_tiny(&mut self.tiny_seen, *f, containers, rec)))
+                .collect::<BTreeMap<usize, DedupedFile>>()
         });
+        // Each lane's stream comes home, in stream order, with its outcomes.
+        for lane in lanes {
+            let state = lane.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+            containers.merge(state.store);
+            outs.extend(lane.files.iter().map(|&(i, _)| i).zip(state.outs));
+        }
 
         // Merge in file order — identical to the serial loop.
         debug_assert_eq!(outs.len(), files.len());

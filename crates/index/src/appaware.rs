@@ -147,10 +147,10 @@ impl AppAwareIndex {
     /// that partition's mutex, so concurrent inserts/lookups against
     /// *different* applications never contend, and concurrent access to
     /// the *same* partition is serialized but safe. The parallel backup
-    /// pipeline exploits this by giving each application's dedup shard
-    /// exclusive use of its own partition: within a shard the
+    /// pipeline exploits this by deduplicating each application's files
+    /// only under that application's lane lock: within a lane the
     /// lookup→insert sequence needs no extra synchronisation because no
-    /// other thread touches that partition.
+    /// other thread touches that partition meanwhile.
     pub fn insert(&self, app: AppType, fp: Fingerprint, entry: ChunkEntry) -> bool {
         self.partition(app).insert(fp, entry)
     }

@@ -254,8 +254,6 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Queue {
-    /// Workers → per-application dedup shards (aggregated over shards).
-    Shards,
     /// Verified containers a restore has not scattered yet: counted by the
     /// fetch worker after verify, uncounted by the caller once handled. The
     /// high-water mark proves the `workers + 17` restore memory bound.
@@ -264,12 +262,11 @@ pub enum Queue {
 
 impl Queue {
     /// Every queue.
-    pub const ALL: [Queue; 2] = [Queue::Shards, Queue::RestoreVerified];
+    pub const ALL: [Queue; 1] = [Queue::RestoreVerified];
 
     /// Stable snake_case name (the JSON key).
     pub const fn name(self) -> &'static str {
         match self {
-            Queue::Shards => "shards",
             Queue::RestoreVerified => "restore_verified",
         }
     }
@@ -278,10 +275,8 @@ impl Queue {
 /// Which pipeline thread a busy/idle report describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WorkerRole {
-    /// A chunk+hash worker.
+    /// A backup pipeline worker: chunk+hash, then its lane's dedup run.
     Chunker,
-    /// A per-application dedup shard.
-    Shard,
     /// A restore fetch/parse/verify worker.
     Restorer,
 }
@@ -291,7 +286,6 @@ impl WorkerRole {
     pub const fn name(self) -> &'static str {
         match self {
             WorkerRole::Chunker => "chunker",
-            WorkerRole::Shard => "shard",
             WorkerRole::Restorer => "restorer",
         }
     }
@@ -641,7 +635,7 @@ mod tests {
         r.record_duration(Stage::Hash, Duration::from_millis(5));
         r.count(Counter::ChunkBytes, 100);
         r.index_outcome(1, true);
-        r.queue_push(Queue::Shards);
+        r.queue_push(Queue::RestoreVerified);
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_secs(1), Duration::ZERO);
         r.trace_complete("x", r.trace_start());
         let s = r.snapshot();
@@ -649,7 +643,7 @@ mod tests {
         assert_eq!(s.counter(Counter::ChunkBytes), 0);
         assert!(s.apps.is_empty());
         assert!(s.workers.is_empty());
-        assert_eq!(s.queue(Queue::Shards).hwm, 0);
+        assert_eq!(s.queue(Queue::RestoreVerified).hwm, 0);
         assert!(r.drain_trace().is_empty());
     }
 
@@ -666,7 +660,7 @@ mod tests {
         r.queue_push(Queue::RestoreVerified);
         r.queue_push(Queue::RestoreVerified);
         r.queue_pop(Queue::RestoreVerified);
-        r.worker_report(WorkerRole::Shard, 4, Duration::from_millis(2), Duration::from_millis(1));
+        r.worker_report(WorkerRole::Restorer, 4, Duration::from_millis(2), Duration::from_millis(1));
         let s = r.snapshot();
         assert_eq!(s.stage(Stage::Chunk).hist.count, 2);
         assert_eq!(s.counter(Counter::ChunksCdc), 2);
@@ -674,7 +668,7 @@ mod tests {
         assert_eq!((app.tag, app.label.as_str(), app.hits, app.misses), (5, "rar", 1, 2));
         assert_eq!(s.queue(Queue::RestoreVerified).hwm, 2);
         assert_eq!(s.queue(Queue::RestoreVerified).depth, 1);
-        assert_eq!(s.workers[0].role, WorkerRole::Shard);
+        assert_eq!(s.workers[0].role, WorkerRole::Restorer);
         r.reset();
         assert_eq!(r.snapshot().counter(Counter::ChunksCdc), 0);
     }

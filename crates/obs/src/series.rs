@@ -341,7 +341,7 @@ mod tests {
             cum_source_bytes: 1000 * (seq + 1),
             cum_stored_bytes: 400 * (seq + 1),
             cum_restored_bytes: 0,
-            queues: vec![QueuePoint { queue: Queue::Shards, depth: 2, hwm: 5 }],
+            queues: vec![QueuePoint { queue: Queue::RestoreVerified, depth: 2, hwm: 5 }],
             apps: vec![AppInterval { tag: 7, label: "pdf".into(), hits: 3, misses: 1 }],
         }
     }
@@ -385,7 +385,7 @@ mod tests {
         let s = &docs[1];
         assert_eq!(s.get("source_bytes").as_u64(), Some(1000));
         assert_eq!(s.get("source_bps").as_f64(), Some(4000.0));
-        assert_eq!(s.get("queues").get("shards").get("hwm").as_u64(), Some(5));
+        assert_eq!(s.get("queues").get("restore_verified").get("hwm").as_u64(), Some(5));
         assert_eq!(s.get("apps").at(0).get("app").as_str(), Some("pdf"));
         assert_eq!(s.get("apps").at(0).get("hit_rate").as_f64(), Some(0.75));
         assert_eq!(s.get("dedup_ratio").as_f64(), Some(2.5));

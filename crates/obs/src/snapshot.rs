@@ -57,7 +57,7 @@ pub struct QueueSnapshot {
 pub struct WorkerSnapshot {
     /// Thread role.
     pub role: WorkerRole,
-    /// Index within the role (worker 0..N, shard = app tag index).
+    /// Index within the role (worker 0..N).
     pub id: usize,
     /// Time spent processing, nanoseconds.
     pub busy_ns: u64,
@@ -322,7 +322,7 @@ mod tests {
         r.index_outcome(7, true);
         r.label_app(8, "odd \"label\"");
         r.index_outcome(8, false);
-        r.queue_push(Queue::Shards);
+        r.queue_push(Queue::RestoreVerified);
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_millis(1), Duration::ZERO);
         let line = r.snapshot().to_json();
         assert!(!line.contains('\n'), "one NDJSON line");
@@ -338,7 +338,7 @@ mod tests {
         assert_eq!(doc.get("counters").get("chunks_cdc").as_u64(), Some(1));
         assert_eq!(doc.get("apps").get("pdf").get("hits").as_u64(), Some(1));
         assert_eq!(doc.get("apps").get("odd \"label\"").get("misses").as_u64(), Some(1));
-        assert_eq!(doc.get("queues").get("shards").get("hwm").as_u64(), Some(1));
+        assert_eq!(doc.get("queues").get("restore_verified").get("hwm").as_u64(), Some(1));
         assert_eq!(doc.get("workers").at(0).get("role").as_str(), Some("chunker"));
     }
 

@@ -89,8 +89,7 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
     let mut core = SamplerCore::new(Arc::clone(&rec), "dims", SamplerConfig::default());
     rec.label_app(7, "pdf");
     rec.label_app(2, "mp3");
-    rec.queue_push(Queue::Shards);
-    rec.queue_push(Queue::Shards);
+    rec.queue_push(Queue::RestoreVerified);
     rec.queue_push(Queue::RestoreVerified);
     for _ in 0..3 {
         rec.index_outcome(7, true);
@@ -98,22 +97,21 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
     rec.index_outcome(7, false);
     rec.index_outcome(2, false);
     core.tick(250, 250);
-    rec.queue_pop(Queue::Shards);
+    rec.queue_pop(Queue::RestoreVerified);
     rec.index_outcome(2, true);
     core.tick(500, 250);
 
     let series = core.into_series();
     let samples: Vec<_> = series.iter().collect();
-    let first = samples[0].queues.iter().find(|q| q.queue == Queue::Shards).expect("shards gauge");
-    assert_eq!((first.depth, first.hwm), (2, 2));
-    let second = samples[1].queues.iter().find(|q| q.queue == Queue::Shards).expect("shards gauge");
-    assert_eq!((second.depth, second.hwm), (1, 2), "depth drops, hwm is cumulative");
-    let cache0 = samples[0]
-        .queues
-        .iter()
-        .find(|q| q.queue == Queue::RestoreVerified)
-        .expect("restore-verified gauge");
-    assert_eq!(cache0.depth, 1, "verified-container occupancy is sampled");
+    let gauge = |i: usize| {
+        samples[i]
+            .queues
+            .iter()
+            .find(|q| q.queue == Queue::RestoreVerified)
+            .expect("restore-verified gauge")
+    };
+    assert_eq!((gauge(0).depth, gauge(0).hwm), (2, 2), "verified-container occupancy is sampled");
+    assert_eq!((gauge(1).depth, gauge(1).hwm), (1, 2), "depth drops, hwm is cumulative");
 
     // First interval: pdf 3/1, mp3 0/1. Second: only mp3 moved.
     let pdf = samples[0].apps.iter().find(|a| a.label == "pdf").expect("pdf traffic");

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use aa_dedupe::cloud::CloudSim;
 use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
 use aa_dedupe::metrics::SessionReport;
-use aa_dedupe::obs::{Counter, Recorder, Snapshot as ObsSnapshot, Stage};
+use aa_dedupe::obs::{Counter, Recorder, Snapshot as ObsSnapshot, Stage, WorkerRole};
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 
 /// One worker is the serial schedule, more are the pipeline.
@@ -114,6 +114,17 @@ fn dedup_cpu_does_not_depend_on_the_recorder() {
     let dedup_cpu: std::time::Duration = reports.iter().map(|r| r.dedup_cpu).sum();
     assert!(!stages.is_zero(), "stage timers ran");
     assert!(dedup_cpu >= stages, "dedup_cpu {dedup_cpu:?} < stage sum {stages:?}");
+}
+
+/// A pipelined session runs on its workers and nothing else: each reports
+/// its busy/idle split once, as a chunker.
+#[test]
+fn a_pipelined_session_reports_exactly_its_workers() {
+    let rec = Recorder::shared();
+    run(config(3, Some(Arc::clone(&rec))), &dataset(1));
+    let workers: Vec<(WorkerRole, usize)> =
+        rec.snapshot().workers.iter().map(|w| (w.role, w.id)).collect();
+    assert_eq!(workers, [0, 1, 2].map(|id| (WorkerRole::Chunker, id)));
 }
 
 /// With the default (disabled) recorder nothing is recorded and the report

@@ -3,19 +3,39 @@
 //! Two files of the same application type share identical content, so
 //! every chunk of the second file collides with a chunk of the first.
 //! With eight workers the chunk+hash stage races both files, and the
-//! per-app dedup shard must still make exactly one store decision per
+//! application's lane must still make exactly one store decision per
 //! unique fingerprint. A lost-update (insert racing lookup) or a
 //! double-append would inflate `stored_bytes`; run the session in a loop
 //! so a rare interleaving still has many chances to show up.
 //!
+//! The lanes themselves: a file that arrives ahead of its turn is deduped
+//! by whichever worker completes the run before it, the chunked bytes
+//! waiting for their turn are bounded, and a worker that panics is
+//! re-raised rather than waited for.
+//!
 //! `EXPERIMENTS.md` documents the ThreadSanitizer invocation that runs
 //! this same binary under TSan.
 
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
 use aa_dedupe::cloud::CloudSim;
 use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig};
-use aa_dedupe::filetype::{MemoryFile, SourceFile};
+use aa_dedupe::filetype::{AppType, MemoryFile, SourceFile};
 
 const ITERATIONS: usize = 16;
+
+/// The pipeline's bound on chunked bytes waiting for their turn, in
+/// containers (the engine's `AHEAD_CONTAINERS`).
+const AHEAD_CONTAINERS: usize = 64;
+
+/// (stored bytes, chunks, duplicate chunks) of one session.
+type Counters = (u64, u64, u64);
+
+/// Every cloud object a session left, with its bytes.
+type Namespace = Vec<(String, Vec<u8>)>;
 
 fn shared_content(len: usize) -> Vec<u8> {
     let mut x = 0x9e3779b97f4a7c15u64;
@@ -29,12 +49,27 @@ fn shared_content(len: usize) -> Vec<u8> {
         .collect()
 }
 
-fn run_once(files: &[MemoryFile], pipeline: PipelineConfig) -> (u64, u64, u64) {
-    let config = AaDedupeConfig { pipeline, ..AaDedupeConfig::default() };
+fn sources<F: SourceFile>(files: &[F]) -> Vec<&dyn SourceFile> {
+    files.iter().map(|f| f as &dyn SourceFile).collect()
+}
+
+fn run_once(files: &[MemoryFile], pipeline: PipelineConfig) -> Counters {
+    backup(&sources(files), AaDedupeConfig { pipeline, ..AaDedupeConfig::default() }).0
+}
+
+fn backup(sources: &[&dyn SourceFile], config: AaDedupeConfig) -> (Counters, Namespace) {
     let mut engine = AaDedupe::with_config(CloudSim::with_paper_defaults(), config);
-    let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
-    let r = engine.backup_session(&sources).expect("backup");
-    (r.stored_bytes, r.chunks_total, r.chunks_duplicate)
+    let r = engine.backup_session(sources).expect("backup");
+    let store = engine.cloud().store();
+    let objects = store
+        .list("")
+        .into_iter()
+        .map(|key| {
+            let bytes = store.get(&key).unwrap().expect("listed key present");
+            (key, bytes)
+        })
+        .collect();
+    ((r.stored_bytes, r.chunks_total, r.chunks_duplicate), objects)
 }
 
 #[test]
@@ -83,14 +118,14 @@ fn many_identical_files_across_apps_stay_consistent() {
 }
 
 #[test]
-fn one_shard_taking_the_whole_job_list_stays_consistent() {
-    // One application owns every big file, so a single shard takes the
-    // whole job list through one four-slot channel. Files differ in size
-    // (eight workers finish out of order and block on the four slots) and
-    // are prefixes of one another (every chunk of a shorter file collides
-    // with a longer one). With no other shard making progress, a stall in the
-    // cursor, the reorder buffer or the channel hangs the test, and a lost
-    // or repeated file shows in the counters.
+fn one_lane_taking_the_whole_job_list_stays_consistent() {
+    // One application owns every big file, so a single lane takes the
+    // whole job list. Files differ in size (eight workers finish out of
+    // order, so most files wait in the lane for their turn) and are
+    // prefixes of one another (every chunk of a shorter file collides with
+    // a longer one). With no other lane making progress, a stall in the
+    // cursor or the lane's ready run hangs the test, and a lost or
+    // repeated file shows in the counters.
     let content = shared_content(160 * 1024);
     let files: Vec<MemoryFile> = (0..24)
         .map(|i| {
@@ -105,4 +140,147 @@ fn one_shard_taking_the_whole_job_list_stays_consistent() {
         let parallel = run_once(&files, PipelineConfig::with_workers(8));
         assert_eq!(parallel, serial, "iteration {iteration}: dedup counters diverged");
     }
+}
+
+#[test]
+fn later_files_of_a_lane_are_deduped_by_the_worker_holding_its_turn() {
+    // One application, files in descending size: the large early files are
+    // still being chunked when the small later ones arrive, so those wait
+    // in the lane and another worker dedupes them when it deposits the
+    // file before them. Windows of one buffer make the later files largely
+    // duplicates of the earlier ones (CDC resynchronises on shifted bytes).
+    let content = shared_content(192 * 1024);
+    let files: Vec<MemoryFile> = (0..20)
+        .map(|i| {
+            let (at, len) = (i * 1000, (192 - 7 * i) * 1024 - i * 1000);
+            MemoryFile::new(format!("lane/{i:02}.doc"), content[at..at + len].to_vec())
+        })
+        .collect();
+    let config = |workers| AaDedupeConfig {
+        pipeline: PipelineConfig::with_workers(workers),
+        ..AaDedupeConfig::default()
+    };
+    let (counters, namespace) = backup(&sources(&files), config(1));
+    assert!(counters.2 > 0, "serial: later files share chunks with earlier ones");
+    for workers in [2, 8] {
+        for iteration in 0..ITERATIONS / 4 {
+            let parallel = backup(&sources(&files), config(workers));
+            let label = format!("workers={workers} iteration {iteration}");
+            assert_eq!(parallel.0, counters, "{label}: (stored, total, duplicate) diverged");
+            assert!(parallel.1 == namespace, "{label}: cloud namespace diverged");
+        }
+    }
+}
+
+/// Shared by one session's [`Gated`] files.
+#[derive(Default)]
+struct Gate {
+    /// Reads of every file but the first.
+    reads: AtomicUsize,
+    /// `reads` when the first file's read was let go.
+    read_while_closed: AtomicUsize,
+    /// The first file's read panics instead of returning, once let go.
+    panic: bool,
+}
+
+/// A file whose reads a test watches. The first file's `read` is held
+/// until the other files' reads stop for a while (or a timeout passes),
+/// so every later file of its lane arrives ahead of its turn.
+struct Gated<'g> {
+    file: MemoryFile,
+    gate: &'g Gate,
+    first: bool,
+}
+
+impl SourceFile for Gated<'_> {
+    fn path(&self) -> &str {
+        self.file.path()
+    }
+
+    fn app_type(&self) -> AppType {
+        self.file.app_type()
+    }
+
+    fn size(&self) -> u64 {
+        self.file.size()
+    }
+
+    fn read(&self) -> Vec<u8> {
+        const QUIET: Duration = Duration::from_millis(300);
+        const TIMEOUT: Duration = Duration::from_secs(10);
+        if !self.first {
+            self.gate.reads.fetch_add(1, SeqCst);
+            return self.file.read();
+        }
+        let (start, mut quiet_since) = (Instant::now(), Instant::now());
+        let mut seen = self.gate.reads.load(SeqCst);
+        while quiet_since.elapsed() < QUIET && start.elapsed() < TIMEOUT {
+            std::thread::sleep(Duration::from_millis(5));
+            let now = self.gate.reads.load(SeqCst);
+            if now != seen {
+                (seen, quiet_since) = (now, Instant::now());
+            }
+        }
+        self.gate.read_while_closed.store(seen, SeqCst);
+        assert!(!self.gate.panic, "the held read fails");
+        self.file.read()
+    }
+
+    fn change_token(&self) -> u64 {
+        self.file.change_token()
+    }
+}
+
+const GATED_FILE: usize = 64 * 1024;
+/// Small containers make the waiting budget 1 MiB: sixteen gated files.
+const GATED_CONTAINER: usize = 16 * 1024;
+
+/// 48 distinct files of one application; the first is held.
+fn gated_files(gate: &Gate) -> Vec<Gated<'_>> {
+    let content = shared_content(48 * GATED_FILE);
+    let file = |i: usize, bytes: &[u8]| MemoryFile::new(format!("gate/{i:02}.pdf"), bytes.to_vec());
+    let files = content.chunks(GATED_FILE).enumerate();
+    files.map(|(i, bytes)| Gated { file: file(i, bytes), gate, first: i == 0 }).collect()
+}
+
+fn gated_config(workers: usize) -> AaDedupeConfig {
+    AaDedupeConfig {
+        container_size: GATED_CONTAINER,
+        pipeline: PipelineConfig::with_workers(workers),
+        ..AaDedupeConfig::default()
+    }
+}
+
+#[test]
+fn bytes_waiting_for_their_turn_are_bounded() {
+    // The first file is held while the workers run ahead through the rest
+    // of its lane: once the budget is spent they stop claiming, so only a
+    // budget's worth of files, plus one in flight per worker, is read.
+    let plain: Vec<MemoryFile> =
+        gated_files(&Gate::default()).into_iter().map(|gated| gated.file).collect();
+    let serial = backup(&sources(&plain), gated_config(1));
+    for workers in [2, 8] {
+        let gate = Gate::default();
+        let parallel = backup(&sources(&gated_files(&gate)), gated_config(workers));
+        assert!(parallel == serial, "workers={workers}: session differs from the serial one");
+        let read = gate.read_while_closed.load(SeqCst);
+        let bound = AHEAD_CONTAINERS * GATED_CONTAINER / GATED_FILE + workers + 1;
+        assert!(read <= bound, "workers={workers}: {read} files read while held, bound {bound}");
+    }
+}
+
+#[test]
+fn a_worker_that_panics_is_raised_not_waited_for() {
+    // The held first file's read panics after the other worker spent the
+    // budget and began waiting for it: that wait must end, so the session
+    // re-raises the panic instead of hanging.
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let gate = Gate { panic: true, ..Gate::default() };
+        let files = gated_files(&gate);
+        let session = AssertUnwindSafe(|| backup(&sources(&files), gated_config(2)));
+        done.send(std::panic::catch_unwind(session).is_err()).expect("test thread listens");
+    });
+    let raised = outcome.recv_timeout(Duration::from_secs(60));
+    assert_eq!(raised, Ok(true), "the session hung or returned instead of re-raising");
 }
