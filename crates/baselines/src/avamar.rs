@@ -1,6 +1,6 @@
 //! Avamar: source chunk-level (CDC) deduplication.
 //!
-//! The paper's representative of fine-grained source dedup [24]: *every*
+//! The paper's representative of fine-grained source dedup \[24\]: *every*
 //! file — media, archives, VM images, documents, tiny files alike — is
 //! content-defined-chunked (8 KiB average) and SHA-1-fingerprinted against
 //! one monolithic chunk index; each unique chunk is uploaded as its own

@@ -1,6 +1,6 @@
 //! BackupPC: source file-level deduplication.
 //!
-//! The paper's representative of whole-file dedup [26]: every file is
+//! The paper's representative of whole-file dedup \[26\]: every file is
 //! fingerprinted whole (SHA-1) and checked against a global file index; a
 //! hit means the file's bytes are already in the pool and only a reference
 //! is recorded, a miss uploads the file whole (one request per file).

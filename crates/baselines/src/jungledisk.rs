@@ -1,6 +1,6 @@
 //! Jungle Disk: file-incremental cloud backup (no deduplication).
 //!
-//! The paper's representative of plain incremental backup [25]: a file is
+//! The paper's representative of plain incremental backup \[25\]: a file is
 //! re-uploaded *whole* whenever its metadata (here: change token) differs
 //! from the previous session, one request per file, with no redundancy
 //! elimination of any kind. Unchanged files are carried forward by

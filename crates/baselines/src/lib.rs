@@ -20,7 +20,7 @@
 //!   compressed files and tiny files, CDC chunk-level dedup for the rest,
 //!   over global (monolithic) indexes; unique units uploaded individually.
 //!
-//! All four implement [`BackupScheme`](aadedupe_core::BackupScheme), so the
+//! All four implement [`BackupScheme`], so the
 //! harness sweeps them interchangeably with AA-Dedupe.
 
 pub mod avamar;

@@ -1,6 +1,6 @@
 //! SAM: hybrid semantic-aware source deduplication.
 //!
-//! The paper's closest prior work [11]: SAM combines file-level and
+//! The paper's closest prior work \[11\]: SAM combines file-level and
 //! chunk-level dedup using file semantics — whole-file fingerprints for
 //! data unlikely to carry sub-file redundancy (compressed files, tiny
 //! files), CDC chunk-level dedup for the rest — over *global* indexes.

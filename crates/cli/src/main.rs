@@ -25,11 +25,11 @@
 //! `header`, `sample`s, `span`s, closing `summary`); `--stats` prints that
 //! summary as a table; `--progress` draws a live status line.
 //!
-//! `restore`, `restore-file` and `sessions` only read: they never modify
-//! the repository and build no index. Every other command first rebuilds
-//! the index from the repository's manifests — its one durable form;
-//! `--index-dir` names scratch space for that run, not saved state — and
-//! sweeps containers no manifest references.
+//! `restore`, `restore-file`, `sessions` and `vacuum --dry-run` only
+//! read: they never modify the repository and build no index. Every other
+//! command first rebuilds the index from the repository's manifests — its
+//! one durable form; `--index-dir` names scratch space for that run, not
+//! saved state — and sweeps containers no manifest references.
 
 mod progress;
 mod source;
@@ -258,10 +258,11 @@ fn open_engine(
 }
 
 /// The engine for commands that only read (restore, restore-file,
-/// sessions). They consult manifests and containers, never the index, so
-/// nothing is rebuilt — and nothing is swept: a container no manifest
-/// references yet may be a concurrent backup's, on its way to the commit
-/// point. A reading command never modifies the repository.
+/// sessions, vacuum --dry-run). They consult manifests and containers,
+/// never the index, so nothing is rebuilt — and nothing is swept: a
+/// container no manifest references yet may be a concurrent backup's, on
+/// its way to the commit point. A reading command never modifies the
+/// repository.
 fn read_engine(
     repo: &Path,
     workers: usize,
@@ -420,7 +421,7 @@ fn cmd_delete(repo: &Path, session: usize, index: &IndexArgs) -> Result<(), Stri
 /// shared by `vacuum` and `retention --vacuum`.
 fn run_vacuum(engine: &mut AaDedupe, ratio: f64, dry_run: bool) -> Result<(), String> {
     let cost_before = engine.cloud().monthly_cost().storage;
-    let opts = VacuumOptions { ratio, dry_run, ..VacuumOptions::default() };
+    let opts = VacuumOptions { ratio, dry_run };
     let report = engine.vacuum(&opts).map_err(|e| format!("vacuum failed: {e}"))?;
     let verb = if report.dry_run { "would rewrite" } else { "rewrote" };
     println!(
@@ -451,7 +452,13 @@ fn run_vacuum(engine: &mut AaDedupe, ratio: f64, dry_run: bool) -> Result<(), St
 }
 
 fn cmd_vacuum(repo: &Path, ratio: f64, dry_run: bool, index: &IndexArgs) -> Result<(), String> {
-    let mut engine = open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?;
+    // A dry run only reads manifests and containers: it needs no index and
+    // must not sweep, so it opens the repository like a reader.
+    let mut engine = if dry_run {
+        read_engine(repo, 1, None)?
+    } else {
+        open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?
+    };
     run_vacuum(&mut engine, ratio, dry_run)
 }
 

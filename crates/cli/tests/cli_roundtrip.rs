@@ -220,11 +220,11 @@ fn restore_refuses_manifest_paths_outside_the_output_directory() {
     }
 }
 
-/// `sessions`, `restore` and `restore-file` only read. A container no
-/// manifest references may be a concurrent backup's, uploaded on its way
-/// to the commit point: sweeping it is `backup`'s job on its next open,
-/// never a reader's. Nor does a reader build an index, so `--index-dir`
-/// is never written.
+/// `sessions`, `restore`, `restore-file` and `vacuum --dry-run` only read.
+/// A container no manifest references may be a concurrent backup's,
+/// uploaded on its way to the commit point: sweeping it is `backup`'s job
+/// on its next open, never a reader's. Nor does a reader build an index,
+/// so `--index-dir` is never written.
 #[test]
 fn read_only_commands_leave_the_repository_untouched() {
     let dirs = Dirs::new("readonly");
@@ -235,9 +235,13 @@ fn read_only_commands_leave_the_repository_untouched() {
     let (ok, out) = run(&["backup", "--repo", repo_s, src.to_str().unwrap()]);
     assert!(ok, "{out}");
 
+    // The in-flight container is a well-formed one (a copy of a committed
+    // container under a fresh id), so a dry run's analysis parses it.
     let store = FsObjectStore::open(&repo).unwrap();
+    let containers = store.list("aa-dedupe/containers/");
+    let committed = store.get(&containers[0]).unwrap().expect("a committed container");
     let orphan = "aa-dedupe/containers/000099999999";
-    store.put(orphan, b"in flight".to_vec()).unwrap();
+    store.put(orphan, committed).unwrap();
     let before = store.list("");
     assert!(before.iter().any(|k| k == orphan), "{before:?}");
 
@@ -245,11 +249,14 @@ fn read_only_commands_leave_the_repository_untouched() {
     let out_s = out_dir.to_str().unwrap();
     let index_dir = dirs.root.join("index");
     let single = dirs.root.join("single.doc");
-    let readers: [&[&str]; 4] = [
+    let index_s = index_dir.to_str().unwrap();
+    let readers: [&[&str]; 6] = [
         &["sessions", "--repo", repo_s],
         &["restore", "--repo", repo_s, "0", out_s],
-        &["restore", "--repo", repo_s, "--index-dir", index_dir.to_str().unwrap(), "0", out_s],
+        &["restore", "--repo", repo_s, "--index-dir", index_s, "0", out_s],
         &["restore-file", "--repo", repo_s, "0", "report.doc", single.to_str().unwrap()],
+        &["vacuum", "--repo", repo_s, "--dry-run"],
+        &["vacuum", "--repo", repo_s, "--index-dir", index_s, "--dry-run"],
     ];
     for args in readers {
         let (ok, text) = run(args);

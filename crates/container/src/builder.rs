@@ -8,7 +8,6 @@
 //! oversized containers holding a single huge chunk.
 
 use crate::format::{encode_container, ChunkDescriptor, HEADER_LEN};
-use bytes::BufMut;
 
 /// Serialized size of one chunk: its descriptor plus its data.
 fn entry_len(len: usize, digest_len: usize) -> usize {
@@ -23,7 +22,7 @@ pub(crate) fn fits_empty(target_size: usize, len: usize, digest_len: usize) -> b
 }
 
 /// An open, partially-filled container.
-pub struct ContainerBuilder {
+pub(crate) struct ContainerBuilder {
     container_id: u64,
     target_size: usize,
     descriptors: Vec<ChunkDescriptor>,
@@ -51,19 +50,9 @@ impl ContainerBuilder {
         self.container_id
     }
 
-    /// Fixed size this container will be padded to when sealed.
-    pub fn target_size(&self) -> usize {
-        self.target_size
-    }
-
     /// Number of chunks appended so far.
     pub fn chunk_count(&self) -> usize {
         self.descriptors.len()
-    }
-
-    /// Bytes of chunk data appended so far.
-    pub fn data_len(&self) -> usize {
-        self.data.len()
     }
 
     /// True if nothing has been appended.
@@ -96,7 +85,7 @@ impl ContainerBuilder {
             offset,
             len: chunk.len() as u32,
         });
-        self.data.put_slice(chunk);
+        self.data.extend_from_slice(chunk);
         self.projected += entry_len(chunk.len(), digest_len);
         offset
     }

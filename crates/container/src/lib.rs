@@ -17,21 +17,23 @@
 //!   `ablation_container` bench sweeps the size/padding tradeoff).
 //! * Chunks too large to share a container (e.g. whole-file chunks of
 //!   media files) get a dedicated, unpadded container of their own.
-//! * Deletion support: a background sweep rewrites containers, dropping
-//!   chunks that are no longer referenced ([`store::compact_container`]).
+//! * Deletion support: a background sweep (the core crate's vacuum pass)
+//!   repacks the live chunks of mostly-dead containers through the same
+//!   [`ContainerStore`] that sessions append to, so every container in the
+//!   system is sealed by one producer.
 //!
-//! Modules: [`format`] (the byte layout), [`builder`] (incremental
-//! construction), [`store`] (open-container management, sealing, GC).
+//! Modules: [`format`](mod@format) (the byte layout) and [`store`]
+//! (open-container management and sealing, over a crate-private
+//! incremental builder).
 
-pub mod builder;
+mod builder;
 pub mod format;
 pub mod store;
 
-pub use builder::ContainerBuilder;
 pub use format::{ChunkDescriptor, ContainerError, ParsedContainer, CONTAINER_MAGIC};
 pub use store::{
-    compact_container, compact_container_bytes, compose_id, decompose_id, CompactedContainer,
-    ContainerStore, Placement, SealedContainer, StoreStats, STREAM_ID_SHIFT,
+    compose_id, decompose_id, ContainerStore, Placement, SealedContainer, StoreStats,
+    STREAM_ID_SHIFT,
 };
 
 /// Default fixed container size: 1 MiB (paper §III.F).

@@ -1,4 +1,5 @@
-//! Open-container management, sealing, and garbage collection.
+//! Open-container management and sealing: the one producer of container
+//! bytes, for backup sessions and vacuum rewrites alike.
 //!
 //! "An open chunk container is maintained for each incoming backup data
 //! stream, appending each new chunk or tiny file to the open container
@@ -22,7 +23,6 @@
 //! back with [`ContainerStore::merge`].
 
 use crate::builder::{fits_empty, ContainerBuilder};
-use crate::format::{ChunkDescriptor, ContainerError, ParsedContainer};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Recorder, Stage};
 use std::collections::BTreeMap;
@@ -42,7 +42,7 @@ pub fn compose_id(stream: u32, seq: u64) -> u64 {
 
 /// Splits a container id into (stream, sequence). Ids minted before the
 /// per-stream scheme decompose as stream 0, which is harmless: resuming
-/// treats them as floor values and new ids never collide with them.
+/// advances stream 0 past them and new ids never collide with them.
 pub fn decompose_id(id: u64) -> (u32, u64) {
     ((id >> STREAM_ID_SHIFT) as u32, id & ((1 << STREAM_ID_SHIFT) - 1))
 }
@@ -90,9 +90,6 @@ pub struct ContainerStore {
     /// Next sequence number per stream (ids are per-stream, see
     /// [`compose_id`]).
     next_seq: BTreeMap<u32, u64>,
-    /// Floor applied to every stream's sequence, covering namespaces whose
-    /// existing ids predate the per-stream scheme.
-    seq_floor: u64,
     open: BTreeMap<u32, ContainerBuilder>,
     sealed: Vec<SealedContainer>,
     stats: StoreStats,
@@ -105,7 +102,6 @@ impl ContainerStore {
         ContainerStore {
             container_size,
             next_seq: BTreeMap::new(),
-            seq_floor: 0,
             open: BTreeMap::new(),
             sealed: Vec::new(),
             stats: StoreStats::default(),
@@ -123,14 +119,6 @@ impl ContainerStore {
         self.container_size
     }
 
-    /// Ensures every stream's future sequence numbers start at or after
-    /// `next_seq` — used when resuming over a namespace holding containers
-    /// whose ids don't carry a stream part (ids must never be reused, or
-    /// uploads would clobber live objects).
-    pub fn resume_ids_from(&mut self, next_seq: u64) {
-        self.seq_floor = self.seq_floor.max(next_seq);
-    }
-
     /// Ensures `stream`'s future sequence numbers start at or after
     /// `next_seq` — the per-stream resume used after decomposing existing
     /// container ids with [`decompose_id`].
@@ -139,25 +127,12 @@ impl ContainerStore {
         *seq = (*seq).max(next_seq);
     }
 
-    fn fresh_id(&mut self, stream: u32) -> u64 {
-        Self::mint_id(&mut self.next_seq, self.seq_floor, stream)
-    }
-
-    /// Mints a fresh container id for `stream` without opening a builder —
-    /// the naming hook for compaction: vacuum needs ids for rewritten
-    /// containers that stay monotonic and can never collide with ids a
-    /// later backup session mints from the same store.
-    pub fn mint_container_id(&mut self, stream: u32) -> u64 {
-        self.fresh_id(stream)
-    }
-
     /// Field-level id minting so [`add_chunk`](Self::add_chunk) can mint
     /// inside an `open.entry()` closure (disjoint field borrows).
-    fn mint_id(next_seq: &mut BTreeMap<u32, u64>, seq_floor: u64, stream: u32) -> u64 {
+    fn fresh_id(next_seq: &mut BTreeMap<u32, u64>, stream: u32) -> u64 {
         let seq = next_seq.entry(stream).or_insert(0);
-        let current = (*seq).max(seq_floor);
-        *seq = current + 1;
-        compose_id(stream, current)
+        *seq += 1;
+        compose_id(stream, *seq - 1)
     }
 
     /// Adds a chunk to `stream`'s open container, sealing/rolling as
@@ -173,7 +148,7 @@ impl ContainerStore {
 
         // Oversized chunk: dedicated container, sealed at once, unpadded.
         if !fits_empty(self.container_size, chunk.len(), digest_len) {
-            let id = self.fresh_id(stream);
+            let id = Self::fresh_id(&mut self.next_seq, stream);
             let mut b = ContainerBuilder::new(id, self.container_size);
             let offset = b.append(fp, chunk);
             let (bytes, padding) = b.seal();
@@ -193,12 +168,11 @@ impl ContainerStore {
         if needs_roll {
             self.seal_stream(stream);
         }
-        let size = self.container_size;
-        let (next_seq, seq_floor) = (&mut self.next_seq, self.seq_floor);
+        let (next_seq, size) = (&mut self.next_seq, self.container_size);
         let builder = self
             .open
             .entry(stream)
-            .or_insert_with(|| ContainerBuilder::new(Self::mint_id(next_seq, seq_floor, stream), size));
+            .or_insert_with(|| ContainerBuilder::new(Self::fresh_id(next_seq, stream), size));
         let id = builder.container_id();
         let offset = builder.append(fp, chunk);
         self.recorder.record(Stage::ContainerAppend, started);
@@ -250,13 +224,12 @@ impl ContainerStore {
 
     /// Takes `stream` out of this store: its sequence counter and open
     /// container (if any) move into a new store with the same container
-    /// size, sequence floor and recorder, for one thread to append to
-    /// while other threads own other streams. Until the part comes back
-    /// through [`merge`](Self::merge), this store must not be handed
-    /// chunks or asked for ids of `stream`.
+    /// size and recorder, for one thread — a pipeline lane, or vacuum's
+    /// repacking — to append to while this store serves other streams.
+    /// Until the part comes back through [`merge`](Self::merge), this store
+    /// must not be handed chunks of `stream`.
     pub fn split_stream(&mut self, stream: u32) -> ContainerStore {
         let mut part = ContainerStore::new(self.container_size);
-        part.seq_floor = self.seq_floor;
         part.recorder = Arc::clone(&self.recorder);
         part.next_seq.extend(self.next_seq.remove_entry(&stream));
         part.open.extend(self.open.remove_entry(&stream));
@@ -280,57 +253,10 @@ impl ContainerStore {
     }
 }
 
-/// A compacted container: its rewritten bytes plus the surviving chunks'
-/// new placements.
-pub type CompactedContainer = (Vec<u8>, Vec<(Fingerprint, Placement)>);
-
-/// Rewrites a container, keeping only chunks for which `live` returns true
-/// — the background deletion process of paper §III.F.
-///
-/// Returns `None` when nothing survives (the container can simply be
-/// deleted), otherwise the rewritten container bytes (under `new_id`)
-/// plus the surviving chunks' new placements.
-pub fn compact_container(
-    parsed: &ParsedContainer,
-    live: &dyn Fn(&Fingerprint) -> bool,
-    new_id: u64,
-    container_size: usize,
-) -> Option<CompactedContainer> {
-    let survivors: Vec<&ChunkDescriptor> = parsed
-        .descriptors
-        .iter()
-        .filter(|d| live(&d.fingerprint))
-        .collect();
-    if survivors.is_empty() {
-        return None;
-    }
-    // Survivors are a subset of a container that fit `container_size`
-    // before, so they always fit the rewritten container (an oversized
-    // original has exactly one chunk, which an empty builder accepts).
-    let mut b = ContainerBuilder::new(new_id, container_size);
-    let mut moves = Vec::with_capacity(survivors.len());
-    for d in survivors {
-        let offset = b.append(d.fingerprint, parsed.chunk_bytes(d));
-        moves.push((d.fingerprint, Placement { container: new_id, offset }));
-    }
-    let (bytes, _padding) = b.seal();
-    Some((bytes, moves))
-}
-
-/// Convenience: parse-then-compact, surfacing parse errors.
-pub fn compact_container_bytes(
-    raw: &[u8],
-    live: &dyn Fn(&Fingerprint) -> bool,
-    new_id: u64,
-    container_size: usize,
-) -> Result<Option<CompactedContainer>, ContainerError> {
-    let parsed = ParsedContainer::parse(raw)?;
-    Ok(compact_container(&parsed, live, new_id, container_size))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::ParsedContainer;
     use aadedupe_hashing::HashAlgorithm;
 
     fn fp(data: &[u8]) -> Fingerprint {
@@ -440,13 +366,14 @@ mod tests {
     #[test]
     fn resume_ids_skips_used_range() {
         let mut store = ContainerStore::new(4096);
-        store.resume_ids_from(100);
+        store.resume_stream_ids(0, 100);
         let p = store.add_chunk(0, fp(b"x"), b"x");
-        assert!(p.container >= 100);
+        assert_eq!(decompose_id(p.container), (0, 100));
         // Resuming backwards never lowers the counter.
-        store.resume_ids_from(5);
-        let q = store.add_chunk(1, fp(b"y"), b"y");
-        assert!(q.container > p.container);
+        store.seal_all();
+        store.resume_stream_ids(0, 5);
+        let q = store.add_chunk(0, fp(b"y"), b"y");
+        assert_eq!(decompose_id(q.container), (0, 101));
     }
 
     #[test]
@@ -459,39 +386,6 @@ mod tests {
         let mut ids = vec![p1.container, p2.container, p3.container];
         ids.dedup();
         assert_eq!(ids.len(), 3);
-    }
-
-    #[test]
-    fn compaction_drops_dead_chunks() {
-        let mut store = ContainerStore::new(8192);
-        let keep = b"keep me".to_vec();
-        let drop_ = b"drop me".to_vec();
-        store.add_chunk(0, fp(&keep), &keep);
-        store.add_chunk(0, fp(&drop_), &drop_);
-        store.seal_all();
-        let sealed = store.drain_sealed();
-        let keep_fp = fp(&keep);
-        let (bytes, moves) =
-            compact_container_bytes(&sealed[0].bytes, &|f| *f == keep_fp, 99, 8192)
-                .unwrap()
-                .expect("one survivor");
-        assert_eq!(moves.len(), 1);
-        assert_eq!(moves[0].0, keep_fp);
-        let parsed = ParsedContainer::parse(&bytes).unwrap();
-        assert_eq!(parsed.container_id, 99);
-        assert_eq!(parsed.descriptors.len(), 1);
-        assert_eq!(parsed.find(&keep_fp).unwrap(), &keep[..]);
-        parsed.verify().unwrap();
-    }
-
-    #[test]
-    fn compaction_of_fully_dead_container_returns_none() {
-        let mut store = ContainerStore::new(4096);
-        store.add_chunk(0, fp(b"doomed"), b"doomed");
-        store.seal_all();
-        let sealed = store.drain_sealed();
-        let r = compact_container_bytes(&sealed[0].bytes, &|_| false, 1, 4096).unwrap();
-        assert!(r.is_none());
     }
 
     #[test]
@@ -555,9 +449,12 @@ mod tests {
                     store.merge(untouched);
                 }
             }
-            // Every stream's sequence continues where its appends left it.
+            // Every stream's sequence continues where its appends left it:
+            // stream 1 in its open container, the others in fresh ones.
             let tail = store.add_chunk(1, fp(b"tail"), b"tail").container;
-            let minted = [tail, store.mint_container_id(2), store.mint_container_id(3)];
+            store.seal_stream(2);
+            let fresh = [2, 3].map(|s| store.add_chunk(s, fp(b"fresh"), b"fresh").container);
+            let minted = [tail, fresh[0], fresh[1]];
             store.seal_all();
             let mut sealed: Vec<(u64, Vec<u8>)> =
                 store.drain_sealed().into_iter().map(|s| (s.id, s.bytes)).collect();
@@ -568,7 +465,7 @@ mod tests {
         assert_eq!(decompose_id(sealed[0].0), (1, 0), "the open container kept its id");
         assert_eq!(decompose_id(minted[2]), (3, 0));
         let in_stream_2 = sealed.iter().filter(|(id, _)| decompose_id(*id).0 == 2).count() as u64;
-        assert_eq!(decompose_id(minted[1]), (2, 5 + in_stream_2), "no id is minted twice");
+        assert_eq!(decompose_id(minted[1]), (2, 4 + in_stream_2), "no id is minted twice");
         for mode in [Mode::StreamByStream, Mode::Split] {
             assert_eq!(run(mode), (sealed.clone(), stats, minted), "layout is order-independent");
         }
@@ -586,13 +483,20 @@ mod tests {
 
     #[test]
     fn minted_ids_interleave_with_appends_without_collision() {
+        // A stream lent out and given back (vacuum's repacking, a pipeline
+        // lane) continues the one sequence: its ids follow the store's own
+        // and the store's next ones follow the part's.
         let mut store = ContainerStore::new(4096);
-        let m1 = store.mint_container_id(2);
-        let p = store.add_chunk(2, fp(b"x"), b"x");
-        let m2 = store.mint_container_id(2);
-        assert_eq!(decompose_id(m1), (2, 0));
-        assert_eq!(decompose_id(p.container), (2, 1));
-        assert_eq!(decompose_id(m2), (2, 2));
+        let p1 = store.add_chunk(2, fp(b"x"), b"x");
+        store.seal_all();
+        let mut part = store.split_stream(2);
+        let p2 = part.add_chunk(2, fp(b"y"), b"y");
+        part.seal_stream(2);
+        assert_eq!(part.drain_sealed().len(), 1);
+        store.merge(part);
+        let p3 = store.add_chunk(2, fp(b"z"), b"z");
+        let seqs = [p1, p2, p3].map(|p| decompose_id(p.container));
+        assert_eq!(seqs, [(2, 0), (2, 1), (2, 2)]);
     }
 
     #[test]

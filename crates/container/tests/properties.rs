@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use aadedupe_container::{
-    store::compact_container_bytes, ContainerStore, ParsedContainer, SealedContainer,
-};
+use aadedupe_container::{ContainerStore, ParsedContainer, SealedContainer};
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
 
 fn arb_chunks() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
@@ -84,42 +82,5 @@ proptest! {
             prop_assert!(ParsedContainer::parse(&bytes[..n]).is_err(), "prefix {}", n);
         }
         prop_assert!(ParsedContainer::parse(bytes).is_ok());
-    }
-
-    /// Compaction keeps exactly the live chunks, verifiable, and the moves
-    /// list matches the survivors.
-    #[test]
-    fn compaction_partition(chunks in arb_chunks(), keep_mask in any::<u64>()) {
-        let mut store = ContainerStore::new(1 << 16);
-        let mut fps = Vec::new();
-        for (_, bytes) in &chunks {
-            let fp = Fingerprint::compute(HashAlgorithm::Sha1, bytes);
-            store.add_chunk(0, fp, bytes);
-            fps.push(fp);
-        }
-        let sealed = seal_all(&mut store);
-        for sc in sealed {
-            let parsed = ParsedContainer::parse(&sc.bytes).unwrap();
-            let live = |fp: &Fingerprint| {
-                fps.iter().position(|f| f == fp).is_some_and(|i| keep_mask >> (i % 64) & 1 == 1)
-            };
-            let survivors: Vec<_> = parsed.descriptors.iter()
-                .filter(|d| live(&d.fingerprint)).collect();
-            match compact_container_bytes(&sc.bytes, &live, 999, 1 << 16).unwrap() {
-                None => prop_assert!(survivors.is_empty()),
-                Some((bytes, moves)) => {
-                    prop_assert_eq!(moves.len(), survivors.len());
-                    let re = ParsedContainer::parse(&bytes).unwrap();
-                    re.verify().unwrap();
-                    prop_assert_eq!(re.descriptors.len(), survivors.len());
-                    for d in survivors {
-                        prop_assert_eq!(
-                            re.find(&d.fingerprint).unwrap(),
-                            parsed.chunk_bytes(d)
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -109,12 +109,6 @@ pub struct AaDedupeConfig {
     /// every CDC-routed application (Rabin, the paper's scan and the
     /// fidelity oracle, or gear-hash FastCDC).
     pub cdc: CdcParams,
-    /// Per-application CDC overrides, consulted before [`Self::cdc`]: the
-    /// first entry matching a file's [`AppType`] wins. Lets one partition
-    /// run FastCDC (or different size targets) while the rest keep the
-    /// default — each index partition is self-consistent because a given
-    /// app always chunks with the same parameters.
-    pub cdc_by_app: Vec<(AppType, CdcParams)>,
     /// Chunking/hash policy per category (paper: Fig. 6).
     pub policy: DedupPolicy,
     /// LRU capacity of each index partition, in entries: the write-back
@@ -130,8 +124,6 @@ pub struct AaDedupeConfig {
     /// decisions are bit-identical either way — only the RAM/disk stat
     /// classification and the actual memory footprint differ.
     pub index_dir: Option<PathBuf>,
-    /// Upload an index snapshot every N sessions (0 disables sync).
-    pub index_sync_interval: usize,
     /// Backup pipeline worker-pool settings.
     pub pipeline: PipelineConfig,
     /// Restore pipeline settings (fetch/parse/verify worker threads).
@@ -155,30 +147,15 @@ impl Default for AaDedupeConfig {
             container_size: DEFAULT_CONTAINER_SIZE,
             sc_chunk_size: 8 * 1024,
             cdc: DEFAULT_CDC,
-            cdc_by_app: Vec::new(),
             policy: DedupPolicy::aa_dedupe(),
             ram_entries_per_partition: 1 << 18,
             index_dir: None,
-            index_sync_interval: 1,
             pipeline: PipelineConfig::default(),
             restore: RestoreOptions::default(),
             retry: RetryPolicy::default(),
             scheme_key: "aa-dedupe".into(),
             recorder: Recorder::shared_disabled(),
         }
-    }
-}
-
-impl AaDedupeConfig {
-    /// The effective CDC parameters for `app`: the first matching
-    /// [`Self::cdc_by_app`] override, else [`Self::cdc`]. Both the serial
-    /// and parallel chunking paths resolve parameters through this single
-    /// point, so the pipelines stay bit-identical by construction.
-    pub fn cdc_for(&self, app: AppType) -> CdcParams {
-        self.cdc_by_app
-            .iter()
-            .find(|(a, _)| *a == app)
-            .map_or(self.cdc, |(_, p)| *p)
     }
 }
 
@@ -347,7 +324,7 @@ fn chunk_and_hash(cfg: &AaDedupeConfig, app: AppType, data: Vec<u8>) -> ChunkedF
                 (ScChunker::new(cfg.sc_chunk_size).chunk(&data), Counter::ChunksSc)
             }
             ChunkingMethod::Cdc => {
-                (ContentChunker::new(cfg.cdc_for(app)).chunk(&data), Counter::ChunksCdc)
+                (ContentChunker::new(cfg.cdc).chunk(&data), Counter::ChunksCdc)
             }
         };
         rec.record(Stage::Chunk, chunking);
@@ -530,7 +507,7 @@ impl AaDedupe {
 
     /// Opens an engine over an *existing* cloud namespace, resuming its
     /// state: the index and the session counter are what the committed
-    /// manifests say ([`Liveness`] — exact, snapshot-independent), and
+    /// manifests say (`Liveness` — exact, snapshot-independent), and
     /// every listed container no manifest references is swept. A fresh
     /// namespace yields a fresh engine.
     pub fn open(cloud: CloudSim, config: AaDedupeConfig) -> Result<Self, BackupError> {
@@ -1018,29 +995,25 @@ impl BackupScheme for AaDedupe {
             return Err(e);
         }
         rec.record(Stage::Upload, uploading);
-        // Periodic index synchronisation.
-        if self.config.index_sync_interval > 0
-            && (self.sessions + 1).is_multiple_of(self.config.index_sync_interval)
-        {
-            let uploading = rec.start();
-            let snap = codec::encode_app_aware(&self.index);
-            report.transferred_bytes += snap.len() as u64;
-            rec.count(Counter::UploadBytes, snap.len() as u64);
-            rec.count(Counter::UploadObjects, 1);
-            upload_seq += 1;
-            let skey = snapshot_key(&self.config.scheme_key, self.sessions);
-            if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, upload_seq) {
-                // The manifest is committed, so the session is durable and
-                // the engine's state matches the cloud; the snapshot is only
-                // a recovery accelerator. Count the session and surface the
-                // failure without poisoning.
-                self.sessions += 1;
-                return Err(BackupError::Cloud(format!(
-                    "session committed, but index snapshot upload failed: {e}"
-                )));
-            }
-            rec.record(Stage::Upload, uploading);
+        // Index synchronisation: a snapshot after every session.
+        let uploading = rec.start();
+        let snap = codec::encode_app_aware(&self.index);
+        report.transferred_bytes += snap.len() as u64;
+        rec.count(Counter::UploadBytes, snap.len() as u64);
+        rec.count(Counter::UploadObjects, 1);
+        upload_seq += 1;
+        let skey = snapshot_key(&self.config.scheme_key, self.sessions);
+        if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, upload_seq) {
+            // The manifest is committed, so the session is durable and
+            // the engine's state matches the cloud; the snapshot is only
+            // a recovery accelerator. Count the session and surface the
+            // failure without poisoning.
+            self.sessions += 1;
+            return Err(BackupError::Cloud(format!(
+                "session committed, but index snapshot upload failed: {e}"
+            )));
         }
+        rec.record(Stage::Upload, uploading);
         rec.trace_complete("upload", upload_span);
 
         let put_delta = self.cloud.store().stats().put_requests - puts_before.put_requests;
@@ -1087,19 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn cdc_for_prefers_the_first_matching_override() {
-        use aadedupe_chunking::CdcAlgorithm;
-        let fast = DEFAULT_CDC.with_algorithm(CdcAlgorithm::FastCdc);
-        let cfg = AaDedupeConfig {
-            cdc_by_app: vec![(AppType::Doc, fast), (AppType::Doc, DEFAULT_CDC)],
-            ..AaDedupeConfig::default()
-        };
-        assert_eq!(cfg.cdc_for(AppType::Doc).algorithm, CdcAlgorithm::FastCdc);
-        assert_eq!(cfg.cdc_for(AppType::Txt).algorithm, CdcAlgorithm::Rabin);
-        assert_eq!(cfg.cdc_for(AppType::Txt), cfg.cdc);
-    }
-
-    #[test]
     fn fastcdc_engine_round_trips_and_differs_from_rabin() {
         use aadedupe_chunking::CdcAlgorithm;
         let files = vec![
@@ -1118,39 +1078,6 @@ mod tests {
         assert_ne!(rr.chunks_total, rf.chunks_total);
         // ...but restores are bit-exact either way.
         assert_eq!(rabin.restore_session(0).unwrap(), fast.restore_session(0).unwrap());
-    }
-
-    #[test]
-    fn per_app_override_only_reshapes_that_partition() {
-        use aadedupe_chunking::CdcAlgorithm;
-        // High-entropy doc content: content-defined (not forced) cuts, so
-        // the two algorithms produce clearly different chunk counts
-        // (Rabin mean ≈ 7.5 KiB, normalized FastCDC mean ≈ 9.5 KiB).
-        let mut x = 0x00D0_C5EEDu64;
-        let doc: Vec<u8> = (0..600_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 32) as u8
-            })
-            .collect();
-        let files = vec![
-            mem("user/doc/a.doc", doc),
-            mem("user/txt/b.txt", (0..180_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect()),
-        ];
-        let mut plain = engine();
-        let cfg = AaDedupeConfig {
-            cdc_by_app: vec![(AppType::Doc, DEFAULT_CDC.with_algorithm(CdcAlgorithm::FastCdc))],
-            ..AaDedupeConfig::default()
-        };
-        let mut mixed = AaDedupe::with_config(CloudSim::with_paper_defaults(), cfg);
-        let rp = plain.backup_session(&sources(&files)).unwrap();
-        let rm = mixed.backup_session(&sources(&files)).unwrap();
-        // The override re-cuts only the Doc partition; totals shift but the
-        // restored bytes cannot.
-        assert_ne!(rp.chunks_total, rm.chunks_total);
-        assert_eq!(plain.restore_session(0).unwrap(), mixed.restore_session(0).unwrap());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! BackupPC, Avamar, SAM and AA-Dedupe — over the same workload and
 //! reports per-session measurements. [`BackupScheme`] is the contract that
 //! makes the sweep uniform: feed a session's files, get a
-//! [`SessionReport`](aadedupe_metrics::SessionReport); restore any past
+//! [`SessionReport`]; restore any past
 //! session and get verified bytes back.
 
 use aadedupe_filetype::SourceFile;

@@ -5,8 +5,8 @@
 //! churn the stored-to-live ratio erodes toward the worst case. The
 //! vacuum pass reclaims that slack by rewriting containers whose live
 //! ratio fell below a threshold (and combining undersized survivors of
-//! the same stream) into fresh container ids, on top of the
-//! [`compact_container`] primitive, then repointing every manifest,
+//! the same stream) into fresh container ids, through the same
+//! [`ContainerStore`] sessions append to, then repointing every manifest,
 //! index entry and tiny-file reference at the new placements so restores
 //! stay bit-exact.
 //!
@@ -20,11 +20,15 @@
 //!    failed to delete), or a *rewrite candidate*
 //!    (live ratio < `ratio`, or undersized with a same-stream partner to
 //!    combine with).
-//! 2. **Rewrite** ([`Stage::VacuumRewrite`]): per stream, in container-id
-//!    order, repack surviving chunks into fresh ids — solo candidates
-//!    through [`compact_container`], combine groups through a packer that
-//!    rolls containers at the configured size — building the relocation
-//!    map `(old container, old offset, fingerprint) → new placement`.
+//! 2. **Rewrite** ([`Stage::VacuumRewrite`]): per stream, lend the stream
+//!    out of the engine's store ([`ContainerStore::split_stream`]), append
+//!    every candidate's surviving chunks in container-id order, seal, and
+//!    merge the stream back — building the relocation map `(old container,
+//!    old offset, fingerprint) → new placement`. Fresh ids continue the
+//!    stream's own sequence, containers roll at the configured size and an
+//!    oversized chunk gets a container of its own, exactly as in a
+//!    session. A dry run packs into a detached store instead, so the
+//!    engine's sequences stay as they were.
 //! 3. **Commit** ([`Stage::VacuumCommit`]), in crash-consistent order:
 //!    **new containers → rewritten manifests → index snapshot →
 //!    old-container deletes**. A crash at any operation leaves every
@@ -38,18 +42,16 @@
 //!    converges: the analysis starts from the cloud, and half-written
 //!    rewrites are either referenced (kept) or dead (deleted).
 //!
-//! Liveness is keyed by fingerprint per container (the
-//! [`compact_container`] contract): if the same fingerprint occupies two
-//! offsets of one container (possible only on the tiny stream, which
-//! skips dedup), both copies survive and both slots are relocated.
+//! Liveness is keyed by fingerprint per container: if the same
+//! fingerprint occupies two offsets of one container (possible only on the
+//! tiny stream, which skips dedup), both copies survive and both slots are
+//! relocated.
 
 use std::collections::BTreeMap;
 
-use aadedupe_container::{
-    compact_container, decompose_id, ContainerStore, ParsedContainer, Placement,
-};
+use aadedupe_container::{decompose_id, ContainerStore, ParsedContainer, Placement};
 use aadedupe_hashing::Fingerprint;
-use aadedupe_obs::{Counter, Stage};
+use aadedupe_obs::{Counter, Recorder, Stage};
 
 use crate::engine::{snapshot_key, snapshots_prefix, AaDedupe, Liveness};
 use crate::recipe::Manifest;
@@ -63,11 +65,11 @@ pub struct VacuumOptions {
     /// total payload bytes) is strictly below this threshold. `0.0`
     /// rewrites nothing on ratio grounds; `1.0` rewrites any container
     /// with at least one dead byte.
+    ///
+    /// Undersized containers — live payload below half the configured
+    /// container size — are rewritten whatever the ratio when their stream
+    /// has at least two of them, so their survivors are combined.
     pub ratio: f64,
-    /// Additionally combine *undersized* containers — live payload below
-    /// half the configured container size — when a stream has at least
-    /// two of them. `false` restricts the pass to the ratio rule.
-    pub combine_undersized: bool,
     /// Analyze and plan only: report what a real pass would do without
     /// touching the cloud namespace or the engine's in-memory state.
     pub dry_run: bool,
@@ -75,7 +77,7 @@ pub struct VacuumOptions {
 
 impl Default for VacuumOptions {
     fn default() -> Self {
-        VacuumOptions { ratio: 0.5, combine_undersized: true, dry_run: false }
+        VacuumOptions { ratio: 0.5, dry_run: false }
     }
 }
 
@@ -122,7 +124,7 @@ enum Disposition {
     Retain,
     /// No live chunk: deleted without a rewrite.
     Dead,
-    /// Repacked — alone (ratio rule) or combined (undersized rule).
+    /// Repacked together with its stream's other candidates.
     Rewrite,
 }
 
@@ -196,8 +198,7 @@ impl AaDedupe {
             let live = live_payload(c);
             let total: u64 = c.parsed.descriptors.iter().map(|d| d.len as u64).sum();
             let below_ratio = total > 0 && (live as f64) / (total as f64) < opts.ratio;
-            let combinable = opts.combine_undersized
-                && live < half_size
+            let combinable = live < half_size
                 && undersized_per_stream.get(&decompose_id(c.id).0).copied().unwrap_or(0) >= 2;
             let disposition = if live == 0 {
                 Disposition::Dead
@@ -212,104 +213,43 @@ impl AaDedupe {
 
         // ---- Phase 2: rewrite (in memory) -------------------------------
         let rewriting = rec.start();
-        // Fresh ids come from the engine's own store so they stay
-        // monotonic and can never collide with ids a later session mints;
-        // the combine groups are packed by a scratch store that starts at
-        // the same per-stream sequences.
+        // Rewrite candidates per stream, in id order.
+        let mut by_stream: BTreeMap<u32, Vec<&Candidate>> = BTreeMap::new();
+        for c in containers.values() {
+            if matches!(dispositions.get(&c.id), Some(Disposition::Rewrite)) {
+                by_stream.entry(decompose_id(c.id).0).or_default().push(c);
+            }
+        }
         let mut new_containers: Vec<(u64, Vec<u8>)> = Vec::new();
         // (old container, old offset, fingerprint) -> new placement.
         let mut relocations: BTreeMap<(u64, u32, Fingerprint), Placement> = BTreeMap::new();
-        let mut rewritten_ids: Vec<u64> = Vec::new();
-        {
-            // Group rewrite candidates per stream, in id order.
-            let mut by_stream: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-            for (&id, d) in &dispositions {
-                if matches!(d, Disposition::Rewrite) {
-                    by_stream.entry(decompose_id(id).0).or_default().push(id);
+        for (&stream, candidates) in &by_stream {
+            // The stream is lent out of the engine's own store, so fresh ids
+            // continue its sequence and a later session can never mint them
+            // again; a dry run must not advance that sequence.
+            let mut packer = if opts.dry_run {
+                ContainerStore::new(self.config.container_size)
+            } else {
+                self.containers.split_stream(stream)
+            };
+            // Vacuum appends are not session traffic.
+            packer.set_recorder(Recorder::shared_disabled());
+            for c in candidates {
+                let live = live_fps.get(&c.id).unwrap_or(&empty);
+                for d in c.parsed.descriptors.iter().filter(|d| live.contains(&d.fingerprint)) {
+                    let placement =
+                        packer.add_chunk(stream, d.fingerprint, c.parsed.chunk_bytes(d));
+                    relocations.insert((c.id, d.offset, d.fingerprint), placement);
                 }
             }
-            let mut packer = ContainerStore::new(self.config.container_size);
-            for (&stream, ids) in &by_stream {
-                // Split the stream's candidates into combine-group members
-                // (undersized) and solo rewrites (ratio rule on a
-                // normally-filled container).
-                let mut solo: Vec<u64> = Vec::new();
-                let mut group: Vec<u64> = Vec::new();
-                for &id in ids {
-                    // aalint: allow(panic-path) -- undersized ids were collected from containers' own keys
-                    let c = &containers[&id];
-                    if opts.combine_undersized
-                        && live_payload(c) < half_size
-                        && undersized_per_stream.get(&stream).copied().unwrap_or(0) >= 2
-                    {
-                        group.push(id);
-                    } else {
-                        solo.push(id);
-                    }
-                }
-                for id in solo {
-                    // aalint: allow(panic-path) -- solo ids were collected from containers' own keys
-                    let c = &containers[&id];
-                    let live = live_fps.get(&id).unwrap_or(&empty);
-                    let new_id = self.containers.mint_container_id(stream);
-                    let Some((bytes, moves)) = compact_container(
-                        &c.parsed,
-                        &|fp| live.contains(fp),
-                        new_id,
-                        self.config.container_size,
-                    ) else {
-                        continue; // unreachable: Rewrite implies live > 0
-                    };
-                    // `moves` is in survivor order — zip with the original
-                    // surviving descriptors to map old offsets exactly,
-                    // even when one fingerprint occupies two offsets.
-                    let survivors =
-                        c.parsed.descriptors.iter().filter(|d| live.contains(&d.fingerprint));
-                    for (d, (fp, placement)) in survivors.zip(&moves) {
-                        debug_assert_eq!(d.fingerprint, *fp);
-                        relocations.insert((id, d.offset, d.fingerprint), *placement);
-                    }
-                    new_containers.push((new_id, bytes));
-                    rewritten_ids.push(id);
-                }
-                // Combine group: append survivors through the scratch
-                // packer, which rolls at container_size — ids minted from
-                // the engine store to keep one monotonic sequence.
-                if !group.is_empty() {
-                    for &id in &group {
-                        // aalint: allow(panic-path) -- group ids were collected from containers' own keys
-                        let c = &containers[&id];
-                        let live = live_fps.get(&id).unwrap_or(&empty);
-                        for d in &c.parsed.descriptors {
-                            if !live.contains(&d.fingerprint) {
-                                continue;
-                            }
-                            // Mirror the engine store's sequence into the
-                            // scratch packer just-in-time: mint from the
-                            // engine, then force the packer onto that id.
-                            let next = self.containers.mint_container_id(stream);
-                            let (s, seq) = decompose_id(next);
-                            packer.resume_stream_ids(s, seq);
-                            let placement =
-                                packer.add_chunk(stream, d.fingerprint, c.parsed.chunk_bytes(d));
-                            // Minting per chunk over-advances the engine
-                            // sequence (gaps are harmless; reuse never
-                            // happens), but the packer only *opens* a new
-                            // container when rolling, so re-sync below.
-                            relocations.insert((id, d.offset, d.fingerprint), placement);
-                        }
-                        rewritten_ids.push(id);
-                    }
-                    packer.seal_stream(stream);
-                }
+            packer.seal_stream(stream);
+            new_containers.extend(packer.drain_sealed().into_iter().map(|s| (s.id, s.bytes)));
+            if !opts.dry_run {
+                self.containers.merge(packer);
             }
-            for sealed in packer.drain_sealed() {
-                new_containers.push((sealed.id, sealed.bytes));
-            }
-            new_containers.sort_by_key(|(id, _)| *id);
         }
-        rewritten_ids.sort_unstable();
-        report.containers_rewritten = rewritten_ids.len();
+        new_containers.sort_by_key(|(id, _)| *id);
+        report.containers_rewritten = by_stream.values().map(Vec::len).sum();
         report.containers_created = new_containers.len();
         report.relocations = relocations.len();
 
@@ -332,14 +272,13 @@ impl AaDedupe {
         }
         report.manifests_rewritten = dirty_manifests.len();
 
-        // Old containers to delete: rewritten sources and fully dead ones.
-        let mut doomed: Vec<u64> = rewritten_ids.clone();
-        for (&id, d) in &dispositions {
-            if matches!(d, Disposition::Dead) {
-                doomed.push(id);
-            }
-        }
-        doomed.sort_unstable();
+        // Old containers to delete, in id order: rewritten sources and
+        // fully dead ones.
+        let doomed: Vec<u64> = dispositions
+            .iter()
+            .filter(|(_, d)| !matches!(d, Disposition::Retain))
+            .map(|(&id, _)| id)
+            .collect();
         let reclaimable: u64 = doomed
             .iter()
             .filter_map(|id| containers.get(id).map(|c| c.stored_len))

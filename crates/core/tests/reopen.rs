@@ -92,14 +92,17 @@ fn restore_file_fetches_single_path() {
 
 #[test]
 fn open_tolerates_index_sync_disabled() {
-    // open() rebuilds from manifests, so it must work even when snapshots
-    // were never uploaded.
+    // open() rebuilds from manifests, so it must work even when no
+    // snapshot is in the cloud.
     let cloud = CloudSim::with_paper_defaults();
-    let config = AaDedupeConfig { index_sync_interval: 0, ..AaDedupeConfig::default() };
+    let config = AaDedupeConfig::default();
     let mut engine = AaDedupe::with_config(cloud.clone(), config.clone());
     let files = week(4);
     engine.backup_session(&sources(&files)).expect("backup");
     drop(engine);
+    for key in cloud.store().list("aa-dedupe/index/") {
+        cloud.delete(&key).expect("delete snapshot");
+    }
 
     let mut reopened = AaDedupe::open(cloud, config).expect("open");
     assert_eq!(reopened.sessions_completed(), 1);

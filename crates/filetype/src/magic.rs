@@ -3,7 +3,7 @@
 //! Used as a fallback when a file has no (or an unknown) extension. Only
 //! formats relevant to the paper's twelve application types are recognised;
 //! anything else returns `None` and the caller falls back to
-//! [`AppType::Other`](crate::AppType::Other).
+//! [`AppType::Other`].
 
 use crate::AppType;
 

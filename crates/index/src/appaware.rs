@@ -77,11 +77,6 @@ impl AppAwareIndex {
         Ok(())
     }
 
-    /// True when the partitions spill to on-disk segments.
-    pub fn is_disk_backed(&self) -> bool {
-        self.partitions.first().is_some_and(IndexPartition::is_disk_backed)
-    }
-
     /// The first storage-layer IO error any partition has hit, if any.
     /// Disk-backed partitions degrade (absence answers, duplicate storage)
     /// rather than fail, so callers must poll this before trusting a
@@ -362,7 +357,6 @@ mod tests {
             std::thread::current().id()
         ));
         let idx = AppAwareIndex::disk_backed(4, &dir);
-        assert!(idx.is_disk_backed());
         for i in 0..64u64 {
             idx.insert(AppType::Doc, fp(i), ChunkEntry::new(i, i, 0));
         }

@@ -41,7 +41,7 @@ const SLOTS_PER_BUCKET: usize = 4;
 const MAX_KICKS: usize = 500;
 
 /// An insert failed because the filter could not place the tag within
-/// [`MAX_KICKS`] evictions — the filter is effectively full. One
+/// `MAX_KICKS` evictions — the filter is effectively full. One
 /// displaced tag is dropped in the process, so the filter may now
 /// report false negatives: the caller MUST rebuild it (at a larger
 /// capacity, from the authoritative key set) before serving lookups.
@@ -62,8 +62,6 @@ pub struct CuckooFilter {
     slots: Vec<u16>,
     /// Bucket count (power of two).
     buckets: usize,
-    /// Live tag count.
-    len: usize,
     /// Deterministic eviction-path randomness; evolves with the
     /// operation sequence, never reads a clock.
     rng: u64,
@@ -102,7 +100,6 @@ impl CuckooFilter {
         CuckooFilter {
             slots: vec![0u16; buckets * SLOTS_PER_BUCKET],
             buckets,
-            len: 0,
             rng: 0x9e37_79b9_7f4a_7c15,
         }
     }
@@ -126,16 +123,6 @@ impl CuckooFilter {
             }
             capacity = capacity.saturating_mul(2);
         }
-    }
-
-    /// Live tag count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no tags are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Nominal capacity (total slots).
@@ -194,7 +181,6 @@ impl CuckooFilter {
     pub fn insert(&mut self, fp: &Fingerprint) -> Result<(), FilterFull> {
         let (tag, i1, i2) = self.place(fp);
         if self.try_place(i1, tag) || self.try_place(i2, tag) {
-            self.len += 1;
             return Ok(());
         }
         // Both candidate buckets full: walk a bounded eviction chain,
@@ -209,7 +195,6 @@ impl CuckooFilter {
             std::mem::swap(&mut tag, &mut slots[victim_slot]);
             bucket ^= hash_tag(tag) as usize & mask;
             if self.try_place(bucket, tag) {
-                self.len += 1;
                 return Ok(());
             }
         }
@@ -248,7 +233,6 @@ mod tests {
         for i in 0..2000 {
             assert!(f.contains(&fp(i)), "false negative at {i}");
         }
-        assert_eq!(f.len(), 2000);
     }
 
     #[test]
@@ -263,7 +247,6 @@ mod tests {
             })
             .unwrap();
             assert!(keys.iter().all(|k| f.contains(k)), "a grown filter holds every key");
-            assert_eq!(f.len(), 1500);
             f.slots.clone()
         };
         assert_eq!(build(), build());

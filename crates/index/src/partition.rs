@@ -4,10 +4,10 @@
 //! one big partition; the application-aware index is one partition per
 //! [`AppType`](aadedupe_filetype::AppType). A partition is one exact
 //! key-value store guarded by a [`parking_lot::Mutex`]: a table of slots,
-//! an [`LruSet`](crate::lru::LruSet) over the `ram_capacity`
+//! an [`LruSet`] over the `ram_capacity`
 //! most-recently-used fingerprints, and — optionally — a spill tier of
 //! sorted on-disk [`segment`](crate::segment)s behind a
-//! [`CuckooFilter`](crate::filter::CuckooFilter) existence prefilter.
+//! [`CuckooFilter`] existence prefilter.
 //!
 //! **Slots.** A slot is an entry and one bit: `dirty` says no segment
 //! holds this entry yet, so it must be flushed before it may leave RAM
@@ -608,11 +608,6 @@ impl IndexPartition {
     /// The RAM cache capacity (entries).
     pub fn ram_capacity(&self) -> usize {
         self.ram_capacity
-    }
-
-    /// True when this partition stores overflow in on-disk segments.
-    pub fn is_disk_backed(&self) -> bool {
-        self.inner.lock().store.spill.is_some()
     }
 
     /// The first IO error this partition hit, if any. Once set, the

@@ -27,7 +27,7 @@
 //! ```
 //!
 //! Files are written with the workspace's atomic-write discipline
-//! (temp file + `sync_all` + rename, [`FsObjectStore`]-style), so a crash
+//! (temp file + `sync_all` + rename, `FsObjectStore`-style), so a crash
 //! never leaves a half-written segment under its final name.
 //!
 //! A segment is read only through the handle [`Segment::write`] returned:

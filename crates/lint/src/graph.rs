@@ -44,7 +44,7 @@
 //!   (`.ok()`, `.unwrap_or*`, `.map_or*`) and `if let Ok(..)` launder
 //!   storage errors and are findings. Because `get`/`put`/`delete` are
 //!   common method names, unqualified method calls only seed from
-//!   receivers named like a backend handle ([`BACKEND_RECEIVERS`]).
+//!   receivers named like a backend handle (`BACKEND_RECEIVERS`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;

@@ -17,8 +17,8 @@ use aa_dedupe::workload::{DatasetSpec, Generator};
 
 fn main() {
     let cloud = CloudSim::with_paper_defaults();
-    // Sync the index to the cloud after every session.
-    let config = AaDedupeConfig { index_sync_interval: 1, ..AaDedupeConfig::default() };
+    // The engine syncs its index to the cloud after every session.
+    let config = AaDedupeConfig::default();
     let mut engine = AaDedupe::with_config(cloud.clone(), config.clone());
 
     let mut generator = Generator::new(DatasetSpec::paper_scaled(8 << 20), 99);

@@ -90,11 +90,13 @@ fn restore_of_never_backed_up_session_fails_cleanly() {
 #[test]
 fn index_recovery_requires_a_snapshot() {
     let cloud = CloudSim::with_paper_defaults();
-    // Index sync disabled: recovery must fail with a missing object.
-    let config = AaDedupeConfig { index_sync_interval: 0, ..AaDedupeConfig::default() };
-    let mut engine = AaDedupe::with_config(cloud, config);
+    let mut engine = AaDedupe::new(cloud);
     let f = MemoryFile::new("user/txt/x.txt", b"words ".repeat(3000));
     engine.backup_session(&[&f as &dyn SourceFile]).expect("backup");
+    // No snapshot in the cloud: recovery must fail with a missing object.
+    for key in engine.cloud().store().list("aa-dedupe/index/") {
+        engine.cloud().delete(&key).expect("delete snapshot");
+    }
     let err = engine.recover_index_from_cloud().expect_err("no snapshot exists");
     assert!(matches!(err, BackupError::MissingObject(_)), "{err:?}");
 }
@@ -726,7 +728,7 @@ fn recovered_engine_continues_the_session_sequence() {
     {
         let mut e0 = AaDedupe::with_config(
             cloud_over(Arc::clone(&inner)),
-            AaDedupeConfig { index_sync_interval: 1, ..AaDedupeConfig::default() },
+            AaDedupeConfig::default(),
         );
         let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
         e0.backup_session(&sources).expect("session 0");
@@ -734,7 +736,7 @@ fn recovered_engine_continues_the_session_sequence() {
     // "New machine": blank engine, index rebuilt from the cloud snapshot.
     let mut e = AaDedupe::with_config(
         cloud_over(Arc::clone(&inner)),
-        AaDedupeConfig { index_sync_interval: 1, ..AaDedupeConfig::default() },
+        AaDedupeConfig::default(),
     );
     e.recover_index_from_cloud().expect("recover");
     assert_eq!(e.sessions_completed(), 1, "counter resumes after the recovered manifest");

@@ -29,7 +29,7 @@ fn cloud_over(backend: Arc<dyn ObjectBackend>) -> CloudSim {
 }
 
 fn config() -> AaDedupeConfig {
-    AaDedupeConfig { index_sync_interval: 1, ..AaDedupeConfig::default() }
+    AaDedupeConfig::default()
 }
 
 fn base_files() -> Vec<MemoryFile> {

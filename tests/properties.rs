@@ -152,73 +152,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Compaction + relocation preserves every live `(fingerprint, bytes)`
-    /// pair — the invariant the vacuum pass stakes restores on. For every
-    /// sealed container and every liveness subset: survivors keep their
-    /// original order, `moves[i]` describes exactly the `i`-th surviving
-    /// descriptor (the zip vacuum's relocation map relies on, duplicate
-    /// fingerprints included), the rewritten bytes verify, and a
-    /// container with no live chunk compacts to `None`.
-    #[test]
-    fn compaction_preserves_live_fingerprint_bytes_pairs(
-        chunks in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 1..600), any::<bool>()),
-            1..24,
-        ),
-    ) {
-        use aa_dedupe::container::{compact_container, ContainerStore, ParsedContainer};
-        use std::collections::BTreeSet;
-
-        let mut store = ContainerStore::new(4096);
-        let mut live_fps: BTreeSet<Fingerprint> = BTreeSet::new();
-        for (data, live) in &chunks {
-            let fp = Fingerprint::compute(HashAlgorithm::Sha1, data);
-            // Duplicate contents are appended as duplicate descriptors on
-            // purpose (the tiny stream skips dedup); liveness is by
-            // fingerprint, so a duplicate marked live anywhere is live.
-            store.add_chunk(0, fp, data);
-            if *live {
-                live_fps.insert(fp);
-            }
-        }
-        store.seal_all();
-        for sealed in store.drain_sealed() {
-            let parsed = ParsedContainer::parse(&sealed.bytes).expect("own container parses");
-            let survivors: Vec<_> = parsed
-                .descriptors
-                .iter()
-                .filter(|d| live_fps.contains(&d.fingerprint))
-                .collect();
-            let compacted =
-                compact_container(&parsed, &|fp| live_fps.contains(fp), 999, 4096);
-            let Some((bytes, moves)) = compacted else {
-                prop_assert!(survivors.is_empty(), "live chunks dropped entirely");
-                continue;
-            };
-            prop_assert!(!survivors.is_empty(), "a dead container must compact to None");
-            prop_assert_eq!(moves.len(), survivors.len());
-            let rewritten = ParsedContainer::parse(&bytes).expect("rewritten parses");
-            rewritten.verify().expect("rewritten verifies");
-            prop_assert_eq!(rewritten.container_id, 999);
-            prop_assert_eq!(rewritten.descriptors.len(), survivors.len());
-            for (i, (survivor, (fp, placement))) in
-                survivors.iter().zip(&moves).enumerate()
-            {
-                prop_assert_eq!(survivor.fingerprint, *fp, "survivor {} fingerprint", i);
-                prop_assert_eq!(placement.container, 999);
-                let d = &rewritten.descriptors[i];
-                prop_assert_eq!(d.fingerprint, *fp);
-                prop_assert_eq!(d.offset, placement.offset);
-                prop_assert_eq!(
-                    rewritten.chunk_bytes(d),
-                    parsed.chunk_bytes(survivor),
-                    "survivor {} bytes moved intact", i
-                );
-            }
-        }
-    }
-}

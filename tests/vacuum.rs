@@ -2,12 +2,16 @@
 //! data — not under crashes at any commit operation, not across worker
 //! counts, not on reruns.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use proptest::prelude::*;
+
+use aa_dedupe::chunking::{CdcParams, DEFAULT_CDC};
 use aa_dedupe::cloud::{
     CloudSim, FaultInjectingBackend, FaultPlan, ObjectBackend, ObjectStore, PriceModel, WanModel,
 };
+use aa_dedupe::container::ParsedContainer;
 use aa_dedupe::core::{
     AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, RetentionPolicy, RetryPolicy,
     VacuumOptions,
@@ -22,7 +26,6 @@ fn config_with(workers: usize) -> AaDedupeConfig {
     AaDedupeConfig {
         pipeline: PipelineConfig::with_workers(workers),
         retry: RetryPolicy::no_retries(),
-        index_sync_interval: 1,
         ..AaDedupeConfig::default()
     }
 }
@@ -161,6 +164,39 @@ fn dry_run_mutates_nothing_and_predicts_the_real_pass() {
     assert_eq!(real.containers_rewritten, dry.containers_rewritten);
     assert_eq!(real.relocations, dry.relocations);
     assert_eq!(real.bytes_reclaimed, dry.bytes_reclaimed);
+}
+
+/// Every object of a namespace, key and bytes.
+fn namespace(store: &ObjectStore) -> Vec<(String, Vec<u8>)> {
+    let object = |key: String| {
+        let bytes = store.get(&key).expect("get").expect("listed key present");
+        (key, bytes)
+    };
+    store.list("").into_iter().map(object).collect()
+}
+
+#[test]
+fn a_dry_run_leaves_the_next_sessions_ids_alone() {
+    // A dry run plans fresh containers without taking their ids, so the
+    // next session writes exactly what it writes without the dry run.
+    let next = churn_files(6);
+    let mut namespaces = Vec::new();
+    for dry_run in [false, true] {
+        let (inner, _corpus) = churned_repository(6, 3, 1);
+        let mut engine = AaDedupe::open(
+            cloud_over(Arc::clone(&inner) as Arc<dyn ObjectBackend>),
+            config_with(1),
+        )
+        .expect("open");
+        if dry_run {
+            let opts = VacuumOptions { dry_run: true, ..VacuumOptions::default() };
+            let report = engine.vacuum(&opts).expect("dry run");
+            assert!(report.containers_created > 0, "the dry run must plan new containers");
+        }
+        backup(&mut engine, &next);
+        namespaces.push(namespace(&inner));
+    }
+    assert!(namespaces[0] == namespaces[1], "a dry run changed what the next session wrote");
 }
 
 #[test]
@@ -356,5 +392,134 @@ fn vacuum_crash_at_every_operation_preserves_all_sessions() {
                 assert_restores_bit_exact(&e, s, files);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The property: random sessions over a shared content pool, a random strict
+// subset of them deleted, then vacuum at any ratio and container size.
+// ---------------------------------------------------------------------------
+
+/// `len` deterministic pseudo-random bytes (xorshift64) seeded by `seed`.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+        .collect()
+}
+
+/// One session drawn from a small content pool: bit `i` of `pick` includes
+/// pool entry `i`, at edit `version`. Stable entries dedupe across sessions
+/// and versioned ones die with theirs, so deletes strand dead chunks next
+/// to live ones.
+fn pool_session(pick: u8, version: u8) -> Vec<MemoryFile> {
+    let v = u64::from(version);
+    let note = format!("shared tiny note, edition {}", version % 2).into_bytes();
+    let mut edited = noise(1, 8_000);
+    edited.extend(noise(100 + v, 6_000));
+    let journal = noise(5, 2_000 + 1_500 * usize::from(version));
+    let pool = [
+        // The same tiny file under two paths: one fingerprint at two
+        // offsets of the tiny stream.
+        vec![
+            MemoryFile::new("user/txt/a.txt", note.clone()),
+            MemoryFile::new("user/txt/b.txt", note),
+        ],
+        vec![MemoryFile::new("user/doc/stable.doc", noise(2, 14_000))],
+        vec![MemoryFile::new("user/doc/edited.doc", edited)],
+        vec![MemoryFile::new("user/pdf/stable.pdf", noise(3, 12_288))],
+        vec![MemoryFile::new("user/pdf/weekly.pdf", noise(200 + v, 11_000))],
+        // Whole-file chunked and larger than any container: oversized.
+        vec![MemoryFile::new("user/mp3/weekly.mp3", noise(300 + v, 20_000))],
+        vec![MemoryFile::new(format!("user/txt/log-{version}.txt"), noise(400 + v, 3_000))],
+        vec![MemoryFile::new("user/txt/journal.txt", journal)],
+    ];
+    pool.into_iter().enumerate().filter(|(i, _)| pick >> i & 1 == 1).flat_map(|(_, f)| f).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Vacuum never costs a restorable byte and never reuses an id: every
+    /// retained session restores bit-exactly through the engine and through
+    /// a cold open that finds nothing to sweep; every created container
+    /// parses, verifies and keeps to the container size unless it holds a
+    /// single chunk; the dry run predicts the real pass; and a backup after
+    /// the pass leaves every session restorable.
+    #[test]
+    fn vacuum_preserves_restores_and_mints_fresh_ids(
+        picks in proptest::collection::vec((any::<u8>(), 0u8..3), 2..6),
+        deleted in any::<u8>(),
+        container_kib in 4usize..=16,
+        ratio in 0usize..5,
+        pipelined in any::<bool>(),
+    ) {
+        let ratio = [0.0, 0.25, 0.5, 0.75, 1.0][ratio];
+        // Small chunks, so most containers hold several.
+        let config = AaDedupeConfig {
+            container_size: container_kib * 1024,
+            sc_chunk_size: 1024,
+            cdc: CdcParams { min_size: 256, avg_size: 1024, max_size: 4096, ..DEFAULT_CDC },
+            ..config_with(if pipelined { 4 } else { 1 })
+        };
+        let inner = Arc::new(ObjectStore::new());
+        let cloud = || cloud_over(Arc::clone(&inner) as Arc<dyn ObjectBackend>);
+        let mut engine = AaDedupe::with_config(cloud(), config.clone());
+        let corpus: Vec<Vec<MemoryFile>> =
+            picks.iter().map(|&(pick, version)| pool_session(pick, version)).collect();
+        for files in &corpus {
+            backup(&mut engine, files);
+        }
+        // A strict subset: the last session always survives.
+        let retained: Vec<usize> =
+            (0..corpus.len()).filter(|&s| s + 1 == corpus.len() || deleted >> s & 1 == 0).collect();
+        for s in (0..corpus.len()).filter(|s| !retained.contains(s)) {
+            engine.delete_session(s).expect("delete");
+        }
+        let containers = "aa-dedupe/containers/";
+        let listed_before: BTreeSet<String> = inner.list(containers).into_iter().collect();
+
+        let dry = engine.vacuum(&VacuumOptions { ratio, dry_run: true }).expect("dry run");
+        prop_assert_eq!(inner.list(containers).len(), listed_before.len());
+        let real = engine.vacuum(&VacuumOptions { ratio, dry_run: false }).expect("vacuum");
+        let plan = |r: &aa_dedupe::core::VacuumReport| {
+            (r.containers_rewritten, r.containers_created, r.relocations, r.bytes_reclaimed)
+        };
+        prop_assert_eq!(plan(&dry), plan(&real));
+
+        // Keys listed now but not before are the pass's containers; one
+        // fewer than it created would mean an id was taken twice.
+        let created: Vec<String> =
+            inner.list(containers).into_iter().filter(|k| !listed_before.contains(k)).collect();
+        prop_assert_eq!(created.len(), real.containers_created);
+        for key in &created {
+            let bytes = inner.get(key).expect("get").expect("created container present");
+            let parsed = ParsedContainer::parse(&bytes).expect("created container parses");
+            parsed.verify().expect("created container verifies");
+            prop_assert!(
+                bytes.len() <= config.container_size || parsed.descriptors.len() == 1,
+                "{key}: {} bytes in {} chunks", bytes.len(), parsed.descriptors.len()
+            );
+        }
+
+        let cold = AaDedupe::open(cloud(), config.clone()).expect("cold open");
+        prop_assert_eq!(cold.orphans_swept(), 0);
+        for &s in &retained {
+            assert_restores_bit_exact(&engine, s, &corpus[s]);
+            assert_restores_bit_exact(&cold, s, &corpus[s]);
+        }
+
+        // A session after the pass takes ids of its own.
+        let next = pool_session(u8::MAX, 3);
+        backup(&mut engine, &next);
+        for &s in &retained {
+            assert_restores_bit_exact(&engine, s, &corpus[s]);
+        }
+        assert_restores_bit_exact(&engine, corpus.len(), &next);
     }
 }
