@@ -5,8 +5,8 @@
 //! WFC/SC/CDC per application category; the deduplicator consults the
 //! application-aware index (one partition per application, each with a
 //! RAM-resident working set); new chunks are aggregated into 1 MiB
-//! containers per application stream; manifests and periodic index
-//! snapshots complete the cloud state.
+//! containers per application stream; manifests complete the cloud state,
+//! and an index snapshot after every session is the paper's periodic sync.
 //!
 //! # One dataflow, two schedules
 //!
@@ -163,19 +163,15 @@ impl Default for AaDedupeConfig {
 /// use the application tag (1..=13).
 pub(crate) const TINY_STREAM: u32 = 0;
 
-/// The prefix every index snapshot key of a scheme starts with.
+/// The prefix every index snapshot key of a scheme starts with; session
+/// `s`'s snapshot is the prefix plus `s` in eight digits.
 pub(crate) fn snapshots_prefix(scheme: &str) -> String {
     format!("{scheme}/index/")
 }
 
-/// The key of the index snapshot taken after `sessions` sessions.
-pub(crate) fn snapshot_key(scheme: &str, sessions: usize) -> String {
-    format!("{}{sessions:08}", snapshots_prefix(scheme))
-}
-
 /// Everything a set of committed manifests determines — the one statement
-/// of what is live. [`AaDedupe::open`], recovery, deletion and vacuum all
-/// read it from this fold: the engine keeps no count that could drift.
+/// of what is live. [`AaDedupe::open`], deletion and vacuum all read it
+/// from this fold: the engine keeps no count that could drift.
 #[derive(Default)]
 pub(crate) struct Liveness {
     /// Per application, every indexed chunk (tiny files bypass the index);
@@ -471,23 +467,15 @@ impl AaDedupe {
         Self::with_config(cloud, AaDedupeConfig::default())
     }
 
-    /// Builds the index `config` asks for: without a spill tier by
-    /// default, with one under [`AaDedupeConfig::index_dir`] when set.
-    /// Recovery uses this too, so a rebuilt index keeps its tier.
-    fn build_index(config: &AaDedupeConfig) -> AppAwareIndex {
+    /// Engine with an explicit configuration: an index without a spill
+    /// tier by default, with one under [`AaDedupeConfig::index_dir`] when
+    /// set.
+    pub fn with_config(cloud: CloudSim, config: AaDedupeConfig) -> Self {
         let mut index = match &config.index_dir {
-            Some(dir) => {
-                AppAwareIndex::disk_backed(config.ram_entries_per_partition, dir)
-            }
+            Some(dir) => AppAwareIndex::disk_backed(config.ram_entries_per_partition, dir),
             None => AppAwareIndex::new(config.ram_entries_per_partition),
         };
         index.set_recorder(Arc::clone(&config.recorder));
-        index
-    }
-
-    /// Engine with an explicit configuration.
-    pub fn with_config(cloud: CloudSim, config: AaDedupeConfig) -> Self {
-        let index = Self::build_index(&config);
         let mut containers = ContainerStore::new(config.container_size);
         containers.set_recorder(Arc::clone(&config.recorder));
         for app in AppType::ALL {
@@ -506,10 +494,11 @@ impl AaDedupe {
     }
 
     /// Opens an engine over an *existing* cloud namespace, resuming its
-    /// state: the index and the session counter are what the committed
-    /// manifests say (`Liveness` — exact, snapshot-independent), and
-    /// every listed container no manifest references is swept. A fresh
-    /// namespace yields a fresh engine.
+    /// state — the one way to rebuild an engine from the cloud, disaster
+    /// recovery included: the index and the session counter are what the
+    /// committed manifests say (`Liveness`; no index snapshot is read),
+    /// and every listed container no manifest references is swept. A
+    /// fresh namespace yields a fresh engine.
     pub fn open(cloud: CloudSim, config: AaDedupeConfig) -> Result<Self, BackupError> {
         let mut engine = Self::with_config(cloud, config);
         let live = engine.committed_liveness(None)?;
@@ -832,49 +821,6 @@ impl AaDedupe {
             Ok(_) | Err(_) => Ok(()),
         }
     }
-
-    /// Rebuilds the in-memory state from the cloud after the local state
-    /// was lost — the disaster-recovery path the paper's periodic
-    /// synchronisation enables.
-    ///
-    /// The newest snapshot is fetched and validated (a repository without
-    /// one, or with an undecodable one, is an error) — and then the
-    /// manifests decide. The snapshot can be stale in both directions:
-    /// [`delete_session`](AaDedupe::delete_session) never uploads a fresh
-    /// one (so it resurrects fingerprints of deleted chunks, and a backup
-    /// deduping against them would commit a silently unrestorable
-    /// session), and sessions after the last sync are absent from it. The
-    /// committed manifests are the source of truth, so the index and the
-    /// session counter come out of the same fold [`AaDedupe::open`] uses,
-    /// which replaces every partition's contents wholesale. A failed
-    /// recovery leaves the engine as it was.
-    pub fn recover_index_from_cloud(&mut self) -> Result<(), BackupError> {
-        let prefix = snapshots_prefix(&self.config.scheme_key);
-        let keys = self.cloud.store().list(&prefix);
-        let latest =
-            keys.last().ok_or_else(|| BackupError::MissingObject(format!("{prefix}*")))?;
-        let (bytes, _t) = self.cloud.get(latest)?;
-        let bytes = bytes.ok_or_else(|| BackupError::MissingObject(latest.clone()))?;
-        // A fresh index as configured, so a poisoned spill tier is left
-        // behind with the old one.
-        let index = Self::build_index(&self.config);
-        codec::decode_app_aware_into(&bytes, &index)
-            .map_err(|e| BackupError::Corrupt(format!("index snapshot: {e}")))?;
-        let live = self.committed_liveness(None)?;
-        self.index = index;
-        self.install(live);
-        // Post-recovery state matches the cloud exactly, so the stale
-        // tiny-file cache and the poison flag are cleared; the container
-        // store restarts fresh with its ids resumed past every id ever
-        // visible in the namespace.
-        self.tiny_seen.clear();
-        self.poisoned = None;
-        let mut containers = ContainerStore::new(self.config.container_size);
-        containers.set_recorder(Arc::clone(&self.config.recorder));
-        self.containers = containers;
-        self.resume_container_ids();
-        Ok(())
-    }
 }
 
 impl AaDedupe {
@@ -995,19 +941,21 @@ impl BackupScheme for AaDedupe {
             return Err(e);
         }
         rec.record(Stage::Upload, uploading);
-        // Index synchronisation: a snapshot after every session.
+        // Index synchronisation (paper §III.E): a snapshot after every
+        // session. Nothing reads it back — `open` rebuilds the index from
+        // the manifests.
         let uploading = rec.start();
         let snap = codec::encode_app_aware(&self.index);
         report.transferred_bytes += snap.len() as u64;
         rec.count(Counter::UploadBytes, snap.len() as u64);
         rec.count(Counter::UploadObjects, 1);
         upload_seq += 1;
-        let skey = snapshot_key(&self.config.scheme_key, self.sessions);
+        let skey = format!("{}{:08}", snapshots_prefix(&self.config.scheme_key), self.sessions);
         if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, upload_seq) {
             // The manifest is committed, so the session is durable and
-            // the engine's state matches the cloud; the snapshot is only
-            // a recovery accelerator. Count the session and surface the
-            // failure without poisoning.
+            // the engine's state matches the cloud, and nothing depends on
+            // the snapshot. Count the session and surface the failure
+            // without poisoning.
             self.sessions += 1;
             return Err(BackupError::Cloud(format!(
                 "session committed, but index snapshot upload failed: {e}"
@@ -1324,23 +1272,6 @@ mod tests {
         // Session 1 references the same chunks; they must survive.
         let restored = e.restore_session(1).unwrap();
         assert_eq!(restored[0].data, shared.data);
-    }
-
-    #[test]
-    fn index_recovery_from_cloud_snapshot() {
-        let mut e = engine();
-        let files = vec![mem("user/ppt/p.ppt", b"slide deck ".repeat(5000))];
-        e.backup_session(&sources(&files)).unwrap();
-        let entries_before = e.index().len();
-        assert!(entries_before > 0);
-        // Simulate client disk loss.
-        e.index = AppAwareIndex::new(e.config.ram_entries_per_partition);
-        assert_eq!(e.index().len(), 0);
-        e.recover_index_from_cloud().unwrap();
-        assert_eq!(e.index().len(), entries_before);
-        // Recovered index actually dedupes.
-        let r = e.backup_session(&sources(&files)).unwrap();
-        assert_eq!(r.stored_bytes, 0);
     }
 
     #[test]

@@ -30,17 +30,18 @@
 //!    session. A dry run packs into a detached store instead, so the
 //!    engine's sequences stay as they were.
 //! 3. **Commit** ([`Stage::VacuumCommit`]), in crash-consistent order:
-//!    **new containers → rewritten manifests → index snapshot →
-//!    old-container deletes**. A crash at any operation leaves every
-//!    retained session restorable: new containers without manifests are
-//!    orphans (swept on reopen); a partially rewritten manifest set mixes
-//!    old and new pointers while *both* copies still exist; the snapshot
-//!    lands before any delete so recovery never resurrects pointers to
-//!    removed containers; and old containers are unreferenced by the time
-//!    they are deleted, so a missed delete is ordinary orphan garbage
-//!    the listing still shows. Rerunning vacuum after any interruption
+//!    **new containers → rewritten manifests → old-container deletes**,
+//!    then every index snapshot but the newest is pruned. A crash at any
+//!    operation leaves every retained session restorable: new containers
+//!    without manifests are orphans (swept on reopen); a partially
+//!    rewritten manifest set mixes old and new pointers while *both*
+//!    copies still exist; and old containers are unreferenced by the time
+//!    they are deleted, so a missed delete is ordinary orphan garbage the
+//!    listing still shows. Rerunning vacuum after any interruption
 //!    converges: the analysis starts from the cloud, and half-written
-//!    rewrites are either referenced (kept) or dead (deleted).
+//!    rewrites are either referenced (kept) or dead (deleted). Vacuum
+//!    uploads no snapshot: nothing reads one, and the next session's
+//!    sync uploads the relocated index.
 //!
 //! Liveness is keyed by fingerprint per container: if the same
 //! fingerprint occupies two offsets of one container (possible only on the
@@ -53,7 +54,7 @@ use aadedupe_container::{decompose_id, ContainerStore, ParsedContainer, Placemen
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Recorder, Stage};
 
-use crate::engine::{snapshot_key, snapshots_prefix, AaDedupe, Liveness};
+use crate::engine::{snapshots_prefix, AaDedupe, Liveness};
 use crate::recipe::Manifest;
 use crate::restore::{container_id, container_key, containers_prefix};
 use crate::scheme::BackupError;
@@ -92,8 +93,8 @@ pub struct VacuumReport {
     pub containers_created: usize,
     /// Old containers removed (rewritten sources and fully dead ones).
     pub containers_deleted: usize,
-    /// Superseded index snapshots pruned (recovery only ever reads the
-    /// newest; older ones are pure garbage).
+    /// Index snapshots pruned: every one but the newest (nothing reads
+    /// them; the newest is the periodic sync's latest upload).
     pub snapshots_pruned: usize,
     /// Manifests whose chunk pointers were rewritten.
     pub manifests_rewritten: usize,
@@ -294,9 +295,9 @@ impl AaDedupe {
         }
 
         // ---- Phase 3: commit --------------------------------------------
-        // Order: new containers -> rewritten manifests -> index snapshot
-        // -> old-container deletes. See the module docs for why a crash
-        // at any operation leaves every retained session restorable.
+        // Order: new containers -> rewritten manifests -> old-container
+        // deletes. See the module docs for why a crash at any operation
+        // leaves every retained session restorable.
         let committing = rec.start();
         let mut retry_budget = self.config.retry.session_retry_budget;
         let mut op_seq = 0u64;
@@ -323,25 +324,8 @@ impl AaDedupe {
         }
 
         // Manifests are fully rewritten — the pass is committed. Apply the
-        // relocation map to the in-memory state (infallible) before any
-        // operation that can still fail.
+        // relocation map to the in-memory state (infallible).
         self.apply_relocations(&manifests, &relocations);
-
-        // Fresh index snapshot, keyed like a session snapshot so recovery
-        // picks it up as the latest. A failure here is reported but the
-        // pass is committed; recovery reconciles against the manifests
-        // anyway, and the old containers survive until the next pass.
-        let snap = aadedupe_index::codec::encode_app_aware(&self.index);
-        op_seq += 1;
-        rec.count(Counter::UploadBytes, snap.len() as u64);
-        rec.count(Counter::UploadObjects, 1);
-        let skey = snapshot_key(&scheme, self.sessions);
-        if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, op_seq) {
-            rec.record(Stage::VacuumCommit, committing);
-            return Err(BackupError::Cloud(format!(
-                "vacuum committed, but index snapshot upload failed: {e}"
-            )));
-        }
 
         // Old containers are unreferenced now; deletes are best-effort
         // garbage collection exactly like `delete_session`'s: one that
@@ -351,16 +335,13 @@ impl AaDedupe {
                 report.containers_deleted += 1;
             }
         }
-        // Superseded index snapshots: the fresh one is durable, recovery
-        // always reads the newest key, so every older snapshot is garbage.
+        // Every index snapshot but the newest: nothing reads them.
         // Best-effort like the container deletes — a missed one is pruned
         // by the next pass.
         let mut snaps = self.cloud.store().list(&snapshots_prefix(&scheme));
         snaps.sort_unstable();
+        snaps.pop();
         for key in &snaps {
-            if *key == skey {
-                continue;
-            }
             // Both arms spelled out: aalint's L7 wants a storage result's
             // failure arm visible, not folded into an `if let`.
             #[allow(clippy::single_match)]

@@ -11,7 +11,9 @@ fn sources(files: &[MemoryFile]) -> Vec<&dyn SourceFile> {
 }
 
 /// Every object of a cloud namespace, key and bytes.
-fn namespace(cloud: &CloudSim) -> Vec<(String, Vec<u8>)> {
+type Namespace = Vec<(String, Vec<u8>)>;
+
+fn namespace(cloud: &CloudSim) -> Namespace {
     let store = cloud.store();
     let object = |key: String| {
         let bytes = store.get(&key).expect("get").expect("listed key present");
@@ -92,57 +94,49 @@ fn restore_file_fetches_single_path() {
 
 #[test]
 fn open_tolerates_index_sync_disabled() {
-    // open() rebuilds from manifests, so it must work even when no
-    // snapshot is in the cloud.
-    let cloud = CloudSim::with_paper_defaults();
-    let config = AaDedupeConfig::default();
-    let mut engine = AaDedupe::with_config(cloud.clone(), config.clone());
-    let files = week(4);
-    engine.backup_session(&sources(&files)).expect("backup");
-    drop(engine);
-    for key in cloud.store().list("aa-dedupe/index/") {
-        cloud.delete(&key).expect("delete snapshot");
-    }
-
-    let mut reopened = AaDedupe::open(cloud, config).expect("open");
-    assert_eq!(reopened.sessions_completed(), 1);
-    let r = reopened.backup_session(&sources(&files)).expect("s1");
-    assert_eq!(r.stored_bytes, 100, "only the tiny file re-stores");
-}
-
-#[test]
-fn open_and_recover_rebuild_the_same_state() {
-    // Two identical repositories whose newest snapshot is stale: session 1
-    // was deleted after the last index sync, so the snapshot still holds
-    // its chunks.
+    // open() rebuilds from the manifests and reads no snapshot, so a
+    // repository whose snapshot is gone or corrupt opens, and carries on,
+    // exactly like the untouched one.
     fn repository() -> CloudSim {
         let cloud = CloudSim::with_paper_defaults();
-        let mut engine = AaDedupe::new(cloud.clone());
-        for version in 1..=3 {
-            engine.backup_session(&sources(&week(version))).expect("backup");
-        }
-        engine.delete_session(1).expect("delete 1");
+        AaDedupe::new(cloud.clone()).backup_session(&sources(&week(4))).expect("backup");
         cloud
     }
-    let mut opened = AaDedupe::open(repository(), AaDedupeConfig::default()).expect("open");
-    let mut recovered = AaDedupe::with_config(repository(), AaDedupeConfig::default());
-    recovered.recover_index_from_cloud().expect("recover");
+    /// What `open` rebuilt, then what the next session reported and left
+    /// in the cloud — every object but the `tampered` ones.
+    fn reopened(cloud: CloudSim, tampered: &[String]) -> (Vec<u8>, usize, SessionReport, Namespace) {
+        let mut engine = AaDedupe::open(cloud, AaDedupeConfig::default()).expect("open");
+        let index = encode_app_aware(engine.index());
+        let sessions = engine.sessions_completed();
+        let report = engine.backup_session(&sources(&week(4))).expect("next session");
+        let mut objects = namespace(engine.cloud());
+        objects.retain(|(key, _)| !tampered.contains(key));
+        (index, sessions, report, objects)
+    }
+    let snapshots = |cloud: &CloudSim| cloud.store().list("aa-dedupe/index/");
 
-    assert_eq!(
-        encode_app_aware(opened.index()),
-        encode_app_aware(recovered.index()),
-        "one fold: entries and placements"
-    );
-    assert_eq!(opened.sessions_completed(), 3);
-    assert_eq!(recovered.sessions_completed(), 3);
+    let control = repository();
+    let tampered = snapshots(&control);
+    assert_eq!(tampered.len(), 1, "one session, one snapshot");
+    let (index, sessions, report, objects) = reopened(control, &tampered);
+    assert_eq!(sessions, 1);
+    assert_eq!(report.stored_bytes, 100, "only the tiny file re-stores");
 
-    // The next session decides, counts and writes the same on both.
-    let next = week(2);
-    let a = opened.backup_session(&sources(&next)).expect("next after open");
-    let b = recovered.backup_session(&sources(&next)).expect("next after recover");
-    assert_eq!(counters(&a), counters(&b));
-    assert_eq!(a.session, 3);
-    assert_eq!(namespace(opened.cloud()), namespace(recovered.cloud()));
+    let deleted = repository();
+    for key in snapshots(&deleted) {
+        deleted.delete(&key).expect("delete snapshot");
+    }
+    let corrupted = repository();
+    for key in snapshots(&corrupted) {
+        assert!(corrupted.store().corrupt(&key, 3), "corrupt snapshot");
+    }
+    for (label, cloud) in [("deleted", deleted), ("corrupted", corrupted)] {
+        let got = reopened(cloud, &tampered);
+        assert_eq!(got.0, index, "{label}: index");
+        assert_eq!(got.1, sessions, "{label}: session count");
+        assert_eq!(counters(&got.2), counters(&report), "{label}: next session");
+        assert!(got.3 == objects, "{label}: next session's namespace");
+    }
 }
 
 #[test]

@@ -21,16 +21,16 @@
 //!   big [`IndexPartition`].
 //! * [`AppAwareIndex`] — per-application partitions with parallel batch
 //!   lookup (the paper's design).
-//! * [`codec`] — binary snapshot format used for the paper's "periodical
-//!   data synchronization" of the index into the cloud.
+//! * [`codec`] — the write-only snapshot the paper's "periodical data
+//!   synchronization" uploads into the cloud.
 //!
 //! Nothing here is durable on its own: the spill tier is per-process
 //! scratch space, and the index's durable home is the cloud — the session
-//! manifests the engine folds back into [`IndexPartition::reconcile`],
-//! with the [`codec`] snapshot as the paper's sync artefact. The manifests
-//! are also the only statement of what is live: an entry is written once
-//! and a hit only reads it, and a key leaves a partition only when
-//! `reconcile` replaces the partition's contents wholesale.
+//! manifests the engine folds back into [`IndexPartition::reconcile`].
+//! Nothing reads a [`codec`] snapshot back. The manifests are also the
+//! only statement of what is live: an entry is written once and a hit
+//! only reads it, and a key leaves a partition only when `reconcile`
+//! replaces the partition's contents wholesale.
 
 pub mod appaware;
 pub mod codec;

@@ -79,7 +79,8 @@ pub enum Stage {
     VacuumAnalyze,
     /// Vacuum: repacking surviving chunks into fresh containers.
     VacuumRewrite,
-    /// Vacuum: the crash-ordered commit (puts, snapshot, deletes).
+    /// Vacuum: the crash-ordered commit (container and manifest puts,
+    /// then container deletes and snapshot pruning).
     VacuumCommit,
 }
 

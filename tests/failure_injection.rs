@@ -88,33 +88,6 @@ fn restore_of_never_backed_up_session_fails_cleanly() {
 }
 
 #[test]
-fn index_recovery_requires_a_snapshot() {
-    let cloud = CloudSim::with_paper_defaults();
-    let mut engine = AaDedupe::new(cloud);
-    let f = MemoryFile::new("user/txt/x.txt", b"words ".repeat(3000));
-    engine.backup_session(&[&f as &dyn SourceFile]).expect("backup");
-    // No snapshot in the cloud: recovery must fail with a missing object.
-    for key in engine.cloud().store().list("aa-dedupe/index/") {
-        engine.cloud().delete(&key).expect("delete snapshot");
-    }
-    let err = engine.recover_index_from_cloud().expect_err("no snapshot exists");
-    assert!(matches!(err, BackupError::MissingObject(_)), "{err:?}");
-}
-
-#[test]
-fn corrupted_index_snapshot_is_detected() {
-    let cloud = CloudSim::with_paper_defaults();
-    let mut engine = AaDedupe::new(cloud);
-    let f = MemoryFile::new("user/txt/x.txt", b"words ".repeat(3000));
-    engine.backup_session(&[&f as &dyn SourceFile]).expect("backup");
-    for key in engine.cloud().store().list("aa-dedupe/index/") {
-        engine.cloud().store().corrupt(&key, 3);
-    }
-    let err = engine.recover_index_from_cloud().expect_err("snapshot corrupt");
-    assert!(matches!(err, BackupError::Corrupt(_)), "{err:?}");
-}
-
-#[test]
 fn double_delete_of_a_session_fails_cleanly() {
     let (mut engine, _) = backed_up_engine();
     engine.backup_session(&[]).expect("empty session 1");
@@ -733,12 +706,9 @@ fn recovered_engine_continues_the_session_sequence() {
         let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
         e0.backup_session(&sources).expect("session 0");
     }
-    // "New machine": blank engine, index rebuilt from the cloud snapshot.
-    let mut e = AaDedupe::with_config(
-        cloud_over(Arc::clone(&inner)),
-        AaDedupeConfig::default(),
-    );
-    e.recover_index_from_cloud().expect("recover");
+    // "New machine": an engine rebuilt from the cloud alone.
+    let mut e = AaDedupe::open(cloud_over(Arc::clone(&inner)), AaDedupeConfig::default())
+        .expect("open");
     assert_eq!(e.sessions_completed(), 1, "counter resumes after the recovered manifest");
     let changed = changed_files();
     let sources: Vec<&dyn SourceFile> = changed.iter().map(|f| f as &dyn SourceFile).collect();

@@ -1,5 +1,5 @@
 //! GC regressions: session deletion, alone and after disaster recovery
-//! (`recover_index_from_cloud`).
+//! (`AaDedupe::open` on a blank client).
 //!
 //! The engine once kept its own incremental copy of what is live
 //! (per-chunk and per-container reference counts), and every bug pinned
@@ -10,11 +10,11 @@
 //!    (later: refused with a typed error). Deletion now folds the
 //!    manifests itself and needs no state of its own.
 //! 2. `delete_session` removes index entries in memory but uploads no
-//!    fresh snapshot, so a later recovery resurrected the deleted
-//!    fingerprints from the stale snapshot; backing up the same data
-//!    again then deduplicated against containers that no longer exist —
-//!    silently unrestorable sessions. Recovery must install what the
-//!    live manifests say, not what the snapshot says.
+//!    fresh snapshot, so a recovery that read the snapshot resurrected
+//!    the deleted fingerprints; backing up the same data again then
+//!    deduplicated against containers that no longer exist — silently
+//!    unrestorable sessions. Recovery installs what the live manifests
+//!    say and reads no snapshot.
 //! 3. The tiny-file cache was never told about a deletion, so an
 //!    unchanged tiny file was carried forward into a reclaimed container.
 
@@ -73,8 +73,7 @@ fn delete_after_recovery_succeeds() {
         backup(&mut e0, &changed);
     }
     // Disaster recovery onto a blank engine, then delete the old session.
-    let mut e = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
-    e.recover_index_from_cloud().expect("recover");
+    let mut e = AaDedupe::open(cloud_over(Arc::clone(&inner)), config()).expect("open");
     e.delete_session(0).expect("delete after recovery must not panic or fail");
     assert!(e.restore_session(0).is_err(), "session 0 is gone");
     assert_restores_bit_exact(&e, 1, &changed);
@@ -128,21 +127,20 @@ fn tiny_file_is_not_carried_into_a_reclaimed_container() {
 fn recovery_does_not_resurrect_deleted_fingerprints() {
     // Regression for bug 2: backup -> delete -> recover -> backup the
     // same data again -> restore must be bit-exact. With a stale-snapshot
-    // recovery the second backup dedups against deleted containers and
-    // the restore fails.
+    // recovery the second backup would dedup against deleted containers
+    // and the restore would fail.
     let inner: Arc<dyn ObjectBackend> = Arc::new(ObjectStore::new());
     let files = base_files();
     {
         let mut e0 = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
         backup(&mut e0, &files);
         // An extra session so a manifest (and its index snapshot) remains
-        // after the delete — the resurrection scenario needs a snapshot
-        // that still lists session 0's fingerprints.
+        // after the delete — a snapshot that still lists session 0's
+        // fingerprints, the bait a snapshot-reading recovery would take.
         backup(&mut e0, &changed_files());
         e0.delete_session(0).expect("delete");
     }
-    let mut e = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
-    e.recover_index_from_cloud().expect("recover");
+    let mut e = AaDedupe::open(cloud_over(Arc::clone(&inner)), config()).expect("open");
     // Back up the *same* data the deleted session held. Every chunk the
     // recovered index remembers must point at a container that exists.
     backup(&mut e, &files);
@@ -164,8 +162,7 @@ fn recovery_rebuilds_refcounts_that_match_open() {
         backup(&mut e0, &base_files());
         backup(&mut e0, &changed_files());
     }
-    let mut e = AaDedupe::with_config(cloud_over(Arc::clone(&inner)), config());
-    e.recover_index_from_cloud().expect("recover");
+    let mut e = AaDedupe::open(cloud_over(Arc::clone(&inner)), config()).expect("open");
     e.delete_session(0).expect("delete 0");
     e.delete_session(1).expect("delete 1");
     let leftover = inner.list("aa-dedupe/containers/");

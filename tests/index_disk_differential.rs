@@ -197,8 +197,7 @@ fn crash_and_recover(
         std::fs::remove_dir_all(d).ok(); // the local disk is gone
     }
 
-    let mut recovered = AaDedupe::with_config(cloud, config(1, recovered_dir));
-    recovered.recover_index_from_cloud().expect("recover");
+    let mut recovered = AaDedupe::open(cloud, config(1, recovered_dir)).expect("open");
     assert!(recovered.index().io_error().is_none());
     let report = recovered.backup_session(&sessions[2]).expect("post-recovery backup");
 
@@ -225,10 +224,10 @@ fn crash_and_recover(
 fn disk_backed_recovery_drill() {
     // Disaster recovery with a disk-backed index: after losing all local
     // state (including the index segment directory), the engine rebuilt
-    // from the cloud snapshot + manifests must behave bit-identically to
-    // a RAM-resident engine recovered the same way — segments and
-    // existence filters are rebuilt in a fresh directory as the snapshot
-    // loads. (A recovered engine legitimately differs from a *never-
+    // from the cloud's manifests must behave bit-identically to a
+    // RAM-resident engine recovered the same way — segments and existence
+    // filters are rebuilt in a fresh directory as the manifests load.
+    // (A recovered engine legitimately differs from a *never-
     // crashed* one in tiny-file packing: `tiny_seen` is not persisted, so
     // the first post-recovery session re-packs tiny files once. The
     // resident↔disk comparison is immune to that, and big-file dedup is

@@ -103,6 +103,9 @@ fn vacuum_reclaims_space_and_preserves_every_restore() {
             report.stored_bytes_after < report.stored_bytes_before,
             "workers={workers}: {report:?}"
         );
+        // Six sessions synced six snapshots; only the newest survives.
+        assert_eq!(report.snapshots_pruned, 5, "workers={workers}");
+        assert_eq!(inner.list("aa-dedupe/index/"), ["aa-dedupe/index/00000005"]);
         // Every retained session restores bit-exactly through the
         // vacuumed engine...
         for (s, files) in corpus.iter().enumerate().skip(3) {
