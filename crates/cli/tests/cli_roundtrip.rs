@@ -208,7 +208,7 @@ fn restore_refuses_manifest_paths_outside_the_output_directory() {
         let mut manifest =
             Manifest::decode(&store.get(&key).unwrap().expect("manifest stored")).unwrap();
         manifest.files.last_mut().expect("two files").path = hostile.to_string();
-        store.put(&key, manifest.encode()).unwrap();
+        store.put(&key, manifest.encode().into()).unwrap();
 
         let (ok, text) = run(&["restore", "--repo", repo_s, "0", out_dir.to_str().unwrap()]);
         assert!(!ok, "restore of {hostile:?} succeeded:\n{text}");

@@ -14,6 +14,7 @@
 //! engine's retry policy consults.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::objectstore::ObjectStoreStats;
 
@@ -100,15 +101,20 @@ impl std::error::Error for BackendError {}
 /// Implementations must be thread-safe; accounting counters cover every
 /// *attempted* operation including misses and failures (matching how a
 /// cloud provider bills requests).
+///
+/// Objects are shared, immutable buffers: a put hands over a reference to
+/// the caller's bytes (every retry of one upload sends the same buffer)
+/// and a get returns one, so a backend that keeps objects in memory stores
+/// and serves them without copying.
 pub trait ObjectBackend: Send + Sync {
     /// Stores `bytes` under `key`, replacing any previous object. An `Err`
     /// means the object was **not** durably stored (a partially written
     /// object must never become visible under `key`).
-    fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError>;
+    fn put(&self, key: &str, bytes: Arc<Vec<u8>>) -> Result<(), BackendError>;
 
     /// Fetches the object at `key`. `Ok(None)` is a clean miss; `Err` is a
     /// failed transfer whose outcome is unknown.
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError>;
+    fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, BackendError>;
 
     /// Deletes the object at `key`; returns whether it existed.
     fn delete(&self, key: &str) -> Result<bool, BackendError>;
@@ -129,7 +135,8 @@ pub trait ObjectBackend: Send + Sync {
     fn stats(&self) -> ObjectStoreStats;
 
     /// Corrupts one byte of the object at `key` (failure injection);
-    /// returns false if the object is missing or empty.
+    /// returns false if the object is missing or empty. Buffers handed out
+    /// by earlier gets keep the bytes they had.
     fn corrupt(&self, key: &str, byte_index: usize) -> bool;
 }
 

@@ -21,9 +21,7 @@
 //! * seeded random transient put failures at a fixed per-mille rate.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::backend::{BackendError, BackendOp, ObjectBackend};
 use crate::objectstore::ObjectStoreStats;
@@ -197,25 +195,31 @@ impl FaultInjectingBackend {
         &self.inner
     }
 
+    /// The schedule's progress. Poisoning is ignored: a panicking holder
+    /// leaves at worst one counter unadvanced.
+    fn state(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Faults injected so far.
     pub fn faults_injected(&self) -> u64 {
-        self.state.lock().injected
+        self.state().injected
     }
 
     /// Operations attempted so far (puts + gets + deletes).
     pub fn ops_attempted(&self) -> u64 {
-        self.state.lock().ops
+        self.state().ops
     }
 
     /// Whether a crash-stop rule has fired.
     pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
+        self.state().crashed
     }
 
     /// Advances the op counter; returns an error if the backend is (now)
     /// crash-stopped.
     fn tick_op(&self, op: BackendOp, key: &str) -> Result<u64, BackendError> {
-        let mut g = self.state.lock();
+        let mut g = self.state();
         g.ops += 1;
         let n = g.ops;
         if g.crashed || self.plan.rules.iter().any(|r| matches!(r, FaultRule::CrashAtOp { op } if *op <= n))
@@ -230,7 +234,7 @@ impl FaultInjectingBackend {
     /// Consults every put rule; returns the fault to inject, if any.
     /// `Some((transient, keep))`: `keep` is `Some(len)` for a truncation.
     fn put_fault(&self, key: &str) -> Option<(bool, Option<usize>)> {
-        let mut g = self.state.lock();
+        let mut g = self.state();
         g.puts += 1;
         let nth = g.puts;
         for rule in &self.plan.rules {
@@ -265,7 +269,7 @@ impl FaultInjectingBackend {
 
     /// Consults every get rule; returns `Some(transient)` to inject a fault.
     fn get_fault(&self, key: &str) -> Option<bool> {
-        let mut g = self.state.lock();
+        let mut g = self.state();
         g.gets += 1;
         let nth = g.gets;
         for rule in &self.plan.rules {
@@ -292,14 +296,15 @@ impl FaultInjectingBackend {
 }
 
 impl ObjectBackend for FaultInjectingBackend {
-    fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError> {
+    fn put(&self, key: &str, bytes: Arc<Vec<u8>>) -> Result<(), BackendError> {
         self.tick_op(BackendOp::Put, key)?;
         match self.put_fault(key) {
             Some((_, Some(keep))) => {
-                // Torn write: the partial object lands, the put still fails.
+                // Torn write: a partial copy lands, the put still fails, and
+                // the caller's buffer is left whole for the retry.
                 let keep = keep.min(bytes.len());
                 // aalint: allow(panic-path) -- keep was clamped to bytes.len() on the line above
-                self.inner.put(key, bytes[..keep].to_vec())?;
+                self.inner.put(key, Arc::new(bytes[..keep].to_vec()))?;
                 Err(BackendError::transient(
                     BackendOp::Put,
                     key,
@@ -316,7 +321,7 @@ impl ObjectBackend for FaultInjectingBackend {
         }
     }
 
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
+    fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, BackendError> {
         self.tick_op(BackendOp::Get, key)?;
         match self.get_fault(key) {
             Some(true) => {
@@ -372,10 +377,10 @@ mod tests {
     #[test]
     fn nth_put_fails_once() {
         let (b, inner) = faulty(FaultPlan::new(1).fail_nth_put(2, true));
-        b.put("a", vec![1]).unwrap();
-        let err = b.put("b", vec![2]).unwrap_err();
+        b.put("a", vec![1].into()).unwrap();
+        let err = b.put("b", vec![2].into()).unwrap_err();
         assert!(err.transient);
-        b.put("b", vec![2]).unwrap(); // third put: rule no longer matches
+        b.put("b", vec![2].into()).unwrap(); // third put: rule no longer matches
         assert_eq!(inner.object_count(), 2);
         assert_eq!(b.faults_injected(), 1);
     }
@@ -383,46 +388,46 @@ mod tests {
     #[test]
     fn prefix_puts_fail_k_times_then_recover() {
         let (b, _) = faulty(FaultPlan::new(1).fail_prefix_puts("c/", 2, true));
-        assert!(b.put("c/1", vec![1]).is_err());
-        assert!(b.put("c/1", vec![1]).is_err());
-        b.put("c/1", vec![1]).unwrap();
+        assert!(b.put("c/1", vec![1].into()).is_err());
+        assert!(b.put("c/1", vec![1].into()).is_err());
+        b.put("c/1", vec![1].into()).unwrap();
         // An unrelated key never fails; each key has its own counter.
-        b.put("m/0", vec![9]).unwrap();
-        assert!(b.put("c/2", vec![2]).is_err());
+        b.put("m/0", vec![9].into()).unwrap();
+        assert!(b.put("c/2", vec![2].into()).is_err());
         assert_eq!(b.faults_injected(), 3);
     }
 
     #[test]
     fn truncation_makes_partial_object_visible_and_fails() {
         let (b, inner) = faulty(FaultPlan::new(1).truncate_nth_put(1, 3));
-        let err = b.put("k", vec![1, 2, 3, 4, 5]).unwrap_err();
+        let err = b.put("k", vec![1, 2, 3, 4, 5].into()).unwrap_err();
         assert!(err.transient);
-        assert_eq!(inner.get("k").unwrap(), Some(vec![1, 2, 3]), "torn write is visible");
-        b.put("k", vec![1, 2, 3, 4, 5]).unwrap();
-        assert_eq!(inner.get("k").unwrap(), Some(vec![1, 2, 3, 4, 5]), "retry heals it");
+        assert_eq!(inner.get("k").unwrap().as_deref(), Some(&vec![1, 2, 3]), "torn write is visible");
+        b.put("k", vec![1, 2, 3, 4, 5].into()).unwrap();
+        assert_eq!(inner.get("k").unwrap().as_deref(), Some(&vec![1, 2, 3, 4, 5]), "retry heals it");
     }
 
     #[test]
     fn nth_get_fails_once() {
         let (b, _) = faulty(FaultPlan::new(1).fail_nth_get(2, true));
-        b.put("a", vec![1]).unwrap();
-        assert_eq!(b.get("a").unwrap(), Some(vec![1]));
+        b.put("a", vec![1].into()).unwrap();
+        assert_eq!(b.get("a").unwrap().as_deref(), Some(&vec![1]));
         let err = b.get("a").unwrap_err();
         assert!(err.transient);
-        assert_eq!(b.get("a").unwrap(), Some(vec![1]), "third get: rule no longer matches");
+        assert_eq!(b.get("a").unwrap().as_deref(), Some(&vec![1]), "third get: rule no longer matches");
         assert_eq!(b.faults_injected(), 1);
     }
 
     #[test]
     fn prefix_gets_fail_k_times_then_recover() {
         let (b, _) = faulty(FaultPlan::new(1).fail_prefix_gets("c/", 2, true));
-        b.put("c/1", vec![1]).unwrap();
-        b.put("m/0", vec![9]).unwrap();
+        b.put("c/1", vec![1].into()).unwrap();
+        b.put("m/0", vec![9].into()).unwrap();
         assert!(b.get("c/1").is_err());
         assert!(b.get("c/1").is_err());
-        assert_eq!(b.get("c/1").unwrap(), Some(vec![1]));
+        assert_eq!(b.get("c/1").unwrap().as_deref(), Some(&vec![1]));
         // An unrelated key never fails; each key has its own counter.
-        assert_eq!(b.get("m/0").unwrap(), Some(vec![9]));
+        assert_eq!(b.get("m/0").unwrap().as_deref(), Some(&vec![9]));
         assert!(b.get("c/1").unwrap().is_some(), "counter is per key, not global");
         assert_eq!(b.faults_injected(), 2);
     }
@@ -430,7 +435,7 @@ mod tests {
     #[test]
     fn permanent_get_failure_is_not_transient() {
         let (b, _) = faulty(FaultPlan::new(1).fail_prefix_gets("c/", u32::MAX, false));
-        b.put("c/1", vec![1]).unwrap();
+        b.put("c/1", vec![1].into()).unwrap();
         let err = b.get("c/1").unwrap_err();
         assert!(!err.transient);
         assert!(b.get("c/1").is_err(), "never recovers");
@@ -439,9 +444,9 @@ mod tests {
     #[test]
     fn crash_stop_fails_everything_from_the_chosen_op() {
         let (b, inner) = faulty(FaultPlan::new(1).crash_at_op(3));
-        b.put("a", vec![1]).unwrap();
-        assert_eq!(b.get("a").unwrap(), Some(vec![1]));
-        let err = b.put("b", vec![2]).unwrap_err();
+        b.put("a", vec![1].into()).unwrap();
+        assert_eq!(b.get("a").unwrap().as_deref(), Some(&vec![1]));
+        let err = b.put("b", vec![2].into()).unwrap_err();
         assert!(!err.transient, "crash-stop is not retryable");
         assert!(b.get("a").is_err(), "backend stays dead");
         assert!(b.delete("a").is_err());
@@ -455,7 +460,7 @@ mod tests {
     fn random_puts_are_deterministic_per_seed() {
         let run = |seed: u64| {
             let (b, _) = faulty(FaultPlan::new(seed).random_transient_puts(300));
-            (0..100).map(|i| b.put(&format!("k/{i}"), vec![0]).is_err()).collect::<Vec<_>>()
+            (0..100).map(|i| b.put(&format!("k/{i}"), vec![0].into()).is_err()).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7), "same seed, same schedule");
         assert_ne!(run(7), run(8), "different seed, different schedule");
@@ -466,8 +471,8 @@ mod tests {
     #[test]
     fn empty_plan_passes_everything_through() {
         let (b, inner) = faulty(FaultPlan::new(0));
-        b.put("x", vec![1, 2]).unwrap();
-        assert_eq!(b.get("x").unwrap(), Some(vec![1, 2]));
+        b.put("x", vec![1, 2].into()).unwrap();
+        assert_eq!(b.get("x").unwrap().as_deref(), Some(&vec![1, 2]));
         assert!(b.delete("x").unwrap());
         assert_eq!(b.faults_injected(), 0);
         assert_eq!(b.ops_attempted(), 3);

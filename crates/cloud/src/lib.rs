@@ -28,8 +28,7 @@ pub use objectstore::{ObjectStore, ObjectStoreStats};
 pub use pricing::{CostBreakdown, PriceModel, BYTES_PER_GB};
 pub use wan::WanModel;
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A cloud endpoint: object backend + WAN + pricing, with simulated-time
@@ -62,38 +61,51 @@ impl CloudSim {
         Self::new(WanModel::paper_defaults(), PriceModel::s3_april_2011())
     }
 
+    /// The simulated transfer clock. Poisoning is ignored: the clock is a
+    /// plain sum, valid whatever a panicking holder left half-done.
+    fn clock(&self) -> MutexGuard<'_, Duration> {
+        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Uploads an object; returns the simulated transfer time (also added
     /// to the simulated clock). A failed attempt still consumes the link
     /// time — the bytes travelled, the backend just didn't keep them.
-    pub fn put(&self, key: &str, bytes: Vec<u8>) -> Result<Duration, BackendError> {
+    ///
+    /// The object is shared, not copied: a `Vec` moves into the `Arc`,
+    /// and a caller that retries passes the same `Arc` again.
+    pub fn put(&self, key: &str, bytes: impl Into<Arc<Vec<u8>>>) -> Result<Duration, BackendError> {
+        let bytes = bytes.into();
         let t = self.wan.upload_time(bytes.len() as u64);
-        *self.clock.lock() += t;
+        *self.clock() += t;
         self.store.put(key, bytes)?;
         Ok(t)
     }
 
     /// Downloads an object; returns its bytes and the simulated transfer
-    /// time (misses and failures cost one request overhead).
+    /// time (misses and failures cost one request overhead). The bytes
+    /// are the caller's own: this is the download's one copy, taken
+    /// outside any backend lock, and none at all when the backend kept no
+    /// reference to the object it returned.
     pub fn get(&self, key: &str) -> Result<(Option<Vec<u8>>, Duration), BackendError> {
         let out = self.store.get(key);
         let t = match &out {
             Ok(Some(b)) => self.wan.download_time(b.len() as u64),
             Ok(None) | Err(_) => self.wan.per_request_overhead,
         };
-        *self.clock.lock() += t;
-        Ok((out?, t))
+        *self.clock() += t;
+        Ok((out?.map(Arc::unwrap_or_clone), t))
     }
 
     /// Deletes an object (request overhead only).
     pub fn delete(&self, key: &str) -> Result<bool, BackendError> {
-        *self.clock.lock() += self.wan.per_request_overhead;
+        *self.clock() += self.wan.per_request_overhead;
         self.store.delete(key)
     }
 
     /// Charges extra wall-clock to the simulated transfer clock (retry
     /// backoff waits, for instance, count toward the backup window).
     pub fn charge(&self, d: Duration) {
-        *self.clock.lock() += d;
+        *self.clock() += d;
     }
 
     /// The underlying object backend (for inspection and failure
@@ -114,12 +126,12 @@ impl CloudSim {
 
     /// Total simulated wall-clock consumed by transfers so far.
     pub fn elapsed(&self) -> Duration {
-        *self.clock.lock()
+        *self.clock()
     }
 
     /// Resets the simulated clock (between backup sessions).
     pub fn reset_clock(&self) {
-        *self.clock.lock() = Duration::ZERO;
+        *self.clock() = Duration::ZERO;
     }
 
     /// One month's bill for the current contents and cumulative upload

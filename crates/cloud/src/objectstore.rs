@@ -3,9 +3,13 @@
 //! Stands in for Amazon S3 in the paper's experiments (see DESIGN.md §5):
 //! a flat key → bytes namespace with put/get/delete/list and exact
 //! request/byte accounting, which the WAN and price models consume.
+//!
+//! Objects are kept as the shared buffers callers put: storing one and
+//! serving it are reference-count bumps, so no payload byte is copied
+//! under the store's lock.
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::backend::BackendError;
 
@@ -38,7 +42,7 @@ pub struct ObjectStore {
 }
 
 struct Inner {
-    objects: BTreeMap<String, Vec<u8>>,
+    objects: BTreeMap<String, Arc<Vec<u8>>>,
     stats: ObjectStoreStats,
 }
 
@@ -59,24 +63,37 @@ impl ObjectStore {
         }
     }
 
-    /// Stores `bytes` under `key`, replacing any previous object. Memory
-    /// never fails, but the signature matches [`ObjectBackend`] so callers
-    /// written against the trait handle errors uniformly.
+    /// Shared access. Poisoning is ignored: every mutation below leaves
+    /// the map and the counters consistent at each step.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access (see [`read`](Self::read) on poisoning).
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stores `bytes` under `key` as they are, replacing any previous
+    /// object. Memory never fails, but the signature matches
+    /// [`ObjectBackend`] so callers written against the trait handle
+    /// errors uniformly.
     ///
     /// [`ObjectBackend`]: crate::backend::ObjectBackend
-    pub fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError> {
-        let mut g = self.inner.write();
+    pub fn put(&self, key: &str, bytes: impl Into<Arc<Vec<u8>>>) -> Result<(), BackendError> {
+        let bytes = bytes.into();
+        let mut g = self.write();
         g.stats.put_requests += 1;
         g.stats.bytes_in += bytes.len() as u64;
         g.objects.insert(key.to_owned(), bytes);
         Ok(())
     }
 
-    /// Fetches the object at `key`.
-    pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
-        let mut g = self.inner.write();
+    /// Fetches the object at `key`: a new reference to the stored buffer.
+    pub fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, BackendError> {
+        let mut g = self.write();
         g.stats.get_requests += 1;
-        let out = g.objects.get(key).cloned();
+        let out = g.objects.get(key).map(Arc::clone);
         if let Some(o) = &out {
             g.stats.bytes_out += o.len() as u64;
         }
@@ -85,20 +102,19 @@ impl ObjectStore {
 
     /// Deletes the object at `key`; returns whether it existed.
     pub fn delete(&self, key: &str) -> Result<bool, BackendError> {
-        let mut g = self.inner.write();
+        let mut g = self.write();
         g.stats.delete_requests += 1;
         Ok(g.objects.remove(key).is_some())
     }
 
     /// True if an object exists at `key` (not counted as a request).
     pub fn contains(&self, key: &str) -> bool {
-        self.inner.read().objects.contains_key(key)
+        self.read().objects.contains_key(key)
     }
 
     /// Keys starting with `prefix`, in lexicographic order.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner
-            .read()
+        self.read()
             .objects
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -108,25 +124,27 @@ impl ObjectStore {
 
     /// Number of stored objects.
     pub fn object_count(&self) -> usize {
-        self.inner.read().objects.len()
+        self.read().objects.len()
     }
 
     /// Total bytes currently stored.
     pub fn stored_bytes(&self) -> u64 {
-        self.inner.read().objects.values().map(|v| v.len() as u64).sum()
+        self.read().objects.values().map(|v| v.len() as u64).sum()
     }
 
     /// Accounting snapshot.
     pub fn stats(&self) -> ObjectStoreStats {
-        self.inner.read().stats
+        self.read().stats
     }
 
     /// Corrupts one byte of the object at `key` (failure injection for
-    /// tests); returns false if the object is missing or empty.
+    /// tests); returns false if the object is missing or empty. Copy on
+    /// write: a buffer an earlier get handed out keeps its bytes.
     pub fn corrupt(&self, key: &str, byte_index: usize) -> bool {
-        let mut g = self.inner.write();
+        let mut g = self.write();
         match g.objects.get_mut(key) {
             Some(v) if !v.is_empty() => {
+                let v = Arc::make_mut(v);
                 let i = byte_index % v.len();
                 // aalint: allow(panic-path) -- i is reduced modulo v.len(), which the guard proved non-zero
                 v[i] ^= 0xff;
@@ -138,11 +156,11 @@ impl ObjectStore {
 }
 
 impl crate::backend::ObjectBackend for ObjectStore {
-    fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError> {
+    fn put(&self, key: &str, bytes: Arc<Vec<u8>>) -> Result<(), BackendError> {
         ObjectStore::put(self, key, bytes)
     }
 
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
+    fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, BackendError> {
         ObjectStore::get(self, key)
     }
 
@@ -183,7 +201,7 @@ mod tests {
     fn put_get_delete_cycle() {
         let s = ObjectStore::new();
         s.put("a/1", vec![1, 2, 3]).unwrap();
-        assert_eq!(s.get("a/1").unwrap(), Some(vec![1, 2, 3]));
+        assert_eq!(s.get("a/1").unwrap().as_deref(), Some(&vec![1, 2, 3]));
         assert!(s.contains("a/1"));
         assert!(s.delete("a/1").unwrap());
         assert!(!s.delete("a/1").unwrap());
@@ -195,7 +213,7 @@ mod tests {
         let s = ObjectStore::new();
         s.put("k", vec![1]).unwrap();
         s.put("k", vec![2, 3]).unwrap();
-        assert_eq!(s.get("k").unwrap(), Some(vec![2, 3]));
+        assert_eq!(s.get("k").unwrap().as_deref(), Some(&vec![2, 3]));
         assert_eq!(s.object_count(), 1);
         assert_eq!(s.stored_bytes(), 2);
     }
@@ -235,5 +253,28 @@ mod tests {
         assert!(s.corrupt("x", 3));
         assert_eq!(s.get("x").unwrap().unwrap()[3], 0xff);
         assert!(!s.corrupt("missing", 0));
+    }
+
+    #[test]
+    fn objects_are_stored_and_served_without_copying() {
+        let s = ObjectStore::new();
+        let bytes = Arc::new(vec![7u8; 64]);
+        s.put("k", Arc::clone(&bytes)).unwrap();
+        let got = s.get("k").unwrap().unwrap();
+        assert!(Arc::ptr_eq(&got, &bytes), "the put buffer is the stored and the served one");
+        assert_eq!(s.stats().bytes_out, 64);
+    }
+
+    #[test]
+    fn corruption_is_copy_on_write() {
+        let s = ObjectStore::new();
+        s.put("x", vec![0u8; 10]).unwrap();
+        let before = s.get("x").unwrap().unwrap();
+        assert!(s.corrupt("x", 3));
+        assert_eq!(*before, vec![0u8; 10], "a buffer fetched earlier keeps its bytes");
+        let after = s.get("x").unwrap().unwrap();
+        assert_eq!(after[3], 0xff, "the next get sees the flipped byte");
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert_eq!(s.stored_bytes(), 10);
     }
 }

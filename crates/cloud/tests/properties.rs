@@ -44,7 +44,7 @@ proptest! {
                     if let Some(v) = &got {
                         bytes_out += v.len() as u64;
                     }
-                    prop_assert_eq!(got.as_ref(), model.get(&k));
+                    prop_assert_eq!(got.as_deref(), model.get(&k));
                 }
                 Op::Delete(k) => {
                     dels += 1;

@@ -7,7 +7,7 @@
 //! so a sealed container never overflows the fixed size — except dedicated
 //! oversized containers holding a single huge chunk.
 
-use crate::format::{encode_container, ChunkDescriptor, HEADER_LEN};
+use crate::format::{encode_head, ChunkDescriptor, HEADER_LEN};
 
 /// Serialized size of one chunk: its descriptor plus its data.
 fn entry_len(len: usize, digest_len: usize) -> usize {
@@ -100,10 +100,25 @@ impl ContainerBuilder {
     /// fixed-slot fill (`target_size - body`, 0 for oversized containers)
     /// that a padded on-disk layout would add -- reported so the
     /// container-size ablation can quantify the tradeoff.
+    ///
+    /// Sealing happens in place: the data moves back once inside the
+    /// buffer it was appended to and the head is written in front of it.
+    /// Up to 4 MiB containers that buffer was allocated at `target_size ≥
+    /// projected`, so nothing is reallocated.
+    /// The buffer is trimmed to the body, so a queued or stored container
+    /// never keeps the builder's spare capacity.
     pub fn seal(self) -> (Vec<u8>, usize) {
         let body = self.projected;
         let padding = self.target_size.saturating_sub(body);
-        let out = encode_container(self.container_id, &self.descriptors, &self.data, None);
+        let mut head = Vec::with_capacity(body - self.data.len());
+        encode_head(self.container_id, &self.descriptors, self.data.len(), &mut head);
+        let mut out = self.data;
+        let data_len = out.len();
+        out.resize(body, 0);
+        out.copy_within(..data_len, head.len());
+        // aalint: allow(panic-path) -- out.len() = body = head.len() + data_len after the resize
+        out[..head.len()].copy_from_slice(&head);
+        out.shrink_to_fit();
         debug_assert_eq!(out.len(), body);
         (out, padding)
     }

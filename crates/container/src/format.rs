@@ -86,6 +86,25 @@ impl fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
+/// Appends a container's header and descriptor table — everything that
+/// precedes a data section of `data_len` bytes — to `out`.
+pub(crate) fn encode_head(
+    container_id: u64,
+    descriptors: &[ChunkDescriptor],
+    data_len: usize,
+    out: &mut Vec<u8>,
+) {
+    out.extend_from_slice(CONTAINER_MAGIC);
+    out.extend_from_slice(&container_id.to_le_bytes());
+    out.extend_from_slice(&(descriptors.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(data_len as u64).to_le_bytes());
+    for d in descriptors {
+        d.fingerprint.encode(out);
+        out.extend_from_slice(&d.offset.to_le_bytes());
+        out.extend_from_slice(&d.len.to_le_bytes());
+    }
+}
+
 /// Serialises a container. `pad_to` pads the result with zeros up to the
 /// fixed container size; pass `None` for oversized single-chunk containers.
 pub fn encode_container(
@@ -98,37 +117,40 @@ pub fn encode_container(
     let body_len = HEADER_LEN + desc_len + data.len();
     let total = pad_to.map_or(body_len, |p| p.max(body_len));
     let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(CONTAINER_MAGIC);
-    out.extend_from_slice(&container_id.to_le_bytes());
-    out.extend_from_slice(&(descriptors.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    for d in descriptors {
-        d.fingerprint.encode(&mut out);
-        out.extend_from_slice(&d.offset.to_le_bytes());
-        out.extend_from_slice(&d.len.to_le_bytes());
-    }
+    encode_head(container_id, descriptors, data.len(), &mut out);
     out.extend_from_slice(data);
     out.resize(total, 0);
     out
 }
 
-/// A parsed (and structurally validated) container.
+/// A parsed (and structurally validated) container. It owns the object it
+/// was parsed from: the data section is a range of that buffer, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedContainer {
     /// The container's identifier.
     pub container_id: u64,
     /// Descriptor table.
     pub descriptors: Vec<ChunkDescriptor>,
-    /// Data section (padding stripped).
-    pub data: Vec<u8>,
+    /// The container object, padding included.
+    buf: Vec<u8>,
+    /// Where the data section starts in `buf`.
+    data_at: usize,
+    /// Length of the data section.
+    data_len: usize,
 }
 
 impl ParsedContainer {
-    /// Parses container bytes, validating structure (not chunk contents).
+    /// Parses borrowed container bytes: a copy of them through
+    /// [`from_vec`](Self::from_vec).
     pub fn parse(buf: &[u8]) -> Result<Self, ContainerError> {
+        Self::from_vec(buf.to_vec())
+    }
+
+    /// Parses a container object in place, validating structure (not
+    /// chunk contents). The buffer is kept; nothing is copied out of it.
+    pub fn from_vec(buf: Vec<u8>) -> Result<Self, ContainerError> {
         if buf.len() < HEADER_LEN {
-            // aalint: allow(panic-path) -- slice length is clamped to buf.len() by the min(6)
-            return Err(if buf.starts_with(&CONTAINER_MAGIC[..buf.len().min(6)]) {
+            return Err(if buf.starts_with(CONTAINER_MAGIC) || CONTAINER_MAGIC.starts_with(&buf) {
                 ContainerError::Truncated
             } else {
                 ContainerError::BadMagic
@@ -147,35 +169,33 @@ impl ParsedContainer {
         let mut pos = HEADER_LEN;
         let mut descriptors = Vec::with_capacity(chunk_count);
         for _ in 0..chunk_count {
-            let (fingerprint, used) =
-                // aalint: allow(panic-path) -- pos <= buf.len(): every advance below is bounds-checked before pos moves
-                Fingerprint::decode(&buf[pos..]).ok_or(ContainerError::BadDescriptor)?;
-            pos += used;
-            if buf.len() < pos + 8 {
-                return Err(ContainerError::Truncated);
-            }
-            // aalint: allow(panic-path) -- guarded by the buf.len() < pos + 8 check above
-            let offset = u32::from_le_bytes(buf[pos..pos + 4].try_into().map_err(|_| ContainerError::Truncated)?);
-            // aalint: allow(panic-path) -- guarded by the buf.len() < pos + 8 check above
-            let len = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().map_err(|_| ContainerError::Truncated)?);
-            pos += 8;
+            let rest = buf.get(pos..).ok_or(ContainerError::Truncated)?;
+            let (fingerprint, used) = Fingerprint::decode(rest).ok_or(ContainerError::BadDescriptor)?;
+            let fields = rest.get(used..used + 8).ok_or(ContainerError::Truncated)?;
+            let offset = u32::from_le_bytes(fields[..4].try_into().map_err(|_| ContainerError::Truncated)?);
+            let len = u32::from_le_bytes(fields[4..].try_into().map_err(|_| ContainerError::Truncated)?);
+            pos += used + 8;
             if (offset as usize).saturating_add(len as usize) > data_len {
                 return Err(ContainerError::DescriptorOutOfRange);
             }
             descriptors.push(ChunkDescriptor { fingerprint, offset, len });
         }
-        if buf.len() < pos + data_len {
+        if pos.checked_add(data_len).is_none_or(|end| end > buf.len()) {
             return Err(ContainerError::Truncated);
         }
-        // aalint: allow(panic-path) -- guarded by the buf.len() < pos + data_len check above
-        let data = buf[pos..pos + data_len].to_vec();
-        Ok(ParsedContainer { container_id, descriptors, data })
+        Ok(ParsedContainer { container_id, descriptors, buf, data_at: pos, data_len })
+    }
+
+    /// The data section (padding stripped).
+    pub fn data(&self) -> &[u8] {
+        // aalint: allow(panic-path) -- from_vec() checked data_at + data_len <= buf.len()
+        &self.buf[self.data_at..self.data_at + self.data_len]
     }
 
     /// The bytes of the chunk at a descriptor.
     pub fn chunk_bytes(&self, d: &ChunkDescriptor) -> &[u8] {
-        // aalint: allow(panic-path) -- parse() validated offset + len <= data_len for every descriptor it returned
-        &self.data[d.offset as usize..(d.offset + d.len) as usize]
+        // aalint: allow(panic-path) -- from_vec() validated offset + len <= data_len for every descriptor it returned
+        &self.data()[d.offset as usize..(d.offset + d.len) as usize]
     }
 
     /// Finds a chunk by fingerprint and returns its bytes.
@@ -242,7 +262,7 @@ mod tests {
         let parsed = ParsedContainer::parse(&encoded).unwrap();
         assert_eq!(parsed.container_id, 42);
         assert_eq!(parsed.descriptors, descriptors);
-        assert_eq!(parsed.data, data);
+        assert_eq!(parsed.data(), data);
         parsed.verify().unwrap();
     }
 
@@ -322,7 +342,7 @@ mod tests {
         assert_eq!(encoded.len(), 128);
         let parsed = ParsedContainer::parse(&encoded).unwrap();
         assert!(parsed.descriptors.is_empty());
-        assert!(parsed.data.is_empty());
+        assert!(parsed.data().is_empty());
         parsed.verify().unwrap();
     }
 }

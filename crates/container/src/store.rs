@@ -23,6 +23,7 @@
 //! back with [`ContainerStore::merge`].
 
 use crate::builder::{fits_empty, ContainerBuilder};
+use crate::format::{encode_container, ChunkDescriptor};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Recorder, Stage};
 use std::collections::BTreeMap;
@@ -146,20 +147,19 @@ impl ContainerStore {
         self.stats.data_bytes += chunk.len() as u64;
         let digest_len = fp.algorithm().digest_len();
 
-        // Oversized chunk: dedicated container, sealed at once, unpadded.
+        // Oversized chunk: dedicated container, sealed at once, unpadded —
+        // encoded straight into one buffer of exactly its size.
         if !fits_empty(self.container_size, chunk.len(), digest_len) {
             let id = Self::fresh_id(&mut self.next_seq, stream);
-            let mut b = ContainerBuilder::new(id, self.container_size);
-            let offset = b.append(fp, chunk);
-            let (bytes, padding) = b.seal();
+            let descriptor = ChunkDescriptor { fingerprint: fp, offset: 0, len: chunk.len() as u32 };
+            let bytes = encode_container(id, &[descriptor], chunk, None);
             self.stats.sealed += 1;
             self.stats.oversized += 1;
-            self.stats.padding_bytes += padding as u64;
             self.recorder.count(Counter::ContainersSealed, 1);
             self.recorder.count(Counter::SealedBytes, bytes.len() as u64);
-            self.sealed.push(SealedContainer { id, bytes, padding, chunks: 1 });
+            self.sealed.push(SealedContainer { id, bytes, padding: 0, chunks: 1 });
             self.recorder.record(Stage::ContainerAppend, started);
-            return Placement { container: id, offset };
+            return Placement { container: id, offset: 0 };
         }
 
         // Roll the stream's open container if the chunk doesn't fit.

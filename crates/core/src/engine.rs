@@ -829,19 +829,21 @@ impl AaDedupe {
     /// is charged to the simulated transfer clock (and optionally slept);
     /// `op_seq` feeds the deterministic jitter. Exhausting the attempts or
     /// the budget, or any permanent failure, counts an upload give-up and
-    /// surfaces the backend error.
+    /// surfaces the backend error. `bytes` moves into one shared buffer
+    /// and every attempt sends that buffer itself: nothing is copied.
     pub(crate) fn put_with_retry(
         &self,
         key: &str,
-        bytes: &[u8],
+        bytes: Vec<u8>,
         budget: &mut u32,
         op_seq: u64,
     ) -> Result<(), BackupError> {
+        let bytes = Arc::new(bytes);
         let rec = &self.config.recorder;
         let policy = &self.config.retry;
         let mut attempt = 1u32;
         loop {
-            match self.cloud.put(key, bytes.to_vec()) {
+            match self.cloud.put(key, Arc::clone(&bytes)) {
                 Ok(_t) => return Ok(()),
                 Err(e) if e.transient && attempt < policy.max_attempts.max(1) && *budget > 0 => {
                     *budget -= 1;
@@ -918,7 +920,7 @@ impl BackupScheme for AaDedupe {
             rec.count(Counter::UploadBytes, sealed.bytes.len() as u64);
             rec.count(Counter::UploadObjects, 1);
             upload_seq += 1;
-            if let Err(e) = self.put_with_retry(&key, &sealed.bytes, &mut retry_budget, upload_seq)
+            if let Err(e) = self.put_with_retry(&key, sealed.bytes, &mut retry_budget, upload_seq)
             {
                 // The in-memory index already references this session's
                 // chunks; some never reached the cloud. Refuse further
@@ -936,7 +938,7 @@ impl BackupScheme for AaDedupe {
         rec.count(Counter::UploadObjects, 1);
         upload_seq += 1;
         let mkey = Manifest::key(&self.config.scheme_key, manifest.session);
-        if let Err(e) = self.put_with_retry(&mkey, &mbytes, &mut retry_budget, upload_seq) {
+        if let Err(e) = self.put_with_retry(&mkey, mbytes, &mut retry_budget, upload_seq) {
             self.poisoned = Some(format!("manifest upload failed: {e}"));
             return Err(e);
         }
@@ -951,7 +953,7 @@ impl BackupScheme for AaDedupe {
         rec.count(Counter::UploadObjects, 1);
         upload_seq += 1;
         let skey = format!("{}{:08}", snapshots_prefix(&self.config.scheme_key), self.sessions);
-        if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, upload_seq) {
+        if let Err(e) = self.put_with_retry(&skey, snap, &mut retry_budget, upload_seq) {
             // The manifest is committed, so the session is durable and
             // the engine's state matches the cloud, and nothing depends on
             // the snapshot. Count the session and surface the failure

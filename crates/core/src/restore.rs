@@ -30,7 +30,9 @@
 //! O(session) in both engines), the pipelined engine holds at most
 //! `workers + 16 + 1` containers at once: one per worker being fetched or
 //! waiting to be handed over, 16 (`QUEUED_CONTAINERS`) in the channel, one
-//! being scattered.
+//! being scattered. A held container is the downloaded object itself,
+//! parsed in place ([`ParsedContainer::from_vec`]): its chunks are ranges
+//! of that buffer until the scatter copies them out.
 //!
 //! # Determinism contract
 //!
@@ -124,7 +126,7 @@ pub fn restore_session(
                 let key = container_key(scheme_key, c.container);
                 let (raw, _t) = cloud.get(&key)?;
                 let raw = raw.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-                let parsed = ParsedContainer::parse(&raw)
+                let parsed = ParsedContainer::from_vec(raw)
                     .map_err(|e| BackupError::Corrupt(format!("{key}: {e}")))?;
                 let map = parsed.descriptor_map();
                 slot.insert(FetchedContainer { parsed, map });
@@ -362,7 +364,7 @@ fn fetch_parse_verify(
     let fetching = rec.start();
     let raw = get_with_retry(cloud, &key, policy, budget, job.container, rec)?;
     let raw = raw.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-    let parsed = ParsedContainer::parse(&raw)
+    let parsed = ParsedContainer::from_vec(raw)
         .map_err(|e| BackupError::Corrupt(format!("{key}: {e}")))?;
     let map = parsed.descriptor_map();
     let fc = FetchedContainer { parsed, map };

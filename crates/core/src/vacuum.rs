@@ -169,7 +169,7 @@ impl AaDedupe {
             let (bytes, _t) = self.cloud.get(&key)?;
             let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
             let stored_len = bytes.len() as u64;
-            let parsed = ParsedContainer::parse(&bytes)
+            let parsed = ParsedContainer::from_vec(bytes)
                 .map_err(|e| BackupError::Corrupt(format!("container {id:012}: {e}")))?;
             containers.insert(id, Candidate { id, parsed, stored_len });
         }
@@ -301,14 +301,14 @@ impl AaDedupe {
         let committing = rec.start();
         let mut retry_budget = self.config.retry.session_retry_budget;
         let mut op_seq = 0u64;
-        for (id, bytes) in &new_containers {
+        for (id, bytes) in new_containers {
             op_seq += 1;
             rec.count(Counter::UploadBytes, bytes.len() as u64);
             rec.count(Counter::UploadObjects, 1);
             // A failure here leaves only orphan containers (no manifest
             // references them yet) and no in-memory mutation: the engine
             // remains fully usable and a rerun converges.
-            self.put_with_retry(&container_key(&scheme, *id), bytes, &mut retry_budget, op_seq)?;
+            self.put_with_retry(&container_key(&scheme, id), bytes, &mut retry_budget, op_seq)?;
         }
         for session in &dirty_manifests {
             // aalint: allow(panic-path) -- dirty_manifests holds keys of manifests by construction
@@ -320,7 +320,7 @@ impl AaDedupe {
             // A failure mid-way mixes old and new pointers across
             // manifests; both container generations still exist, so every
             // session stays restorable and in-memory state is untouched.
-            self.put_with_retry(&Manifest::key(&scheme, *session), &bytes, &mut retry_budget, op_seq)?;
+            self.put_with_retry(&Manifest::key(&scheme, *session), bytes, &mut retry_budget, op_seq)?;
         }
 
         // Manifests are fully rewritten — the pass is committed. Apply the

@@ -17,7 +17,7 @@ fn namespace(cloud: &CloudSim) -> Namespace {
     let store = cloud.store();
     let object = |key: String| {
         let bytes = store.get(&key).expect("get").expect("listed key present");
-        (key, bytes)
+        (key, bytes.to_vec())
     };
     store.list("").into_iter().map(object).collect()
 }

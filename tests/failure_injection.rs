@@ -268,6 +268,144 @@ fn truncated_container_write_is_swept_on_reopen() {
     assert!(inner.list("aa-dedupe/containers/").is_empty());
 }
 
+/// Passes everything through to `inner` and keeps every buffer a put
+/// handed it, in order, so a drill can ask which allocation each attempt
+/// carried.
+struct RecordingPuts {
+    inner: Arc<dyn ObjectBackend>,
+    puts: std::sync::Mutex<Vec<(String, Arc<Vec<u8>>)>>,
+}
+
+impl RecordingPuts {
+    fn over(inner: Arc<dyn ObjectBackend>) -> Arc<Self> {
+        Arc::new(RecordingPuts { inner, puts: Default::default() })
+    }
+
+    /// Every put attempt's buffer, by key, in attempt order.
+    fn attempts(&self) -> BTreeMap<String, Vec<Arc<Vec<u8>>>> {
+        let mut by_key: BTreeMap<String, Vec<Arc<Vec<u8>>>> = BTreeMap::new();
+        for (key, bytes) in self.puts.lock().unwrap().iter() {
+            by_key.entry(key.clone()).or_default().push(Arc::clone(bytes));
+        }
+        by_key
+    }
+}
+
+impl ObjectBackend for RecordingPuts {
+    fn put(&self, key: &str, bytes: Arc<Vec<u8>>) -> Result<(), aa_dedupe::cloud::BackendError> {
+        self.puts.lock().unwrap().push((key.to_owned(), Arc::clone(&bytes)));
+        self.inner.put(key, bytes)
+    }
+    fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, aa_dedupe::cloud::BackendError> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &str) -> Result<bool, aa_dedupe::cloud::BackendError> {
+        self.inner.delete(key)
+    }
+    fn contains(&self, key: &str) -> bool {
+        self.inner.contains(key)
+    }
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+    fn object_count(&self) -> usize {
+        self.inner.object_count()
+    }
+    fn stored_bytes(&self) -> u64 {
+        self.inner.stored_bytes()
+    }
+    fn stats(&self) -> aa_dedupe::cloud::ObjectStoreStats {
+        self.inner.stats()
+    }
+    fn corrupt(&self, key: &str, byte_index: usize) -> bool {
+        self.inner.corrupt(key, byte_index)
+    }
+}
+
+/// The namespace a fault-free backup of `files` leaves: the sealed bytes.
+fn clean_namespace(files: &[MemoryFile]) -> BTreeMap<String, Vec<u8>> {
+    let store = Arc::new(ObjectStore::new());
+    let mut engine = AaDedupe::new(cloud_over(Arc::clone(&store) as Arc<dyn ObjectBackend>));
+    let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
+    engine.backup_session(&sources).expect("clean backup");
+    store.list("").into_iter().map(|k| (k.clone(), store.get(&k).unwrap().unwrap().to_vec())).collect()
+}
+
+#[test]
+fn retries_resend_the_sealed_buffer_itself() {
+    // Every key's first K puts fail transiently. Each attempt must carry
+    // the very allocation the engine sealed, not a copy, and the object
+    // committed at the end is that allocation, holding the sealed bytes.
+    const K: usize = 2;
+    let files = drill_files();
+    let sealed = clean_namespace(&files);
+    for workers in [1usize, 4] {
+        let inner = Arc::new(ObjectStore::new());
+        let faulty = Arc::new(FaultInjectingBackend::new(
+            Arc::clone(&inner) as Arc<dyn ObjectBackend>,
+            FaultPlan::new(5).fail_prefix_puts("aa-dedupe/", K as u32, true),
+        ));
+        let seen = RecordingPuts::over(faulty);
+        let mut engine = AaDedupe::with_config(
+            cloud_over(seen.clone() as Arc<dyn ObjectBackend>),
+            config_with(workers, RetryPolicy::default(), None),
+        );
+        let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
+        engine.backup_session(&sources).expect("K transient faults per key are survivable");
+
+        let attempts = seen.attempts();
+        assert_eq!(attempts.keys().collect::<Vec<_>>(), sealed.keys().collect::<Vec<_>>());
+        for (key, sent) in &attempts {
+            let label = format!("workers={workers} {key}");
+            assert_eq!(sent.len(), K + 1, "{label}: K failures, then the success");
+            assert!(sent.iter().all(|b| Arc::ptr_eq(b, &sent[0])), "{label}: one allocation");
+            let committed = inner.get(key).unwrap().expect("committed");
+            assert!(Arc::ptr_eq(&committed, &sent[0]), "{label}: stored as sent");
+            assert_eq!(committed.as_slice(), sealed[key].as_slice(), "{label}: the sealed bytes");
+        }
+    }
+}
+
+#[test]
+fn a_torn_write_stores_a_truncated_copy_and_the_retry_sends_the_whole_buffer() {
+    // The rule itself: the partial object is a copy, and the caller's
+    // buffer is left whole.
+    let store = Arc::new(ObjectStore::new());
+    let torn = FaultInjectingBackend::new(
+        Arc::clone(&store) as Arc<dyn ObjectBackend>,
+        FaultPlan::new(11).truncate_nth_put(1, 16),
+    );
+    let buffer = Arc::new((0..100u8).collect::<Vec<u8>>());
+    torn.put("k", Arc::clone(&buffer)).expect_err("a torn write fails");
+    let partial = store.get("k").unwrap().expect("the partial object is visible");
+    assert_eq!(partial.as_slice(), &buffer[..16]);
+    assert_eq!(*buffer, (0..100u8).collect::<Vec<u8>>(), "the caller's buffer is intact");
+
+    // Through the engine: the first container is torn, the retry sends
+    // the same whole buffer, and the session commits the sealed bytes.
+    let files = drill_files();
+    let sealed = clean_namespace(&files);
+    let inner = Arc::new(ObjectStore::new());
+    let faulty = Arc::new(FaultInjectingBackend::new(
+        Arc::clone(&inner) as Arc<dyn ObjectBackend>,
+        FaultPlan::new(11).truncate_nth_put(1, 16),
+    ));
+    let seen = RecordingPuts::over(faulty);
+    let mut engine = AaDedupe::with_config(
+        cloud_over(seen.clone() as Arc<dyn ObjectBackend>),
+        config_with(1, RetryPolicy::default(), None),
+    );
+    let sources: Vec<&dyn SourceFile> = files.iter().map(|f| f as &dyn SourceFile).collect();
+    engine.backup_session(&sources).expect("the retry heals the torn write");
+    let attempts = seen.attempts();
+    let (key, sent) = attempts.iter().find(|(_, sent)| sent.len() == 2).expect("one retried key");
+    assert!(key.starts_with("aa-dedupe/containers/"), "{key}");
+    assert!(Arc::ptr_eq(&sent[0], &sent[1]), "the retry resends the torn attempt's buffer");
+    assert_eq!(sent[0].as_slice(), sealed[key].as_slice(), "which the torn write left whole");
+    assert_eq!(inner.get(key).unwrap().unwrap().as_slice(), sealed[key].as_slice());
+    assert_restores_bit_exact(&engine, 0, &files);
+}
+
 #[test]
 fn crash_at_every_operation_leaves_a_recoverable_repository() {
     for workers in [1usize, 4] {

@@ -80,7 +80,7 @@ fn run(cfg: AaDedupeConfig, sessions: &[Vec<&dyn SourceFile>]) -> Observation {
         .map(|key| {
             let bytes =
                 store.get(&key).unwrap().unwrap_or_else(|| panic!("listed key {key} missing"));
-            (key, bytes)
+            (key, bytes.to_vec())
         })
         .collect();
     Observation {
@@ -208,7 +208,7 @@ fn crash_and_recover(
         .map(|key| {
             let bytes =
                 store.get(&key).unwrap().unwrap_or_else(|| panic!("listed key {key} missing"));
-            (key, bytes)
+            (key, bytes.to_vec())
         })
         .collect();
     let restore = recovered

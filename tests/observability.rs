@@ -153,7 +153,7 @@ fn differential_serial_parallel_with_observability_enabled() {
         let store = engine.cloud().store();
         store.list("").into_iter().map(|k| {
             let bytes = store.get(&k).unwrap().expect("listed key present");
-            (k, bytes)
+            (k, bytes.to_vec())
         }).collect()
     }
     let snaps = dataset(2);

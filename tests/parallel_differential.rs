@@ -82,7 +82,7 @@ fn observe(engine: &AaDedupe, reports: Vec<SessionReport>, sessions: usize) -> O
         .map(|key| {
             let bytes =
                 store.get(&key).unwrap().unwrap_or_else(|| panic!("listed key {key} missing"));
-            (key, bytes)
+            (key, bytes.to_vec())
         })
         .collect();
     let partition_stats =

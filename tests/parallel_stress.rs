@@ -66,7 +66,7 @@ fn backup(sources: &[&dyn SourceFile], config: AaDedupeConfig) -> (Counters, Nam
         .into_iter()
         .map(|key| {
             let bytes = store.get(&key).unwrap().expect("listed key present");
-            (key, bytes)
+            (key, bytes.to_vec())
         })
         .collect();
     ((r.stored_bytes, r.chunks_total, r.chunks_duplicate), objects)

@@ -227,10 +227,10 @@ fn every_container_is_fetched_exactly_once() {
 struct ReverseListing(Arc<dyn ObjectBackend>);
 
 impl ObjectBackend for ReverseListing {
-    fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError> {
+    fn put(&self, key: &str, bytes: Arc<Vec<u8>>) -> Result<(), BackendError> {
         self.0.put(key, bytes)
     }
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
+    fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, BackendError> {
         self.0.get(key)
     }
     fn delete(&self, key: &str) -> Result<bool, BackendError> {

@@ -76,7 +76,7 @@ fn run(workers: usize, telemetry: bool) -> (Observed, Option<TimeSeries>) {
         .into_iter()
         .map(|k| {
             let bytes = store.get(&k).expect("store get").expect("listed key present");
-            (k, bytes)
+            (k, bytes.to_vec())
         })
         .collect();
     let series = sampler.map(Sampler::stop);

@@ -173,7 +173,7 @@ fn dry_run_mutates_nothing_and_predicts_the_real_pass() {
 fn namespace(store: &ObjectStore) -> Vec<(String, Vec<u8>)> {
     let object = |key: String| {
         let bytes = store.get(&key).expect("get").expect("listed key present");
-        (key, bytes)
+        (key, bytes.to_vec())
     };
     store.list("").into_iter().map(object).collect()
 }
