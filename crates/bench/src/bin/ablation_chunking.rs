@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Ablation: application-aware chunking vs one-size-fits-all.
 //!
 //! Swaps AA-Dedupe's per-category chunking dispatch for uniform policies —

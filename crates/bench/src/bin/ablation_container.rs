@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Ablation: container size and tiny-file threshold sweeps.
 //!
 //! The container store trades request count (bigger containers ⇒ fewer

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Ablation: adaptive hash selection vs uniform strong hashing.
 //!
 //! Keeps AA-Dedupe's chunking dispatch (WFC/SC/CDC by category) but swaps

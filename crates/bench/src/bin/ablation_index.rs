@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Ablation: application-aware index vs monolithic full index.
 //!
 //! Isolates the paper's index-partitioning contribution (§III.E) from the

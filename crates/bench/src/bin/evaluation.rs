@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Figures 7–11: the full five-scheme evaluation.
 //!
 //! Runs Jungle Disk, BackupPC, Avamar, SAM and AA-Dedupe over the same ten

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Figures 1 & 2: file count and storage capacity by file-size bucket.
 //!
 //! Paper's headline numbers: ~61 % of files are < 10 KiB but hold only

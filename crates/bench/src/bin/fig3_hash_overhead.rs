@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Figure 3: computational overhead of typical hash functions.
 //!
 //! The paper measures Rabin, MD5 and SHA-1 execution times for whole-file

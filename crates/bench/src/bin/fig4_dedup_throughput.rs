@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Figure 4: deduplication throughput of different implementations.
 //!
 //! The paper crosses three chunking methods (WFC, SC, CDC) with three hash

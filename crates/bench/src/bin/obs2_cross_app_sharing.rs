@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Observation 2: cross-application data sharing is negligible.
 //!
 //! The paper compares chunk fingerprints across applications after

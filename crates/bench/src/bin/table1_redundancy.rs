@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Table 1: chunk-level data redundancy in typical PC applications.
 //!
 //! For each of the twelve application types, generates a single-type

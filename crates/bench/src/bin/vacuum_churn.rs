@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Reclaimed bytes vs. churn: the longitudinal vacuum figure.
 //!
 //! Grows a 20-session corpus at several churn levels (the fraction of

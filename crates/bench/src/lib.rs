@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Benchmark harness for the AA-Dedupe reproduction.
 //!
 //! One runnable binary per table/figure of the paper (see DESIGN.md §3 for
@@ -100,10 +100,13 @@ pub fn run_evaluation_with(
         let mut reports = Vec::with_capacity(cfg.sessions);
         for week in 0..cfg.sessions {
             let snapshot = generator.snapshot(week);
-            let report = scheme
-                .backup_session(&snapshot.as_sources())
-                // aalint: allow(unwrap-in-lib) -- evaluation harness: a failed session invalidates the whole run, aborting with the error is the intended behavior
-                .expect("backup session failed");
+            #[expect(
+                clippy::expect_used,
+                reason = "evaluation harness: a failed session invalidates the whole run, \
+                          aborting with the error is the intended behavior"
+            )]
+            let report =
+                scheme.backup_session(&snapshot.as_sources()).expect("backup session failed");
             reports.push(report);
         }
         eprintln!("  [done] {}", probe_scheme.name());

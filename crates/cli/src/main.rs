@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! `aabackup` — a usable AA-Dedupe backup client.
 //!
 //! Backs up a directory tree into a filesystem-backed repository using
@@ -207,16 +207,19 @@ impl IndexArgs {
     }
 }
 
-/// The repository under `repo` as a cloud, and the configuration every
-/// command runs the engine with.
+/// The repository under `repo`. Opening it changes nothing inside it.
+fn open_store(repo: &Path) -> Result<FsObjectStore, String> {
+    FsObjectStore::open(repo).map_err(|e| format!("cannot open repository {repo:?}: {e}"))
+}
+
+/// `store` as a cloud, and the configuration every command runs the
+/// engine with.
 fn repository(
-    repo: &Path,
+    store: FsObjectStore,
     workers: usize,
     chunker: CdcAlgorithm,
     recorder: Option<Arc<Recorder>>,
-) -> Result<(CloudSim, AaDedupeConfig), String> {
-    let store =
-        FsObjectStore::open(repo).map_err(|e| format!("cannot open repository {repo:?}: {e}"))?;
+) -> (CloudSim, AaDedupeConfig) {
     // A local repository has no WAN: model an ideal fast link so timings
     // reflect dedup work, while keeping the S3 cost model for reporting.
     let cloud = CloudSim::with_backend(
@@ -236,12 +239,13 @@ fn repository(
     if let Some(rec) = recorder {
         config.recorder = rec;
     }
-    Ok((cloud, config))
+    (cloud, config)
 }
 
-/// The engine for commands that change the repository or report on its
-/// index (backup, delete, vacuum, retention, stats): [`AaDedupe::open`]
-/// rebuilds the index from the manifests and sweeps orphaned containers.
+/// The engine for commands that change the repository (backup, delete,
+/// vacuum, retention): the store's stale temp files are swept, and
+/// [`AaDedupe::open`] rebuilds the index from the manifests and sweeps
+/// orphaned containers.
 fn open_engine(
     repo: &Path,
     workers: usize,
@@ -249,7 +253,9 @@ fn open_engine(
     index: &IndexArgs,
     recorder: Option<Arc<Recorder>>,
 ) -> Result<AaDedupe, String> {
-    let (cloud, mut config) = repository(repo, workers, chunker, recorder)?;
+    let store = open_store(repo)?;
+    store.sweep_stale_writes();
+    let (cloud, mut config) = repository(store, workers, chunker, recorder);
     config.index_dir = index.dir.clone();
     if let Some(ram) = index.ram {
         config.ram_entries_per_partition = ram as usize;
@@ -258,17 +264,17 @@ fn open_engine(
 }
 
 /// The engine for commands that only read (restore, restore-file,
-/// sessions, vacuum --dry-run). They consult manifests and containers,
-/// never the index, so nothing is rebuilt — and nothing is swept: a
-/// container no manifest references yet may be a concurrent backup's, on
-/// its way to the commit point. A reading command never modifies the
-/// repository.
+/// sessions, vacuum --dry-run, stats). They consult manifests and
+/// containers, never the index, so nothing is rebuilt — and nothing is
+/// swept: a container no manifest references yet, or a temp file, may be
+/// a concurrent backup's, on its way to the commit point. A reading
+/// command never modifies the repository.
 fn read_engine(
     repo: &Path,
     workers: usize,
     recorder: Option<Arc<Recorder>>,
 ) -> Result<AaDedupe, String> {
-    let (cloud, config) = repository(repo, workers, CdcAlgorithm::Rabin, recorder)?;
+    let (cloud, config) = repository(open_store(repo)?, workers, CdcAlgorithm::Rabin, recorder);
     Ok(AaDedupe::with_config(cloud, config))
 }
 
@@ -481,8 +487,9 @@ fn cmd_retention(
     Ok(())
 }
 
-fn cmd_stats(repo: &Path, index: &IndexArgs) -> Result<(), String> {
-    let engine = open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?;
+fn cmd_stats(repo: &Path) -> Result<(), String> {
+    let engine = read_engine(repo, 1, None)?;
+    let chunks = engine.committed_chunks().map_err(|e| format!("cannot read manifests: {e}"))?;
     let store = engine.cloud().store();
     println!("repository: {} objects, {}", store.object_count(), human(store.stored_bytes()));
     println!(
@@ -490,7 +497,7 @@ fn cmd_stats(repo: &Path, index: &IndexArgs) -> Result<(), String> {
         store.list(&containers_prefix(&engine.config().scheme_key)).len()
     );
     println!("  sessions:   {:?}", engine.list_sessions());
-    println!("  index:      {} chunks", engine.index().len());
+    println!("  index:      {chunks} chunks");
     let cost = engine.cloud().monthly_cost();
     println!(
         "  S3-equivalent monthly cost: ${:.4} (storage ${:.4}, transfer ${:.4}, requests ${:.4})",
@@ -585,7 +592,7 @@ fn main() -> ExitCode {
             ),
             _ => return usage(),
         },
-        ("stats", []) => cmd_stats(&repo, &index),
+        ("stats", []) => cmd_stats(&repo),
         _ => return usage(),
     };
     match result {

@@ -56,9 +56,6 @@ impl Progress {
                     eprintln!();
                 }
             })
-            // aalint: allow(unwrap-in-lib) -- CLI-only module: failing to
-            // spawn a cosmetic thread means the process is already out of
-            // resources; aborting loudly beats a silent no-progress run
             .expect("spawn progress thread");
         Progress { stop, handle: Some(handle) }
     }
@@ -67,9 +64,6 @@ impl Progress {
     pub fn finish(mut self) {
         self.stop.store(true, Relaxed);
         if let Some(h) = self.handle.take() {
-            // aalint: allow(unwrap-in-lib) -- CLI-only module: the renderer
-            // never panics by construction; if it did, surfacing the panic
-            // is better than reporting a clean exit
             h.join().expect("progress thread panicked");
         }
     }

@@ -220,11 +220,11 @@ fn restore_refuses_manifest_paths_outside_the_output_directory() {
     }
 }
 
-/// `sessions`, `restore`, `restore-file` and `vacuum --dry-run` only read.
-/// A container no manifest references may be a concurrent backup's,
-/// uploaded on its way to the commit point: sweeping it is `backup`'s job
-/// on its next open, never a reader's. Nor does a reader build an index,
-/// so `--index-dir` is never written.
+/// `sessions`, `restore`, `restore-file`, `vacuum --dry-run` and `stats`
+/// only read. A container no manifest references, or a `.tmp-write` file,
+/// may be a concurrent backup's, on its way to the commit point: sweeping
+/// it is `backup`'s job on its next open, never a reader's. Nor does a
+/// reader build an index, so `--index-dir` is never written.
 #[test]
 fn read_only_commands_leave_the_repository_untouched() {
     let dirs = Dirs::new("readonly");
@@ -244,14 +244,19 @@ fn read_only_commands_leave_the_repository_untouched() {
     store.put(orphan, committed).unwrap();
     let before = store.list("");
     assert!(before.iter().any(|k| k == orphan), "{before:?}");
+    // A put between create and rename: invisible to `list`, still on disk.
+    let in_flight = repo.join("aa-dedupe/containers/000099999998.tmp-write");
+    fs::write(&in_flight, b"half a container").unwrap();
 
     let out_dir = dirs.out();
     let out_s = out_dir.to_str().unwrap();
     let index_dir = dirs.root.join("index");
     let single = dirs.root.join("single.doc");
     let index_s = index_dir.to_str().unwrap();
-    let readers: [&[&str]; 6] = [
+    let readers: [&[&str]; 8] = [
         &["sessions", "--repo", repo_s],
+        &["stats", "--repo", repo_s],
+        &["stats", "--repo", repo_s, "--index-dir", index_s],
         &["restore", "--repo", repo_s, "0", out_s],
         &["restore", "--repo", repo_s, "--index-dir", index_s, "0", out_s],
         &["restore-file", "--repo", repo_s, "0", "report.doc", single.to_str().unwrap()],
@@ -262,6 +267,7 @@ fn read_only_commands_leave_the_repository_untouched() {
         let (ok, text) = run(args);
         assert!(ok, "{args:?}: {text}");
         assert_eq!(store.list(""), before, "{args:?} changed the repository");
+        assert!(in_flight.exists(), "{args:?} deleted a put in flight");
         assert!(!index_dir.exists(), "{args:?} built an index it never consults");
     }
     assert_eq!(fs::read(out_dir.join("report.doc")).unwrap(), b"words ".repeat(5000));
@@ -272,6 +278,42 @@ fn read_only_commands_leave_the_repository_untouched() {
     assert!(ok, "{out}");
     assert!(out.contains("swept 1 orphaned container(s)"), "{out}");
     assert!(!store.list("").iter().any(|k| k == orphan), "orphan survived the sweep");
+    assert!(!in_flight.exists(), "the writer sweeps stale temp files");
+}
+
+/// `stats` reports the chunks the committed manifests index — the index
+/// `backup` would rebuild — without building one: every non-tiny chunk,
+/// counted once per application.
+#[test]
+fn stats_counts_the_chunks_the_manifests_index() {
+    let dirs = Dirs::new("stats");
+    let src = dirs.src();
+    let noise = |seed: u32, n: u32| -> Vec<u8> {
+        (0..n).map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 13) as u8).collect()
+    };
+    fs::write(src.join("report.doc"), noise(1, 120_000)).unwrap();
+    fs::write(src.join("sub/scan.pdf"), noise(2, 100_000)).unwrap();
+    fs::write(src.join("note.txt"), b"tiny note").unwrap();
+    let repo = dirs.repo();
+    let repo_s = repo.to_str().unwrap();
+    let (ok, out) = run(&["backup", "--repo", repo_s, src.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    fs::write(src.join("sub/scan.pdf"), noise(3, 100_000)).unwrap();
+    let (ok, out) = run(&["backup", "--repo", repo_s, src.to_str().unwrap()]);
+    assert!(ok, "{out}");
+
+    let store = FsObjectStore::open(&repo).unwrap();
+    let mut indexed = std::collections::BTreeSet::new();
+    for key in store.list("aa-dedupe/manifests/") {
+        let manifest = Manifest::decode(&store.get(&key).unwrap().unwrap()).unwrap();
+        for f in manifest.files.iter().filter(|f| !f.tiny) {
+            indexed.extend(f.chunks.iter().map(|c| (f.app, c.fingerprint)));
+        }
+    }
+    let (ok, out) = run(&["stats", "--repo", repo_s]);
+    assert!(ok, "{out}");
+    assert!(out.contains(&format!("index:      {} chunks", indexed.len())), "{out}");
+    assert!(out.contains("sessions:   [0, 1]"), "{out}");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Self-describing chunk containers (paper §III.F).
 //!
 //! Deduplication turns large sequential writes into many small random ones,

@@ -530,6 +530,13 @@ impl AaDedupe {
             })
     }
 
+    /// How many chunks the committed manifests index: what
+    /// [`AaDedupe::open`] would rebuild the index with. Reads the cloud and
+    /// changes nothing.
+    pub fn committed_chunks(&self) -> Result<usize, BackupError> {
+        Ok(self.committed_liveness(None)?.entries.values().map(BTreeMap::len).sum())
+    }
+
     /// What the committed manifests — all but session `skip`'s — say is
     /// live. Reads the cloud and changes nothing.
     fn committed_liveness(&self, skip: Option<u64>) -> Result<Liveness, BackupError> {

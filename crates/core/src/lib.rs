@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! The AA-Dedupe engine (paper §III, Fig. 5).
 //!
 //! The backup path implements the architecture of the paper's Fig. 5:

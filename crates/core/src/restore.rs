@@ -138,8 +138,9 @@ pub fn restore_session(
     for f in &manifest.files {
         let mut data = Vec::with_capacity(f.file_len() as usize);
         for c in &f.chunks {
-            // aalint: allow(unwrap-in-lib) -- the prefetch loop above inserted every container this manifest references; absence is a logic bug, not an input error
-            let container = containers.get(&c.container).expect("prefetched above");
+            let container = containers
+                .get(&c.container)
+                .ok_or_else(|| BackupError::MissingObject(container_key(scheme_key, c.container)))?;
             let descriptor = lookup_descriptor(container, c.container, c.offset, &c.fingerprint)?;
             let chunk = container.parsed.chunk_bytes(&descriptor);
             check_len(&c.fingerprint, c.len, &descriptor)?;
@@ -186,8 +187,7 @@ pub fn restore_file_pipelined(
         .find(|f| f.path == path)
         .ok_or_else(|| BackupError::MissingObject(format!("session {session}: {path}")))?;
     let mut files = run_pipeline(cloud, scheme_key, &[recipe], opts, retry, &budget, rec)?;
-    // aalint: allow(unwrap-in-lib) -- run_pipeline returns exactly one RestoredFile per input recipe
-    Ok(files.pop().expect("one recipe in, one file out"))
+    files.pop().ok_or_else(|| BackupError::MissingObject(format!("session {session}: {path}")))
 }
 
 /// A parsed container plus its O(1) descriptor lookup table.

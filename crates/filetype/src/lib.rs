@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Application/file-type classification for AA-Dedupe.
 //!
 //! The paper's central premise is that the dedup pipeline should be

@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! Hash substrate for AA-Dedupe.
 //!
 //! The AA-Dedupe paper (CLUSTER 2011) matches hash strength to chunk

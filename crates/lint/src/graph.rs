@@ -28,14 +28,14 @@
 //!   aggregate workspace-wide, keyed by (crate, lock field); any cycle
 //!   is a potential deadlock and is reported with both acquisition
 //!   sites of every edge.
-//! - **L6 `panic-path`** — leaf panic sources (`unwrap`/`expect`,
-//!   `panic!`/`assert!`-family macros, indexing with a non-literal
-//!   index) outside test code taint their function; taint propagates
-//!   caller-ward over the call graph; a public API of a dedup-decision
-//!   crate that can reach a leaf is a finding. A leaf suppressed with
-//!   `allow(panic-path)` — or `allow(unwrap-in-lib)` for
-//!   `unwrap`/`expect`, whose justification already asserts the
-//!   can't-panic invariant — stops tainting.
+//! - **L6 `panic-path`** — leaf panic sources (`panic!`/`assert!`-family
+//!   macros, indexing with a non-literal index) outside test code taint
+//!   their function; taint propagates caller-ward over the call graph; a
+//!   public API of a dedup-decision crate that can reach a leaf is a
+//!   finding. A leaf suppressed with `allow(panic-path)` stops tainting.
+//!   `unwrap`/`expect` are not leaves: clippy's `unwrap_used` /
+//!   `expect_used`, denied at every library crate root, reject them in
+//!   library code unless a `#[expect(.., reason = ..)]` vets the site.
 //! - **L7 `discarded-fallibility`** — `ObjectBackend::{put,get,delete}`
 //!   definitions seed a "storage-fallible" set that grows through
 //!   `Result`-returning callers; at every call site of a
@@ -272,30 +272,10 @@ pub(crate) fn interprocedural(
         extract_defs(fi, f, &mut defs);
     }
 
-    // Drop leaves whose site carries an applicable allow. An
-    // `unwrap-in-lib` allow also neutralizes an unwrap/expect leaf: its
-    // justification asserts the can't-panic invariant, and it is
-    // already marked used by the file-local pass.
+    // Drop leaves whose site carries a `panic-path` allow.
     for d in &mut defs {
         let rel = &files[d.file].rel;
-        d.leaves.retain(|leaf| {
-            if let Some(list) = dirs.get_mut(rel) {
-                for dir in list.iter_mut() {
-                    if dir.target_line != leaf.line {
-                        continue;
-                    }
-                    if dir.rule == "panic-path" {
-                        dir.used = true;
-                        return false;
-                    }
-                    if dir.rule == "unwrap-in-lib" && (leaf.kind == "unwrap" || leaf.kind == "expect")
-                    {
-                        return false;
-                    }
-                }
-            }
-            true
-        });
+        d.leaves.retain(|leaf| !consume_allow(dirs, rel, leaf.line, "panic-path"));
     }
 
     if std::env::var_os("AALINT_DUMP_LEAVES").is_some() {
@@ -426,7 +406,6 @@ fn rule_panic_path(
             || !d.is_pub
             || d.in_test
             || files[d.file].class.test_path
-            || files[d.file].class.bin_path
             || !DEDUP_DECISION_CRATES.contains(&d.crate_name.as_str())
         {
             continue;
@@ -1203,12 +1182,6 @@ fn analyze_body(
                         });
                         temps.push((lname, toks[i].line, depth));
                     } else {
-                        if method && (name == "unwrap" || name == "expect") {
-                            def.leaves.push(Leaf {
-                                line: toks[i].line,
-                                kind: if name == "unwrap" { "unwrap" } else { "expect" },
-                            });
-                        }
                         let qual = if !method
                             && i >= 2
                             && punct_is(&toks[i - 1], ':')
@@ -1369,8 +1342,8 @@ fn classify_consume(
                     return Consume::Launder(m.to_string());
                 }
                 if matches!(m, "is_err" | "is_ok" | "err" | "expect" | "unwrap") {
-                    // Bool checks observe the outcome; unwrap/expect are
-                    // L1/L6 territory, not laundering.
+                    // Bool checks observe the outcome; unwrap/expect panic
+                    // (clippy's territory), they do not launder.
                     return Consume::Handled;
                 }
                 // Other adapter (`map_err`, `and_then`…): skip its

@@ -1,15 +1,13 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! `aalint` — workspace-native static analysis for AA-Dedupe.
 //!
-//! Enforces, at the source level and on every commit, the two
-//! hardest-won invariants of this codebase plus two hygiene contracts
-//! (DESIGN §12 catalogs the rules; §8/§11 state the contracts they
-//! guard):
+//! Checks only what the compiler cannot say. `unsafe` is rejected by
+//! `[workspace.lints.rust]`; `unwrap`/`expect` in library code and
+//! dropped `Result`s (`let _ = ..`, trailing `.ok();`) by the clippy
+//! line at every crate root. What is left needs the token stream or the
+//! whole-workspace call graph (DESIGN §12 maps every hazard to its
+//! checker):
 //!
-//! - **L1 `swallowed-result` / `unwrap-in-lib`** — no storage or I/O
-//!   error is ever silently dropped (`let _ = call(...)`, trailing
-//!   `.ok();`), and library code never panics where it should
-//!   propagate.
 //! - **L2 `nondeterministic-time` / `unordered-iteration`** — dedup
 //!   decisions (chunk boundaries, fingerprints, index placement,
 //!   container layout) are byte-reproducible: no wall-clock or
@@ -17,9 +15,6 @@
 //!   feeding manifests, layout, or reports without a sort.
 //! - **L3 `blocking-under-lock`** — no blocking channel/thread call
 //!   while a `MutexGuard` is live in the same scope.
-//! - **L4 `unsafe-code` / `missing-forbid-unsafe`** — `unsafe` only in
-//!   `vendor/`; every first-party crate root carries
-//!   `#![forbid(unsafe_code)]`.
 //!
 //! A second pass ([`graph`]) lexes no new source: it resolves a
 //! conservative whole-workspace call graph (name + arity, bounded by
@@ -31,7 +26,7 @@
 //!   on any pair of call paths (per-call-site transitive resolution).
 //! - **L6 `panic-path`** — a public API of a decision crate (`core`,
 //!   `chunking`, `hashing`, `index`, `container`) reaches an unvetted
-//!   panic leaf (`unwrap`/`expect`/`panic!`/indexing) through any call
+//!   panic leaf (a `panic!`-family macro or indexing) through any call
 //!   chain.
 //! - **L7 `discarded-fallibility`** — a caller of the object-store
 //!   fallible surface (`put`/`get`/`delete`) does not itself return
@@ -61,7 +56,7 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", ".github", 
 /// Scans every first-party `.rs` file under `root` (a workspace root)
 /// and returns the sorted report.
 ///
-/// Two phases: the file-local rules (L1–L4) run per file on its token
+/// Two phases: the file-local rules (L2, L3) run per file on its token
 /// stream; the same pre-lexed streams then feed the workspace call
 /// graph and the interprocedural rules (L5–L7). Allow directives are
 /// shared — either phase can consume one — and only directives unused

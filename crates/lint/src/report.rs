@@ -7,12 +7,12 @@
 //!
 //! String building uses `push_str(&format!(..))` rather than `write!`:
 //! `fmt::Write` returns a `Result` that can only be discarded, and the
-//! tool holds itself to its own swallowed-result rule.
+//! crate root denies dropping one (`clippy::let_underscore_must_use`).
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule slug (`swallowed-result`, `nondeterministic-time`, ...).
+    /// Rule slug (`panic-path`, `nondeterministic-time`, ...).
     pub rule: &'static str,
     /// Workspace-root-relative path, `/`-separated.
     pub file: String,
@@ -164,13 +164,13 @@ mod tests {
     fn json_is_stable_and_escaped() {
         let mut r = Report { files_scanned: 2, ..Default::default() };
         r.diagnostics.push(Diagnostic {
-            rule: "unsafe-code",
+            rule: "panic-path",
             file: "b.rs".into(),
             line: 3,
             message: "say \"no\"".into(),
         });
         r.diagnostics.push(Diagnostic {
-            rule: "swallowed-result",
+            rule: "unordered-iteration",
             file: "a.rs".into(),
             line: 9,
             message: "x".into(),

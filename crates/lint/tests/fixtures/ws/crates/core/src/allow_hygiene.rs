@@ -1,12 +1,12 @@
 //! Allow-machinery fixtures: unused and malformed directives are
 //! themselves diagnostics, so suppressions cannot rot silently.
 
-// aalint: allow(swallowed-result) -- fixture: nothing on the next line to suppress
+// aalint: allow(nondeterministic-time) -- fixture: nothing on the next line to suppress
 pub fn nothing_to_suppress() {}
 
 // aalint: allow(made-up-rule) -- fixture: not a suppressible rule
 pub fn bad_rule() {}
 
-pub fn no_justification(v: Option<u32>) -> u32 {
-    v.unwrap() // aalint: allow(unwrap-in-lib)
+pub fn no_justification(v: &[u32], i: usize) -> u32 {
+    v[i] // aalint: allow(panic-path)
 }

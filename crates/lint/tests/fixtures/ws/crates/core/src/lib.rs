@@ -1,10 +1,8 @@
-//! Fixture crate root deliberately missing `#![forbid(unsafe_code)]`.
+//! Fixture crate root: one module per rule family.
 
 pub mod allow_hygiene;
-pub mod l1_errors;
 pub mod l2_determinism;
 pub mod l3_locks;
-pub mod l4_unsafe;
 pub mod cross_crate;
 pub mod l5_lock_order;
 pub mod l6_panic_path;

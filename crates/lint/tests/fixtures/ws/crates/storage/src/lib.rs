@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Second fixture crate: the cross-crate call-graph linking target.
 //! Not a dedup-decision crate, so its own public API is never reported;
 //! the panic below matters only through callers in `core`.

@@ -176,12 +176,15 @@ impl Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_core = Arc::clone(&core);
         let thread_stop = Arc::clone(&stop);
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on OS resource exhaustion; observability \
+                      cannot degrade gracefully past \"no threads left\" and the engine \
+                      would be failing too"
+        )]
         let handle = std::thread::Builder::new()
             .name("obs-sampler".into())
             .spawn(move || run_loop(&thread_core, &thread_stop, interval))
-            // aalint: allow(unwrap-in-lib) -- thread spawn fails only on OS
-            // resource exhaustion; observability cannot degrade gracefully
-            // past "no threads left" and the engine would be failing too
             .expect("spawn obs-sampler thread");
         let inner = Some(Running { stop, core, handle });
         Sampler { inner, session: session.into(), interval_ms }
@@ -214,9 +217,11 @@ impl Sampler {
             return TimeSeries::new(&self.session, self.interval_ms, 1);
         };
         running.stop.store(true, Relaxed);
-        // aalint: allow(unwrap-in-lib) -- join propagates a sampler-thread
-        // panic; the loop body only locks and snapshots, so a panic there
-        // is a bug worth surfacing, not an input error
+        #[expect(
+            clippy::expect_used,
+            reason = "join propagates a sampler-thread panic; the loop body only locks and \
+                      snapshots, so a panic there is a bug worth surfacing, not an input error"
+        )]
         running.handle.join().expect("obs-sampler thread panicked");
         let core = Arc::try_unwrap(running.core).map_or_else(
             |arc| {

@@ -95,8 +95,12 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The snapshot of one stage.
+    #[expect(
+        clippy::expect_used,
+        reason = "Recorder::snapshot constructs one entry per Stage variant; absence is a \
+                  construction bug, not an input error"
+    )]
     pub fn stage(&self, s: Stage) -> &StageSnapshot {
-        // aalint: allow(unwrap-in-lib) -- Recorder::snapshot constructs one entry per Stage variant; absence is a construction bug, not an input error
         self.stages.iter().find(|x| x.stage == s).expect("all stages present")
     }
 
@@ -111,8 +115,12 @@ impl Snapshot {
     }
 
     /// One queue's gauge.
+    #[expect(
+        clippy::expect_used,
+        reason = "Recorder::snapshot constructs one entry per Queue variant; absence is a \
+                  construction bug, not an input error"
+    )]
     pub fn queue(&self, q: Queue) -> QueueSnapshot {
-        // aalint: allow(unwrap-in-lib) -- Recorder::snapshot constructs one entry per Queue variant; absence is a construction bug, not an input error
         *self.queues.iter().find(|x| x.queue == q).expect("all queues present")
     }
 
