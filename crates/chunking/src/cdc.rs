@@ -79,12 +79,20 @@ impl CdcChunker {
         fps[0] = *fp;
         for k in 0..window {
             for (j, fp) in fps.iter_mut().enumerate().skip(1) {
-                // aalint: allow(panic-path) -- the caller's block holds N * n candidates: j * n + k < (N - 1) * n + window < block.len()
-                *fp = t.pushed(*fp, block[j * n + k]);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the caller's block holds N * n candidates: \
+                              j * n + k < (N - 1) * n + window < block.len()"
+                )]
+                let byte = block[j * n + k];
+                *fp = t.pushed(*fp, byte);
             }
         }
         // Per lane, the bytes that leave and the bytes that enter.
-        // aalint: allow(panic-path) -- j < N, and the caller's block holds N * n + window bytes
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "j < N, and the caller's block holds N * n + window bytes"
+        )]
         let lanes: [_; N] = std::array::from_fn(|j| (&block[j * n..][..n], &block[j * n + window..][..n]));
         // The lowest matching candidate so far; `N * n` while there is none.
         let mut first = N * n;
@@ -99,11 +107,17 @@ impl CdcChunker {
                 }
             }
             for (fp, (out, inc)) in fps.iter_mut().zip(&lanes) {
-                // aalint: allow(panic-path) -- i < n, the length both slices were cut to
-                *fp = t.rolled(*fp, out[i], inc[i]);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i < n, the length both slices were cut to"
+                )]
+                let (out, inc) = (out[i], inc[i]);
+                *fp = t.rolled(*fp, out, inc);
             }
         }
-        *fp = fps[N - 1];
+        if let Some(&last) = fps.last() {
+            *fp = last;
+        }
         (first < N * n).then_some(first)
     }
 
@@ -134,7 +148,10 @@ impl CdcChunker {
             data.iter().skip(at - window).take(window).fold(0, |fp, &b| self.hasher.pushed(fp, b));
         while at < upper {
             let (left, stripe) = (upper - at, (upper - at) / N);
-            // aalint: allow(panic-path) -- validate() pins window <= min_size <= at, and at < upper <= data.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "validate() pins window <= min_size <= at, and at < upper <= data.len()"
+            )]
             let block = &data[at - window..upper];
             // Full stripes (a constant the loop is compiled for) while
             // that much is left, shorter ones after; a stripe shorter than

@@ -32,6 +32,7 @@
 
 use crate::gear::{spread_mask, GEAR};
 use crate::{CdcAlgorithm, CdcParams, ChunkSpan, Chunker, ChunkingMethod, DEFAULT_FASTCDC};
+use aadedupe_hashing::byte_entry;
 
 /// Gear-hash chunker with FastCDC normalized boundary detection.
 #[derive(Debug, Clone)]
@@ -85,26 +86,22 @@ impl FastCdcChunker {
         let n = data.len().min(max_size);
         let normal = avg_size.min(n);
         let mut fp = 0u64;
-        let mut i = min_size;
+        let mut roll = |b: u8| {
+            fp = (fp << 1).wrapping_add(byte_entry(&GEAR, b));
+            fp
+        };
+        // min_size <= normal <= n <= data.len(): both regions exist.
         // Small region [min_size, normal): the stricter mask makes
         // boundaries rare, pushing cuts toward the target size.
-        while i < normal {
-            // aalint: allow(panic-path) -- i < normal <= n = data.len(), and GEAR is a full [u64; 256] indexed by a byte
-            fp = (fp << 1).wrapping_add(GEAR[data[i] as usize]);
-            if fp & self.mask_small == 0 {
-                return i + 1;
-            }
-            i += 1;
+        let small = data.get(min_size..normal).unwrap_or_default();
+        if let Some(k) = small.iter().position(|&b| roll(b) & self.mask_small == 0) {
+            return min_size + k + 1;
         }
         // Large region [normal, n): the looser mask makes boundaries
         // likely, so few chunks reach the forced cut at max_size.
-        while i < n {
-            // aalint: allow(panic-path) -- i < n = data.len(), and GEAR is a full [u64; 256] indexed by a byte
-            fp = (fp << 1).wrapping_add(GEAR[data[i] as usize]);
-            if fp & self.mask_large == 0 {
-                return i + 1;
-            }
-            i += 1;
+        let large = data.get(normal..n).unwrap_or_default();
+        if let Some(k) = large.iter().position(|&b| roll(b) & self.mask_large == 0) {
+            return normal + k + 1;
         }
         n
     }
@@ -113,12 +110,10 @@ impl FastCdcChunker {
     /// in `data`. The final position `data.len()` is always the last cut.
     pub fn boundaries(&self, data: &[u8]) -> Vec<usize> {
         let mut cuts = Vec::new();
-        let mut start = 0usize;
-        while start < data.len() {
-            // aalint: allow(panic-path) -- start < data.len() is the loop guard
-            let cut = start + self.first_cut(&data[start..]);
-            cuts.push(cut);
-            start = cut;
+        let mut rest = data;
+        while !rest.is_empty() {
+            rest = rest.get(self.first_cut(rest)..).unwrap_or_default();
+            cuts.push(data.len() - rest.len());
         }
         cuts
     }

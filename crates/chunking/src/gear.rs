@@ -51,12 +51,12 @@ const fn splitmix64(state: u64) -> (u64, u64) {
 const fn build_gear_table() -> [u64; 256] {
     let mut table = [0u64; 256];
     let mut state = GEAR_SEED;
-    let mut i = 0;
-    while i < 256 {
+    let mut rest: &mut [u64] = &mut table;
+    while let [entry, tail @ ..] = rest {
         let (next, value) = splitmix64(state);
         state = next;
-        table[i] = value;
-        i += 1;
+        *entry = value;
+        rest = tail;
     }
     table
 }
@@ -75,8 +75,11 @@ pub const GEAR: [u64; 256] = build_gear_table();
 ///
 /// `bits` must be in `1..=48`; the positions are strictly decreasing from
 /// bit 63, so the popcount is exactly `bits`.
+///
+/// # Panics
+///
+/// If `bits` is outside `1..=48` (at compile time in a const context).
 pub const fn spread_mask(bits: u32) -> u64 {
-    // aalint: allow(panic-path) -- compile-time parameter validation; every call site passes a literal bit count
     assert!(bits >= 1 && bits <= 48, "mask bits must be in 1..=48");
     let span = 63 - MIN_MASK_BIT; // inclusive position range 16..=63
     let mut mask = 0u64;

@@ -1,4 +1,4 @@
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::indexing_slicing, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::missing_panics_doc))]
 //! Chunking substrate for AA-Dedupe.
 //!
 //! AA-Dedupe's "intelligent chunker" dispatches each file to one of three
@@ -117,8 +117,12 @@ impl ChunkSpan {
     }
 
     /// The chunk's bytes within `source`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "spans are produced against this buffer; slicing a different source is a \
+                  caller bug worth a loud panic"
+    )]
     pub fn slice<'a>(&self, source: &'a [u8]) -> &'a [u8] {
-        // aalint: allow(panic-path) -- spans are produced against this buffer; slicing a different source is a caller bug worth a loud panic
         &source[self.offset..self.end()]
     }
 }

@@ -101,35 +101,34 @@ impl CdcParams {
         self
     }
 
-    /// Validates the parameter set, panicking with a description on misuse.
+    /// Validates the parameter set.
+    ///
+    /// # Panics
+    ///
+    /// With a description, on a nonsensical set: sizes out of order, a
+    /// non-power-of-two average, a window wider than the minimum chunk, or
+    /// a FastCDC normalization level the masks cannot carry.
     pub fn validate(&self) {
-        // aalint: allow(panic-path) -- construction-time parameter validation: rejecting a nonsensical config loudly is the contract
         assert!(self.min_size > 0, "min_size must be positive");
-        // aalint: allow(panic-path) -- construction-time parameter validation
         assert!(
             self.avg_size.is_power_of_two(),
             "avg_size must be a power of two (divisor-mask boundary test)"
         );
-        // aalint: allow(panic-path) -- construction-time parameter validation
         assert!(
             self.min_size <= self.avg_size && self.avg_size <= self.max_size,
             "require min <= avg <= max"
         );
-        // aalint: allow(panic-path) -- construction-time parameter validation
         assert!(self.window > 0, "window must be positive");
-        // aalint: allow(panic-path) -- construction-time parameter validation
         assert!(
             self.window <= self.min_size,
             "window must fit inside the minimum chunk"
         );
         if self.algorithm == CdcAlgorithm::FastCdc {
             let avg_bits = self.avg_size.trailing_zeros();
-            // aalint: allow(panic-path) -- construction-time parameter validation
             assert!(
                 self.norm_level < avg_bits,
                 "norm_level must leave the large-region mask at least one bit"
             );
-            // aalint: allow(panic-path) -- construction-time parameter validation
             assert!(
                 avg_bits + self.norm_level <= 48,
                 "small-region mask needs log2(avg) + norm_level <= 48 bits"

@@ -22,9 +22,12 @@ impl Default for ScChunker {
 }
 
 impl ScChunker {
-    /// Chunker with the given fixed chunk size (must be nonzero).
+    /// Chunker with the given fixed chunk size.
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_size` is zero.
     pub fn new(chunk_size: usize) -> Self {
-        // aalint: allow(panic-path) -- construction-time parameter validation: a zero chunk size is a caller bug
         assert!(chunk_size > 0, "chunk size must be nonzero");
         ScChunker { chunk_size }
     }

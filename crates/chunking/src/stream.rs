@@ -102,8 +102,21 @@ impl<R: Read> StreamChunker<R> {
         while !self.eof && self.buf.len() < target {
             match self.reader.read(&mut scratch) {
                 Ok(0) => self.eof = true,
-                // aalint: allow(panic-path) -- Read contract: a conforming reader returns n <= scratch.len()
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
+                Ok(n) => match scratch.get(..n) {
+                    Some(read) => self.buf.extend_from_slice(read),
+                    // A reader that claims more bytes than the buffer holds
+                    // broke the `Read` contract: end the stream with an error.
+                    None => {
+                        self.err = Some(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!(
+                                "reader reported {n} bytes read into a {}-byte buffer",
+                                scratch.len()
+                            ),
+                        ));
+                        self.eof = true;
+                    }
+                },
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     self.err = Some(e);
@@ -142,9 +155,8 @@ impl<R: Read> Iterator for StreamChunker<R> {
                     // Tail: chunk exactly as the batch API would.
                     cdc.first_cut(&self.buf)
                 } else {
-                    let upper = cdc.params().max_size.min(self.buf.len());
-                    // aalint: allow(panic-path) -- upper is clamped to buf.len() on the previous line
-                    cdc.first_cut(&self.buf[..upper])
+                    // The first max_size bytes, or all of a shorter buffer.
+                    cdc.first_cut(self.buf.get(..cdc.params().max_size).unwrap_or(&self.buf))
                 };
                 (cut, ChunkingMethod::Cdc)
             }
@@ -283,6 +295,21 @@ mod tests {
         let consumed: usize = s.by_ref().map(|c| c.data.len()).sum();
         assert_eq!(consumed, 10_000, "bytes before the error still chunk");
         assert!(s.io_error().is_some());
+    }
+
+    #[test]
+    fn a_reader_that_overreports_is_an_error() {
+        // Claims one byte more than the buffer it was handed.
+        struct Lying;
+        impl Read for Lying {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                Ok(buf.len() + 1)
+            }
+        }
+        let mut s = StreamChunker::cdc(Lying, CdcChunker::default());
+        assert_eq!(s.by_ref().count(), 0, "nothing was read, so nothing is chunked");
+        let err = s.io_error().expect("the broken contract surfaces as an error");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -303,8 +303,7 @@ impl ObjectBackend for FaultInjectingBackend {
                 // Torn write: a partial copy lands, the put still fails, and
                 // the caller's buffer is left whole for the retry.
                 let keep = keep.min(bytes.len());
-                // aalint: allow(panic-path) -- keep was clamped to bytes.len() on the line above
-                self.inner.put(key, Arc::new(bytes[..keep].to_vec()))?;
+                self.inner.put(key, Arc::new(bytes.iter().take(keep).copied().collect()))?;
                 Err(BackendError::transient(
                     BackendOp::Put,
                     key,

@@ -146,9 +146,7 @@ impl ObjectStore {
             Some(v) if !v.is_empty() => {
                 let v = Arc::make_mut(v);
                 let i = byte_index % v.len();
-                // aalint: allow(panic-path) -- i is reduced modulo v.len(), which the guard proved non-zero
-                v[i] ^= 0xff;
-                true
+                v.get_mut(i).map(|b| *b ^= 0xff).is_some()
             }
             _ => false,
         }

@@ -34,7 +34,6 @@ pub(crate) struct ContainerBuilder {
 impl ContainerBuilder {
     /// Opens an empty container.
     pub fn new(container_id: u64, target_size: usize) -> Self {
-        // aalint: allow(panic-path) -- construction-time parameter validation: a container smaller than its header is a config bug
         assert!(target_size > HEADER_LEN, "container size too small");
         ContainerBuilder {
             container_id,
@@ -74,7 +73,6 @@ impl ContainerBuilder {
     /// (dedicated oversized container), otherwise this panics.
     pub fn append(&mut self, fingerprint: aadedupe_hashing::Fingerprint, chunk: &[u8]) -> u32 {
         let digest_len = fingerprint.algorithm().digest_len();
-        // aalint: allow(panic-path) -- documented precondition: callers check fits() first; violating it is a caller bug worth a loud panic
         assert!(
             self.fits(chunk.len(), digest_len) || self.is_empty(),
             "chunk does not fit and builder is not empty"
@@ -116,8 +114,9 @@ impl ContainerBuilder {
         let data_len = out.len();
         out.resize(body, 0);
         out.copy_within(..data_len, head.len());
-        // aalint: allow(panic-path) -- out.len() = body = head.len() + data_len after the resize
-        out[..head.len()].copy_from_slice(&head);
+        for (dst, &src) in out.iter_mut().zip(&head) {
+            *dst = src;
+        }
         out.shrink_to_fit();
         debug_assert_eq!(out.len(), body);
         (out, padding)

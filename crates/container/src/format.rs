@@ -123,6 +123,13 @@ pub fn encode_container(
     out
 }
 
+/// The next `N` bytes of `buf` at `*pos`, advancing it.
+fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], ContainerError> {
+    let bytes = buf.get(*pos..).and_then(<[u8]>::first_chunk).ok_or(ContainerError::Truncated)?;
+    *pos += N;
+    Ok(*bytes)
+}
+
 /// A parsed (and structurally validated) container. It owns the object it
 /// was parsed from: the data section is a range of that buffer, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,25 +163,24 @@ impl ParsedContainer {
                 ContainerError::BadMagic
             });
         }
-        if &buf[..6] != CONTAINER_MAGIC {
+        if !buf.starts_with(CONTAINER_MAGIC) {
             return Err(ContainerError::BadMagic);
         }
-        let container_id = u64::from_le_bytes(buf[6..14].try_into().map_err(|_| ContainerError::Truncated)?);
-        let chunk_count = u32::from_le_bytes(buf[14..18].try_into().map_err(|_| ContainerError::Truncated)?) as usize;
-        let data_len = u64::from_le_bytes(buf[18..26].try_into().map_err(|_| ContainerError::Truncated)?) as usize;
+        let mut pos = CONTAINER_MAGIC.len();
+        let container_id = u64::from_le_bytes(take(&buf, &mut pos)?);
+        let chunk_count = u32::from_le_bytes(take(&buf, &mut pos)?) as usize;
+        let data_len = u64::from_le_bytes(take(&buf, &mut pos)?) as usize;
         // Each descriptor is at least 13+8 bytes.
         if chunk_count.saturating_mul(13) > buf.len() {
             return Err(ContainerError::Truncated);
         }
-        let mut pos = HEADER_LEN;
         let mut descriptors = Vec::with_capacity(chunk_count);
         for _ in 0..chunk_count {
             let rest = buf.get(pos..).ok_or(ContainerError::Truncated)?;
             let (fingerprint, used) = Fingerprint::decode(rest).ok_or(ContainerError::BadDescriptor)?;
-            let fields = rest.get(used..used + 8).ok_or(ContainerError::Truncated)?;
-            let offset = u32::from_le_bytes(fields[..4].try_into().map_err(|_| ContainerError::Truncated)?);
-            let len = u32::from_le_bytes(fields[4..].try_into().map_err(|_| ContainerError::Truncated)?);
-            pos += used + 8;
+            pos += used;
+            let offset = u32::from_le_bytes(take(&buf, &mut pos)?);
+            let len = u32::from_le_bytes(take(&buf, &mut pos)?);
             if (offset as usize).saturating_add(len as usize) > data_len {
                 return Err(ContainerError::DescriptorOutOfRange);
             }
@@ -187,14 +193,24 @@ impl ParsedContainer {
     }
 
     /// The data section (padding stripped).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "from_vec() checked data_at + data_len <= buf.len()"
+    )]
     pub fn data(&self) -> &[u8] {
-        // aalint: allow(panic-path) -- from_vec() checked data_at + data_len <= buf.len()
         &self.buf[self.data_at..self.data_at + self.data_len]
     }
 
     /// The bytes of the chunk at a descriptor.
+    ///
+    /// # Panics
+    ///
+    /// If `d` is not one of this container's [`descriptors`](Self::descriptors).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "from_vec() validated offset + len <= data_len for every descriptor it returned"
+    )]
     pub fn chunk_bytes(&self, d: &ChunkDescriptor) -> &[u8] {
-        // aalint: allow(panic-path) -- from_vec() validated offset + len <= data_len for every descriptor it returned
         &self.data()[d.offset as usize..(d.offset + d.len) as usize]
     }
 

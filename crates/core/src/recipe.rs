@@ -70,6 +70,15 @@ pub struct Manifest {
     pub files: Vec<FileRecipe>,
 }
 
+/// The next `N` bytes of a manifest being decoded, advancing `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], BackupError> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or_else(|| BackupError::Corrupt("manifest: truncated".into()))?;
+    *rest = tail;
+    Ok(*head)
+}
+
 impl Manifest {
     /// Empty manifest for a session.
     pub fn new(session: u64) -> Self {
@@ -82,6 +91,10 @@ impl Manifest {
     }
 
     /// Serialises the manifest.
+    ///
+    /// # Panics
+    ///
+    /// If a path is longer than the format's `u16` length field.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -89,7 +102,6 @@ impl Manifest {
         out.extend_from_slice(&(self.files.len() as u64).to_le_bytes());
         for f in &self.files {
             let path = f.path.as_bytes();
-            // aalint: allow(panic-path) -- the format caps the path field at u16; a 64 KiB path is a generator bug worth a loud panic
             assert!(path.len() <= u16::MAX as usize, "path too long");
             out.extend_from_slice(&(path.len() as u16).to_le_bytes());
             out.extend_from_slice(path);
@@ -109,45 +121,36 @@ impl Manifest {
     /// Parses a manifest, failing on any structural damage.
     pub fn decode(buf: &[u8]) -> Result<Self, BackupError> {
         let corrupt = |what: &str| BackupError::Corrupt(format!("manifest: {what}"));
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], BackupError> {
-            if buf.len() - *pos < n {
-                return Err(BackupError::Corrupt("manifest: truncated".into()));
-            }
-            // aalint: allow(panic-path) -- guarded by the buf.len() - pos < n check above
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 6)? != MAGIC {
+        let mut rest = buf;
+        if &take::<6>(&mut rest)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let session = u64::from_le_bytes(take(&mut pos, 8)?.try_into().map_err(|_| corrupt("short field"))?);
-        let nfiles = u64::from_le_bytes(take(&mut pos, 8)?.try_into().map_err(|_| corrupt("short field"))?) as usize;
+        let session = u64::from_le_bytes(take(&mut rest)?);
+        let nfiles = u64::from_le_bytes(take(&mut rest)?) as usize;
         if nfiles.saturating_mul(8) > buf.len() {
             return Err(corrupt("absurd file count"));
         }
         let mut files = Vec::with_capacity(nfiles);
         for _ in 0..nfiles {
-            let plen = u16::from_le_bytes(take(&mut pos, 2)?.try_into().map_err(|_| corrupt("short field"))?) as usize;
-            let path = String::from_utf8(take(&mut pos, plen)?.to_vec())
-                .map_err(|_| corrupt("non-UTF-8 path"))?;
-            let tag = take(&mut pos, 1)?[0];
+            let plen = usize::from(u16::from_le_bytes(take(&mut rest)?));
+            let (path, after) = rest.split_at_checked(plen).ok_or_else(|| corrupt("truncated"))?;
+            rest = after;
+            let path = String::from_utf8(path.to_vec()).map_err(|_| corrupt("non-UTF-8 path"))?;
+            let [tag] = take(&mut rest)?;
             let app = AppType::from_tag(tag).ok_or_else(|| corrupt("bad app tag"))?;
-            let flags = take(&mut pos, 1)?[0];
-            let nchunks = u32::from_le_bytes(take(&mut pos, 4)?.try_into().map_err(|_| corrupt("short field"))?) as usize;
+            let [flags] = take(&mut rest)?;
+            let nchunks = u32::from_le_bytes(take(&mut rest)?) as usize;
             if nchunks.saturating_mul(13) > buf.len() {
                 return Err(corrupt("absurd chunk count"));
             }
             let mut chunks = Vec::with_capacity(nchunks);
             for _ in 0..nchunks {
-                // aalint: allow(panic-path) -- pos only advances through bounds-checked take() and decode()'s consumed count
-                let (fingerprint, used) = Fingerprint::decode(&buf[pos..])
-                    .ok_or_else(|| corrupt("bad fingerprint"))?;
-                pos += used;
-                let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().map_err(|_| corrupt("short field"))?);
-                let container = u64::from_le_bytes(take(&mut pos, 8)?.try_into().map_err(|_| corrupt("short field"))?);
-                let offset = u32::from_le_bytes(take(&mut pos, 4)?.try_into().map_err(|_| corrupt("short field"))?);
+                let (fingerprint, used) =
+                    Fingerprint::decode(rest).ok_or_else(|| corrupt("bad fingerprint"))?;
+                rest = rest.get(used..).ok_or_else(|| corrupt("truncated"))?;
+                let len = u32::from_le_bytes(take(&mut rest)?);
+                let container = u64::from_le_bytes(take(&mut rest)?);
+                let offset = u32::from_le_bytes(take(&mut rest)?);
                 chunks.push(ChunkRef { fingerprint, len, container, offset });
             }
             files.push(FileRecipe { path, app, tiny: flags & 1 != 0, chunks });

@@ -227,7 +227,10 @@ fn plan_restore(files: &[&FileRecipe]) -> Vec<ContainerJob> {
                 order.push(ContainerJob { container: c.container, refs: Vec::new(), dests: Vec::new() });
                 order.len() - 1
             });
-            // aalint: allow(panic-path) -- idx was pushed into order in the same entry() insertion that minted it
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx was pushed into order in the same entry() insertion that minted it"
+            )]
             let job = &mut order[idx];
             let r = *seen.entry((c.container, c.offset, c.fingerprint, c.len)).or_insert_with(|| {
                 job.refs.push((c.offset, c.fingerprint, c.len));
@@ -488,9 +491,17 @@ fn scatter(
 ) {
     let scattering = rec.start();
     for &(r, file, at) in &job.dests {
-        // aalint: allow(panic-path) -- plan_restore minted r as an index into this job's refs, and the worker returned one descriptor per ref
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "plan_restore minted r as an index into this job's refs, and the worker \
+                      returned one descriptor per ref"
+        )]
         let chunk = vc.parsed.chunk_bytes(&vc.descriptors[r]);
-        // aalint: allow(panic-path) -- plan_restore minted file as an index into files, and out holds one entry per file
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "plan_restore minted file as an index into files, and out holds one \
+                      entry per file"
+        )]
         let (recipe, data) = (files[file], &mut out[file].data);
         if data.capacity() == 0 {
             // First destination in this file.
@@ -503,7 +514,10 @@ fn scatter(
             if data.len() < end {
                 data.resize(end, 0);
             }
-            // aalint: allow(panic-path) -- the resize above guarantees data.len() >= end, and at <= end
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the resize above guarantees data.len() >= end, and at <= end"
+            )]
             data[at..end].copy_from_slice(chunk);
         }
         rec.count(Counter::RestoredBytes, chunk.len() as u64);

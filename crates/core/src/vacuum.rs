@@ -48,7 +48,7 @@
 //! tiny stream, which skips dedup), both copies survive and both slots are
 //! relocated.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use aadedupe_container::{decompose_id, ContainerStore, ParsedContainer, Placement};
 use aadedupe_hashing::Fingerprint;
@@ -255,7 +255,7 @@ impl AaDedupe {
         report.relocations = relocations.len();
 
         // Rewrite manifests in memory, remembering which changed.
-        let mut dirty_manifests: Vec<u64> = Vec::new();
+        let mut dirty_manifests: BTreeSet<u64> = BTreeSet::new();
         for (session, manifest) in &mut manifests {
             let mut changed = false;
             for f in &mut manifest.files {
@@ -268,7 +268,7 @@ impl AaDedupe {
                 }
             }
             if changed {
-                dirty_manifests.push(*session);
+                dirty_manifests.insert(*session);
             }
         }
         report.manifests_rewritten = dirty_manifests.len();
@@ -310,9 +310,7 @@ impl AaDedupe {
             // remains fully usable and a rerun converges.
             self.put_with_retry(&container_key(&scheme, id), bytes, &mut retry_budget, op_seq)?;
         }
-        for session in &dirty_manifests {
-            // aalint: allow(panic-path) -- dirty_manifests holds keys of manifests by construction
-            let manifest = &manifests[session];
+        for (session, manifest) in manifests.iter().filter(|(s, _)| dirty_manifests.contains(s)) {
             let bytes = manifest.encode();
             op_seq += 1;
             rec.count(Counter::UploadBytes, bytes.len() as u64);

@@ -62,9 +62,7 @@ const SIGNATURES: &[Signature] = &[
 /// signatures (ISO 9660) are only checked when the buffer is long enough.
 pub fn sniff(head: &[u8]) -> Option<AppType> {
     for sig in SIGNATURES {
-        let end = sig.offset + sig.pattern.len();
-        // aalint: allow(panic-path) -- head.len() >= end short-circuits before the slice
-        if head.len() >= end && &head[sig.offset..end] == sig.pattern {
+        if head.get(sig.offset..sig.offset + sig.pattern.len()) == Some(sig.pattern) {
             return Some(sig.app);
         }
     }

@@ -25,36 +25,38 @@ impl BlockBuffer {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
-            let (head, rest) = data.split_at((64 - self.buf_len).min(data.len()));
-            // aalint: allow(panic-path) -- head.len() <= 64 - buf_len by the min() above
-            self.buf[self.buf_len..self.buf_len + head.len()].copy_from_slice(head);
-            self.buf_len += head.len();
+            let taken = fill(self.buf.iter_mut().skip(self.buf_len), data);
+            self.buf_len += taken;
             if self.buf_len < 64 {
                 return;
             }
             compress(&self.buf);
-            data = rest;
+            data = data.get(taken..).unwrap_or_default();
         }
         let (blocks, tail) = data.as_chunks::<64>();
         for block in blocks {
             compress(block);
         }
-        // aalint: allow(panic-path) -- as_chunks::<64> leaves a remainder shorter than 64 = buf.len()
-        self.buf[..tail.len()].copy_from_slice(tail);
-        self.buf_len = tail.len();
+        self.buf_len = fill(self.buf.iter_mut(), tail);
     }
 
     /// Compresses the padded tail. `len_bytes` encodes the bit length:
     /// little-endian for MD5, big-endian for SHA-1.
     #[inline]
     pub(crate) fn finish(self, len_bytes: fn(u64) -> [u8; 8], mut compress: impl FnMut(&[u8; 64])) {
-        // aalint: allow(panic-path) -- buf_len < 64 = buf.len()
-        let (blocks, two) = pad(&self.buf[..self.buf_len], len_bytes(self.len.wrapping_mul(8)));
-        compress(&blocks[0]);
+        let tail = self.buf.get(..self.buf_len).unwrap_or_default();
+        let ([first, second], two) = pad(tail, len_bytes(self.len.wrapping_mul(8)));
+        compress(&first);
         if two {
-            compress(&blocks[1]);
+            compress(&second);
         }
     }
+}
+
+/// Copies the head of `src` into `dst`, as much as fits; returns the count.
+/// `src` leads the zip, so `dst` gives up no slot past the last byte copied.
+fn fill<'a>(dst: impl Iterator<Item = &'a mut u8>, src: &[u8]) -> usize {
+    src.iter().zip(dst).map(|(&s, d)| *d = s).count()
 }
 
 /// The closing block(s) of a message whose last `tail.len()` (< 64) bytes
@@ -62,12 +64,15 @@ impl BlockBuffer {
 /// eight bytes. The flag says whether the second block is in use.
 #[inline]
 pub(crate) fn pad(tail: &[u8], bit_len: [u8; 8]) -> ([[u8; 64]; 2], bool) {
-    let mut blocks = [[0u8; 64]; 2];
+    let [mut first, mut second] = [[0u8; 64]; 2];
     // Callers pass what is left after whole blocks: tail.len() < 64.
-    blocks[0][..tail.len()].copy_from_slice(tail);
-    blocks[0][tail.len()] = 0x80;
+    let mut bytes = first.iter_mut();
+    fill(bytes.by_ref(), tail);
+    if let Some(marker) = bytes.next() {
+        *marker = 0x80;
+    }
     let two = tail.len() >= 56;
-    let last = if two { &mut blocks[1] } else { &mut blocks[0] };
+    let last = if two { &mut second } else { &mut first };
     last[56..].copy_from_slice(&bit_len);
-    (blocks, two)
+    ([first, second], two)
 }

@@ -147,8 +147,11 @@ impl Fingerprint {
     }
 
     /// Digest bytes (length = `self.algorithm().digest_len()`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "digest_len() <= 20 = bytes.len() for every HashAlgorithm variant"
+    )]
     pub fn digest(&self) -> &[u8] {
-        // aalint: allow(panic-path) -- digest_len() <= 20 = bytes.len() for every HashAlgorithm variant
         &self.bytes[..self.algo.digest_len()]
     }
 
@@ -169,14 +172,11 @@ impl Fingerprint {
     /// Inverse of [`Fingerprint::encode`]. Returns the fingerprint and the
     /// number of bytes consumed.
     pub fn decode(input: &[u8]) -> Option<(Self, usize)> {
-        let algo = HashAlgorithm::from_tag(*input.first()?)?;
+        let (&tag, rest) = input.split_first()?;
+        let algo = HashAlgorithm::from_tag(tag)?;
         let len = algo.digest_len();
-        if input.len() < 1 + len {
-            return None;
-        }
         let mut bytes = [0u8; 20];
-        // aalint: allow(panic-path) -- len = digest_len() <= 20, and input.len() >= 1 + len was checked above
-        bytes[..len].copy_from_slice(&input[1..1 + len]);
+        bytes.get_mut(..len)?.copy_from_slice(rest.get(..len)?);
         Some((Fingerprint { algo, bytes }, 1 + len))
     }
 

@@ -1,4 +1,4 @@
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::indexing_slicing, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::missing_panics_doc))]
 //! Hash substrate for AA-Dedupe.
 //!
 //! The AA-Dedupe paper (CLUSTER 2011) matches hash strength to chunk
@@ -73,15 +73,22 @@ pub fn rabin96(data: &[u8]) -> [u8; 12] {
 
 /// Lowercase hexadecimal rendering of a digest.
 pub fn to_hex(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
-        // aalint: allow(panic-path) -- a nibble is < 16 = HEX.len()
-        s.push(HEX[(b >> 4) as usize] as char);
-        // aalint: allow(panic-path) -- a nibble is < 16 = HEX.len()
-        s.push(HEX[(b & 0xf) as usize] as char);
+        for nibble in [b >> 4, b & 0xf] {
+            s.push(char::from(if nibble < 10 { b'0' + nibble } else { b'a' + nibble - 10 }));
+        }
     }
     s
+}
+
+/// `table[byte]`: the lookup into the 256-entry byte tables (the Rabin pop
+/// and slicing-by-4 tables, the gear table). The index is a `u8`, so it
+/// cannot leave the table.
+#[inline(always)]
+pub fn byte_entry<T: Copy>(table: &[T; 256], byte: u8) -> T {
+    #[expect(clippy::indexing_slicing, reason = "a u8 is < 256 = table.len()")]
+    table[usize::from(byte)]
 }
 
 #[cfg(test)]

@@ -83,7 +83,11 @@ pub fn md5x4(msgs: [&[u8]; 4]) -> [[u8; 16]; 4] {
         compress(&mut state, tails.each_ref().map(|(blocks, _)| &blocks[1]));
     }
     let [a, b, c, d] = state;
-    std::array::from_fn(|lane| digest([a[lane], b[lane], c[lane], d[lane]]))
+    let mut out = [[0u8; 16]; 4];
+    for (out, (((a, b), c), d)) in out.iter_mut().zip(a.into_iter().zip(b).zip(c).zip(d)) {
+        *out = digest([a, b, c, d]);
+    }
+    out
 }
 
 fn digest(state: [u32; 4]) -> [u8; 16] {
@@ -103,8 +107,10 @@ fn compress<const N: usize>(state: &mut [[u32; N]; 4], blocks: [&[u8; 64]; N]) {
     let mut m = [[0u32; N]; 16];
     for (lane, block) in blocks.into_iter().enumerate() {
         for (word, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
-            // aalint: allow(panic-path) -- lane enumerates blocks, a [_; N], and word is a [u32; N]
-            word[lane] = u32::from_le_bytes(*bytes);
+            // `lane` enumerates a [_; N] and `word` is a [u32; N]: always Some.
+            if let Some(slot) = word.get_mut(lane) {
+                *slot = u32::from_le_bytes(*bytes);
+            }
         }
     }
     macro_rules! ff { ($b:expr, $c:expr, $d:expr) => { $d ^ ($b & ($c ^ $d)) } }

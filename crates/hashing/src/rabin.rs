@@ -24,6 +24,8 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::byte_entry;
+
 /// Default modulus: an irreducible polynomial of degree 53
 /// (`x^53 + x^51 + x^49 + ... `), the same default used by several
 /// production CDC implementations descended from LBFS.
@@ -46,9 +48,12 @@ pub mod gf2 {
     }
 
     /// Remainder of `a` modulo `m` (schoolbook long division).
+    ///
+    /// # Panics
+    ///
+    /// If `m` is zero.
     pub fn pmod(mut a: u64, m: u64) -> u64 {
         let dm = degree(m);
-        // aalint: allow(panic-path) -- precondition on an internal GF(2) helper: a zero modulus is a construction bug upstream
         assert!(dm >= 0, "modulus must be nonzero");
         while degree(a) >= dm {
             a ^= m << (degree(a) - dm);
@@ -163,7 +168,6 @@ struct Tables {
 impl Tables {
     fn new(poly: u64) -> Self {
         let degree = gf2::degree(poly);
-        // aalint: allow(panic-path) -- construction-time parameter validation: an out-of-range modulus degree is a caller bug
         assert!((9..=56).contains(&degree), "modulus degree out of range");
         let degree = degree as u32;
         let mut push = [0u64; 256];
@@ -175,10 +179,14 @@ impl Tables {
     }
 
     /// `(fp * x^8 + byte) mod poly` in two XORs.
+    ///
+    /// Indexed in place rather than through [`byte_entry`]: with the
+    /// accessor the striped CDC scan compiles to a different register
+    /// allocation and runs ≈ 6 % slower (`examples/cdc_rates`).
     #[inline(always)]
+    #[expect(clippy::indexing_slicing, reason = "top is masked to 0xff and push is a full [u64; 256]")]
     fn push_byte(&self, fp: u64, byte: u8) -> u64 {
         let top = (fp >> (self.degree - 8)) as usize & 0xff;
-        // aalint: allow(panic-path) -- top is masked to 0xff and push is a full [u64; 256]
         ((fp << 8) | byte as u64) ^ self.push[top]
     }
 }
@@ -201,7 +209,6 @@ struct Tables32 {
 
 impl Tables32 {
     fn new(poly: u64) -> Self {
-        // aalint: allow(panic-path) -- construction-time validation: the 32-bit slicing tables are built only from POLY_31
         assert_eq!(gf2::degree(poly), 31, "slicing tables require a degree-31 modulus");
         let mut t = [[0u32; 256]; 4];
         for (k, table) in t.iter_mut().enumerate() {
@@ -220,15 +227,12 @@ impl Tables32 {
         // Reduce w (degree ≤ 31) by at most one step, then fold in the old
         // fingerprint's bytes via the tables.
         let w_red = w ^ (self.poly * (w >> 31));
+        let [t0, t1, t2, t3] = &self.t;
         w_red
-            // aalint: allow(panic-path) -- index masked to 0xff; t[k] is a full [u32; 256]
-            ^ self.t[0][(fp & 0xff) as usize]
-            // aalint: allow(panic-path) -- index masked to 0xff
-            ^ self.t[1][((fp >> 8) & 0xff) as usize]
-            // aalint: allow(panic-path) -- index masked to 0xff
-            ^ self.t[2][((fp >> 16) & 0xff) as usize]
-            // aalint: allow(panic-path) -- fp >> 24 of a u32 is < 256
-            ^ self.t[3][(fp >> 24) as usize]
+            ^ byte_entry(t0, fp as u8)
+            ^ byte_entry(t1, (fp >> 8) as u8)
+            ^ byte_entry(t2, (fp >> 16) as u8)
+            ^ byte_entry(t3, (fp >> 24) as u8)
     }
 }
 
@@ -365,7 +369,6 @@ struct RollTables {
 
 impl RollTables {
     fn new(window: usize) -> Self {
-        // aalint: allow(panic-path) -- construction-time parameter validation: a zero window is a caller bug
         assert!(window > 0, "window must be nonzero");
         let xw = gf2::xpowmod(8 * (window as u64 - 1), POLY_53);
         let mut pop = [0u64; 256];
@@ -427,8 +430,7 @@ impl RollingHash {
     /// stateless [`RollingHash::roll`].
     #[inline(always)]
     pub fn rolled(&self, fp: u64, outgoing: u8, incoming: u8) -> u64 {
-        // aalint: allow(panic-path) -- outgoing is a u8 and pop is a full [u64; 256]
-        self.pushed(fp ^ self.tables.pop[outgoing as usize], incoming)
+        self.pushed(fp ^ byte_entry(&self.tables.pop, outgoing), incoming)
     }
 
     /// Appends `incoming` without expiring anything — used to prime the
@@ -458,8 +460,11 @@ impl RollingHash {
 
     /// Non-rolling reference: the fingerprint a window-sized slice would
     /// have after being pushed byte-by-byte into a fresh state.
+    ///
+    /// # Panics
+    ///
+    /// If `window_bytes.len() != window`.
     pub fn hash_window(window_bytes: &[u8], window: usize) -> u64 {
-        // aalint: allow(panic-path) -- reference-path precondition: callers pass a slice they sized to the window
         assert_eq!(window_bytes.len(), window);
         let mut rh = RollingHash::new(window);
         for &b in window_bytes {

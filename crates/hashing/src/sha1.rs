@@ -69,9 +69,7 @@ fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     // W(t) for t >= 16, written over W(t - 16), which no later step reads.
     macro_rules! next {
         ($t:literal) => {{
-            // aalint: allow(panic-path) -- `& 15` keeps every index below 16 = w.len()
             w[$t & 15] = (w[($t + 13) & 15] ^ w[($t + 8) & 15] ^ w[($t + 2) & 15] ^ w[$t & 15]).rotate_left(1);
-            // aalint: allow(panic-path) -- `& 15` as above
             w[$t & 15]
         }};
     }

@@ -101,8 +101,11 @@ impl AppAwareIndex {
     }
 
     /// The partition serving an application type.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "AppType tags are 1..=ALL.len(); partitions has one slot per variant"
+    )]
     pub fn partition(&self, app: AppType) -> &IndexPartition {
-        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); partitions has one slot per variant
         &self.partitions[(app.tag() - 1) as usize]
     }
 
@@ -190,30 +193,23 @@ impl AppAwareIndex {
         &self,
         queries: &[(AppType, Fingerprint)],
     ) -> Vec<Option<ChunkEntry>> {
-        let mut results: Vec<Option<ChunkEntry>> = vec![None; queries.len()];
-        // Group query positions by partition.
-        let mut by_app: Vec<Vec<usize>> = AppType::ALL.iter().map(|_| Vec::new()).collect();
-        for (i, (app, _)) in queries.iter().enumerate() {
-            // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); by_app has one slot per variant
-            by_app[(app.tag() - 1) as usize].push(i);
-        }
-        // Hand each non-empty group to its own thread; each thread writes
-        // disjoint positions of `results` through a channel-free split.
+        // Hand each application's queries, with their positions, to its
+        // own thread.
         let mut slots: Vec<(usize, Option<ChunkEntry>)> = Vec::with_capacity(queries.len());
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (tag_idx, positions) in by_app.into_iter().enumerate() {
-                if positions.is_empty() {
+            for (app, partition) in self.partitions() {
+                let mine: Vec<(usize, &Fingerprint)> = queries
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (a, _))| *a == app)
+                    .map(|(i, (_, fp))| (i, fp))
+                    .collect();
+                if mine.is_empty() {
                     continue;
                 }
-                // aalint: allow(panic-path) -- tag_idx < AppType::ALL.len() = partitions.len() via enumerate over by_app
-                let partition = &self.partitions[tag_idx];
                 handles.push(scope.spawn(move || {
-                    positions
-                        .into_iter()
-                        // aalint: allow(panic-path) -- i came from enumerate over queries
-                        .map(|i| (i, partition.lookup(&queries[i].1)))
-                        .collect::<Vec<_>>()
+                    mine.into_iter().map(|(i, fp)| (i, partition.lookup(fp))).collect::<Vec<_>>()
                 }));
             }
             for h in handles {
@@ -225,11 +221,9 @@ impl AppAwareIndex {
                 }
             }
         });
-        for (i, entry) in slots {
-            // aalint: allow(panic-path) -- i came from enumerate over queries, relayed through the worker
-            results[i] = entry;
-        }
-        results
+        // Every position was answered exactly once: restore input order.
+        slots.sort_unstable_by_key(|&(i, _)| i);
+        slots.into_iter().map(|(_, entry)| entry).collect()
     }
 }
 

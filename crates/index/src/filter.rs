@@ -58,8 +58,8 @@ impl std::error::Error for FilterFull {}
 
 /// Deterministic cuckoo existence filter over chunk fingerprints.
 pub struct CuckooFilter {
-    /// `buckets * SLOTS_PER_BUCKET` tags; 0 = empty slot.
-    slots: Vec<u16>,
+    /// `buckets` buckets of tags; 0 = empty slot.
+    slots: Vec<[u16; SLOTS_PER_BUCKET]>,
     /// Bucket count (power of two).
     buckets: usize,
     /// Deterministic eviction-path randomness; evolves with the
@@ -98,7 +98,7 @@ impl CuckooFilter {
         let want_buckets = capacity.max(SLOTS_PER_BUCKET).div_ceil(SLOTS_PER_BUCKET);
         let buckets = want_buckets.next_power_of_two();
         CuckooFilter {
-            slots: vec![0u16; buckets * SLOTS_PER_BUCKET],
+            slots: vec![[0u16; SLOTS_PER_BUCKET]; buckets],
             buckets,
             rng: 0x9e37_79b9_7f4a_7c15,
         }
@@ -132,7 +132,7 @@ impl CuckooFilter {
 
     /// RAM held by the slot table, in bytes.
     pub fn mem_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u16>()
+        self.slots.len() * std::mem::size_of::<[u16; SLOTS_PER_BUCKET]>()
     }
 
     /// The (tag, bucket-1, bucket-2) triple for a fingerprint.
@@ -147,18 +147,14 @@ impl CuckooFilter {
         (tag, i1, i2)
     }
 
-    fn bucket(&self, i: usize) -> &[u16] {
-        // aalint: allow(panic-path) -- bucket indices are masked to buckets - 1 (a power of two); slots holds buckets * SLOTS_PER_BUCKET
-        &self.slots[i * SLOTS_PER_BUCKET..(i + 1) * SLOTS_PER_BUCKET]
-    }
-
-    fn bucket_mut(&mut self, i: usize) -> &mut [u16] {
-        // aalint: allow(panic-path) -- same mask bound as bucket()
-        &mut self.slots[i * SLOTS_PER_BUCKET..(i + 1) * SLOTS_PER_BUCKET]
+    /// Whether bucket `i` holds `tag`. Bucket indices are masked to
+    /// `buckets - 1`, so every bucket looked up exists.
+    fn bucket_holds(&self, i: usize, tag: u16) -> bool {
+        self.slots.get(i).is_some_and(|bucket| bucket.contains(&tag))
     }
 
     fn try_place(&mut self, bucket: usize, tag: u16) -> bool {
-        for slot in self.bucket_mut(bucket) {
+        for slot in self.slots.get_mut(bucket).into_iter().flatten() {
             if *slot == 0 {
                 *slot = tag;
                 return true;
@@ -172,7 +168,7 @@ impl CuckooFilter {
     /// `2 * SLOTS_PER_BUCKET / 2^16` per lookup at full load).
     pub fn contains(&self, fp: &Fingerprint) -> bool {
         let (tag, i1, i2) = self.place(fp);
-        self.bucket(i1).contains(&tag) || self.bucket(i2).contains(&tag)
+        self.bucket_holds(i1, tag) || self.bucket_holds(i2, tag)
     }
 
     /// Inserts `fp`'s tag. Duplicate inserts of the same fingerprint
@@ -190,9 +186,9 @@ impl CuckooFilter {
         let mask = self.buckets - 1;
         for _ in 0..MAX_KICKS {
             let victim_slot = (self.next_rand() as usize) % SLOTS_PER_BUCKET;
-            let slots = self.bucket_mut(bucket);
-            // aalint: allow(panic-path) -- victim_slot < SLOTS_PER_BUCKET by the modulo; the slice is exactly that long
-            std::mem::swap(&mut tag, &mut slots[victim_slot]);
+            if let Some(victim) = self.slots.get_mut(bucket).and_then(|b| b.get_mut(victim_slot)) {
+                std::mem::swap(&mut tag, victim);
+            }
             bucket ^= hash_tag(tag) as usize & mask;
             if self.try_place(bucket, tag) {
                 return Ok(());

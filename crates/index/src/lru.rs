@@ -10,7 +10,9 @@
 //! read it would have cost.
 //!
 //! Implementation: a `HashMap` into a slab-allocated doubly-linked list —
-//! O(1) touch/insert/evict, no unsafe code.
+//! O(1) touch/insert/evict, no unsafe code. Every slab access is a checked
+//! `get`: `NIL`, the "no neighbour" link, is `usize::MAX`, which no slab
+//! reaches, so the end-of-list test and the bounds check are one branch.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -85,21 +87,25 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
             return None;
         }
         let evicted = if self.map.len() >= self.capacity {
+            // The map is full and capacity >= 1, so the tail is a live node.
             let lru = self.tail;
             debug_assert_ne!(lru, NIL);
             self.unlink(lru);
-            // aalint: allow(panic-path) -- tail != NIL when the map is non-empty (checked by len >= capacity with capacity >= 1)
-            let old_key = self.slab[lru].key.clone();
-            self.map.remove(&old_key);
             self.free.push(lru);
-            Some(old_key)
+            let old_key = self.slab.get(lru).map(|node| node.key.clone());
+            if let Some(old) = &old_key {
+                self.map.remove(old);
+            }
+            old_key
         } else {
             None
         };
+        // `free` holds only indices previously minted into the slab.
         let idx = match self.free.pop() {
             Some(i) => {
-                // aalint: allow(panic-path) -- free holds only indices previously minted into slab
-                self.slab[i].key = key.clone();
+                if let Some(node) = self.slab.get_mut(i) {
+                    node.key = key.clone();
+                }
                 i
             }
             None => {
@@ -129,35 +135,31 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         self.map.contains_key(key)
     }
 
+    /// Detaches `idx` (a live node: head, tail, or a map entry).
     fn unlink(&mut self, idx: usize) {
-        // aalint: allow(panic-path) -- idx is a live slab index: every caller passes head, tail, or a map entry
-        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
-        if prev != NIL {
-            // aalint: allow(panic-path) -- prev != NIL was checked; NIL is never stored as a real neighbor
-            self.slab[prev].next = next;
-        } else if self.head == idx {
-            self.head = next;
+        let Some(node) = self.slab.get_mut(idx) else { return };
+        let prev = std::mem::replace(&mut node.prev, NIL);
+        let next = std::mem::replace(&mut node.next, NIL);
+        match self.slab.get_mut(prev) {
+            Some(p) => p.next = next,
+            None if self.head == idx => self.head = next,
+            None => {}
         }
-        if next != NIL {
-            // aalint: allow(panic-path) -- next != NIL was checked
-            self.slab[next].prev = prev;
-        } else if self.tail == idx {
-            self.tail = prev;
+        match self.slab.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None if self.tail == idx => self.tail = prev,
+            None => {}
         }
-        // aalint: allow(panic-path) -- idx is a live slab index (see unlink)
-        self.slab[idx].prev = NIL;
-        // aalint: allow(panic-path) -- idx is a live slab index (see unlink)
-        self.slab[idx].next = NIL;
     }
 
+    /// Links `idx` (freshly minted or just unlinked) in as most recent.
     fn push_front(&mut self, idx: usize) {
-        // aalint: allow(panic-path) -- idx is a live slab index: push_front is only called with freshly minted or unlinked entries
-        self.slab[idx].prev = NIL;
-        // aalint: allow(panic-path) -- idx is a live slab index (see above)
-        self.slab[idx].next = self.head;
-        if self.head != NIL {
-            // aalint: allow(panic-path) -- head != NIL was checked
-            self.slab[self.head].prev = idx;
+        let head = self.head;
+        let Some(node) = self.slab.get_mut(idx) else { return };
+        node.prev = NIL;
+        node.next = head;
+        if let Some(h) = self.slab.get_mut(head) {
+            h.prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {

@@ -136,27 +136,23 @@ fn read_record(
     let start = raw.len();
     let mut tag = [0u8; 1];
     read_exact_n(r, &mut tag)?;
-    raw.push(tag[0]);
     let algo = aadedupe_hashing::HashAlgorithm::from_tag(tag[0])
         .ok_or(SegmentError::BadFingerprint)?;
-    let dlen = algo.digest_len();
-    let body_len = dlen + 8 + 8 + 4;
-    raw.resize(start + 1 + body_len, 0);
-    // aalint: allow(panic-path) -- raw was resized to start + 1 + body_len on the line above
-    read_exact_n(r, &mut raw[start + 1..])?;
-    // aalint: allow(panic-path) -- start < raw.len() after the resize above
-    let buf = &raw[start..];
-    // aalint: allow(panic-path) -- buf holds 1 + body_len >= 1 + dlen bytes by the resize
-    let (fp, used) = Fingerprint::decode(&buf[..1 + dlen]).ok_or(SegmentError::BadFingerprint)?;
-    debug_assert_eq!(used, 1 + dlen);
-    // aalint: allow(panic-path) -- same resize bound; body_len > dlen
-    let p = &buf[1 + dlen..];
-    // Fixed-width little-endian fields; the slice bounds are exact by
-    // construction, so try_into cannot fail.
-    let get8 = |s: &[u8]| u64::from_le_bytes(s.try_into().unwrap_or([0u8; 8]));
-    let get4 = |s: &[u8]| u32::from_le_bytes(s.try_into().unwrap_or([0u8; 4]));
-    let entry =
-        ChunkEntry { len: get8(&p[..8]), container: get8(&p[8..16]), offset: get4(&p[16..20]) };
+    // Tag, digest, then the little-endian fields: len, container, offset.
+    raw.extend_from_slice(&tag);
+    raw.resize(start + 1 + algo.digest_len() + 8 + 8 + 4, 0);
+    let record = raw.get_mut(start..).ok_or(SegmentError::Truncated)?;
+    read_exact_n(r, record.get_mut(1..).ok_or(SegmentError::Truncated)?)?;
+    let (fp, used) = Fingerprint::decode(record).ok_or(SegmentError::BadFingerprint)?;
+    let fields = record.get(used..).ok_or(SegmentError::Truncated)?;
+    let (len, fields) = fields.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
+    let (container, fields) = fields.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
+    let (offset, _) = fields.split_first_chunk::<4>().ok_or(SegmentError::Truncated)?;
+    let entry = ChunkEntry {
+        len: u64::from_le_bytes(*len),
+        container: u64::from_le_bytes(*container),
+        offset: u32::from_le_bytes(*offset),
+    };
     Ok((fp, entry))
 }
 
@@ -244,24 +240,19 @@ pub fn encode_segment(records: &[(Fingerprint, ChunkEntry)]) -> Result<Vec<u8>, 
 /// Decodes a full segment image, verifying magic, count, order, and
 /// checksum. Never panics on arbitrary input.
 pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, ChunkEntry)>, SegmentError> {
-    if buf.len() < RECORDS_START as usize + 8 {
-        return if buf.len() >= 6 && &buf[..6] != MAGIC {
-            Err(SegmentError::BadMagic)
-        } else {
-            Err(SegmentError::Truncated)
-        };
-    }
-    if &buf[..6] != MAGIC {
+    let (magic, header) = buf.split_first_chunk::<6>().ok_or(SegmentError::Truncated)?;
+    if magic != MAGIC {
         return Err(SegmentError::BadMagic);
     }
-    let count = u64::from_le_bytes(buf[6..14].try_into().map_err(|_| SegmentError::Truncated)?);
+    let (count, body) = header.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
+    let (records_bytes, stored) = body.split_last_chunk::<8>().ok_or(SegmentError::Truncated)?;
+    let count = u64::from_le_bytes(*count);
     // Each record is at least 33 bytes (12-byte digest); guard absurd
     // counts from corrupt headers before allocating.
     if count.saturating_mul(33) > buf.len() as u64 {
         return Err(SegmentError::Truncated);
     }
-    // aalint: allow(panic-path) -- buf.len() >= RECORDS_START + 8 was checked at entry
-    let mut r = io::Cursor::new(&buf[RECORDS_START as usize..buf.len() - 8]);
+    let mut r = io::Cursor::new(records_bytes);
     let mut raw = Vec::new();
     let mut records = Vec::with_capacity(count as usize);
     let mut last: Option<Fingerprint> = None;
@@ -279,12 +270,8 @@ pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, ChunkEntry)>, Segm
         return Err(SegmentError::Truncated);
     }
     let mut fnv = Fnv::new();
-    // aalint: allow(panic-path) -- same entry-length check as the cursor construction
-    fnv.update(&buf[RECORDS_START as usize..buf.len() - 8]);
-    let stored =
-        // aalint: allow(panic-path) -- buf.len() >= RECORDS_START + 8 >= 8 was checked at entry
-        u64::from_le_bytes(buf[buf.len() - 8..].try_into().map_err(|_| SegmentError::Truncated)?);
-    if fnv.0 != stored {
+    fnv.update(records_bytes);
+    if fnv.0 != u64::from_le_bytes(*stored) {
         return Err(SegmentError::BadChecksum);
     }
     Ok(records)
@@ -364,11 +351,10 @@ impl Segment {
     /// at most one seek plus a scan of `FENCE_EVERY` records.
     pub fn get(&mut self, fp: &Fingerprint) -> Result<Option<ChunkEntry>, SegmentError> {
         let idx = self.fences.partition_point(|(f, _)| f <= fp);
-        if idx == 0 {
+        // The last fence at or below `fp`; none means `fp` sorts first.
+        let Some(&(_, start)) = idx.checked_sub(1).and_then(|i| self.fences.get(i)) else {
             return Ok(None);
-        }
-        // aalint: allow(panic-path) -- idx > 0 was checked above; fences is non-empty when partition_point returns > 0
-        let start = self.fences[idx - 1].1;
+        };
         self.file
             .seek(SeekFrom::Start(start))
             .map_err(|e| io_err(&self.path, "seek", &e))?;

@@ -1,5 +1,5 @@
-//! Workspace symbol table, conservative call graph, and the three
-//! interprocedural rule families (L5–L7).
+//! Workspace symbol table, conservative call graph, and the two
+//! interprocedural rules (L5, L7).
 //!
 //! The graph is built from the same hand-rolled token stream the
 //! file-local rules use (no `syn`, air-gap friendly), so it is
@@ -28,14 +28,6 @@
 //!   aggregate workspace-wide, keyed by (crate, lock field); any cycle
 //!   is a potential deadlock and is reported with both acquisition
 //!   sites of every edge.
-//! - **L6 `panic-path`** — leaf panic sources (`panic!`/`assert!`-family
-//!   macros, indexing with a non-literal index) outside test code taint
-//!   their function; taint propagates caller-ward over the call graph; a
-//!   public API of a dedup-decision crate that can reach a leaf is a
-//!   finding. A leaf suppressed with `allow(panic-path)` stops tainting.
-//!   `unwrap`/`expect` are not leaves: clippy's `unwrap_used` /
-//!   `expect_used`, denied at every library crate root, reject them in
-//!   library code unless a `#[expect(.., reason = ..)]` vets the site.
 //! - **L7 `discarded-fallibility`** — `ObjectBackend::{put,get,delete}`
 //!   definitions seed a "storage-fallible" set that grows through
 //!   `Result`-returning callers; at every call site of a
@@ -51,7 +43,7 @@ use std::path::Path;
 
 use crate::lexer::{Tok, TokKind};
 use crate::report::{Diagnostic, GraphStats};
-use crate::rules::{ident_of, punct_is, Directive, FileClass, DEDUP_DECISION_CRATES};
+use crate::rules::{ident_of, punct_is, Directive, FileClass};
 
 /// Receiver identifiers that mark an unqualified `.put/.get/.delete`
 /// method call as a storage call for L7 seeding. Field names, not
@@ -63,10 +55,6 @@ const BACKEND_RECEIVERS: &[&str] =
 /// Storage trait whose `put`/`get`/`delete` seed the L7 root set.
 const STORAGE_TRAIT: &str = "ObjectBackend";
 const STORAGE_METHODS: &[&str] = &["put", "get", "delete"];
-
-/// Macros that unconditionally or conditionally panic in release code.
-const PANIC_MACROS: &[&str] =
-    &["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo", "unimplemented"];
 
 /// Keywords that look like `ident (` but are not calls.
 const NOT_CALLS: &[&str] = &[
@@ -114,11 +102,6 @@ struct Call {
     held: Vec<(String, u32)>,
 }
 
-struct Leaf {
-    line: u32,
-    kind: &'static str,
-}
-
 struct LockAcq {
     lock: String,
     line: u32,
@@ -128,7 +111,6 @@ struct LockAcq {
 struct FnDef {
     file: usize,
     crate_name: String,
-    line: u32,
     name: String,
     /// Enclosing `impl Type`/`trait Name` context.
     impl_ctx: Option<String>,
@@ -136,11 +118,9 @@ struct FnDef {
     trait_impl: Option<String>,
     arity: usize,
     has_self: bool,
-    is_pub: bool,
     returns_result: bool,
     in_test: bool,
     calls: Vec<Call>,
-    leaves: Vec<Leaf>,
     lock_acqs: Vec<LockAcq>,
 }
 
@@ -256,8 +236,8 @@ fn parse_manifest(text: &str) -> (Option<String>, Vec<String>) {
 }
 
 /// Runs the interprocedural rules over the pre-lexed workspace.
-/// Marks leaf-suppressing directives used via `dirs` (keyed by file
-/// rel path) and returns (diagnostics, graph statistics).
+/// Marks the directives that suppressed a finding used via `dirs` (keyed
+/// by file rel path) and returns (diagnostics, graph statistics).
 pub(crate) fn interprocedural(
     files: &[FileInput],
     root: &Path,
@@ -270,23 +250,6 @@ pub(crate) fn interprocedural(
     let mut defs: Vec<FnDef> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         extract_defs(fi, f, &mut defs);
-    }
-
-    // Drop leaves whose site carries a `panic-path` allow.
-    for d in &mut defs {
-        let rel = &files[d.file].rel;
-        d.leaves.retain(|leaf| !consume_allow(dirs, rel, leaf.line, "panic-path"));
-    }
-
-    if std::env::var_os("AALINT_DUMP_LEAVES").is_some() {
-        for d in &defs {
-            if d.in_test {
-                continue;
-            }
-            for leaf in &d.leaves {
-                eprintln!("LEAF {}:{} {} in {}", files[d.file].rel, leaf.line, leaf.kind, d.name);
-            }
-        }
     }
 
     // Name index over non-test definitions (test fns are never
@@ -311,19 +274,12 @@ pub(crate) fn interprocedural(
         edge_count += targets.len();
         edges[i] = targets.into_iter().collect();
     }
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); defs.len()];
-    for (i, ts) in edges.iter().enumerate() {
-        for &t in ts {
-            rev[t].push(i);
-        }
-    }
 
     let mut diags = Vec::new();
-    let tainted = rule_panic_path(files, &defs, &rev, dirs, &mut diags);
     rule_lock_order(files, &defs, &edges, &by_name, &deps, dirs, &mut diags);
     rule_discarded_fallibility(files, &defs, &by_name, &deps, dirs, &mut diags);
 
-    let stats = GraphStats { nodes: defs.len(), edges: edge_count, panic_tainted: tainted };
+    let stats = GraphStats { nodes: defs.len(), edges: edge_count };
     (diags, stats)
 }
 
@@ -366,93 +322,6 @@ fn resolve(
         out.push(i);
     }
     out
-}
-
-/// L6: propagate may-panic taint caller-ward; report public APIs of
-/// dedup-decision crates that can reach a leaf. Returns the number of
-/// tainted functions (for the report's graph stats).
-fn rule_panic_path(
-    files: &[FileInput],
-    defs: &[FnDef],
-    rev: &[Vec<usize>],
-    dirs: &mut BTreeMap<String, Vec<Directive>>,
-    diags: &mut Vec<Diagnostic>,
-) -> usize {
-    // taint[i] = (via, leaf index) where via == i for a fn with its own
-    // leaf; BFS gives shortest witness paths deterministically.
-    let mut taint: Vec<Option<usize>> = vec![None; defs.len()];
-    let mut queue: Vec<usize> = Vec::new();
-    for (i, d) in defs.iter().enumerate() {
-        if !d.leaves.is_empty() && !d.in_test {
-            taint[i] = Some(i);
-            queue.push(i);
-        }
-    }
-    let mut head = 0usize;
-    while head < queue.len() {
-        let cur = queue[head];
-        head += 1;
-        for &caller in &rev[cur] {
-            if taint[caller].is_none() && !defs[caller].in_test {
-                taint[caller] = Some(cur);
-                queue.push(caller);
-            }
-        }
-    }
-    let tainted_count = taint.iter().filter(|t| t.is_some()).count();
-
-    for (i, d) in defs.iter().enumerate() {
-        if taint[i].is_none()
-            || !d.is_pub
-            || d.in_test
-            || files[d.file].class.test_path
-            || !DEDUP_DECISION_CRATES.contains(&d.crate_name.as_str())
-        {
-            continue;
-        }
-        // Reconstruct the witness path down to the leaf holder.
-        let mut path = vec![i];
-        let mut cur = i;
-        while let Some(next) = taint[cur] {
-            if next == cur {
-                break;
-            }
-            path.push(next);
-            cur = next;
-        }
-        let holder = &defs[cur];
-        let Some(leaf) = holder.leaves.iter().min_by_key(|l| l.line) else { continue };
-        let rel = &files[d.file].rel;
-        if consume_allow(dirs, rel, d.line, "panic-path") {
-            continue;
-        }
-        let chain: Vec<String> = path
-            .iter()
-            .map(|&p| {
-                let pd = &defs[p];
-                match &pd.impl_ctx {
-                    Some(c) => format!("{}::{}", c, pd.name),
-                    None => pd.name.clone(),
-                }
-            })
-            .collect();
-        diags.push(Diagnostic {
-            rule: "panic-path",
-            file: rel.clone(),
-            line: d.line,
-            message: format!(
-                "public `{}` can reach a panic: {} (`{}` at {}:{}) (L6); make the path \
-                 fallible, prove the site can't fire and annotate the leaf, or justify here \
-                 with `// aalint: allow(panic-path) -- <why>`",
-                d.name,
-                chain.join(" -> "),
-                leaf.kind,
-                files[holder.file].rel,
-                leaf.line
-            ),
-        });
-    }
-    tainted_count
 }
 
 /// A lock: (crate, lock field).
@@ -848,7 +717,6 @@ fn extract_defs(file_idx: usize, f: &FileInput, defs: &mut Vec<FnDef>) {
         trait_impl: Option<String>,
         arity: usize,
         has_self: bool,
-        is_pub: bool,
         returns_result: bool,
         body: Option<(usize, usize)>,
     }
@@ -914,26 +782,6 @@ fn extract_defs(file_idx: usize, f: &FileInput, defs: &mut Vec<FnDef>) {
             }
             m += 1;
         }
-        // Visibility: back-scan over fn qualifiers.
-        let mut p = i;
-        let mut is_pub = false;
-        while p > 0 {
-            p -= 1;
-            match &toks[p].kind {
-                TokKind::Ident(s)
-                    if matches!(s.as_str(), "const" | "unsafe" | "extern" | "async") => {}
-                TokKind::Lit => {} // extern "C"
-                TokKind::Punct(')') => {
-                    // `pub(crate)` and friends: restricted, not public.
-                    break;
-                }
-                TokKind::Ident(s) if s == "pub" => {
-                    is_pub = true;
-                    break;
-                }
-                _ => break,
-            }
-        }
         let region = regions.iter().rfind(|(s, e, _, _)| *s < i && i < *e);
         sigs.push(Sig {
             kw: i,
@@ -943,7 +791,6 @@ fn extract_defs(file_idx: usize, f: &FileInput, defs: &mut Vec<FnDef>) {
             trait_impl: region.and_then(|(_, _, _, t)| t.clone()),
             arity,
             has_self,
-            is_pub,
             returns_result,
             body,
         });
@@ -963,17 +810,14 @@ fn extract_defs(file_idx: usize, f: &FileInput, defs: &mut Vec<FnDef>) {
         let mut def = FnDef {
             file: file_idx,
             crate_name: f.class.crate_name.clone(),
-            line: s.line,
             name: s.name,
             impl_ctx: s.impl_ctx,
             trait_impl: s.trait_impl,
             arity: s.arity,
             has_self: s.has_self,
-            is_pub: s.is_pub,
             returns_result: s.returns_result,
             in_test: in_test(s.line),
             calls: Vec::new(),
-            leaves: Vec::new(),
             lock_acqs: Vec::new(),
         };
         if let Some((open, close)) = s.body {
@@ -1029,8 +873,8 @@ fn param_shape(params: &[Tok]) -> (usize, bool) {
     (segments.saturating_sub(usize::from(has_self)), has_self)
 }
 
-/// Walks one fn body: calls (with consumption + held locks), panic
-/// leaves, and lock acquisitions with the held-set at each.
+/// Walks one fn body: calls (with consumption + held locks) and lock
+/// acquisitions with the held-set at each.
 fn analyze_body(
     toks: &[Tok],
     open: usize,
@@ -1073,22 +917,6 @@ fn analyze_body(
             }
             TokKind::Punct(';') => {
                 temps.retain(|(_, _, d)| *d < depth);
-            }
-            TokKind::Punct('[') => {
-                let indexing = i > open
-                    && match &toks[i - 1].kind {
-                        TokKind::Ident(s) => !NOT_CALLS.contains(&s.as_str()) && s != "_",
-                        TokKind::Punct(')') | TokKind::Punct(']') => true,
-                        _ => false,
-                    };
-                if indexing {
-                    let (inner, _) = balanced_sq(toks, i);
-                    let non_literal =
-                        inner.iter().any(|t| matches!(&t.kind, TokKind::Ident(_)));
-                    if !inner.is_empty() && non_literal {
-                        def.leaves.push(Leaf { line: toks[i].line, kind: "index" });
-                    }
-                }
             }
             TokKind::Ident(kw) if kw == "let" => {
                 // Track tail-position `.lock()` bindings as live guards
@@ -1140,7 +968,7 @@ fn analyze_body(
                         });
                     }
                     // fall through: the initializer is re-scanned for
-                    // calls/locks/leaves from j+2 onward.
+                    // calls and locks from j+2 onward.
                     i = j + 2;
                     continue;
                 }
@@ -1156,18 +984,7 @@ fn analyze_body(
             }
             TokKind::Ident(name) => {
                 let next_open = toks.get(i + 1).is_some_and(|t| punct_is(t, '('));
-                let is_macro = toks.get(i + 1).is_some_and(|t| punct_is(t, '!'));
-                if is_macro && PANIC_MACROS.contains(&name.as_str()) {
-                    def.leaves.push(Leaf {
-                        line: toks[i].line,
-                        kind: match name.as_str() {
-                            "panic" => "panic!",
-                            "assert" | "assert_eq" | "assert_ne" => "assert!",
-                            "unreachable" => "unreachable!",
-                            _ => "todo!",
-                        },
-                    });
-                } else if next_open && !NOT_CALLS.contains(&name.as_str()) {
+                if next_open && !NOT_CALLS.contains(&name.as_str()) {
                     let method = i > 0 && punct_is(&toks[i - 1], '.');
                     if method && (name == "lock" || name == "try_lock") {
                         // `.lock()` anywhere: an acquisition. Tail
@@ -1232,26 +1049,6 @@ fn lock_name(toks: &[Tok], k: usize) -> String {
         }
     }
     "<expr>".to_string()
-}
-
-/// Inner tokens of a balanced `[..]` at `open`.
-fn balanced_sq(toks: &[Tok], open: usize) -> (&[Tok], usize) {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        match &toks[i].kind {
-            TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return (&toks[open + 1..i], i + 1);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    (&toks[open..open], toks.len())
 }
 
 /// Argument count of the call whose `(` is at `popen`; returns

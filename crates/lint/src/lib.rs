@@ -4,9 +4,10 @@
 //! Checks only what the compiler cannot say. `unsafe` is rejected by
 //! `[workspace.lints.rust]`; `unwrap`/`expect` in library code and
 //! dropped `Result`s (`let _ = ..`, trailing `.ok();`) by the clippy
-//! line at every crate root. What is left needs the token stream or the
-//! whole-workspace call graph (DESIGN §12 maps every hazard to its
-//! checker):
+//! line at every crate root; indexing, slicing and panic macros in `core`
+//! and every crate it links by the longer form of that line those crates
+//! carry. What is left needs the token stream or the whole-workspace call
+//! graph (DESIGN §12 maps every hazard to its checker):
 //!
 //! - **L2 `nondeterministic-time` / `unordered-iteration`** — dedup
 //!   decisions (chunk boundaries, fingerprints, index placement,
@@ -19,15 +20,11 @@
 //! A second pass ([`graph`]) lexes no new source: it resolves a
 //! conservative whole-workspace call graph (name + arity, bounded by
 //! the Cargo dependency DAG, dev-dependencies and test functions
-//! excluded) from the same token streams and runs three
-//! interprocedural rules (DESIGN §17):
+//! excluded) from the same token streams and runs two interprocedural
+//! rules (DESIGN §17):
 //!
 //! - **L5 `lock-order-cycle`** — two locks acquired in opposite orders
 //!   on any pair of call paths (per-call-site transitive resolution).
-//! - **L6 `panic-path`** — a public API of a decision crate (`core`,
-//!   `chunking`, `hashing`, `index`, `container`) reaches an unvetted
-//!   panic leaf (a `panic!`-family macro or indexing) through any call
-//!   chain.
 //! - **L7 `discarded-fallibility`** — a caller of the object-store
 //!   fallible surface (`put`/`get`/`delete`) does not itself return
 //!   `Result`, so the error cannot propagate.
@@ -58,7 +55,7 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", ".github", 
 ///
 /// Two phases: the file-local rules (L2, L3) run per file on its token
 /// stream; the same pre-lexed streams then feed the workspace call
-/// graph and the interprocedural rules (L5–L7). Allow directives are
+/// graph and the interprocedural rules (L5, L7). Allow directives are
 /// shared — either phase can consume one — and only directives unused
 /// by *both* become `unused-allow` diagnostics.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {

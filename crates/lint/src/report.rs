@@ -12,7 +12,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule slug (`panic-path`, `nondeterministic-time`, ...).
+    /// Rule slug (`lock-order-cycle`, `nondeterministic-time`, ...).
     pub rule: &'static str,
     /// Workspace-root-relative path, `/`-separated.
     pub file: String,
@@ -33,17 +33,15 @@ pub struct Allow {
     pub justification: String,
 }
 
-/// Call-graph statistics from the interprocedural pass (L5–L7): how
-/// much of the workspace the graph saw, and how widely may-panic taint
-/// spread. Zero in single-file scans, which never build the graph.
+/// Call-graph statistics from the interprocedural pass (L5, L7): how
+/// much of the workspace the graph saw. Zero in single-file scans, which
+/// never build the graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// `fn` definitions (graph nodes), test code included.
     pub nodes: usize,
     /// Resolved caller→callee pairs (deduplicated).
     pub edges: usize,
-    /// Functions from which a panic leaf is reachable.
-    pub panic_tainted: usize,
 }
 
 /// Full scan result.
@@ -92,8 +90,8 @@ impl Report {
             self.allows.len()
         ));
         out.push_str(&format!(
-            "call graph: {} fn(s), {} edge(s), {} panic-tainted\n",
-            self.graph.nodes, self.graph.edges, self.graph.panic_tainted
+            "call graph: {} fn(s), {} edge(s)\n",
+            self.graph.nodes, self.graph.edges
         ));
         out
     }
@@ -101,11 +99,11 @@ impl Report {
     /// Machine-readable JSON (stable key order, sorted entries).
     pub fn render_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"version\": 2,\n");
+        out.push_str("{\n  \"version\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!(
-            "  \"graph\": {{\"nodes\": {}, \"edges\": {}, \"panic_tainted\": {}}},\n",
-            self.graph.nodes, self.graph.edges, self.graph.panic_tainted
+            "  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n",
+            self.graph.nodes, self.graph.edges
         ));
         out.push_str(&format!("  \"clean\": {},\n", self.clean()));
         out.push_str("  \"diagnostics\": [");
@@ -164,7 +162,7 @@ mod tests {
     fn json_is_stable_and_escaped() {
         let mut r = Report { files_scanned: 2, ..Default::default() };
         r.diagnostics.push(Diagnostic {
-            rule: "panic-path",
+            rule: "lock-order-cycle",
             file: "b.rs".into(),
             line: 3,
             message: "say \"no\"".into(),

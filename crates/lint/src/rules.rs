@@ -32,7 +32,6 @@ const SUPPRESSIBLE: &[&str] = &[
     "unordered-iteration",
     "blocking-under-lock",
     "lock-order-cycle",
-    "panic-path",
     "discarded-fallibility",
 ];
 
@@ -86,7 +85,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
 }
 
 /// Scans one file's source text with the file-local rule families
-/// (L2, L3). The interprocedural rules (L5–L7) need the whole workspace
+/// (L2, L3). The interprocedural rules (L5, L7) need the whole workspace
 /// and only run through [`crate::scan_workspace`]. Returns surviving
 /// diagnostics plus the inventory of allow comments that suppressed
 /// something.
@@ -786,7 +785,7 @@ mod tests {
 
     #[test]
     fn malformed_and_unused_allows_are_diagnosed() {
-        let src = "// aalint: allow(panic-path)\n\
+        let src = "// aalint: allow(lock-order-cycle)\n\
                    // aalint: allow(nope) -- x\n\
                    // aalint: allow(unordered-iteration) -- nothing here\nfn f() {}\n";
         let rules: Vec<_> = diags(CORE, src).into_iter().map(|(r, _)| r).collect();
@@ -796,9 +795,10 @@ mod tests {
 
     #[test]
     fn allow_cannot_silence_unsafe() {
-        // `unsafe` and `unwrap` are the compiler's and clippy's to reject;
-        // an allow naming them is malformed, so a stale one cannot linger.
-        for rule in ["unsafe-code", "unwrap-in-lib"] {
+        // `unsafe`, `unwrap` and panics on decision paths are the
+        // compiler's and clippy's to reject; an allow naming them is
+        // malformed, so a stale one cannot linger.
+        for rule in ["unsafe-code", "unwrap-in-lib", "panic-path"] {
             let src = format!("fn f() {{}} // aalint: allow({rule}) -- no\n");
             assert_eq!(diags(CORE, &src), vec![("malformed-allow".into(), 1)]);
         }

@@ -7,6 +7,6 @@ pub fn nothing_to_suppress() {}
 // aalint: allow(made-up-rule) -- fixture: not a suppressible rule
 pub fn bad_rule() {}
 
-pub fn no_justification(v: &[u32], i: usize) -> u32 {
-    v[i] // aalint: allow(panic-path)
+pub fn no_justification() -> std::time::Instant {
+    std::time::Instant::now() // aalint: allow(nondeterministic-time)
 }

@@ -1,7 +1,7 @@
-//! Cross-crate fixture: core's public API reaching a panic defined in
-//! the `storage` fixture crate, proving the call graph links across
-//! crate boundaries through the Cargo dependency closure.
+//! Cross-crate fixture: core laundering a storage error that a wrapper in
+//! the `storage` fixture crate propagates, proving the call graph links
+//! across crate boundaries through the Cargo dependency closure.
 
-pub fn weigh(table: &[u32], i: usize) -> u32 {
-    fixture_storage::nth_weight(table, i)
+pub fn archive(backend: &dyn fixture_storage::ObjectBackend, key: &str) {
+    fixture_storage::store_blob(backend, key, Vec::new()).unwrap_or(());
 }

@@ -5,5 +5,4 @@ pub mod l2_determinism;
 pub mod l3_locks;
 pub mod cross_crate;
 pub mod l5_lock_order;
-pub mod l6_panic_path;
 pub mod l7_fallibility;

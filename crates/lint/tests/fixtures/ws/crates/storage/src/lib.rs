@@ -1,8 +1,18 @@
-//! Second fixture crate: the cross-crate call-graph linking target.
-//! Not a dedup-decision crate, so its own public API is never reported;
-//! the panic below matters only through callers in `core`.
+//! Second fixture crate: the cross-crate call-graph linking target. Its
+//! wrapper propagates the backend's error correctly; the finding is the
+//! caller in `core` that drops it.
 
-/// The weight at `i`; panics when out of range.
-pub fn nth_weight(table: &[u32], i: usize) -> u32 {
-    table[i]
+pub struct BackendError;
+
+pub trait ObjectBackend {
+    fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError>;
+}
+
+/// Stores `bytes` under `key`, handing the backend's error up.
+pub fn store_blob(
+    backend: &dyn ObjectBackend,
+    key: &str,
+    bytes: Vec<u8>,
+) -> Result<(), BackendError> {
+    backend.put(key, bytes)
 }

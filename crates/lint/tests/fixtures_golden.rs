@@ -38,7 +38,6 @@ fn fixture_scan_covers_every_rule() {
         "unused-allow",
         "malformed-allow",
         "lock-order-cycle",
-        "panic-path",
         "discarded-fallibility",
     ] {
         assert!(rules.contains(&rule), "no fixture exercises `{rule}`: {rules:?}");
@@ -50,7 +49,6 @@ fn fixture_scan_covers_every_rule() {
         "unordered-iteration",
         "blocking-under-lock",
         "lock-order-cycle",
-        "panic-path",
         "discarded-fallibility",
     ] {
         assert!(allowed.contains(&rule), "no fixture allow for `{rule}`: {allowed:?}");

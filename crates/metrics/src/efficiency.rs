@@ -23,6 +23,10 @@ pub fn dedup_ratio(logical_bytes: u64, stored_bytes: u64) -> f64 {
 /// slow schemes (Avamar) and fast but ineffective schemes (plain
 /// incremental) both score low; AA-Dedupe's design goal is maximising this
 /// quantity.
+///
+/// # Panics
+///
+/// If `dr` is below 1.
 pub fn dedup_efficiency(dr: f64, dt_bytes_per_sec: f64) -> f64 {
     assert!(dr >= 1.0 || dr.is_nan(), "dedup ratio below 1: {dr}");
     if dr.is_infinite() {
@@ -40,6 +44,10 @@ pub fn dedup_efficiency(dr: f64, dt_bytes_per_sec: f64) -> f64 {
 /// Deduplication and transfer overlap, so the window is bound by the slower
 /// of (a) pushing `DS` bytes through the deduplicator at `DT`, and (b)
 /// pushing the surviving `DS/DR` bytes over the WAN at `NT`.
+///
+/// # Panics
+///
+/// If either throughput is not positive.
 pub fn backup_window_secs(ds_bytes: u64, dt_bytes_per_sec: f64, dr: f64, nt_bytes_per_sec: f64) -> f64 {
     assert!(dt_bytes_per_sec > 0.0 && nt_bytes_per_sec > 0.0);
     let dedup_time = ds_bytes as f64 / dt_bytes_per_sec;

@@ -31,8 +31,11 @@ pub fn bucket_index(ns: u64) -> usize {
 
 /// Inclusive lower bound and exclusive upper bound of a bucket; the
 /// overflow bucket has no upper bound.
+///
+/// # Panics
+///
+/// If `bucket >= BUCKETS`: bucket indices come from [`bucket_index`].
 pub fn bucket_bounds(bucket: usize) -> (u64, Option<u64>) {
-    // aalint: allow(panic-path) -- internal-contract precondition: bucket indices come from bucket_index(), which is < BUCKETS
     assert!(bucket < BUCKETS, "bucket {bucket} out of range");
     match bucket {
         0 => (0, Some(1)),
@@ -67,7 +70,10 @@ impl Histogram {
 
     /// Records one observation of `ns` nanoseconds.
     pub fn record(&self, ns: u64) {
-        // aalint: allow(panic-path) -- bucket_index() returns < BUCKETS = counts.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_index() returns < BUCKETS = counts.len()"
+        )]
         self.counts[bucket_index(ns)].fetch_add(1, Relaxed);
         self.total_ns.fetch_add(ns, Relaxed);
         self.max_ns.fetch_max(ns, Relaxed);

@@ -144,9 +144,14 @@ struct Parser<'a> {
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { at: self.i, msg }
+    }
+
+    /// The bytes from `start` up to the cursor, if they are UTF-8.
+    fn since(&self, start: usize) -> Option<&'a str> {
+        self.b.get(start..self.i).and_then(|text| std::str::from_utf8(text).ok())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -169,8 +174,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, s: &str, v: Value) -> Result<Value, ParseError> {
-        // aalint: allow(panic-path) -- i <= b.len() always; slicing from i is at worst the empty tail
-        if self.b[self.i..].starts_with(s.as_bytes()) {
+        if self.b.get(self.i..).is_some_and(|rest| rest.starts_with(s.as_bytes())) {
             self.i += s.len();
             Ok(v)
         } else {
@@ -264,11 +268,11 @@ impl Parser<'_> {
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
                         b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err(self.err("short \\u escape"));
-                            }
-                            // aalint: allow(panic-path) -- i + 4 <= b.len() was checked above
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
+                            let hex = self
+                                .b
+                                .get(self.i..self.i + 4)
+                                .ok_or_else(|| self.err("short \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -285,15 +289,10 @@ impl Parser<'_> {
                     // Consume one UTF-8 scalar.
                     let start = self.i;
                     self.i += 1;
-                    // aalint: allow(panic-path) -- start <= i <= b.len(): i only advances while < b.len()
-                    while self.i < self.b.len() && self.b[self.i] & 0xC0 == 0x80 {
+                    while self.peek().is_some_and(|c| c & 0xC0 == 0x80) {
                         self.i += 1;
                     }
-                    s.push_str(
-                        // aalint: allow(panic-path) -- start <= i <= b.len() as above
-                        std::str::from_utf8(&self.b[start..self.i])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
+                    s.push_str(self.since(start).ok_or_else(|| self.err("invalid UTF-8"))?);
                 }
             }
         }
@@ -307,9 +306,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.i += 1;
         }
-        // aalint: allow(panic-path) -- start <= i <= b.len(): i only advances while a digit byte is peeked
-        let text = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| ParseError { at: start, msg: "bad number" })?;
+        let text = self.since(start).ok_or(ParseError { at: start, msg: "bad number" })?;
         text.parse::<f64>().map(Value::Num).map_err(|_| ParseError { at: start, msg: "bad number" })
     }
 }

@@ -1,4 +1,4 @@
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::indexing_slicing, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::missing_panics_doc))]
 //! Observability for the AA-Dedupe pipeline — std-only, zero-cost when
 //! disabled.
 //!
@@ -368,6 +368,30 @@ impl Recorder {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Stage discriminants index an array with one slot per variant"
+    )]
+    fn stage(&self, stage: Stage) -> &Histogram {
+        &self.stages[stage as usize]
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Counter discriminants index an array with one slot per variant"
+    )]
+    fn counter(&self, counter: Counter) -> &AtomicU64 {
+        &self.counters[counter as usize]
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Queue discriminants index an array with one slot per variant"
+    )]
+    fn queue(&self, queue: Queue) -> &QueueGauge {
+        &self.queues[queue as usize]
+    }
+
     /// An enabled recorder.
     pub fn new() -> Self {
         Self::with_enabled(true)
@@ -440,8 +464,7 @@ impl Recorder {
     #[inline]
     pub fn record_duration(&self, stage: Stage, d: Duration) {
         if self.is_enabled() {
-            // aalint: allow(panic-path) -- Stage discriminants index an array with one slot per variant
-            self.stages[stage as usize].record(d.as_nanos().min(u64::MAX as u128) as u64);
+            self.stage(stage).record(d.as_nanos().min(u64::MAX as u128) as u64);
         }
     }
 
@@ -449,8 +472,7 @@ impl Recorder {
     #[inline]
     pub fn count(&self, counter: Counter, n: u64) {
         if self.is_enabled() {
-            // aalint: allow(panic-path) -- Counter discriminants index an array with one slot per variant
-            self.counters[counter as usize].fetch_add(n, Relaxed);
+            self.counter(counter).fetch_add(n, Relaxed);
         }
     }
 
@@ -467,10 +489,11 @@ impl Recorder {
     #[inline]
     pub fn index_outcome(&self, tag: u8, hit: bool) {
         if self.is_enabled() {
-            let slot = (tag as usize).min(MAX_APP_TAG - 1);
             let table = if hit { &self.app_hits } else { &self.app_misses };
-            // aalint: allow(panic-path) -- slot is clamped to MAX_APP_TAG - 1
-            table[slot].fetch_add(1, Relaxed);
+            // Tags past the table share its last slot.
+            if let Some(slot) = table.get(usize::from(tag)).or(table.last()) {
+                slot.fetch_add(1, Relaxed);
+            }
         }
     }
 
@@ -479,8 +502,7 @@ impl Recorder {
     #[inline]
     pub fn queue_push(&self, q: Queue) {
         if self.is_enabled() {
-            // aalint: allow(panic-path) -- Queue discriminants index an array with one slot per variant
-            let g = &self.queues[q as usize];
+            let g = self.queue(q);
             let depth = g.depth.fetch_add(1, Relaxed) + 1;
             g.hwm.fetch_max(depth, Relaxed);
         }
@@ -493,8 +515,7 @@ impl Recorder {
     #[inline]
     pub fn queue_pop(&self, q: Queue) {
         if self.is_enabled() {
-            // aalint: allow(panic-path) -- Queue discriminants index an array with one slot per variant
-            let g = &self.queues[q as usize];
+            let g = self.queue(q);
             if g.depth.fetch_update(Relaxed, Relaxed, |d| (d > 0).then(|| d - 1)).is_err() {
                 g.underflow.fetch_add(1, Relaxed);
             }
@@ -551,13 +572,10 @@ impl Recorder {
                 .map_or_else(|| format!("app_{tag:02}"), |(_, l)| l.clone())
         };
         let mut apps = Vec::new();
-        for tag in 0..MAX_APP_TAG {
-            // aalint: allow(panic-path) -- tag ranges over 0..MAX_APP_TAG = app_hits.len()
-            let hits = self.app_hits[tag].load(Relaxed);
-            // aalint: allow(panic-path) -- tag ranges over 0..MAX_APP_TAG = app_misses.len()
-            let misses = self.app_misses[tag].load(Relaxed);
+        for (tag, (hits, misses)) in (0u8..).zip(self.app_hits.iter().zip(&self.app_misses)) {
+            let (hits, misses) = (hits.load(Relaxed), misses.load(Relaxed));
             if hits > 0 || misses > 0 {
-                apps.push(AppIndexSnapshot { tag: tag as u8, label: label_of(tag as u8), hits, misses });
+                apps.push(AppIndexSnapshot { tag, label: label_of(tag), hits, misses });
             }
         }
         let mut workers: Vec<WorkerSnapshot> = self
@@ -576,20 +594,17 @@ impl Recorder {
         Snapshot {
             stages: Stage::ALL
                 .iter()
-                // aalint: allow(panic-path) -- Stage discriminants index an array with one slot per variant
-                .map(|&s| StageSnapshot { stage: s, hist: self.stages[s as usize].snapshot() })
+                .map(|&s| StageSnapshot { stage: s, hist: self.stage(s).snapshot() })
                 .collect(),
             counters: Counter::ALL
                 .iter()
-                // aalint: allow(panic-path) -- Counter discriminants index an array with one slot per variant
-                .map(|&c| (c, self.counters[c as usize].load(Relaxed)))
+                .map(|&c| (c, self.counter(c).load(Relaxed)))
                 .collect(),
             apps,
             queues: Queue::ALL
                 .iter()
                 .map(|&q| {
-                    // aalint: allow(panic-path) -- Queue discriminants index an array with one slot per variant
-                    let g = &self.queues[q as usize];
+                    let g = self.queue(q);
                     QueueSnapshot {
                         queue: q,
                         depth: g.depth.load(Relaxed).max(0) as u64,

@@ -166,6 +166,10 @@ impl Sampler {
     /// [`Sampler::stop`] then returns an empty series. The recorder's
     /// enabled state is latched at spawn: enabling it later does not start
     /// a sampler retroactively.
+    ///
+    /// # Panics
+    ///
+    /// If the OS cannot spawn the sampling thread.
     pub fn spawn(rec: Arc<Recorder>, session: &str, cfg: SamplerConfig) -> Sampler {
         let interval_ms = u64::try_from(cfg.interval.as_millis()).unwrap_or(u64::MAX);
         if !rec.is_enabled() {
@@ -212,6 +216,10 @@ impl Sampler {
 
     /// Stops the thread, takes one final partial-interval sample so tail
     /// activity is never lost, and returns the full series.
+    ///
+    /// # Panics
+    ///
+    /// If the sampling thread panicked.
     pub fn stop(mut self) -> TimeSeries {
         let Some(running) = self.inner.take() else {
             return TimeSeries::new(&self.session, self.interval_ms, 1);

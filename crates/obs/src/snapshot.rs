@@ -95,6 +95,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The snapshot of one stage.
+    ///
+    /// # Panics
+    ///
+    /// If the snapshot lacks `s`; [`Recorder::snapshot`](crate::Recorder::snapshot)
+    /// builds one entry per variant.
     #[expect(
         clippy::expect_used,
         reason = "Recorder::snapshot constructs one entry per Stage variant; absence is a \
@@ -115,6 +120,11 @@ impl Snapshot {
     }
 
     /// One queue's gauge.
+    ///
+    /// # Panics
+    ///
+    /// If the snapshot lacks `q`; [`Recorder::snapshot`](crate::Recorder::snapshot)
+    /// builds one entry per variant.
     #[expect(
         clippy::expect_used,
         reason = "Recorder::snapshot constructs one entry per Queue variant; absence is a \
