@@ -20,12 +20,14 @@ use aadedupe_container::ContainerStore;
 use aadedupe_core::recipe::{FileRecipe, Manifest};
 use aadedupe_core::restore::{restore_session, RestoredFile};
 use aadedupe_core::timing::DedupClock;
-use aadedupe_core::{BackupError, BackupScheme};
+use aadedupe_core::retry::{upload_session, Transfer};
+use aadedupe_core::{BackupError, BackupScheme, RetryPolicy};
 use aadedupe_filetype::SourceFile;
 use aadedupe_index::MonolithicIndex;
 use aadedupe_metrics::SessionReport;
+use aadedupe_obs::Recorder;
 
-use crate::common::{dedup_unit, ship_session, PER_UNIT};
+use crate::common::{dedup_unit, PER_UNIT};
 
 const SCHEME_KEY: &str = "avamar";
 
@@ -103,7 +105,9 @@ impl BackupScheme for Avamar {
 
         // Every byte of the dataset is read once from the source disk.
         clock.charge_source_read(report.logical_bytes);
-        ship_session(&self.cloud, &mut self.containers, SCHEME_KEY, &manifest, &mut report)?;
+        let unobserved = Recorder::disabled();
+        let transfer = Transfer::new(&self.cloud, RetryPolicy::no_retries(), &unobserved);
+        upload_session(&transfer, &mut self.containers, SCHEME_KEY, &manifest, &mut report)?;
         report.dedup_cpu = clock.total();
         self.sessions += 1;
         Ok(report)

@@ -18,12 +18,14 @@ use aadedupe_container::ContainerStore;
 use aadedupe_core::recipe::{ChunkRef, FileRecipe, Manifest};
 use aadedupe_core::restore::{restore_session, RestoredFile};
 use aadedupe_core::timing::DedupClock;
-use aadedupe_core::{BackupError, BackupScheme};
+use aadedupe_core::retry::{upload_session, Transfer};
+use aadedupe_core::{BackupError, BackupScheme, RetryPolicy};
 use aadedupe_filetype::SourceFile;
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
 use aadedupe_metrics::SessionReport;
+use aadedupe_obs::Recorder;
 
-use crate::common::{ship_session, PER_UNIT};
+use crate::common::PER_UNIT;
 
 const SCHEME_KEY: &str = "jungledisk";
 
@@ -104,7 +106,9 @@ impl BackupScheme for JungleDisk {
         clock.charge_source_read(report.logical_bytes);
         self.seen = next_seen;
 
-        ship_session(&self.cloud, &mut self.containers, SCHEME_KEY, &manifest, &mut report)?;
+        let unobserved = Recorder::disabled();
+        let transfer = Transfer::new(&self.cloud, RetryPolicy::no_retries(), &unobserved);
+        upload_session(&transfer, &mut self.containers, SCHEME_KEY, &manifest, &mut report)?;
         report.dedup_cpu = clock.total();
         self.sessions += 1;
         Ok(report)

@@ -21,7 +21,9 @@
 //!   over global (monolithic) indexes; unique units uploaded individually.
 //!
 //! All four implement [`BackupScheme`], so the
-//! harness sweeps them interchangeably with AA-Dedupe.
+//! harness sweeps them interchangeably with AA-Dedupe, and all four commit
+//! through AA-Dedupe's own `upload_session` — with no retries and no
+//! recorder: the baselines model no retry.
 
 pub mod avamar;
 pub mod backuppc;

@@ -43,8 +43,8 @@ use aadedupe_chunking::CdcAlgorithm;
 use aadedupe_cloud::{CloudSim, FsObjectStore, PriceModel, WanModel};
 use aadedupe_core::restore::containers_prefix;
 use aadedupe_core::{
-    AaDedupe, AaDedupeConfig, BackupError, BackupScheme, Manifest, PipelineConfig,
-    RestoreOptions, RetentionPolicy, RetryPolicy, VacuumOptions,
+    AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, RestoreOptions, RetentionPolicy,
+    RetryPolicy, VacuumOptions,
 };
 use aadedupe_obs::{Recorder, Sampler, SamplerConfig};
 
@@ -401,14 +401,7 @@ fn cmd_sessions(repo: &Path) -> Result<(), String> {
     // The manifest alone names every file and its length; scrubbing the
     // containers behind it is not the listing's job.
     for s in sessions {
-        let key = Manifest::key(&engine.config().scheme_key, s as u64);
-        let manifest = engine
-            .cloud()
-            .get(&key)
-            .map_err(BackupError::from)
-            .and_then(|(bytes, _)| bytes.ok_or(BackupError::UnknownSession(s)))
-            .and_then(|bytes| Manifest::decode(&bytes));
-        match manifest {
+        match engine.manifest(s) {
             Ok(m) => println!("session {s}: {} files, {}", m.files.len(), human(m.logical_bytes())),
             Err(e) => println!("session {s}: unreadable ({e})"),
         }

@@ -62,10 +62,10 @@ use aadedupe_obs::{Counter, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{ChunkRef, FileRecipe, Manifest};
 use crate::restore::{
-    container_id, container_key, containers_prefix, restore_file_pipelined,
+    container_id, containers_prefix, fetch_manifest, restore_file_pipelined,
     restore_session_pipelined, RestoreOptions, RestoredFile,
 };
-use crate::retry::RetryPolicy;
+use crate::retry::{upload_session, RetryPolicy, Transfer};
 use crate::scheme::{BackupError, BackupScheme};
 use crate::timing::DedupClock;
 
@@ -129,7 +129,7 @@ pub struct AaDedupeConfig {
     /// Restore pipeline settings (fetch/parse/verify worker threads).
     pub restore: RestoreOptions,
     /// Retry/backoff policy for transient backend failures, shared by
-    /// uploads and restore downloads.
+    /// every upload and download.
     pub retry: RetryPolicy,
     /// Cloud namespace prefix for this engine's objects.
     pub scheme_key: String,
@@ -512,22 +512,35 @@ impl AaDedupe {
         Ok(engine)
     }
 
-    /// Every committed manifest but session `skip`'s, fetched and decoded
-    /// one at a time in listing order — the repository's source of truth,
-    /// and the one place that lists, fetches and decodes them all. The
-    /// skipped manifest is left out by key and never fetched.
-    pub(crate) fn committed_manifests(
-        &self,
+    /// Every committed manifest but session `skip`'s, fetched through
+    /// `transfer` and decoded one at a time in listing order — the
+    /// repository's source of truth, and the one place that lists them
+    /// all. The skipped manifest is left out by key and never fetched.
+    pub(crate) fn committed_manifests<'a>(
+        &'a self,
+        transfer: &'a Transfer<'_>,
         skip: Option<u64>,
-    ) -> impl Iterator<Item = Result<Manifest, BackupError>> + '_ {
+    ) -> impl Iterator<Item = Result<Manifest, BackupError>> + 'a {
         let keys = self.cloud.store().list(&Manifest::prefix(&self.config.scheme_key));
         keys.into_iter()
             .filter(move |key| skip.is_none_or(|s| Manifest::session_of(key) != Some(s)))
             .map(move |key| {
-                let (bytes, _t) = self.cloud.get(&key)?;
-                let bytes = bytes.ok_or(BackupError::MissingObject(key))?;
-                Manifest::decode(&bytes)
+                // Any manifest's jitter op: restore's, outside the container ids.
+                let bytes = transfer.get(&key, u64::MAX)?;
+                Manifest::decode(&bytes.ok_or(BackupError::MissingObject(key))?)
             })
+    }
+
+    /// A handle for one operation's transfers under this engine's policy
+    /// and recorder, with a fresh retry budget.
+    pub(crate) fn transfer(&self) -> Transfer<'_> {
+        Transfer::new(&self.cloud, self.config.retry, &self.config.recorder)
+    }
+
+    /// Session `session`'s manifest, fetched and decoded: what the
+    /// session holds, without reading a container.
+    pub fn manifest(&self, session: usize) -> Result<Manifest, BackupError> {
+        fetch_manifest(&self.transfer(), &self.config.scheme_key, session as u64)
     }
 
     /// How many chunks the committed manifests index: what
@@ -540,8 +553,9 @@ impl AaDedupe {
     /// What the committed manifests — all but session `skip`'s — say is
     /// live. Reads the cloud and changes nothing.
     fn committed_liveness(&self, skip: Option<u64>) -> Result<Liveness, BackupError> {
+        let transfer = self.transfer();
         let mut live = Liveness::default();
-        for manifest in self.committed_manifests(skip) {
+        for manifest in self.committed_manifests(&transfer, skip) {
             live.add(&manifest?);
         }
         Ok(live)
@@ -830,50 +844,6 @@ impl AaDedupe {
     }
 }
 
-impl AaDedupe {
-    /// Uploads one object, retrying transient failures under the
-    /// configured [`RetryPolicy`] and per-session retry `budget`. Backoff
-    /// is charged to the simulated transfer clock (and optionally slept);
-    /// `op_seq` feeds the deterministic jitter. Exhausting the attempts or
-    /// the budget, or any permanent failure, counts an upload give-up and
-    /// surfaces the backend error. `bytes` moves into one shared buffer
-    /// and every attempt sends that buffer itself: nothing is copied.
-    pub(crate) fn put_with_retry(
-        &self,
-        key: &str,
-        bytes: Vec<u8>,
-        budget: &mut u32,
-        op_seq: u64,
-    ) -> Result<(), BackupError> {
-        let bytes = Arc::new(bytes);
-        let rec = &self.config.recorder;
-        let policy = &self.config.retry;
-        let mut attempt = 1u32;
-        loop {
-            match self.cloud.put(key, Arc::clone(&bytes)) {
-                Ok(_t) => return Ok(()),
-                Err(e) if e.transient && attempt < policy.max_attempts.max(1) && *budget > 0 => {
-                    *budget -= 1;
-                    rec.count(Counter::UploadRetries, 1);
-                    let wait = policy.backoff(attempt, op_seq);
-                    self.cloud.charge(wait);
-                    if policy.sleep && !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    rec.count(Counter::UploadGiveups, 1);
-                    return Err(BackupError::Cloud(format!(
-                        "{e} (attempt {attempt} of {})",
-                        policy.max_attempts.max(1)
-                    )));
-                }
-            }
-        }
-    }
-}
-
 impl BackupScheme for AaDedupe {
     fn name(&self) -> &'static str {
         "AA-Dedupe"
@@ -891,7 +861,7 @@ impl BackupScheme for AaDedupe {
         let rec = Arc::clone(&self.config.recorder);
         let session_span = rec.trace_start();
         let wan_before = self.cloud.elapsed();
-        let puts_before = self.cloud.store().stats();
+        let puts_before = self.cloud.store().stats().put_requests;
 
         let manifest = self.run_session(files, &mut report, &mut clock);
         // Every byte of the dataset is read once from the source disk.
@@ -908,73 +878,44 @@ impl BackupScheme for AaDedupe {
             return Err(BackupError::IndexStorage(why));
         }
 
-        // Commit protocol: containers first (in id order, so the upload
-        // sequence does not depend on stream sealing order), then the
-        // manifest — the commit point — then the index snapshot. A crash
-        // before the manifest leaves only orphan containers, which the
-        // sweep in `open` reclaims; a crash after it leaves a fully
-        // restorable session.
-        self.containers.seal_all();
-        let mut sealed = self.containers.drain_sealed();
-        sealed.sort_by_key(|s| s.id);
+        // Commit protocol: containers, then the manifest — the commit
+        // point (`upload_session`) — then the index snapshot. A crash
+        // after the manifest leaves a fully restorable session.
         let upload_span = rec.trace_start();
-        let mut retry_budget = self.config.retry.session_retry_budget;
-        let mut upload_seq = 0u64;
-        for sealed in sealed {
-            let uploading = rec.start();
-            let key = container_key(&self.config.scheme_key, sealed.id);
-            report.transferred_bytes += sealed.bytes.len() as u64;
-            rec.count(Counter::UploadBytes, sealed.bytes.len() as u64);
-            rec.count(Counter::UploadObjects, 1);
-            upload_seq += 1;
-            if let Err(e) = self.put_with_retry(&key, sealed.bytes, &mut retry_budget, upload_seq)
-            {
+        let transfer = Transfer::new(&self.cloud, self.config.retry, &rec);
+        let (scheme, containers) = (&self.config.scheme_key, &mut self.containers);
+        let op = match upload_session(&transfer, containers, scheme, &manifest, &mut report) {
+            Ok(op) => op,
+            Err(e) => {
                 // The in-memory index already references this session's
                 // chunks; some never reached the cloud. Refuse further
                 // backups from this instance.
-                self.poisoned = Some(format!("container upload failed: {e}"));
+                self.poisoned = Some(format!("session upload failed: {e}"));
                 return Err(e);
             }
-            rec.record(Stage::Upload, uploading);
-        }
-        // Ship the manifest — the commit point.
-        let uploading = rec.start();
-        let mbytes = manifest.encode();
-        report.transferred_bytes += mbytes.len() as u64;
-        rec.count(Counter::UploadBytes, mbytes.len() as u64);
-        rec.count(Counter::UploadObjects, 1);
-        upload_seq += 1;
-        let mkey = Manifest::key(&self.config.scheme_key, manifest.session);
-        if let Err(e) = self.put_with_retry(&mkey, mbytes, &mut retry_budget, upload_seq) {
-            self.poisoned = Some(format!("manifest upload failed: {e}"));
-            return Err(e);
-        }
-        rec.record(Stage::Upload, uploading);
+        };
         // Index synchronisation (paper §III.E): a snapshot after every
         // session. Nothing reads it back — `open` rebuilds the index from
         // the manifests.
-        let uploading = rec.start();
         let snap = codec::encode_app_aware(&self.index);
-        report.transferred_bytes += snap.len() as u64;
-        rec.count(Counter::UploadBytes, snap.len() as u64);
-        rec.count(Counter::UploadObjects, 1);
-        upload_seq += 1;
-        let skey = format!("{}{:08}", snapshots_prefix(&self.config.scheme_key), self.sessions);
-        if let Err(e) = self.put_with_retry(&skey, snap, &mut retry_budget, upload_seq) {
-            // The manifest is committed, so the session is durable and
-            // the engine's state matches the cloud, and nothing depends on
-            // the snapshot. Count the session and surface the failure
-            // without poisoning.
-            self.sessions += 1;
-            return Err(BackupError::Cloud(format!(
-                "session committed, but index snapshot upload failed: {e}"
-            )));
+        let skey = format!("{}{:08}", snapshots_prefix(scheme), self.sessions);
+        match transfer.put(&skey, snap, op + 1) {
+            Ok(len) => report.transferred_bytes += len,
+            Err(e) => {
+                // The manifest is committed, so the session is durable and
+                // the engine's state matches the cloud, and nothing depends
+                // on the snapshot. Count the session and surface the
+                // failure without poisoning.
+                self.sessions += 1;
+                return Err(BackupError::Cloud(format!(
+                    "session committed, but index snapshot upload failed: {e}"
+                )));
+            }
         }
-        rec.record(Stage::Upload, uploading);
         rec.trace_complete("upload", upload_span);
 
-        let put_delta = self.cloud.store().stats().put_requests - puts_before.put_requests;
-        report.put_requests = put_delta;
+        // The session's totals, the snapshot's PUT and time included.
+        report.put_requests = self.cloud.store().stats().put_requests - puts_before;
         report.dedup_cpu = clock.total();
         report.transfer_time = self.cloud.elapsed() - wan_before;
         rec.trace_complete("session", session_span);

@@ -18,8 +18,9 @@
 //!   a planner walks the manifest once and lists, per container in
 //!   first-reference order, the distinct chunks read from it and every
 //!   `(file, byte position)` each lands at. N fetch/parse/verify workers
-//!   claim containers from a shared cursor, downloading under the same
-//!   [`RetryPolicy`] backoff/budget machinery uploads use, and hand each
+//!   claim containers from a shared cursor, downloading through the
+//!   restore call's one [`Transfer`] (the retry handle every upload and
+//!   download uses, its budget shared by the workers), and hand each
 //!   verified container over one bounded channel to the calling thread,
 //!   which copies its chunks to all their destinations and drops it.
 //!   Every container is fetched, parsed and verified exactly once.
@@ -46,7 +47,7 @@
 //! failure with the smallest index.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -56,7 +57,7 @@ use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Queue, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{FileRecipe, Manifest};
-use crate::retry::RetryPolicy;
+use crate::retry::{RetryPolicy, Transfer};
 use crate::scheme::BackupError;
 
 /// One restored file.
@@ -162,10 +163,10 @@ pub fn restore_session_pipelined(
     retry: &RetryPolicy,
     rec: &Recorder,
 ) -> Result<Vec<RestoredFile>, BackupError> {
-    let budget = AtomicU32::new(retry.session_retry_budget);
-    let manifest = fetch_manifest(cloud, scheme_key, session, retry, &budget, rec)?;
+    let transfer = Transfer::new(cloud, *retry, rec);
+    let manifest = fetch_manifest(&transfer, scheme_key, session)?;
     let files: Vec<&FileRecipe> = manifest.files.iter().collect();
-    run_pipeline(cloud, scheme_key, &files, opts, retry, &budget, rec)
+    run_pipeline(&transfer, scheme_key, &files, opts, rec)
 }
 
 /// Restores one file by path from `session`, fetching only the containers
@@ -179,14 +180,14 @@ pub fn restore_file_pipelined(
     retry: &RetryPolicy,
     rec: &Recorder,
 ) -> Result<RestoredFile, BackupError> {
-    let budget = AtomicU32::new(retry.session_retry_budget);
-    let manifest = fetch_manifest(cloud, scheme_key, session, retry, &budget, rec)?;
+    let transfer = Transfer::new(cloud, *retry, rec);
+    let manifest = fetch_manifest(&transfer, scheme_key, session)?;
     let recipe = manifest
         .files
         .iter()
         .find(|f| f.path == path)
         .ok_or_else(|| BackupError::MissingObject(format!("session {session}: {path}")))?;
-    let mut files = run_pipeline(cloud, scheme_key, &[recipe], opts, retry, &budget, rec)?;
+    let mut files = run_pipeline(&transfer, scheme_key, &[recipe], opts, rec)?;
     files.pop().ok_or_else(|| BackupError::MissingObject(format!("session {session}: {path}")))
 }
 
@@ -243,63 +244,16 @@ fn plan_restore(files: &[&FileRecipe]) -> Vec<ContainerJob> {
     order
 }
 
-/// Fetches and decodes a session's manifest, retrying transient failures.
-fn fetch_manifest(
-    cloud: &CloudSim,
+/// Fetches and decodes a session's manifest through `transfer`.
+pub(crate) fn fetch_manifest(
+    transfer: &Transfer<'_>,
     scheme_key: &str,
     session: u64,
-    retry: &RetryPolicy,
-    budget: &AtomicU32,
-    rec: &Recorder,
 ) -> Result<Manifest, BackupError> {
-    let mkey = Manifest::key(scheme_key, session);
-    // Jitter op_seq: outside the container-id space so the manifest's
-    // backoff schedule never collides with a container's.
-    let bytes = get_with_retry(cloud, &mkey, retry, budget, u64::MAX, rec)?;
-    let bytes = bytes.ok_or(BackupError::UnknownSession(session as usize))?;
-    Manifest::decode(&bytes)
-}
-
-/// Downloads one object, retrying transient failures under `retry` and the
-/// shared per-restore `budget`. The mirror of the engine's upload
-/// `put_with_retry`: backoff is charged to the simulated transfer clock
-/// (and optionally slept), `op_seq` feeds the deterministic jitter, and
-/// exhausting the attempts or the budget — or any permanent failure —
-/// counts a restore give-up and surfaces the backend error.
-fn get_with_retry(
-    cloud: &CloudSim,
-    key: &str,
-    policy: &RetryPolicy,
-    budget: &AtomicU32,
-    op_seq: u64,
-    rec: &Recorder,
-) -> Result<Option<Vec<u8>>, BackupError> {
-    let mut attempt = 1u32;
-    loop {
-        match cloud.get(key) {
-            Ok((bytes, _t)) => return Ok(bytes),
-            Err(e)
-                if e.transient
-                    && attempt < policy.max_attempts.max(1)
-                    && budget.fetch_update(Relaxed, Relaxed, |b| b.checked_sub(1)).is_ok() =>
-            {
-                rec.count(Counter::RestoreRetries, 1);
-                let wait = policy.backoff(attempt, op_seq);
-                cloud.charge(wait);
-                if policy.sleep && !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
-                attempt += 1;
-            }
-            Err(e) => {
-                rec.count(Counter::RestoreGiveups, 1);
-                return Err(BackupError::Cloud(format!(
-                    "{e} (attempt {attempt} of {})",
-                    policy.max_attempts.max(1)
-                )));
-            }
-        }
-    }
+    // Jitter op: outside the container-id space so the manifest's backoff
+    // schedule never collides with a container's.
+    let bytes = transfer.get(&Manifest::key(scheme_key, session), u64::MAX)?;
+    Manifest::decode(&bytes.ok_or(BackupError::UnknownSession(session as usize))?)
 }
 
 fn lookup_descriptor(
@@ -356,16 +310,14 @@ fn check_fingerprint(
 /// ([`Fingerprint::compute_many`]), one run of same-algorithm references
 /// at a time.
 fn fetch_parse_verify(
-    cloud: &CloudSim,
+    transfer: &Transfer<'_>,
     scheme_key: &str,
     job: &ContainerJob,
-    policy: &RetryPolicy,
-    budget: &AtomicU32,
     rec: &Recorder,
 ) -> Result<VerifiedContainer, BackupError> {
     let key = container_key(scheme_key, job.container);
     let fetching = rec.start();
-    let raw = get_with_retry(cloud, &key, policy, budget, job.container, rec)?;
+    let raw = transfer.get(&key, job.container)?;
     let raw = raw.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
     let parsed = ParsedContainer::from_vec(raw)
         .map_err(|e| BackupError::Corrupt(format!("{key}: {e}")))?;
@@ -409,12 +361,10 @@ fn fetch_parse_verify(
 
 /// Runs the planner → workers → scatter pipeline over `files`.
 fn run_pipeline(
-    cloud: &CloudSim,
+    transfer: &Transfer<'_>,
     scheme_key: &str,
     files: &[&FileRecipe],
     opts: &RestoreOptions,
-    retry: &RetryPolicy,
-    budget: &AtomicU32,
     rec: &Recorder,
 ) -> Result<Vec<RestoredFile>, BackupError> {
     let order = plan_restore(files);
@@ -438,7 +388,7 @@ fn run_pipeline(
                     let idx = cursor.fetch_add(1, Relaxed);
                     let Some(job) = order.get(idx) else { break };
                     let working = rec.start();
-                    let result = fetch_parse_verify(cloud, scheme_key, job, retry, budget, rec);
+                    let result = fetch_parse_verify(transfer, scheme_key, job, rec);
                     if let Some(t) = working {
                         busy += t.elapsed();
                     }

@@ -57,6 +57,7 @@ use aadedupe_obs::{Counter, Recorder, Stage};
 use crate::engine::{snapshots_prefix, AaDedupe, Liveness};
 use crate::recipe::Manifest;
 use crate::restore::{container_id, container_key, containers_prefix};
+use crate::retry::Transfer;
 use crate::scheme::BackupError;
 
 /// Tuning knobs for one vacuum pass.
@@ -146,6 +147,8 @@ impl AaDedupe {
         }
         let rec = std::sync::Arc::clone(&self.config.recorder);
         let scheme = self.config.scheme_key.clone();
+        // The pass's one handle: its reads and its uploads share a budget.
+        let transfer = Transfer::new(&self.cloud, self.config.retry, &rec);
         let mut report = VacuumReport {
             dry_run: opts.dry_run,
             stored_bytes_before: self.cloud.store().stored_bytes(),
@@ -156,7 +159,7 @@ impl AaDedupe {
         let analyzing = rec.start();
         // Manifests, fetched and decoded once; rewritten in place later.
         let mut manifests: BTreeMap<u64, Manifest> = BTreeMap::new();
-        for manifest in self.committed_manifests(None) {
+        for manifest in self.committed_manifests(&transfer, None) {
             let manifest = manifest?;
             manifests.insert(manifest.session, manifest);
         }
@@ -166,7 +169,7 @@ impl AaDedupe {
         let mut containers: BTreeMap<u64, Candidate> = BTreeMap::new();
         for key in self.cloud.store().list(&containers_prefix(&scheme)) {
             let Some(id) = container_id(&key) else { continue };
-            let (bytes, _t) = self.cloud.get(&key)?;
+            let bytes = transfer.get(&key, id)?;
             let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
             let stored_len = bytes.len() as u64;
             let parsed = ParsedContainer::from_vec(bytes)
@@ -299,26 +302,20 @@ impl AaDedupe {
         // deletes. See the module docs for why a crash at any operation
         // leaves every retained session restorable.
         let committing = rec.start();
-        let mut retry_budget = self.config.retry.session_retry_budget;
-        let mut op_seq = 0u64;
+        let mut op = 0u64;
         for (id, bytes) in new_containers {
-            op_seq += 1;
-            rec.count(Counter::UploadBytes, bytes.len() as u64);
-            rec.count(Counter::UploadObjects, 1);
+            op += 1;
             // A failure here leaves only orphan containers (no manifest
             // references them yet) and no in-memory mutation: the engine
             // remains fully usable and a rerun converges.
-            self.put_with_retry(&container_key(&scheme, id), bytes, &mut retry_budget, op_seq)?;
+            transfer.put(&container_key(&scheme, id), bytes, op)?;
         }
         for (session, manifest) in manifests.iter().filter(|(s, _)| dirty_manifests.contains(s)) {
-            let bytes = manifest.encode();
-            op_seq += 1;
-            rec.count(Counter::UploadBytes, bytes.len() as u64);
-            rec.count(Counter::UploadObjects, 1);
+            op += 1;
             // A failure mid-way mixes old and new pointers across
             // manifests; both container generations still exist, so every
             // session stays restorable and in-memory state is untouched.
-            self.put_with_retry(&Manifest::key(&scheme, *session), bytes, &mut retry_budget, op_seq)?;
+            transfer.put(&Manifest::key(&scheme, *session), manifest.encode(), op)?;
         }
 
         // Manifests are fully rewritten — the pass is committed. Apply the

@@ -168,10 +168,12 @@ pub enum Counter {
     /// Unreferenced containers garbage-collected on engine open (crash
     /// leftovers from sessions whose manifest never committed).
     OrphansSwept,
-    /// Restore downloads retried after a transient backend failure.
+    /// Downloads retried after a transient backend failure — every
+    /// download, not only restore's: `open` and the other manifest folds,
+    /// vacuum's scan and the session listing retry through the same loop.
     RestoreRetries,
-    /// Restore downloads abandoned (permanent failure, attempts or budget
-    /// exhausted).
+    /// Downloads abandoned (permanent failure, attempts or budget
+    /// exhausted), by any reader: restore, `open`/fold, vacuum, sessions.
     RestoreGiveups,
     /// Bytes read from the source dataset into the pipeline (big files at
     /// chunk time, tiny files at pack time; carried-forward tiny files move

@@ -558,6 +558,42 @@ fn restore_transient_fault_at_every_fetch_point_retries_to_success() {
         assert_eq!(snap.counter(Counter::RestoreGiveups), 0, "workers={workers}");
         assert_eq!(faulty.faults_injected(), 1 + containers, "workers={workers}");
     }
+
+    // Every other reader fetches through the same retrying GET: the
+    // manifest fold behind `open`, `committed_chunks` (what `stats` reads)
+    // and vacuum's container scan. A fresh wrapper each time.
+    let (inner, files) = clean_repository();
+    let manifests = inner.list("aa-dedupe/manifests/").len() as u64;
+    let containers = inner.list("aa-dedupe/containers/").len() as u64;
+    let fresh = || {
+        cloud_over(Arc::new(FaultInjectingBackend::new(
+            Arc::clone(&inner) as Arc<dyn ObjectBackend>,
+            FaultPlan::new(7).fail_prefix_gets("aa-dedupe/", 1, true),
+        )))
+    };
+    let observed = |rec: &Arc<Recorder>| config_with(1, RetryPolicy::default(), Some(rec.clone()));
+    let retries = |rec: &Recorder| rec.snapshot().counter(Counter::RestoreRetries);
+
+    let rec = Recorder::shared();
+    AaDedupe::open(fresh(), observed(&rec)).expect("open must survive transient GETs");
+    assert_eq!(retries(&rec), manifests, "open: one retry per manifest");
+
+    let rec = Recorder::shared();
+    let reader = AaDedupe::with_config(fresh(), observed(&rec));
+    assert!(reader.committed_chunks().expect("the fold must survive transient GETs") > 0);
+    assert_eq!(retries(&rec), manifests, "committed_chunks: one retry per manifest");
+
+    // The vacuuming engine is opened over the same wrapper, which spends
+    // each manifest's one fault: the pass itself retries each container
+    // it scans, and its manifest reads come back clean.
+    let rec = Recorder::shared();
+    let mut engine = AaDedupe::open(fresh(), observed(&rec)).expect("open");
+    let opened = retries(&rec);
+    let opts = aa_dedupe::core::VacuumOptions { dry_run: false, ..Default::default() };
+    engine.vacuum(&opts).expect("vacuum must survive transient GETs");
+    assert_eq!(retries(&rec) - opened, containers, "vacuum: one retry per container");
+    assert_eq!(rec.snapshot().counter(Counter::RestoreGiveups), 0);
+    assert_restores_bit_exact(&engine, 0, &files);
 }
 
 #[test]
