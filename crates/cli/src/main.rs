@@ -7,16 +7,21 @@
 //! restores any past session bit-exactly.
 //!
 //! ```text
-//! aabackup backup  --repo <dir> [--workers N] [--stats] [--metrics <f>]
-//!                  [--metrics-interval-ms N] [--progress] <source-dir>
+//! aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]
+//!                  [--index-dir <dir>] [--index-ram <entries>] [--stats]
+//!                  [--metrics <f>] [--metrics-interval-ms N] [--progress]
+//!                  <source-dir>
 //! aabackup restore --repo <dir> [--workers N] [--stats] [--metrics <f>]
 //!                  [--metrics-interval-ms N] [--progress] <session> <out>
 //! aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>
 //! aabackup sessions --repo <dir>                  list sessions
-//! aabackup delete  --repo <dir> <session>         delete + reclaim space
+//! aabackup delete  --repo <dir> [--index-dir <dir>] [--index-ram <entries>]
+//!                  <session>                      delete + reclaim space
 //! aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]
+//!                  [--index-dir <dir>] [--index-ram <entries>]
 //!                                                 rewrite sparse containers
 //! aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]
+//!                  [--index-dir <dir>] [--index-ram <entries>]
 //!                                                 prune sessions by policy
 //! aabackup stats   --repo <dir>                   repository statistics
 //! ```
@@ -53,7 +58,7 @@ use source::walk_directory;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n  aabackup stats   --repo <dir>"
+        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> [--index-dir <dir>] [--index-ram <entries>] <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup stats   --repo <dir>"
     );
     ExitCode::from(2)
 }

@@ -214,9 +214,9 @@ impl Liveness {
 ///
 /// Field visibility is `pub(crate)`: the vacuum pass
 /// ([`crate::vacuum`]) and retention policies ([`crate::retention`])
-/// are sibling modules operating on the same state (index placements,
-/// container ids, the tiny-file cache) under the same crash-consistency
-/// invariants.
+/// are sibling modules operating on the same state (container ids, the
+/// tiny-file cache; the index only through `settle`) under the same
+/// crash-consistency invariants.
 pub struct AaDedupe {
     pub(crate) config: AaDedupeConfig,
     pub(crate) cloud: CloudSim,
@@ -495,20 +495,19 @@ impl AaDedupe {
 
     /// Opens an engine over an *existing* cloud namespace, resuming its
     /// state — the one way to rebuild an engine from the cloud, disaster
-    /// recovery included: the index and the session counter are what the
-    /// committed manifests say (`Liveness`; no index snapshot is read),
-    /// and every listed container no manifest references is swept. A
-    /// fresh namespace yields a fresh engine.
+    /// recovery included: the fold of every committed manifest, settled
+    /// (`Liveness`, `settle`; no index snapshot is read). The index and the
+    /// session counter are what the manifests say, container ids resume
+    /// past every listed container, and every listed container no manifest
+    /// references is swept — a failed delete fails the open. A fresh
+    /// namespace yields a fresh engine.
     pub fn open(cloud: CloudSim, config: AaDedupeConfig) -> Result<Self, BackupError> {
         let mut engine = Self::with_config(cloud, config);
         let live = engine.committed_liveness(None)?;
-        let referenced = engine.install(live);
-        // Resume ids over *everything* in the namespace — orphans included —
-        // before sweeping, so a resumed engine never re-mints an id that was
-        // ever visible in the cloud.
-        engine.resume_container_ids();
-        engine.orphans_swept = engine.sweep_unreferenced(&referenced)?;
-        engine.config.recorder.count(Counter::OrphansSwept, engine.orphans_swept);
+        let (swept, sweep) = engine.settle(live);
+        sweep?;
+        engine.orphans_swept = swept;
+        engine.config.recorder.count(Counter::OrphansSwept, swept);
         Ok(engine)
     }
 
@@ -562,12 +561,13 @@ impl AaDedupe {
     }
 
     /// Makes the in-memory state say what `live` says and returns the
-    /// referenced container ids. Infallible: deletion calls it past its
-    /// point of no return. Every partition is replaced wholesale — the one
-    /// way a key leaves the index; the session counter only moves forward;
-    /// and a cached tiny-file reference survives only while some manifest
-    /// references that chunk there — carried forward past that, it would
-    /// point at bytes the sweep or the next vacuum may reclaim.
+    /// referenced container ids: `settle`'s first half. Every partition is
+    /// replaced wholesale — the one way a key leaves the index, and the
+    /// only write to it besides a session's inserts; the session counter
+    /// only moves forward; and a cached tiny-file reference survives only
+    /// while some manifest references that chunk there — carried forward
+    /// past that, it would point at bytes the sweep or the next vacuum may
+    /// reclaim.
     fn install(&mut self, mut live: Liveness) -> BTreeSet<u64> {
         for app in AppType::ALL {
             self.index.partition(app).reconcile(live.entries.remove(&app).unwrap_or_default());
@@ -580,18 +580,34 @@ impl AaDedupe {
         live.containers.into_keys().collect()
     }
 
-    /// Deletes every listed container `referenced` does not name and
-    /// returns how many went: the leftovers of sessions that crashed before
-    /// their manifest (the commit point) landed, of deleted sessions, and
-    /// of earlier sweeps that failed. Safe by construction: a container is
-    /// reachable only through a committed manifest. Tries every one and
-    /// reports the first failure at the end — what it could not delete is
-    /// still listed next time.
-    fn sweep_unreferenced(&self, referenced: &BTreeSet<u64>) -> Result<u64, BackupError> {
+    /// Ends every repository change — [`AaDedupe::open`],
+    /// [`AaDedupe::delete_session`] and vacuum's commit — by making memory
+    /// and the cloud say what the committed manifests `live` say. Installs
+    /// the fold, then lists the container prefix once. Every listed id
+    /// advances its stream's sequence, orphans included, so no id that was
+    /// ever visible in the cloud is minted again (ids minted before the
+    /// per-stream scheme decompose as stream 0, which only over-advances
+    /// the tiny stream — harmless). Every listed container the fold does
+    /// not reference is deleted, in listing order: the leftovers of
+    /// sessions that crashed before their manifest (the commit point)
+    /// landed, of deleted sessions, of vacuum's rewritten and dead
+    /// containers, and of earlier sweeps that failed. Safe by construction:
+    /// a container is reachable only through a committed manifest.
+    ///
+    /// Infallible in memory — deletion and vacuum call it past their
+    /// commit points. Tries every delete and returns how many succeeded
+    /// beside the first failure; what it could not delete is still listed
+    /// next time.
+    pub(crate) fn settle(&mut self, live: Liveness) -> (u64, Result<(), BackupError>) {
+        let referenced = self.install(live);
         let mut swept = 0;
         let mut first_failure = None;
         for key in self.cloud.store().list(&containers_prefix(&self.config.scheme_key)) {
-            if container_id(&key).is_some_and(|id| referenced.contains(&id)) {
+            let id = container_id(&key);
+            if let Some((stream, seq)) = id.map(decompose_id) {
+                self.containers.resume_stream_ids(stream, seq + 1);
+            }
+            if id.is_some_and(|id| referenced.contains(&id)) {
                 continue;
             }
             match self.cloud.delete(&key) {
@@ -601,7 +617,7 @@ impl AaDedupe {
                 }
             }
         }
-        first_failure.map_or(Ok(swept), |e| Err(e.into()))
+        (swept, first_failure.map_or(Ok(()), |e| Err(e.into())))
     }
 
     /// Containers the orphan sweep removed when this engine was opened.
@@ -613,19 +629,6 @@ impl AaDedupe {
     /// previous session failed mid-upload.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.is_some()
-    }
-
-    /// Advances every stream's container sequence past its containers in
-    /// the cloud namespace, so resumed engines never clobber live
-    /// containers. Ids minted before the per-stream scheme decompose as
-    /// stream 0, which only over-advances the tiny stream — harmless.
-    fn resume_container_ids(&mut self) {
-        for key in self.cloud.store().list(&containers_prefix(&self.config.scheme_key)) {
-            if let Some(id) = container_id(&key) {
-                let (stream, seq) = decompose_id(id);
-                self.containers.resume_stream_ids(stream, seq + 1);
-            }
-        }
     }
 
     /// Sessions currently restorable from the cloud (ascending). Sorted
@@ -819,13 +822,14 @@ impl AaDedupe {
 
     /// Deletes a past session and reclaims the containers nothing
     /// references any more (the background deletion process of §III.F):
-    /// [`AaDedupe::open`]'s fold over every *other* committed manifest, so
-    /// what survives is exactly what a reopen would find.
+    /// [`AaDedupe::open`]'s fold over every *other* committed manifest,
+    /// settled the same way, so what survives is exactly what a reopen
+    /// would find.
     ///
     /// Crash consistency: the *manifest* delete is the un-commit point.
     /// Until it succeeds nothing is mutated — an `Err` means the session
     /// is still fully restorable and neither memory nor the cloud changed.
-    /// After it nothing returns `Err`: the fold is installed and container
+    /// After it nothing returns `Err`: the fold is settled and container
     /// reclamation is best-effort garbage collection. A container whose
     /// delete failed is still listed and unreferenced, so the next
     /// deletion, vacuum or [`AaDedupe::open`] reclaims it — the inverse
@@ -837,9 +841,8 @@ impl AaDedupe {
         }
         let live = self.committed_liveness(Some(session as u64))?;
         self.cloud.delete(&key)?;
-        let referenced = self.install(live);
-        match self.sweep_unreferenced(&referenced) {
-            Ok(_) | Err(_) => Ok(()),
+        match self.settle(live) {
+            (_, Ok(()) | Err(_)) => Ok(()),
         }
     }
 }

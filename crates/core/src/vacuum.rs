@@ -6,9 +6,10 @@
 //! vacuum pass reclaims that slack by rewriting containers whose live
 //! ratio fell below a threshold (and combining undersized survivors of
 //! the same stream) into fresh container ids, through the same
-//! [`ContainerStore`] sessions append to, then repointing every manifest,
-//! index entry and tiny-file reference at the new placements so restores
-//! stay bit-exact.
+//! [`ContainerStore`] sessions append to, then repointing every manifest
+//! and tiny-file reference at the new placements so restores stay
+//! bit-exact. The index follows the rewritten manifests the way it
+//! follows them after `open` and `delete_session`: it is their fold.
 //!
 //! # Algorithm
 //!
@@ -30,14 +31,19 @@
 //!    session. A dry run packs into a detached store instead, so the
 //!    engine's sequences stay as they were.
 //! 3. **Commit** ([`Stage::VacuumCommit`]), in crash-consistent order:
-//!    **new containers → rewritten manifests → old-container deletes**,
-//!    then every index snapshot but the newest is pruned. A crash at any
+//!    **new containers → rewritten manifests → settle**, then every index
+//!    snapshot but the newest is pruned. Once the manifests are written,
+//!    the tiny-file cache is repointed through the relocation map and the
+//!    engine settles on the rewritten manifests exactly as `open` and
+//!    `delete_session` settle on theirs: the index becomes their fold, and
+//!    one listing sweeps every container they no longer reference — the
+//!    rewritten sources and the dead ones. A crash at any
 //!    operation leaves every retained session restorable: new containers
 //!    without manifests are orphans (swept on reopen); a partially
 //!    rewritten manifest set mixes old and new pointers while *both*
 //!    copies still exist; and old containers are unreferenced by the time
-//!    they are deleted, so a missed delete is ordinary orphan garbage the
-//!    listing still shows. Rerunning vacuum after any interruption
+//!    the sweep deletes them, so a missed delete is ordinary orphan garbage
+//!    the listing still shows. Rerunning vacuum after any interruption
 //!    converges: the analysis starts from the cloud, and half-written
 //!    rewrites are either referenced (kept) or dead (deleted). Vacuum
 //!    uploads no snapshot: nothing reads one, and the next session's
@@ -92,7 +98,9 @@ pub struct VacuumReport {
     pub containers_rewritten: usize,
     /// Fresh containers produced by the rewrite.
     pub containers_created: usize,
-    /// Old containers removed (rewritten sources and fully dead ones).
+    /// Old containers removed (rewritten sources and fully dead ones): on
+    /// a real pass, what the closing sweep deleted; on a dry run, what it
+    /// would delete.
     pub containers_deleted: usize,
     /// Index snapshots pruned: every one but the newest (nothing reads
     /// them; the newest is the periodic sync's latest upload).
@@ -141,6 +149,8 @@ impl AaDedupe {
     /// restorable — see the module docs for the order-of-operations
     /// argument — and the engine's in-memory state is only mutated after
     /// the manifests (the commit point of the pass) are fully rewritten.
+    /// After a real pass the engine holds what [`AaDedupe::open`] over the
+    /// same store would build.
     pub fn vacuum(&mut self, opts: &VacuumOptions) -> Result<VacuumReport, BackupError> {
         if let Some(why) = &self.poisoned {
             return Err(BackupError::Poisoned(why.clone()));
@@ -276,7 +286,7 @@ impl AaDedupe {
         }
         report.manifests_rewritten = dirty_manifests.len();
 
-        // Old containers to delete, in id order: rewritten sources and
+        // Old containers the sweep will delete: rewritten sources and
         // fully dead ones.
         let doomed: Vec<u64> = dispositions
             .iter()
@@ -298,9 +308,9 @@ impl AaDedupe {
         }
 
         // ---- Phase 3: commit --------------------------------------------
-        // Order: new containers -> rewritten manifests -> old-container
-        // deletes. See the module docs for why a crash at any operation
-        // leaves every retained session restorable.
+        // Order: new containers -> rewritten manifests -> settle. See the
+        // module docs for why a crash at any operation leaves every
+        // retained session restorable.
         let committing = rec.start();
         let mut op = 0u64;
         for (id, bytes) in new_containers {
@@ -318,18 +328,28 @@ impl AaDedupe {
             transfer.put(&Manifest::key(&scheme, *session), manifest.encode(), op)?;
         }
 
-        // Manifests are fully rewritten — the pass is committed. Apply the
-        // relocation map to the in-memory state (infallible).
-        self.apply_relocations(&manifests, &relocations);
-
-        // Old containers are unreferenced now; deletes are best-effort
-        // garbage collection exactly like `delete_session`'s: one that
-        // fails stays listed, and the next pass finds it dead.
-        for id in doomed {
-            if self.cloud.delete(&container_key(&scheme, id)).is_ok() {
-                report.containers_deleted += 1;
+        // Manifests are fully rewritten — the pass is committed. Tiny-file
+        // carry-forward references must follow their chunks or the next
+        // unchanged tiny file would reference a deleted container.
+        let mut paths: Vec<String> = self.tiny_seen.keys().cloned().collect();
+        paths.sort_unstable();
+        for path in paths {
+            if let Some((_token, reference)) = self.tiny_seen.get_mut(&path) {
+                if let Some(p) =
+                    relocations.get(&(reference.container, reference.offset, reference.fingerprint))
+                {
+                    reference.container = p.container;
+                    reference.offset = p.offset;
+                }
             }
         }
+        // Then the engine settles on the rewritten manifests, as `open` and
+        // `delete_session` do on theirs. The old containers are
+        // unreferenced now, and the sweep is best-effort garbage collection
+        // exactly like `delete_session`'s: a delete that fails stays
+        // listed, and the next pass finds it dead.
+        let (deleted, Ok(()) | Err(_)) = self.settle(Liveness::of(manifests.values()));
+        report.containers_deleted = deleted as usize;
         // Every index snapshot but the newest: nothing reads them.
         // Best-effort like the container deletes — a missed one is pruned
         // by the next pass.
@@ -353,44 +373,5 @@ impl AaDedupe {
         rec.count(Counter::BytesReclaimed, report.bytes_reclaimed);
         report.stored_bytes_after = self.cloud.store().stored_bytes();
         Ok(report)
-    }
-
-    /// Applies the relocation map to the in-memory state: index
-    /// placements (per-app) and the tiny-file cache. Infallible; called
-    /// only after the rewritten manifests — the pass's commit point — are
-    /// durable.
-    fn apply_relocations(
-        &mut self,
-        manifests: &BTreeMap<u64, Manifest>,
-        relocations: &BTreeMap<(u64, u32, Fingerprint), Placement>,
-    ) {
-        // Index entries hold one placement per (app, fingerprint); the
-        // rewritten manifests carry the new placement for every live
-        // chunk, so walking them repoints exactly the moved entries.
-        for manifest in manifests.values() {
-            for f in &manifest.files {
-                if f.tiny {
-                    continue;
-                }
-                for c in &f.chunks {
-                    self.index.update_placement(f.app, &c.fingerprint, c.container, c.offset);
-                }
-            }
-        }
-        // Tiny-file carry-forward references must follow their chunks or
-        // the next unchanged tiny file would reference a deleted
-        // container.
-        let mut paths: Vec<String> = self.tiny_seen.keys().cloned().collect();
-        paths.sort_unstable();
-        for path in paths {
-            if let Some((_token, reference)) = self.tiny_seen.get_mut(&path) {
-                if let Some(p) =
-                    relocations.get(&(reference.container, reference.offset, reference.fingerprint))
-                {
-                    reference.container = p.container;
-                    reference.offset = p.offset;
-                }
-            }
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Engine state resumption: `AaDedupe::open` over an existing namespace.
 
 use aadedupe_cloud::CloudSim;
-use aadedupe_core::{AaDedupe, AaDedupeConfig, BackupScheme};
+use aadedupe_core::{AaDedupe, AaDedupeConfig, BackupScheme, VacuumOptions};
 use aadedupe_filetype::{MemoryFile, SourceFile};
 use aadedupe_index::codec::encode_app_aware;
 use aadedupe_metrics::SessionReport;
@@ -141,32 +141,45 @@ fn open_tolerates_index_sync_disabled() {
 
 #[test]
 fn a_delete_leaves_what_a_reopen_would_find() {
-    // Deletion is `open`'s fold over the other manifests: the engine that
-    // deleted and an engine opened over the same repository afterwards hold
-    // the same index, and the deletion left no garbage for `open` to sweep.
-    fn deleted() -> AaDedupe {
+    // Deletion is `open`'s fold over the other manifests, and vacuum ends
+    // in the same settle over the rewritten ones: the engine that deleted
+    // (and vacuumed) and an engine opened over the same repository
+    // afterwards hold the same index, and neither left garbage for `open`
+    // to sweep.
+    fn changed(vacuum: bool) -> AaDedupe {
         let mut engine = AaDedupe::new(CloudSim::with_paper_defaults());
         for version in 1..=3 {
             engine.backup_session(&sources(&week(version))).expect("backup");
         }
         engine.delete_session(1).expect("delete 1");
+        if vacuum {
+            let opts = VacuumOptions { ratio: 1.0, dry_run: false };
+            let report = engine.vacuum(&opts).expect("vacuum");
+            assert!(report.containers_rewritten > 0, "the vacuum must move chunks: {report:?}");
+        }
         engine
     }
-    let mut long_lived = deleted();
-    let mut reopened =
-        AaDedupe::open(deleted().cloud().clone(), AaDedupeConfig::default()).expect("open");
+    for (label, vacuum) in [("delete", false), ("delete + vacuum", true)] {
+        let mut long_lived = changed(vacuum);
+        let cloud = changed(vacuum).cloud().clone();
+        let mut reopened = AaDedupe::open(cloud, AaDedupeConfig::default()).expect("open");
 
-    assert_eq!(encode_app_aware(long_lived.index()), encode_app_aware(reopened.index()));
-    assert_eq!(reopened.orphans_swept(), 0, "the delete reclaimed everything it freed");
-    assert_eq!(long_lived.sessions_completed(), 3);
-    assert_eq!(reopened.sessions_completed(), 3);
+        assert_eq!(
+            encode_app_aware(long_lived.index()),
+            encode_app_aware(reopened.index()),
+            "{label}: index"
+        );
+        assert_eq!(reopened.orphans_swept(), 0, "{label}: nothing was left to sweep");
+        assert_eq!(long_lived.sessions_completed(), 3, "{label}");
+        assert_eq!(reopened.sessions_completed(), 3, "{label}");
 
-    // The next session decides, counts and writes the same on both. (Its
-    // tiny file differs from week 3's: the tiny-file cache is the one
-    // thing a reopen does not rebuild.)
-    let next = week(2);
-    let a = long_lived.backup_session(&sources(&next)).expect("next after delete");
-    let b = reopened.backup_session(&sources(&next)).expect("next after reopen");
-    assert_eq!(counters(&a), counters(&b));
-    assert_eq!(namespace(long_lived.cloud()), namespace(reopened.cloud()));
+        // The next session decides, counts and writes the same on both.
+        // (Its tiny file differs from week 3's: the tiny-file cache is the
+        // one thing a reopen does not rebuild.)
+        let next = week(2);
+        let a = long_lived.backup_session(&sources(&next)).expect("next after the change");
+        let b = reopened.backup_session(&sources(&next)).expect("next after reopen");
+        assert_eq!(counters(&a), counters(&b), "{label}: next session");
+        assert_eq!(namespace(long_lived.cloud()), namespace(reopened.cloud()), "{label}");
+    }
 }

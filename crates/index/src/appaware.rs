@@ -153,19 +153,6 @@ impl AppAwareIndex {
         self.partition(app).insert(fp, entry)
     }
 
-    /// Repoints one application's entry at a new `(container, offset)`
-    /// placement — the vacuum relocation primitive.
-    /// Returns false if the fingerprint is absent from that partition.
-    pub fn update_placement(
-        &self,
-        app: AppType,
-        fp: &Fingerprint,
-        container: u64,
-        offset: u32,
-    ) -> bool {
-        self.partition(app).update_placement(fp, container, offset)
-    }
-
     /// Total entries across all partitions.
     pub fn len(&self) -> usize {
         self.partitions.iter().map(super::partition::IndexPartition::len).sum()

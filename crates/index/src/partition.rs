@@ -11,12 +11,11 @@
 //!
 //! **Slots.** A slot is an entry and one bit: `dirty` says no segment
 //! holds this entry yet, so it must be flushed before it may leave RAM
-//! (inert without a tier). Entries are written once — by `insert`, or by
-//! `update_placement` when vacuum moves a chunk, whose newer record
-//! shadows the older one — and read many times: a hit changes nothing
-//! but recency. A key leaves a partition only when
+//! (inert without a tier). Entries are written once — by `insert` — and
+//! read many times: a hit changes nothing but recency. A key leaves a
+//! partition, or takes a new placement, only when
 //! [`IndexPartition::reconcile`] replaces the contents wholesale; what
-//! is live is the manifests' statement, not the index's.
+//! is live, and where, is the manifests' statement, not the index's.
 //!
 //! **One ladder.** Every operation fetches the key's slot — slot table,
 //! then filter, then segments newest→oldest — and admits it back as
@@ -424,11 +423,6 @@ impl Store {
         self.slots.remove(&victim);
     }
 
-    /// Admits an entry no segment holds yet.
-    fn put(&mut self, fp: Fingerprint, entry: ChunkEntry) {
-        self.admit(fp, CacheSlot { entry, dirty: true });
-    }
-
     /// Writes every dirty slot as one new sorted segment, then marks the
     /// flushed slots clean.
     fn flush_dirty(&mut self) -> Result<(), SegmentError> {
@@ -673,25 +667,10 @@ impl IndexPartition {
             }
             return false;
         }
-        store.put(fp, entry);
+        store.admit(fp, CacheSlot { entry, dirty: true });
         store.filter_insert(&fp);
         store.live += 1;
         stats.inserts += 1;
-        true
-    }
-
-    /// Repoints an entry at a new `(container, offset)` placement while
-    /// preserving its length — the vacuum relocation primitive. The
-    /// relocated entry becomes cache-resident and most-recently-used: a
-    /// hot entry must not be charged a disk read on its next lookup just
-    /// because vacuum moved it. Returns false (and changes nothing) if the
-    /// fingerprint is absent.
-    pub fn update_placement(&self, fp: &Fingerprint, container: u64, offset: u32) -> bool {
-        let mut g = self.lock();
-        let Some(CacheSlot { entry, .. }) = g.store.fetch(fp).slot else {
-            return false;
-        };
-        g.store.put(*fp, ChunkEntry { container, offset, ..entry });
         true
     }
 
@@ -920,44 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn update_placement_preserves_len() {
-        let p = IndexPartition::new(100);
-        p.insert(fp(1), ChunkEntry::new(10, 7, 3));
-        assert!(p.update_placement(&fp(1), 42, 99));
-        assert_eq!(p.lookup(&fp(1)), Some(ChunkEntry::new(10, 42, 99)));
-        assert_eq!(p.len(), 1);
-        assert!(!p.update_placement(&fp(2), 0, 0), "absent fp is a no-op");
-    }
-
-    #[test]
-    fn update_placement_keeps_entry_hot() {
-        // Regression (vacuum-then-lookup): relocating an entry must leave
-        // it cache-resident — a hot entry must not be charged a disk read
-        // on its next lookup just because vacuum moved it.
-        on_both_stores("vac", |make| {
-            let p = make(10);
-            for i in 0..100 {
-                p.insert(fp(i), ChunkEntry::new(1, 0, i as u32));
-            }
-            // Make fp(5) hot, then age it fully out of the cache.
-            p.lookup(&fp(5));
-            for i in 50..90 {
-                p.lookup(&fp(i));
-            }
-            // Vacuum relocates it: placement update must re-admit it.
-            assert!(p.update_placement(&fp(5), 77, 3));
-            let (outcome, trace) = p.lookup_traced(&fp(5));
-            assert!(
-                matches!(outcome, LookupOutcome::HitRam(_)),
-                "relocated entry should be RAM-resident, got {outcome:?}"
-            );
-            assert_eq!(trace.disk_probes, 0);
-            let e = outcome.entry().unwrap();
-            assert_eq!((e.container, e.offset), (77, 3));
-        });
-    }
-
-    #[test]
     fn reconcile_prunes_fixes_and_adds() {
         on_both_stores("rec", |make| {
             let p = make(100);
@@ -1099,11 +1040,6 @@ mod tests {
                         dt.lookup(&disk, &fp(k)),
                         "step {step}"
                     ),
-                    4 => assert_eq!(
-                        resident.update_placement(&fp(k), step, 7),
-                        disk.update_placement(&fp(k), step, 7),
-                        "step {step}"
-                    ),
                     6 => assert_eq!(resident.dump(), disk.dump(), "step {step}"),
                     _ => {}
                 }
@@ -1139,9 +1075,11 @@ mod tests {
     #[test]
     fn modelled_classification_is_pinned() {
         // The RAM/disk model the paper figures and the baselines consume,
-        // for a lookup → insert-on-miss → occasional `update_placement`
-        // trace. Expected counts were recorded from the separate
-        // tier-less implementation this store replaced (PR 13's parent).
+        // for a lookup → insert-on-miss trace. Expected counts were
+        // recorded from this store as it stood before the vacuum
+        // relocation primitive was deleted, running this same trace; that
+        // store had been pinned against the separate tier-less
+        // implementation it replaced.
         fn run(capacity: usize) -> IndexStats {
             let p = IndexPartition::new(capacity);
             let mut x = 7u64;
@@ -1151,16 +1089,13 @@ mod tests {
                 if p.lookup(&fp(k)).is_none() {
                     assert!(p.insert(fp(k), ChunkEntry::new(k + 1, step, 0)));
                 }
-                if step % 7 == 0 {
-                    p.update_placement(&fp((x >> 13) % 300), step, 1);
-                }
             }
             assert_eq!(p.len(), 300);
             p.stats()
         }
         // (capacity, ram_hits, disk_reads): 0 tracks nothing, `len` fits.
         for (capacity, ram_hits, disk_reads) in
-            [(0, 0, 5999), (1, 24, 5974), (64, 1311, 4624), (300, 5700, 0)]
+            [(0, 0, 5999), (1, 24, 5974), (64, 1329, 4606), (300, 5700, 0)]
         {
             let expected = IndexStats {
                 lookups: 6000,

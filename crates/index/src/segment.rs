@@ -3,11 +3,11 @@
 //! When a partition's entries outgrow its RAM budget, the overflow lives
 //! in *segments*: immutable, sorted fingerprint→[`ChunkEntry`] runs on
 //! local disk. The design is LSM-lite — the write-back cache flushes as a
-//! new segment, newer segments shadow older ones (a relocated placement
-//! shadows the old one; nothing is ever deleted key by key), and a
-//! bounded segment count is maintained by a streaming k-way merge
-//! ([`merge_segments`]) that needs O(1) memory, which is what keeps the
-//! "sub-RAM index" claim honest.
+//! new segment, newer segments shadow older ones (an insert after a probe
+//! that hit an IO error can write a key twice; nothing is ever deleted
+//! key by key), and a bounded segment count is maintained by a streaming
+//! k-way merge ([`merge_segments`]) that needs O(1) memory, which is what
+//! keeps the "sub-RAM index" claim honest.
 //!
 //! Per segment the only RAM held is a sparse **fence index**: every
 //! [`FENCE_EVERY`]-th record's fingerprint and byte offset. A point
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn merge_lets_the_newest_segment_win() {
         let dir = temp_dir("merge");
-        // Old segment: fps 0..100. Newer: fp 50 relocated, fp 100 new.
+        // Old segment: fps 0..100. Newer: fp 50 written again, fp 100 new.
         let old = sorted_records(100);
         let mut newer =
             [(fp(50), ChunkEntry::new(5050, 7, 7)), (fp(100), ChunkEntry::new(100, 200, 100))];

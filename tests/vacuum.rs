@@ -167,6 +167,7 @@ fn dry_run_mutates_nothing_and_predicts_the_real_pass() {
     assert_eq!(real.containers_rewritten, dry.containers_rewritten);
     assert_eq!(real.relocations, dry.relocations);
     assert_eq!(real.bytes_reclaimed, dry.bytes_reclaimed);
+    assert_eq!(real.containers_deleted, dry.containers_deleted);
 }
 
 /// Every object of a namespace, key and bytes.
