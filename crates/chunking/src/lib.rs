@@ -4,7 +4,8 @@
 //! AA-Dedupe's "intelligent chunker" dispatches each file to one of three
 //! chunking strategies according to its application category (paper §III.C):
 //!
-//! * [`wfc`] — **Whole File Chunking**: the entire file is one chunk. Used
+//! * [`wfc`] — **Whole File Chunking**: the entire file is one chunk (cut
+//!   every [`WFC_PIECE_MAX`] bytes). Used
 //!   for compressed applications (AVI, MP3, RAR, …), whose sub-file
 //!   redundancy is negligible (Observation 1).
 //! * [`sc`] — **Static Chunking**: fixed-size 8 KiB chunks. Used for static
@@ -45,7 +46,7 @@ pub use params::{
 };
 pub use sc::ScChunker;
 pub use stream::{StreamChunker, StreamedChunk};
-pub use wfc::WfcChunker;
+pub use wfc::{WfcChunker, WFC_PIECE_MAX};
 
 use std::fmt;
 

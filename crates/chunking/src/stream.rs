@@ -15,7 +15,7 @@
 
 use std::io::Read;
 
-use crate::{CdcChunker, ChunkingMethod, ContentChunker, FastCdcChunker, ScChunker};
+use crate::{CdcChunker, ChunkingMethod, ContentChunker, FastCdcChunker, ScChunker, WFC_PIECE_MAX};
 
 /// A chunk produced by streaming: its bytes plus global offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +88,7 @@ impl<R: Read> StreamChunker<R> {
     /// without seeing EOF.
     fn high_water(&self) -> usize {
         match &self.method {
-            Method::Wfc => usize::MAX,
+            Method::Wfc => WFC_PIECE_MAX,
             Method::Sc(sc) => sc.chunk_size(),
             // CDC boundaries within the first max_size bytes are final
             // once max_size bytes are visible.
@@ -143,8 +143,8 @@ impl<R: Read> Iterator for StreamChunker<R> {
             return None;
         }
         let (len, method) = match &self.method {
-            // Everything buffered: fill reads to EOF or to its cap.
-            Method::Wfc => (self.buf.len(), ChunkingMethod::Wfc),
+            // Everything buffered: fill reads to EOF or to one piece.
+            Method::Wfc => (self.buf.len().min(WFC_PIECE_MAX), ChunkingMethod::Wfc),
             Method::Sc(sc) => (sc.chunk_size().min(self.buf.len()), ChunkingMethod::Sc),
             Method::Cdc(cdc) => {
                 // A boundary found with max_size bytes visible is final:

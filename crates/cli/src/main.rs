@@ -27,8 +27,9 @@
 //! ```
 //!
 //! `--metrics <f>` writes the run's one telemetry document (NDJSON:
-//! `header`, `sample`s, `span`s, closing `summary`); `--stats` prints that
-//! summary as a table; `--progress` draws a live status line.
+//! `header`, a `sample` per tick as it is taken, `span`s, closing
+//! `summary`); `--stats` prints that summary as a table; `--progress`
+//! redraws a status line on every tick of the same sampler.
 //!
 //! `restore`, `restore-file`, `sessions` and `vacuum --dry-run` only
 //! read: they never modify the repository and build no index. Every other
@@ -39,6 +40,8 @@
 mod progress;
 mod source;
 
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -51,7 +54,7 @@ use aadedupe_core::{
     AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, RestoreOptions, RetentionPolicy,
     RetryPolicy, VacuumOptions,
 };
-use aadedupe_obs::{Recorder, Sampler, SamplerConfig};
+use aadedupe_obs::{Document, Recorder, Sample, Sampler, Sink};
 
 use progress::{Progress, ProgressKind};
 use source::walk_directory;
@@ -116,74 +119,96 @@ struct ObsArgs {
     progress: bool,
 }
 
-/// A run's telemetry between [`ObsArgs::start`] and [`ObsArgs::finish`].
+/// A run's telemetry between [`ObsArgs::start`] and [`ObsArgs::stop`].
 struct Telemetry {
     rec: Arc<Recorder>,
-    sampler: Sampler,
+    /// Present with `--metrics` or `--progress`.
+    sampler: Option<Sampler<Live>>,
+}
+
+/// The sampler's sink: each tick is one document line and one redraw.
+struct Live {
+    doc: Option<Document<BufWriter<File>>>,
+    progress: Option<Progress>,
+}
+
+impl Sink for Live {
+    fn sample(&mut self, sample: Sample) {
+        if let Some(doc) = &mut self.doc {
+            doc.sample(&sample);
+        }
+        if let Some(progress) = &mut self.progress {
+            progress.tick(&sample);
+        }
+    }
 }
 
 impl ObsArgs {
-    /// An enabled recorder when any output was asked for, `None` (the
-    /// engine's disabled default) otherwise. Spans are buffered only for
-    /// the document.
+    /// A recorder when any output was asked for, `None` (the engine's
+    /// disabled default) otherwise. It records nothing until
+    /// [`ObsArgs::start`] turns it on, so the samples and the summary
+    /// cover the same window: the run, not the repository open before it.
     fn recorder(&self) -> Option<Arc<Recorder>> {
-        (self.stats || self.metrics.is_some() || self.progress).then(|| {
-            let rec = Recorder::shared();
-            if self.metrics.is_some() {
-                rec.enable_tracing();
-            }
-            rec
-        })
+        (self.stats || self.metrics.is_some() || self.progress).then(Recorder::shared_disabled)
     }
 
-    /// Starts sampling `rec` under the label `session` and, with
-    /// `--progress`, the status line (`total` bytes give it an ETA), which
-    /// the caller finishes before it prints anything else.
+    /// Turns `rec` on (spans only for the document) and, with `--metrics`
+    /// or `--progress`, starts the sampler. The document is created, its
+    /// header labelled `session`, before the run, so a bad path fails the
+    /// command first; `total` bytes give the status line an ETA.
     fn start(
         &self,
         rec: Option<Arc<Recorder>>,
         session: &str,
         kind: ProgressKind,
         total: Option<u64>,
-    ) -> (Option<Telemetry>, Option<Progress>) {
-        let Some(rec) = rec else { return (None, None) };
-        let cfg = SamplerConfig {
-            interval: Duration::from_millis(self.metrics_interval_ms.max(1)),
-            ..SamplerConfig::default()
+    ) -> Result<Option<Telemetry>, String> {
+        let Some(rec) = rec else { return Ok(None) };
+        let interval_ms = self.metrics_interval_ms.max(1);
+        let doc = match &self.metrics {
+            Some(path) => Some(
+                File::create(path)
+                    .and_then(|f| Document::start(BufWriter::new(f), session, interval_ms))
+                    .map_err(|e| format!("write metrics {path:?}: {e}"))?,
+            ),
+            None => None,
         };
-        let sampler = Sampler::spawn(Arc::clone(&rec), session, cfg);
-        let live = self.progress.then(|| Progress::start(sampler.probe(), kind, total));
-        (Some(Telemetry { rec, sampler }), live)
+        if doc.is_some() {
+            rec.enable_tracing();
+        } else {
+            rec.enable();
+        }
+        let progress = self.progress.then(|| Progress::new(kind, total));
+        let sampler = (doc.is_some() || progress.is_some()).then(|| {
+            let interval = Duration::from_millis(interval_ms);
+            Sampler::spawn(Arc::clone(&rec), interval, Live { doc, progress })
+        });
+        Ok(Some(Telemetry { rec, sampler }))
     }
 
-    /// Stops the sampler and takes the closing snapshot, once: `--metrics`
-    /// writes it as the document's summary line and `--stats` prints the
-    /// same value as a table.
-    fn finish(&self, telemetry: Option<Telemetry>) -> Result<(), String> {
-        let Some(Telemetry { rec, sampler }) = telemetry else { return Ok(()) };
-        let series = sampler.stop();
+    /// Stops the sampler after its final tick, ends the status line, and
+    /// takes the closing snapshot once: `--metrics` closes the document
+    /// with it and `--stats` renders the same value. Returns what to print
+    /// after the command's own report.
+    fn stop(&self, telemetry: Option<Telemetry>) -> Result<String, String> {
+        let Some(Telemetry { rec, sampler }) = telemetry else { return Ok(String::new()) };
+        let live = sampler.map(Sampler::stop);
         let summary = rec.snapshot();
-        if let Some(path) = &self.metrics {
-            let mut doc = Vec::new();
-            series
-                .write_document(&rec.drain_trace(), &summary, &mut doc)
-                .and_then(|()| std::fs::write(path, doc))
-                .map_err(|e| format!("write metrics {path:?}: {e}"))?;
-            println!(
-                "  telemetry written to {} ({} samples{})",
-                path.display(),
-                series.len(),
-                if series.dropped() > 0 {
-                    format!(", {} evicted", series.dropped())
-                } else {
-                    String::new()
-                }
-            );
+        let mut after = String::new();
+        if let Some(Live { doc, progress }) = live {
+            if let Some(progress) = progress {
+                progress.end_line();
+            }
+            if let (Some(doc), Some(path)) = (doc, &self.metrics) {
+                doc.finish(&rec.drain_trace(), &summary)
+                    .map_err(|e| format!("write metrics {path:?}: {e}"))?;
+                after = format!("  telemetry written to {}\n", path.display());
+            }
         }
         if self.stats {
-            print!("{}", summary.render_table());
+            after.push_str(&summary.render_table());
         }
-        Ok(())
+        Ok(after)
     }
 }
 
@@ -305,12 +330,10 @@ fn cmd_backup(
         files.iter().map(|f| f as &dyn aadedupe_filetype::SourceFile).collect();
     let session = engine.sessions_completed();
     let total: u64 = sources.iter().map(|f| f.size()).sum();
-    let (telemetry, live) =
-        obs.start(rec, &format!("backup-{session:05}"), ProgressKind::Backup, Some(total));
+    let telemetry =
+        obs.start(rec, &format!("backup-{session:05}"), ProgressKind::Backup, Some(total))?;
     let outcome = engine.backup_session(&sources);
-    if let Some(live) = live {
-        live.finish();
-    }
+    let telemetry = obs.stop(telemetry);
     let report = outcome.map_err(|e| format!("backup failed: {e}"))?;
     println!(
         "session {session}: {} files ({} tiny), {} logical",
@@ -331,7 +354,8 @@ fn cmd_backup(
         report.dedup_cpu.as_secs_f64(),
         human(report.de() as u64)
     );
-    obs.finish(telemetry)
+    print!("{}", telemetry?);
+    Ok(())
 }
 
 fn cmd_restore(
@@ -345,12 +369,10 @@ fn cmd_restore(
     let engine = read_engine(repo, workers, rec.clone())?;
     // Restore size is not known until the manifest is read, so the status
     // line shows throughput without an ETA.
-    let (telemetry, live) =
-        obs.start(rec, &format!("restore-{session:05}"), ProgressKind::Restore, None);
+    let telemetry =
+        obs.start(rec, &format!("restore-{session:05}"), ProgressKind::Restore, None)?;
     let outcome = engine.restore_session(session);
-    if let Some(live) = live {
-        live.finish();
-    }
+    let telemetry = obs.stop(telemetry);
     let files = outcome.map_err(|e| format!("restore failed: {e}"))?;
     // The manifest is outside input: `join` lets `..` climb out of `out` and
     // an absolute path replace it, so every path is checked before the
@@ -372,7 +394,8 @@ fn cmd_restore(
         std::fs::write(&dest, &f.data).map_err(|e| format!("write {dest:?}: {e}"))?;
     }
     println!("restored {} files from session {session} into {out:?}", files.len());
-    obs.finish(telemetry)
+    print!("{}", telemetry?);
+    Ok(())
 }
 
 fn cmd_restore_file(

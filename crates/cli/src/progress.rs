@@ -1,18 +1,16 @@
-//! Live single-line progress rendered from the background sampler.
+//! Live single-line progress, redrawn once per sampler tick.
 //!
-//! A [`Progress`] owns a thread that polls a [`SamplerProbe`] a few times
-//! per second and redraws one `\r`-terminated status line on stderr:
-//! bytes moved, throughput, running dedup ratio, and — when the total is
-//! known up front (backup knows its source size; restore does not) — an
-//! ETA. Rendering reads only sampler output, so the pipeline itself is
-//! never perturbed; with observability off no `Progress` is ever built.
+//! A [`Progress`] is fed every [`Sample`] the run's one `obs-sampler`
+//! thread takes (the CLI's sink calls [`Progress::tick`]) and redraws one
+//! `\r`-terminated status line on stderr from running totals it keeps of
+//! the deltas: bytes moved, throughput over the tick, running dedup ratio,
+//! and — when the total is known up front (backup knows its source size;
+//! restore does not) — an ETA. Rendering reads only sampler output, so the
+//! pipeline itself is never perturbed.
 
-use aadedupe_obs::{SamplePoint, SamplerProbe};
+use crate::human;
+use aadedupe_obs::{Counter, Sample};
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Which byte stream the line tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,94 +21,63 @@ pub enum ProgressKind {
     Restore,
 }
 
-/// Handle to the background renderer; call [`Progress::finish`] to stop
-/// it and print the final line.
+/// The status line's state: the run's totals so far.
 pub struct Progress {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    kind: ProgressKind,
+    total_bytes: Option<u64>,
+    done: u64,
+    stored: u64,
+    drew: bool,
 }
-
-const REDRAW: Duration = Duration::from_millis(200);
 
 impl Progress {
-    /// Starts the renderer. `total_bytes` enables percentage + ETA.
-    pub fn start(probe: SamplerProbe, kind: ProgressKind, total_bytes: Option<u64>) -> Progress {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("aabackup-progress".into())
-            .spawn(move || {
-                let mut drew = false;
-                while !thread_stop.load(Relaxed) {
-                    if let Some(s) = probe.latest() {
-                        draw(&s, kind, total_bytes);
-                        drew = true;
-                    }
-                    std::thread::sleep(REDRAW);
-                }
-                if let Some(s) = probe.latest() {
-                    draw(&s, kind, total_bytes);
-                    drew = true;
-                }
-                if drew {
-                    eprintln!();
-                }
-            })
-            .expect("spawn progress thread");
-        Progress { stop, handle: Some(handle) }
+    /// A line for `kind`; `total_bytes` enables percentage + ETA.
+    pub fn new(kind: ProgressKind, total_bytes: Option<u64>) -> Progress {
+        Progress { kind, total_bytes, done: 0, stored: 0, drew: false }
     }
 
-    /// Stops the renderer, leaving the final status line on screen.
-    pub fn finish(mut self) {
-        self.stop.store(true, Relaxed);
-        if let Some(h) = self.handle.take() {
-            h.join().expect("progress thread panicked");
+    /// Folds one tick's delta into the totals and redraws the line.
+    pub fn tick(&mut self, s: &Sample) {
+        let (verb, counter) = match self.kind {
+            ProgressKind::Backup => ("backup", Counter::SourceBytes),
+            ProgressKind::Restore => ("restore", Counter::RestoredBytes),
+        };
+        let moved = s.delta.counter(counter);
+        self.done += moved;
+        self.stored += s.delta.counter(Counter::StoredBytes);
+        let bps = if s.dt_ms == 0 { 0.0 } else { moved as f64 * 1000.0 / s.dt_ms as f64 };
+        let done = self.done;
+        let mut line = format!("\r{verb}  {}", human(done));
+        if let Some(total) = self.total_bytes {
+            let pct = if total == 0 { 100.0 } else { 100.0 * done as f64 / total as f64 };
+            line.push_str(&format!(" / {} ({pct:.0}%)", human(total)));
         }
+        line.push_str(&format!("  {}/s", human(bps as u64)));
+        if self.kind == ProgressKind::Backup && self.stored > 0 {
+            line.push_str(&format!("  DR {:.2}", done as f64 / self.stored as f64));
+        }
+        match self.total_bytes {
+            Some(total) if bps > 0.0 && total > done => {
+                let eta = (total - done) as f64 / bps;
+                line.push_str(&format!("  ETA {}", fmt_eta(eta)));
+            }
+            _ => {}
+        }
+        // Pad so a shrinking line fully overwrites the previous draw.
+        line.push_str(&" ".repeat(8));
+        let mut err = std::io::stderr();
+        // Progress is best-effort cosmetics; a closed stderr must not fail
+        // the backup itself, so the write result is deliberately unused.
+        let _draw = err.write_all(line.as_bytes()).and_then(|()| err.flush());
+        self.drew = true;
     }
-}
 
-impl Drop for Progress {
-    fn drop(&mut self) {
-        self.stop.store(true, Relaxed);
-        if let Some(h) = self.handle.take() {
-            // Drop runs on error paths where the progress thread may have
-            // died with the pipe; the CLI is already reporting the
-            // primary failure, so the join result is deliberately unused.
-            let _join = h.join();
+    /// Leaves the last drawn line on screen and moves past it.
+    pub fn end_line(&self) {
+        if self.drew {
+            eprintln!();
         }
     }
-}
-
-fn draw(s: &SamplePoint, kind: ProgressKind, total_bytes: Option<u64>) {
-    let (verb, done, bps) = match kind {
-        ProgressKind::Backup => ("backup", s.cum_source_bytes, s.source_bps()),
-        ProgressKind::Restore => ("restore", s.cum_restored_bytes, s.restored_bps()),
-    };
-    let mut line = format!("\r{verb}  {}", human(done));
-    if let Some(total) = total_bytes {
-        let pct = if total == 0 { 100.0 } else { 100.0 * done as f64 / total as f64 };
-        line.push_str(&format!(" / {} ({pct:.0}%)", human(total)));
-    }
-    line.push_str(&format!("  {}/s", human(bps as u64)));
-    if kind == ProgressKind::Backup {
-        let dr = s.dedup_ratio_so_far();
-        if dr.is_finite() {
-            line.push_str(&format!("  DR {dr:.2}"));
-        }
-    }
-    match total_bytes {
-        Some(total) if bps > 0.0 && total > done => {
-            let eta = (total - done) as f64 / bps;
-            line.push_str(&format!("  ETA {}", fmt_eta(eta)));
-        }
-        _ => {}
-    }
-    // Pad so a shrinking line fully overwrites the previous draw.
-    line.push_str(&" ".repeat(8));
-    let mut err = std::io::stderr();
-    // Progress is best-effort cosmetics; a closed stderr must not fail
-    // the backup itself, so the write result is deliberately unused.
-    let _draw = err.write_all(line.as_bytes()).and_then(|()| err.flush());
 }
 
 fn fmt_eta(secs: f64) -> String {
@@ -121,20 +88,5 @@ fn fmt_eta(secs: f64) -> String {
         format!("{}m{:02}s", s / 60, s % 60)
     } else {
         format!("{s}s")
-    }
-}
-
-fn human(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = bytes as f64;
-    let mut u = 0;
-    while v >= 1024.0 && u + 1 < UNITS.len() {
-        v /= 1024.0;
-        u += 1;
-    }
-    if u == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{v:.1} {}", UNITS[u])
     }
 }

@@ -94,7 +94,7 @@ fn metrics_ndjson_and_progress_outputs() {
     let docs = json::parse_ndjson(&text).expect("metrics NDJSON parses");
     let header = &docs[0];
     assert_eq!(header.get("kind").as_str(), Some("header"), "{text}");
-    assert_eq!(header.get("schema_version").as_u64(), Some(3));
+    assert_eq!(header.get("schema_version").as_u64(), Some(4));
     assert!(header.get("interval_ms").as_u64() == Some(5), "{text}");
     let session = header.get("session").as_str().expect("header.session");
     assert!(session.starts_with("backup-"), "header labels the run: {session}");
@@ -112,12 +112,85 @@ fn metrics_ndjson_and_progress_outputs() {
     let mut sampled_source = 0u64;
     for (i, sample) in docs[1..=samples].iter().enumerate() {
         assert_eq!(sample.get("seq").as_u64(), Some(i as u64), "contiguous sample sequence");
-        sampled_source += sample.get("source_bytes").as_u64().expect("source_bytes");
+        let bytes = sample.get("counters").get("source_bytes").as_u64();
+        sampled_source += bytes.expect("counters.source_bytes");
     }
     assert_eq!(sampled_source, src_bytes, "sampled deltas sum to the corpus size:\n{text}");
-    assert_eq!(docs[samples].get("cum").get("source_bytes").as_u64(), Some(src_bytes));
+    assert_conserved(&docs);
     let summary = docs.last().unwrap();
     assert_eq!(summary.get("counters").get("source_bytes").as_u64(), Some(src_bytes));
+
+    // A second backup into the same repository opens it first (rebuilding
+    // the index from the manifests) before the run's telemetry starts;
+    // samples and summary still cover one window.
+    fs::write(root.join("src/late.doc"), b"late arrival ".repeat(5000)).unwrap();
+    let (ok, out) = run(&[
+        "backup",
+        "--repo",
+        repo.to_str().unwrap(),
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+        "--metrics-interval-ms",
+        "5",
+        root.join("src").to_str().unwrap(),
+    ]);
+    assert!(ok, "{out}");
+    let docs = json::parse_ndjson(&fs::read_to_string(&metrics_path).unwrap()).unwrap();
+    assert_eq!(docs[0].get("session").as_str(), Some("backup-00001"));
+    assert_conserved(&docs);
+    let summary = docs.last().unwrap();
+    assert_eq!(summary.get("counters").get("source_bytes").as_u64(), Some(src_bytes + 65_000));
+
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Every metric is conserved: per counter, per application's hits and
+/// misses, per stage's count and time, the samples sum to the summary.
+fn assert_conserved(docs: &[json::Value]) {
+    let samples: Vec<_> =
+        docs.iter().filter(|d| d.get("kind").as_str() == Some("sample")).collect();
+    let summary = docs.last().unwrap();
+    let sum = |path: &[&str]| -> u64 {
+        let at = |d: &json::Value| path.iter().fold(d, |v, key| v.get(key)).as_u64().unwrap_or(0);
+        assert_eq!(samples.iter().map(|s| at(s)).sum::<u64>(), at(summary), "{path:?}");
+        at(summary)
+    };
+    for counter in summary.get("counters").as_obj().expect("counters").keys() {
+        sum(&["counters", counter]);
+    }
+    for app in summary.get("apps").as_obj().expect("apps").keys() {
+        sum(&["apps", app, "hits"]);
+        sum(&["apps", app, "misses"]);
+    }
+    for stage in Stage::ALL {
+        sum(&["stages", stage.name(), "count"]);
+        sum(&["stages", stage.name(), "total_ns"]);
+    }
+    assert!(sum(&["counters", "source_bytes"]) > 0);
+}
+
+/// A `--metrics` file that cannot be created fails the command before the
+/// backup runs: nothing is committed.
+#[test]
+fn a_bad_metrics_path_fails_before_the_backup() {
+    let root = std::env::temp_dir().join(format!("aabackup-badmetrics-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    fs::create_dir_all(root.join("src")).unwrap();
+    fs::write(root.join("src/report.doc"), b"lorem ipsum ".repeat(2000)).unwrap();
+    let repo = root.join("repo");
+    let (ok, out) = run(&[
+        "backup",
+        "--repo",
+        repo.to_str().unwrap(),
+        "--metrics",
+        root.join("missing/dir/m.ndjson").to_str().unwrap(),
+        root.join("src").to_str().unwrap(),
+    ]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("write metrics"), "{out}");
+    let (ok, out) = run(&["sessions", "--repo", repo.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    assert!(out.contains("no sessions"), "{out}");
 
     let _ = fs::remove_dir_all(&root);
 }

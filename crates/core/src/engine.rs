@@ -50,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use aadedupe_chunking::{
-    CdcParams, Chunker, ChunkingMethod, ContentChunker, ScChunker, DEFAULT_CDC,
+    CdcParams, Chunker, ChunkingMethod, ContentChunker, ScChunker, WfcChunker, DEFAULT_CDC,
 };
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::{decompose_id, ContainerStore, DEFAULT_CONTAINER_SIZE};
@@ -238,11 +238,6 @@ pub struct AaDedupe {
     orphans_swept: u64,
 }
 
-/// Longest chunk the engine records: whole-file chunking cuts a larger
-/// file into consecutive pieces of this size plus the remainder, so every
-/// [`ChunkRef::len`] fits its `u32`. Existing recipes were cut with it.
-const WFC_PIECE_MAX: usize = 1 << 26;
-
 /// Time elapsed on a [`Recorder::start`] timer; zero while recording is off.
 fn since(timer: Option<Instant>) -> Duration {
     timer.map_or(Duration::ZERO, |t| t.elapsed())
@@ -313,9 +308,8 @@ fn chunk_and_hash(cfg: &AaDedupeConfig, app: AppType, data: Vec<u8>) -> ChunkedF
         let (method, hash) = cfg.policy.for_app(app);
         let chunking = rec.start();
         let (spans, by_method) = match method {
-            // One chunk per file, cut only every WFC_PIECE_MAX bytes:
-            // static chunking at that size.
-            ChunkingMethod::Wfc => (ScChunker::new(WFC_PIECE_MAX).chunk(&data), Counter::ChunksWfc),
+            // One chunk per file, cut only every `WFC_PIECE_MAX` bytes.
+            ChunkingMethod::Wfc => (WfcChunker::new().chunk(&data), Counter::ChunksWfc),
             ChunkingMethod::Sc => {
                 (ScChunker::new(cfg.sc_chunk_size).chunk(&data), Counter::ChunksSc)
             }

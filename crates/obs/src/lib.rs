@@ -8,10 +8,11 @@
 //! index hit/miss counters, pipeline worker busy/idle time, and channel
 //! queue-depth high-water marks. A [`Recorder`] is plumbed through the
 //! engine, index, container store, and chunker; everything it records
-//! leaves through one machine-readable document
-//! ([`TimeSeries::write_document`]: a header, the [`Sampler`]'s samples,
-//! the buffered spans, and a closing [`Snapshot`] summary) and one human
-//! rendering of that same summary ([`Snapshot::render_table`]).
+//! leaves through one machine-readable [`Document`] (a header, the
+//! [`Sampler`]'s samples streamed as they are taken, the buffered spans,
+//! and a closing [`Snapshot`] summary — samples and summary in one schema)
+//! and one human rendering of that same summary
+//! ([`Snapshot::render_table`]).
 //!
 //! # Zero-cost when disabled
 //!
@@ -39,8 +40,8 @@ pub mod snapshot;
 pub mod trace;
 
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
-pub use sampler::{Sampler, SamplerConfig, SamplerCore, SamplerProbe};
-pub use series::{AppInterval, QueuePoint, SamplePoint, TimeSeries, METRICS_SCHEMA_VERSION};
+pub use sampler::{Sample, Sampler, SamplerCore, Sink};
+pub use series::{Document, METRICS_SCHEMA_VERSION};
 pub use snapshot::{AppIndexSnapshot, QueueSnapshot, Snapshot, StageSnapshot, WorkerSnapshot};
 pub use trace::{TraceEvent, TraceSink};
 

@@ -1,184 +1,138 @@
-//! Background sampler: periodic delta-snapshots of a [`Recorder`] into a
-//! bounded [`TimeSeries`].
+//! Background sampler: one [`Sample`] per tick — the [`Recorder`]'s growth
+//! over the interval — handed to a [`Sink`] as it is taken.
 //!
-//! The sampler graduates observability from post-mortem aggregates to live
-//! signals: every tick it snapshots the recorder, subtracts the previous
-//! snapshot, and pushes one [`SamplePoint`] carrying per-interval byte
-//! deltas (→ throughput), queue depths + high-water, retry counts, and
-//! per-application index hit-rates. Ticks are [`Instant`]-based — no wall
-//! clock — and all timing lives here in `obs`, outside the
-//! dedup-decision crates.
+//! Every tick snapshots the recorder and subtracts the previous snapshot
+//! ([`Snapshot::delta_since`]): every stage's count and time, every
+//! counter and every application's hits and misses over the interval, with
+//! the queue gauges and worker reports as they stand. Ticks are
+//! [`Instant`]-based — no wall clock — and all timing lives here in `obs`,
+//! outside the dedup-decision crates. The sampler keeps no samples: the
+//! sink decides what a tick becomes (a document line, a progress redraw).
 //!
 //! Two layers:
 //!
 //! * [`SamplerCore`] — the pure tick engine. `tick(t_ms, dt_ms)` is
 //!   deterministic given the recorder's state, so tests drive it manually
 //!   with synthetic time and assert exact deltas with no timing races.
-//! * [`Sampler`] — [`SamplerCore`] plus the background thread. When the
-//!   recorder is disabled, [`Sampler::spawn`] checks one relaxed load and
-//!   returns an inert handle: no thread, no allocation beyond the empty
-//!   struct, nothing for the hot path to pay (the `overhead_guard` test
-//!   runs with an inert sampler attached to prove it).
+//! * [`Sampler`] — [`SamplerCore`] plus the one `obs-sampler` thread. When
+//!   the recorder is disabled, [`Sampler::spawn`] checks one relaxed load
+//!   and returns an inert handle: no thread, nothing for the hot path to
+//!   pay (the `overhead_guard` test runs with an inert sampler attached to
+//!   prove it).
 
-use crate::series::{AppInterval, QueuePoint, SamplePoint, TimeSeries};
 use crate::snapshot::Snapshot;
-use crate::{Counter, Queue, Recorder};
+use crate::Recorder;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Sampler tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplerConfig {
-    /// Nominal tick interval. Default 250ms.
-    pub interval: Duration,
-    /// Ring capacity in samples. Default 4096 (~17 minutes at 250ms);
-    /// older samples are evicted and counted, never reallocated.
-    pub capacity: usize,
+/// One sampler tick: what the recorder gained over the `dt_ms` ending
+/// `t_ms` after the sampler's epoch.
+#[derive(Debug, Clone)]
+pub struct Sample {
+    /// Tick sequence number (0-based, contiguous).
+    pub seq: u64,
+    /// End of the interval, milliseconds since the sampler's epoch
+    /// (`Instant`-based; no wall clock anywhere).
+    pub t_ms: u64,
+    /// Measured interval length in milliseconds.
+    pub dt_ms: u64,
+    /// The interval's [`Snapshot::delta_since`] the previous tick.
+    pub delta: Snapshot,
 }
 
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        SamplerConfig { interval: Duration::from_millis(250), capacity: 4096 }
+impl Sample {
+    /// One NDJSON `sample` line: the summary's serializer over the delta,
+    /// with `seq`, `t_ms` and `dt_ms` after the `kind`.
+    pub fn to_json(&self) -> String {
+        self.delta.json_line(&format!(
+            "\"kind\": \"sample\", \"seq\": {}, \"t_ms\": {}, \"dt_ms\": {}",
+            self.seq, self.t_ms, self.dt_ms
+        ))
+    }
+}
+
+/// Where a [`Sampler`] delivers its ticks, on the sampler's thread.
+pub trait Sink: Send + 'static {
+    /// Takes one tick's sample.
+    fn sample(&mut self, sample: Sample);
+}
+
+/// Keeps every sample (tests, short runs).
+impl Sink for Vec<Sample> {
+    fn sample(&mut self, sample: Sample) {
+        self.push(sample);
     }
 }
 
 /// The deterministic tick engine: snapshot → delta → sample.
 ///
-/// Holds the previous snapshot and running byte totals; callers supply the
-/// clock (`t_ms`, `dt_ms`), which is what makes delta-rate tests exact.
+/// Holds only the previous snapshot; callers supply the clock (`t_ms`,
+/// `dt_ms`), which is what makes delta tests exact.
 #[derive(Debug)]
 pub struct SamplerCore {
     rec: Arc<Recorder>,
     prev: Snapshot,
-    series: TimeSeries,
-    cum_source: u64,
-    cum_stored: u64,
-    cum_restored: u64,
     seq: u64,
 }
 
 impl SamplerCore {
     /// A core whose baseline is the recorder's state right now: the first
-    /// tick reports only activity after this call. `session` labels the
-    /// series.
-    pub fn new(rec: Arc<Recorder>, session: &str, cfg: SamplerConfig) -> SamplerCore {
+    /// tick reports only activity after this call.
+    pub fn new(rec: Arc<Recorder>) -> SamplerCore {
         let prev = rec.snapshot();
-        let interval_ms = u64::try_from(cfg.interval.as_millis()).unwrap_or(u64::MAX);
-        SamplerCore {
-            rec,
-            prev,
-            series: TimeSeries::new(session, interval_ms, cfg.capacity),
-            cum_source: 0,
-            cum_stored: 0,
-            cum_restored: 0,
-            seq: 0,
-        }
+        SamplerCore { rec, prev, seq: 0 }
     }
 
-    /// Takes one sample at `t_ms` (ms since the sampler's epoch) covering
-    /// the last `dt_ms`, and pushes it onto the series.
-    pub fn tick(&mut self, t_ms: u64, dt_ms: u64) {
+    /// Takes the sample at `t_ms` (ms since the sampler's epoch) covering
+    /// the last `dt_ms`.
+    pub fn tick(&mut self, t_ms: u64, dt_ms: u64) -> Sample {
         let now = self.rec.snapshot();
         let delta = now.delta_since(&self.prev);
-        let source = delta.counter(Counter::SourceBytes);
-        let stored = delta.counter(Counter::StoredBytes);
-        let restored = delta.counter(Counter::RestoredBytes);
-        self.cum_source += source;
-        self.cum_stored += stored;
-        self.cum_restored += restored;
-        let sample = SamplePoint {
-            seq: self.seq,
-            t_ms,
-            dt_ms,
-            source_bytes: source,
-            stored_bytes: stored,
-            upload_bytes: delta.counter(Counter::UploadBytes),
-            restored_bytes: restored,
-            retries: delta.counter(Counter::UploadRetries)
-                + delta.counter(Counter::RestoreRetries),
-            cum_source_bytes: self.cum_source,
-            cum_stored_bytes: self.cum_stored,
-            cum_restored_bytes: self.cum_restored,
-            queues: Queue::ALL
-                .iter()
-                .map(|&q| {
-                    let g = now.queue(q);
-                    QueuePoint { queue: q, depth: g.depth, hwm: g.hwm }
-                })
-                .collect(),
-            apps: delta
-                .apps
-                .iter()
-                .map(|a| AppInterval {
-                    tag: a.tag,
-                    label: a.label.clone(),
-                    hits: a.hits,
-                    misses: a.misses,
-                })
-                .collect(),
-        };
-        self.seq += 1;
-        self.series.push(sample);
         self.prev = now;
-    }
-
-    /// The series accumulated so far.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
-    /// Consumes the core, yielding its series.
-    pub fn into_series(self) -> TimeSeries {
-        self.series
+        let seq = self.seq;
+        self.seq += 1;
+        Sample { seq, t_ms, dt_ms, delta }
     }
 }
 
-/// Handle to a running (or inert) background sampler.
-///
-/// Dropping without [`Sampler::stop`] detaches the thread; it parks on the
-/// stop flag's `Arc` and exits at the next tick slice, so an early-exit
-/// CLI path cannot hang on it. Call `stop()` to get the series back.
+/// Handle to a running (or inert) background sampler; [`Sampler::stop`]
+/// ends it and hands the sink back. A handle dropped without `stop` leaves
+/// the thread ticking until the process exits.
 #[derive(Debug)]
-pub struct Sampler {
-    inner: Option<Running>,
-    session: String,
-    interval_ms: u64,
-}
+pub struct Sampler<S>(State<S>);
 
 #[derive(Debug)]
-struct Running {
-    stop: Arc<AtomicBool>,
-    core: Arc<Mutex<SamplerCore>>,
-    handle: JoinHandle<()>,
+enum State<S> {
+    /// The recorder was disabled at spawn: the sink is never called.
+    Inert(S),
+    Running { stop: Arc<AtomicBool>, thread: JoinHandle<S> },
 }
 
 /// Sleep in slices this long so `stop()` latency stays low even with a
 /// long sampling interval.
 const SLICE: Duration = Duration::from_millis(20);
 
-impl Sampler {
-    /// Spawns the sampling thread against `rec`.
+impl<S: Sink> Sampler<S> {
+    /// Spawns the `obs-sampler` thread, which ticks `rec` every `interval`
+    /// (at least 1 ms) into `sink`.
     ///
     /// When the recorder is disabled this is one relaxed load and an inert
-    /// handle — no thread, no baseline snapshot, nothing sampled;
-    /// [`Sampler::stop`] then returns an empty series. The recorder's
-    /// enabled state is latched at spawn: enabling it later does not start
-    /// a sampler retroactively.
+    /// handle — no thread, no baseline snapshot, nothing sampled. The
+    /// recorder's enabled state is latched at spawn: enabling it later
+    /// does not start a sampler retroactively.
     ///
     /// # Panics
     ///
     /// If the OS cannot spawn the sampling thread.
-    pub fn spawn(rec: Arc<Recorder>, session: &str, cfg: SamplerConfig) -> Sampler {
-        let interval_ms = u64::try_from(cfg.interval.as_millis()).unwrap_or(u64::MAX);
+    pub fn spawn(rec: Arc<Recorder>, interval: Duration, sink: S) -> Sampler<S> {
         if !rec.is_enabled() {
-            return Sampler { inner: None, session: session.into(), interval_ms };
+            return Sampler(State::Inert(sink));
         }
-        let interval = cfg.interval.max(Duration::from_millis(1));
-        let core = Arc::new(Mutex::new(SamplerCore::new(rec, session, cfg)));
+        let interval = interval.max(Duration::from_millis(1));
+        let core = SamplerCore::new(rec);
         let stop = Arc::new(AtomicBool::new(false));
-        let thread_core = Arc::clone(&core);
         let thread_stop = Arc::clone(&stop);
         #[expect(
             clippy::expect_used,
@@ -186,82 +140,48 @@ impl Sampler {
                       cannot degrade gracefully past \"no threads left\" and the engine \
                       would be failing too"
         )]
-        let handle = std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name("obs-sampler".into())
-            .spawn(move || run_loop(&thread_core, &thread_stop, interval))
+            .spawn(move || run_loop(core, sink, &thread_stop, interval))
             .expect("spawn obs-sampler thread");
-        let inner = Some(Running { stop, core, handle });
-        Sampler { inner, session: session.into(), interval_ms }
+        Sampler(State::Running { stop, thread })
     }
 
     /// Whether this handle is inert (recorder was disabled at spawn).
     pub fn is_inert(&self) -> bool {
-        self.inner.is_none()
+        matches!(self.0, State::Inert(_))
     }
 
-    /// A cheap cloneable probe another thread can poll for the newest
-    /// sample (e.g. a live progress renderer) while this handle stays with
-    /// the owner. Probes from an inert sampler always return `None`.
-    pub fn probe(&self) -> SamplerProbe {
-        SamplerProbe { core: self.inner.as_ref().map(|r| Arc::clone(&r.core)) }
-    }
-
-    /// The newest sample, cloned out of the running series (None while
-    /// inert or before the first tick).
-    pub fn latest(&self) -> Option<SamplePoint> {
-        let running = self.inner.as_ref()?;
-        let core = running.core.lock().unwrap_or_else(PoisonError::into_inner);
-        core.series().latest().cloned()
-    }
-
-    /// Stops the thread, takes one final partial-interval sample so tail
-    /// activity is never lost, and returns the full series.
+    /// Stops the thread after one final partial-interval tick, so tail
+    /// activity is never lost, and returns the sink.
     ///
     /// # Panics
     ///
-    /// If the sampling thread panicked.
-    pub fn stop(mut self) -> TimeSeries {
-        let Some(running) = self.inner.take() else {
-            return TimeSeries::new(&self.session, self.interval_ms, 1);
-        };
-        running.stop.store(true, Relaxed);
-        #[expect(
-            clippy::expect_used,
-            reason = "join propagates a sampler-thread panic; the loop body only locks and \
-                      snapshots, so a panic there is a bug worth surfacing, not an input error"
-        )]
-        running.handle.join().expect("obs-sampler thread panicked");
-        let core = Arc::try_unwrap(running.core).map_or_else(
-            |arc| {
-                // The thread has exited, but clone defensively if another
-                // handle still holds the Arc.
-                let guard = arc.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.series().clone()
-            },
-            |mutex| mutex.into_inner().unwrap_or_else(PoisonError::into_inner).into_series(),
-        );
-        core
-    }
-}
-
-/// A cloneable read-only view of a running sampler's newest sample.
-#[derive(Debug, Clone)]
-pub struct SamplerProbe {
-    core: Option<Arc<Mutex<SamplerCore>>>,
-}
-
-impl SamplerProbe {
-    /// The newest sample (None while inert or before the first tick).
-    pub fn latest(&self) -> Option<SamplePoint> {
-        let core = self.core.as_ref()?;
-        let guard = core.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.series().latest().cloned()
+    /// If the sampling thread (the sink included) panicked.
+    pub fn stop(self) -> S {
+        match self.0 {
+            State::Inert(sink) => sink,
+            State::Running { stop, thread } => {
+                stop.store(true, Relaxed);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "join propagates a sampler-thread panic; the loop only snapshots \
+                              and calls the sink, so a panic there is a bug worth surfacing"
+                )]
+                thread.join().expect("obs-sampler thread panicked")
+            }
+        }
     }
 }
 
 /// The thread body: tick every `interval`, sleeping in [`SLICE`] pieces so
 /// stop latency is bounded, then take one final partial tick on shutdown.
-fn run_loop(core: &Arc<Mutex<SamplerCore>>, stop: &Arc<AtomicBool>, interval: Duration) {
+fn run_loop<S: Sink>(
+    mut core: SamplerCore,
+    mut sink: S,
+    stop: &AtomicBool,
+    interval: Duration,
+) -> S {
     let epoch = Instant::now();
     let mut last = Duration::ZERO;
     let mut next = interval;
@@ -281,9 +201,9 @@ fn run_loop(core: &Arc<Mutex<SamplerCore>>, stop: &Arc<AtomicBool>, interval: Du
         let dt_ms = u64::try_from((now - last).as_millis()).unwrap_or(u64::MAX);
         // The final tick is taken even when under 1 ms has passed
         // (`dt_ms == 0`): skipping it dropped the run's last deltas.
-        core.lock().unwrap_or_else(PoisonError::into_inner).tick(t_ms, dt_ms);
+        sink.sample(core.tick(t_ms, dt_ms));
         if stopping {
-            return;
+            return sink;
         }
         last = now;
         next += interval;
@@ -293,23 +213,21 @@ fn run_loop(core: &Arc<Mutex<SamplerCore>>, stop: &Arc<AtomicBool>, interval: Du
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counter;
 
     #[test]
     fn spawn_on_disabled_recorder_is_inert() {
         let rec = Recorder::shared_disabled();
-        let s = Sampler::spawn(rec, "off", SamplerConfig::default());
+        let s = Sampler::spawn(rec, Duration::from_millis(250), Vec::new());
         assert!(s.is_inert());
-        assert_eq!(s.latest(), None);
-        let series = s.stop();
-        assert!(series.is_empty());
-        assert_eq!(series.session(), "off");
+        assert!(s.stop().is_empty());
     }
 
     #[test]
     fn core_tick_reports_exact_deltas() {
         let rec = Recorder::shared();
         rec.count(Counter::SourceBytes, 500);
-        let mut core = SamplerCore::new(Arc::clone(&rec), "t", SamplerConfig::default());
+        let mut core = SamplerCore::new(Arc::clone(&rec));
         // Baseline taken after the 500 above: first tick must not see it.
         rec.count(Counter::SourceBytes, 2_000);
         rec.count(Counter::StoredBytes, 800);
@@ -317,35 +235,32 @@ mod tests {
         rec.label_app(7, "pdf");
         rec.index_outcome(7, true);
         rec.index_outcome(7, false);
-        core.tick(250, 250);
+        let s0 = core.tick(250, 250);
         rec.count(Counter::SourceBytes, 1_000);
-        core.tick(500, 250);
-        let s0 = core.series().iter().next().expect("first sample").clone();
-        assert_eq!(s0.source_bytes, 2_000);
-        assert_eq!(s0.stored_bytes, 800);
-        assert_eq!(s0.retries, 3);
-        assert_eq!(s0.source_bps(), 8_000.0);
-        assert_eq!(s0.apps.len(), 1);
-        assert_eq!((s0.apps[0].hits, s0.apps[0].misses), (1, 1));
-        let s1 = core.series().latest().expect("second sample");
-        assert_eq!(s1.source_bytes, 1_000);
-        assert_eq!(s1.cum_source_bytes, 3_000);
-        assert!(s1.apps.is_empty(), "no app traffic in second interval");
+        let s1 = core.tick(500, 250);
+        assert_eq!((s0.seq, s0.t_ms, s0.dt_ms), (0, 250, 250));
+        assert_eq!(s0.delta.counter(Counter::SourceBytes), 2_000);
+        assert_eq!(s0.delta.counter(Counter::StoredBytes), 800);
+        assert_eq!(s0.delta.counter(Counter::UploadRetries), 3);
+        assert_eq!(s0.delta.apps.len(), 1);
+        assert_eq!((s0.delta.apps[0].hits, s0.delta.apps[0].misses), (1, 1));
+        assert_eq!(s1.seq, 1);
+        assert_eq!(s1.delta.counter(Counter::SourceBytes), 1_000);
+        assert!(s1.delta.apps.is_empty(), "no app traffic in second interval");
     }
 
     #[test]
     fn background_sampler_captures_tail_on_stop() {
         let rec = Recorder::shared();
-        let cfg = SamplerConfig { interval: Duration::from_secs(3600), capacity: 16 };
-        let s = Sampler::spawn(Arc::clone(&rec), "tail", cfg);
+        let s = Sampler::spawn(Arc::clone(&rec), Duration::from_secs(3600), Vec::new());
         assert!(!s.is_inert());
         rec.count(Counter::SourceBytes, 4_096);
         // Interval is an hour; the final partial tick on stop must still
         // capture the bytes counted above.
         std::thread::sleep(Duration::from_millis(5));
-        let series = s.stop();
-        assert!(!series.is_empty());
-        let total: u64 = series.iter().map(|p| p.source_bytes).sum();
+        let samples = s.stop();
+        assert!(!samples.is_empty());
+        let total: u64 = samples.iter().map(|p| p.delta.counter(Counter::SourceBytes)).sum();
         assert_eq!(total, 4_096);
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! * [`Snapshot::to_json`] — the closing `summary` line of the run's
 //!   telemetry document (members `stages`, `counters`, `apps`, `queues`,
-//!   `workers`);
+//!   `workers`); every `sample` line is the same serializer over one
+//!   interval's delta ([`Sample::to_json`](crate::Sample::to_json));
 //! * [`Snapshot::render_table`] — the human `--stats` table.
 //!
 //! Snapshots also subtract ([`Snapshot::delta_since`]), which is how the
@@ -201,6 +202,12 @@ impl Snapshot {
 
     /// The snapshot as one `"kind": "summary"` NDJSON line.
     pub fn to_json(&self) -> String {
+        self.json_line("\"kind\": \"summary\"")
+    }
+
+    /// The snapshot's members as one NDJSON object, after `head` (the
+    /// line's `kind` and any members of its own).
+    pub(crate) fn json_line(&self, head: &str) -> String {
         fn join(items: impl Iterator<Item = String>) -> String {
             items.collect::<Vec<_>>().join(", ")
         }
@@ -245,7 +252,7 @@ impl Snapshot {
             )
         }));
         format!(
-            "{{\"kind\": \"summary\", \"stages\": {{{stages}}}, \"counters\": {{{counters}}}, \
+            "{{{head}, \"stages\": {{{stages}}}, \"counters\": {{{counters}}}, \
              \"apps\": {{{apps}}}, \"queues\": {{{queues}}}, \"workers\": [{workers}]}}"
         )
     }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use aadedupe_obs::{
-    bucket_bounds, bucket_index, json, Counter, Queue, Recorder, Sampler, SamplerConfig, Stage,
+    bucket_bounds, bucket_index, json, Counter, Queue, Recorder, Sampler, Stage,
     TraceEvent, BUCKETS,
 };
 
@@ -218,11 +218,8 @@ fn overhead_guard() {
     // The sampler is compiled in and attached, but the recorder is
     // disabled: spawn must cost one relaxed load, start no thread, and
     // leave the budget below untouched.
-    let sampler = Sampler::spawn(
-        std::sync::Arc::clone(&rec),
-        "overhead-guard",
-        SamplerConfig::default(),
-    );
+    let sampler =
+        Sampler::spawn(std::sync::Arc::clone(&rec), Duration::from_millis(250), Vec::new());
     assert!(sampler.is_inert(), "disabled recorder must yield an inert sampler");
     const ITERS: u64 = 1_000_000;
     // Warm-up pass so lazy init / cache effects don't bill the timed loop.

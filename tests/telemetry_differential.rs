@@ -16,7 +16,7 @@ use std::time::Duration;
 use aa_dedupe::cloud::CloudSim;
 use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupScheme, PipelineConfig, RestoreOptions};
 use aa_dedupe::metrics::SessionReport;
-use aa_dedupe::obs::{Counter, Recorder, Sampler, SamplerConfig, TimeSeries};
+use aa_dedupe::obs::{Counter, Recorder, Sample, Sampler, Sink, Stage};
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 
 const SESSIONS: usize = 2;
@@ -38,11 +38,46 @@ fn report_key(r: &SessionReport) -> (u64, u64, u64, u64, u64) {
     (r.files_total, r.chunks_total, r.chunks_duplicate, r.stored_bytes, r.transferred_bytes)
 }
 
+/// Every sample the sampler streamed, summed metric by metric.
+#[derive(Default)]
+struct Sums {
+    ticks: u64,
+    counters: BTreeMap<&'static str, u64>,
+    /// Application tag → (hits, misses).
+    apps: BTreeMap<u8, (u64, u64)>,
+    /// Stage → (count, total_ns).
+    stages: BTreeMap<&'static str, (u64, u64)>,
+}
+
+impl Sink for Sums {
+    fn sample(&mut self, sample: Sample) {
+        self.ticks += 1;
+        let delta = &sample.delta;
+        for &(counter, n) in &delta.counters {
+            *self.counters.entry(counter.name()).or_default() += n;
+        }
+        for app in &delta.apps {
+            let sum = self.apps.entry(app.tag).or_default();
+            *sum = (sum.0 + app.hits, sum.1 + app.misses);
+        }
+        for stage in &delta.stages {
+            let sum = self.stages.entry(stage.stage.name()).or_default();
+            *sum = (sum.0 + stage.hist.count, sum.1 + stage.hist.total_ns);
+        }
+    }
+}
+
+impl Sums {
+    fn counter(&self, counter: Counter) -> u64 {
+        self.counters.get(counter.name()).copied().unwrap_or(0)
+    }
+}
+
 /// Runs the whole workload; when `telemetry` is set, the recorder is on
 /// and a fast background sampler (1 ms ticks, well below any stage
 /// duration) hammers delta-snapshots throughout, exactly as `--metrics`
-/// would. Returns the observed state plus the sampled series.
-fn run(workers: usize, telemetry: bool) -> (Observed, Option<TimeSeries>) {
+/// would. Returns the observed state plus the sampled sums.
+fn run(workers: usize, telemetry: bool) -> (Observed, Option<Sums>) {
     let rec = if telemetry { Recorder::shared() } else { Recorder::shared_disabled() };
     let config = AaDedupeConfig {
         pipeline: PipelineConfig::with_workers(workers),
@@ -50,13 +85,8 @@ fn run(workers: usize, telemetry: bool) -> (Observed, Option<TimeSeries>) {
         recorder: Arc::clone(&rec),
         ..AaDedupeConfig::default()
     };
-    let sampler = telemetry.then(|| {
-        Sampler::spawn(
-            Arc::clone(&rec),
-            "diff",
-            SamplerConfig { interval: Duration::from_millis(1), capacity: 1 << 16 },
-        )
-    });
+    let sampler = telemetry
+        .then(|| Sampler::spawn(Arc::clone(&rec), Duration::from_millis(1), Sums::default()));
 
     let mut engine = AaDedupe::with_config(CloudSim::with_paper_defaults(), config);
     let snaps = dataset();
@@ -113,10 +143,10 @@ fn sampler_on_is_bit_exact_vs_obs_off_across_worker_counts() {
         // The telemetry run really sampled live pipeline state: totals
         // across all intervals must equal the recorder's own counters
         // (delta decomposition loses nothing).
-        let series = series.expect("telemetry run has a series");
-        assert!(!series.is_empty(), "workers={workers}: sampler ticked");
-        let logical: u64 = series.iter().map(|s| s.source_bytes).sum();
-        let restored: u64 = series.iter().map(|s| s.restored_bytes).sum();
+        let series = series.expect("telemetry run has sums");
+        assert!(series.ticks > 0, "workers={workers}: sampler ticked");
+        let logical = series.counter(Counter::SourceBytes);
+        let restored = series.counter(Counter::RestoredBytes);
         assert!(logical > 0, "workers={workers}: source bytes sampled");
         assert_eq!(
             restored,
@@ -127,16 +157,13 @@ fn sampler_on_is_bit_exact_vs_obs_off_across_worker_counts() {
 }
 
 /// The sampler's interval decomposition is lossless: summing every
-/// interval delta reproduces the recorder's cumulative counters exactly,
-/// even with 1 ms ticks racing a live parallel pipeline.
+/// interval delta reproduces the recorder's cumulative state exactly —
+/// every counter, every application's hits and misses, every stage's
+/// count and time — even with 1 ms ticks racing a live parallel pipeline.
 #[test]
 fn interval_deltas_sum_to_cumulative_counters() {
     let rec = Recorder::shared();
-    let sampler = Sampler::spawn(
-        Arc::clone(&rec),
-        "sum",
-        SamplerConfig { interval: Duration::from_millis(1), capacity: 1 << 16 },
-    );
+    let sampler = Sampler::spawn(Arc::clone(&rec), Duration::from_millis(1), Sums::default());
     let config = AaDedupeConfig {
         pipeline: PipelineConfig::with_workers(4),
         recorder: Arc::clone(&rec),
@@ -146,20 +173,21 @@ fn interval_deltas_sum_to_cumulative_counters() {
     for s in &dataset() {
         engine.backup_session(&s.as_sources()).expect("backup");
     }
-    let series = sampler.stop();
+    let sums = sampler.stop();
     let snap = rec.snapshot();
-    assert!(series.dropped() == 0, "ring sized for the whole run");
-    for (counter, pick) in [
-        (Counter::SourceBytes, 0usize),
-        (Counter::StoredBytes, 1),
-        (Counter::UploadBytes, 2),
-    ] {
-        let total: u64 = series
-            .iter()
-            .map(|s| [s.source_bytes, s.stored_bytes, s.upload_bytes][pick])
-            .sum();
-        assert_eq!(total, snap.counter(counter), "{}", counter.name());
+    assert!(sums.ticks > 0, "sampler ticked");
+    for counter in Counter::ALL {
+        assert_eq!(sums.counter(counter), snap.counter(counter), "{}", counter.name());
     }
-    let app_lookups: u64 = series.iter().flat_map(|s| s.apps.iter()).map(|a| a.hits + a.misses).sum();
-    assert_eq!(app_lookups, snap.index_hits() + snap.index_misses(), "per-app deltas");
+    assert!(sums.counter(Counter::SourceBytes) > 0);
+    assert!(!snap.apps.is_empty());
+    for app in &snap.apps {
+        assert_eq!(sums.apps.get(&app.tag), Some(&(app.hits, app.misses)), "app {}", app.label);
+    }
+    assert_eq!(sums.apps.len(), snap.apps.len(), "no app sampled that the recorder lacks");
+    for stage in Stage::ALL {
+        let hist = &snap.stage(stage).hist;
+        let sampled = sums.stages.get(stage.name()).copied().unwrap_or_default();
+        assert_eq!(sampled, (hist.count, hist.total_ns), "stage {}", stage.name());
+    }
 }
