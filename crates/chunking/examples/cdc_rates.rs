@@ -13,6 +13,8 @@
 //! `lanes_over_scalar` on the random buffer is the figure the lane scan
 //! rests on: if a toolchain fails to overlap the lanes it drops towards 1.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark reads the wall clock")]
+
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
 

@@ -209,6 +209,7 @@ impl Chunker for CdcChunker {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test code: chunk sets are compared as sets")]
 mod tests {
     use super::*;
     use crate::spans_cover;

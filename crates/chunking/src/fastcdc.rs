@@ -140,6 +140,7 @@ impl Chunker for FastCdcChunker {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test code: chunk sets are compared as sets")]
 mod tests {
     use super::*;
     use crate::spans_cover;

@@ -4,8 +4,7 @@
 //! is the oracle `scalar_oracle.rs` holds the lane scan to and the "before"
 //! side of `examples/cdc_rates.rs`.
 
-// Each includer uses its own part.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each includer uses its own part")]
 
 use aadedupe_chunking::{CdcAlgorithm, CdcParams};
 use aadedupe_hashing::rabin::RollingHash;

@@ -6,6 +6,8 @@
 //! repeated calls, and — via `stream_reslicing_is_invisible` — across
 //! arbitrary buffer re-slicing at `StreamChunker` refill boundaries.
 
+#![expect(clippy::disallowed_methods, reason = "test code: chunk sets are compared as sets")]
+
 use proptest::prelude::*;
 
 use aadedupe_chunking::{

@@ -7,6 +7,8 @@
 //! a regression in the gear scan (e.g. a mask that accidentally couples
 //! to absolute position) cannot land silently.
 
+#![expect(clippy::disallowed_methods, reason = "test code: chunk sets are compared as sets")]
+
 use std::collections::HashSet;
 
 use aadedupe_chunking::{CdcAlgorithm, Chunker, ContentChunker, DEFAULT_CDC};

@@ -566,7 +566,10 @@ impl AaDedupe {
         for app in AppType::ALL {
             self.index.partition(app).reconcile(live.entries.remove(&app).unwrap_or_default());
         }
-        // aalint: allow(unordered-iteration) -- a pure per-entry predicate: what is kept does not depend on visiting order
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a pure per-entry predicate: what is kept does not depend on visiting order"
+        )]
         self.tiny_seen.retain(|_, (_, r)| {
             live.containers.get(&r.container).is_some_and(|fps| fps.contains(&r.fingerprint))
         });

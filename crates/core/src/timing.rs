@@ -32,7 +32,10 @@ pub const SOURCE_READ_BPS: f64 = 80.0 * 1024.0 * 1024.0;
 /// duration feeds throughput accounting (`DT`) only — it never influences
 /// chunk boundaries, fingerprints, index placement, or container layout.
 pub fn measure_cpu<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    // aalint: allow(nondeterministic-time) -- throughput accounting only; the duration is reported, never branched on by dedup decisions
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "throughput accounting only; the duration is reported, never branched on by dedup decisions"
+    )]
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())

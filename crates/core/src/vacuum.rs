@@ -331,6 +331,7 @@ impl AaDedupe {
         // Manifests are fully rewritten — the pass is committed. Tiny-file
         // carry-forward references must follow their chunks or the next
         // unchanged tiny file would reference a deleted container.
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next statement")]
         let mut paths: Vec<String> = self.tiny_seen.keys().cloned().collect();
         paths.sort_unstable();
         for path in paths {
@@ -357,9 +358,10 @@ impl AaDedupe {
         snaps.sort_unstable();
         snaps.pop();
         for key in &snaps {
-            // Both arms spelled out: aalint's L7 wants a storage result's
-            // failure arm visible, not folded into an `if let`.
-            #[allow(clippy::single_match)]
+            #[expect(
+                clippy::single_match,
+                reason = "aalint's L7 wants a storage result's failure arm visible, not folded into an `if let`"
+            )]
             match self.cloud.delete(key) {
                 Ok(true) => report.snapshots_pruned += 1,
                 // A missed or failed snapshot delete is pruned by the

@@ -7,6 +7,8 @@
 //! `md5x4_over_md5` is the figure `Fingerprint::compute_many` rests on: if a
 //! toolchain fails to vectorise the lanes it drops towards (or below) 1.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark reads the wall clock")]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -427,6 +427,7 @@ impl Store {
     /// flushed slots clean.
     fn flush_dirty(&mut self) -> Result<(), SegmentError> {
         let Some(sp) = &mut self.spill else { return Ok(()) };
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next statement")]
         let mut dirty: Vec<(Fingerprint, ChunkEntry)> =
             self.slots.iter().filter(|(_, s)| s.dirty).map(|(f, s)| (*f, s.entry)).collect();
         dirty.sort_unstable_by_key(|(f, _)| *f);
@@ -465,6 +466,7 @@ impl Store {
         let capacity = ((self.live as usize) + 2)
             .next_power_of_two()
             .max(sp.filter.capacity().saturating_mul(2));
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next statement")]
         let mut cached: Vec<Fingerprint> = self.slots.keys().copied().collect();
         cached.sort_unstable();
         let (slots, segments) = (&self.slots, &mut sp.segments);
@@ -516,6 +518,7 @@ impl Store {
     /// the slot table.
     fn dump(&mut self) -> Vec<(Fingerprint, ChunkEntry)> {
         let mut merged = self.spill.as_mut().map_or_else(BTreeMap::new, Spill::scan);
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next statement")]
         let mut overlay: Vec<(Fingerprint, ChunkEntry)> =
             self.slots.iter().map(|(f, s)| (*f, s.entry)).collect();
         overlay.sort_unstable_by_key(|(f, _)| *f);
@@ -727,6 +730,7 @@ impl IndexPartition {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test code: the thread id names a per-test scratch directory")]
 mod tests {
     use super::*;
     use aadedupe_hashing::HashAlgorithm;

@@ -483,6 +483,7 @@ pub fn merge_segments(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test code: the thread id names a per-test scratch directory")]
 mod tests {
     use super::*;
     use aadedupe_hashing::HashAlgorithm;

@@ -1,6 +1,8 @@
 //! Property-based tests for the index substrate: model-based checking
 //! against a plain `HashMap` reference.
 
+#![expect(clippy::disallowed_methods, reason = "test code: the HashMap model is compared as a set")]
+
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;

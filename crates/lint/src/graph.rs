@@ -43,7 +43,7 @@ use std::path::Path;
 
 use crate::lexer::{Tok, TokKind};
 use crate::report::{Diagnostic, GraphStats};
-use crate::rules::{ident_of, punct_is, Directive, FileClass};
+use crate::rules::{ident_of, punct_is, FileClass};
 
 /// Receiver identifiers that mark an unqualified `.put/.get/.delete`
 /// method call as a storage call for L7 seeding. Field names, not
@@ -235,14 +235,9 @@ fn parse_manifest(text: &str) -> (Option<String>, Vec<String>) {
     (pkg, deps)
 }
 
-/// Runs the interprocedural rules over the pre-lexed workspace.
-/// Marks the directives that suppressed a finding used via `dirs` (keyed
-/// by file rel path) and returns (diagnostics, graph statistics).
-pub(crate) fn interprocedural(
-    files: &[FileInput],
-    root: &Path,
-    dirs: &mut BTreeMap<String, Vec<Directive>>,
-) -> (Vec<Diagnostic>, GraphStats) {
+/// Runs the interprocedural rules over the pre-lexed workspace and
+/// returns (diagnostics, graph statistics).
+pub(crate) fn interprocedural(files: &[FileInput], root: &Path) -> (Vec<Diagnostic>, GraphStats) {
     let crate_dirs: BTreeSet<String> =
         files.iter().map(|f| f.class.crate_name.clone()).collect();
     let deps = CrateDeps::load(root, &crate_dirs);
@@ -276,10 +271,10 @@ pub(crate) fn interprocedural(
     }
 
     let mut diags = Vec::new();
-    rule_lock_order(files, &defs, &edges, &by_name, &deps, dirs, &mut diags);
-    rule_discarded_fallibility(files, &defs, &by_name, &deps, dirs, &mut diags);
+    let lock_edges = rule_lock_order(files, &defs, &edges, &by_name, &deps, &mut diags);
+    rule_discarded_fallibility(files, &defs, &by_name, &deps, &mut diags);
 
-    let stats = GraphStats { nodes: defs.len(), edges: edge_count };
+    let stats = GraphStats { nodes: defs.len(), edges: edge_count, lock_edges };
     (diags, stats)
 }
 
@@ -333,17 +328,15 @@ type Site = (String, u32);
 type LockGraph = BTreeMap<LockNode, BTreeMap<LockNode, (Site, Site)>>;
 
 /// L5: aggregate acquired-while-holding edges workspace-wide and report
-/// lock-order cycles.
-#[allow(clippy::too_many_arguments)]
+/// lock-order cycles. Returns the number of held→acquired edges.
 fn rule_lock_order(
     files: &[FileInput],
     defs: &[FnDef],
     edges: &[Vec<usize>],
     by_name: &BTreeMap<&str, Vec<usize>>,
     deps: &CrateDeps,
-    dirs: &mut BTreeMap<String, Vec<Directive>>,
     diags: &mut Vec<Diagnostic>,
-) {
+) -> usize {
     // Transitive lock set per fn: lock node -> representative site.
     let mut owned: Vec<BTreeMap<LockNode, Site>> = vec![BTreeMap::new(); defs.len()];
     for (i, d) in defs.iter().enumerate() {
@@ -444,14 +437,6 @@ fn rule_lock_order(
             let (ha, aa) = graph[from][to].clone();
             legs.push((from.clone(), to.clone(), ha, aa));
         }
-        // An allow on any acquisition site of the cycle suppresses it.
-        let suppressed = legs.iter().any(|(_, _, ha, aa)| {
-            consume_allow(dirs, &ha.0, ha.1, "lock-order-cycle")
-                || consume_allow(dirs, &aa.0, aa.1, "lock-order-cycle")
-        });
-        if suppressed {
-            continue;
-        }
         let desc: Vec<String> = legs
             .iter()
             .map(|((fc, fl), (tc, tl), ha, aa)| {
@@ -468,12 +453,12 @@ fn rule_lock_order(
             line: anchor.1,
             message: format!(
                 "lock-order cycle: {} (L5); a concurrent interleaving can deadlock — impose \
-                 one acquisition order, or justify with \
-                 `// aalint: allow(lock-order-cycle) -- <why>`",
+                 one acquisition order",
                 desc.join("; ")
             ),
         });
     }
+    graph.values().map(BTreeMap::len).sum()
 }
 
 /// BFS for the shortest path start → ... → start in the lock graph.
@@ -513,7 +498,6 @@ fn rule_discarded_fallibility(
     defs: &[FnDef],
     by_name: &BTreeMap<&str, Vec<usize>>,
     deps: &CrateDeps,
-    dirs: &mut BTreeMap<String, Vec<Directive>>,
     diags: &mut Vec<Diagnostic>,
 ) {
     // Roots: the trait's own method declarations plus every impl.
@@ -576,40 +560,18 @@ fn rule_discarded_fallibility(
                     format!("`.{adapter}(..)` destroys the error")
                 }
             };
-            if consume_allow(dirs, rel, c.line, "discarded-fallibility") {
-                continue;
-            }
             diags.push(Diagnostic {
                 rule: "discarded-fallibility",
                 file: rel.clone(),
                 line: c.line,
                 message: format!(
                     "call to storage-fallible `{}` but {} (L7); propagate the `Result` \
-                     (`?`, return it, or match both arms), or justify with \
-                     `// aalint: allow(discarded-fallibility) -- <why>`",
+                     (`?`, return it, or match both arms)",
                     c.name, problem
                 ),
             });
         }
     }
-}
-
-/// Marks a matching directive used and reports whether one existed.
-fn consume_allow(
-    dirs: &mut BTreeMap<String, Vec<Directive>>,
-    rel: &str,
-    line: u32,
-    rule: &str,
-) -> bool {
-    if let Some(list) = dirs.get_mut(rel) {
-        for d in list.iter_mut() {
-            if d.rule == rule && d.target_line == line {
-                d.used = true;
-                return true;
-            }
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------

@@ -5,8 +5,7 @@
 //! lexical structure the rules need: identifiers and punctuation with
 //! line numbers, with comments and every literal form (strings, raw
 //! strings, byte/C strings, chars, numbers) stripped so rule patterns
-//! can never match inside them. Line comments are kept in a side
-//! channel because `// aalint: allow(...)` suppressions live there.
+//! can never match inside them.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,20 +26,8 @@ pub enum TokKind {
     Lit,
 }
 
-/// A `//` line comment (block comments cannot carry allow directives).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// Text after the `//`, untrimmed.
-    pub text: String,
-    /// True when a token precedes the comment on the same line
-    /// (trailing comment) rather than the comment standing alone.
-    pub trailing: bool,
-}
-
-/// Lexes `src`, returning the token stream and the line comments.
-pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
+/// Lexes `src` into its token stream.
+pub fn lex(src: &str) -> Vec<Tok> {
     Lexer { src: src.as_bytes(), pos: 0, line: 1 }.run()
 }
 
@@ -51,9 +38,8 @@ struct Lexer<'a> {
 }
 
 impl Lexer<'_> {
-    fn run(mut self) -> (Vec<Tok>, Vec<Comment>) {
+    fn run(mut self) -> Vec<Tok> {
         let mut toks = Vec::new();
-        let mut comments = Vec::new();
         while let Some(&b) = self.src.get(self.pos) {
             match b {
                 b'\n' => {
@@ -62,14 +48,9 @@ impl Lexer<'_> {
                 }
                 _ if b.is_ascii_whitespace() => self.pos += 1,
                 b'/' if self.peek(1) == Some(b'/') => {
-                    let line = self.line;
-                    let trailing = toks.last().is_some_and(|t: &Tok| t.line == line);
-                    let start = self.pos + 2;
                     while self.src.get(self.pos).is_some_and(|&c| c != b'\n') {
                         self.pos += 1;
                     }
-                    let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-                    comments.push(Comment { line, text, trailing });
                 }
                 b'/' if self.peek(1) == Some(b'*') => self.block_comment(),
                 b'"' => {
@@ -108,7 +89,7 @@ impl Lexer<'_> {
                 }
             }
         }
-        (toks, comments)
+        toks
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
@@ -295,7 +276,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .0
             .into_iter()
             .filter_map(|t| match t.kind {
                 TokKind::Ident(s) => Some(s),
@@ -319,17 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_collected_with_position() {
-        let (_, comments) = lex("let x = 1; // aalint: allow(x) -- why\n// standalone\n");
-        assert_eq!(comments.len(), 2);
-        assert!(comments[0].trailing);
-        assert_eq!(comments[0].line, 1);
-        assert!(!comments[1].trailing);
-        assert_eq!(comments[1].line, 2);
-        assert_eq!(comments[1].text, " standalone");
-    }
-
-    #[test]
     fn lifetimes_are_not_char_literals() {
         let names = idents("fn f<'a>(x: &'a str) -> &'a str { x } let c = 'x'; let n = '\\n';");
         assert!(names.contains(&"a".to_string()));
@@ -341,7 +310,7 @@ mod tests {
     #[test]
     fn line_numbers_survive_multiline_literals() {
         let src = "let s = \"line\none\";\nlet t = 2;\n";
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         let t_line = toks
             .iter()
             .find(|t| t.kind == TokKind::Ident("t".into()))
@@ -351,7 +320,7 @@ mod tests {
 
     #[test]
     fn numbers_do_not_eat_ranges_or_methods() {
-        let (toks, _) = lex("for i in 0..10 { a[i] = 1.5e-3; let t = x.0; }");
+        let toks = lex("for i in 0..10 { a[i] = 1.5e-3; let t = x.0; }");
         let dots = toks.iter().filter(|t| t.kind == TokKind::Punct('.')).count();
         assert_eq!(dots, 3, "two range dots + one tuple-index dot");
     }

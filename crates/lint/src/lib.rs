@@ -6,14 +6,15 @@
 //! dropped `Result`s (`let _ = ..`, trailing `.ok();`) by the clippy
 //! line at every crate root; indexing, slicing and panic macros in `core`
 //! and every crate it links by the longer form of that line those crates
-//! carry. What is left needs the token stream or the whole-workspace call
-//! graph (DESIGN §12 maps every hazard to its checker):
+//! carry; the wall clock, thread identity and hash-order traversal in the
+//! decision and output-shaping crates by the `disallowed-methods` list in
+//! each one's `clippy.toml` and the workspace's `iter_over_hash_type`.
+//! What is left needs the token stream or the whole-workspace call graph
+//! (DESIGN §12 maps every hazard to its checker):
 //!
-//! - **L2 `nondeterministic-time` / `unordered-iteration`** — dedup
-//!   decisions (chunk boundaries, fingerprints, index placement,
-//!   container layout) are byte-reproducible: no wall-clock or
-//!   thread-identity reads in decision crates, no hash-order traversal
-//!   feeding manifests, layout, or reports without a sort.
+//! - **L2 `unordered-iteration`** — the one hash-order traversal clippy
+//!   cannot name by path: `name.into_iter()` on a binding declared as a
+//!   `HashMap`/`HashSet`, with no order-insensitive sink or sort.
 //! - **L3 `blocking-under-lock`** — no blocking channel/thread call
 //!   while a `MutexGuard` is live in the same scope.
 //!
@@ -29,23 +30,22 @@
 //!   fallible surface (`put`/`get`/`delete`) does not itself return
 //!   `Result`, so the error cannot propagate.
 //!
-//! Suppression is per-site via
-//! `// aalint: allow(<rule>) -- <justification>`; every used allow is
-//! inventoried in the report, malformed or unused allows are
-//! themselves diagnostics. The scanner is hand-rolled and std-only (no
-//! `syn`): the container is air-gapped, and the rules are linear token
-//! patterns that do not need a full parse.
+//! No comment silences a finding: it is fixed in code. (A vetted clippy
+//! site takes `#[expect(.., reason = "..")]`, which the compiler checks.)
+//! The scanner is hand-rolled and std-only (no `syn`): the build is
+//! offline, and the rules are linear token patterns that do not need a
+//! full parse.
 
 pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use report::{Allow, Diagnostic, GraphStats, Report};
+pub use report::{Diagnostic, GraphStats, Report};
+pub use rules::{DEDUP_DECISION_CRATES, OUTPUT_SHAPING_CRATES};
 
 /// Directories never descended into, at any depth.
 const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", ".github", "results"];
@@ -55,43 +55,26 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", ".github", 
 ///
 /// Two phases: the file-local rules (L2, L3) run per file on its token
 /// stream; the same pre-lexed streams then feed the workspace call
-/// graph and the interprocedural rules (L5, L7). Allow directives are
-/// shared — either phase can consume one — and only directives unused
-/// by *both* become `unused-allow` diagnostics.
+/// graph and the interprocedural rules (L5, L7).
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
     let mut report = Report::default();
     let mut inputs: Vec<graph::FileInput> = Vec::new();
-    let mut cands_by_file: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
-    let mut dirs_by_file: BTreeMap<String, Vec<rules::Directive>> = BTreeMap::new();
     for rel in files {
         let src = fs::read_to_string(root.join(&rel))?;
         let Some(class) = rules::classify(&rel) else { continue };
         report.files_scanned += 1;
-        let (toks, comments) = lexer::lex(&src);
+        let toks = lexer::lex(&src);
         let test_ranges = rules::test_line_ranges(&toks);
-        let cands = rules::file_candidates(&rel, &class, &toks, &test_ranges);
-        let (dirs, malformed) = rules::parse_directives(&rel, &toks, &comments);
-        report.diagnostics.extend(malformed);
-        cands_by_file.insert(rel.clone(), cands);
-        dirs_by_file.insert(rel.clone(), dirs);
+        report.diagnostics.extend(rules::file_diagnostics(&rel, &class, &toks, &test_ranges));
         inputs.push(graph::FileInput { rel, class, toks, test_ranges });
     }
 
-    let (ip_diags, stats) = graph::interprocedural(&inputs, root, &mut dirs_by_file);
+    let (ip_diags, stats) = graph::interprocedural(&inputs, root);
     report.graph = stats;
     report.diagnostics.extend(ip_diags);
-
-    for (rel, cands) in cands_by_file {
-        let mut dirs = dirs_by_file.remove(&rel).unwrap_or_default();
-        let survivors = rules::suppress(cands, &mut dirs);
-        report.diagnostics.extend(survivors);
-        let (allows, unused) = rules::directive_hygiene(&rel, dirs);
-        report.allows.extend(allows);
-        report.diagnostics.extend(unused);
-    }
     report.sort();
     Ok(report)
 }

@@ -1,7 +1,7 @@
-//! Diagnostics, the allow-comment inventory, and report output.
+//! Diagnostics and report output.
 //!
-//! Output is deterministic by construction: diagnostics and allows are
-//! sorted by (file, line, rule) before emission, and the JSON emitter
+//! Output is deterministic by construction: diagnostics are sorted by
+//! (file, line, rule) before emission, and the JSON emitter
 //! writes keys in a fixed order — the same tree always serializes to
 //! the same bytes, so reports are diffable and golden-testable.
 //!
@@ -12,25 +12,13 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule slug (`lock-order-cycle`, `nondeterministic-time`, ...).
+    /// Rule slug (`lock-order-cycle`, `unordered-iteration`, ...).
     pub rule: &'static str,
     /// Workspace-root-relative path, `/`-separated.
     pub file: String,
     /// 1-based line.
     pub line: u32,
     pub message: String,
-}
-
-/// One `// aalint: allow(<rule>) -- <justification>` comment that
-/// suppressed at least one diagnostic. The report inventories these so
-/// every suppression stays visible and justified.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    pub rule: String,
-    pub file: String,
-    /// Line of the comment itself.
-    pub line: u32,
-    pub justification: String,
 }
 
 /// Call-graph statistics from the interprocedural pass (L5, L7): how
@@ -42,6 +30,9 @@ pub struct GraphStats {
     pub nodes: usize,
     /// Resolved caller→callee pairs (deduplicated).
     pub edges: usize,
+    /// Held→acquired lock pairs L5 aggregates: call paths that hold two
+    /// locks at once.
+    pub lock_edges: usize,
 }
 
 /// Full scan result.
@@ -50,7 +41,6 @@ pub struct Report {
     pub files_scanned: usize,
     pub graph: GraphStats,
     pub diagnostics: Vec<Diagnostic>,
-    pub allows: Vec<Allow>,
 }
 
 impl Report {
@@ -63,35 +53,23 @@ impl Report {
     pub fn sort(&mut self) {
         self.diagnostics
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        self.allows
-            .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     }
 
     /// Human-readable listing: one `file:line: [rule] message` per
-    /// diagnostic, then the allow inventory, then a summary line.
+    /// diagnostic, then the summary lines.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
             out.push_str(&format!("{}:{}: [{}] {}\n", d.file, d.line, d.rule, d.message));
         }
-        if !self.allows.is_empty() {
-            out.push_str(&format!("\nallow inventory ({} suppressions):\n", self.allows.len()));
-            for a in &self.allows {
-                out.push_str(&format!(
-                    "  {}:{}: allow({}) -- {}\n",
-                    a.file, a.line, a.rule, a.justification
-                ));
-            }
-        }
         out.push_str(&format!(
-            "\n{} file(s) scanned, {} diagnostic(s), {} allow(s)\n",
+            "\n{} file(s) scanned, {} diagnostic(s)\n",
             self.files_scanned,
-            self.diagnostics.len(),
-            self.allows.len()
+            self.diagnostics.len()
         ));
         out.push_str(&format!(
-            "call graph: {} fn(s), {} edge(s)\n",
-            self.graph.nodes, self.graph.edges
+            "call graph: {} fn(s), {} edge(s), {} lock edge(s)\n",
+            self.graph.nodes, self.graph.edges, self.graph.lock_edges
         ));
         out
     }
@@ -99,11 +77,11 @@ impl Report {
     /// Machine-readable JSON (stable key order, sorted entries).
     pub fn render_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"version\": 3,\n");
+        out.push_str("{\n  \"version\": 4,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!(
-            "  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n",
-            self.graph.nodes, self.graph.edges
+            "  \"graph\": {{\"nodes\": {}, \"edges\": {}, \"lock_edges\": {}}},\n",
+            self.graph.nodes, self.graph.edges, self.graph.lock_edges
         ));
         out.push_str(&format!("  \"clean\": {},\n", self.clean()));
         out.push_str("  \"diagnostics\": [");
@@ -117,19 +95,7 @@ impl Report {
                 json_str(&d.message)
             ));
         }
-        out.push_str(if self.diagnostics.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"allows\": [");
-        for (i, a) in self.allows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"justification\": {}}}",
-                json_str(&a.rule),
-                json_str(&a.file),
-                a.line,
-                json_str(&a.justification)
-            ));
-        }
-        out.push_str(if self.allows.is_empty() { "]\n" } else { "\n  ]\n" });
+        out.push_str(if self.diagnostics.is_empty() { "]\n" } else { "\n  ]\n" });
         out.push_str("}\n");
         out
     }

@@ -1,28 +1,12 @@
-//! L2 fixtures: wall-clock reads and hash-order traversals in a
-//! dedup-decision crate.
+//! L2 fixtures: the hash-order traversal clippy cannot name by path,
+//! `into_iter` on a `HashMap` binding, with and without a sorted sink.
 
-use std::collections::HashMap;
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap};
 
-pub fn stamps_decisions() -> Instant {
-    Instant::now()
+pub fn leaks_hash_order(m: HashMap<u64, u32>) -> Vec<(u64, u32)> {
+    m.into_iter().collect::<Vec<_>>()
 }
 
-pub fn leaks_hash_order(m: &HashMap<u64, u32>) -> Vec<u64> {
-    let mut out = Vec::new();
-    for k in m.keys() {
-        out.push(*k);
-    }
-    out
-}
-
-pub fn sorted_is_clean(m: &HashMap<u64, u32>) -> Vec<u64> {
-    let mut v: Vec<u64> = m.keys().copied().collect();
-    v.sort_unstable();
-    v
-}
-
-pub fn suppressed_fold(m: &HashMap<u64, u32>) -> u64 {
-    // aalint: allow(unordered-iteration) -- fixture: xor-fold is order-insensitive
-    m.keys().fold(0, |acc, k| acc ^ *k)
+pub fn sorted_is_clean(m: HashMap<u64, u32>) -> BTreeMap<u64, u32> {
+    m.into_iter().collect::<BTreeMap<_, _>>()
 }

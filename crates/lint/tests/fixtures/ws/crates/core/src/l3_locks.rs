@@ -21,11 +21,3 @@ pub fn drops_before_send(state: &Mutex<u32>, tx: &Sender<u32>) -> Result<(), Sen
     drop(guard);
     tx.send(value)
 }
-
-pub fn suppressed_send(state: &Mutex<u32>, tx: &Sender<u32>) {
-    let guard = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    // aalint: allow(blocking-under-lock) -- fixture: bounded channel drained by a dedicated thread, cannot deadlock
-    if tx.send(*guard).is_err() {
-        return;
-    }
-}

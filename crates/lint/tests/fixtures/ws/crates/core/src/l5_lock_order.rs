@@ -1,5 +1,5 @@
-//! L5 fixtures: opposite-order acquisition of two named locks, once
-//! reported and once justified away.
+//! L5 fixtures: opposite-order acquisition of two named locks is
+//! reported; one order only is not.
 
 use std::sync::Mutex;
 
@@ -27,18 +27,5 @@ impl Pair {
         let g = self.gamma.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let d = self.delta.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         *g + *d
-    }
-
-    pub(crate) fn delta_then_gamma(&self) -> u32 {
-        let d = self.delta.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // aalint: allow(lock-order-cycle) -- fixture: delta holders never also block on gamma holders in this harness
-        let g = self.gamma.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *g - *d
-    }
-
-    pub(crate) fn single_lock(&self) -> u32 {
-        // aalint: allow(lock-order-cycle) -- fixture: unused, one lock cannot cycle
-        let a = self.alpha.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *a
     }
 }

@@ -1,6 +1,6 @@
 //! L7 fixtures: storage fallibility laundered directly, laundered
-//! through a transitive wrapper, propagated properly, justified away,
-//! and one unused allow.
+//! through a transitive wrapper, and propagated properly (the negative
+//! both findings are measured against).
 
 pub struct BackendError;
 
@@ -35,19 +35,5 @@ impl Uploader {
 
     pub fn transitive_discard(&self, key: &str) {
         self.relay(key, Vec::new()).unwrap_or(());
-    }
-
-    pub fn justified(&self, key: &str, bytes: Vec<u8>) {
-        // aalint: allow(discarded-fallibility) -- fixture: telemetry write, losing it is acceptable
-        self.backend.put(key, bytes).unwrap_or(());
-    }
-
-    pub fn infallible_work(&self) -> usize {
-        // aalint: allow(discarded-fallibility) -- fixture: unused, nothing fallible on the next line
-        self.backend_name().len()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "null"
     }
 }

@@ -1,6 +1,5 @@
 //! Fixture crate root: one module per rule family.
 
-pub mod allow_hygiene;
 pub mod l2_determinism;
 pub mod l3_locks;
 pub mod cross_crate;
