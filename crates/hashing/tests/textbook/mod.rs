@@ -1,5 +1,6 @@
 //! The pre-rewrite MD5 and SHA-1, kept test-only as reference
-//! implementations.
+//! implementations, and the extended Rabin hash written as its definition.
 
 pub mod md5;
+pub mod rabin96;
 pub mod sha1;

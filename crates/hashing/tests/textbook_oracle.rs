@@ -1,12 +1,13 @@
 //! Differential tests: the straight-line MD5 / SHA-1 kernels, the
-//! four-wide `md5x4` and the `Fingerprint::compute_many` batch seam against
-//! the textbook implementations in `textbook/`.
+//! four-wide `md5x4`, the Rabin-96 kernel and the
+//! `Fingerprint::compute_many` batch seam against the textbook
+//! implementations in `textbook/`, and Rabin-96's digest bytes pinned.
 
 mod textbook;
 
 use proptest::prelude::*;
 
-use aadedupe_hashing::{md5, md5x4, sha1, Fingerprint, HashAlgorithm, Md5, Sha1};
+use aadedupe_hashing::{md5, md5x4, rabin96, sha1, to_hex, Fingerprint, HashAlgorithm, Md5, Sha1};
 
 fn textbook_md5(data: &[u8]) -> [u8; 16] {
     let mut h = textbook::md5::Md5::new();
@@ -48,6 +49,65 @@ proptest! {
         prop_assert_eq!(s.finalize(), textbook_sha1(&data));
         prop_assert_eq!(md5(&data), textbook_md5(&data));
         prop_assert_eq!(sha1(&data), textbook_sha1(&data));
+    }
+
+    /// Any message up to ~100 KB — many table steps, every tail shape —
+    /// fingerprints as the schoolbook definition says.
+    #[test]
+    fn rabin96_matches_textbook(data in proptest::collection::vec(any::<u8>(), 0..100_000)) {
+        prop_assert_eq!(rabin96(&data), textbook::rabin96::rabin96(&data));
+    }
+}
+
+/// Every length through several whole steps of each kernel width, starting
+/// at every alignment of an 8-byte word.
+#[test]
+fn rabin96_every_short_length_and_offset_matches_textbook() {
+    let buf = bytes(300 + 8, 0xa7);
+    for off in 0..8 {
+        for n in 0..=300usize {
+            let data = &buf[off..off + n];
+            assert_eq!(rabin96(data), textbook::rabin96::rabin96(data), "len={n} off={off}");
+        }
+    }
+}
+
+/// The first `n` bytes of `hash_rates`' xorshift64 stream.
+fn xorshift(n: usize) -> Vec<u8> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut out: Vec<u8> = (0..n.div_ceil(8))
+        .flat_map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.to_le_bytes()
+        })
+        .collect();
+    out.truncate(n);
+    out
+}
+
+/// Rabin-96 digests are stored in every manifest and container: a kernel
+/// change that moves one byte turns every existing repository's whole-file
+/// duplicates into misses. These are the bytes the format has always had.
+#[test]
+fn rabin96_golden_digests() {
+    let cases: [(&[u8], &str); 2] = [
+        (b"", "0100000001000000c9c05130"),
+        (b"abc", "63626101636261017d8f0737"),
+    ];
+    for (data, want) in cases {
+        assert_eq!(to_hex(&rabin96(data)), want, "{data:?}");
+    }
+    for (n, want) in [
+        (15, "242b8015e34f5b31b94d61a6"),
+        (16, "17252b0006a3435bb36d6bd0"),
+        (17, "3617252b80c6b543eada9094"),
+        (31, "bb89f62597de067c3f900076"),
+        (1 << 20, "35064d4f36404b6eb20cab81"),
+        ((1 << 20) + 13, "41e6726c946ab94b582203e3"),
+    ] {
+        assert_eq!(to_hex(&rabin96(&xorshift(n))), want, "xorshift({n})");
     }
 }
 
