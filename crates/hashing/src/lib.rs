@@ -23,9 +23,10 @@
 //!   16-word rolling schedule; lanes were measured and lose, so it has none.
 //! * [`rabin`] — Rabin fingerprinting over GF(2): a one-shot polynomial
 //!   fingerprint ([`rabin::RabinFingerprinter`]), the 96-bit extended
-//!   variant used for whole files ([`rabin::extended_fingerprint`]), and the
-//!   rolling windowed hash that drives content-defined chunking
-//!   ([`rabin::RollingHash`]).
+//!   variant used for whole files ([`rabin::extended_fingerprint`]: its two
+//!   31-bit residues kept as one residue modulo their product, 8 bytes a
+//!   step in two independent chains), and the rolling windowed hash that
+//!   drives content-defined chunking ([`rabin::RollingHash`]).
 //!
 //! On a superscalar core the paper's single-stream ordering (MD5 cheaper
 //! than SHA-1) inverts: MD5's steps form one serial dependency chain, SHA-1's
@@ -83,8 +84,8 @@ pub fn to_hex(bytes: &[u8]) -> String {
 }
 
 /// `table[byte]`: the lookup into the 256-entry byte tables (the Rabin pop
-/// and slicing-by-4 tables, the gear table). The index is a `u8`, so it
-/// cannot leave the table.
+/// table, the extended fingerprint's `x^64` / `x^128` tables, the gear
+/// table). The index is a `u8`, so it cannot leave the table.
 #[inline(always)]
 pub fn byte_entry<T: Copy>(table: &[T; 256], byte: u8) -> T {
     #[expect(clippy::indexing_slicing, reason = "a u8 is < 256 = table.len()")]

@@ -43,7 +43,7 @@ pub const POLY_31B: u64 = (1 << 31) | (1 << 13) | 1;
 /// coefficient of `x^i`).
 pub mod gf2 {
     /// Degree of a nonzero polynomial; degree of `0` is defined as `-1`.
-    pub fn degree(p: u64) -> i32 {
+    pub const fn degree(p: u64) -> i32 {
         63 - p.leading_zeros() as i32
     }
 
@@ -52,7 +52,7 @@ pub mod gf2 {
     /// # Panics
     ///
     /// If `m` is zero.
-    pub fn pmod(mut a: u64, m: u64) -> u64 {
+    pub const fn pmod(mut a: u64, m: u64) -> u64 {
         let dm = degree(m);
         assert!(dm >= 0, "modulus must be nonzero");
         while degree(a) >= dm {
@@ -64,9 +64,9 @@ pub mod gf2 {
     /// Carry-less product of `a` and `b`, reduced modulo `m`.
     ///
     /// Reduction is interleaved so intermediate values never overflow 64
-    /// bits, which requires `degree(m) <= 57` when `b` can be a full
-    /// residue. All moduli in this crate have degree ≤ 53.
-    pub fn pmulmod(a: u64, b: u64, m: u64) -> u64 {
+    /// bits: `a` is reduced first and shifted one bit at a time, so any
+    /// nonzero modulus works.
+    pub const fn pmulmod(a: u64, b: u64, m: u64) -> u64 {
         let mut result = 0u64;
         let mut shifted = pmod(a, m);
         let mut b = b;
@@ -82,7 +82,7 @@ pub mod gf2 {
     }
 
     /// `x^e mod m` by square-and-multiply.
-    pub fn xpowmod(e: u64, m: u64) -> u64 {
+    pub const fn xpowmod(e: u64, m: u64) -> u64 {
         let mut result = pmod(1, m);
         let mut base = pmod(2, m); // the polynomial `x`
         let mut e = e;
@@ -195,45 +195,49 @@ fn mod_slow(a: u64, m: u64) -> u64 {
     gf2::pmod(a, m)
 }
 
-/// Slicing-by-4 tables for a degree-31 modulus: reduces a whole 32-bit
-/// word per step. With `deg(P) = 31`, the intermediate `(fp << 32) | w`
-/// is 63 bits, so everything fits in `u64` and the four table lookups are
-/// independent loads — breaking the byte-serial dependency chain that
-/// makes one-byte-at-a-time Rabin slower than MD5.
-struct Tables32 {
-    poly: u32,
-    /// `t[k][b] = (b << (32 + 8k)) mod P`, for the k-th byte of the old
-    /// fingerprint once shifted past bit 32.
-    t: [[u32; 256]; 4],
+/// The extended fingerprint's working modulus: the carry-less product
+/// `POLY_31 · POLY_31B` (degree 62). A residue modulo `Q` reduces to the
+/// residue modulo either factor.
+const Q: u64 = (POLY_31 << 31) ^ (POLY_31 << 13) ^ POLY_31;
+
+/// `t[k][b] = b·x^(shift + 8k) mod Q`: what byte `k` of a `u64` becomes
+/// once the value is multiplied by `x^shift`.
+const fn q_tables(shift: u64) -> [[u64; 256]; 8] {
+    let mut t = [[0u64; 256]; 8];
+    let (mut k, mut tables): (u64, &mut [[u64; 256]]) = (0, &mut t);
+    while let [table, rest @ ..] = tables {
+        let xk = gf2::xpowmod(shift + 8 * k, Q);
+        let (mut b, mut entries): (u64, &mut [u64]) = (0, table);
+        while let [entry, tail @ ..] = entries {
+            *entry = gf2::pmulmod(xk, b, Q);
+            (b, entries) = (b + 1, tail);
+        }
+        (k, tables) = (k + 1, rest);
+    }
+    t
 }
 
-impl Tables32 {
-    fn new(poly: u64) -> Self {
-        assert_eq!(gf2::degree(poly), 31, "slicing tables require a degree-31 modulus");
-        let mut t = [[0u32; 256]; 4];
-        for (k, table) in t.iter_mut().enumerate() {
-            for (b, entry) in table.iter_mut().enumerate() {
-                *entry = gf2::pmod((b as u64) << (32 + 8 * k), poly) as u32;
-            }
-        }
-        Tables32 { poly: poly as u32, t }
-    }
+/// One 8-byte step of the extended fingerprint: `r·x^64 ≡ fold(&T64, r)`.
+static T64: [[u64; 256]; 8] = q_tables(64);
+/// One step of a chain that sees every other 8-byte word: `x^128`.
+static T128: [[u64; 256]; 8] = q_tables(128);
 
-    /// `((fp << 32) | w) mod P` — absorbs 4 message bytes at once. `w`
-    /// must hold the bytes big-endian (earlier byte = higher order) so the
-    /// result equals four sequential byte pushes.
-    #[inline(always)]
-    fn push_word(&self, fp: u32, w: u32) -> u32 {
-        // Reduce w (degree ≤ 31) by at most one step, then fold in the old
-        // fingerprint's bytes via the tables.
-        let w_red = w ^ (self.poly * (w >> 31));
-        let [t0, t1, t2, t3] = &self.t;
-        w_red
-            ^ byte_entry(t0, fp as u8)
-            ^ byte_entry(t1, (fp >> 8) as u8)
-            ^ byte_entry(t2, (fp >> 16) as u8)
-            ^ byte_entry(t3, (fp >> 24) as u8)
-    }
+/// XOR of `tables[k][byte k of r]`: `r` times the tables' power of `x`,
+/// modulo `Q`, when there is one table per byte of `r`.
+#[inline(always)]
+fn fold<'a>(tables: impl IntoIterator<Item = &'a [u64; 256]>, r: u64) -> u64 {
+    tables.into_iter().zip(r.to_le_bytes()).fold(0, |acc, (t, b)| acc ^ byte_entry(t, b))
+}
+
+/// `r·x^(8N) + w` modulo `Q`, for an `N`-byte word `w`, `N < 8`: the
+/// bytes of `r` that pass `x^64` go through [`T64`].
+fn shift_in<const N: usize>(r: u64, w: u64) -> u64 {
+    (r << (8 * N)) ^ w ^ fold(T64.iter().take(N), r >> (64 - 8 * N))
+}
+
+/// The word mix of the extended fingerprint's third part.
+fn mix_word(aux: u64, w: u32) -> u64 {
+    (aux ^ u64::from(w)).wrapping_mul(0xFF51AFD7ED558CCD).rotate_left(29)
 }
 
 /// One-shot / streaming Rabin fingerprinter.
@@ -302,55 +306,52 @@ impl RabinFingerprinter {
 /// The paper's *extended 12-byte Rabin hash* used to fingerprint whole-file
 /// chunks of compressed applications.
 ///
-/// One pass over the data computes two independent degree-31 Rabin
-/// residues with slicing-by-4 tables (a 32-bit word per step, no
-/// byte-serial dependency chain) plus a 32-bit multiplicative word mix
-/// seeded with the length — 12 bytes total. Keeping the Rabin step
-/// word-wide is what makes the weak hash decisively cheaper than MD5,
-/// which is the entire point of the paper's hash selection (Fig. 3); the
-/// ~94 combined bits keep accidental collision probability far below
-/// hardware error rates for TB-scale personal datasets.
+/// Twelve bytes: the message (behind an implicit leading `0x01` byte)
+/// modulo [`POLY_31`] and modulo [`POLY_31B`], then a 32-bit multiplicative
+/// mix of its 4-byte words seeded with the length. The ~94 combined bits
+/// keep accidental collision probability far below hardware error rates
+/// for TB-scale personal datasets.
+///
+/// One pass keeps a single residue modulo their product `Q` (degree 62),
+/// unreduced in a `u64`, and reduces it to the two 31-bit residues once at
+/// the end (Chinese remainder). Two chains over alternate 8-byte words step
+/// by `x^128` through eight table lookups each, independent of one another,
+/// and combine once — which is what keeps the weak hash decisively cheaper
+/// than MD5, the point of the paper's hash selection (Fig. 3). The word mix
+/// is the one serial chain left.
 pub fn extended_fingerprint(data: &[u8]) -> [u8; 12] {
-    static TABLES: OnceLock<(Tables32, Tables32, Tables, Tables)> = OnceLock::new();
-    let (ta, tb, ba, bb) = TABLES.get_or_init(|| {
-        (
-            Tables32::new(POLY_31),
-            Tables32::new(POLY_31B),
-            Tables::new(POLY_31),
-            Tables::new(POLY_31B),
-        )
-    });
-
-    // Implicit leading 0x01 byte (leading-zero safety) on both residues.
-    let mut fa = 1u32;
-    let mut fb = 1u32;
+    // Chain 1 carries the implicit leading 0x01 byte (leading-zero safety).
+    let (mut r0, mut r1) = (0u64, 1u64);
     // Word-mix auxiliary, seeded with the length so equal residues of
     // different-length inputs still yield distinct fingerprints.
     let mut aux = 0x9E3779B97F4A7C15u64 ^ (data.len() as u64);
 
-    let mut words = data.chunks_exact(4);
-    for w in &mut words {
-        // Big-endian: earlier byte = higher-order polynomial coefficient,
-        // matching byte-sequential pushes.
-        let x = {
-            let mut word = [0u8; 4];
-            word.copy_from_slice(w);
-            u32::from_be_bytes(word)
-        };
-        fa = ta.push_word(fa, x);
-        fb = tb.push_word(fb, x);
-        aux = (aux ^ x as u64).wrapping_mul(0xFF51AFD7ED558CCD).rotate_left(29);
+    let (blocks, rest) = data.as_chunks::<16>();
+    for block in blocks {
+        // Big-endian: earlier byte = higher-order polynomial coefficient.
+        let v = u128::from_be_bytes(*block);
+        r0 = (v >> 64) as u64 ^ fold(&T128, r0);
+        r1 = v as u64 ^ fold(&T128, r1);
+        for shift in [96, 64, 32, 0] {
+            aux = mix_word(aux, (v >> shift) as u32);
+        }
     }
-    for &b in words.remainder() {
-        fa = ba.push_byte(fa as u64, b) as u32;
-        fb = bb.push_byte(fb as u64, b) as u32;
-        aux = (aux ^ b as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
+    let mut r = fold(&T64, r0) ^ r1;
+    let (words, bytes) = rest.as_chunks::<4>();
+    for w in words {
+        let w = u32::from_be_bytes(*w);
+        r = shift_in::<4>(r, w.into());
+        aux = mix_word(aux, w);
+    }
+    for &b in bytes {
+        r = shift_in::<1>(r, b.into());
+        aux = (aux ^ u64::from(b)).wrapping_mul(0xC2B2AE3D27D4EB4F);
     }
     aux ^= aux >> 33;
 
     let mut out = [0u8; 12];
-    out[..4].copy_from_slice(&fa.to_le_bytes());
-    out[4..8].copy_from_slice(&fb.to_le_bytes());
+    out[..4].copy_from_slice(&(gf2::pmod(r, POLY_31) as u32).to_le_bytes());
+    out[4..8].copy_from_slice(&(gf2::pmod(r, POLY_31B) as u32).to_le_bytes());
     out[8..12].copy_from_slice(&(aux as u32).to_le_bytes());
     out
 }
@@ -588,23 +589,28 @@ mod tests {
     }
 
     #[test]
-    fn slicing_word_push_equals_four_byte_pushes() {
-        for poly in [POLY_31, POLY_31B] {
-            let t32 = Tables32::new(poly);
-            let t8 = Tables::new(poly);
-            let mut r = 0x12345678u64;
-            for _ in 0..2000 {
-                // Pseudo-random fingerprint state and word.
-                r = r.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let fp = (r >> 33) as u32 & 0x7fff_ffff;
-                let w = (r & 0xffff_ffff) as u32;
-                let word_wise = t32.push_word(fp, w);
-                let bytes = w.to_be_bytes();
-                let mut byte_wise = fp as u64;
-                for &b in &bytes {
-                    byte_wise = t8.push_byte(byte_wise, b);
+    fn q_is_the_product_of_the_two_irreducible_moduli() {
+        assert!(gf2::is_irreducible(POLY_31) && gf2::is_irreducible(POLY_31B));
+        assert_ne!(POLY_31, POLY_31B);
+        let mut product = 0u64;
+        for i in 0..32 {
+            if POLY_31B >> i & 1 == 1 {
+                product ^= POLY_31 << i;
+            }
+        }
+        assert_eq!(Q, product);
+        assert_eq!(gf2::degree(Q), 62);
+        assert_eq!((gf2::pmod(Q, POLY_31), gf2::pmod(Q, POLY_31B)), (0, 0));
+    }
+
+    #[test]
+    fn const_tables_equal_runtime_ones() {
+        for (tables, shift) in [(&T64, 64u64), (&T128, 128)] {
+            for (k, table) in tables.iter().enumerate() {
+                let xk = gf2::xpowmod(shift + 8 * k as u64, Q);
+                for (b, &entry) in table.iter().enumerate() {
+                    assert_eq!(entry, gf2::pmulmod(b as u64, xk, Q), "x^{shift} k={k} b={b}");
                 }
-                assert_eq!(word_wise as u64, byte_wise, "poly={poly:#x} fp={fp:#x} w={w:#x}");
             }
         }
     }
