@@ -116,29 +116,13 @@ impl Fingerprint {
 
     /// Fingerprints a batch: `compute_many(a, cs)[i] == compute(a, cs[i])`.
     ///
-    /// The one place that knows MD5 goes faster four messages at a time
-    /// ([`crate::md5x4`]): every run of four equal-length neighbours — the
-    /// full chunks of a statically chunked file — is hashed together, the
-    /// rest one by one. SHA-1 and Rabin-96 have no wide form.
+    /// The one place that knows MD5 goes faster several messages at a time
+    /// ([`crate::md5_many`]). SHA-1 and Rabin-96 have no wide form.
     pub fn compute_many(algo: HashAlgorithm, chunks: &[&[u8]]) -> Vec<Self> {
-        if algo != HashAlgorithm::Md5 {
-            return chunks.iter().map(|c| Fingerprint::compute(algo, c)).collect();
+        if algo == HashAlgorithm::Md5 {
+            return crate::md5_many(chunks).into_iter().map(Fingerprint::md5).collect();
         }
-        let mut out = Vec::with_capacity(chunks.len());
-        let mut rest = chunks;
-        while let Some((first, after_one)) = rest.split_first() {
-            rest = match rest.split_first_chunk::<4>() {
-                Some((four, after_four)) if four.iter().all(|c| c.len() == first.len()) => {
-                    out.extend(crate::md5x4(*four).map(Fingerprint::md5));
-                    after_four
-                }
-                _ => {
-                    out.push(Fingerprint::md5(crate::md5(first)));
-                    after_one
-                }
-            };
-        }
-        out
+        chunks.iter().map(|c| Fingerprint::compute(algo, c)).collect()
     }
 
     /// The producing algorithm.

@@ -1,5 +1,5 @@
 //! Differential tests: the straight-line MD5 / SHA-1 kernels, the
-//! four-wide `md5x4`, the Rabin-96 kernel and the
+//! many-message `md5_many`, the Rabin-96 kernel and the
 //! `Fingerprint::compute_many` batch seam against the textbook
 //! implementations in `textbook/`, and Rabin-96's digest bytes pinned.
 
@@ -7,7 +7,9 @@ mod textbook;
 
 use proptest::prelude::*;
 
-use aadedupe_hashing::{md5, md5x4, rabin96, sha1, to_hex, Fingerprint, HashAlgorithm, Md5, Sha1};
+use aadedupe_hashing::{
+    md5, md5_many, rabin96, sha1, to_hex, Fingerprint, HashAlgorithm, Md5, Sha1,
+};
 
 fn textbook_md5(data: &[u8]) -> [u8; 16] {
     let mut h = textbook::md5::Md5::new();
@@ -133,40 +135,113 @@ fn every_short_length_matches_textbook() {
     }
 }
 
+/// The lengths at which MD5's padding changes shape: empty, one byte, the
+/// last length with one padded block (55), the first with two (56), a
+/// block short of full, full, one over, and the same at two blocks and at
+/// the static chunk size.
+const BOUNDARY_LENGTHS: [usize; 11] = [0, 1, 55, 56, 63, 64, 65, 119, 120, 8191, 8192];
+
+/// Asserts `md5_many(msgs)` is the textbook digest of each message.
+fn assert_md5_many(msgs: &[Vec<u8>], label: &str) {
+    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+    let got = md5_many(&refs);
+    assert_eq!(got.len(), msgs.len(), "{label}: digest count");
+    for (i, (got, msg)) in got.iter().zip(msgs).enumerate() {
+        assert_eq!(*got, textbook_md5(msg), "{label}: message {i} of len {}", msg.len());
+    }
+}
+
+/// Four messages of one length, at every padding boundary.
 #[test]
-fn md5x4_is_four_md5() {
-    for n in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 8191, 8192] {
-        let msgs = [bytes(n, 1), bytes(n, 2), bytes(n, 3), bytes(n, 4)];
-        let got = md5x4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for (lane, msg) in msgs.iter().enumerate() {
-            assert_eq!(got[lane], textbook_md5(msg), "len={n} lane={lane}");
+fn md5_many_of_four_equal_lengths_is_four_md5() {
+    for n in BOUNDARY_LENGTHS {
+        let msgs: Vec<Vec<u8>> = (1..=4).map(|salt| bytes(n, salt)).collect();
+        assert_md5_many(&msgs, &format!("len={n}"));
+    }
+}
+
+/// Four messages, one of a different length at each position.
+#[test]
+fn md5_many_of_unequal_lengths_is_four_md5() {
+    for odd in 0..4 {
+        let mut msgs: Vec<Vec<u8>> = (1..=4).map(|salt| bytes(200, salt)).collect();
+        msgs[odd] = bytes(136, 9);
+        assert_md5_many(&msgs, &format!("odd={odd}"));
+    }
+}
+
+/// Lists of 0..=9 messages whose lengths walk the padding boundaries from
+/// every start with every stride: all-equal lists (stride 0), every pair of
+/// boundary lengths side by side, and lists in which lanes finish in every
+/// order.
+#[test]
+fn md5_many_over_padding_boundary_lists_is_md5() {
+    let k = BOUNDARY_LENGTHS.len();
+    for count in 0..=9usize {
+        for start in 0..k {
+            for stride in 0..k {
+                let lens: Vec<usize> =
+                    (0..count).map(|i| BOUNDARY_LENGTHS[(start + i * stride) % k]).collect();
+                let msgs: Vec<Vec<u8>> =
+                    lens.iter().enumerate().map(|(i, &n)| bytes(n, i as u8)).collect();
+                assert_md5_many(&msgs, &format!("lens={lens:?}"));
+            }
         }
     }
 }
 
-/// Unequal lengths cannot share lanes; the answer is still four digests.
+/// One long message beside forty short ones: while it occupies one lane,
+/// each of the others is emptied and refilled many times.
 #[test]
-fn md5x4_of_unequal_lengths_is_four_md5() {
-    for odd in 0..4 {
-        let mut msgs = [bytes(200, 1), bytes(200, 2), bytes(200, 3), bytes(200, 4)];
-        msgs[odd] = bytes(136, 9);
-        let got = md5x4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for (lane, msg) in msgs.iter().enumerate() {
-            assert_eq!(got[lane], textbook_md5(msg), "odd={odd} lane={lane}");
-        }
+fn md5_many_refills_lanes_beside_a_long_message() {
+    for long_at in [0, 1, 20, 40] {
+        let mut msgs: Vec<Vec<u8>> = (0..40).map(|i| bytes(7 + 37 * i, i as u8)).collect();
+        msgs.insert(long_at, bytes(64 << 10, 0xee));
+        assert_md5_many(&msgs, &format!("64 KiB message at {long_at}"));
+    }
+}
+
+#[test]
+fn md5_many_of_nothing_is_nothing() {
+    assert_eq!(md5_many(&[]), Vec::<[u8; 16]>::new());
+}
+
+proptest! {
+    /// Any list of up to 64 messages of any lengths up to 20 000 bytes.
+    #[test]
+    fn md5_many_matches_textbook(
+        spec in proptest::collection::vec((0usize..20_000, any::<u8>()), 0..=64),
+    ) {
+        let msgs: Vec<Vec<u8>> = spec.iter().map(|&(n, salt)| bytes(n, salt)).collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let want: Vec<[u8; 16]> = msgs.iter().map(|m| textbook_md5(m)).collect();
+        prop_assert_eq!(md5_many(&refs), want);
     }
 }
 
 /// `compute_many` is `map(compute)`: for lists of 0..=9 chunks, all of one
 /// length except one, with the odd one at every position (so every way a
-/// run of four can be broken), and for lists of all-equal and all-distinct
-/// lengths.
+/// run of four can be broken); for lists of all-equal and all-distinct
+/// lengths; and for lists of up to 18 pseudo-random mixed lengths.
 #[test]
 fn compute_many_is_map_compute() {
     let mut lists: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
     for n in 0..=9usize {
         lists.push((0..n).map(|i| bytes(300, i as u8)).collect());
         lists.push((0..n).map(|i| bytes(64 * i + 7, i as u8)).collect());
+        lists.push((0..n).map(|i| bytes(8191 - 61 * i, i as u8)).collect());
+        // Mixed lengths: 4096 plus a pseudo-random 0..8192 each.
+        lists.push(
+            (0..2 * n)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    bytes(4096 + (x % 8192) as usize, i as u8)
+                })
+                .collect(),
+        );
         for odd in 0..n {
             lists.push(
                 (0..n).map(|i| bytes(if i == odd { 90 } else { 300 }, i as u8)).collect(),
