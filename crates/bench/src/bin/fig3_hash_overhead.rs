@@ -9,8 +9,9 @@
 //!
 //! Those columns hash one chunk at a time, as the paper did. The last two
 //! hash each file's chunks as one batch (`Fingerprint::compute_many`), as
-//! the engine does: MD5 then runs four equal-length chunks wide, which is
-//! where static chunks get their cheap strong hash on a superscalar core.
+//! the engine does for a file of a container or more (such a file closes
+//! its hash batch): MD5 then runs four chunks wide, which is where static
+//! chunks get their cheap strong hash on a superscalar core.
 //! (Single-stream MD5 is one serial dependency chain and no longer beats
 //! SHA-1 there; see EXPERIMENTS.md.)
 //!

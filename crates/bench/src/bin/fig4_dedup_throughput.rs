@@ -10,8 +10,10 @@
 //!
 //! The three hash columns fingerprint one chunk at a time, as the paper
 //! did; "MD5 batched" hashes each file's chunks as one batch
-//! (`Fingerprint::compute_many`), as the engine does — it differs from the
-//! MD5 column only where chunks have equal lengths, i.e. on the SC row.
+//! (`Fingerprint::compute_many`), as the engine does for a file of a
+//! container or more (such a file closes its hash batch) — four chunks
+//! wide whatever their lengths, so it differs from the MD5 column on the
+//! SC and CDC rows, and not on the WFC row, whose batch is one chunk.
 //!
 //! Run: `cargo run --release -p aadedupe-bench --bin fig4_dedup_throughput`
 

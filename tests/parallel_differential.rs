@@ -237,3 +237,78 @@ fn restores_are_bit_exact_against_source_data() {
         }
     }
 }
+
+/// `n` pseudo-random bytes from `seed` (xorshift64).
+fn noise(n: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn parallel_matches_serial_across_hash_batch_boundaries() {
+    // Big files are chunked and hashed in batches of consecutive files that
+    // reach one container (here 128 KiB); tiny files are skipped by the
+    // planner and packed where they fall. The list straddles batches: tiny
+    // files between big ones; SC (MD5), CDC (SHA-1) and SC again inside one
+    // batch; SC sizes off the 8 KiB grid; a file larger than a container;
+    // a batch of only WFC (Rabin-96) files; an SC file that repeats part of
+    // its batch-mate; and a short last batch.
+    let container_size = 128 << 10;
+    let a = noise(50_001, 1);
+    let mut b = a[..16 << 10].to_vec();
+    b.extend(noise(30_000 - b.len(), 2));
+    let files = |session: u64| -> Vec<MemoryFile> {
+        let edited = |mut data: Vec<u8>| {
+            if session > 0 {
+                data[9_000..9_100].copy_from_slice(&noise(100, 77));
+            }
+            data
+        };
+        vec![
+            MemoryFile::new("t0.txt", noise(100, 10 + session)),
+            MemoryFile::new("a.pdf", a.clone()),
+            MemoryFile::new("t1.doc", noise(5_000, 11)),
+            MemoryFile::new("b.pdf", edited(b.clone())),
+            MemoryFile::new("c.doc", noise(40_000, 3)),
+            MemoryFile::new("d.exe", noise(20_483, 4)),
+            MemoryFile::new("e.vmdk", edited(noise(300_007, 5))),
+            MemoryFile::new("t2.pdf", noise(9_999, 12)),
+            MemoryFile::new("m1.mp3", noise(60_000, 6)),
+            MemoryFile::new("m2.avi", edited(noise(50_000, 7))),
+            MemoryFile::new("m3.jpg", noise(40_000, 8)),
+            MemoryFile::new("f.pdf", noise(3 * 8192, 9)),
+            MemoryFile::new("g.exe", noise(12_345 + session as usize, 13)),
+            MemoryFile::new("t3.exe", noise(1_000, 14)),
+            MemoryFile::new("h.doc", edited(noise(11_000, 15))),
+        ]
+    };
+    let snaps = [files(0), files(1)];
+    let sessions: Vec<Vec<&dyn SourceFile>> = snaps
+        .iter()
+        .map(|files| files.iter().map(|f| f as &dyn SourceFile).collect())
+        .collect();
+    for algorithm in chunker_matrix() {
+        let config = |workers| AaDedupeConfig { container_size, ..config(workers, algorithm) };
+        let serial = run_sessions(config(1), &sessions);
+        for (restored, files) in serial.restores.iter().zip(&snaps) {
+            let source: Vec<(String, Vec<u8>)> =
+                files.iter().map(|f| (f.path.clone(), f.data.clone())).collect();
+            assert!(restored == &source, "chunker={algorithm}: serial restore differs from source");
+        }
+        for workers in worker_matrix() {
+            let parallel = run_sessions(config(workers), &sessions);
+            assert_equivalent(
+                &serial,
+                &parallel,
+                &format!("batch-boundary chunker={algorithm} workers={workers}"),
+            );
+        }
+    }
+}
