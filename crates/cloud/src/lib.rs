@@ -129,11 +129,6 @@ impl CloudSim {
         *self.clock()
     }
 
-    /// Resets the simulated clock (between backup sessions).
-    pub fn reset_clock(&self) {
-        *self.clock() = Duration::ZERO;
-    }
-
     /// One month's bill for the current contents and cumulative upload
     /// traffic (the paper's CC formula with measured quantities).
     pub fn monthly_cost(&self) -> CostBreakdown {
@@ -194,23 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clock() {
-        let cloud = CloudSim::with_paper_defaults();
-        cloud.put("x", vec![0u8; 1024]).unwrap();
-        assert!(cloud.elapsed() > Duration::ZERO);
-        cloud.reset_clock();
-        assert_eq!(cloud.elapsed(), Duration::ZERO);
-        // Contents survive the clock reset.
-        assert!(cloud.store().contains("x"));
-    }
-
-    #[test]
     fn delete_costs_a_request() {
         let cloud = CloudSim::with_paper_defaults();
         cloud.put("x", vec![1]).unwrap();
-        cloud.reset_clock();
+        let before = cloud.elapsed();
         assert!(cloud.delete("x").unwrap());
-        assert_eq!(cloud.elapsed(), Duration::from_millis(30));
+        assert_eq!(cloud.elapsed() - before, Duration::from_millis(30));
         assert!(!cloud.delete("x").unwrap());
     }
 }

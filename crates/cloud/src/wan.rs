@@ -52,18 +52,6 @@ impl WanModel {
     pub fn download_time(&self, bytes: u64) -> Duration {
         self.per_request_overhead + Duration::from_secs_f64(bytes as f64 / self.download_bps)
     }
-
-    /// Effective upload throughput (bytes/s) for a workload of `requests`
-    /// requests totalling `bytes` — shows the small-transfer penalty.
-    pub fn effective_upload_bps(&self, bytes: u64, requests: u64) -> f64 {
-        let total = self.per_request_overhead.as_secs_f64() * requests as f64
-            + bytes as f64 / self.upload_bps;
-        if total == 0.0 {
-            0.0
-        } else {
-            bytes as f64 / total
-        }
-    }
 }
 
 impl Default for WanModel {
@@ -85,16 +73,6 @@ mod tests {
         // Download is twice as fast.
         let d = wan.download_time(1024 * 1024);
         assert!((d.as_secs_f64() - 1.03).abs() < 1e-9, "{d:?}");
-    }
-
-    #[test]
-    fn small_transfers_are_inefficient() {
-        let wan = WanModel::paper_defaults();
-        let total: u64 = 1 << 20; // 1 MiB
-        // One 1 MiB request vs 256 4 KiB requests.
-        let one = wan.effective_upload_bps(total, 1);
-        let many = wan.effective_upload_bps(total, 256);
-        assert!(one > 2.0 * many, "aggregation should at least double throughput: {one} vs {many}");
     }
 
     #[test]

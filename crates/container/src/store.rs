@@ -15,12 +15,10 @@
 //! with an independent sequence counter per stream ([`compose_id`] /
 //! [`decompose_id`]). A stream's container layout therefore depends only
 //! on that stream's own append sequence — never on how appends to
-//! different streams interleave. This is the property the parallel backup
-//! pipeline relies on for determinism: as long as each stream's chunks
-//! arrive in a fixed order, the produced containers are byte-identical —
-//! whether one thread feeds every stream or each stream is taken out with
-//! [`ContainerStore::split_stream`], fed by a thread of its own and given
-//! back with [`ContainerStore::merge`].
+//! different streams interleave. As long as each stream's chunks arrive in
+//! a fixed order, the produced containers are byte-identical. Vacuum relies
+//! on it: it takes a stream out with [`ContainerStore::split_stream`],
+//! repacks into it and gives it back with [`ContainerStore::merge`].
 
 use crate::builder::{fits_empty, ContainerBuilder};
 use crate::format::{encode_container, ChunkDescriptor};
@@ -224,8 +222,8 @@ impl ContainerStore {
 
     /// Takes `stream` out of this store: its sequence counter and open
     /// container (if any) move into a new store with the same container
-    /// size and recorder, for one thread — a pipeline lane, or vacuum's
-    /// repacking — to append to while this store serves other streams.
+    /// size and recorder, for vacuum's repacking to append to while this
+    /// store keeps serving other streams.
     /// Until the part comes back through [`merge`](Self::merge), this store
     /// must not be handed chunks of `stream`.
     pub fn split_stream(&mut self, stream: u32) -> ContainerStore {
@@ -483,9 +481,9 @@ mod tests {
 
     #[test]
     fn minted_ids_interleave_with_appends_without_collision() {
-        // A stream lent out and given back (vacuum's repacking, a pipeline
-        // lane) continues the one sequence: its ids follow the store's own
-        // and the store's next ones follow the part's.
+        // A stream lent out and given back (vacuum's repacking) continues
+        // the one sequence: its ids follow the store's own and the store's
+        // next ones follow the part's.
         let mut store = ContainerStore::new(4096);
         let p1 = store.add_chunk(2, fp(b"x"), b"x");
         store.seal_all();

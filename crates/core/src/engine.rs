@@ -8,65 +8,60 @@
 //! containers per application stream; manifests complete the cloud state,
 //! and an index snapshot after every session is the paper's periodic sync.
 //!
-//! # One dataflow, two schedules
+//! # One dataflow, one dedup loop
 //!
-//! Every file takes the same steps whichever schedule runs them:
-//! `pack_tiny` under the size filter, else `read_and_chunk` and
-//! `dedupe_chunks` (index lookup; a new chunk's range is appended straight
-//! into the [`ContainerStore`]); then `absorb` folds the outcome into the
-//! report and the manifest. Big files are read and chunked in *hash
-//! batches* planned once, before any file is read, from file sizes alone
-//! (`plan_batches`): the next consecutive big files until the batch holds
-//! a container's worth of bytes. `read_and_chunk` cuts each file of a
-//! batch *in place* (chunks are ranges of its buffer, never copies) and
-//! fingerprints the whole batch with one
+//! Every file takes the same steps: `pack_tiny` under the size filter,
+//! else `read_and_chunk` and `dedupe_chunks` (index lookup; a new chunk's
+//! range is appended straight into the [`ContainerStore`]); then `absorb`
+//! folds the outcome into the report and the manifest. Big files are read
+//! and chunked in *hash batches* planned once, before any file is read,
+//! from file sizes alone (`plan_batches`): the next consecutive big files
+//! until the batch holds a container's worth of bytes. `read_and_chunk`
+//! cuts each file of a batch *in place* (chunks are ranges of its buffer,
+//! never copies) and fingerprints the whole batch with one
 //! [`Fingerprint::compute_many`] call per hash algorithm, so MD5's four
-//! lanes stay full across file boundaries. The serial schedule is one loop
-//! over the batches, packing tiny files where they fall in file order.
-//! With [`PipelineConfig::workers`] > 1 the same steps run on exactly that
-//! many `std::thread::scope` threads and one *lane* per application:
+//! lanes stay full across file boundaries.
+//!
+//! The session thread runs the engine's one dedup loop: file by file, in
+//! file order. When it reaches a batch's first file it takes the batch's
+//! chunked files from a `Handoff`. With [`PipelineConfig::workers`] ≤ 1
+//! nobody else chunks, so each batch is chunked inline right before it is
+//! deduped. With N workers, N − 1 `std::thread::scope` threads chunk ahead
+//! and the session thread is the N-th:
 //!
 //! ```text
-//!  workers ── claim the next batch (shared cursor); read, classify, chunk,
-//!             hash it; deposit each file in its lane, dedupe the lane's
-//!             ready run ─────────────────────────────────────────────────┐
-//!  main ── tiny files, in file order, into the tiny stream                 │
-//!          after the workers: each lane's stream and outcomes, in order ◀─┘
+//!  workers ── claim the next batch (the cursor); read, classify, chunk,
+//!             hash it; deposit it ──────────────────────────────────────┐
+//!  session ── take batch b: deposited, dedupe it; unclaimed, or budget  │
+//!             left, claim and chunk the next batch itself; else wait ◀──┘
 //! ```
 //!
-//! Determinism contract: the output (containers, manifests, index,
-//! report counters) is *identical* to a serial run for a fixed file
+//! Determinism contract: the output (containers, manifests, index, report
+//! counters) is *identical* for every worker count, for a fixed file
 //! ordering, because
 //!
 //! 1. container ids are per-stream
 //!    ([`compose_id`](aadedupe_container::compose_id)), so a stream's
 //!    container layout depends only on that stream's own append sequence;
-//! 2. a lane dedupes its application's files one at a time, under its
-//!    lock and in file order — whichever worker holds the lock — and owns
-//!    the application's container stream for the session
-//!    ([`ContainerStore::split_stream`]), so every stream's append
-//!    sequence — and every partition's lookup/insert sequence — is the
-//!    serial one;
-//! 3. tiny files are packed by the main thread in file order, feeding the
-//!    tiny stream (which never leaves the engine's store) the exact
-//!    serial sequence;
-//! 4. a fingerprint depends only on its chunk's bytes, so which batch —
-//!    and which MD5 lane — hashed a chunk changes nothing.
+//! 2. one thread, the session thread, makes every index lookup and insert
+//!    and every container append, in file order, whichever thread chunked
+//!    the file;
+//! 3. a fingerprint depends only on its chunk's bytes, so which thread,
+//!    batch or MD5 lane hashed a chunk changes nothing.
 //!
-//! Liveness: a worker waits only after depositing its whole batch, and
-//! only for files of that batch to be deduped. The oldest file not yet
-//! deduped is not yet deposited — a deposited file whose lane-mates before
-//! it are deduped is deduped by whichever worker deposits the later of the
-//! two — so its batch is being chunked by a worker that is not waiting, or
-//! is still unclaimed. An unclaimed batch comes after every claimed one, so
-//! every file a waiting worker waits for is older than the oldest file
-//! not deduped, i.e. deduped already: not every worker waits, and every
-//! wait ends.
+//! Liveness: a worker waits only before it claims a batch, while more than
+//! `AHEAD_CONTAINERS` containers' worth of chunked bytes wait for the
+//! session thread. The session thread chunks every batch it claims itself
+//! and claims its next batch when nobody has, so it waits only for a batch
+//! that a worker has claimed and not yet deposited; that worker is not
+//! waiting, so the batch arrives. The session thread thus takes every
+//! deposit in batch order, which frees the budget every waiting worker
+//! waits for. A thread that panics ends every wait on its way out
+//! (`WakeOnUnwind`), so the scope re-raises the panic instead of hanging.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use aadedupe_chunking::{
@@ -93,8 +88,9 @@ use crate::timing::DedupClock;
 /// Worker-pool configuration for the backup pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Chunk+hash worker threads: 1 runs the serial schedule, more run the
-    /// pipeline.
+    /// Threads per backup session. The calling thread dedupes every file
+    /// in file order; `workers − 1` more read, chunk and fingerprint hash
+    /// batches ahead of it. At 1 (or 0) every batch is chunked inline.
     pub workers: usize,
 }
 
@@ -111,9 +107,9 @@ impl PipelineConfig {
     }
 }
 
-/// Chunked bytes that may wait for their turn in the pipeline, in
-/// containers: 64 MiB at the paper's 1 MiB. A worker whose deposits leave
-/// more waiting claims nothing further until its own batch is deduped.
+/// Chunked bytes that may wait for the session thread, in containers:
+/// 64 MiB at the paper's 1 MiB. While more wait, no thread claims a batch
+/// beyond the one the session thread dedupes next.
 const AHEAD_CONTAINERS: usize = 64;
 
 /// Engine configuration. Defaults are the paper's evaluation settings.
@@ -285,41 +281,6 @@ struct DedupedFile {
     cpu: Duration,
 }
 
-/// One application's big files in a pipelined session. Whichever worker
-/// holds `state` dedupes the lane's ready run, in file order.
-struct Lane<'a> {
-    /// (file index, file), in file order.
-    files: Vec<(usize, &'a dyn SourceFile)>,
-    state: Mutex<LaneState>,
-    /// Signalled whenever files leave `ready`.
-    turn: Condvar,
-}
-
-struct LaneState {
-    /// Chunked files that arrived ahead of their turn, by file index.
-    ready: BTreeMap<usize, ChunkedFile>,
-    /// The application's container stream, split off for the session.
-    store: ContainerStore,
-    /// The outcomes of the lane's first `outs.len()` files: its position.
-    outs: Vec<DedupedFile>,
-}
-
-/// Held by every pipeline worker. One that unwinds never deposits its file,
-/// so this sets the flag and ends every wait: the scope re-raises, not hangs.
-struct WakeOnUnwind<'s, 'a>(&'s [Lane<'a>], &'s AtomicBool);
-
-impl Drop for WakeOnUnwind<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.1.store(true, Relaxed);
-            for lane in self.0 {
-                drop(lane.state.lock()); // orders the store before each waiter's next check
-                lane.turn.notify_all();
-            }
-        }
-    }
-}
-
 /// Splits the session's big files into hash batches, from their sizes
 /// alone and before any file is read: each batch is the next run of files,
 /// in file order, until it holds `limit` bytes (one container) or more. So
@@ -346,7 +307,7 @@ fn plan_batches<T>(
 }
 
 /// The head of the big-file path — classify, read, chunk, fingerprint —
-/// over one batch, run by the serial loop and by every pipeline worker.
+/// over one batch, run by whichever thread claimed the batch.
 /// Each file's buffer is cut in place according to the policy; then every
 /// chunk of the batch that takes one hash algorithm is fingerprinted in one
 /// [`Fingerprint::compute_many`] call, so MD5's lanes refill across file
@@ -423,11 +384,161 @@ fn read_and_chunk<'f>(
         .collect()
 }
 
+/// A hash batch: consecutive big files of the session.
+type Batch<'f> = Vec<&'f dyn SourceFile>;
+
+/// A batch's files, read and chunked, in batch order.
+type Chunked = Vec<(AppType, ChunkedFile)>;
+
+fn bytes(chunked: &Chunked) -> usize {
+    chunked.iter().map(|(_, file)| file.data.len()).sum()
+}
+
+/// Where the session thread takes each batch's chunked files from: the
+/// batches nobody has claimed and those chunked ahead of their turn, under
+/// one lock that no thread holds while it reads, chunks or dedupes. A
+/// claimed batch moves out, so its file list is freed once it is read.
+struct Handoff<'a> {
+    cfg: &'a AaDedupeConfig,
+    /// `AHEAD_CONTAINERS` containers, in bytes.
+    budget: usize,
+    state: Mutex<Ahead<'a>>,
+    /// Signalled whenever a batch is deposited or taken, and on unwind.
+    turn: Condvar,
+}
+
+struct Ahead<'a> {
+    /// The batches nobody has claimed, in order.
+    unclaimed: std::vec::IntoIter<Batch<'a>>,
+    /// How many batches have been claimed: the next one's index.
+    cursor: usize,
+    /// Batches chunked ahead of their turn, by batch index.
+    ready: BTreeMap<usize, Chunked>,
+    /// The bytes `ready` holds.
+    bytes: usize,
+    /// Set by a thread that unwinds: every wait ends.
+    unwinding: bool,
+}
+
+/// Held by every thread of a session. One that unwinds never deposits its
+/// batch or takes the next one, so this sets the flag and ends every wait:
+/// the scope re-raises, not hangs.
+struct WakeOnUnwind<'h, 'a>(&'h Handoff<'a>);
+
+impl Drop for WakeOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().unwinding = true;
+            self.0.turn.notify_all();
+        }
+    }
+}
+
+impl<'a> Handoff<'a> {
+    fn new(cfg: &'a AaDedupeConfig, batches: Vec<Batch<'a>>) -> Self {
+        let budget = AHEAD_CONTAINERS * cfg.container_size;
+        let ahead = Ahead {
+            unclaimed: batches.into_iter(),
+            cursor: 0,
+            ready: BTreeMap::new(),
+            bytes: 0,
+            unwinding: false,
+        };
+        Handoff { cfg, budget, state: Mutex::new(ahead), turn: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Ahead<'a>> {
+        // Poisoned only by a panicking thread; the scope re-raises it.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the batch at the cursor, if any is left.
+    fn claim(ahead: &mut Ahead<'a>) -> Option<(usize, Batch<'a>)> {
+        let batch = ahead.unclaimed.next()?;
+        ahead.cursor += 1;
+        Some((ahead.cursor - 1, batch))
+    }
+
+    /// Reads and chunks a batch on the calling thread.
+    fn chunk(&self, batch: Batch<'a>) -> Chunked {
+        let rec = &self.cfg.recorder;
+        let span = rec.trace_start();
+        let chunked = read_and_chunk(self.cfg, batch.iter().copied());
+        rec.trace_complete("chunk_hash", span);
+        chunked
+    }
+
+    fn deposit(&self, b: usize, chunked: Chunked) {
+        let mut ahead = self.lock();
+        ahead.bytes += bytes(&chunked);
+        ahead.ready.insert(b, chunked);
+        drop(ahead);
+        self.turn.notify_all();
+    }
+
+    /// A spawned worker: while the budget has room, claim the next batch,
+    /// chunk it and deposit it.
+    fn chunk_ahead(&self, id: usize) {
+        let _wake = WakeOnUnwind(self);
+        let rec = &self.cfg.recorder;
+        let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
+        loop {
+            let waiting = rec.start();
+            let mut ahead = self
+                .turn
+                .wait_while(self.lock(), |a| a.bytes > self.budget && !a.unwinding)
+                .unwrap_or_else(PoisonError::into_inner);
+            let claim = if ahead.unwinding { None } else { Self::claim(&mut ahead) };
+            drop(ahead);
+            idle += since(waiting);
+            let Some((b, batch)) = claim else { break };
+            let working = rec.start();
+            let chunked = self.chunk(batch);
+            self.deposit(b, chunked);
+            busy += since(working);
+        }
+        rec.worker_report(WorkerRole::Chunker, id, busy, idle);
+    }
+
+    /// Batch `b`, chunked, for the session thread, which takes every batch
+    /// in order. Until `b` is deposited the session thread chunks batches
+    /// itself: `b` once nobody has claimed it, a later one while the budget
+    /// has room. `None` once another thread unwinds.
+    fn take(&self, b: usize, idle: &mut Duration) -> Option<Chunked> {
+        loop {
+            let mut ahead = self.lock();
+            let (c, batch) = loop {
+                if let Some(chunked) = ahead.ready.remove(&b) {
+                    ahead.bytes -= bytes(&chunked);
+                    drop(ahead);
+                    self.turn.notify_all();
+                    return Some(chunked);
+                }
+                if ahead.unwinding {
+                    return None;
+                }
+                if ahead.cursor == b || ahead.bytes <= self.budget {
+                    if let Some(claimed) = Self::claim(&mut ahead) {
+                        break claimed;
+                    }
+                }
+                let waiting = self.cfg.recorder.start();
+                ahead = self.turn.wait(ahead).unwrap_or_else(PoisonError::into_inner);
+                *idle += since(waiting);
+            };
+            drop(ahead);
+            let chunked = self.chunk(batch);
+            if c == b {
+                return Some(chunked);
+            }
+            self.deposit(c, chunked);
+        }
+    }
+}
+
 /// Deduplicates one chunked file against its application's partition,
-/// appending each new chunk to the application's stream in `store` — the
-/// engine's store in the serial loop, the lane's split-off part in the
-/// pipeline. The lookup→insert sequence per partition and the append
-/// sequence per stream are what both schedules execute identically.
+/// appending each new chunk to the application's stream in `store`. Runs
+/// on the session thread only, in file order.
 fn dedupe_chunks(
     index: &AppAwareIndex,
     store: &mut ContainerStore,
@@ -474,7 +585,7 @@ fn dedupe_chunks(
 /// The tiny-file path: no chunk-level dedup (the size filter), but
 /// unchanged files (same change token) are carried forward by reference
 /// instead of re-packed — the Cumulus-style grouping the paper cites for
-/// its tiny-file handling. Always runs on the main thread, in file order.
+/// its tiny-file handling. Runs on the session thread only, in file order.
 fn pack_tiny(
     tiny_seen: &mut HashMap<String, (u64, ChunkRef)>,
     file: &dyn SourceFile,
@@ -523,8 +634,8 @@ fn pack_tiny(
 }
 
 /// Folds one file's dedup outcome into the session totals, returning the
-/// recipe for the manifest. Both pipelines funnel every file through
-/// here, in file order.
+/// recipe for the manifest. Every file passes through here, in file
+/// order.
 fn absorb(out: DedupedFile, report: &mut SessionReport, clock: &mut DedupClock) -> FileRecipe {
     report.chunks_total += out.recipe.chunks.len() as u64;
     report.chunks_duplicate += out.chunks_duplicate;
@@ -752,9 +863,9 @@ impl AaDedupe {
         &self.index
     }
 
-    /// One session's size filter + chunk + dedup dataflow, serial or
-    /// parallel per the pipeline config. Both paths yield identical
-    /// manifests, containers, index state, and counters.
+    /// One session's size filter + chunk + dedup dataflow: the engine's
+    /// one dedup loop, on the calling thread, with `workers − 1` threads
+    /// chunking ahead of it (module docs: schedule, determinism, liveness).
     fn run_session(
         &mut self,
         files: &[&dyn SourceFile],
@@ -769,159 +880,43 @@ impl AaDedupe {
             }
         }
         self.config.recorder.count(Counter::FilesClassified, files.len() as u64);
-        if self.config.pipeline.workers > 1 {
-            self.run_session_parallel(files, report, clock)
-        } else {
-            self.run_session_serial(files, report, clock)
-        }
-    }
-
-    /// The serial schedule: one thread does everything, in file order.
-    /// This is the oracle the pipeline is tested against.
-    fn run_session_serial(
-        &mut self,
-        files: &[&dyn SourceFile],
-        report: &mut SessionReport,
-        clock: &mut DedupClock,
-    ) -> Manifest {
         let mut manifest = Manifest::new(self.sessions as u64);
         let cfg = &self.config;
         let rec = &cfg.recorder;
-        let (big, tiny): (Vec<_>, Vec<_>) =
-            files.iter().copied().enumerate().partition(|(_, f)| f.size() >= cfg.tiny_threshold);
-        let mut tiny = tiny.into_iter().peekable();
-        let batches = plan_batches(big, |(_, f)| f.size(), cfg.container_size as u64);
-        for batch in batches {
-            let span = rec.trace_start();
-            let chunked = read_and_chunk(cfg, batch.iter().map(|&(_, f)| f));
-            rec.trace_complete("chunk_hash", span);
-            for (&(i, file), (app, chunked)) in batch.iter().zip(chunked) {
-                // The tiny files before this one, where they fall in file order.
-                while let Some((_, t)) = tiny.next_if(|&(j, _)| j < i) {
-                    let span = rec.trace_start();
-                    let out = pack_tiny(&mut self.tiny_seen, t, &mut self.containers, rec);
-                    rec.trace_complete("file", span);
-                    manifest.files.push(absorb(out, report, clock));
-                }
+        let (index, containers, tiny_seen) =
+            (&self.index, &mut self.containers, &mut self.tiny_seen);
+        let big = files.iter().copied().filter(|f| f.size() >= cfg.tiny_threshold);
+        let batches = plan_batches(big, |f| f.size(), cfg.container_size as u64);
+        let batch_count = batches.len();
+        let handoff = Handoff::new(cfg, batches);
+        std::thread::scope(|scope| {
+            for id in 1..cfg.pipeline.workers {
+                let handoff = &handoff;
+                scope.spawn(move || handoff.chunk_ahead(id));
+            }
+            let _wake = WakeOnUnwind(&handoff);
+            let (started, mut idle) = (rec.start(), Duration::ZERO);
+            let mut chunked =
+                (0..batch_count).map_while(|b| handoff.take(b, &mut idle)).flatten();
+            for &file in files {
+                let next = (file.size() >= cfg.tiny_threshold).then(|| chunked.next());
                 let span = rec.trace_start();
-                let out =
-                    dedupe_chunks(&self.index, &mut self.containers, file.path(), app, chunked);
+                let out = match next {
+                    None => pack_tiny(tiny_seen, file, containers, rec),
+                    Some(Some((app, next))) => {
+                        dedupe_chunks(index, containers, file.path(), app, next)
+                    }
+                    // A worker unwound, and the scope re-raises its panic.
+                    Some(None) => return,
+                };
                 rec.trace_complete("file", span);
                 manifest.files.push(absorb(out, report, clock));
             }
-        }
-        for (_, t) in tiny {
-            let span = rec.trace_start();
-            let out = pack_tiny(&mut self.tiny_seen, t, &mut self.containers, rec);
-            rec.trace_complete("file", span);
-            manifest.files.push(absorb(out, report, clock));
-        }
-        manifest
-    }
-
-    /// The pipeline schedule (module docs: dataflow, determinism,
-    /// liveness).
-    fn run_session_parallel(
-        &mut self,
-        files: &[&dyn SourceFile],
-        report: &mut SessionReport,
-        clock: &mut DedupClock,
-    ) -> Manifest {
-        let cfg = &self.config;
-        let rec = &cfg.recorder;
-        let index = &self.index;
-        let containers = &mut self.containers;
-
-        // One lane per application with big files; each owns its stream.
-        let mut by_app: BTreeMap<AppType, Vec<(usize, &dyn SourceFile)>> = BTreeMap::new();
-        let big = files.iter().copied().enumerate().filter(|(_, f)| f.size() >= cfg.tiny_threshold);
-        for (i, f) in big {
-            by_app.entry(f.app_type()).or_default().push((i, f));
-        }
-        let lanes: Vec<Lane> = by_app.into_iter().map(|(app, files)| {
-            let store = containers.split_stream(app.tag() as u32);
-            let state = LaneState { ready: BTreeMap::new(), store, outs: Vec::new() };
-            Lane { files, state: Mutex::new(state), turn: Condvar::new() }
-        }).collect();
-        // The workers' job list: every big file, in file order, with its
-        // lane, cut into the serial loop's batches.
-        let mut jobs: Vec<(usize, &dyn SourceFile, &Lane)> = lanes
-            .iter()
-            .flat_map(|lane| lane.files.iter().map(move |&(i, f)| (i, f, lane)))
-            .collect();
-        jobs.sort_unstable_by_key(|&(i, ..)| i);
-        let batches = plan_batches(jobs, |(_, f, _)| f.size(), cfg.container_size as u64);
-        let (cursor, ahead) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
-        let unwinding = &AtomicBool::new(false);
-
-        let mut outs = std::thread::scope(|scope| {
-            for w in 0..cfg.pipeline.workers {
-                let (batches, lanes) = (&batches, &lanes);
-                scope.spawn(move || {
-                    let _wake = WakeOnUnwind(lanes, unwinding);
-                    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                    // Relaxed: the cursor only hands out tickets; the batch
-                    // list it indexes was complete before any thread began.
-                    while let Some(batch) = batches.get(cursor.fetch_add(1, Relaxed)) {
-                        let working = rec.start();
-                        let span = rec.trace_start();
-                        let chunked = read_and_chunk(cfg, batch.iter().map(|&(_, f, _)| f));
-                        rec.trace_complete("chunk_hash", span);
-                        // Deposit each file in its lane, one lane lock at a time.
-                        for (&(i, _, lane), (app, chunked)) in batch.iter().zip(chunked) {
-                            // Poisoned only by a panicking worker; the scope re-raises it.
-                            let mut state =
-                                lane.state.lock().unwrap_or_else(PoisonError::into_inner);
-                            ahead.fetch_add(chunked.data.len(), Relaxed);
-                            state.ready.insert(i, chunked);
-                            // Dedupe the lane's ready run, in file order.
-                            while let Some(&(j, f)) = lane.files.get(state.outs.len()) {
-                                let Some(next) = state.ready.remove(&j) else { break };
-                                ahead.fetch_sub(next.data.len(), Relaxed);
-                                let span = rec.trace_start();
-                                let out =
-                                    dedupe_chunks(index, &mut state.store, f.path(), app, next);
-                                rec.trace_complete("dedupe", span);
-                                state.outs.push(out);
-                            }
-                            lane.turn.notify_all();
-                        }
-                        busy += since(working);
-                        if ahead.load(Relaxed) > AHEAD_CONTAINERS * cfg.container_size {
-                            // Claim nothing further until this batch is deduped.
-                            let waiting = rec.start();
-                            for &(i, _, lane) in batch {
-                                let state =
-                                    lane.state.lock().unwrap_or_else(PoisonError::into_inner);
-                                drop(lane.turn.wait_while(state, |s| {
-                                    s.ready.contains_key(&i) && !unwinding.load(Relaxed)
-                                }));
-                            }
-                            idle += since(waiting);
-                        }
-                    }
-                    rec.worker_report(WorkerRole::Chunker, w, busy, idle);
-                });
+            drop(chunked);
+            if cfg.pipeline.workers > 1 {
+                rec.worker_report(WorkerRole::Chunker, 0, since(started).saturating_sub(idle), idle);
             }
-
-            // Main thread: tiny files in file order into the tiny stream.
-            let tiny = files.iter().enumerate().filter(|(_, f)| f.size() < cfg.tiny_threshold);
-            tiny.map(|(i, f)| (i, pack_tiny(&mut self.tiny_seen, *f, containers, rec)))
-                .collect::<BTreeMap<usize, DedupedFile>>()
         });
-        // Each lane's stream comes home, in stream order, with its outcomes.
-        for lane in lanes {
-            let state = lane.state.into_inner().unwrap_or_else(PoisonError::into_inner);
-            containers.merge(state.store);
-            outs.extend(lane.files.iter().map(|&(i, _)| i).zip(state.outs));
-        }
-
-        // Merge in file order — identical to the serial loop.
-        debug_assert_eq!(outs.len(), files.len());
-        let mut manifest = Manifest::new(self.sessions as u64);
-        for out in outs.into_values() {
-            manifest.files.push(absorb(out, report, clock));
-        }
         manifest
     }
 
@@ -1223,7 +1218,7 @@ mod tests {
     #[test]
     fn wfc_records_files_beyond_64_mib_as_64_mib_pieces() {
         // What every repository written so far holds for a compressed
-        // file larger than 2^26 bytes; both schedules must keep to it.
+        // file larger than 2^26 bytes; every worker count must keep to it.
         let big: Vec<u8> = (0..(1u32 << 26) + 5).map(|i| (i ^ (i >> 13)) as u8).collect();
         let files = vec![mem("user/iso/big.iso", big), mem("user/mp3/c.mp3", vec![9u8; 60_000])];
         let namespaces = [1, 2].map(|workers| {

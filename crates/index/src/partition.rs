@@ -560,15 +560,11 @@ struct Inner {
 /// One index partition.
 pub struct IndexPartition {
     inner: Mutex<Inner>,
-    ram_capacity: usize,
 }
 
 impl IndexPartition {
-    fn with_store(ram_capacity: usize, store: Store) -> Self {
-        IndexPartition {
-            inner: Mutex::new(Inner { store, stats: IndexStats::default() }),
-            ram_capacity,
-        }
+    fn with_store(store: Store) -> Self {
+        IndexPartition { inner: Mutex::new(Inner { store, stats: IndexStats::default() }) }
     }
 
     /// The partition's one lock, taken once per operation. Poisoning is
@@ -581,7 +577,7 @@ impl IndexPartition {
     /// Creates a RAM-resident partition (no spill tier) whose modelled
     /// cache holds `ram_capacity` entries.
     pub fn new(ram_capacity: usize) -> Self {
-        Self::with_store(ram_capacity, Store::new(ram_capacity, None))
+        Self::with_store(Store::new(ram_capacity, None))
     }
 
     /// Creates a disk-backed partition: at most `ram_capacity` entries
@@ -598,7 +594,7 @@ impl IndexPartition {
         // (`LruSet` stores nothing at capacity 0); one slot is the honest
         // minimum.
         let store = Store::new(ram_capacity.max(1), Some(Spill::new(dir)));
-        Self::with_store(ram_capacity, store)
+        Self::with_store(store)
     }
 
     /// Flushes every dirty cache slot of a disk-backed partition to a
@@ -607,11 +603,6 @@ impl IndexPartition {
     /// poisoned — degraded state must not reach disk.
     pub fn persist(&self) -> Result<(), SegmentError> {
         self.lock().store.persist()
-    }
-
-    /// The RAM cache capacity (entries).
-    pub fn ram_capacity(&self) -> usize {
-        self.ram_capacity
     }
 
     /// The first IO error this partition hit, if any. Once set, the

@@ -115,15 +115,6 @@ impl SessionReport {
         model.session_energy(self.dedup_cpu, self.transfer_time, window)
     }
 
-    /// Fraction of chunks that were duplicates.
-    pub fn duplicate_fraction(&self) -> f64 {
-        if self.chunks_total == 0 {
-            0.0
-        } else {
-            self.chunks_duplicate as f64 / self.chunks_total as f64
-        }
-    }
-
     /// CSV header matching [`SessionReport::csv_row`].
     pub const CSV_HEADER: &'static str = "scheme,session,logical_bytes,stored_bytes,transferred_bytes,put_requests,dedup_cpu_s,transfer_s,chunks_total,chunks_duplicate,files_total,files_tiny,index_disk_reads,dr,de_bytes_per_s";
 
@@ -164,20 +155,6 @@ pub fn cumulative_transferred(reports: &[SessionReport]) -> Vec<u64> {
         .collect()
 }
 
-/// Sums cumulative *stored* bytes across sessions — unique post-dedup
-/// chunk payload, before container metadata/padding and recipes. Compare
-/// with [`cumulative_transferred`] to see the container/metadata overhead.
-pub fn cumulative_stored(reports: &[SessionReport]) -> Vec<u64> {
-    let mut acc = 0u64;
-    reports
-        .iter()
-        .map(|r| {
-            acc += r.stored_bytes;
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +184,6 @@ mod tests {
         assert!((r.dt() - 2_000_000.0).abs() < 1e-6);
         // DE = (1 - 1/4) * 2 MB/s = 1.5 MB/s saved.
         assert!((r.de() - 1_500_000.0).abs() < 1e-6);
-        assert!((r.duplicate_fraction() - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -225,7 +201,6 @@ mod tests {
         assert_eq!(r.dr(), 1.0);
         assert_eq!(r.de(), 0.0);
         assert_eq!(r.bws(1e6), 0.0);
-        assert_eq!(r.duplicate_fraction(), 0.0);
     }
 
     #[test]
@@ -250,9 +225,6 @@ mod tests {
         let mut rs = vec![sample(), sample(), sample()];
         rs[1].transferred_bytes = 100;
         rs[2].transferred_bytes = 1;
-        rs[1].stored_bytes = 70;
-        rs[2].stored_bytes = 9;
         assert_eq!(cumulative_transferred(&rs), vec![260_000, 260_100, 260_101]);
-        assert_eq!(cumulative_stored(&rs), vec![250_000, 250_070, 250_079]);
     }
 }

@@ -279,7 +279,8 @@ impl Queue {
 /// Which pipeline thread a busy/idle report describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WorkerRole {
-    /// A backup pipeline worker: chunk+hash, then its lane's dedup run.
+    /// A backup session thread: chunk+hash. Id 0 is the session thread,
+    /// which also dedupes every file.
     Chunker,
     /// A restore fetch/parse/verify worker.
     Restorer,
@@ -419,12 +420,6 @@ impl Recorder {
     /// Turns recording on.
     pub fn enable(&self) {
         self.enabled.store(true, Relaxed);
-    }
-
-    /// Turns recording off (tracing too).
-    pub fn disable(&self) {
-        self.enabled.store(false, Relaxed);
-        self.tracing.store(false, Relaxed);
     }
 
     /// Whether metrics are being recorded.

@@ -275,11 +275,6 @@ impl Generator {
         self.files.push(FileState { id, app, path, body, tiny: true });
     }
 
-    /// The current week the generator is positioned at.
-    pub fn current_week(&self) -> usize {
-        self.week
-    }
-
     /// Returns the full backup for `week`.
     ///
     /// Weeks must be requested in non-decreasing order; requesting a past

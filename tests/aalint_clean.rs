@@ -79,6 +79,14 @@ fn workspace_is_aalint_clean() {
         report.graph.nodes
     );
     assert!(report.graph.edges > report.graph.nodes, "call graph has almost no edges");
+    // Ratchet: every remaining lock edge is a name+arity collision (a guard
+    // held across `Vec::len`, `Vec::push` or `BTreeMap::insert`, resolved
+    // to a lock-taking method of the same name); no path holds two locks.
+    assert!(
+        report.graph.lock_edges <= 6,
+        "lock edges rose to {}: is a guard now held across a call that locks?",
+        report.graph.lock_edges
+    );
     println!(
         "aalint: {} files, graph {} fns / {} edges / {} lock edges",
         report.files_scanned, report.graph.nodes, report.graph.edges, report.graph.lock_edges

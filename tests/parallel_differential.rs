@@ -178,9 +178,10 @@ fn parallel_matches_serial_across_seeds_workers_and_chunkers() {
 #[test]
 fn parallel_matches_serial_on_tiny_file_heavy_set() {
     // The size filter bypasses dedup for files < 10 KiB; those are packed
-    // on the main thread in the parallel pipeline, so the tiny path needs
-    // its own differential coverage: all-tiny, boundary sizes, and a mix
-    // where tiny and big files interleave in the input ordering.
+    // by the session thread between the big files the workers chunk, so
+    // the tiny path needs its own differential coverage: all-tiny, boundary
+    // sizes, and a mix where tiny and big files interleave in the input
+    // ordering.
     let sizes: [usize; 9] = [0, 1, 512, 4 * 1024, 10 * 1024 - 1, 10 * 1024, 20 * 1024, 37, 9999];
     let exts = ["txt", "doc", "pdf", "mp3", "c", "html", "jpg", "avi", "zip"];
     let files: Vec<MemoryFile> = sizes

@@ -3,22 +3,23 @@
 //! Two files of the same application type share identical content, so
 //! every chunk of the second file collides with a chunk of the first.
 //! With eight workers the chunk+hash stage races both files, and the
-//! application's lane must still make exactly one store decision per
-//! unique fingerprint. A lost-update (insert racing lookup) or a
-//! double-append would inflate `stored_bytes`; run the session in a loop
-//! so a rare interleaving still has many chances to show up.
+//! session thread must still make exactly one store decision per unique
+//! fingerprint. A lost-update (insert racing lookup) or a double-append
+//! would inflate `stored_bytes`; run the session in a loop so a rare
+//! interleaving still has many chances to show up.
 //!
-//! The lanes themselves: a file that arrives ahead of its turn is deduped
-//! by whichever worker completes the run before it, the chunked bytes
-//! waiting for their turn are bounded, and a worker that panics is
-//! re-raised rather than waited for.
+//! The handoff itself: a batch chunked ahead of its turn waits until the
+//! session thread reaches it, the chunked bytes waiting for their turn are
+//! bounded, and a panic on a worker or on the session thread is re-raised
+//! rather than waited for.
 //!
 //! `EXPERIMENTS.md` documents the ThreadSanitizer invocation that runs
 //! this same binary under TSan.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::mpsc;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use aa_dedupe::cloud::CloudSim;
@@ -118,14 +119,13 @@ fn many_identical_files_across_apps_stay_consistent() {
 }
 
 #[test]
-fn one_lane_taking_the_whole_job_list_stays_consistent() {
-    // One application owns every big file, so a single lane takes the
-    // whole job list. Files differ in size (eight workers finish out of
-    // order, so most files wait in the lane for their turn) and are
-    // prefixes of one another (every chunk of a shorter file collides with
-    // a longer one). With no other lane making progress, a stall in the
-    // cursor or the lane's ready run hangs the test, and a lost or
-    // repeated file shows in the counters.
+fn one_application_taking_the_whole_job_list_stays_consistent() {
+    // One application owns every big file, so one partition and one
+    // container stream take the whole job list. Files differ in size (eight
+    // workers finish out of order, so most batches wait for their turn) and
+    // are prefixes of one another (every chunk of a shorter file collides
+    // with a longer one). A stall in the cursor or the handoff hangs the
+    // test, and a lost or repeated file shows in the counters.
     let content = shared_content(160 * 1024);
     let files: Vec<MemoryFile> = (0..24)
         .map(|i| {
@@ -143,17 +143,17 @@ fn one_lane_taking_the_whole_job_list_stays_consistent() {
 }
 
 #[test]
-fn later_files_of_a_lane_are_deduped_by_the_worker_holding_its_turn() {
+fn later_files_wait_for_the_session_thread_to_reach_them() {
     // One application, files in descending size: the large early files are
-    // still being chunked when the small later ones arrive, so those wait
-    // in the lane and another worker dedupes them when it deposits the
-    // file before them. Windows of one buffer make the later files largely
-    // duplicates of the earlier ones (CDC resynchronises on shifted bytes).
+    // still being chunked when the small later ones are done, so those wait
+    // in the handoff until the session thread has deduped the files before
+    // them. Windows of one buffer make the later files largely duplicates
+    // of the earlier ones (CDC resynchronises on shifted bytes).
     let content = shared_content(192 * 1024);
     let files: Vec<MemoryFile> = (0..20)
         .map(|i| {
             let (at, len) = (i * 1000, (192 - 7 * i) * 1024 - i * 1000);
-            MemoryFile::new(format!("lane/{i:02}.doc"), content[at..at + len].to_vec())
+            MemoryFile::new(format!("later/{i:02}.doc"), content[at..at + len].to_vec())
         })
         .collect();
     let config = |workers| AaDedupeConfig {
@@ -175,17 +175,23 @@ fn later_files_of_a_lane_are_deduped_by_the_worker_holding_its_turn() {
 /// Shared by one session's [`Gated`] files.
 #[derive(Default)]
 struct Gate {
-    /// Reads of every file but the first.
+    /// Reads but the held one.
     reads: AtomicUsize,
-    /// `reads` when the first file's read was let go.
+    /// `reads` when the held read was let go.
     read_while_closed: AtomicUsize,
-    /// The first file's read panics instead of returning, once let go.
+    /// The held read panics instead of returning, once let go.
     panic: bool,
+    /// When set, the held read is the first one made on any thread but
+    /// this one (the session thread), instead of the first file's.
+    session: Option<ThreadId>,
+    /// Whether a read off the session thread has been held.
+    held: AtomicBool,
 }
 
-/// A file whose reads a test watches. The first file's `read` is held
-/// until the other files' reads stop for a while (or a timeout passes),
-/// so every later file of its lane arrives ahead of its turn.
+/// A file whose reads a test watches. One read — the first file's, or the
+/// first off the session thread — is held until the other reads stop for
+/// a while (or a timeout passes), so every later file is chunked ahead of
+/// its turn.
 struct Gated<'g> {
     file: MemoryFile,
     gate: &'g Gate,
@@ -208,7 +214,13 @@ impl SourceFile for Gated<'_> {
     fn read(&self) -> Vec<u8> {
         const QUIET: Duration = Duration::from_millis(300);
         const TIMEOUT: Duration = Duration::from_secs(10);
-        if !self.first {
+        let held = match self.gate.session {
+            None => self.first,
+            Some(session) => {
+                std::thread::current().id() != session && !self.gate.held.swap(true, SeqCst)
+            }
+        };
+        if !held {
             self.gate.reads.fetch_add(1, SeqCst);
             return self.file.read();
         }
@@ -235,7 +247,7 @@ const GATED_FILE: usize = 64 * 1024;
 /// Small containers make the waiting budget 1 MiB: sixteen gated files.
 const GATED_CONTAINER: usize = 16 * 1024;
 
-/// 48 distinct files of one application; the first is held.
+/// 48 distinct files of one application, read through `gate`.
 fn gated_files(gate: &Gate) -> Vec<Gated<'_>> {
     let content = shared_content(48 * GATED_FILE);
     let file = |i: usize, bytes: &[u8]| MemoryFile::new(format!("gate/{i:02}.pdf"), bytes.to_vec());
@@ -253,9 +265,9 @@ fn gated_config(workers: usize) -> AaDedupeConfig {
 
 #[test]
 fn bytes_waiting_for_their_turn_are_bounded() {
-    // The first file is held while the workers run ahead through the rest
-    // of its lane: once the budget is spent they stop claiming, so only a
-    // budget's worth of files, plus one in flight per worker, is read.
+    // The first file is held while the other threads run ahead through the
+    // rest: once the budget is spent they stop claiming, so only a budget's
+    // worth of files, plus one in flight per worker, is read.
     let plain: Vec<MemoryFile> =
         gated_files(&Gate::default()).into_iter().map(|gated| gated.file).collect();
     let serial = backup(&sources(&plain), gated_config(1));
@@ -271,14 +283,60 @@ fn bytes_waiting_for_their_turn_are_bounded() {
 
 #[test]
 fn a_worker_that_panics_is_raised_not_waited_for() {
-    // The held first file's read panics after the other worker spent the
-    // budget and began waiting for it: that wait must end, so the session
-    // re-raises the panic instead of hanging.
+    // The worker's first read is held and panics after the session thread
+    // spent the budget and began waiting for it: that wait must end, so the
+    // session re-raises the panic instead of hanging.
     let (done, outcome) = mpsc::channel();
     std::thread::spawn(move || {
-        let gate = Gate { panic: true, ..Gate::default() };
+        let session = Some(std::thread::current().id());
+        let gate = Gate { panic: true, session, ..Gate::default() };
         let files = gated_files(&gate);
         let session = AssertUnwindSafe(|| backup(&sources(&files), gated_config(2)));
+        done.send(std::panic::catch_unwind(session).is_err()).expect("test thread listens");
+    });
+    let raised = outcome.recv_timeout(Duration::from_secs(60));
+    assert_eq!(raised, Ok(true), "the session hung or returned instead of re-raising");
+}
+
+/// A tiny file whose read panics.
+struct Unreadable(MemoryFile);
+
+impl SourceFile for Unreadable {
+    fn path(&self) -> &str {
+        self.0.path()
+    }
+
+    fn app_type(&self) -> AppType {
+        self.0.app_type()
+    }
+
+    fn size(&self) -> u64 {
+        self.0.size()
+    }
+
+    fn read(&self) -> Vec<u8> {
+        panic!("the tiny file's read fails")
+    }
+
+    fn change_token(&self) -> u64 {
+        self.0.change_token()
+    }
+}
+
+#[test]
+fn a_session_thread_that_panics_is_raised_not_waited_for() {
+    // Tiny files are packed by the session thread, where they fall in file
+    // order: this one right after the held first file is deduped. By then a
+    // worker has spent the budget and waits for the session thread, so the
+    // session thread's panic must end that wait and be re-raised.
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let gate = Gate::default();
+        let files = gated_files(&gate);
+        let tiny = Unreadable(MemoryFile::new("gate/tiny.txt".to_string(), b"tiny".to_vec()));
+        let mut sources = sources(&files);
+        sources.insert(1, &tiny);
+        let session = AssertUnwindSafe(|| backup(&sources, gated_config(2)));
         done.send(std::panic::catch_unwind(session).is_err()).expect("test thread listens");
     });
     let raised = outcome.recv_timeout(Duration::from_secs(60));
