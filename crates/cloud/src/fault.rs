@@ -21,7 +21,9 @@
 //! * seeded random transient put failures at a fixed per-mille rate.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
+
+use aadedupe_lock::Lock;
 
 use crate::backend::{BackendError, BackendOp, ObjectBackend};
 use crate::objectstore::ObjectStoreStats;
@@ -181,13 +183,13 @@ struct FaultState {
 pub struct FaultInjectingBackend {
     inner: Arc<dyn ObjectBackend>,
     plan: FaultPlan,
-    state: Mutex<FaultState>,
+    state: Lock<FaultState>,
 }
 
 impl FaultInjectingBackend {
     /// Wraps `inner` with the failure schedule `plan`.
     pub fn new(inner: Arc<dyn ObjectBackend>, plan: FaultPlan) -> Self {
-        FaultInjectingBackend { inner, plan, state: Mutex::new(FaultState::default()) }
+        FaultInjectingBackend { inner, plan, state: Lock::new(FaultState::default()) }
     }
 
     /// The wrapped backend.
@@ -195,31 +197,25 @@ impl FaultInjectingBackend {
         &self.inner
     }
 
-    /// The schedule's progress. Poisoning is ignored: a panicking holder
-    /// leaves at worst one counter unadvanced.
-    fn state(&self) -> MutexGuard<'_, FaultState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Faults injected so far.
     pub fn faults_injected(&self) -> u64 {
-        self.state().injected
+        self.state.lock().injected
     }
 
     /// Operations attempted so far (puts + gets + deletes).
     pub fn ops_attempted(&self) -> u64 {
-        self.state().ops
+        self.state.lock().ops
     }
 
     /// Whether a crash-stop rule has fired.
     pub fn crashed(&self) -> bool {
-        self.state().crashed
+        self.state.lock().crashed
     }
 
     /// Advances the op counter; returns an error if the backend is (now)
     /// crash-stopped.
     fn tick_op(&self, op: BackendOp, key: &str) -> Result<u64, BackendError> {
-        let mut g = self.state();
+        let mut g = self.state.lock();
         g.ops += 1;
         let n = g.ops;
         if g.crashed || self.plan.rules.iter().any(|r| matches!(r, FaultRule::CrashAtOp { op } if *op <= n))
@@ -234,7 +230,7 @@ impl FaultInjectingBackend {
     /// Consults every put rule; returns the fault to inject, if any.
     /// `Some((transient, keep))`: `keep` is `Some(len)` for a truncation.
     fn put_fault(&self, key: &str) -> Option<(bool, Option<usize>)> {
-        let mut g = self.state();
+        let mut g = self.state.lock();
         g.puts += 1;
         let nth = g.puts;
         for rule in &self.plan.rules {
@@ -269,7 +265,7 @@ impl FaultInjectingBackend {
 
     /// Consults every get rule; returns `Some(transient)` to inject a fault.
     fn get_fault(&self, key: &str) -> Option<bool> {
-        let mut g = self.state();
+        let mut g = self.state.lock();
         g.gets += 1;
         let nth = g.gets;
         for rule in &self.plan.rules {

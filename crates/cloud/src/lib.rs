@@ -28,7 +28,8 @@ pub use objectstore::{ObjectStore, ObjectStoreStats};
 pub use pricing::{CostBreakdown, PriceModel, BYTES_PER_GB};
 pub use wan::WanModel;
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use aadedupe_lock::Lock;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A cloud endpoint: object backend + WAN + pricing, with simulated-time
@@ -38,7 +39,7 @@ pub struct CloudSim {
     store: Arc<dyn ObjectBackend>,
     wan: WanModel,
     prices: PriceModel,
-    clock: Arc<Mutex<Duration>>,
+    clock: Arc<Lock<Duration>>,
 }
 
 impl CloudSim {
@@ -53,18 +54,12 @@ impl CloudSim {
         wan: WanModel,
         prices: PriceModel,
     ) -> Self {
-        CloudSim { store, wan, prices, clock: Arc::new(Mutex::new(Duration::ZERO)) }
+        CloudSim { store, wan, prices, clock: Arc::new(Lock::new(Duration::ZERO)) }
     }
 
     /// The paper's configuration: 802.11g WAN + S3 April 2011 prices.
     pub fn with_paper_defaults() -> Self {
         Self::new(WanModel::paper_defaults(), PriceModel::s3_april_2011())
-    }
-
-    /// The simulated transfer clock. Poisoning is ignored: the clock is a
-    /// plain sum, valid whatever a panicking holder left half-done.
-    fn clock(&self) -> MutexGuard<'_, Duration> {
-        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Uploads an object; returns the simulated transfer time (also added
@@ -76,7 +71,7 @@ impl CloudSim {
     pub fn put(&self, key: &str, bytes: impl Into<Arc<Vec<u8>>>) -> Result<Duration, BackendError> {
         let bytes = bytes.into();
         let t = self.wan.upload_time(bytes.len() as u64);
-        *self.clock() += t;
+        *self.clock.lock() += t;
         self.store.put(key, bytes)?;
         Ok(t)
     }
@@ -92,20 +87,20 @@ impl CloudSim {
             Ok(Some(b)) => self.wan.download_time(b.len() as u64),
             Ok(None) | Err(_) => self.wan.per_request_overhead,
         };
-        *self.clock() += t;
+        *self.clock.lock() += t;
         Ok((out?.map(Arc::unwrap_or_clone), t))
     }
 
     /// Deletes an object (request overhead only).
     pub fn delete(&self, key: &str) -> Result<bool, BackendError> {
-        *self.clock() += self.wan.per_request_overhead;
+        *self.clock.lock() += self.wan.per_request_overhead;
         self.store.delete(key)
     }
 
     /// Charges extra wall-clock to the simulated transfer clock (retry
     /// backoff waits, for instance, count toward the backup window).
     pub fn charge(&self, d: Duration) {
-        *self.clock() += d;
+        *self.clock.lock() += d;
     }
 
     /// The underlying object backend (for inspection and failure
@@ -126,7 +121,7 @@ impl CloudSim {
 
     /// Total simulated wall-clock consumed by transfers so far.
     pub fn elapsed(&self) -> Duration {
-        *self.clock()
+        *self.clock.lock()
     }
 
     /// One month's bill for the current contents and cumulative upload

@@ -9,7 +9,9 @@
 //! under the store's lock.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
+
+use aadedupe_lock::Lock;
 
 use crate::backend::BackendError;
 
@@ -38,7 +40,7 @@ pub struct ObjectStoreStats {
 /// `BTreeMap` keeps listings ordered, matching S3's lexicographic listing
 /// semantics.
 pub struct ObjectStore {
-    inner: RwLock<Inner>,
+    inner: Lock<Inner>,
 }
 
 struct Inner {
@@ -56,22 +58,11 @@ impl ObjectStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         ObjectStore {
-            inner: RwLock::new(Inner {
+            inner: Lock::new(Inner {
                 objects: BTreeMap::new(),
                 stats: ObjectStoreStats::default(),
             }),
         }
-    }
-
-    /// Shared access. Poisoning is ignored: every mutation below leaves
-    /// the map and the counters consistent at each step.
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Exclusive access (see [`read`](Self::read) on poisoning).
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stores `bytes` under `key` as they are, replacing any previous
@@ -82,7 +73,7 @@ impl ObjectStore {
     /// [`ObjectBackend`]: crate::backend::ObjectBackend
     pub fn put(&self, key: &str, bytes: impl Into<Arc<Vec<u8>>>) -> Result<(), BackendError> {
         let bytes = bytes.into();
-        let mut g = self.write();
+        let mut g = self.inner.lock();
         g.stats.put_requests += 1;
         g.stats.bytes_in += bytes.len() as u64;
         g.objects.insert(key.to_owned(), bytes);
@@ -91,7 +82,7 @@ impl ObjectStore {
 
     /// Fetches the object at `key`: a new reference to the stored buffer.
     pub fn get(&self, key: &str) -> Result<Option<Arc<Vec<u8>>>, BackendError> {
-        let mut g = self.write();
+        let mut g = self.inner.lock();
         g.stats.get_requests += 1;
         let out = g.objects.get(key).map(Arc::clone);
         if let Some(o) = &out {
@@ -102,19 +93,19 @@ impl ObjectStore {
 
     /// Deletes the object at `key`; returns whether it existed.
     pub fn delete(&self, key: &str) -> Result<bool, BackendError> {
-        let mut g = self.write();
+        let mut g = self.inner.lock();
         g.stats.delete_requests += 1;
         Ok(g.objects.remove(key).is_some())
     }
 
     /// True if an object exists at `key` (not counted as a request).
     pub fn contains(&self, key: &str) -> bool {
-        self.read().objects.contains_key(key)
+        self.inner.lock().objects.contains_key(key)
     }
 
     /// Keys starting with `prefix`, in lexicographic order.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.read()
+        self.inner.lock()
             .objects
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -124,24 +115,24 @@ impl ObjectStore {
 
     /// Number of stored objects.
     pub fn object_count(&self) -> usize {
-        self.read().objects.len()
+        self.inner.lock().objects.len()
     }
 
     /// Total bytes currently stored.
     pub fn stored_bytes(&self) -> u64 {
-        self.read().objects.values().map(|v| v.len() as u64).sum()
+        self.inner.lock().objects.values().map(|v| v.len() as u64).sum()
     }
 
     /// Accounting snapshot.
     pub fn stats(&self) -> ObjectStoreStats {
-        self.read().stats
+        self.inner.lock().stats
     }
 
     /// Corrupts one byte of the object at `key` (failure injection for
     /// tests); returns false if the object is missing or empty. Copy on
     /// write: a buffer an earlier get handed out keeps its bytes.
     pub fn corrupt(&self, key: &str, byte_index: usize) -> bool {
-        let mut g = self.write();
+        let mut g = self.inner.lock();
         match g.objects.get_mut(key) {
             Some(v) if !v.is_empty() => {
                 let v = Arc::make_mut(v);

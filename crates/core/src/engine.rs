@@ -61,7 +61,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use aadedupe_chunking::{
@@ -73,6 +73,7 @@ use aadedupe_container::{decompose_id, ContainerStore, DEFAULT_CONTAINER_SIZE};
 use aadedupe_filetype::{AppType, DedupPolicy, SourceFile};
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
 use aadedupe_index::{codec, AppAwareIndex, ChunkEntry};
+use aadedupe_lock::Lock;
 use aadedupe_metrics::SessionReport;
 use aadedupe_obs::{Counter, Recorder, Stage, WorkerRole};
 
@@ -402,7 +403,7 @@ struct Handoff<'a> {
     cfg: &'a AaDedupeConfig,
     /// `AHEAD_CONTAINERS` containers, in bytes.
     budget: usize,
-    state: Mutex<Ahead<'a>>,
+    state: Lock<Ahead<'a>>,
     /// Signalled whenever a batch is deposited or taken, and on unwind.
     turn: Condvar,
 }
@@ -428,7 +429,7 @@ struct WakeOnUnwind<'h, 'a>(&'h Handoff<'a>);
 impl Drop for WakeOnUnwind<'_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.lock().unwinding = true;
+            self.0.state.lock().unwinding = true;
             self.0.turn.notify_all();
         }
     }
@@ -444,12 +445,7 @@ impl<'a> Handoff<'a> {
             bytes: 0,
             unwinding: false,
         };
-        Handoff { cfg, budget, state: Mutex::new(ahead), turn: Condvar::new() }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Ahead<'a>> {
-        // Poisoned only by a panicking thread; the scope re-raises it.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        Handoff { cfg, budget, state: Lock::new(ahead), turn: Condvar::new() }
     }
 
     /// Claims the batch at the cursor, if any is left.
@@ -469,7 +465,7 @@ impl<'a> Handoff<'a> {
     }
 
     fn deposit(&self, b: usize, chunked: Chunked) {
-        let mut ahead = self.lock();
+        let mut ahead = self.state.lock();
         ahead.bytes += bytes(&chunked);
         ahead.ready.insert(b, chunked);
         drop(ahead);
@@ -484,10 +480,8 @@ impl<'a> Handoff<'a> {
         let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
         loop {
             let waiting = rec.start();
-            let mut ahead = self
-                .turn
-                .wait_while(self.lock(), |a| a.bytes > self.budget && !a.unwinding)
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut ahead =
+                self.state.lock().wait_while(&self.turn, |a| a.bytes > self.budget && !a.unwinding);
             let claim = if ahead.unwinding { None } else { Self::claim(&mut ahead) };
             drop(ahead);
             idle += since(waiting);
@@ -506,7 +500,7 @@ impl<'a> Handoff<'a> {
     /// has room. `None` once another thread unwinds.
     fn take(&self, b: usize, idle: &mut Duration) -> Option<Chunked> {
         loop {
-            let mut ahead = self.lock();
+            let mut ahead = self.state.lock();
             let (c, batch) = loop {
                 if let Some(chunked) = ahead.ready.remove(&b) {
                     ahead.bytes -= bytes(&chunked);
@@ -523,7 +517,7 @@ impl<'a> Handoff<'a> {
                     }
                 }
                 let waiting = self.cfg.recorder.start();
-                ahead = self.turn.wait(ahead).unwrap_or_else(PoisonError::into_inner);
+                ahead = ahead.wait(&self.turn);
                 *idle += since(waiting);
             };
             drop(ahead);

@@ -360,7 +360,7 @@ impl AaDedupe {
         for key in &snaps {
             #[expect(
                 clippy::single_match,
-                reason = "aalint's L7 wants a storage result's failure arm visible, not folded into an `if let`"
+                reason = "a storage error is dropped only in a visible arm, never folded into an `if let`"
             )]
             match self.cloud.delete(key) {
                 Ok(true) => report.snapshots_pruned += 1,

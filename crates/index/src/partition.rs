@@ -3,7 +3,7 @@
 //! Both index designs are built from partitions: the monolithic baseline is
 //! one big partition; the application-aware index is one partition per
 //! [`AppType`](aadedupe_filetype::AppType). A partition is one exact
-//! key-value store guarded by a [`std::sync::Mutex`]: a table of slots,
+//! key-value store guarded by one [`Lock`]: a table of slots,
 //! an [`LruSet`] over the `ram_capacity`
 //! most-recently-used fingerprints, and — optionally — a spill tier of
 //! sorted on-disk [`segment`](crate::segment)s behind a
@@ -59,9 +59,9 @@ use crate::lru::LruSet;
 use crate::segment::{merge_segments, Segment, SegmentError};
 use crate::{ChunkEntry, IndexStats};
 use aadedupe_hashing::Fingerprint;
+use aadedupe_lock::Lock;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Segment-count ceiling: a flush that leaves more than this many
 /// segments triggers a full streaming compaction.
@@ -559,19 +559,12 @@ struct Inner {
 
 /// One index partition.
 pub struct IndexPartition {
-    inner: Mutex<Inner>,
+    inner: Lock<Inner>,
 }
 
 impl IndexPartition {
     fn with_store(store: Store) -> Self {
-        IndexPartition { inner: Mutex::new(Inner { store, stats: IndexStats::default() }) }
-    }
-
-    /// The partition's one lock, taken once per operation. Poisoning is
-    /// ignored: a holder's panic propagates on its own, and the partition
-    /// keeps serving what its table holds.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        IndexPartition { inner: Lock::new(Inner { store, stats: IndexStats::default() }) }
     }
 
     /// Creates a RAM-resident partition (no spill tier) whose modelled
@@ -602,7 +595,7 @@ impl IndexPartition {
     /// without a spill tier. Fails without writing if the partition is
     /// poisoned — degraded state must not reach disk.
     pub fn persist(&self) -> Result<(), SegmentError> {
-        self.lock().store.persist()
+        self.inner.lock().store.persist()
     }
 
     /// The first IO error this partition hit, if any. Once set, the
@@ -610,7 +603,7 @@ impl IndexPartition {
     /// dirty state stays cached) and the error sticks until the partition
     /// is rebuilt; the engine must not commit state derived from it.
     pub fn io_error(&self) -> Option<String> {
-        self.lock().store.spill.as_ref().and_then(|sp| sp.error.clone())
+        self.inner.lock().store.spill.as_ref().and_then(|sp| sp.error.clone())
     }
 
     /// Full lookup with storage classification. A hit is a read: the
@@ -623,7 +616,7 @@ impl IndexPartition {
     /// [`IndexPartition::lookup_classified`] plus the per-lookup
     /// filter/probe observations the observability counters consume.
     pub fn lookup_traced(&self, fp: &Fingerprint) -> (LookupOutcome, ProbeTrace) {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         let Inner { store, stats } = &mut *g;
         let Fetched { slot, disk, trace } = store.fetch(fp);
         stats.lookups += 1;
@@ -651,7 +644,7 @@ impl IndexPartition {
     /// Inserts a new entry; returns `false` if the fingerprint was already
     /// present (the original is kept).
     pub fn insert(&self, fp: Fingerprint, entry: ChunkEntry) -> bool {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         let Inner { store, stats } = &mut *g;
         let found = store.fetch(&fp);
         if let Some(slot) = found.slot {
@@ -678,7 +671,7 @@ impl IndexPartition {
         &self,
         entries: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
     ) -> (usize, usize) {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         let Inner { store, stats } = &mut *g;
         let sorted = sorted_last_wins(entries);
         let before = store.live as usize;
@@ -693,7 +686,7 @@ impl IndexPartition {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.lock().store.live as usize
+        self.inner.lock().store.live as usize
     }
 
     /// True when the partition is empty.
@@ -703,20 +696,20 @@ impl IndexPartition {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> IndexStats {
-        self.lock().stats
+        self.inner.lock().stats
     }
 
     /// Measured RAM footprint (table slots, filter table, segment
     /// fences). Without a spill tier the table holds every entry.
     pub fn ram_footprint(&self) -> RamFootprint {
-        self.lock().store.footprint()
+        self.inner.lock().store.footprint()
     }
 
     /// Iterates over all `(fingerprint, entry)` pairs into a vector
     /// (used by the snapshot codec). Sorted by fingerprint so snapshot
     /// bytes do not depend on storage layout.
     pub fn dump(&self) -> Vec<(Fingerprint, ChunkEntry)> {
-        self.lock().store.dump()
+        self.inner.lock().store.dump()
     }
 }
 

@@ -9,26 +9,19 @@
 //! carry; the wall clock, thread identity and hash-order traversal in the
 //! decision and output-shaping crates by the `disallowed-methods` list in
 //! each one's `clippy.toml` and the workspace's `iter_over_hash_type`.
-//! What is left needs the token stream or the whole-workspace call graph
-//! (DESIGN §12 maps every hazard to its checker):
+//! Lock nesting is a type's: every lock is an `aadedupe_lock::Lock`, whose
+//! `lock()` panics in debug builds when the thread already holds one, and
+//! the `clippy.toml` files disallow `std::sync::{Mutex, RwLock}`. A storage
+//! error folded into a default (`Result::unwrap_or` and its kin) is
+//! disallowed in the `clippy.toml` of every crate on the storage path.
+//! What is left needs one file's token stream (DESIGN §12 maps every
+//! hazard to its checker):
 //!
 //! - **L2 `unordered-iteration`** — the one hash-order traversal clippy
 //!   cannot name by path: `name.into_iter()` on a binding declared as a
 //!   `HashMap`/`HashSet`, with no order-insensitive sink or sort.
 //! - **L3 `blocking-under-lock`** — no blocking channel/thread call
-//!   while a `MutexGuard` is live in the same scope.
-//!
-//! A second pass ([`graph`]) lexes no new source: it resolves a
-//! conservative whole-workspace call graph (name + arity, bounded by
-//! the Cargo dependency DAG, dev-dependencies and test functions
-//! excluded) from the same token streams and runs two interprocedural
-//! rules (DESIGN §17):
-//!
-//! - **L5 `lock-order-cycle`** — two locks acquired in opposite orders
-//!   on any pair of call paths (per-call-site transitive resolution).
-//! - **L7 `discarded-fallibility`** — a caller of the object-store
-//!   fallible surface (`put`/`get`/`delete`) does not itself return
-//!   `Result`, so the error cannot propagate.
+//!   while a lock guard is live in the same scope.
 //!
 //! No comment silences a finding: it is fixed in code. (A vetted clippy
 //! site takes `#[expect(.., reason = "..")]`, which the compiler checks.)
@@ -36,7 +29,6 @@
 //! offline, and the rules are linear token patterns that do not need a
 //! full parse.
 
-pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -44,37 +36,24 @@ pub mod rules;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use report::{Diagnostic, GraphStats, Report};
+pub use report::{Diagnostic, Report};
 pub use rules::{DEDUP_DECISION_CRATES, OUTPUT_SHAPING_CRATES};
 
 /// Directories never descended into, at any depth.
 const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", ".github", "results"];
 
 /// Scans every first-party `.rs` file under `root` (a workspace root)
-/// and returns the sorted report.
-///
-/// Two phases: the file-local rules (L2, L3) run per file on its token
-/// stream; the same pre-lexed streams then feed the workspace call
-/// graph and the interprocedural rules (L5, L7).
+/// with the rules (L2, L3) and returns the sorted report.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
     let mut report = Report::default();
-    let mut inputs: Vec<graph::FileInput> = Vec::new();
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
-        let Some(class) = rules::classify(&rel) else { continue };
+    for rel in files.iter().filter(|rel| rules::classify(rel).is_some()) {
+        let src = fs::read_to_string(root.join(rel))?;
         report.files_scanned += 1;
-        let toks = lexer::lex(&src);
-        let test_ranges = rules::test_line_ranges(&toks);
-        report.diagnostics.extend(rules::file_diagnostics(&rel, &class, &toks, &test_ranges));
-        inputs.push(graph::FileInput { rel, class, toks, test_ranges });
+        report.diagnostics.extend(rules::scan_source(rel, &src));
     }
-
-    let (ip_diags, stats) = graph::interprocedural(&inputs, root);
-    report.graph = stats;
-    report.diagnostics.extend(ip_diags);
     report.sort();
     Ok(report)
 }

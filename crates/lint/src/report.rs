@@ -12,7 +12,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule slug (`lock-order-cycle`, `unordered-iteration`, ...).
+    /// Rule slug (`unordered-iteration` or `blocking-under-lock`).
     pub rule: &'static str,
     /// Workspace-root-relative path, `/`-separated.
     pub file: String,
@@ -21,25 +21,10 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// Call-graph statistics from the interprocedural pass (L5, L7): how
-/// much of the workspace the graph saw. Zero in single-file scans, which
-/// never build the graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphStats {
-    /// `fn` definitions (graph nodes), test code included.
-    pub nodes: usize,
-    /// Resolved caller→callee pairs (deduplicated).
-    pub edges: usize,
-    /// Held→acquired lock pairs L5 aggregates: call paths that hold two
-    /// locks at once.
-    pub lock_edges: usize,
-}
-
 /// Full scan result.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     pub files_scanned: usize,
-    pub graph: GraphStats,
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -67,22 +52,14 @@ impl Report {
             self.files_scanned,
             self.diagnostics.len()
         ));
-        out.push_str(&format!(
-            "call graph: {} fn(s), {} edge(s), {} lock edge(s)\n",
-            self.graph.nodes, self.graph.edges, self.graph.lock_edges
-        ));
         out
     }
 
     /// Machine-readable JSON (stable key order, sorted entries).
     pub fn render_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"version\": 4,\n");
+        out.push_str("{\n  \"version\": 5,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"graph\": {{\"nodes\": {}, \"edges\": {}, \"lock_edges\": {}}},\n",
-            self.graph.nodes, self.graph.edges, self.graph.lock_edges
-        ));
         out.push_str(&format!("  \"clean\": {},\n", self.clean()));
         out.push_str("  \"diagnostics\": [");
         for (i, d) in self.diagnostics.iter().enumerate() {
@@ -128,7 +105,7 @@ mod tests {
     fn json_is_stable_and_escaped() {
         let mut r = Report { files_scanned: 2, ..Default::default() };
         r.diagnostics.push(Diagnostic {
-            rule: "lock-order-cycle",
+            rule: "blocking-under-lock",
             file: "b.rs".into(),
             line: 3,
             message: "say \"no\"".into(),

@@ -1,4 +1,4 @@
-//! The file-local rules (L2's residual `into_iter` form, L3) and file
+//! The rules (L2's residual `into_iter` form, L3) and file
 //! classification.
 //!
 //! Rules operate on the token stream from [`crate::lexer`], so they can
@@ -67,23 +67,11 @@ pub fn classify(rel: &str) -> Option<FileClass> {
     Some(FileClass { crate_name, test_path })
 }
 
-/// Scans one file's source text with the file-local rules (L2, L3). The
-/// interprocedural rules (L5, L7) need the whole workspace and only run
-/// through [`crate::scan_workspace`].
+/// Scans one file's source text with the rules (L2, L3).
 pub fn scan_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     let Some(class) = classify(rel) else { return Vec::new() };
     let toks = lex(src);
     let test_ranges = test_line_ranges(&toks);
-    file_diagnostics(rel, &class, &toks, &test_ranges)
-}
-
-/// The file-local rules (L2, L3) over one pre-lexed file.
-pub(crate) fn file_diagnostics(
-    rel: &str,
-    class: &FileClass,
-    toks: &[Tok],
-    test_ranges: &[(u32, u32)],
-) -> Vec<Diagnostic> {
     let in_test = |line: u32| {
         class.test_path || test_ranges.iter().any(|&(a, b)| line >= a && line <= b)
     };
@@ -99,11 +87,11 @@ pub(crate) fn file_diagnostics(
     if DEDUP_DECISION_CRATES.contains(&class.crate_name.as_str())
         || OUTPUT_SHAPING_CRATES.contains(&class.crate_name.as_str())
     {
-        rule_hash_into_iter(toks, &mut |line, msg| {
+        rule_hash_into_iter(&toks, &mut |line, msg| {
             cands.push(diag("unordered-iteration", line, msg));
         });
     }
-    rule_blocking_under_lock(toks, &mut |line, msg| {
+    rule_blocking_under_lock(&toks, &mut |line, msg| {
         cands.push(diag("blocking-under-lock", line, msg));
     });
 
@@ -116,20 +104,20 @@ fn ident_is(t: &Tok, name: &str) -> bool {
     matches!(&t.kind, TokKind::Ident(s) if s == name)
 }
 
-pub(crate) fn ident_of(t: &Tok) -> Option<&str> {
+fn ident_of(t: &Tok) -> Option<&str> {
     match &t.kind {
         TokKind::Ident(s) => Some(s),
         _ => None,
     }
 }
 
-pub(crate) fn punct_is(t: &Tok, c: char) -> bool {
+fn punct_is(t: &Tok, c: char) -> bool {
     t.kind == TokKind::Punct(c)
 }
 
 /// Line ranges (inclusive) of `#[cfg(test)]` / `#[test]`-attributed
 /// items, so library rules skip unit-test modules embedded in src files.
-pub(crate) fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
+fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -369,13 +357,15 @@ fn rule_blocking_under_lock(toks: &[Tok], emit: &mut impl FnMut(u32, String)) {
                         let mut d = 0i32;
                         let mut lock_seen = false;
                         // `lock()` in tail position (only unwrap/expect/
-                        // poison-recovery adapters after it) binds a guard
-                        // to `name`; a mid-chain `lock()` produces a
-                        // temporary guard that dies at the `;`, so the
-                        // binding is NOT tracked — but a blocking call
-                        // later in that same chain holds the temporary
-                        // across it and flags here.
-                        let mut tail = false;
+                        // poison-recovery adapters or a condvar wait after
+                        // it, at its depth: a closure argument's field
+                        // reads do not count) binds a guard to `name`; a
+                        // mid-chain `lock()` produces a temporary guard
+                        // that dies at the `;`, so the binding is NOT
+                        // tracked — but a blocking call later in that same
+                        // chain holds the temporary across it and flags
+                        // here.
+                        let (mut tail, mut lock_depth) = (false, 0i32);
                         let mut chained_block: Option<(u32, String)> = None;
                         while k < toks.len() {
                             match &toks[k].kind {
@@ -385,14 +375,19 @@ fn rule_blocking_under_lock(toks: &[Tok], emit: &mut impl FnMut(u32, String)) {
                                 TokKind::Ident(m) if k >= 1 && punct_is(&toks[k - 1], '.') => {
                                     if m == "lock" {
                                         lock_seen = true;
-                                        tail = true;
+                                        (tail, lock_depth) = (true, d);
                                     } else if lock_seen
                                         && !matches!(
                                             m.as_str(),
-                                            "unwrap" | "expect" | "unwrap_or_else" | "into_inner"
+                                            "unwrap"
+                                                | "expect"
+                                                | "unwrap_or_else"
+                                                | "into_inner"
+                                                | "wait"
+                                                | "wait_while"
                                         )
                                     {
-                                        tail = false;
+                                        tail &= d > lock_depth;
                                         let argless_join = m == "join"
                                             && toks.get(k + 1).is_some_and(|t| punct_is(t, '('))
                                             && toks.get(k + 2).is_some_and(|t| punct_is(t, ')'));
@@ -574,6 +569,14 @@ mod tests {
     fn tail_lock_with_poison_recovery_is_a_guard() {
         let src = "fn f() {\n\
                    let g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
+                   rx.recv();\n}\n";
+        assert_eq!(diags(CORE, src), vec![("blocking-under-lock".into(), 3)]);
+    }
+
+    #[test]
+    fn a_guard_back_from_a_condvar_wait_is_a_guard() {
+        let src = "fn f() {\n\
+                   let g = m.lock().wait_while(&turn, |a| a.busy);\n\
                    rx.recv();\n}\n";
         assert_eq!(diags(CORE, src), vec![("blocking-under-lock".into(), 3)]);
     }

@@ -1,0 +1,132 @@
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::indexing_slicing, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::missing_panics_doc))]
+//! [`Lock`]: the workspace's one mutex.
+//!
+//! Every lock in the engine is a `Lock`; the `clippy.toml` files
+//! disallow `std::sync::Mutex` and `std::sync::RwLock` everywhere else.
+//! It carries two policies that used to be repeated at each site:
+//!
+//! - **Poison is ignored.** A lock is poisoned only by a thread that
+//!   panicked while holding it, and that panic is raised by whoever
+//!   joins the thread; the data stays usable for the unwinding paths.
+//! - **One lock at a time.** In debug builds [`Lock::lock`] panics when
+//!   the calling thread already holds a `Lock`, so no two locks are ever
+//!   nested and no lock-order deadlock can form. Every test binary runs
+//!   the check on every path it reaches; release builds compile it out.
+//!   It stays silent while the thread unwinds, so a second panic never
+//!   aborts a test binary.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, MutexGuard, PoisonError};
+
+/// A mutex that ignores poison and, in debug builds, refuses to nest.
+#[derive(Debug, Default)]
+pub struct Lock<T> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one `Mutex` every other lock is built on"
+    )]
+    inner: std::sync::Mutex<T>,
+}
+
+/// The guard [`Lock::lock`] returns: the calling thread holds its one
+/// lock until this drops.
+#[derive(Debug)]
+pub struct LockGuard<'a, T> {
+    guard: MutexGuard<'a, T>,
+    _held: Held,
+}
+
+impl<T> Lock<T> {
+    /// A new, unlocked `Lock` holding `value`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one `Mutex` every other lock is built on"
+    )]
+    pub const fn new(value: T) -> Self {
+        Lock {
+            inner: std::sync::Mutex::new(value),
+        }
+    }
+
+    /// Blocks until the lock is free and takes it, poisoned or not.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the calling thread already holds a `Lock`
+    /// and is not unwinding.
+    pub fn lock(&self) -> LockGuard<'_, T> {
+        // Checked before blocking: re-taking the lock this thread holds
+        // panics instead of deadlocking.
+        let held = Held::take();
+        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        LockGuard { guard, _held: held }
+    }
+}
+
+impl<T> LockGuard<'_, T> {
+    /// Releases the lock, blocks until `turn` is notified, and takes the
+    /// lock again. The thread counts as holding it throughout: it can
+    /// take no other lock while it waits.
+    pub fn wait(self, turn: &Condvar) -> Self {
+        let LockGuard { guard, _held } = self;
+        let guard = turn.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        LockGuard { guard, _held }
+    }
+
+    /// [`wait`](Self::wait) until `condition` is false.
+    pub fn wait_while(self, turn: &Condvar, condition: impl FnMut(&mut T) -> bool) -> Self {
+        let LockGuard { guard, _held } = self;
+        let guard = turn
+            .wait_while(guard, condition)
+            .unwrap_or_else(PoisonError::into_inner);
+        LockGuard { guard, _held }
+    }
+}
+
+impl<T> Deref for LockGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for LockGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
+
+/// The calling thread's claim on its one lock: counted per thread in
+/// debug builds, nothing in release builds.
+#[derive(Debug)]
+struct Held;
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// How many `Held` the thread owns: 1 at most, except while unwinding.
+    static HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Held {
+    fn take() -> Held {
+        #[cfg(debug_assertions)]
+        #[expect(clippy::panic, reason = "the one-lock-at-a-time rule")]
+        HELD.with(|held| {
+            if held.get() > 0 && !std::thread::panicking() {
+                panic!(
+                    "one lock at a time: this thread already holds a `Lock`; drop its guard first"
+                );
+            }
+            held.set(held.get() + 1);
+        });
+        Held
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Held {
+    fn drop(&mut self) {
+        HELD.with(|held| held.set(held.get().saturating_sub(1)));
+    }
+}

@@ -47,7 +47,8 @@ pub use trace::{TraceEvent, TraceSink};
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use aadedupe_lock::Lock;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The instrumented stages of the backup pipeline, in dataflow order.
@@ -334,9 +335,9 @@ pub struct Recorder {
     counters: [AtomicU64; Counter::ALL.len()],
     app_hits: [AtomicU64; MAX_APP_TAG],
     app_misses: [AtomicU64; MAX_APP_TAG],
-    app_labels: Mutex<Vec<(u8, String)>>,
+    app_labels: Lock<Vec<(u8, String)>>,
     queues: [QueueGauge; Queue::ALL.len()],
-    workers: Mutex<Vec<WorkerTime>>,
+    workers: Lock<Vec<WorkerTime>>,
     trace: TraceSink,
 }
 
@@ -365,9 +366,9 @@ impl Recorder {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             app_hits: std::array::from_fn(|_| AtomicU64::new(0)),
             app_misses: std::array::from_fn(|_| AtomicU64::new(0)),
-            app_labels: Mutex::new(Vec::new()),
+            app_labels: Lock::new(Vec::new()),
             queues: std::array::from_fn(|_| QueueGauge::default()),
-            workers: Mutex::new(Vec::new()),
+            workers: Lock::new(Vec::new()),
             trace: TraceSink::default(),
         }
     }
@@ -477,7 +478,7 @@ impl Recorder {
     /// Registers a human-readable label for an application tag (idempotent;
     /// used by the snapshot exports).
     pub fn label_app(&self, tag: u8, label: impl Into<String>) {
-        let mut g = self.app_labels.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = self.app_labels.lock();
         if !g.iter().any(|(t, _)| *t == tag) {
             g.push((tag, label.into()));
         }
@@ -524,10 +525,7 @@ impl Recorder {
     /// per thread at exit).
     pub fn worker_report(&self, role: WorkerRole, id: usize, busy: Duration, idle: Duration) {
         if self.is_enabled() {
-            self.workers
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(WorkerTime { role, id, busy, idle });
+            self.workers.lock().push(WorkerTime { role, id, busy, idle });
         }
     }
 
@@ -562,7 +560,7 @@ impl Recorder {
     /// threads record; each histogram snapshot is internally consistent
     /// (its count is the sum of its buckets).
     pub fn snapshot(&self) -> Snapshot {
-        let labels = self.app_labels.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
+        let labels = self.app_labels.lock().clone();
         let label_of = |tag: u8| {
             labels
                 .iter()
@@ -579,7 +577,6 @@ impl Recorder {
         let mut workers: Vec<WorkerSnapshot> = self
             .workers
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .iter()
             .map(|w| WorkerSnapshot {
                 role: w.role,
@@ -632,7 +629,7 @@ impl Recorder {
             q.hwm.store(0, Relaxed);
             q.underflow.store(0, Relaxed);
         }
-        self.workers.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.workers.lock().clear();
         self.trace.drain();
     }
 }

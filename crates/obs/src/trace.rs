@@ -7,7 +7,7 @@
 //! wrapped in a JSON array, load into `chrome://tracing` / Perfetto.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use aadedupe_lock::Lock;
 use std::thread::ThreadId;
 
 /// One complete ("X"-phase) trace event.
@@ -40,33 +40,33 @@ impl TraceEvent {
 /// Buffered trace sink with a thread-id registry.
 #[derive(Debug, Default)]
 pub struct TraceSink {
-    events: Mutex<Vec<TraceEvent>>,
-    tids: Mutex<HashMap<ThreadId, u32>>,
+    events: Lock<Vec<TraceEvent>>,
+    tids: Lock<HashMap<ThreadId, u32>>,
 }
 
 impl TraceSink {
     /// The small integer id for the calling thread.
     pub fn tid(&self) -> u32 {
-        let mut g = self.tids.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = self.tids.lock();
         let next = g.len() as u32;
         *g.entry(std::thread::current().id()).or_insert(next)
     }
 
     /// Buffers one event.
     pub fn push(&self, ev: TraceEvent) {
-        self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(ev);
+        self.events.lock().push(ev);
     }
 
     /// Takes every buffered event, ordered by start time.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut evs = std::mem::take(&mut *self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+        let mut evs = std::mem::take(&mut *self.events.lock());
         evs.sort_by_key(|e| e.ts_ns);
         evs
     }
 
     /// Buffered event count.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.events.lock().len()
     }
 
     /// True when no events are buffered.

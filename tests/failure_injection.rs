@@ -1,5 +1,6 @@
 //! Failure injection: corruption and loss must be *detected*, never
 //! silently restored.
+#![expect(clippy::disallowed_types, reason = "test code: a recording backend keeps its log under a std Mutex")]
 
 use aa_dedupe::cloud::CloudSim;
 use aa_dedupe::core::{AaDedupe, AaDedupeConfig, BackupError, BackupScheme};
