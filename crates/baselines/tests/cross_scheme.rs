@@ -4,7 +4,7 @@
 //! relies on, using hand-built workloads where the expected behaviour is
 //! exactly computable.
 
-use aadedupe_baselines::{Avamar, BackupPc, JungleDisk, Sam};
+use aadedupe_baselines::{Baseline, Strategy};
 use aadedupe_cloud::CloudSim;
 use aadedupe_core::{AaDedupe, BackupScheme};
 use aadedupe_filetype::{MemoryFile, SourceFile};
@@ -38,10 +38,10 @@ fn one_byte_edit_cost_ladder() {
             stored.insert($name, r.stored_bytes);
         }};
     }
-    run!("jd", JungleDisk::new(CloudSim::with_paper_defaults()));
-    run!("bp", BackupPc::new(CloudSim::with_paper_defaults()));
-    run!("av", Avamar::new(CloudSim::with_paper_defaults()));
-    run!("sam", Sam::new(CloudSim::with_paper_defaults()));
+    run!("jd", Baseline::new(Strategy::JungleDisk, CloudSim::with_paper_defaults()));
+    run!("bp", Baseline::new(Strategy::BackupPc, CloudSim::with_paper_defaults()));
+    run!("av", Baseline::new(Strategy::Avamar, CloudSim::with_paper_defaults()));
+    run!("sam", Baseline::new(Strategy::Sam, CloudSim::with_paper_defaults()));
     run!("aa", AaDedupe::new(CloudSim::with_paper_defaults()));
 
     // Whole-file schemes re-store everything.
@@ -68,12 +68,12 @@ fn media_edit_cost_is_whole_file_for_aa_and_sam() {
     let aa_r = aa.backup_session(&sources(&v2)).unwrap();
     assert_eq!(aa_r.stored_bytes, 150_000, "WFC: whole file re-stored");
 
-    let mut sam = Sam::new(CloudSim::with_paper_defaults());
+    let mut sam = Baseline::new(Strategy::Sam, CloudSim::with_paper_defaults());
     sam.backup_session(&sources(&v1)).unwrap();
     let sam_r = sam.backup_session(&sources(&v2)).unwrap();
     assert_eq!(sam_r.stored_bytes, 150_000);
 
-    let mut av = Avamar::new(CloudSim::with_paper_defaults());
+    let mut av = Baseline::new(Strategy::Avamar, CloudSim::with_paper_defaults());
     av.backup_session(&sources(&v1)).unwrap();
     let av_r = av.backup_session(&sources(&v2)).unwrap();
     assert!(av_r.stored_bytes <= 20 * 1024);
@@ -92,7 +92,7 @@ fn request_counts_reflect_aggregation() {
         })
         .collect();
 
-    let mut av = Avamar::new(CloudSim::with_paper_defaults());
+    let mut av = Baseline::new(Strategy::Avamar, CloudSim::with_paper_defaults());
     let av_r = av.backup_session(&sources(&files)).unwrap();
     let mut aa = AaDedupe::new(CloudSim::with_paper_defaults());
     let aa_r = aa.backup_session(&sources(&files)).unwrap();
@@ -115,13 +115,13 @@ fn rename_is_free_for_content_addressed_schemes_only() {
     let v2 = vec![MemoryFile::new("new_name.doc", payload.clone())];
 
     // Jungle Disk keys on path: a rename is a full re-upload.
-    let mut jd = JungleDisk::new(CloudSim::with_paper_defaults());
+    let mut jd = Baseline::new(Strategy::JungleDisk, CloudSim::with_paper_defaults());
     jd.backup_session(&sources(&v1)).unwrap();
     let jd_r = jd.backup_session(&sources(&v2)).unwrap();
     assert_eq!(jd_r.stored_bytes, payload.len() as u64);
 
     // BackupPC keys on content: a rename stores nothing.
-    let mut bp = BackupPc::new(CloudSim::with_paper_defaults());
+    let mut bp = Baseline::new(Strategy::BackupPc, CloudSim::with_paper_defaults());
     bp.backup_session(&sources(&v1)).unwrap();
     let bp_r = bp.backup_session(&sources(&v2)).unwrap();
     assert_eq!(bp_r.stored_bytes, 0);
@@ -157,7 +157,7 @@ fn dedup_cpu_ladder_on_mixed_workload() {
             .min()
             .expect("three sessions")
     };
-    let avamar = best(&|| Box::new(Avamar::new(CloudSim::with_paper_defaults())));
+    let avamar = best(&|| Box::new(Baseline::new(Strategy::Avamar, CloudSim::with_paper_defaults())));
     let aa = best(&|| Box::new(AaDedupe::new(CloudSim::with_paper_defaults())));
     // The paper's claim is the order, so that is what is asserted, and
     // the margin is thin by now: ≈ 95 ms of either figure is the same

@@ -110,14 +110,9 @@ pub fn run_evaluation_with(
             reports.push(report);
         }
         eprintln!("  [done] {}", probe_scheme.name());
-        runs.push(SchemeRun { name: leak_name(scheme.name()), reports, cloud });
+        runs.push(SchemeRun { name: scheme.name(), reports, cloud });
     }
     runs
-}
-
-fn leak_name(name: &str) -> &'static str {
-    // Scheme names are a tiny fixed set; leaking keeps SchemeRun simple.
-    Box::leak(name.to_owned().into_boxed_str())
 }
 
 /// Formats a byte count with binary units.

@@ -1,5 +1,5 @@
 //! The fidelity anchor: every dedup decision of the five-scheme evaluation,
-//! pinned.
+//! and the cloud namespace it leaves, pinned.
 //!
 //! `AA_EVAL_MB=8 AA_SESSIONS=3 AA_CSV=1 evaluation` at seed 2011, minus the
 //! timing columns. A kernel, scheduling or storage change that claims to
@@ -80,4 +80,44 @@ fn five_schemes_three_sessions_decide_as_pinned() {
     let want: Vec<(&str, Vec<[u64; 9]>)> =
         GOLDEN.iter().map(|(name, rows)| (*name, rows.to_vec())).collect();
     assert_eq!(got, want);
+}
+
+/// Per scheme: its object count and FNV-1a (64-bit) over its cloud
+/// namespace after the three sessions — every key in sorted order with its
+/// object's bytes, each prefixed by its length. `GOLDEN` counts what was
+/// stored; this pins where it went and how it was encoded (stream ids in
+/// container keys, container and manifest bytes), which counts alone
+/// cannot see.
+const NAMESPACES: [(&str, usize, u64); 5] = [
+    ("Jungle Disk", 1167, 0x9f5f_f54f_0c5c_eb51),
+    ("BackupPC", 1157, 0xbb67_77d1_da5c_02fc),
+    ("Avamar", 3637, 0xb522_d812_99d7_856f),
+    ("SAM", 1787, 0x4abe_1569_8727_c8a2),
+    ("AA-Dedupe", 47, 0xe925_756f_bf17_d442),
+];
+
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn five_schemes_three_sessions_leave_pinned_namespaces() {
+    let runs = run_evaluation(EvalConfig { dataset_bytes: 8 << 20, sessions: 3, seed: 2011, csv: false });
+    let got: Vec<(&str, usize, u64)> = runs
+        .iter()
+        .map(|run| {
+            let store = run.cloud.store();
+            let mut keys = store.list("");
+            keys.sort();
+            let digest = keys.iter().fold(0xcbf2_9ce4_8422_2325, |h, key| {
+                let object = store.get(key).expect("listed object reads").expect("listed object exists");
+                let h = fnv1a(h, &(key.len() as u64).to_le_bytes());
+                let h = fnv1a(h, key.as_bytes());
+                let h = fnv1a(h, &(object.len() as u64).to_le_bytes());
+                fnv1a(h, &object)
+            });
+            (run.name, keys.len(), digest)
+        })
+        .collect();
+    assert_eq!(got, NAMESPACES.to_vec());
 }

@@ -54,7 +54,7 @@ use std::time::Duration;
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::{ChunkDescriptor, ParsedContainer};
 use aadedupe_hashing::Fingerprint;
-use aadedupe_obs::{Counter, Queue, Recorder, Stage, WorkerRole};
+use aadedupe_obs::{Counter, Recorder, Stage, WorkerRole};
 
 use crate::recipe::{FileRecipe, Manifest};
 use crate::retry::{RetryPolicy, Transfer};
@@ -392,7 +392,7 @@ fn run_pipeline(
                     if let Some(t) = working {
                         busy += t.elapsed();
                     }
-                    rec.queue_push(Queue::RestoreVerified);
+                    rec.restore_verified_push();
                     let blocked = rec.start();
                     // The caller drains until every sender is gone, so a
                     // closed channel means it panicked; just stop.
@@ -421,7 +421,7 @@ fn run_pipeline(
                     }
                 }
             }
-            rec.queue_pop(Queue::RestoreVerified);
+            rec.restore_verified_pop();
         }
     });
     first_err.map_or(Ok(out), |(_, e)| Err(e))

@@ -142,13 +142,10 @@ impl AppAwareIndex {
     /// Insert into one application's partition.
     ///
     /// Thread-safety: every partition method takes `&self` and locks only
-    /// that partition's mutex, so concurrent inserts/lookups against
-    /// *different* applications never contend, and concurrent access to
-    /// the *same* partition is serialized but safe. The parallel backup
-    /// pipeline exploits this by deduplicating each application's files
-    /// only under that application's lane lock: within a lane the
-    /// lookup→insert sequence needs no extra synchronisation because no
-    /// other thread touches that partition meanwhile.
+    /// that partition, so concurrent access is serialized but safe. The
+    /// backup engine makes every lookup and insert from its session thread,
+    /// in file order, so a lookup→insert sequence needs no further
+    /// synchronisation: no other thread touches the index meanwhile.
     pub fn insert(&self, app: AppType, fp: Fingerprint, entry: ChunkEntry) -> bool {
         self.partition(app).insert(fp, entry)
     }

@@ -5,13 +5,13 @@
 //! The backup engine's per-session [`SessionReport`] aggregates say *what*
 //! a session cost; this crate says *where*: per-stage latency histograms
 //! (classify / chunk / hash / index / container / upload), per-application
-//! index hit/miss counters, pipeline worker busy/idle time, and channel
-//! queue-depth high-water marks. A [`Recorder`] is plumbed through the
-//! engine, index, container store, and chunker; everything it records
-//! leaves through one machine-readable [`Document`] (a header, the
-//! [`Sampler`]'s samples streamed as they are taken, the buffered spans,
-//! and a closing [`Snapshot`] summary — samples and summary in one schema)
-//! and one human rendering of that same summary
+//! index hit/miss counters, pipeline worker busy/idle time, and the
+//! restore's hand-over queue depth and high-water mark. A [`Recorder`] is
+//! plumbed through the engine, index, container store, and chunker;
+//! everything it records leaves through one machine-readable [`Document`]
+//! (a header, the [`Sampler`]'s samples streamed as they are taken, the
+//! buffered spans, and a closing [`Snapshot`] summary — samples and
+//! summary in one schema) and one human rendering of that same summary
 //! ([`Snapshot::render_table`]).
 //!
 //! # Zero-cost when disabled
@@ -255,28 +255,6 @@ impl Counter {
     }
 }
 
-/// The pipelines' bounded buffers, tracked as depth gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Queue {
-    /// Verified containers a restore has not scattered yet: counted by the
-    /// fetch worker after verify, uncounted by the caller once handled. The
-    /// high-water mark proves the `workers + 17` restore memory bound.
-    RestoreVerified,
-}
-
-impl Queue {
-    /// Every queue.
-    pub const ALL: [Queue; 1] = [Queue::RestoreVerified];
-
-    /// Stable snake_case name (the JSON key).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Queue::RestoreVerified => "restore_verified",
-        }
-    }
-}
-
 /// Which pipeline thread a busy/idle report describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WorkerRole {
@@ -301,6 +279,7 @@ impl WorkerRole {
 /// uses tags 1..=13).
 pub const MAX_APP_TAG: usize = 32;
 
+/// A bounded buffer's depth gauge.
 #[derive(Debug, Default)]
 struct QueueGauge {
     depth: AtomicI64,
@@ -336,7 +315,10 @@ pub struct Recorder {
     app_hits: [AtomicU64; MAX_APP_TAG],
     app_misses: [AtomicU64; MAX_APP_TAG],
     app_labels: Lock<Vec<(u8, String)>>,
-    queues: [QueueGauge; Queue::ALL.len()],
+    /// Verified containers a restore has not scattered yet: counted by the
+    /// fetch worker after verify, uncounted by the caller once handled. The
+    /// high-water mark proves the `workers + 17` restore memory bound.
+    restore_verified: QueueGauge,
     workers: Lock<Vec<WorkerTime>>,
     trace: TraceSink,
 }
@@ -367,7 +349,7 @@ impl Recorder {
             app_hits: std::array::from_fn(|_| AtomicU64::new(0)),
             app_misses: std::array::from_fn(|_| AtomicU64::new(0)),
             app_labels: Lock::new(Vec::new()),
-            queues: std::array::from_fn(|_| QueueGauge::default()),
+            restore_verified: QueueGauge::default(),
             workers: Lock::new(Vec::new()),
             trace: TraceSink::default(),
         }
@@ -387,14 +369,6 @@ impl Recorder {
     )]
     fn counter(&self, counter: Counter) -> &AtomicU64 {
         &self.counters[counter as usize]
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "Queue discriminants index an array with one slot per variant"
-    )]
-    fn queue(&self, queue: Queue) -> &QueueGauge {
-        &self.queues[queue as usize]
     }
 
     /// An enabled recorder.
@@ -496,25 +470,27 @@ impl Recorder {
         }
     }
 
-    /// Notes one item entering a queue (call *before* the blocking send, so
-    /// the high-water mark counts producers waiting on a full channel).
+    /// Notes one verified container entering the restore's hand-over
+    /// channel (call *before* the blocking send, so the high-water mark
+    /// counts producers waiting on a full channel).
     #[inline]
-    pub fn queue_push(&self, q: Queue) {
+    pub fn restore_verified_push(&self) {
         if self.is_enabled() {
-            let g = self.queue(q);
+            let g = &self.restore_verified;
             let depth = g.depth.fetch_add(1, Relaxed) + 1;
             g.hwm.fetch_max(depth, Relaxed);
         }
     }
 
-    /// Notes one item leaving a queue. Saturates at zero: a pop that races
-    /// ahead of its matching push (or a caller bug) increments the gauge's
-    /// underflow counter instead of driving the depth negative — a negative
-    /// depth would poison every later high-water reading.
+    /// Notes one verified container leaving the hand-over channel.
+    /// Saturates at zero: a pop that races ahead of its matching push (or a
+    /// caller bug) increments the gauge's underflow counter instead of
+    /// driving the depth negative — a negative depth would poison every
+    /// later high-water reading.
     #[inline]
-    pub fn queue_pop(&self, q: Queue) {
+    pub fn restore_verified_pop(&self) {
         if self.is_enabled() {
-            let g = self.queue(q);
+            let g = &self.restore_verified;
             if g.depth.fetch_update(Relaxed, Relaxed, |d| (d > 0).then(|| d - 1)).is_err() {
                 g.underflow.fetch_add(1, Relaxed);
             }
@@ -596,18 +572,11 @@ impl Recorder {
                 .map(|&c| (c, self.counter(c).load(Relaxed)))
                 .collect(),
             apps,
-            queues: Queue::ALL
-                .iter()
-                .map(|&q| {
-                    let g = self.queue(q);
-                    QueueSnapshot {
-                        queue: q,
-                        depth: g.depth.load(Relaxed).max(0) as u64,
-                        hwm: g.hwm.load(Relaxed).max(0) as u64,
-                        underflow: g.underflow.load(Relaxed),
-                    }
-                })
-                .collect(),
+            restore_verified: QueueSnapshot {
+                depth: self.restore_verified.depth.load(Relaxed).max(0) as u64,
+                hwm: self.restore_verified.hwm.load(Relaxed).max(0) as u64,
+                underflow: self.restore_verified.underflow.load(Relaxed),
+            },
             workers,
         }
     }
@@ -624,11 +593,10 @@ impl Recorder {
         for t in self.app_hits.iter().chain(&self.app_misses) {
             t.store(0, Relaxed);
         }
-        for q in &self.queues {
-            q.depth.store(0, Relaxed);
-            q.hwm.store(0, Relaxed);
-            q.underflow.store(0, Relaxed);
-        }
+        let q = &self.restore_verified;
+        q.depth.store(0, Relaxed);
+        q.hwm.store(0, Relaxed);
+        q.underflow.store(0, Relaxed);
         self.workers.lock().clear();
         self.trace.drain();
     }
@@ -646,7 +614,7 @@ mod tests {
         r.record_duration(Stage::Hash, Duration::from_millis(5));
         r.count(Counter::ChunkBytes, 100);
         r.index_outcome(1, true);
-        r.queue_push(Queue::RestoreVerified);
+        r.restore_verified_push();
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_secs(1), Duration::ZERO);
         r.trace_complete("x", r.trace_start());
         let s = r.snapshot();
@@ -654,7 +622,7 @@ mod tests {
         assert_eq!(s.counter(Counter::ChunkBytes), 0);
         assert!(s.apps.is_empty());
         assert!(s.workers.is_empty());
-        assert_eq!(s.queue(Queue::RestoreVerified).hwm, 0);
+        assert_eq!(s.restore_verified.hwm, 0);
         assert!(r.drain_trace().is_empty());
     }
 
@@ -668,17 +636,17 @@ mod tests {
         r.index_outcome(5, false);
         r.index_outcome(5, false);
         r.label_app(5, "rar");
-        r.queue_push(Queue::RestoreVerified);
-        r.queue_push(Queue::RestoreVerified);
-        r.queue_pop(Queue::RestoreVerified);
+        r.restore_verified_push();
+        r.restore_verified_push();
+        r.restore_verified_pop();
         r.worker_report(WorkerRole::Restorer, 4, Duration::from_millis(2), Duration::from_millis(1));
         let s = r.snapshot();
         assert_eq!(s.stage(Stage::Chunk).hist.count, 2);
         assert_eq!(s.counter(Counter::ChunksCdc), 2);
         let app = &s.apps[0];
         assert_eq!((app.tag, app.label.as_str(), app.hits, app.misses), (5, "rar", 1, 2));
-        assert_eq!(s.queue(Queue::RestoreVerified).hwm, 2);
-        assert_eq!(s.queue(Queue::RestoreVerified).depth, 1);
+        assert_eq!(s.restore_verified.hwm, 2);
+        assert_eq!(s.restore_verified.depth, 1);
         assert_eq!(s.workers[0].role, WorkerRole::Restorer);
         r.reset();
         assert_eq!(r.snapshot().counter(Counter::ChunksCdc), 0);

@@ -14,7 +14,7 @@
 
 use crate::hist::HistogramSnapshot;
 use crate::series::json_str;
-use crate::{Counter, Queue, Stage, WorkerRole};
+use crate::{Counter, Stage, WorkerRole};
 use std::time::Duration;
 
 /// One stage's histogram at snapshot time.
@@ -42,8 +42,6 @@ pub struct AppIndexSnapshot {
 /// One queue gauge: instantaneous depth plus high-water mark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueSnapshot {
-    /// Which queue.
-    pub queue: Queue,
     /// Depth at snapshot time (0 between sessions).
     pub depth: u64,
     /// Highest depth ever observed.
@@ -88,8 +86,9 @@ pub struct Snapshot {
     pub counters: Vec<(Counter, u64)>,
     /// Per-application index hit/miss counts (only apps with traffic).
     pub apps: Vec<AppIndexSnapshot>,
-    /// Queue gauges.
-    pub queues: Vec<QueueSnapshot>,
+    /// The restore's verified-container gauge, named `restore_verified`
+    /// in the `queues` member of the JSON rendering.
+    pub restore_verified: QueueSnapshot,
     /// Pipeline thread busy/idle reports.
     pub workers: Vec<WorkerSnapshot>,
 }
@@ -118,21 +117,6 @@ impl Snapshot {
     /// One counter's value.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters.iter().find(|(x, _)| *x == c).map_or(0, |(_, v)| *v)
-    }
-
-    /// One queue's gauge.
-    ///
-    /// # Panics
-    ///
-    /// If the snapshot lacks `q`; [`Recorder::snapshot`](crate::Recorder::snapshot)
-    /// builds one entry per variant.
-    #[expect(
-        clippy::expect_used,
-        reason = "Recorder::snapshot constructs one entry per Queue variant; absence is a \
-                  construction bug, not an input error"
-    )]
-    pub fn queue(&self, q: Queue) -> QueueSnapshot {
-        *self.queues.iter().find(|x| x.queue == q).expect("all queues present")
     }
 
     /// Sum of index hits across all applications.
@@ -195,7 +179,7 @@ impl Snapshot {
             stages,
             counters,
             apps,
-            queues: self.queues.clone(),
+            restore_verified: self.restore_verified,
             workers: self.workers.clone(),
         }
     }
@@ -232,15 +216,11 @@ impl Snapshot {
                 a.misses
             )
         }));
-        let queues = join(self.queues.iter().map(|q| {
-            format!(
-                "\"{}\": {{\"depth\": {}, \"hwm\": {}, \"underflow\": {}}}",
-                q.queue.name(),
-                q.depth,
-                q.hwm,
-                q.underflow
-            )
-        }));
+        let q = &self.restore_verified;
+        let queues = format!(
+            "\"restore_verified\": {{\"depth\": {}, \"hwm\": {}, \"underflow\": {}}}",
+            q.depth, q.hwm, q.underflow
+        );
         let workers = join(self.workers.iter().map(|w| {
             format!(
                 "{{\"role\": \"{}\", \"id\": {}, \"busy_ns\": {}, \"idle_ns\": {}, \"utilization\": {:.4}}}",
@@ -290,12 +270,9 @@ impl Snapshot {
                 ));
             }
         }
-        let active: Vec<&QueueSnapshot> = self.queues.iter().filter(|q| q.hwm > 0).collect();
-        if !active.is_empty() {
+        if self.restore_verified.hwm > 0 {
             out.push_str("\nqueue        high-water\n");
-            for q in active {
-                out.push_str(&format!("{:<10} {:>11}\n", q.queue.name(), q.hwm));
-            }
+            out.push_str(&format!("restore_verified {:>11}\n", self.restore_verified.hwm));
         }
         if !self.workers.is_empty() {
             out.push_str("\nthread           busy_ms    idle_ms   utilization\n");
@@ -347,7 +324,7 @@ mod tests {
         r.index_outcome(7, true);
         r.label_app(8, "odd \"label\"");
         r.index_outcome(8, false);
-        r.queue_push(Queue::RestoreVerified);
+        r.restore_verified_push();
         r.worker_report(WorkerRole::Chunker, 0, Duration::from_millis(1), Duration::ZERO);
         let line = r.snapshot().to_json();
         assert!(!line.contains('\n'), "one NDJSON line");

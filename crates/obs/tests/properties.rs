@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use aadedupe_obs::{
-    bucket_bounds, bucket_index, json, Counter, Queue, Recorder, Sampler, Stage,
+    bucket_bounds, bucket_index, json, Counter, Recorder, Sampler, Stage,
     TraceEvent, BUCKETS,
 };
 
@@ -118,10 +118,10 @@ fn snapshots_taken_while_recording_are_internally_consistent() {
 fn queue_pop_on_empty_gauge_saturates_at_zero() {
     // Deterministic single-threaded shape first: pop before any push.
     let rec = Recorder::new();
-    rec.queue_pop(Queue::RestoreVerified);
-    rec.queue_pop(Queue::RestoreVerified);
-    rec.queue_push(Queue::RestoreVerified);
-    let q = rec.snapshot().queue(Queue::RestoreVerified);
+    rec.restore_verified_pop();
+    rec.restore_verified_pop();
+    rec.restore_verified_push();
+    let q = rec.snapshot().restore_verified;
     assert_eq!(q.depth, 1, "pushes after spurious pops still count from zero");
     assert_eq!(q.underflow, 2, "both empty pops recorded");
 
@@ -136,17 +136,17 @@ fn queue_pop_on_empty_gauge_saturates_at_zero() {
             let rec = &rec;
             scope.spawn(move || {
                 for _ in 0..OPS {
-                    rec.queue_push(Queue::RestoreVerified);
+                    rec.restore_verified_push();
                 }
             });
             scope.spawn(move || {
                 for _ in 0..OPS {
-                    rec.queue_pop(Queue::RestoreVerified);
+                    rec.restore_verified_pop();
                 }
             });
         }
     });
-    let q = rec.snapshot().queue(Queue::RestoreVerified);
+    let q = rec.snapshot().restore_verified;
     // pushes = 2*OPS; pops that found the gauge non-empty = 2*OPS - underflow.
     assert_eq!(q.depth, q.underflow, "depth = pushes - (pops - underflow)");
     assert!(q.depth < u64::MAX / 2, "gauge never wrapped negative");
@@ -160,13 +160,13 @@ fn queue_gauges_track_high_water_marks_under_contention() {
             let rec = &rec;
             scope.spawn(move || {
                 for _ in 0..1000 {
-                    rec.queue_push(Queue::RestoreVerified);
-                    rec.queue_pop(Queue::RestoreVerified);
+                    rec.restore_verified_push();
+                    rec.restore_verified_pop();
                 }
             });
         }
     });
-    let q = rec.snapshot().queue(Queue::RestoreVerified);
+    let q = rec.snapshot().restore_verified;
     assert_eq!(q.depth, 0, "all pushes matched by pops");
     assert!(q.hwm >= 1 && q.hwm <= 4, "hwm bounded by concurrency, got {}", q.hwm);
 }
@@ -233,8 +233,8 @@ fn overhead_guard() {
         rec.record_duration(Stage::Hash, Duration::from_nanos(i));
         rec.count(Counter::ChunkBytes, i);
         rec.index_outcome((i % 13) as u8, i % 2 == 0);
-        rec.queue_push(Queue::RestoreVerified);
-        rec.queue_pop(Queue::RestoreVerified);
+        rec.restore_verified_push();
+        rec.restore_verified_pop();
         rec.trace_complete("noop", rec.trace_start());
     }
     let per_iter = t.elapsed().as_nanos() as f64 / ITERS as f64;

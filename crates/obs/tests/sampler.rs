@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use aadedupe_obs::{json, Counter, Document, Queue, Recorder, Sampler, SamplerCore};
+use aadedupe_obs::{json, Counter, Document, Recorder, Sampler, SamplerCore};
 
 /// The sampler holds no samples: every tick is one line in the sink, in
 /// order, however long the run.
@@ -74,20 +74,20 @@ fn queue_depths_and_app_hit_rates_flow_into_samples() {
     let mut core = SamplerCore::new(Arc::clone(&rec));
     rec.label_app(7, "pdf");
     rec.label_app(2, "mp3");
-    rec.queue_push(Queue::RestoreVerified);
-    rec.queue_push(Queue::RestoreVerified);
+    rec.restore_verified_push();
+    rec.restore_verified_push();
     for _ in 0..3 {
         rec.index_outcome(7, true);
     }
     rec.index_outcome(7, false);
     rec.index_outcome(2, false);
     let first = core.tick(250, 250).delta;
-    rec.queue_pop(Queue::RestoreVerified);
+    rec.restore_verified_pop();
     rec.index_outcome(2, true);
     let second = core.tick(500, 250).delta;
 
     let gauge = |s: &aadedupe_obs::Snapshot| {
-        let g = s.queue(Queue::RestoreVerified);
+        let g = s.restore_verified;
         (g.depth, g.hwm)
     };
     assert_eq!(gauge(&first), (2, 2), "verified-container occupancy is sampled");

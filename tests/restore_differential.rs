@@ -21,7 +21,7 @@ use aa_dedupe::core::{
     PipelineConfig, RestoreOptions, RestoredFile, RetryPolicy,
 };
 use aa_dedupe::filetype::{MemoryFile, SourceFile};
-use aa_dedupe::obs::{Queue, Recorder};
+use aa_dedupe::obs::Recorder;
 use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
@@ -210,7 +210,7 @@ fn every_container_is_fetched_exactly_once() {
             let gets = inner.stats().get_requests - before;
             assert_eq!(restored, serial, "{label}");
             assert_eq!(gets, 1 + distinct.len() as u64, "{label}: manifest + one GET per container");
-            let gauge = rec.snapshot().queue(Queue::RestoreVerified);
+            let gauge = rec.snapshot().restore_verified;
             assert!(gauge.hwm > 0, "{label}: the gauge must have moved");
             assert!(gauge.hwm <= workers as u64 + 17, "{label}: {} containers held", gauge.hwm);
             assert_eq!(gauge.depth, 0, "{label}: every container handed over was dropped");
