@@ -17,8 +17,8 @@
 //! on that stream's own append sequence — never on how appends to
 //! different streams interleave. As long as each stream's chunks arrive in
 //! a fixed order, the produced containers are byte-identical. Vacuum relies
-//! on it: it takes a stream out with [`ContainerStore::split_stream`],
-//! repacks into it and gives it back with [`ContainerStore::merge`].
+//! on it: it repacks into a detached store seeded with the stream's
+//! [`next_seq`](ContainerStore::next_seq).
 
 use crate::builder::{fits_empty, ContainerBuilder};
 use crate::format::{encode_container, ChunkDescriptor};
@@ -126,6 +126,11 @@ impl ContainerStore {
         *seq = (*seq).max(next_seq);
     }
 
+    /// The sequence number `stream`'s next container takes.
+    pub fn next_seq(&self, stream: u32) -> u64 {
+        self.next_seq.get(&stream).copied().unwrap_or(0)
+    }
+
     /// Field-level id minting so [`add_chunk`](Self::add_chunk) can mint
     /// inside an `open.entry()` closure (disjoint field borrows).
     fn fresh_id(next_seq: &mut BTreeMap<u32, u64>, stream: u32) -> u64 {
@@ -218,36 +223,6 @@ impl ContainerStore {
     /// Statistics snapshot.
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    /// Takes `stream` out of this store: its sequence counter and open
-    /// container (if any) move into a new store with the same container
-    /// size and recorder, for vacuum's repacking to append to while this
-    /// store keeps serving other streams.
-    /// Until the part comes back through [`merge`](Self::merge), this store
-    /// must not be handed chunks of `stream`.
-    pub fn split_stream(&mut self, stream: u32) -> ContainerStore {
-        let mut part = ContainerStore::new(self.container_size);
-        part.recorder = Arc::clone(&self.recorder);
-        part.next_seq.extend(self.next_seq.remove_entry(&stream));
-        part.open.extend(self.open.remove_entry(&stream));
-        part
-    }
-
-    /// Gives back a store made by [`split_stream`](Self::split_stream):
-    /// its sequence counters, open containers, sealed queue (appended
-    /// after this store's own) and statistics fold into this store.
-    pub fn merge(&mut self, part: ContainerStore) {
-        for (stream, seq) in part.next_seq {
-            self.resume_stream_ids(stream, seq);
-        }
-        self.open.extend(part.open);
-        self.sealed.extend(part.sealed);
-        self.stats.sealed += part.stats.sealed;
-        self.stats.oversized += part.stats.oversized;
-        self.stats.data_bytes += part.stats.data_bytes;
-        self.stats.padding_bytes += part.stats.padding_bytes;
-        self.stats.chunks += part.stats.chunks;
     }
 }
 
@@ -400,8 +375,7 @@ mod tests {
     fn stream_layout_independent_of_interleaving() {
         // The determinism contract: a stream's sealed containers depend
         // only on that stream's own append sequence, not on how appends
-        // to other streams interleave with it — nor on whether the stream
-        // was split off into a store of its own meanwhile.
+        // to other streams interleave with it.
         let chunks_a: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 900]).collect();
         let chunks_b: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i ^ 0x55; 700]).collect();
 
@@ -409,7 +383,6 @@ mod tests {
         enum Mode {
             Interleaved,
             StreamByStream,
-            Split,
         }
         type Outcome = (Vec<(u64, Vec<u8>)>, StoreStats, [u64; 3]);
         let run = |mode: Mode| -> Outcome {
@@ -433,19 +406,6 @@ mod tests {
                         store.add_chunk(1, fp(a), a);
                     }
                 }
-                Mode::Split => {
-                    let mut part_a = store.split_stream(1);
-                    let mut part_b = store.split_stream(2);
-                    let untouched = store.split_stream(3);
-                    for (a, b) in chunks_a.iter().zip(&chunks_b) {
-                        part_b.add_chunk(2, fp(b), b);
-                        part_a.add_chunk(1, fp(a), a);
-                    }
-                    assert_eq!(store.pending(), 0, "parts seal into their own queues");
-                    store.merge(part_a);
-                    store.merge(part_b);
-                    store.merge(untouched);
-                }
             }
             // Every stream's sequence continues where its appends left it:
             // stream 1 in its open container, the others in fresh ones.
@@ -455,7 +415,7 @@ mod tests {
             let minted = [tail, fresh[0], fresh[1]];
             store.seal_all();
             let mut sealed: Vec<(u64, Vec<u8>)> =
-                store.drain_sealed().into_iter().map(|s| (s.id, s.bytes)).collect();
+                store.drain_sealed().iter().map(|s| (s.id, s.bytes.clone())).collect();
             sealed.sort_by_key(|(id, _)| *id);
             (sealed, store.stats(), minted)
         };
@@ -464,9 +424,7 @@ mod tests {
         assert_eq!(decompose_id(minted[2]), (3, 0));
         let in_stream_2 = sealed.iter().filter(|(id, _)| decompose_id(*id).0 == 2).count() as u64;
         assert_eq!(decompose_id(minted[1]), (2, 4 + in_stream_2), "no id is minted twice");
-        for mode in [Mode::StreamByStream, Mode::Split] {
-            assert_eq!(run(mode), (sealed.clone(), stats, minted), "layout is order-independent");
-        }
+        assert_eq!(run(Mode::StreamByStream), (sealed, stats, minted), "layout is order-independent");
     }
 
     #[test]
@@ -477,24 +435,7 @@ mod tests {
         let p4 = store.add_chunk(4, fp(b"d"), b"d");
         assert_eq!(decompose_id(p3.container), (3, 17));
         assert_eq!(decompose_id(p4.container), (4, 0), "other streams unaffected");
-    }
-
-    #[test]
-    fn minted_ids_interleave_with_appends_without_collision() {
-        // A stream lent out and given back (vacuum's repacking) continues
-        // the one sequence: its ids follow the store's own and the store's
-        // next ones follow the part's.
-        let mut store = ContainerStore::new(4096);
-        let p1 = store.add_chunk(2, fp(b"x"), b"x");
-        store.seal_all();
-        let mut part = store.split_stream(2);
-        let p2 = part.add_chunk(2, fp(b"y"), b"y");
-        part.seal_stream(2);
-        assert_eq!(part.drain_sealed().len(), 1);
-        store.merge(part);
-        let p3 = store.add_chunk(2, fp(b"z"), b"z");
-        let seqs = [p1, p2, p3].map(|p| decompose_id(p.container));
-        assert_eq!(seqs, [(2, 0), (2, 1), (2, 2)]);
+        assert_eq!([store.next_seq(3), store.next_seq(4), store.next_seq(5)], [18, 1, 0]);
     }
 
     #[test]

@@ -110,12 +110,14 @@ proptest! {
             }
         }
         let streams: Vec<u32> = model.open.keys().copied().collect();
-        streams.into_iter().for_each(|s| model.seal(s));
-        let mut sealed: Vec<_> = seal_all(&mut store)
-            .into_iter()
-            .inspect(|s| assert_eq!(s.bytes.capacity(), s.bytes.len(), "container {}", s.id))
-            .map(|s| (s.id, s.bytes, s.padding, s.chunks))
-            .collect();
+        for s in streams {
+            model.seal(s);
+        }
+        let mut sealed = Vec::new();
+        for s in seal_all(&mut store) {
+            assert_eq!(s.bytes.capacity(), s.bytes.len(), "container {}", s.id);
+            sealed.push((s.id, s.bytes, s.padding, s.chunks));
+        }
         sealed.sort_by_key(|s| s.0);
         model.sealed.sort_by_key(|s| s.0);
         prop_assert_eq!(sealed, model.sealed);

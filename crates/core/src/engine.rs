@@ -59,7 +59,7 @@
 //! waits for. A thread that panics ends every wait on its way out
 //! (`WakeOnUnwind`), so the scope re-raises the panic instead of hanging.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -207,7 +207,9 @@ impl Liveness {
     /// session's snapshot dump accepts.
     pub(crate) fn of<'a>(manifests: impl IntoIterator<Item = &'a Manifest>) -> Self {
         let mut live = Liveness::default();
-        manifests.into_iter().for_each(|m| live.add(m));
+        for m in manifests {
+            live.add(m);
+        }
         live
     }
 
@@ -366,8 +368,9 @@ fn read_and_chunk<'f>(
                 .flat_map(|((_, spans), (_, data))| spans.iter().map(|span| span.slice(data)))
                 .collect();
             let hashing = rec.start();
-            let mut fingerprints = Fingerprint::compute_many(algo, &pieces).into_iter();
+            let fingerprints = Fingerprint::compute_many(algo, &pieces);
             rec.record(Stage::Hash, hashing);
+            let mut fingerprints = fingerprints.iter().copied();
             // `spans` leads each zip, so no file takes a fingerprint past its own.
             for ((hash, spans), out) in cut.iter().zip(&mut chunks) {
                 if *hash == algo {
@@ -378,8 +381,7 @@ fn read_and_chunk<'f>(
         chunks
     });
     let cpus = std::iter::once(cpu).chain(std::iter::repeat(Duration::ZERO));
-    read.into_iter()
-        .zip(chunks)
+    std::iter::zip(read, chunks)
         .zip(cpus)
         .map(|(((app, data), chunks), cpu)| (app, ChunkedFile { data, chunks, cpu }))
         .collect()
@@ -410,7 +412,7 @@ struct Handoff<'a> {
 
 struct Ahead<'a> {
     /// The batches nobody has claimed, in order.
-    unclaimed: std::vec::IntoIter<Batch<'a>>,
+    unclaimed: VecDeque<Batch<'a>>,
     /// How many batches have been claimed: the next one's index.
     cursor: usize,
     /// Batches chunked ahead of their turn, by batch index.
@@ -439,7 +441,7 @@ impl<'a> Handoff<'a> {
     fn new(cfg: &'a AaDedupeConfig, batches: Vec<Batch<'a>>) -> Self {
         let budget = AHEAD_CONTAINERS * cfg.container_size;
         let ahead = Ahead {
-            unclaimed: batches.into_iter(),
+            unclaimed: VecDeque::from(batches),
             cursor: 0,
             ready: BTreeMap::new(),
             bytes: 0,
@@ -450,7 +452,7 @@ impl<'a> Handoff<'a> {
 
     /// Claims the batch at the cursor, if any is left.
     fn claim(ahead: &mut Ahead<'a>) -> Option<(usize, Batch<'a>)> {
-        let batch = ahead.unclaimed.next()?;
+        let batch = ahead.unclaimed.pop_front()?;
         ahead.cursor += 1;
         Some((ahead.cursor - 1, batch))
     }
@@ -700,7 +702,8 @@ impl AaDedupe {
         skip: Option<u64>,
     ) -> impl Iterator<Item = Result<Manifest, BackupError>> + 'a {
         let keys = self.cloud.store().list(&Manifest::prefix(&self.config.scheme_key));
-        keys.into_iter()
+        let mut keys = VecDeque::from(keys);
+        std::iter::from_fn(move || keys.pop_front())
             .filter(move |key| skip.is_none_or(|s| Manifest::session_of(key) != Some(s)))
             .map(move |key| {
                 // Any manifest's jitter op: restore's, outside the container ids.

@@ -396,7 +396,7 @@ fn run_pipeline(
                     let blocked = rec.start();
                     // The caller drains until every sender is gone, so a
                     // closed channel means it panicked; just stop.
-                    if done_tx.send((idx, job, result)).is_err() {
+                    if aadedupe_lock::send(&done_tx, (idx, job, result)).is_err() {
                         break;
                     }
                     if let Some(t) = blocked {
@@ -516,11 +516,11 @@ mod tests {
     }
 
     fn put_manifest(cloud: &CloudSim, files: Vec<(&str, Vec<ChunkRef>)>) {
-        let files = files
-            .into_iter()
-            .map(|(path, chunks)| FileRecipe { path: path.into(), app: AppType::Txt, tiny: false, chunks })
-            .collect();
-        cloud.put(&Manifest::key("test", 0), Manifest { session: 0, files }.encode()).unwrap();
+        let mut recipes = Vec::new();
+        for (path, chunks) in files {
+            recipes.push(FileRecipe { path: path.into(), app: AppType::Txt, tiny: false, chunks });
+        }
+        cloud.put(&Manifest::key("test", 0), Manifest { session: 0, files: recipes }.encode()).unwrap();
     }
 
     /// Builds a one-session cloud by hand: two chunks in one container.

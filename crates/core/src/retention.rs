@@ -124,7 +124,7 @@ mod tests {
     use super::*;
 
     fn retained(policy: RetentionPolicy, sessions: &[usize]) -> Vec<usize> {
-        policy.retained(sessions).into_iter().collect()
+        Vec::from_iter(policy.retained(sessions))
     }
 
     #[test]

@@ -21,15 +21,15 @@
 //!    failed to delete), or a *rewrite candidate*
 //!    (live ratio < `ratio`, or undersized with a same-stream partner to
 //!    combine with).
-//! 2. **Rewrite** ([`Stage::VacuumRewrite`]): per stream, lend the stream
-//!    out of the engine's store ([`ContainerStore::split_stream`]), append
-//!    every candidate's surviving chunks in container-id order, seal, and
-//!    merge the stream back — building the relocation map `(old container,
-//!    old offset, fingerprint) → new placement`. Fresh ids continue the
-//!    stream's own sequence, containers roll at the configured size and an
-//!    oversized chunk gets a container of its own, exactly as in a
-//!    session. A dry run packs into a detached store instead, so the
-//!    engine's sequences stay as they were.
+//! 2. **Rewrite** ([`Stage::VacuumRewrite`]): per stream, append every
+//!    candidate's surviving chunks in container-id order to a detached
+//!    [`ContainerStore`] and seal — building the relocation map `(old
+//!    container, old offset, fingerprint) → new placement`. The detached
+//!    store is seeded from the engine's per-stream sequences, so fresh ids
+//!    continue each stream's own; containers roll at the configured size
+//!    and an oversized chunk gets a container of its own, exactly as in a
+//!    session. Dry and real passes pack alike; only a real pass advances
+//!    the engine's sequences past the minted ids, before its first upload.
 //! 3. **Commit** ([`Stage::VacuumCommit`]), in crash-consistent order:
 //!    **new containers → rewritten manifests → settle**, then every index
 //!    snapshot but the newest is pruned. Once the manifests are written,
@@ -58,7 +58,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use aadedupe_container::{decompose_id, ContainerStore, ParsedContainer, Placement};
 use aadedupe_hashing::Fingerprint;
-use aadedupe_obs::{Counter, Recorder, Stage};
+use aadedupe_obs::{Counter, Stage};
 
 use crate::engine::{snapshots_prefix, AaDedupe, Liveness};
 use crate::recipe::Manifest;
@@ -234,20 +234,15 @@ impl AaDedupe {
                 by_stream.entry(decompose_id(c.id).0).or_default().push(c);
             }
         }
-        let mut new_containers: Vec<(u64, Vec<u8>)> = Vec::new();
         // (old container, old offset, fingerprint) -> new placement.
         let mut relocations: BTreeMap<(u64, u32, Fingerprint), Placement> = BTreeMap::new();
+        // One detached store packs every stream, dry run or not; its
+        // recorder is off, as vacuum appends are not session traffic.
+        // Seeded from the engine's sequences, its fresh ids continue each
+        // stream's own.
+        let mut packer = ContainerStore::new(self.config.container_size);
         for (&stream, candidates) in &by_stream {
-            // The stream is lent out of the engine's own store, so fresh ids
-            // continue its sequence and a later session can never mint them
-            // again; a dry run must not advance that sequence.
-            let mut packer = if opts.dry_run {
-                ContainerStore::new(self.config.container_size)
-            } else {
-                self.containers.split_stream(stream)
-            };
-            // Vacuum appends are not session traffic.
-            packer.set_recorder(Recorder::shared_disabled());
+            packer.resume_stream_ids(stream, self.containers.next_seq(stream));
             for c in candidates {
                 let live = live_fps.get(&c.id).unwrap_or(&empty);
                 for d in c.parsed.descriptors.iter().filter(|d| live.contains(&d.fingerprint)) {
@@ -257,12 +252,9 @@ impl AaDedupe {
                 }
             }
             packer.seal_stream(stream);
-            new_containers.extend(packer.drain_sealed().into_iter().map(|s| (s.id, s.bytes)));
-            if !opts.dry_run {
-                self.containers.merge(packer);
-            }
         }
-        new_containers.sort_by_key(|(id, _)| *id);
+        let mut new_containers = packer.drain_sealed();
+        new_containers.sort_by_key(|s| s.id);
         report.containers_rewritten = by_stream.values().map(Vec::len).sum();
         report.containers_created = new_containers.len();
         report.relocations = relocations.len();
@@ -297,7 +289,7 @@ impl AaDedupe {
             .iter()
             .filter_map(|id| containers.get(id).map(|c| c.stored_len))
             .sum();
-        let new_bytes: u64 = new_containers.iter().map(|(_, b)| b.len() as u64).sum();
+        let new_bytes: u64 = new_containers.iter().map(|s| s.bytes.len() as u64).sum();
         report.bytes_reclaimed = reclaimable.saturating_sub(new_bytes);
         rec.record(Stage::VacuumRewrite, rewriting);
 
@@ -312,13 +304,19 @@ impl AaDedupe {
         // module docs for why a crash at any operation leaves every
         // retained session restorable.
         let committing = rec.start();
+        // Before the first upload, the engine's sequences move past every
+        // id the packer minted, so a later session can never mint one
+        // again, whether or not its container landed.
+        for &stream in by_stream.keys() {
+            self.containers.resume_stream_ids(stream, packer.next_seq(stream));
+        }
         let mut op = 0u64;
-        for (id, bytes) in new_containers {
+        for sealed in new_containers {
             op += 1;
             // A failure here leaves only orphan containers (no manifest
-            // references them yet) and no in-memory mutation: the engine
-            // remains fully usable and a rerun converges.
-            transfer.put(&container_key(&scheme, id), bytes, op)?;
+            // references them yet) and the engine fully usable: a rerun
+            // converges.
+            transfer.put(&container_key(&scheme, sealed.id), sealed.bytes, op)?;
         }
         for (session, manifest) in manifests.iter().filter(|(s, _)| dirty_manifests.contains(s)) {
             op += 1;

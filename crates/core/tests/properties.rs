@@ -58,9 +58,7 @@ proptest! {
         workers in 1usize..4,
     ) {
         let exts = ["txt", "doc", "pdf", "mp3", "vmdk", "avi"];
-        let mut files: Vec<MemoryFile> = contents
-            .into_iter()
-            .enumerate()
+        let mut files: Vec<MemoryFile> = std::iter::zip(0.., contents)
             .map(|(i, (stem, e, data))| MemoryFile::new(format!("u/{stem}{i}.{}", exts[e]), data))
             .collect();
         files.sort_by(|a, b| a.path.cmp(&b.path));
@@ -91,9 +89,7 @@ proptest! {
             proptest::collection::vec(any::<u8>(), 0..20_000), 1..5
         ),
     ) {
-        let files: Vec<MemoryFile> = contents
-            .into_iter()
-            .enumerate()
+        let files: Vec<MemoryFile> = std::iter::zip(0.., contents)
             .map(|(i, data)| MemoryFile::new(format!("f{i}.doc"), data))
             .collect();
         let mut engine = AaDedupe::new(CloudSim::with_paper_defaults());
@@ -113,9 +109,7 @@ proptest! {
             proptest::collection::vec(any::<u8>(), 12_000..20_000), 2..5
         ),
     ) {
-        let files: Vec<MemoryFile> = contents
-            .into_iter()
-            .enumerate()
+        let files: Vec<MemoryFile> = std::iter::zip(0.., contents)
             .map(|(i, data)| MemoryFile::new(format!("f{i}.pdf"), data))
             .collect();
         let run = |order: Vec<&MemoryFile>| {

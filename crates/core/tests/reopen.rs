@@ -15,11 +15,11 @@ type Namespace = Vec<(String, Vec<u8>)>;
 
 fn namespace(cloud: &CloudSim) -> Namespace {
     let store = cloud.store();
-    let object = |key: String| {
-        let bytes = store.get(&key).expect("get").expect("listed key present");
-        (key, bytes.to_vec())
+    let object = |key: &String| {
+        let bytes = store.get(key).expect("get").expect("listed key present");
+        (key.clone(), bytes.to_vec())
     };
-    store.list("").into_iter().map(object).collect()
+    store.list("").iter().map(object).collect()
 }
 
 /// The deterministic fields of a session report.

@@ -120,7 +120,7 @@ impl Fingerprint {
     /// ([`crate::md5_many`]). SHA-1 and Rabin-96 have no wide form.
     pub fn compute_many(algo: HashAlgorithm, chunks: &[&[u8]]) -> Vec<Self> {
         if algo == HashAlgorithm::Md5 {
-            return crate::md5_many(chunks).into_iter().map(Fingerprint::md5).collect();
+            return crate::md5_many(chunks).iter().copied().map(Fingerprint::md5).collect();
         }
         chunks.iter().map(|c| Fingerprint::compute(algo, c)).collect()
     }

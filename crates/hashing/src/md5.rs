@@ -101,7 +101,7 @@ pub fn md5_many(msgs: &[&[u8]]) -> Vec<[u8; 16]> {
             }
         }
     }
-    for (lane, slot) in lanes.into_iter().enumerate() {
+    for (lane, slot) in std::iter::zip(0.., lanes) {
         if let Some(last) = slot {
             last.finish_alone(lane_state(&state, lane).map(|w| [w]));
         }
@@ -171,7 +171,7 @@ fn digest(state: [u32; 4]) -> [u8; 16] {
 fn compress<const N: usize>(state: &mut [[u32; N]; 4], blocks: [&[u8; 64]; N]) {
     // m[w][l]: little-endian word w of lane l's block.
     let mut m = [[0u32; N]; 16];
-    for (lane, block) in blocks.into_iter().enumerate() {
+    for (lane, block) in blocks.iter().enumerate() {
         for (word, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
             // `lane` enumerates a [_; N] and `word` is a [u32; N]: always Some.
             if let Some(slot) = word.get_mut(lane) {

@@ -226,7 +226,7 @@ static T128: [[u64; 256]; 8] = q_tables(128);
 /// modulo `Q`, when there is one table per byte of `r`.
 #[inline(always)]
 fn fold<'a>(tables: impl IntoIterator<Item = &'a [u64; 256]>, r: u64) -> u64 {
-    tables.into_iter().zip(r.to_le_bytes()).fold(0, |acc, (t, b)| acc ^ byte_entry(t, b))
+    std::iter::zip(tables, r.to_le_bytes()).fold(0, |acc, (t, b)| acc ^ byte_entry(t, b))
 }
 
 /// `r·x^(8N) + w` modulo `Q`, for an `N`-byte word `w`, `N < 8`: the

@@ -12,7 +12,7 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..20_000),
         splits in proptest::collection::vec(0usize..20_000, 0..8),
     ) {
-        let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
         cuts.push(0);
         cuts.push(data.len());
         cuts.sort_unstable();

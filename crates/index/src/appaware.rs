@@ -193,11 +193,11 @@ impl AppAwareIndex {
                     continue;
                 }
                 handles.push(scope.spawn(move || {
-                    mine.into_iter().map(|(i, fp)| (i, partition.lookup(fp))).collect::<Vec<_>>()
+                    mine.iter().map(|&(i, fp)| (i, partition.lookup(fp))).collect::<Vec<_>>()
                 }));
             }
             for h in handles {
-                match h.join() {
+                match aadedupe_lock::join_scoped(h) {
                     Ok(part) => slots.extend(part),
                     // Re-raise the worker's panic payload on the caller
                     // thread instead of replacing it with our own message.
@@ -207,7 +207,7 @@ impl AppAwareIndex {
         });
         // Every position was answered exactly once: restore input order.
         slots.sort_unstable_by_key(|&(i, _)| i);
-        slots.into_iter().map(|(_, entry)| entry).collect()
+        slots.iter().map(|&(_, entry)| entry).collect()
     }
 }
 

@@ -154,13 +154,10 @@ impl CuckooFilter {
     }
 
     fn try_place(&mut self, bucket: usize, tag: u16) -> bool {
-        for slot in self.slots.get_mut(bucket).into_iter().flatten() {
-            if *slot == 0 {
-                *slot = tag;
-                return true;
-            }
-        }
-        false
+        let free = self.slots.get_mut(bucket).and_then(|b| b.iter_mut().find(|slot| **slot == 0));
+        let Some(slot) = free else { return false };
+        *slot = tag;
+        true
     }
 
     /// Whether the filter *may* contain `fp`. False means definitely

@@ -318,7 +318,7 @@ impl Spill {
 fn sorted_last_wins(
     entries: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
 ) -> Vec<(Fingerprint, ChunkEntry)> {
-    let mut sorted: Vec<(Fingerprint, ChunkEntry)> = entries.into_iter().collect();
+    let mut sorted = Vec::from_iter(entries);
     sorted.sort_by_key(|(f, _)| *f);
     sorted.reverse();
     sorted.dedup_by_key(|(f, _)| *f);
@@ -523,7 +523,7 @@ impl Store {
             self.slots.iter().map(|(f, s)| (*f, s.entry)).collect();
         overlay.sort_unstable_by_key(|(f, _)| *f);
         merged.extend(overlay);
-        merged.into_iter().collect()
+        Vec::from_iter(merged)
     }
 
     fn footprint(&self) -> RamFootprint {

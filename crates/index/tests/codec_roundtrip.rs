@@ -50,10 +50,12 @@ fn stability_is_independent_of_insertion_order() {
     // indexes with the same content loaded in different orders must
     // produce identical snapshots — the property that makes parallel and
     // serial index-sync uploads byte-identical.
-    let entries: Vec<(AppType, Fingerprint, ChunkEntry)> = [AppType::Mp3, AppType::Txt]
-        .into_iter()
-        .flat_map(|app| sample_entries(app.tag().into()).into_iter().map(move |(f, e)| (app, f, e)))
-        .collect();
+    let mut entries: Vec<(AppType, Fingerprint, ChunkEntry)> = Vec::new();
+    for app in [AppType::Mp3, AppType::Txt] {
+        for (f, e) in sample_entries(app.tag().into()) {
+            entries.push((app, f, e));
+        }
+    }
     let forward = AppAwareIndex::new(RAM);
     for &(app, f, e) in &entries {
         forward.insert(app, f, e);

@@ -35,8 +35,8 @@ fn arb_records() -> impl Strategy<Value = Vec<(Fingerprint, ChunkEntry)>> {
     )
     .prop_map(|raw| {
         let mut records: Vec<(Fingerprint, ChunkEntry)> = raw
-            .into_iter()
-            .map(|(seed, algo, (len, container, offset))| {
+            .iter()
+            .map(|&(seed, algo, (len, container, offset))| {
                 (fp(seed, algo), ChunkEntry { len, container, offset })
             })
             .collect();

@@ -1,5 +1,5 @@
-//! `Lock`'s two policies: one lock per thread at a time (debug builds),
-//! and poison ignored.
+//! `Lock`'s three policies: one lock per thread at a time and no blocking
+//! call under a lock (debug builds), and poison ignored.
 
 use aadedupe_lock::Lock;
 use std::sync::Barrier;
@@ -38,25 +38,69 @@ fn two_threads_may_each_hold_a_different_lock() {
 fn the_next_lock_after_a_holder_panicked_succeeds() {
     let lock = Lock::new(Vec::new());
     let died = thread::scope(|s| {
-        s.spawn(|| {
+        aadedupe_lock::join_scoped(s.spawn(|| {
             let mut g = lock.lock();
             g.push(1);
             panic!("holder dies with the lock");
-        })
-        .join()
+        }))
     });
     assert!(died.is_err());
     lock.lock().push(2);
     assert_eq!(*lock.lock(), vec![1, 2]);
 }
 
-/// The check release builds compile out.
+/// The checks release builds compile out.
 #[cfg(debug_assertions)]
 mod one_lock_at_a_time {
     use aadedupe_lock::Lock;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Condvar;
+    use std::sync::{mpsc, Condvar};
     use std::thread;
+    use std::time::Duration;
+
+    const BLOCKING: &str = "blocking call under a lock";
+
+    /// The message `call` panicked with; panics if it returned.
+    fn refused<T>(call: impl FnOnce() -> T) -> String {
+        match catch_unwind(AssertUnwindSafe(call)) {
+            Ok(_) => panic!("the call was not refused"),
+            Err(payload) => *payload.downcast::<String>().expect("a formatted message"),
+        }
+    }
+
+    #[test]
+    fn every_blocking_call_under_a_live_guard_panics() {
+        let state = Lock::new(0);
+        let (tx, rx) = mpsc::sync_channel(1);
+        let guard = state.lock();
+        assert!(refused(|| aadedupe_lock::send(&tx, 1)).contains(BLOCKING));
+        assert!(refused(|| aadedupe_lock::recv(&rx)).contains(BLOCKING));
+        assert!(refused(|| aadedupe_lock::recv_timeout(&rx, Duration::ZERO)).contains(BLOCKING));
+        assert!(refused(|| aadedupe_lock::join(thread::spawn(|| 2))).contains(BLOCKING));
+        thread::scope(|s| {
+            assert!(refused(|| aadedupe_lock::join_scoped(s.spawn(|| 3))).contains(BLOCKING));
+        });
+        drop(guard);
+        aadedupe_lock::send(&tx, 1).expect("receiver alive");
+        assert_eq!(aadedupe_lock::recv(&rx), Ok(1));
+        aadedupe_lock::send(&tx, 4).expect("receiver alive");
+        assert_eq!(aadedupe_lock::recv_timeout(&rx, Duration::ZERO), Ok(4));
+        assert_eq!(aadedupe_lock::join(thread::spawn(|| 2)).ok(), Some(2));
+        let joined = thread::scope(|s| aadedupe_lock::join_scoped(s.spawn(|| 3)).ok());
+        assert_eq!(joined, Some(3));
+    }
+
+    #[test]
+    fn a_blocking_call_on_a_temporary_guard_panics() {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let jobs = Lock::new(rx);
+        aadedupe_lock::send(&tx, 7).expect("receiver alive");
+        // The guard lives until the statement ends, across the `recv`.
+        assert!(refused(|| aadedupe_lock::recv(&jobs.lock())).contains(BLOCKING));
+        // Taken out of the lock, the receiver blocks with no guard live.
+        let rx = std::mem::replace(&mut *jobs.lock(), mpsc::sync_channel(1).1);
+        assert_eq!(aadedupe_lock::recv(&rx), Ok(7));
+    }
 
     #[test]
     #[should_panic(expected = "one lock at a time")]

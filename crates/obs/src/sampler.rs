@@ -168,7 +168,7 @@ impl<S: Sink> Sampler<S> {
                     reason = "join propagates a sampler-thread panic; the loop only snapshots \
                               and calls the sink, so a panic there is a bug worth surfacing"
                 )]
-                thread.join().expect("obs-sampler thread panicked")
+                aadedupe_lock::join(thread).expect("obs-sampler thread panicked")
             }
         }
     }

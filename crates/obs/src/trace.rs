@@ -103,7 +103,7 @@ mod tests {
         let sink = TraceSink::default();
         let t0 = sink.tid();
         assert_eq!(sink.tid(), t0);
-        let other = std::thread::scope(|s| s.spawn(|| sink.tid()).join().unwrap());
+        let other = std::thread::scope(|s| aadedupe_lock::join_scoped(s.spawn(|| sink.tid())).unwrap());
         assert_ne!(other, t0);
     }
 }

@@ -35,7 +35,7 @@ fn jsonish() -> impl Strategy<Value = String> {
         ],
         0..64,
     )
-    .prop_map(|cs| cs.into_iter().collect())
+    .prop_map(String::from_iter)
 }
 
 proptest! {

@@ -1,14 +1,13 @@
-//! Meta-test: the workspace's own sources pass `aalint`, and every crate
-//! carries the compiler-checked lints aalint leaves to rustc and clippy —
-//! among them the panic line of `core` and of every crate it links, the
-//! determinism lists in the `clippy.toml` of every decision and
-//! output-shaping crate, the error-folding list of every storage-path
-//! crate, and the ban on `std::sync::{Mutex, RwLock}` in every
+//! Meta-test: every crate carries the compiler-checked lints — among them
+//! the panic line of `core` and of every crate it links, the determinism
+//! lists in the `clippy.toml` of every decision and output-shaping crate,
+//! the error-folding list of every storage-path crate, and the ban on
+//! `std::sync::{Mutex, RwLock}` and on the raw blocking calls in every
 //! `clippy.toml`.
 //!
-//! This is the enforcement point that keeps `cargo test` equivalent to
-//! `cargo run -p aalint -- check` — a violation anywhere in first-party
-//! code fails the ordinary test suite, not just the dedicated CI job.
+//! Clippy enforces each list; this test keeps the lists themselves from
+//! going missing, so a crate that drops one fails the ordinary test suite,
+//! not just the dedicated CI job.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -28,15 +27,21 @@ const PANIC_LINE: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clipp
 /// Ratchet on the vetted indexing/slicing sites under [`PANIC_LINE`]. May
 /// shrink, never grow: rewrite the site instead of vetting it.
 const MAX_INDEXING_EXPECTS: usize = 40;
+/// Crates whose code makes dedup decisions: chunk boundaries,
+/// fingerprints, index placement, container layout.
+const DEDUP_DECISION_CRATES: &[&str] = &["core", "chunking", "hashing", "index", "container"];
+/// Crates that shape report output (metrics) or observability snapshots
+/// (obs).
+const OUTPUT_SHAPING_CRATES: &[&str] = &["metrics", "obs"];
 /// `disallowed-methods` entries in the `clippy.toml` of every
-/// [`aalint::DEDUP_DECISION_CRATES`] member: the wall clock and thread
-/// identity.
+/// [`DEDUP_DECISION_CRATES`] member: the wall clock and thread identity.
 const DECISION_METHODS: &[&str] =
     &["std::time::Instant::now", "std::time::SystemTime::now", "std::thread::current"];
 /// `disallowed-methods` entries in the `clippy.toml` of every decision and
-/// [`aalint::OUTPUT_SHAPING_CRATES`] member: every inherent method that
-/// exposes hash order. (`into_iter` is a trait method no path names;
-/// aalint's L2 covers it.)
+/// [`OUTPUT_SHAPING_CRATES`] member: every method that exposes hash order.
+/// `IntoIterator::into_iter` is banned outright, since clippy cannot tell
+/// a hash map's from any other; a `for` loop's desugaring is not flagged
+/// by it, but by `iter_over_hash_type` on a hash type.
 const HASH_ORDER_METHODS: &[&str] = &[
     "std::collections::HashMap::iter",
     "std::collections::HashMap::iter_mut",
@@ -54,6 +59,7 @@ const HASH_ORDER_METHODS: &[&str] = &[
     "std::collections::HashSet::intersection",
     "std::collections::HashSet::difference",
     "std::collections::HashSet::symmetric_difference",
+    "core::iter::IntoIterator::into_iter",
 ];
 /// Ratchet on the vetted `disallowed_methods` sites in non-test code of
 /// those crates. May shrink, never grow.
@@ -61,6 +67,16 @@ const MAX_DISALLOWED_EXPECTS: usize = 6;
 /// `disallowed-types` entries in every `clippy.toml`: every lock is an
 /// `aadedupe_lock::Lock`, which takes one lock per thread at a time.
 const LOCK_TYPES: &[&str] = &["std::sync::Mutex", "std::sync::RwLock"];
+/// `disallowed-methods` entries in every `clippy.toml`: the calls that
+/// block on another thread go through `aadedupe_lock`'s wrappers, which
+/// refuse them under a lock in debug builds.
+const BLOCKING_METHODS: &[&str] = &[
+    "std::sync::mpsc::SyncSender::send",
+    "std::sync::mpsc::Receiver::recv",
+    "std::sync::mpsc::Receiver::recv_timeout",
+    "std::thread::JoinHandle::join",
+    "std::thread::ScopedJoinHandle::join",
+];
 /// The crates a storage `Result` passes through on its way to the
 /// manifest commit point or the CLI's exit code.
 const STORAGE_PATH_CRATES: &[&str] = &["cloud", "core", "baselines", "cli"];
@@ -77,19 +93,6 @@ const ERROR_FOLDING_METHODS: &[&str] = &[
 /// The line at every bin crate root: only the dropped-`Result` lints.
 const BIN_LINE: &str =
     "#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]";
-
-#[test]
-fn workspace_is_aalint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = aalint::scan_workspace(root).expect("scan workspace");
-    assert!(
-        report.files_scanned > 50,
-        "walker lost the workspace: only {} files scanned",
-        report.files_scanned
-    );
-    assert!(report.clean(), "aalint violations in first-party code:\n{}", report.render_text());
-    println!("aalint: {} files", report.files_scanned);
-}
 
 /// `crates/*` directories, sorted.
 fn member_dirs(root: &Path) -> Vec<PathBuf> {
@@ -231,13 +234,12 @@ fn indexing_expects_under_the_panic_line_are_ratcheted() {
 
 /// The determinism rules live in clippy configuration: each decision and
 /// output-shaping crate's `clippy.toml` carries its full list, and the
-/// workspace lint table denies `allow`s without a reason. (`for` loops
-/// over hash types: aalint's own unit tests.)
+/// workspace lint table denies `allow`s without a reason.
 #[test]
 fn determinism_crates_carry_their_clippy_toml() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let decision = aalint::DEDUP_DECISION_CRATES.iter().map(|c| (c, DECISION_METHODS));
-    let shaping = aalint::OUTPUT_SHAPING_CRATES.iter().map(|c| (c, &[][..]));
+    let decision = DEDUP_DECISION_CRATES.iter().map(|c| (c, DECISION_METHODS));
+    let shaping = OUTPUT_SHAPING_CRATES.iter().map(|c| (c, &[][..]));
     for (krate, own) in decision.chain(shaping) {
         let path = root.join("crates").join(krate).join("clippy.toml");
         let toml = read(&path);
@@ -257,7 +259,7 @@ fn determinism_crates_carry_their_clippy_toml() {
 fn disallowed_method_expects_are_ratcheted() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for krate in aalint::DEDUP_DECISION_CRATES.iter().chain(aalint::OUTPUT_SHAPING_CRATES) {
+    for krate in DEDUP_DECISION_CRATES.iter().chain(OUTPUT_SHAPING_CRATES) {
         rust_files(&root.join("crates").join(krate).join("src"), &mut files);
     }
     let attr = "#[expect(clippy::disallowed_methods";
@@ -277,7 +279,8 @@ fn disallowed_method_expects_are_ratcheted() {
 
 /// Clippy reads only the nearest `clippy.toml`, so the root one (for
 /// members without their own) and every per-crate one must each ban the
-/// std locks: lock nesting is checked by `aadedupe_lock::Lock` alone.
+/// std locks and the raw blocking calls: lock nesting and blocking under
+/// a lock are checked by `aadedupe_lock` alone.
 #[test]
 fn every_clippy_toml_disallows_the_std_locks() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -286,9 +289,13 @@ fn every_clippy_toml_disallows_the_std_locks() {
     assert!(tomls.len() > 7, "found only {} clippy.toml files", tomls.len());
     for path in &tomls {
         let toml = read(path);
-        let listed = listed(&toml, "disallowed-types");
+        let types = listed(&toml, "disallowed-types");
         for ty in LOCK_TYPES {
-            assert!(listed.contains(ty), "{}: `{ty}` is not disallowed", path.display());
+            assert!(types.contains(ty), "{}: `{ty}` is not disallowed", path.display());
+        }
+        let methods = listed(&toml, "disallowed-methods");
+        for method in BLOCKING_METHODS {
+            assert!(methods.contains(method), "{}: `{method}` is not disallowed", path.display());
         }
     }
 }

@@ -294,7 +294,7 @@ fn a_worker_that_panics_is_raised_not_waited_for() {
         let session = AssertUnwindSafe(|| backup(&sources(&files), gated_config(2)));
         done.send(std::panic::catch_unwind(session).is_err()).expect("test thread listens");
     });
-    let raised = outcome.recv_timeout(Duration::from_secs(60));
+    let raised = aadedupe_lock::recv_timeout(&outcome, Duration::from_secs(60));
     assert_eq!(raised, Ok(true), "the session hung or returned instead of re-raising");
 }
 
@@ -339,6 +339,6 @@ fn a_session_thread_that_panics_is_raised_not_waited_for() {
         let session = AssertUnwindSafe(|| backup(&sources, gated_config(2)));
         done.send(std::panic::catch_unwind(session).is_err()).expect("test thread listens");
     });
-    let raised = outcome.recv_timeout(Duration::from_secs(60));
+    let raised = aadedupe_lock::recv_timeout(&outcome, Duration::from_secs(60));
     assert_eq!(raised, Ok(true), "the session hung or returned instead of re-raising");
 }
