@@ -202,7 +202,7 @@ impl Baseline {
                 };
                 report.chunks_total += 1;
                 self.seen.insert(file.path().to_string(), (token, reference));
-                if file.size() == 0 { vec![] } else { vec![reference] }
+                vec![reference]
             }
             Strategy::BackupPc => {
                 vec![dedup_unit(&self.file_index, &mut self.containers, 0, data, report, clock)]

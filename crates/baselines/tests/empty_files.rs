@@ -5,10 +5,15 @@
 //! the five schemes backs up one session holding an empty file of every
 //! category (compressed → WFC, static → SC, dynamic → CDC, and plain text)
 //! beside small non-empty files, and the session's counters and cloud
-//! namespace are pinned. Each empty file must restore as an empty file.
+//! namespace are pinned. Each empty file must restore as an empty file, and
+//! the session's manifest must reference every container it uploaded.
+
+use std::collections::BTreeSet;
 
 use aadedupe_baselines::all_schemes;
 use aadedupe_cloud::CloudSim;
+use aadedupe_core::recipe::Manifest;
+use aadedupe_core::restore::container_id;
 use aadedupe_filetype::{MemoryFile, SourceFile};
 
 /// Deterministic bytes: an xorshift stream seeded by `seed`.
@@ -41,7 +46,7 @@ fn session() -> Vec<MemoryFile> {
 /// over the namespace — every key in sorted order with its object's bytes,
 /// each prefixed by its length, as `evaluation_golden`'s `NAMESPACES`.
 const PINNED: [(&str, u64, u64, u64, usize, u64); 5] = [
-    ("Jungle Disk", 8, 0, 9, 9, 0xffaf_b5c9_4fa8_cbd2),
+    ("Jungle Disk", 8, 0, 9, 9, 0x9869_fa1f_9921_4628),
     ("BackupPC", 8, 0, 6, 6, 0xc6d7_b0dc_861a_879c),
     ("Avamar", 15, 0, 16, 16, 0x8cba_e8a0_31d1_e025),
     ("SAM", 16, 5, 14, 14, 0x05b6_7c9f_2bcc_34c8),
@@ -71,6 +76,18 @@ fn every_scheme_stores_an_empty_file_as_pinned() {
             let store = cloud.store();
             let mut keys = store.list("");
             keys.sort();
+            // Every container object the session uploaded is one its manifest
+            // references: an object nothing references is a wasted PUT.
+            let manifest = keys.iter().find(|k| k.contains("/manifests/")).expect("a manifest");
+            let manifest = store.get(manifest).expect("manifest reads").expect("manifest exists");
+            let manifest = Manifest::decode(&manifest).expect("manifest decodes");
+            let referenced: BTreeSet<u64> =
+                manifest.files.iter().flat_map(|f| f.chunks.iter().map(|c| c.container)).collect();
+            for key in keys.iter().filter(|k| k.contains("/containers/")) {
+                let id = container_id(key).expect("container key names an id");
+                let name = scheme.name();
+                assert!(referenced.contains(&id), "{name}: {key} is referenced by no manifest");
+            }
             let digest = keys.iter().fold(0xcbf2_9ce4_8422_2325, |h, key| {
                 let object = store.get(key).expect("listed object reads").expect("listed object exists");
                 let h = fnv1a(h, &(key.len() as u64).to_le_bytes());

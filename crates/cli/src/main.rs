@@ -26,6 +26,11 @@
 //! aabackup stats   --repo <dir>                   repository statistics
 //! ```
 //!
+//! `--workers N` sets both the backup pipeline's and the restore's worker
+//! threads. Without it each keeps the engine's default: backup runs one
+//! worker per core (at most 8), restore runs one. The worker count never
+//! changes what a backup stores.
+//!
 //! `--metrics <f>` writes the run's one telemetry document (NDJSON:
 //! `header`, a `sample` per tick as it is taken, `span`s, closing
 //! `summary`); `--stats` prints that summary as a table; `--progress`
@@ -61,7 +66,7 @@ use source::walk_directory;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> [--index-dir <dir>] [--index-ram <entries>] <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup stats   --repo <dir>"
+        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> [--index-dir <dir>] [--index-ram <entries>] <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup stats   --repo <dir>\n\n--workers N sets the backup and restore worker threads; without it,\nbackup runs one per core (at most 8) and restore runs one."
     );
     ExitCode::from(2)
 }
@@ -246,7 +251,7 @@ fn open_store(repo: &Path) -> Result<FsObjectStore, String> {
 /// engine with.
 fn repository(
     store: FsObjectStore,
-    workers: usize,
+    workers: Option<usize>,
     chunker: CdcAlgorithm,
     recorder: Option<Arc<Recorder>>,
 ) -> (CloudSim, AaDedupeConfig) {
@@ -257,10 +262,11 @@ fn repository(
         WanModel::ideal(1e9, 1e9),
         PriceModel::s3_april_2011(),
     );
+    // Without `--workers`, backup and restore keep the engine's defaults.
     let mut config = AaDedupeConfig {
-        pipeline: PipelineConfig::with_workers(workers),
+        pipeline: workers.map_or_else(PipelineConfig::default, PipelineConfig::with_workers),
         cdc: aadedupe_chunking::DEFAULT_CDC.with_algorithm(chunker),
-        restore: RestoreOptions { workers },
+        restore: workers.map_or_else(RestoreOptions::default, |workers| RestoreOptions { workers }),
         // Against a real disk, backoff should really wait, not just be
         // charged to the simulated clock.
         retry: RetryPolicy { sleep: true, ..RetryPolicy::default() },
@@ -278,7 +284,7 @@ fn repository(
 /// orphaned containers.
 fn open_engine(
     repo: &Path,
-    workers: usize,
+    workers: Option<usize>,
     chunker: CdcAlgorithm,
     index: &IndexArgs,
     recorder: Option<Arc<Recorder>>,
@@ -301,7 +307,7 @@ fn open_engine(
 /// command never modifies the repository.
 fn read_engine(
     repo: &Path,
-    workers: usize,
+    workers: Option<usize>,
     recorder: Option<Arc<Recorder>>,
 ) -> Result<AaDedupe, String> {
     let (cloud, config) = repository(open_store(repo)?, workers, CdcAlgorithm::Rabin, recorder);
@@ -311,7 +317,7 @@ fn read_engine(
 fn cmd_backup(
     repo: &Path,
     src: &Path,
-    workers: usize,
+    workers: Option<usize>,
     chunker: CdcAlgorithm,
     index: &IndexArgs,
     obs: &ObsArgs,
@@ -362,7 +368,7 @@ fn cmd_restore(
     repo: &Path,
     session: usize,
     out: &Path,
-    workers: usize,
+    workers: Option<usize>,
     obs: &ObsArgs,
 ) -> Result<(), String> {
     let rec = obs.recorder();
@@ -403,7 +409,7 @@ fn cmd_restore_file(
     session: usize,
     path: &str,
     out: &Path,
-    workers: usize,
+    workers: Option<usize>,
 ) -> Result<(), String> {
     let engine = read_engine(repo, workers, None)?;
     let file = engine
@@ -420,7 +426,7 @@ fn cmd_restore_file(
 }
 
 fn cmd_sessions(repo: &Path) -> Result<(), String> {
-    let engine = read_engine(repo, 1, None)?;
+    let engine = read_engine(repo, None, None)?;
     let sessions = engine.list_sessions();
     if sessions.is_empty() {
         println!("no sessions");
@@ -438,7 +444,7 @@ fn cmd_sessions(repo: &Path) -> Result<(), String> {
 }
 
 fn cmd_delete(repo: &Path, session: usize, index: &IndexArgs) -> Result<(), String> {
-    let mut engine = open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?;
+    let mut engine = open_engine(repo, None, CdcAlgorithm::Rabin, index, None)?;
     engine.delete_session(session).map_err(|e| format!("delete failed: {e}"))?;
     println!("deleted session {session}; unreferenced containers reclaimed");
     Ok(())
@@ -482,9 +488,9 @@ fn cmd_vacuum(repo: &Path, ratio: f64, dry_run: bool, index: &IndexArgs) -> Resu
     // A dry run only reads manifests and containers: it needs no index and
     // must not sweep, so it opens the repository like a reader.
     let mut engine = if dry_run {
-        read_engine(repo, 1, None)?
+        read_engine(repo, None, None)?
     } else {
-        open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?
+        open_engine(repo, None, CdcAlgorithm::Rabin, index, None)?
     };
     run_vacuum(&mut engine, ratio, dry_run)
 }
@@ -495,7 +501,7 @@ fn cmd_retention(
     vacuum_after: bool,
     index: &IndexArgs,
 ) -> Result<(), String> {
-    let mut engine = open_engine(repo, 1, CdcAlgorithm::Rabin, index, None)?;
+    let mut engine = open_engine(repo, None, CdcAlgorithm::Rabin, index, None)?;
     let report =
         engine.apply_retention(policy).map_err(|e| format!("retention failed: {e}"))?;
     println!(
@@ -509,7 +515,7 @@ fn cmd_retention(
 }
 
 fn cmd_stats(repo: &Path) -> Result<(), String> {
-    let engine = read_engine(repo, 1, None)?;
+    let engine = read_engine(repo, None, None)?;
     let chunks = engine.committed_chunks().map_err(|e| format!("cannot read manifests: {e}"))?;
     let store = engine.cloud().store();
     println!("repository: {} objects, {}", store.object_count(), human(store.stored_bytes()));
@@ -555,7 +561,6 @@ fn main() -> ExitCode {
     else {
         return usage();
     };
-    let workers = workers.unwrap_or(1);
     let Ok(chunker) = take_value(&mut args, "--chunker", CdcAlgorithm::parse) else {
         return usage();
     };

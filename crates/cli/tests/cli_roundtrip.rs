@@ -1,8 +1,9 @@
 //! End-to-end CLI test: drive the `aabackup` binary against real
 //! directories.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use aadedupe_cloud::{FsObjectStore, ObjectBackend};
@@ -314,6 +315,67 @@ fn stats_counts_the_chunks_the_manifests_index() {
     assert!(ok, "{out}");
     assert!(out.contains(&format!("index:      {} chunks", indexed.len())), "{out}");
     assert!(out.contains("sessions:   [0, 1]"), "{out}");
+}
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in fs::read_dir(&next).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = fs::read(&path).unwrap();
+                files.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
+/// Without `--workers`, backup runs the machine's default pipeline; the
+/// repository it leaves is the one `--workers 1` leaves, byte for byte.
+#[test]
+fn backup_without_workers_leaves_the_one_worker_repository() {
+    let dirs = Dirs::new("default-workers");
+    let src = dirs.src();
+    let noise = |seed: u32, n: u32| -> Vec<u8> {
+        (0..n).map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 13) as u8).collect()
+    };
+    // Several containers' worth of big files, so the pipeline has more
+    // than one hash batch to chunk ahead, and tiny files between them.
+    for (i, ext) in ["doc", "pdf", "avi", "exe", "txt", "mp3"].iter().enumerate() {
+        let seed = i as u32;
+        fs::write(src.join(format!("big{i}.{ext}")), noise(seed, 400_000 + seed * 997)).unwrap();
+        fs::write(src.join(format!("sub/tiny{i}.{ext}")), noise(seed + 50, 300 + seed)).unwrap();
+    }
+    let serial = dirs.root.join("serial");
+    fs::create_dir_all(&serial).unwrap();
+    let repos = [(dirs.repo(), None), (serial, Some("1"))];
+    // The second session resumes from the first one's manifests.
+    for session in 0..2 {
+        if session == 1 {
+            fs::write(src.join("big0.doc"), noise(99, 410_000)).unwrap();
+        }
+        for (repo, workers) in &repos {
+            let mut args = vec!["backup", "--repo", repo.to_str().unwrap()];
+            if let Some(n) = workers {
+                args.extend(["--workers", n]);
+            }
+            args.push(src.to_str().unwrap());
+            let (ok, out) = run(&args);
+            assert!(ok, "{args:?}: {out}");
+            assert!(out.contains(&format!("session {session}")), "{out}");
+        }
+    }
+    let (default, one) = (tree(&repos[0].0), tree(&repos[1].0));
+    assert!(default.keys().any(|k| k.starts_with("aa-dedupe/containers")), "{:?}", default.keys());
+    assert_eq!(default.keys().collect::<Vec<_>>(), one.keys().collect::<Vec<_>>());
+    for (path, bytes) in &default {
+        assert!(bytes == &one[path], "{path:?} differs from the --workers 1 repository");
+    }
 }
 
 #[test]

@@ -27,7 +27,9 @@
 //! chunked files from a `Handoff`. With [`PipelineConfig::workers`] ≤ 1
 //! nobody else chunks, so each batch is chunked inline right before it is
 //! deduped. With N workers, N − 1 `std::thread::scope` threads chunk ahead
-//! and the session thread is the N-th:
+//! and the session thread is the N-th. The default is the pipeline: one
+//! worker per core, at most 8 ([`PipelineConfig::default`]); one worker is
+//! the serial schedule the differential suites hold every count to.
 //!
 //! ```text
 //!  workers ── claim the next batch (the cursor); read, classify, chunk,
@@ -87,17 +89,32 @@ use crate::scheme::{BackupError, BackupScheme};
 use crate::timing::DedupClock;
 
 /// Worker-pool configuration for the backup pipeline.
+///
+/// The default runs the pipeline: one worker per core the platform
+/// reports, at most 8 (`DEFAULT_WORKERS_CAP`), and 1 when it cannot say.
+/// The worker count never changes a stored byte (module docs), only how
+/// much of the reading, chunking and hashing overlaps the dedup loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Threads per backup session. The calling thread dedupes every file
     /// in file order; `workers − 1` more read, chunk and fingerprint hash
     /// batches ahead of it. At 1 (or 0) every batch is chunked inline.
+    /// Defaults to the machine's cores, at most 8.
     pub workers: usize,
 }
 
+/// The most workers [`PipelineConfig::default`] takes, however many cores
+/// the machine has: the largest worker count `tests/parallel_differential.rs`
+/// proves leaves the same cloud namespace as one worker.
+const DEFAULT_WORKERS_CAP: usize = 8;
+
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig { workers: 1 }
+        let cores = match std::thread::available_parallelism() {
+            Ok(cores) => cores.get(),
+            Err(_) => 1,
+        };
+        PipelineConfig { workers: cores.min(DEFAULT_WORKERS_CAP) }
     }
 }
 
@@ -142,9 +159,11 @@ pub struct AaDedupeConfig {
     /// decisions are bit-identical either way — only the RAM/disk stat
     /// classification and the actual memory footprint differ.
     pub index_dir: Option<PathBuf>,
-    /// Backup pipeline worker-pool settings.
+    /// Backup pipeline worker-pool settings (default: one worker per
+    /// core, at most 8).
     pub pipeline: PipelineConfig,
-    /// Restore pipeline settings (fetch/parse/verify worker threads).
+    /// Restore pipeline settings (fetch/parse/verify worker threads;
+    /// default: one).
     pub restore: RestoreOptions,
     /// Retry/backoff policy for transient backend failures, shared by
     /// every upload and download.
@@ -1194,7 +1213,11 @@ mod tests {
                 )
             })
             .collect();
-        let mut serial = engine();
+        let serial_cfg = AaDedupeConfig {
+            pipeline: PipelineConfig::with_workers(1),
+            ..AaDedupeConfig::default()
+        };
+        let mut serial = AaDedupe::with_config(CloudSim::with_paper_defaults(), serial_cfg);
         let cfg = AaDedupeConfig {
             pipeline: PipelineConfig::with_workers(4),
             ..AaDedupeConfig::default()
@@ -1210,6 +1233,20 @@ mod tests {
         let a = serial.restore_session(0).unwrap();
         let b = parallel.restore_session(0).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn the_default_pipeline_runs_a_worker_per_core_up_to_the_cap() {
+        let cores = match std::thread::available_parallelism() {
+            Ok(cores) => cores.get(),
+            Err(_) => 1,
+        };
+        let workers = PipelineConfig::default().workers;
+        assert_eq!(workers, cores.min(DEFAULT_WORKERS_CAP));
+        assert!(workers >= 1);
+        assert_eq!(AaDedupeConfig::default().pipeline.workers, workers);
+        // Restore keeps its own default: one worker.
+        assert_eq!(AaDedupeConfig::default().restore, RestoreOptions { workers: 1 });
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub struct RestoredFile {
 /// Settings for the pipelined restore engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreOptions {
-    /// Fetch/parse/verify worker threads.
+    /// Fetch/parse/verify worker threads. Defaults to 1, unlike the backup
+    /// pipeline: two lost every measured `media_large` restore (DESIGN §8).
     pub workers: usize,
 }
 

@@ -10,8 +10,11 @@
 //! in chunking, dedup decisions, container packing or upload order shows
 //! up here as a hard failure.
 //!
-//! Set `AA_DIFF_WORKERS=2,4` (comma-separated; one worker is the serial
-//! schedule itself) to restrict the worker matrix and
+//! The matrix runs 2, 4 and 8 workers and the engine's own default
+//! (`PipelineConfig::default()`: the machine's cores, at most 8), each
+//! against one worker. Set `AA_DIFF_WORKERS=2,4,default` (comma-separated
+//! worker counts or `default`; one worker is the serial schedule itself)
+//! to restrict the worker matrix and
 //! `AA_DIFF_CHUNKER=rabin` (or `fastcdc`, comma-separated) to restrict the
 //! CDC boundary-algorithm dimension — used by CI to split the sweep across
 //! jobs. The contract is algorithm-independent: for
@@ -31,14 +34,21 @@ use aa_dedupe::workload::{DatasetSpec, Generator, Snapshot};
 const SEEDS: [u64; 3] = [11, 42, 1337];
 const SESSIONS: usize = 2;
 
-fn worker_matrix() -> Vec<usize> {
-    match std::env::var("AA_DIFF_WORKERS") {
-        Ok(s) => s
-            .split(',')
-            .map(|w| w.trim().parse().expect("AA_DIFF_WORKERS entries must be integers"))
-            .collect(),
-        Err(_) => vec![2, 4, 8],
-    }
+/// The pipelines compared with the serial schedule, each with its label.
+fn worker_matrix() -> Vec<(String, PipelineConfig)> {
+    let spec = std::env::var("AA_DIFF_WORKERS").unwrap_or_else(|_| "2,4,8,default".into());
+    spec.split(',')
+        .map(|entry| match entry.trim() {
+            "default" => {
+                let pipeline = PipelineConfig::default();
+                (format!("default ({})", pipeline.workers), pipeline)
+            }
+            n => {
+                let workers = n.parse().expect("AA_DIFF_WORKERS entries: integers or `default`");
+                (n.to_owned(), PipelineConfig::with_workers(workers))
+            }
+        })
+        .collect()
 }
 
 fn chunker_matrix() -> Vec<CdcAlgorithm> {
@@ -100,11 +110,12 @@ fn run_sessions(config: AaDedupeConfig, sessions: &[Vec<&dyn SourceFile>]) -> Ob
 }
 
 /// One worker is the serial schedule — the oracle; more are the pipeline.
-fn config(workers: usize, algorithm: CdcAlgorithm) -> AaDedupeConfig {
-    let mut config = AaDedupeConfig {
-        pipeline: PipelineConfig::with_workers(workers),
-        ..AaDedupeConfig::default()
-    };
+fn one_worker() -> PipelineConfig {
+    PipelineConfig::with_workers(1)
+}
+
+fn config(pipeline: PipelineConfig, algorithm: CdcAlgorithm) -> AaDedupeConfig {
+    let mut config = AaDedupeConfig { pipeline, ..AaDedupeConfig::default() };
     config.cdc.algorithm = algorithm;
     config
 }
@@ -162,9 +173,9 @@ fn parallel_matches_serial_across_seeds_workers_and_chunkers() {
             let snaps: Vec<Snapshot> = (0..SESSIONS).map(|w| generator.snapshot(w)).collect();
             let sessions: Vec<Vec<&dyn SourceFile>> =
                 snaps.iter().map(|s| s.as_sources()).collect();
-            let serial = run_sessions(config(1, algorithm), &sessions);
-            for workers in worker_matrix() {
-                let parallel = run_sessions(config(workers, algorithm), &sessions);
+            let serial = run_sessions(config(one_worker(), algorithm), &sessions);
+            for (workers, pipeline) in worker_matrix() {
+                let parallel = run_sessions(config(pipeline, algorithm), &sessions);
                 assert_equivalent(
                     &serial,
                     &parallel,
@@ -198,9 +209,9 @@ fn parallel_matches_serial_on_tiny_file_heavy_set() {
     // carry-forward for tiny files and full-duplicate paths for big ones.
     let sessions = vec![sources.clone(), sources];
     for algorithm in chunker_matrix() {
-        let serial = run_sessions(config(1, algorithm), &sessions);
-        for workers in worker_matrix() {
-            let parallel = run_sessions(config(workers, algorithm), &sessions);
+        let serial = run_sessions(config(one_worker(), algorithm), &sessions);
+        for (workers, pipeline) in worker_matrix() {
+            let parallel = run_sessions(config(pipeline, algorithm), &sessions);
             assert_equivalent(
                 &serial,
                 &parallel,
@@ -217,10 +228,10 @@ fn restores_are_bit_exact_against_source_data() {
     let mut generator = Generator::new(DatasetSpec::tiny_test(), SEEDS[0]);
     let snap = generator.snapshot(0);
     for algorithm in chunker_matrix() {
-        for workers in worker_matrix() {
+        for (workers, pipeline) in worker_matrix() {
             let mut engine = AaDedupe::with_config(
                 CloudSim::with_paper_defaults(),
-                config(workers, algorithm),
+                config(pipeline, algorithm),
             );
             engine.backup_session(&snap.as_sources()).expect("backup");
             let restored = engine.restore_session(0).expect("restore");
@@ -296,15 +307,15 @@ fn parallel_matches_serial_across_hash_batch_boundaries() {
         .map(|files| files.iter().map(|f| f as &dyn SourceFile).collect())
         .collect();
     for algorithm in chunker_matrix() {
-        let config = |workers| AaDedupeConfig { container_size, ..config(workers, algorithm) };
-        let serial = run_sessions(config(1), &sessions);
+        let config = |pipeline| AaDedupeConfig { container_size, ..config(pipeline, algorithm) };
+        let serial = run_sessions(config(one_worker()), &sessions);
         for (restored, files) in serial.restores.iter().zip(&snaps) {
             let source: Vec<(String, Vec<u8>)> =
                 files.iter().map(|f| (f.path.clone(), f.data.clone())).collect();
             assert!(restored == &source, "chunker={algorithm}: serial restore differs from source");
         }
-        for workers in worker_matrix() {
-            let parallel = run_sessions(config(workers), &sessions);
+        for (workers, pipeline) in worker_matrix() {
+            let parallel = run_sessions(config(pipeline), &sessions);
             assert_equivalent(
                 &serial,
                 &parallel,
