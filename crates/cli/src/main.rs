@@ -27,9 +27,9 @@
 //! ```
 //!
 //! `--workers N` sets both the backup pipeline's and the restore's worker
-//! threads. Without it each keeps the engine's default: backup runs one
-//! worker per core (at most 8), restore runs one. The worker count never
-//! changes what a backup stores.
+//! threads. Without it both keep the engine's default: one worker per
+//! core, at most 8. The worker count never changes what a backup stores
+//! or a restore writes.
 //!
 //! `--metrics <f>` writes the run's one telemetry document (NDJSON:
 //! `header`, a `sample` per tick as it is taken, `span`s, closing
@@ -66,7 +66,7 @@ use source::walk_directory;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> [--index-dir <dir>] [--index-ram <entries>] <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup stats   --repo <dir>\n\n--workers N sets the backup and restore worker threads; without it,\nbackup runs one per core (at most 8) and restore runs one."
+        "usage:\n  aabackup backup  --repo <dir> [--workers N] [--chunker rabin|fastcdc]\n                   [--index-dir <dir>] [--index-ram <entries>] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <source-dir>\n  aabackup restore --repo <dir> [--workers N] [--stats]\n                   [--metrics <file>] [--metrics-interval-ms N] [--progress] <session> <out-dir>\n  aabackup restore-file --repo <dir> [--workers N] <session> <path> <out-file>\n  aabackup sessions --repo <dir>\n  aabackup delete  --repo <dir> [--index-dir <dir>] [--index-ram <entries>] <session>\n  aabackup vacuum  --repo <dir> [--ratio <f>] [--dry-run]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup retention --repo <dir> (--keep-last N | --gfs D,W,M) [--vacuum]\n                   [--index-dir <dir>] [--index-ram <entries>]\n  aabackup stats   --repo <dir>\n\n--workers N sets the backup and restore worker threads; without it,\nboth run one per core (at most 8)."
     );
     ExitCode::from(2)
 }

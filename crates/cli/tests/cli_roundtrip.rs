@@ -378,6 +378,44 @@ fn backup_without_workers_leaves_the_one_worker_repository() {
     }
 }
 
+/// Without `--workers`, restore runs one worker per core; the tree it
+/// writes is the one `--workers 1` writes, byte for byte.
+#[test]
+fn restore_without_workers_writes_the_one_worker_tree() {
+    let dirs = Dirs::new("default-restore");
+    let src = dirs.src();
+    let noise = |seed: u32, n: u32| -> Vec<u8> {
+        (0..n).map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 13) as u8).collect()
+    };
+    // Several containers' worth of big files, so more than one worker
+    // has a container to claim, and tiny files between them.
+    for (i, ext) in ["doc", "pdf", "avi", "exe", "txt", "mp3"].iter().enumerate() {
+        let seed = i as u32;
+        fs::write(src.join(format!("big{i}.{ext}")), noise(seed, 400_000 + seed * 997)).unwrap();
+        fs::write(src.join(format!("sub/tiny{i}.{ext}")), noise(seed + 50, 300 + seed)).unwrap();
+    }
+    let repo = dirs.repo();
+    let (ok, out) = run(&["backup", "--repo", repo.to_str().unwrap(), src.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    let one = dirs.root.join("one");
+    for (dest, workers) in [(dirs.out(), None), (one.clone(), Some("1"))] {
+        let mut args = vec!["restore", "--repo", repo.to_str().unwrap()];
+        if let Some(n) = workers {
+            args.extend(["--workers", n]);
+        }
+        args.extend(["0", dest.to_str().unwrap()]);
+        let (ok, out) = run(&args);
+        assert!(ok, "{args:?}: {out}");
+    }
+    let (default, serial) = (tree(&dirs.out()), tree(&one));
+    assert_eq!(default.len(), 12, "{:?}", default.keys());
+    assert_eq!(default.keys().collect::<Vec<_>>(), serial.keys().collect::<Vec<_>>());
+    for (path, bytes) in &default {
+        assert!(bytes == &serial[path], "{path:?} differs from the --workers 1 restore");
+    }
+    assert_eq!(default, tree(&src), "both restores equal the source tree");
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     let (ok, _) = run(&["frobnicate"]);

@@ -103,18 +103,28 @@ pub struct PipelineConfig {
     pub workers: usize,
 }
 
-/// The most workers [`PipelineConfig::default`] takes, however many cores
-/// the machine has: the largest worker count `tests/parallel_differential.rs`
-/// proves leaves the same cloud namespace as one worker.
+/// The most workers [`PipelineConfig::default`] and
+/// [`RestoreOptions::default`] take, however many cores the machine has:
+/// the largest worker count `tests/parallel_differential.rs` proves leaves
+/// the same cloud namespace as one worker, and `tests/restore_differential.rs`
+/// the same restored bytes.
 const DEFAULT_WORKERS_CAP: usize = 8;
+
+/// The worker count both pipelines default to, backup's
+/// [`PipelineConfig`] and restore's [`RestoreOptions`]: one per core the
+/// platform reports, at most `DEFAULT_WORKERS_CAP`, and 1 when it cannot
+/// say.
+pub(crate) fn default_workers() -> usize {
+    let cores = match std::thread::available_parallelism() {
+        Ok(cores) => cores.get(),
+        Err(_) => 1,
+    };
+    cores.min(DEFAULT_WORKERS_CAP)
+}
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        let cores = match std::thread::available_parallelism() {
-            Ok(cores) => cores.get(),
-            Err(_) => 1,
-        };
-        PipelineConfig { workers: cores.min(DEFAULT_WORKERS_CAP) }
+        PipelineConfig { workers: default_workers() }
     }
 }
 
@@ -162,8 +172,8 @@ pub struct AaDedupeConfig {
     /// Backup pipeline worker-pool settings (default: one worker per
     /// core, at most 8).
     pub pipeline: PipelineConfig,
-    /// Restore pipeline settings (fetch/parse/verify worker threads;
-    /// default: one).
+    /// Restore pipeline settings (fetch/parse/verify/scatter worker
+    /// threads; default: one per core, at most 8).
     pub restore: RestoreOptions,
     /// Retry/backoff policy for transient backend failures, shared by
     /// every upload and download.
@@ -1245,8 +1255,9 @@ mod tests {
         assert_eq!(workers, cores.min(DEFAULT_WORKERS_CAP));
         assert!(workers >= 1);
         assert_eq!(AaDedupeConfig::default().pipeline.workers, workers);
-        // Restore keeps its own default: one worker.
-        assert_eq!(AaDedupeConfig::default().restore, RestoreOptions { workers: 1 });
+        // Restore's default is the pipeline's.
+        assert_eq!(RestoreOptions::default(), RestoreOptions { workers });
+        assert_eq!(AaDedupeConfig::default().restore, RestoreOptions { workers });
     }
 
     #[test]

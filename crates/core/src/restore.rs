@@ -17,45 +17,47 @@
 //! * [`restore_session_pipelined`] — the production path, container-major:
 //!   a planner walks the manifest once and lists, per container in
 //!   first-reference order, the distinct chunks read from it and every
-//!   `(file, byte position)` each lands at. N fetch/parse/verify workers
-//!   claim containers from a shared cursor, downloading through the
-//!   restore call's one [`Transfer`] (the retry handle every upload and
-//!   download uses, its budget shared by the workers), and hand each
-//!   verified container over one bounded channel to the calling thread,
-//!   which copies its chunks to all their destinations and drops it.
-//!   Every container is fetched, parsed and verified exactly once.
+//!   `(file, byte position)` each lands at. N workers — the calling
+//!   thread and N − 1 spawned ones — claim containers from a shared
+//!   cursor, download through the restore call's one [`Transfer`] (the
+//!   retry handle every upload and download uses, its budget shared by
+//!   the workers), parse and verify each, copy its chunks straight into
+//!   the output files and drop it. Every container is fetched, parsed and
+//!   verified exactly once.
 //!
 //! # Memory bound
 //!
 //! Besides the restored files themselves (`Vec<RestoredFile>` is
 //! O(session) in both engines), the pipelined engine holds at most
-//! `workers + 16 + 1` containers at once: one per worker being fetched or
-//! waiting to be handed over, 16 (`QUEUED_CONTAINERS`) in the channel, one
-//! being scattered. A held container is the downloaded object itself,
-//! parsed in place ([`ParsedContainer::from_vec`]): its chunks are ranges
-//! of that buffer until the scatter copies them out.
+//! `workers` containers at once, one per worker. A held container is the
+//! downloaded object itself, parsed in place
+//! ([`ParsedContainer::from_vec`]): its chunks are ranges of that buffer
+//! until the scatter copies them out. Every output buffer is reserved by
+//! the calling thread before the workers start, so it comes from the
+//! calling thread's allocator arena whichever worker fills it.
 //!
 //! # Determinism contract
 //!
 //! For a fixed manifest, restored bytes and verification outcomes are
 //! identical for any worker count. Of all failed container downloads or
 //! verifications, the one returned is the container that comes first in
-//! plan (= first-reference) order — never the first to *arrive*, which
+//! plan (= first-reference) order — never the first to *fail*, which
 //! would depend on worker scheduling. The cursor hands out plan indices
-//! monotonically, the first failure received stops further claims, and
-//! the caller keeps draining until every worker has exited, keeping the
-//! failure with the smallest index.
+//! monotonically, the first failure stops further claims, every worker
+//! finishes the container it holds and joins, and the failure with the
+//! smallest index is kept.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use aadedupe_cloud::CloudSim;
 use aadedupe_container::{ChunkDescriptor, ParsedContainer};
 use aadedupe_hashing::Fingerprint;
+use aadedupe_lock::Lock;
 use aadedupe_obs::{Counter, Recorder, Stage, WorkerRole};
 
+use crate::engine::default_workers;
 use crate::recipe::{FileRecipe, Manifest};
 use crate::retry::{RetryPolicy, Transfer};
 use crate::scheme::BackupError;
@@ -72,21 +74,16 @@ pub struct RestoredFile {
 /// Settings for the pipelined restore engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreOptions {
-    /// Fetch/parse/verify worker threads. Defaults to 1, unlike the backup
-    /// pipeline: two lost every measured `media_large` restore (DESIGN §8).
+    /// Fetch/parse/verify/scatter workers, the calling thread included.
+    /// Defaults to the backup pipeline's default: one per core, at most 8.
     pub workers: usize,
 }
 
 impl Default for RestoreOptions {
     fn default() -> Self {
-        RestoreOptions { workers: 1 }
+        RestoreOptions { workers: default_workers() }
     }
 }
-
-/// Verified containers that may wait between the workers and the scatter
-/// loop. Measured, not a knob: with only `workers` slots (1 by default) a
-/// briefly descheduled caller stalls every fetch worker.
-const QUEUED_CONTAINERS: usize = 16;
 
 /// The prefix every container key of a scheme starts with.
 pub fn containers_prefix(scheme: &str) -> String {
@@ -360,7 +357,8 @@ fn fetch_parse_verify(
     Ok(VerifiedContainer { parsed: fc.parsed, descriptors })
 }
 
-/// Runs the planner → workers → scatter pipeline over `files`.
+/// Runs the planner → workers pipeline over `files`; the calling thread
+/// is worker 0.
 fn run_pipeline(
     transfer: &Transfer<'_>,
     scheme_key: &str,
@@ -370,109 +368,100 @@ fn run_pipeline(
 ) -> Result<Vec<RestoredFile>, BackupError> {
     let order = plan_restore(files);
     // More workers than containers would just be idle threads.
-    let workers = opts.workers.max(1).min(order.len());
+    let workers = opts.workers.min(order.len()).max(1);
     let cursor = AtomicUsize::new(0);
-    let (done_tx, done_rx) = mpsc::sync_channel(QUEUED_CONTAINERS);
-    let mut out: Vec<RestoredFile> =
-        files.iter().map(|f| RestoredFile { path: f.path.clone(), data: Vec::new() }).collect();
-    let mut first_err: Option<(usize, BackupError)> = None;
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (order, cursor, done_tx) = (&order, &cursor, done_tx.clone());
-            scope.spawn(move || {
-                let mut busy = Duration::ZERO;
-                let mut idle = Duration::ZERO;
-                loop {
-                    // Relaxed: the cursor only hands out tickets; the plan
-                    // it indexes is immutable.
-                    let idx = cursor.fetch_add(1, Relaxed);
-                    let Some(job) = order.get(idx) else { break };
-                    let working = rec.start();
-                    let result = fetch_parse_verify(transfer, scheme_key, job, rec);
-                    if let Some(t) = working {
-                        busy += t.elapsed();
-                    }
+    // Reserved here, not by the first worker to write: a buffer allocated
+    // on a worker thread comes from that thread's allocator arena, whose
+    // pages the next backup on this thread cannot reuse (DESIGN §11).
+    let out: Vec<Lock<Vec<u8>>> =
+        files.iter().map(|f| Lock::new(Vec::with_capacity(f.file_len() as usize))).collect();
+    let first_err: Lock<Option<(usize, BackupError)>> = Lock::new(None);
+    let work = |w: usize| {
+        let mut busy = Duration::ZERO;
+        loop {
+            // Relaxed: the cursor only hands out tickets; the plan it
+            // indexes is immutable.
+            let idx = cursor.fetch_add(1, Relaxed);
+            let Some(job) = order.get(idx) else { break };
+            let working = rec.start();
+            match fetch_parse_verify(transfer, scheme_key, job, rec) {
+                Ok(vc) => {
                     rec.restore_verified_push();
-                    let blocked = rec.start();
-                    // The caller drains until every sender is gone, so a
-                    // closed channel means it panicked; just stop.
-                    if aadedupe_lock::send(&done_tx, (idx, job, result)).is_err() {
-                        break;
-                    }
-                    if let Some(t) = blocked {
-                        idle += t.elapsed();
-                    }
+                    scatter(job, &vc, &out, rec);
+                    rec.restore_verified_pop();
                 }
-                rec.worker_report(WorkerRole::Restorer, w, busy, idle);
-            });
-        }
-        drop(done_tx);
-        // Never leave this loop early: a worker blocked on the full
-        // channel would deadlock the scope join.
-        for (idx, job, result) in &done_rx {
-            match result {
-                Ok(vc) if first_err.is_none() => scatter(job, &vc, files, &mut out, rec),
-                Ok(_) => {}
                 Err(e) => {
-                    // Stop claiming; containers already claimed still report.
+                    // Stop claiming; containers already claimed still finish.
                     cursor.store(order.len(), Relaxed);
-                    if first_err.as_ref().is_none_or(|(first, _)| idx < *first) {
-                        first_err = Some((idx, e));
+                    let mut kept = first_err.lock();
+                    if kept.as_ref().is_none_or(|(first, _)| idx < *first) {
+                        *kept = Some((idx, e));
                     }
                 }
             }
-            rec.restore_verified_pop();
+            if let Some(t) = working {
+                busy += t.elapsed();
+            }
         }
+        // Nothing to wait for but an output file's lock, counted as busy.
+        rec.worker_report(WorkerRole::Restorer, w, busy, Duration::ZERO);
+    };
+    std::thread::scope(|scope| {
+        let work = &work;
+        for w in 1..workers {
+            scope.spawn(move || work(w));
+        }
+        work(0);
     });
-    first_err.map_or(Ok(out), |(_, e)| Err(e))
+    if let Some((_, e)) = first_err.into_inner() {
+        return Err(e);
+    }
+    Ok(std::iter::zip(files, out)
+        .map(|(f, data)| RestoredFile { path: f.path.clone(), data: data.into_inner() })
+        .collect())
 }
 
-/// Copies one verified container's chunks to every place they land. A
-/// chunk that lands at its file's current end is appended — almost every
-/// byte, since destinations are in manifest order and containers arrive
-/// close to it. One that lands further on grows the file with zeros first;
-/// the gap is overwritten when its own container arrives.
-fn scatter(
-    job: &ContainerJob,
-    vc: &VerifiedContainer,
-    files: &[&FileRecipe],
-    out: &mut [RestoredFile],
-    rec: &Recorder,
-) {
+/// Copies one verified container's chunks to every place they land,
+/// taking each file's lock once per run of destinations in it. A chunk
+/// that lands at its file's current end is appended — almost every byte,
+/// since destinations are in manifest order and containers are claimed
+/// close to it. One that lands further on grows the file with zeros
+/// first; the gap is overwritten when its own container is scattered.
+fn scatter(job: &ContainerJob, vc: &VerifiedContainer, out: &[Lock<Vec<u8>>], rec: &Recorder) {
     let scattering = rec.start();
-    for &(r, file, at) in &job.dests {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "plan_restore minted r as an index into this job's refs, and the worker \
-                      returned one descriptor per ref"
-        )]
-        let chunk = vc.parsed.chunk_bytes(&vc.descriptors[r]);
+    let mut copied = 0;
+    for run in job.dests.chunk_by(|a, b| a.1 == b.1) {
+        let Some(&(_, file, _)) = run.first() else { continue };
         #[expect(
             clippy::indexing_slicing,
             reason = "plan_restore minted file as an index into files, and out holds one \
-                      entry per file"
+                      buffer per file"
         )]
-        let (recipe, data) = (files[file], &mut out[file].data);
-        if data.capacity() == 0 {
-            // First destination in this file.
-            data.reserve_exact(recipe.file_len() as usize);
-        }
-        let end = at + chunk.len();
-        if at == data.len() {
-            data.extend_from_slice(chunk);
-        } else {
-            if data.len() < end {
-                data.resize(end, 0);
-            }
+        let mut data = out[file].lock();
+        for &(r, _, at) in run {
             #[expect(
                 clippy::indexing_slicing,
-                reason = "the resize above guarantees data.len() >= end, and at <= end"
+                reason = "plan_restore minted r as an index into this job's refs, and the \
+                          worker resolved one descriptor per ref"
             )]
-            data[at..end].copy_from_slice(chunk);
+            let chunk = vc.parsed.chunk_bytes(&vc.descriptors[r]);
+            let end = at + chunk.len();
+            if at == data.len() {
+                data.extend_from_slice(chunk);
+            } else {
+                if data.len() < end {
+                    data.resize(end, 0);
+                }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the resize above guarantees data.len() >= end, and at <= end"
+                )]
+                data[at..end].copy_from_slice(chunk);
+            }
+            copied += chunk.len() as u64;
         }
-        rec.count(Counter::RestoredBytes, chunk.len() as u64);
     }
+    rec.count(Counter::RestoredBytes, copied);
     rec.record(Stage::RestoreAssemble, scattering);
 }
 

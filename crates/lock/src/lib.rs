@@ -73,6 +73,12 @@ impl<T> Lock<T> {
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         LockGuard { guard, _held: held }
     }
+
+    /// The value, poisoned or not. Takes no lock: owning the `Lock`
+    /// means no thread can hold it.
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<T> LockGuard<'_, T> {

@@ -6,7 +6,7 @@
 //! a session cost; this crate says *where*: per-stage latency histograms
 //! (classify / chunk / hash / index / container / upload), per-application
 //! index hit/miss counters, pipeline worker busy/idle time, and the
-//! restore's hand-over queue depth and high-water mark. A [`Recorder`] is
+//! restore's verified-container gauge (depth and high-water mark). A [`Recorder`] is
 //! plumbed through the engine, index, container store, and chunker;
 //! everything it records leaves through one machine-readable [`Document`]
 //! (a header, the [`Sampler`]'s samples streamed as they are taken, the
@@ -315,9 +315,9 @@ pub struct Recorder {
     app_hits: [AtomicU64; MAX_APP_TAG],
     app_misses: [AtomicU64; MAX_APP_TAG],
     app_labels: Lock<Vec<(u8, String)>>,
-    /// Verified containers a restore has not scattered yet: counted by the
-    /// fetch worker after verify, uncounted by the caller once handled. The
-    /// high-water mark proves the `workers + 17` restore memory bound.
+    /// Verified containers a restore has not scattered yet: counted by a
+    /// worker after verify, uncounted by the same worker after its scatter.
+    /// The high-water mark proves the `workers` restore memory bound.
     restore_verified: QueueGauge,
     workers: Lock<Vec<WorkerTime>>,
     trace: TraceSink,
@@ -470,9 +470,8 @@ impl Recorder {
         }
     }
 
-    /// Notes one verified container entering the restore's hand-over
-    /// channel (call *before* the blocking send, so the high-water mark
-    /// counts producers waiting on a full channel).
+    /// Notes one verified container a restore worker now holds for its
+    /// scatter.
     #[inline]
     pub fn restore_verified_push(&self) {
         if self.is_enabled() {
@@ -482,7 +481,7 @@ impl Recorder {
         }
     }
 
-    /// Notes one verified container leaving the hand-over channel.
+    /// Notes one verified container scattered and dropped.
     /// Saturates at zero: a pop that races ahead of its matching push (or a
     /// caller bug) increments the gauge's underflow counter instead of
     /// driving the depth negative — a negative depth would poison every

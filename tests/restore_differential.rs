@@ -8,17 +8,21 @@
 //! scheduling-dependent divergence in fetch order, scatter order or error
 //! surfacing shows up here.
 //!
-//! Set `AA_DIFF_WORKERS=1,4` (comma-separated) to restrict the worker
-//! matrix — used by CI to split the sweep across jobs.
+//! Set `AA_DIFF_WORKERS=1,4,default` (comma-separated worker counts or
+//! `default`, [`RestoreOptions::default`]) to restrict the worker matrix
+//! — used by CI to split the sweep across jobs. Unset, it runs 1, 2, 4, 8
+//! and the default.
 
 use std::sync::Arc;
 
 use aa_dedupe::cloud::{
     BackendError, CloudSim, ObjectBackend, ObjectStore, ObjectStoreStats, PriceModel, WanModel,
 };
+use aa_dedupe::container::format::HEADER_LEN;
+use aa_dedupe::container::{ChunkDescriptor, ParsedContainer};
 use aa_dedupe::core::{
-    restore_session, restore_session_pipelined, AaDedupe, AaDedupeConfig, BackupScheme, Manifest,
-    PipelineConfig, RestoreOptions, RestoredFile, RetryPolicy,
+    restore_session, restore_session_pipelined, AaDedupe, AaDedupeConfig, BackupError,
+    BackupScheme, Manifest, PipelineConfig, RestoreOptions, RestoredFile, RetryPolicy,
 };
 use aa_dedupe::filetype::{MemoryFile, SourceFile};
 use aa_dedupe::obs::Recorder;
@@ -28,14 +32,21 @@ const SEEDS: [u64; 3] = [11, 42, 1337];
 const SESSIONS: usize = 2;
 const SCHEME: &str = "aa-dedupe";
 
-fn worker_matrix() -> Vec<usize> {
-    match std::env::var("AA_DIFF_WORKERS") {
-        Ok(s) => s
-            .split(',')
-            .map(|w| w.trim().parse().expect("AA_DIFF_WORKERS entries must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
+/// The restore options compared with the serial oracle, each with its label.
+fn worker_matrix() -> Vec<(String, RestoreOptions)> {
+    let spec = std::env::var("AA_DIFF_WORKERS").unwrap_or_else(|_| "1,2,4,8,default".into());
+    spec.split(',')
+        .map(|entry| match entry.trim() {
+            "default" => {
+                let opts = RestoreOptions::default();
+                (format!("default ({})", opts.workers), opts)
+            }
+            n => {
+                let workers = n.parse().expect("AA_DIFF_WORKERS entries: integers or `default`");
+                (n.to_owned(), RestoreOptions { workers })
+            }
+        })
+        .collect()
 }
 
 fn backed_up(sessions: &[Vec<&dyn SourceFile>]) -> CloudSim {
@@ -66,16 +77,16 @@ fn committed_manifest(inner: &ObjectStore, session: u64) -> Manifest {
     Manifest::decode(&bytes).expect("decode")
 }
 
-fn pipelined(cloud: &CloudSim, session: u64, workers: usize) -> Vec<RestoredFile> {
+fn pipelined(cloud: &CloudSim, session: u64, opts: &RestoreOptions) -> Vec<RestoredFile> {
     restore_session_pipelined(
         cloud,
         SCHEME,
         session,
-        &RestoreOptions { workers },
+        opts,
         &RetryPolicy::default(),
         &Recorder::disabled(),
     )
-    .unwrap_or_else(|e| panic!("workers={workers}: {e}"))
+    .unwrap_or_else(|e| panic!("workers={}: {e}", opts.workers))
 }
 
 #[test]
@@ -87,9 +98,9 @@ fn pipelined_matches_serial_across_seeds_workers_and_caches() {
         let cloud = backed_up(&sessions);
         for session in 0..SESSIONS as u64 {
             let serial = restore_session(&cloud, SCHEME, session).expect("serial oracle");
-            for workers in worker_matrix() {
+            for (workers, opts) in worker_matrix() {
                 let label = format!("seed={seed} s={session} workers={workers}");
-                let para = pipelined(&cloud, session, workers);
+                let para = pipelined(&cloud, session, &opts);
                 assert_eq!(serial.len(), para.len(), "{label}: file count");
                 for (s, p) in serial.iter().zip(&para) {
                     assert_eq!(s.path, p.path, "{label}: order/path");
@@ -109,9 +120,9 @@ fn restore_file_matches_the_session_entry_for_every_path() {
     let serial = restore_session(&cloud, SCHEME, 0).expect("serial oracle");
     assert!(!serial.is_empty());
     let engine = AaDedupe::open(cloud, AaDedupeConfig::default()).expect("open");
-    for workers in worker_matrix() {
+    for (workers, opts) in worker_matrix() {
         let mut e = engine.config().clone();
-        e.restore = RestoreOptions { workers };
+        e.restore = opts;
         let engine = AaDedupe::open(engine.cloud().clone(), e).expect("open");
         for expect in &serial {
             let got = engine
@@ -176,9 +187,9 @@ fn every_container_is_fetched_exactly_once() {
     // Three sessions over small containers: later sessions reference
     // containers scattered over the earlier ones, far more than any fixed
     // window holds. Each restore must GET the manifest once and every
-    // referenced container exactly once, and hold at most `workers + 17`
-    // verified containers (one per worker awaiting handover, 16 queued,
-    // one being scattered) — the RestoreVerified gauge is the witness.
+    // referenced container exactly once, and hold at most `workers`
+    // verified containers (one per worker, from its verification to the
+    // end of its scatter) — the RestoreVerified gauge is the witness.
     let (inner, cloud) = counted_cloud();
     let config = AaDedupeConfig { container_size: 16 * 1024, ..AaDedupeConfig::default() };
     let mut engine = AaDedupe::with_config(cloud.clone(), config);
@@ -194,7 +205,7 @@ fn every_container_is_fetched_exactly_once() {
         assert!(distinct.len() > 64, "session {session}: drill needs many containers");
         let serial = restore_session(&cloud, SCHEME, session).expect("serial oracle");
 
-        for workers in worker_matrix() {
+        for (workers, opts) in worker_matrix() {
             let label = format!("s={session} workers={workers}");
             let rec = Recorder::new();
             let before = inner.stats().get_requests;
@@ -202,7 +213,7 @@ fn every_container_is_fetched_exactly_once() {
                 &cloud,
                 SCHEME,
                 session,
-                &RestoreOptions { workers },
+                &opts,
                 &RetryPolicy::default(),
                 &rec,
             )
@@ -212,8 +223,65 @@ fn every_container_is_fetched_exactly_once() {
             assert_eq!(gets, 1 + distinct.len() as u64, "{label}: manifest + one GET per container");
             let gauge = rec.snapshot().restore_verified;
             assert!(gauge.hwm > 0, "{label}: the gauge must have moved");
-            assert!(gauge.hwm <= workers as u64 + 17, "{label}: {} containers held", gauge.hwm);
+            assert!(gauge.hwm <= opts.workers as u64, "{label}: {} containers held", gauge.hwm);
             assert_eq!(gauge.depth, 0, "{label}: every container handed over was dropped");
+        }
+    }
+}
+
+#[test]
+fn of_two_corrupt_containers_the_earlier_in_plan_order_is_reported() {
+    // Two containers hold a corrupt chunk. Whichever worker verifies which
+    // first, the error names the container the manifest references first:
+    // a pair far apart in plan order, and an adjacent pair that two
+    // workers claim at nearly the same moment.
+    let config = AaDedupeConfig { container_size: 16 * 1024, ..AaDedupeConfig::default() };
+    let mut generator = Generator::new(DatasetSpec::tiny_test(), SEEDS[1]);
+    let snap = generator.snapshot(0);
+    let backed_up = || {
+        let (inner, cloud) = counted_cloud();
+        AaDedupe::with_config(cloud.clone(), config.clone())
+            .backup_session(&snap.as_sources())
+            .expect("backup");
+        (inner, cloud)
+    };
+    let mut order: Vec<u64> = Vec::new();
+    for c in committed_manifest(&backed_up().0, 0).files.iter().flat_map(|f| &f.chunks) {
+        if !order.contains(&c.container) {
+            order.push(c.container);
+        }
+    }
+    assert!(order.len() > 16, "drill needs a spread of containers, got {}", order.len());
+
+    let mid = order.len() / 2;
+    for (early, late) in [(1, order.len() - 2), (mid, mid + 1)] {
+        let (inner, cloud) = backed_up();
+        for container in [order[early], order[late]] {
+            // Flip a byte of the container's first chunk: every chunk of a
+            // first session's container is referenced by it.
+            let key = format!("{SCHEME}/containers/{container:012}");
+            let raw = inner.get(&key).unwrap().expect("container committed");
+            let parsed = ParsedContainer::parse(&raw).expect("parse");
+            let desc_len: usize = parsed.descriptors.iter().map(ChunkDescriptor::encoded_len).sum();
+            let first = HEADER_LEN + desc_len + parsed.descriptors[0].offset as usize;
+            assert!(inner.corrupt(&key, first), "{key}");
+        }
+        let named = format!("chunk at {}:", order[early]);
+        for (workers, opts) in worker_matrix() {
+            for round in 0..40 {
+                let label = format!("corrupt=({early},{late}) workers={workers} round={round}");
+                let err = restore_session_pipelined(
+                    &cloud,
+                    SCHEME,
+                    0,
+                    &opts,
+                    &RetryPolicy::default(),
+                    &Recorder::disabled(),
+                )
+                .expect_err(&label);
+                assert!(matches!(err, BackupError::Verification(_)), "{label}: {err:?}");
+                assert!(err.to_string().contains(&named), "{label}: {err}");
+            }
         }
     }
 }
