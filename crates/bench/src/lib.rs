@@ -1,38 +1,78 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::let_underscore_must_use, clippy::unused_result_ok))]
-//! Benchmark harness for the AA-Dedupe reproduction.
+//! The `paper` command: one subcommand per table or figure of the
+//! AA-Dedupe paper ([`FIGURES`]), and `all`, which rewrites every
+//! `results/<subcommand>.txt`:
+//! `cargo run --release -p aadedupe-bench --bin paper -- <subcommand>|all`.
 //!
-//! One runnable binary per table/figure of the paper (see DESIGN.md §3 for
-//! the experiment index); this library holds what they share: the
-//! evaluation configuration, the five-scheme sweep runner, and plain-text
-//! table formatting.
+//! Each report prints its deterministic part first (byte ratios, chunk and
+//! file counts, PUTs, cost, modelled disk probes, the vacuum table; pinned
+//! in `tests/paper_golden.rs` and `tests/evaluation_golden.rs`) and its
+//! timing part after a `-- timing` line. Where a pass is cheap enough to
+//! repeat (Figs. 3 and 4, the index ablation), each time is the median of
+//! [`timed::ROUNDS`] rounds in which the passes take turns.
 //!
 //! Environment knobs (all optional):
-//!
 //! * `AA_EVAL_MB` — logical dataset size per weekly snapshot in MiB
-//!   (default 64; the paper used ~35 GB/week — scale up if you have the
-//!   time budget).
+//!   (default 64; the paper used ~35 GB/week).
 //! * `AA_SESSIONS` — number of weekly sessions (default 10, as the paper).
 //! * `AA_SEED` — dataset seed (default 2011).
-//! * `AA_CSV` — when `1`, also emit raw per-session CSV rows.
+//! * `AA_CSV` — when `1`, `evaluation` also emits raw per-session CSV rows.
+
+use std::path::PathBuf;
 
 use aadedupe_cloud::CloudSim;
-use aadedupe_core::BackupScheme;
+use aadedupe_core::{AaDedupe, AaDedupeConfig, BackupScheme};
 use aadedupe_metrics::SessionReport;
 use aadedupe_workload::{DatasetSpec, Generator};
 
-/// Modelled client RAM budget (index entries) for a given dataset size.
-///
-/// The paper's clients index 35 GB weekly snapshots on 2010 laptops where
-/// the chunk index cannot be fully RAM-resident (the DDFS bottleneck). At
-/// laptop-bench scale everything would trivially fit, hiding the effect,
-/// so the budget scales with the dataset: enough to hold roughly the
-/// chunk index of the *non-media minority* (what AA-Dedupe needs), well
-/// short of the full-dataset chunk index (what Avamar needs).
+/// `writeln!` into a `String` report, which cannot fail.
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)+) => {{
+        $out.push_str(&format!($($arg)+));
+        $out.push('\n');
+    }};
+}
+
+pub mod figures;
+pub mod timed;
+
+/// A subcommand of `paper`: its name, which is also its file under
+/// [`results_dir`], and the report it prints.
+pub type Figure = (&'static str, fn(&EvalConfig) -> String);
+
+/// Every subcommand of `paper`, in the order `all` runs them.
+pub const FIGURES: [Figure; 11] = [
+    ("fig1-2", figures::fig1_2),
+    ("table1", figures::table1),
+    ("fig3", timed::fig3),
+    ("fig4", timed::fig4),
+    ("obs2", figures::obs2),
+    ("evaluation", figures::evaluation),
+    ("ablation-chunking", figures::ablation_chunking),
+    ("ablation-hash", figures::ablation_hash),
+    ("ablation-container", figures::ablation_container),
+    ("ablation-index", figures::ablation_index),
+    ("vacuum-churn", figures::vacuum_churn),
+];
+
+/// The checkout's `results/` directory, which `paper all` rewrites.
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
+}
+
+/// Modelled client RAM budget (index entries) for a given dataset size:
+/// at bench scale every index would fit, hiding the paper's disk-index
+/// bottleneck, so the budget scales with the dataset — roughly the chunk
+/// index of the non-media minority (what AA-Dedupe needs), well short of
+/// the full-dataset index (what Avamar needs).
 pub fn ram_budget_entries(dataset_bytes: u64) -> usize {
     ((dataset_bytes / 8192) as usize).max(1024)
 }
 
-/// Evaluation parameters shared by the figure binaries.
+/// Evaluation parameters shared by every subcommand.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalConfig {
     /// Logical bytes per weekly snapshot.
@@ -48,20 +88,19 @@ pub struct EvalConfig {
 impl EvalConfig {
     /// Reads the configuration from the environment (see crate docs).
     pub fn from_env() -> Self {
-        let mb = std::env::var("AA_EVAL_MB")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(64);
-        let sessions = std::env::var("AA_SESSIONS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(10);
-        let seed = std::env::var("AA_SEED")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(2011);
-        let csv = std::env::var("AA_CSV").is_ok_and(|v| v == "1");
-        EvalConfig { dataset_bytes: mb << 20, sessions, seed, csv }
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Reads the configuration through `var`, which maps a knob's name to
+    /// its value; a knob that is absent or does not parse takes its default.
+    pub fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Self {
+        let number = |name: &str, default| var(name).and_then(|v| v.parse().ok()).unwrap_or(default);
+        EvalConfig {
+            dataset_bytes: number("AA_EVAL_MB", 64) << 20,
+            sessions: number("AA_SESSIONS", 10) as usize,
+            seed: number("AA_SEED", 2011),
+            csv: var("AA_CSV").as_deref() == Some("1"),
+        }
     }
 }
 
@@ -75,6 +114,13 @@ pub struct SchemeRun {
     pub cloud: CloudSim,
 }
 
+impl SchemeRun {
+    /// `field` summed over every session.
+    pub fn total(&self, field: impl Fn(&SessionReport) -> u64) -> u64 {
+        self.reports.iter().map(field).sum()
+    }
+}
+
 /// Runs the full five-scheme × N-session evaluation. Every scheme sees the
 /// *identical* weekly snapshots (same spec + seed ⇒ byte-identical data),
 /// and every scheme gets the same modelled RAM budget for its indexes.
@@ -83,36 +129,37 @@ pub fn run_evaluation(cfg: EvalConfig) -> Vec<SchemeRun> {
     run_evaluation_with(cfg, move |cloud| aadedupe_baselines::all_schemes_with_ram(cloud, ram))
 }
 
-/// Like [`run_evaluation`] but with a caller-supplied scheme factory (used
-/// by the ablation binaries).
+/// An AA-Dedupe variant of an ablation: its row label and its engine.
+pub type Variant = (&'static str, AaDedupeConfig);
+
+/// The ablations' one scheme factory: runs every variant over the
+/// evaluation's sessions, as [`run_evaluation`] runs the five schemes.
+pub fn run_variants(cfg: EvalConfig, variants: &[Variant]) -> Vec<SchemeRun> {
+    let engine = |cloud: &CloudSim, config: &AaDedupeConfig| -> Box<dyn BackupScheme> {
+        Box::new(AaDedupe::with_config(cloud.clone(), config.clone()))
+    };
+    run_evaluation_with(cfg, |cloud| variants.iter().map(|(_, config)| engine(cloud, config)).collect())
+}
+
+/// Like [`run_evaluation`] but with a caller-supplied scheme factory. Each
+/// scheme gets its own cloud, so storage and cost are per scheme.
+#[expect(clippy::expect_used, reason = "a failed session invalidates the whole run")]
 pub fn run_evaluation_with(
     cfg: EvalConfig,
     factory: impl Fn(&CloudSim) -> Vec<Box<dyn BackupScheme>>,
 ) -> Vec<SchemeRun> {
-    // Each scheme gets its own cloud so storage/cost accounting is
-    // per-scheme; the probe instance is only used for naming.
-    let probe = factory(&CloudSim::with_paper_defaults());
-    let mut runs: Vec<SchemeRun> = Vec::new();
-    for (si, probe_scheme) in probe.iter().enumerate() {
-        let cloud = CloudSim::with_paper_defaults();
-        let mut scheme = factory(&cloud).remove(si);
-        let mut generator = Generator::new(DatasetSpec::eval_mix(cfg.dataset_bytes), cfg.seed);
-        let mut reports = Vec::with_capacity(cfg.sessions);
-        for week in 0..cfg.sessions {
-            let snapshot = generator.snapshot(week);
-            #[expect(
-                clippy::expect_used,
-                reason = "evaluation harness: a failed session invalidates the whole run, \
-                          aborting with the error is the intended behavior"
-            )]
-            let report =
-                scheme.backup_session(&snapshot.as_sources()).expect("backup session failed");
-            reports.push(report);
-        }
-        eprintln!("  [done] {}", probe_scheme.name());
-        runs.push(SchemeRun { name: scheme.name(), reports, cloud });
-    }
-    runs
+    let schemes = factory(&CloudSim::with_paper_defaults()).len();
+    (0..schemes)
+        .map(|si| {
+            let cloud = CloudSim::with_paper_defaults();
+            let mut scheme = factory(&cloud).remove(si);
+            let mut generator = Generator::new(DatasetSpec::eval_mix(cfg.dataset_bytes), cfg.seed);
+            let mut session = |week| scheme.backup_session(&generator.snapshot(week).as_sources());
+            let reports = (0..cfg.sessions).map(|week| session(week).expect("backup session failed")).collect();
+            eprintln!("  [done] {}", scheme.name());
+            SchemeRun { name: scheme.name(), reports, cloud }
+        })
+        .collect()
 }
 
 /// Formats a byte count with binary units.
@@ -139,50 +186,26 @@ pub fn fmt_rate(bytes_per_sec: f64) -> String {
     format!("{}/s", fmt_bytes(bytes_per_sec as u64))
 }
 
-/// Prints an aligned plain-text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Appends an aligned plain-text table to a report: a blank line, the
+/// title, the header, a rule and the rows.
+pub fn print_table(out: &mut String, title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.chars().count());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.chars().count());
         }
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            let pad = widths[i].saturating_sub(c.chars().count());
-            if i == 0 {
-                s.push_str(c);
-                s.push_str(&" ".repeat(pad));
-            } else {
-                s.push_str("  ");
-                s.push_str(&" ".repeat(pad));
-                s.push_str(c);
-            }
-        }
-        s
+    let line = |cells: &mut dyn Iterator<Item = &str>| -> String {
+        let padded = cells.zip(&widths).enumerate().map(|(i, (cell, width))| {
+            let pad = " ".repeat(width - cell.chars().count());
+            if i == 0 { format!("{cell}{pad}") } else { format!("  {pad}{cell}") }
+        });
+        padded.collect()
     };
-    let header_cells: Vec<String> = headers.iter().map(ToString::to_string).collect();
-    println!("{}", line(&header_cells));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    outln!(out, "\n== {title} ==\n{}", line(&mut headers.iter().copied()));
+    outln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
     for row in rows {
-        println!("{}", line(row));
-    }
-}
-
-/// Emits raw CSV for a set of scheme runs when the config asks for it.
-pub fn maybe_csv(cfg: &EvalConfig, runs: &[SchemeRun]) {
-    if !cfg.csv {
-        return;
-    }
-    println!("\n{}", SessionReport::CSV_HEADER);
-    for run in runs {
-        for r in &run.reports {
-            println!("{}", r.csv_row());
-        }
+        outln!(out, "{}", line(&mut row.iter().map(String::as_str)));
     }
 }
 
@@ -206,11 +229,22 @@ mod tests {
 
     #[test]
     fn env_defaults() {
-        // Without env vars set, defaults apply.
-        let cfg = EvalConfig::from_env();
+        // No knob set: the defaults. No process environment is read.
+        let cfg = EvalConfig::from_lookup(|_| None);
         assert_eq!(cfg.sessions, 10);
         assert_eq!(cfg.dataset_bytes, 64 << 20);
         assert_eq!(cfg.seed, 2011);
+        assert!(!cfg.csv);
+        // Every knob set; one that does not parse keeps its default.
+        let set = |name: &str| match name {
+            "AA_EVAL_MB" => Some("8".to_string()),
+            "AA_SESSIONS" => Some("three".to_string()),
+            "AA_SEED" => Some("7".to_string()),
+            "AA_CSV" => Some("1".to_string()),
+            _ => None,
+        };
+        let cfg = EvalConfig::from_lookup(set);
+        assert_eq!((cfg.dataset_bytes, cfg.sessions, cfg.seed, cfg.csv), (8 << 20, 10, 7, true));
     }
 
     #[test]

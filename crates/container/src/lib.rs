@@ -13,8 +13,8 @@
 //!   to the open container of its stream. Chunk locality groups data likely
 //!   to be restored together.
 //! * A full container is sealed and shipped; a container flushed early is
-//!   **padded** to its fixed size (padding is accounted — the
-//!   `ablation_container` bench sweeps the size/padding tradeoff).
+//!   **padded** to its fixed size (padding is accounted —
+//!   `paper ablation-container` sweeps the size/padding tradeoff).
 //! * Chunks too large to share a container (e.g. whole-file chunks of
 //!   media files) get a dedicated, unpadded container of their own.
 //! * Deletion support: a background sweep (the core crate's vacuum pass)

@@ -45,7 +45,8 @@ impl DedupPolicy {
     }
 
     /// AA-Dedupe's chunking dispatch but a uniform strong hash — the
-    /// `ablation_hash` configuration isolating the weak-hash contribution.
+    /// `paper ablation-hash` configuration isolating the weak-hash
+    /// contribution.
     pub const fn aa_chunking_strong_hash() -> Self {
         DedupPolicy {
             compressed: (ChunkingMethod::Wfc, HashAlgorithm::Sha1),

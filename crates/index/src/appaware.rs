@@ -10,7 +10,7 @@
 //!    avoiding on-disk index probes.
 //! 2. **No lost dedup** — cross-application chunk sharing is negligible
 //!    (Observation 2), so partitioning by type barely changes the dedup
-//!    ratio; the `obs2_cross_app_sharing` bench measures this.
+//!    ratio; `paper obs2` (crate `aadedupe-bench`) measures this.
 //! 3. **Parallelism** — partitions are independently locked, so lookups
 //!    for different applications proceed concurrently
 //!    ([`AppAwareIndex::lookup_batch_parallel`]).

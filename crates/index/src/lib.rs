@@ -50,8 +50,8 @@ pub use partition::{IndexPartition, LookupOutcome, RamFootprint};
 /// maintain: every chunk of every application in one index. With the same
 /// total RAM budget as the application-aware index, its working set
 /// exceeds the cache as soon as the dataset is non-trivial, so lookups
-/// degrade to modelled disk probes — the bottleneck quantified by the
-/// `ablation_index` bench.
+/// degrade to modelled disk probes — the bottleneck quantified by
+/// `paper ablation-index` (crate `aadedupe-bench`).
 pub type MonolithicIndex = IndexPartition;
 
 /// Where a stored chunk lives.
