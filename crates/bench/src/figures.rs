@@ -6,7 +6,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use aadedupe_chunking::{CdcChunker, ChunkSpan, Chunker, ChunkingMethod, ScChunker, WfcChunker};
 use aadedupe_cloud::{CloudSim, ObjectBackend, ObjectStore, PriceModel, WanModel};
@@ -19,7 +18,6 @@ use aadedupe_metrics::{report::cumulative_transferred, EnergyModel, SessionRepor
 use aadedupe_workload::model::TinySpec;
 use aadedupe_workload::{AppSpec, DatasetSpec, Generator, SizeBucket, SizeHistogram};
 
-use crate::timed::{median, rounds, ROUNDS};
 use crate::{fmt_bytes, fmt_rate, print_table, ram_budget_entries, run_evaluation, run_variants};
 use crate::{EvalConfig, SchemeRun, Variant};
 
@@ -474,35 +472,12 @@ pub fn ablation_index(cfg: &EvalConfig) -> String {
     let headers = ["index", "lookups", "modelled disk probes", "modelled seek time"];
     print_table(&mut out, "Index ablation (equal total RAM)", &headers, &rows);
 
-    // Batch lookups over a filled equal split, serial and one thread per
-    // application: only the partitioned structure admits the second.
-    let split = AppAwareIndex::new(ram / AppType::ALL.len());
-    drive(&stream, |app| split.partition(app));
-    let queries: Vec<(AppType, Fingerprint)> = stream.iter().map(|(a, f, _)| (*a, *f)).collect();
-    let secs = rounds(2, |i| {
-        let start = Instant::now();
-        if i == 0 {
-            queries.iter().for_each(|(app, fp)| _ = std::hint::black_box(split.lookup(*app, fp)));
-        } else {
-            _ = std::hint::black_box(split.lookup_batch_parallel(&queries));
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let speedup = median(std::iter::zip(&secs[0], &secs[1]).map(|(s, p)| s / p).collect());
-    let [serial, parallel] = [0, 1].map(|i| median(secs[i].clone()));
-    outln!(out, "\n-- timing: median of {ROUNDS} rounds, the passes taking turns --");
-    outln!(
-        out,
-        "parallel batch lookup over {} queries: serial {serial:.3} s, parallel {parallel:.3} s ({speedup:.2}x)",
-        queries.len()
-    );
     outln!(
         out,
         "\nexpected shape: naively splitting the RAM budget 13 ways helps nobody; the win \
          comes from one-hot residency -- one application stream is processed at a time, so \
          its (small) partition gets the whole budget and stays RAM-resident, while the \
-         monolithic index must cache the union and spills. Partitions also admit parallel \
-         batch lookups (paper future work; pays off beyond about 1e5 queries)."
+         monolithic index must cache the union and spills."
     );
     out
 }

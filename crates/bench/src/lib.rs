@@ -8,8 +8,8 @@
 //! file counts, PUTs, cost, modelled disk probes, the vacuum table; pinned
 //! in `tests/paper_golden.rs` and `tests/evaluation_golden.rs`) and its
 //! timing part after a `-- timing` line. Where a pass is cheap enough to
-//! repeat (Figs. 3 and 4, the index ablation), each time is the median of
-//! [`timed::ROUNDS`] rounds in which the passes take turns.
+//! repeat (Figs. 3 and 4), each time is the median of [`timed::ROUNDS`]
+//! rounds in which the passes take turns.
 //!
 //! Environment knobs (all optional):
 //! * `AA_EVAL_MB` — logical dataset size per weekly snapshot in MiB

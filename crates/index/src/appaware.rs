@@ -12,8 +12,7 @@
 //!    (Observation 2), so partitioning by type barely changes the dedup
 //!    ratio; `paper obs2` (crate `aadedupe-bench`) measures this.
 //! 3. **Parallelism** — partitions are independently locked, so lookups
-//!    for different applications proceed concurrently
-//!    ([`AppAwareIndex::lookup_batch_parallel`]).
+//!    for different applications may proceed concurrently.
 
 use crate::partition::{IndexPartition, RamFootprint};
 use crate::{ChunkEntry, IndexStats, LookupOutcome};
@@ -49,7 +48,7 @@ impl AppAwareIndex {
     /// Creates a disk-backed index rooted at `dir`: each partition keeps at
     /// most `ram_per_partition` entries cached in RAM and spills the rest
     /// to its own segment subdirectory (`p01/`..`p13/` by application tag),
-    /// guarded by a per-partition existence filter. The directory is this
+    /// each segment guarded by its own existence filter. The directory is this
     /// process's scratch space: every partition starts empty and sweeps
     /// the segment files an earlier process left on its first flush.
     pub fn disk_backed(ram_per_partition: usize, dir: &Path) -> Self {
@@ -168,47 +167,6 @@ impl AppAwareIndex {
         }
         s
     }
-
-    /// Looks up many `(app, fingerprint)` pairs concurrently, one scoped
-    /// thread per application type present in the batch — the "index access
-    /// parallelism" the paper's future work highlights. Result order
-    /// matches input order.
-    pub fn lookup_batch_parallel(
-        &self,
-        queries: &[(AppType, Fingerprint)],
-    ) -> Vec<Option<ChunkEntry>> {
-        // Hand each application's queries, with their positions, to its
-        // own thread.
-        let mut slots: Vec<(usize, Option<ChunkEntry>)> = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (app, partition) in self.partitions() {
-                let mine: Vec<(usize, &Fingerprint)> = queries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (a, _))| *a == app)
-                    .map(|(i, (_, fp))| (i, fp))
-                    .collect();
-                if mine.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    mine.iter().map(|&(i, fp)| (i, partition.lookup(fp))).collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                match aadedupe_lock::join_scoped(h) {
-                    Ok(part) => slots.extend(part),
-                    // Re-raise the worker's panic payload on the caller
-                    // thread instead of replacing it with our own message.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        // Every position was answered exactly once: restore input order.
-        slots.sort_unstable_by_key(|&(i, _)| i);
-        slots.iter().map(|&(_, entry)| entry).collect()
-    }
 }
 
 #[cfg(test)]
@@ -307,25 +265,6 @@ mod tests {
             }
         });
         assert_eq!(idx.len(), 200 * AppType::ALL.len());
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial() {
-        let idx = AppAwareIndex::new(10_000);
-        let apps = [AppType::Doc, AppType::Txt, AppType::Avi, AppType::Vmdk];
-        let mut queries = Vec::new();
-        for i in 0..400u64 {
-            let app = apps[(i % 4) as usize];
-            if i % 3 != 0 {
-                idx.insert(app, fp(i), ChunkEntry::new(i, i, 0));
-            }
-            queries.push((app, fp(i)));
-        }
-        let parallel = idx.lookup_batch_parallel(&queries);
-        for (i, (app, f)) in queries.iter().enumerate() {
-            let serial = idx.lookup(*app, f);
-            assert_eq!(parallel[i].map(|e| e.container), serial.map(|e| e.container), "i={i}");
-        }
     }
 
     #[test]

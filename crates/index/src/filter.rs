@@ -5,16 +5,18 @@
 //! budget and spills to disk segments ([`segment`](crate::segment)). The
 //! common case in a backup stream is then a **negative** lookup — a chunk
 //! the index has never seen — and without help every one of those would
-//! probe the on-disk segments. This filter answers "definitely absent"
-//! from a few bytes of RAM so the overwhelmingly-common new-chunk case
-//! never touches disk (the biu back-it-up dedup flow builds the same
-//! prefilter with a `CuckooFilter` over written-file hashes).
+//! probe the on-disk segments. Each segment carries one of these filters
+//! over its own keys, answering "definitely absent" from a few bytes of
+//! RAM: the overwhelmingly-common new-chunk case never touches disk, and
+//! a hit reads only the segment that holds it (the biu back-it-up dedup
+//! flow builds the same prefilter with a `CuckooFilter` over written-file
+//! hashes; LSM stores keep one filter per immutable run the same way).
 //!
 //! Design: a classic partial-key cuckoo filter — `SLOTS_PER_BUCKET`
 //! 16-bit tags per bucket, two candidate buckets per key
 //! (`i2 = i1 ^ hash(tag)`), bounded eviction chains. Tags are only ever
-//! added: a key leaves a partition only when the partition is replaced
-//! wholesale, and then the filter is built afresh from the new key set.
+//! added, and only while the filter's segment is written: the segment is
+//! immutable, so its filter is built once and never takes another key.
 //!
 //! Everything is deterministic: tag/bucket derivation hashes the full
 //! fingerprint digest with FNV-1a, and the eviction path uses an internal
@@ -24,11 +26,12 @@
 //!
 //! When an insert fails (an eviction chain exceeds its bound — the
 //! filter is effectively full), [`CuckooFilter::insert`] returns
-//! [`FilterFull`]; the caller rebuilds at a larger capacity from the
-//! authoritative key set (the partition knows every live fingerprint)
-//! through [`CuckooFilter::build`]. That is also the filter's only
-//! origin: it is built from keys by the process that uses it, never
-//! edited down and never serialised.
+//! [`FilterFull`]. That happens only while a segment is written, past
+//! its size hint, and the segment then builds its filter again through
+//! [`CuckooFilter::build`] by streaming its own finished file, so no
+//! live filter ever overflows and its owner never rebuilds one. A filter
+//! is built from keys by the process that uses it, never edited down and
+//! never serialised.
 
 use aadedupe_hashing::Fingerprint;
 
@@ -107,9 +110,8 @@ impl CuckooFilter {
     /// A filter holding every key `keys` hands to its callback, starting
     /// at `capacity` and doubling it whenever an insert overflows — `keys`
     /// then runs again from the start, so it must visit the same keys in
-    /// the same order each time. The one way a filter comes to hold a key
-    /// set: a partition replacing its contents, and a live filter that
-    /// overflowed.
+    /// the same order each time. A segment whose size hint fell short
+    /// builds its filter this way from its own file.
     pub fn build<E>(
         mut capacity: usize,
         mut keys: impl FnMut(&mut dyn FnMut(&Fingerprint)) -> Result<(), E>,
@@ -123,11 +125,6 @@ impl CuckooFilter {
             }
             capacity = capacity.saturating_mul(2);
         }
-    }
-
-    /// Nominal capacity (total slots).
-    pub fn capacity(&self) -> usize {
-        self.buckets * SLOTS_PER_BUCKET
     }
 
     /// RAM held by the slot table, in bytes.

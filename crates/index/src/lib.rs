@@ -14,13 +14,13 @@
 //!
 //! * [`ChunkEntry`] — the per-chunk metadata (length, container location).
 //! * [`IndexPartition`] — one store: a slot table plus an LRU, with an
-//!   optional spill tier (on-disk segments behind an existence filter)
+//!   optional spill tier (on-disk segments, each behind its own existence
+//!   filter)
 //!   and RAM/disk hit accounting — measured with the tier, modelled
 //!   without it.
 //! * [`MonolithicIndex`] — single-partition baseline (Avamar-style): one
 //!   big [`IndexPartition`].
-//! * [`AppAwareIndex`] — per-application partitions with parallel batch
-//!   lookup (the paper's design).
+//! * [`AppAwareIndex`] — per-application partitions (the paper's design).
 //! * [`codec`] — the write-only snapshot the paper's "periodical data
 //!   synchronization" uploads into the cloud.
 //!
@@ -100,11 +100,11 @@ pub struct IndexStats {
     /// post-recovery stats remain comparable with a never-crashed run's
     /// query-path counts.
     pub recovered_entries: u64,
-    /// Negative lookups the existence filter answered without any disk
-    /// probe (spill tier only).
+    /// Negative lookups the segments' existence filters answered without
+    /// any disk probe (spill tier only).
     pub filter_hits: u64,
-    /// Lookups the filter passed that then found nothing on disk — its
-    /// false positives (spill tier only).
+    /// Lookups a filter passed that then found nothing on disk — false
+    /// positives (spill tier only).
     pub filter_false_positives: u64,
 }
 

@@ -6,8 +6,8 @@
 //! key-value store guarded by one [`Lock`]: a table of slots,
 //! an [`LruSet`] over the `ram_capacity`
 //! most-recently-used fingerprints, and — optionally — a spill tier of
-//! sorted on-disk [`segment`](crate::segment)s behind a
-//! [`CuckooFilter`] existence prefilter.
+//! sorted on-disk [`segment`](crate::segment)s, each behind its own
+//! [`CuckooFilter`](crate::CuckooFilter) existence prefilter.
 //!
 //! **Slots.** A slot is an entry and one bit: `dirty` says no segment
 //! holds this entry yet, so it must be flushed before it may leave RAM
@@ -18,13 +18,18 @@
 //! is live, and where, is the manifests' statement, not the index's.
 //!
 //! **One ladder.** Every operation fetches the key's slot — slot table,
-//! then filter, then segments newest→oldest — and admits it back as
-//! most-recently-used, which hands the LRU its victim.
+//! then each segment's filter newest→oldest, reading one block of a
+//! segment only where its filter passes — and admits it back as
+//! most-recently-used, which hands the LRU its victim. A filter is built
+//! once, while its immutable segment is written, and never takes another
+//! key, so the partition never rebuilds one: a flush sizes it by its
+//! exact record count, a merge by its inputs' summed counts.
 //!
 //! **What the LRU means.** With a tier ([`IndexPartition::disk_backed`])
 //! the victim is evicted, flushed first if dirty: at most `ram_capacity`
 //! slots stay in RAM, negative lookups — the overwhelmingly-common case
-//! in a backup stream — are answered by the filter with zero disk probes,
+//! in a backup stream — are answered by the filters with zero disk probes,
+//! a hit reads the one segment that holds it,
 //! and RAM-vs-disk hit accounting is *measured*. Without one
 //! ([`IndexPartition::new`]) the victim has nowhere to go and stays in the
 //! table, merely untracked, and the accounting is *modelled* for the
@@ -41,7 +46,7 @@
 //! **The tier is scratch space.** It belongs to the process that built
 //! it: [`IndexPartition::disk_backed`] always starts empty, the first
 //! flush sweeps whatever segment files an earlier process left in the
-//! directory, and neither the filter nor any segment metadata is ever
+//! directory, and neither a filter nor any segment metadata is ever
 //! serialised. The index's durable form is the cloud's session manifests
 //! (the engine folds them into [`IndexPartition::reconcile`] when it
 //! opens a repository); the [`codec`](crate::codec) snapshot is the
@@ -54,7 +59,6 @@
 //! checks `io_error()` before committing a session, so no state derived
 //! from failed IO reaches the cloud.
 
-use crate::filter::CuckooFilter;
 use crate::lru::LruSet;
 use crate::segment::{merge_segments, Segment, SegmentError};
 use crate::{ChunkEntry, IndexStats};
@@ -103,9 +107,9 @@ impl LookupOutcome {
 /// Per-lookup storage-layer observations, for the observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeTrace {
-    /// The existence filter answered "definitely absent" with no disk IO.
+    /// Every segment's filter answered "definitely absent": no disk IO.
     pub filter_short_circuit: bool,
-    /// The filter said "maybe" but disk found nothing — a false positive.
+    /// A filter said "maybe" but disk found nothing — a false positive.
     pub filter_false_positive: bool,
     /// Number of segment probes performed (a store without a spill tier
     /// models this as 0 or 1).
@@ -121,9 +125,9 @@ pub struct RamFootprint {
     pub cache_entries: usize,
     /// Configured cache budget (entries).
     pub cache_capacity: usize,
-    /// Bytes held by the existence filter's slot table.
+    /// Bytes held by the segments' existence filters.
     pub filter_bytes: usize,
-    /// Bytes held by segment fence indexes.
+    /// Bytes held by segment fence indexes and block buffers.
     pub fence_bytes: usize,
     /// Number of on-disk segments.
     pub segments: usize,
@@ -150,10 +154,9 @@ struct CacheSlot {
     dirty: bool,
 }
 
-/// The optional spill tier: existence filter + sorted segments on disk.
+/// The optional spill tier: sorted segments on disk, each with its filter.
 struct Spill {
     dir: PathBuf,
-    filter: CuckooFilter,
     /// Oldest → newest; newer segments shadow older ones.
     segments: Vec<Segment>,
     next_seq: u64,
@@ -169,7 +172,6 @@ impl Spill {
     fn new(dir: PathBuf) -> Self {
         Spill {
             dir,
-            filter: CuckooFilter::with_capacity(1024),
             segments: Vec::new(),
             next_seq: 1,
             initialized: false,
@@ -211,14 +213,14 @@ impl Spill {
         Ok(())
     }
 
-    /// Probes segments newest→oldest. Returns the newest record for the
-    /// key and how many segments were consulted. IO errors poison the
-    /// tier and read as "absent".
+    /// Probes segments newest→oldest, reading only those whose filter
+    /// passes. Returns the newest record for the key and how many
+    /// segments were read. IO errors poison the tier and read as "absent".
     fn probe(&mut self, fp: &Fingerprint) -> (Option<ChunkEntry>, u64) {
         let mut probes = 0u64;
         let mut found = None;
         let mut err = None;
-        for seg in self.segments.iter_mut().rev() {
+        for seg in self.segments.iter_mut().rev().filter(|seg| seg.filter().contains(fp)) {
             probes += 1;
             match seg.get(fp) {
                 Ok(Some(rec)) => {
@@ -239,12 +241,9 @@ impl Spill {
     }
 
     /// Writes `records` (strictly ascending) as the next, newest segment.
-    fn write_segment(
-        &mut self,
-        records: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
-    ) -> Result<(), SegmentError> {
+    fn write_segment(&mut self, records: &[(Fingerprint, ChunkEntry)]) -> Result<(), SegmentError> {
         self.init()?;
-        let seg = Segment::write(&self.dir, self.next_seq, records)?;
+        let seg = Segment::write(&self.dir, self.next_seq, records.len(), records.iter().copied())?;
         self.next_seq += 1;
         self.segments.push(seg);
         Ok(())
@@ -262,20 +261,6 @@ impl Spill {
         for seg in old {
             seg.remove()?;
         }
-        Ok(())
-    }
-
-    /// Drops every segment (files included) and replaces the filter with
-    /// one holding exactly the keys of `entries`.
-    fn reset(&mut self, entries: &[(Fingerprint, ChunkEntry)]) -> Result<(), SegmentError> {
-        for seg in std::mem::take(&mut self.segments) {
-            seg.remove()?;
-        }
-        let capacity = (entries.len() + 2).next_power_of_two().max(1024);
-        self.filter = CuckooFilter::build(capacity, |insert| {
-            entries.iter().for_each(|(f, _)| insert(f));
-            Ok(())
-        })?;
         Ok(())
     }
 
@@ -357,8 +342,9 @@ impl Store {
         }
     }
 
-    /// The lookup ladder, once: slot table → existence filter → segment
-    /// probes. No side effect beyond IO-error poisoning: the caller
+    /// The lookup ladder, once: slot table → each segment's filter,
+    /// newest first → one block read of each segment whose filter passes.
+    /// No side effect beyond IO-error poisoning: the caller
     /// [`Store::admit`]s the returned copy.
     fn fetch(&mut self, fp: &Fingerprint) -> Fetched {
         let mut trace = ProbeTrace::default();
@@ -374,17 +360,14 @@ impl Store {
         if cached.is_some() {
             return Fetched { slot: cached, disk: false, trace };
         }
-        if !sp.filter.contains(fp) {
-            trace.filter_short_circuit = true;
-            return Fetched { slot: None, disk: false, trace };
-        }
         let (found, probes) = sp.probe(fp);
         trace.disk_probes = probes;
-        // Nothing found, or probe degraded by an IO error: the filter
+        trace.filter_short_circuit = probes == 0;
+        // Nothing found, or probe degraded by an IO error: a filter
         // passed but disk disagreed.
         let slot = found.map(|entry| CacheSlot { entry, dirty: false });
-        trace.filter_false_positive = slot.is_none();
-        Fetched { slot, disk: true, trace }
+        trace.filter_false_positive = slot.is_none() && probes > 0;
+        Fetched { slot, disk: probes > 0, trace }
     }
 
     /// The ladder's read-only form: no recency or stats effect.
@@ -432,7 +415,7 @@ impl Store {
             self.slots.iter().filter(|(_, s)| s.dirty).map(|(f, s)| (*f, s.entry)).collect();
         dirty.sort_unstable_by_key(|(f, _)| *f);
         if !dirty.is_empty() {
-            sp.write_segment(dirty.iter().copied())?;
+            sp.write_segment(&dirty)?;
         }
         for (f, _) in &dirty {
             if let Some(s) = self.slots.get_mut(f) {
@@ -445,53 +428,13 @@ impl Store {
         Ok(())
     }
 
-    /// Inserts into the filter (if there is one), transparently
-    /// rebuilding it at a larger capacity from the authoritative key set
-    /// when it overflows. The key must already be in the table or in a
-    /// segment.
-    fn filter_insert(&mut self, fp: &Fingerprint) {
-        if self.spill.as_mut().is_some_and(|sp| sp.filter.insert(fp).is_err()) {
-            if let Err(e) = self.rebuild_filter() {
-                self.poison(&e);
-            }
-        }
-    }
-
-    /// Rebuilds the filter from the authoritative key set — every cached
-    /// key, then every record of the freshly compacted segment that is not
-    /// cached — at a capacity that at least doubles. O(cache + filter) RAM.
-    fn rebuild_filter(&mut self) -> Result<(), SegmentError> {
-        let Some(sp) = &mut self.spill else { return Ok(()) };
-        sp.compact()?;
-        let capacity = ((self.live as usize) + 2)
-            .next_power_of_two()
-            .max(sp.filter.capacity().saturating_mul(2));
-        #[expect(clippy::disallowed_methods, reason = "sorted on the next statement")]
-        let mut cached: Vec<Fingerprint> = self.slots.keys().copied().collect();
-        cached.sort_unstable();
-        let (slots, segments) = (&self.slots, &mut sp.segments);
-        sp.filter = CuckooFilter::build(capacity, |insert| {
-            cached.iter().for_each(&mut *insert);
-            if let Some(seg) = segments.first_mut() {
-                let mut s = seg.stream()?;
-                while let Some((k, _)) = s.next_record()? {
-                    if !slots.contains_key(&k) {
-                        insert(&k);
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        Ok(())
-    }
-
     /// Bulk-writes `sorted` behind the cache as one segment — or, with
     /// no tier to hold it, into the table, each key becoming
     /// most-recently-used in turn.
     fn write_behind(&mut self, sorted: &[(Fingerprint, ChunkEntry)]) -> Result<(), SegmentError> {
         match &mut self.spill {
             Some(_) if sorted.is_empty() => Ok(()),
-            Some(sp) => sp.write_segment(sorted.iter().copied()),
+            Some(sp) => sp.write_segment(sorted),
             None => {
                 for (f, e) in sorted {
                     self.admit(*f, CacheSlot { entry: *e, dirty: false });
@@ -501,15 +444,16 @@ impl Store {
         }
     }
 
-    /// Drops all table, filter, and segment state (files included) and
-    /// replaces it with exactly `sorted` (deduped) — the reconciliation
-    /// primitive.
+    /// Drops all table and segment state (files included) and replaces
+    /// it with exactly `sorted` (deduped) — the reconciliation primitive.
     fn replace_all(&mut self, sorted: &[(Fingerprint, ChunkEntry)]) -> Result<(), SegmentError> {
         self.slots.clear();
         self.lru = LruSet::new(self.lru.capacity());
         self.live = sorted.len() as u64;
         if let Some(sp) = &mut self.spill {
-            sp.reset(sorted)?;
+            for seg in std::mem::take(&mut sp.segments) {
+                seg.remove()?;
+            }
         }
         self.write_behind(sorted)
     }
@@ -528,8 +472,8 @@ impl Store {
 
     fn footprint(&self) -> RamFootprint {
         let (filter_bytes, fence_bytes, segments) = self.spill.as_ref().map_or((0, 0, 0), |sp| {
-            let fences = sp.segments.iter().map(Segment::mem_bytes).sum();
-            (sp.filter.mem_bytes(), fences, sp.segments.len())
+            let filters = sp.segments.iter().map(|seg| seg.filter().mem_bytes()).sum();
+            (filters, sp.segments.iter().map(Segment::mem_bytes).sum(), sp.segments.len())
         });
         RamFootprint {
             cache_entries: self.slots.len(),
@@ -574,8 +518,9 @@ impl IndexPartition {
     }
 
     /// Creates a disk-backed partition: at most `ram_capacity` entries
-    /// cached in RAM, overflow in sorted segments under `dir`, negative
-    /// lookups short-circuited by a cuckoo existence filter.
+    /// cached in RAM, overflow in sorted segments under `dir`, each
+    /// behind a cuckoo existence filter that short-circuits the lookups
+    /// it cannot answer.
     ///
     /// The tier is this process's scratch space and always starts empty:
     /// construction is infallible, and the directory is created — and
@@ -655,7 +600,6 @@ impl IndexPartition {
             return false;
         }
         store.admit(fp, CacheSlot { entry, dirty: true });
-        store.filter_insert(&fp);
         store.live += 1;
         stats.inserts += 1;
         true
@@ -699,8 +643,8 @@ impl IndexPartition {
         self.inner.lock().stats
     }
 
-    /// Measured RAM footprint (table slots, filter table, segment
-    /// fences). Without a spill tier the table holds every entry.
+    /// Measured RAM footprint (table slots, segment filters, fences and
+    /// block buffers). Without a spill tier the table holds every entry.
     pub fn ram_footprint(&self) -> RamFootprint {
         self.inner.lock().store.footprint()
     }
@@ -959,6 +903,42 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_reads_one_segment() {
+        // Four flushes of 200 keys through a 200-slot cache leave four
+        // segments of 200 keys each, every one behind its own filter.
+        let (p, dir) = disk_partition(200, "one");
+        for batch in 0..4u64 {
+            for i in batch * 200..(batch + 1) * 200 {
+                p.insert(fp(i), ChunkEntry::new(i + 1, 0, 0));
+            }
+            p.persist().unwrap();
+        }
+        assert_eq!(p.ram_footprint().segments, 4);
+        // Oldest segment first, so each key was evicted before its turn:
+        // every lookup reads the one segment that holds its key, plus one
+        // more per filter false positive on a newer segment.
+        let mut extra = 0;
+        for i in 0..800 {
+            let (outcome, trace) = p.lookup_traced(&fp(i));
+            assert_eq!(outcome, LookupOutcome::HitDisk(ChunkEntry::new(i + 1, 0, 0)), "i={i}");
+            assert!(trace.disk_probes >= 1, "i={i}");
+            extra += trace.disk_probes - 1;
+        }
+        // A key no segment holds reads none, false positives aside.
+        let mut wasted = 0;
+        for i in 10_000..30_000 {
+            let (outcome, trace) = p.lookup_traced(&fp(i));
+            assert!(outcome.entry().is_none(), "i={i}");
+            assert_eq!(trace.filter_short_circuit, trace.disk_probes == 0, "i={i}");
+            wasted += trace.disk_probes;
+        }
+        // The filters are deterministic, so the false positives are exact.
+        assert_eq!((extra, wasted, p.stats().filter_false_positives), (0, 20, 20));
+        assert!(p.io_error().is_none(), "{:?}", p.io_error());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn disk_backed_footprint_stays_bounded() {
         let budget = 16;
         let (p, dir) = disk_partition(budget, "bound");
@@ -1118,8 +1098,9 @@ mod tests {
 
     #[test]
     fn disk_backed_filter_rebuild_survives_growth() {
-        // Push far past the initial 1024-capacity filter; the transparent
-        // rebuild must keep every live key findable.
+        // Thousands of keys through a 16-slot cache: many flushes and
+        // merges, each segment sizing its own filter, and every live key
+        // stays findable.
         let (p, dir) = disk_partition(16, "grow");
         for i in 0..3000 {
             p.insert(fp(i), ChunkEntry::new(i, 0, 0));
@@ -1139,7 +1120,8 @@ mod tests {
         // What an earlier process left behind: a segment and an in-flight
         // temp file at sequence numbers this run will not reach, beside a
         // file the tier never wrote (the directory is a user's path).
-        let stale = Segment::write(&dir, 0xfff0, [(fp(9_999), ChunkEntry::new(1, 0, 0))]).unwrap();
+        let stale =
+            Segment::write(&dir, 0xfff0, 1, [(fp(9_999), ChunkEntry::new(1, 0, 0))]).unwrap();
         drop(stale);
         let stale_seg = Segment::path_for(&dir, 0xfff0);
         let stale_tmp = dir.join("seg-000000000000fff1.aaseg.tmp-write");

@@ -9,10 +9,14 @@
 //! k-way merge ([`merge_segments`]) that needs O(1) memory, which is what
 //! keeps the "sub-RAM index" claim honest.
 //!
-//! Per segment the only RAM held is a sparse **fence index**: every
-//! [`FENCE_EVERY`]-th record's fingerprint and byte offset. A point
-//! lookup binary-searches the fences, seeks, and scans at most
-//! `FENCE_EVERY` records — one bounded disk read.
+//! Per segment the RAM held is a sparse **fence index** — every
+//! [`FENCE_EVERY`]-th record's fingerprint, the byte offset of the block
+//! it starts, and a check over that block's bytes — plus the segment's
+//! own [`CuckooFilter`], built once while the segment is written, and one
+//! block-sized read buffer. A point lookup that passes the filter
+//! binary-searches the fences and reads exactly one block (≤
+//! `FENCE_EVERY` records) with one seek and one `read_exact`, checks it
+//! and parses it in place.
 //!
 //! File layout (all integers little-endian):
 //!
@@ -26,17 +30,18 @@
 //! checksum  u64                          FNV-1a over the record bytes
 //! ```
 //!
-//! Files are written with the workspace's atomic-write discipline
-//! (temp file + `sync_all` + rename, `FsObjectStore`-style), so a crash
-//! never leaves a half-written segment under its final name.
+//! Files are written under a temp name and renamed, so a crashed write
+//! leaves only a `.tmp-write` file, never a half-written segment under
+//! its final name. Nothing is fsynced: no process ever reopens a segment.
 //!
 //! A segment is read only through the handle [`Segment::write`] returned:
 //! nothing opens a file an earlier process left behind. The spill tier is
 //! per-process scratch space and sweeps such files (recognised by
 //! [`Segment::owns_file_name`]) on its first flush.
 
+use crate::filter::CuckooFilter;
 use crate::ChunkEntry;
-use aadedupe_hashing::Fingerprint;
+use aadedupe_hashing::{Fingerprint, HashAlgorithm};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -64,7 +69,8 @@ pub enum SegmentError {
     Truncated,
     /// A fingerprint failed to decode.
     BadFingerprint,
-    /// The trailing checksum did not match the record bytes.
+    /// The trailing checksum, or a block's in-RAM check, did not match
+    /// the bytes read.
     BadChecksum,
     /// Records were not strictly ascending by fingerprint.
     Unsorted,
@@ -108,12 +114,60 @@ impl Fnv {
     }
 }
 
+/// The check a fence keeps over its block: FNV-1a's xor-multiply step
+/// over 8-byte words (the tail zero-padded), eight times fewer steps per
+/// lookup than the file's byte-wise checksum. Each step is a bijection
+/// of the running value, so a corruption confined to one word always
+/// changes the check.
+fn block_check(block: &[u8]) -> u64 {
+    let (words, tail) = block.as_chunks::<8>();
+    let mut last = [0u8; 8];
+    std::iter::zip(&mut last, tail).for_each(|(d, s)| *d = *s);
+    words.iter().chain([&last]).fold(Fnv::new().0, |h, w| {
+        (h ^ u64::from_le_bytes(*w)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One fence: the first fingerprint of a block of up to [`FENCE_EVERY`]
+/// records, the block's byte offset, and its [`block_check`].
+#[derive(Clone, Copy)]
+struct Fence {
+    first: Fingerprint,
+    offset: u64,
+    check: u64,
+}
+
 /// Serialises one record into `out`.
 fn encode_record(out: &mut Vec<u8>, fp: &Fingerprint, e: &ChunkEntry) {
     fp.encode(out);
     out.extend_from_slice(&e.len.to_le_bytes());
     out.extend_from_slice(&e.container.to_le_bytes());
     out.extend_from_slice(&e.offset.to_le_bytes());
+}
+
+/// Byte length of a record whose fingerprint carries algorithm `tag`:
+/// tag, digest, then `len`, `container`, `offset`.
+fn record_len(tag: u8) -> Result<usize, SegmentError> {
+    let algo = HashAlgorithm::from_tag(tag).ok_or(SegmentError::BadFingerprint)?;
+    Ok(1 + algo.digest_len() + 8 + 8 + 4)
+}
+
+/// Parses the record at the front of `buf`: the record and its length.
+fn parse_record(buf: &[u8]) -> Result<(Fingerprint, ChunkEntry, usize), SegmentError> {
+    let &tag = buf.first().ok_or(SegmentError::Truncated)?;
+    let len = record_len(tag)?;
+    let record = buf.get(..len).ok_or(SegmentError::Truncated)?;
+    let (fp, used) = Fingerprint::decode(record).ok_or(SegmentError::BadFingerprint)?;
+    let fields = record.get(used..).ok_or(SegmentError::Truncated)?;
+    let (len_le, fields) = fields.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
+    let (container, fields) = fields.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
+    let (offset, _) = fields.split_first_chunk::<4>().ok_or(SegmentError::Truncated)?;
+    let entry = ChunkEntry {
+        len: u64::from_le_bytes(*len_le),
+        container: u64::from_le_bytes(*container),
+        offset: u32::from_le_bytes(*offset),
+    };
+    Ok((fp, entry, len))
 }
 
 /// Reads exactly `n` bytes, mapping EOF to [`SegmentError::Truncated`].
@@ -127,50 +181,37 @@ fn read_exact_n(r: &mut impl Read, buf: &mut [u8]) -> Result<(), SegmentError> {
     })
 }
 
-/// Reads one record from a stream. Returns the record, its raw bytes
-/// appended to `raw` (for checksumming), or an error.
+/// Reads one record from a stream into `raw` (its bytes, for
+/// checksumming) and parses it.
 fn read_record(
     r: &mut impl Read,
     raw: &mut Vec<u8>,
 ) -> Result<(Fingerprint, ChunkEntry), SegmentError> {
-    let start = raw.len();
     let mut tag = [0u8; 1];
     read_exact_n(r, &mut tag)?;
-    let algo = aadedupe_hashing::HashAlgorithm::from_tag(tag[0])
-        .ok_or(SegmentError::BadFingerprint)?;
-    // Tag, digest, then the little-endian fields: len, container, offset.
-    raw.extend_from_slice(&tag);
-    raw.resize(start + 1 + algo.digest_len() + 8 + 8 + 4, 0);
-    let record = raw.get_mut(start..).ok_or(SegmentError::Truncated)?;
-    read_exact_n(r, record.get_mut(1..).ok_or(SegmentError::Truncated)?)?;
-    let (fp, used) = Fingerprint::decode(record).ok_or(SegmentError::BadFingerprint)?;
-    let fields = record.get(used..).ok_or(SegmentError::Truncated)?;
-    let (len, fields) = fields.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
-    let (container, fields) = fields.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
-    let (offset, _) = fields.split_first_chunk::<4>().ok_or(SegmentError::Truncated)?;
-    let entry = ChunkEntry {
-        len: u64::from_le_bytes(*len),
-        container: u64::from_le_bytes(*container),
-        offset: u32::from_le_bytes(*offset),
-    };
+    raw.clear();
+    raw.resize(record_len(tag[0])?, tag[0]);
+    read_exact_n(r, raw.get_mut(1..).ok_or(SegmentError::Truncated)?)?;
+    let (fp, entry, _) = parse_record(raw)?;
     Ok((fp, entry))
 }
 
 /// Streaming segment writer over any `Write + Seek` sink. Records must be
-/// pushed in strictly ascending fingerprint order; fences are collected as
-/// a side product.
+/// pushed in strictly ascending fingerprint order; they are written a
+/// fence block at a time, and the fences are collected as a side product.
 /// What [`SegmentEncoder::finish`] hands back: the sink, the record
 /// count, the byte offset where records end, and the fence index.
-type FinishedWrite<W> = (W, u64, u64, Vec<(Fingerprint, u64)>);
+type FinishedWrite<W> = (W, u64, u64, Vec<Fence>);
 
 struct SegmentEncoder<W: Write + Seek> {
     w: W,
     fnv: Fnv,
     count: u64,
     offset: u64,
-    fences: Vec<(Fingerprint, u64)>,
+    fences: Vec<Fence>,
     last: Option<Fingerprint>,
-    buf: Vec<u8>,
+    /// The records of the block being filled, not yet written.
+    block: Vec<u8>,
 }
 
 impl<W: Write + Seek> SegmentEncoder<W> {
@@ -185,7 +226,7 @@ impl<W: Write + Seek> SegmentEncoder<W> {
             offset: RECORDS_START,
             fences: Vec::new(),
             last: None,
-            buf: Vec::with_capacity(64),
+            block: Vec::new(),
         })
     }
 
@@ -195,22 +236,32 @@ impl<W: Write + Seek> SegmentEncoder<W> {
         }
         self.last = Some(fp);
         if self.count.is_multiple_of(FENCE_EVERY as u64) {
-            self.fences.push((fp, self.offset));
+            self.close_block()?;
+            self.fences.push(Fence { first: fp, offset: self.offset, check: 0 });
         }
-        self.buf.clear();
-        encode_record(&mut self.buf, &fp, entry);
-        self.w
-            .write_all(&self.buf)
-            .map_err(|e| SegmentError::Io(format!("segment write record: {e}")))?;
-        self.fnv.update(&self.buf);
-        self.offset += self.buf.len() as u64;
+        encode_record(&mut self.block, &fp, entry);
         self.count += 1;
         Ok(())
     }
 
-    /// Writes the checksum, patches the record count into the header, and
-    /// returns `(sink, count, records_end, fences)`.
+    /// Writes the block being filled and seals its fence's check.
+    fn close_block(&mut self) -> Result<(), SegmentError> {
+        self.w
+            .write_all(&self.block)
+            .map_err(|e| SegmentError::Io(format!("segment write block: {e}")))?;
+        self.fnv.update(&self.block);
+        self.offset += self.block.len() as u64;
+        if let Some(fence) = self.fences.last_mut() {
+            fence.check = block_check(&self.block);
+        }
+        self.block.clear();
+        Ok(())
+    }
+
+    /// Writes the last block and the checksum, patches the record count
+    /// into the header, and returns `(sink, count, records_end, fences)`.
     fn finish(mut self) -> Result<FinishedWrite<W>, SegmentError> {
+        self.close_block()?;
         let fin_err = |what: &str, e: &io::Error| SegmentError::Io(format!("{what}: {e}"));
         self.w
             .write_all(&self.fnv.0.to_le_bytes())
@@ -252,20 +303,19 @@ pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, ChunkEntry)>, Segm
     if count.saturating_mul(33) > buf.len() as u64 {
         return Err(SegmentError::Truncated);
     }
-    let mut r = io::Cursor::new(records_bytes);
-    let mut raw = Vec::new();
+    let mut rest = records_bytes;
     let mut records = Vec::with_capacity(count as usize);
     let mut last: Option<Fingerprint> = None;
     for _ in 0..count {
-        raw.clear();
-        let (fp, rec) = read_record(&mut r, &mut raw)?;
+        let (fp, rec, used) = parse_record(rest)?;
+        rest = rest.get(used..).ok_or(SegmentError::Truncated)?;
         if last.is_some_and(|l| l >= fp) {
             return Err(SegmentError::Unsorted);
         }
         last = Some(fp);
         records.push((fp, rec));
     }
-    if r.position() != r.get_ref().len() as u64 {
+    if !rest.is_empty() {
         // Trailing garbage between the last record and the checksum.
         return Err(SegmentError::Truncated);
     }
@@ -277,37 +327,47 @@ pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, ChunkEntry)>, Segm
     Ok(records)
 }
 
-/// An immutable on-disk segment plus its in-RAM fence index.
+/// An immutable on-disk segment plus its in-RAM fence index and filter.
 pub struct Segment {
     path: PathBuf,
     file: File,
-    fences: Vec<(Fingerprint, u64)>,
+    fences: Vec<Fence>,
+    filter: CuckooFilter,
+    /// The block the last [`Segment::get`] read, kept so a probe
+    /// allocates nothing.
+    block: Vec<u8>,
     count: u64,
     records_end: u64,
 }
 
 impl Segment {
     /// Writes `records` (strictly ascending by fingerprint) as segment
-    /// `seq` under `dir`, atomically, and opens it for reading.
+    /// `seq` under `dir`, atomically, and opens it for reading. The
+    /// segment's filter is built as the records pass, sized for
+    /// `capacity` keys; a short hint costs one more pass over the
+    /// finished file, at twice the record count and up.
     pub fn write(
         dir: &Path,
         seq: u64,
+        capacity: usize,
         records: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
     ) -> Result<Segment, SegmentError> {
         let path = Self::path_for(dir, seq);
         let tmp = dir.join(format!("seg-{seq:016x}.aaseg{TMP_SUFFIX}"));
+        let mut filter = CuckooFilter::with_capacity(capacity);
+        let mut full = false;
         let result = (|| {
             let f = File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
             let mut enc = SegmentEncoder::new(BufWriter::new(f))?;
             for (fp, rec) in records {
                 enc.push(fp, &rec)?;
+                full = full || filter.insert(&fp).is_err();
             }
             let (w, count, records_end, fences) = enc.finish()?;
-            let f = w.into_inner().map_err(|e| io_err(&tmp, "flush", e.error()))?;
-            f.sync_all().map_err(|e| io_err(&tmp, "sync", &e))?;
+            w.into_inner().map_err(|e| io_err(&tmp, "flush", e.error()))?;
             fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename", &e))?;
             let file = File::open(&path).map_err(|e| io_err(&path, "open", &e))?;
-            Ok(Segment { path, file, fences, count, records_end })
+            Ok((file, count, records_end, fences))
         })();
         if result.is_err() {
             // Best-effort cleanup so a retry starts clean; the original
@@ -319,7 +379,19 @@ impl Segment {
                 );
             }
         }
-        result
+        let (file, count, records_end, fences) = result?;
+        let mut seg = Segment { path, file, fences, filter, block: Vec::new(), count, records_end };
+        if full {
+            let filter = CuckooFilter::build(capacity.max(count as usize) * 2, |insert| {
+                let mut s = seg.stream()?;
+                while let Some((fp, _)) = s.next_record()? {
+                    insert(&fp);
+                }
+                Ok(())
+            })?;
+            seg.filter = filter;
+        }
+        Ok(seg)
     }
 
     /// The on-disk path a segment with this sequence number uses.
@@ -342,39 +414,46 @@ impl Segment {
         self.count
     }
 
-    /// RAM held by the fence index, in bytes.
-    pub fn mem_bytes(&self) -> usize {
-        self.fences.len() * (std::mem::size_of::<Fingerprint>() + std::mem::size_of::<u64>())
+    /// The segment's existence filter: it holds every key the segment
+    /// does, so a key it rejects needs no [`Segment::get`].
+    pub fn filter(&self) -> &CuckooFilter {
+        &self.filter
     }
 
-    /// Point lookup; `Ok(None)` = fingerprint not in this segment. Costs
-    /// at most one seek plus a scan of `FENCE_EVERY` records.
+    /// RAM held by the fence index and the block buffer, in bytes (the
+    /// filter reports its own).
+    pub fn mem_bytes(&self) -> usize {
+        self.fences.len() * std::mem::size_of::<Fence>() + self.block.capacity()
+    }
+
+    /// Point lookup; `Ok(None)` = fingerprint not in this segment. Reads
+    /// exactly the one fence block that can hold `fp` — one seek and one
+    /// `read_exact` — and checks it against its fence before parsing.
     pub fn get(&mut self, fp: &Fingerprint) -> Result<Option<ChunkEntry>, SegmentError> {
-        let idx = self.fences.partition_point(|(f, _)| f <= fp);
+        let idx = self.fences.partition_point(|f| f.first <= *fp);
         // The last fence at or below `fp`; none means `fp` sorts first.
-        let Some(&(_, start)) = idx.checked_sub(1).and_then(|i| self.fences.get(i)) else {
+        let Some(&fence) = idx.checked_sub(1).and_then(|i| self.fences.get(i)) else {
             return Ok(None);
         };
+        let end = self.fences.get(idx).map_or(self.records_end, |next| next.offset);
+        self.block.resize((end - fence.offset) as usize, 0);
         self.file
-            .seek(SeekFrom::Start(start))
+            .seek(SeekFrom::Start(fence.offset))
             .map_err(|e| io_err(&self.path, "seek", &e))?;
-        let limit = self.records_end - start;
-        let mut r = BufReader::new(&mut self.file).take(limit);
-        let mut raw = Vec::with_capacity(64);
-        let mut consumed = 0u64;
-        for _ in 0..FENCE_EVERY {
-            if consumed >= limit {
-                break;
-            }
-            raw.clear();
-            let (cur, rec) = read_record(&mut r, &mut raw)?;
-            consumed += raw.len() as u64;
+        read_exact_n(&mut self.file, &mut self.block)?;
+        if block_check(&self.block) != fence.check {
+            return Err(SegmentError::BadChecksum);
+        }
+        let mut rest = self.block.as_slice();
+        while !rest.is_empty() {
+            let (cur, rec, used) = parse_record(rest)?;
             if cur == *fp {
                 return Ok(Some(rec));
             }
             if cur > *fp {
                 break;
             }
+            rest = rest.get(used..).ok_or(SegmentError::Truncated)?;
         }
         Ok(None)
     }
@@ -425,7 +504,6 @@ impl SegmentStream<'_> {
         if self.remaining == u64::MAX {
             return Ok(None);
         }
-        self.raw.clear();
         let (fp, rec) = read_record(&mut self.r, &mut self.raw)?;
         self.fnv.update(&self.raw);
         self.remaining -= 1;
@@ -435,7 +513,8 @@ impl SegmentStream<'_> {
 
 /// Streams a k-way merge of `segments` (oldest→newest order) into a new
 /// segment `seq` under `dir`, with newest-wins shadowing. Memory use is
-/// O(segments), not O(records).
+/// O(segments), not O(records); the merged filter is sized for the
+/// inputs' summed counts, an upper bound on the merged count.
 pub fn merge_segments(
     dir: &Path,
     seq: u64,
@@ -447,6 +526,7 @@ pub fn merge_segments(
         head: Option<(Fingerprint, ChunkEntry)>,
         age: usize, // position in `segments`: higher = newer
     }
+    let capacity = segments.iter().map(|s| s.count as usize).sum();
     let mut cursors = Vec::with_capacity(segments.len());
     for (age, seg) in segments.iter_mut().enumerate() {
         let mut stream = seg.stream()?;
@@ -475,7 +555,7 @@ pub fn merge_segments(
         }
         winner.map(|(_, entry)| (min_fp, entry))
     });
-    let merged = Segment::write(dir, seq, iter);
+    let merged = Segment::write(dir, seq, capacity, iter);
     match merged_err {
         Some(e) => Err(e),
         None => merged,
@@ -548,7 +628,7 @@ mod tests {
     fn file_round_trip_and_point_lookups() {
         let dir = temp_dir("rt");
         let recs = sorted_records(1000);
-        let mut seg = Segment::write(&dir, 1, recs.iter().copied()).unwrap();
+        let mut seg = Segment::write(&dir, 1, recs.len(), recs.iter().copied()).unwrap();
         assert_eq!(seg.count(), 1000);
         for (f, rec) in &recs {
             assert_eq!(seg.get(f).unwrap(), Some(*rec));
@@ -564,7 +644,7 @@ mod tests {
     fn stream_verifies_checksum() {
         let dir = temp_dir("stream");
         let recs = sorted_records(300);
-        let mut seg = Segment::write(&dir, 1, recs.iter().copied()).unwrap();
+        let mut seg = Segment::write(&dir, 1, recs.len(), recs.iter().copied()).unwrap();
         let mut out = Vec::new();
         let mut s = seg.stream().unwrap();
         while let Some(r) = s.next_record().unwrap() {
@@ -582,8 +662,8 @@ mod tests {
         let mut newer =
             [(fp(50), ChunkEntry::new(5050, 7, 7)), (fp(100), ChunkEntry::new(100, 200, 100))];
         newer.sort_unstable_by_key(|(f, _)| *f);
-        let s1 = Segment::write(&dir, 1, old.iter().copied()).unwrap();
-        let s2 = Segment::write(&dir, 2, newer.iter().copied()).unwrap();
+        let s1 = Segment::write(&dir, 1, old.len(), old.iter().copied()).unwrap();
+        let s2 = Segment::write(&dir, 2, newer.len(), newer.iter().copied()).unwrap();
         let mut merged = merge_segments(&dir, 3, &mut [s1, s2]).unwrap();
         assert_eq!(merged.count(), 101, "a shadowed key is written once");
         assert_eq!(merged.get(&fp(50)).unwrap().unwrap().len, 5050, "newest wins");
@@ -595,7 +675,7 @@ mod tests {
     #[test]
     fn fences_stay_sparse() {
         let dir = temp_dir("fence");
-        let seg = Segment::write(&dir, 1, sorted_records(6400).iter().copied()).unwrap();
+        let seg = Segment::write(&dir, 1, 6400, sorted_records(6400).iter().copied()).unwrap();
         assert_eq!(seg.fences.len(), 100);
         assert!(seg.mem_bytes() < 6400, "fence RAM far below one entry per record");
         let _ = fs::remove_dir_all(&dir);

@@ -91,23 +91,4 @@ proptest! {
         }
         prop_assert_eq!(index.partition(b).len(), 0);
     }
-
-    /// Parallel batch lookup agrees with serial lookup on arbitrary
-    /// query mixes.
-    #[test]
-    fn parallel_batch_agrees(
-        population in proptest::collection::vec((0usize..13, any::<u8>()), 0..60),
-        queries in proptest::collection::vec((0usize..13, any::<u8>()), 0..60),
-    ) {
-        let index = AppAwareIndex::new(1 << 12);
-        for (app_i, k) in &population {
-            index.insert(AppType::ALL[*app_i], fp(*k), ChunkEntry::new(*k as u64 + 1, 0, 0));
-        }
-        let qs: Vec<(AppType, Fingerprint)> =
-            queries.iter().map(|(a, k)| (AppType::ALL[*a], fp(*k))).collect();
-        let parallel = index.lookup_batch_parallel(&qs);
-        for ((app, f), got) in qs.iter().zip(parallel) {
-            prop_assert_eq!(got, index.lookup(*app, f));
-        }
-    }
 }

@@ -1,18 +1,23 @@
 //! Property tests for the on-disk segment codec and the existence filter.
 //!
-//! The segment format is what a disk-backed partition trusts across
-//! process restarts, so the codec must be *total*: encode→decode→encode
+//! The segment format is what a disk-backed partition trusts for every
+//! spilled entry, so the codec must be *total*: encode→decode→encode
 //! is byte-stable, and arbitrarily truncated or corrupted input returns a
 //! typed [`SegmentError`] — it never panics and never silently yields
 //! wrong records. The cuckoo filter must never report a false negative
 //! and keep its false-positive rate within the sizing math documented in
-//! DESIGN.md.
+//! DESIGN.md. A written segment's own filter holds every key it wrote,
+//! whatever its size hint, and [`Segment::get`] — which reads one block —
+//! agrees with the full decode, or fails typed when that block is damaged.
 
 use proptest::prelude::*;
 
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::segment::{decode_segment, encode_segment, SegmentError};
+use aadedupe_index::segment::{decode_segment, encode_segment, merge_segments, Segment, SegmentError};
 use aadedupe_index::{ChunkEntry, CuckooFilter};
+use std::collections::BTreeMap;
+use std::io::{Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 fn fp(seed: u64, algo: HashAlgorithm) -> Fingerprint {
     Fingerprint::compute(algo, &seed.to_le_bytes())
@@ -46,7 +51,106 @@ fn arb_records() -> impl Strategy<Value = Vec<(Fingerprint, ChunkEntry)>> {
     })
 }
 
+/// A fresh scratch directory for one property's segment files.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aadedupe-segprops-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Every key `seg` wrote passes its filter, and `get` returns exactly
+/// the entry the full decode of its file holds — `None` for `absent`.
+fn check_segment(dir: &Path, seq: u64, seg: &mut Segment, absent: &[Fingerprint]) -> Vec<(Fingerprint, ChunkEntry)> {
+    let decoded = decode_segment(&std::fs::read(Segment::path_for(dir, seq)).expect("read segment"))
+        .expect("a written segment decodes");
+    assert_eq!(decoded.len() as u64, seg.count());
+    for (fp, entry) in &decoded {
+        assert!(seg.filter().contains(fp), "false negative in segment {seq}");
+        assert_eq!(seg.get(fp).expect("clean read"), Some(*entry));
+    }
+    for fp in absent.iter().filter(|fp| decoded.binary_search_by_key(fp, |(f, _)| f).is_err()) {
+        assert_eq!(seg.get(fp).expect("clean read"), None);
+    }
+    decoded
+}
+
 proptest! {
+    /// Two overlapping segments, written under size hints that are often
+    /// far below their record counts (hint 0 always is: the filter then
+    /// overflows and is rebuilt from the finished file), and their merge:
+    /// no filter misses a key, and `get` agrees with `decode_segment`.
+    #[test]
+    fn segment_filters_hold_every_key_and_get_agrees_with_decode(
+        records in arb_records(),
+        shadow in 1usize..5,
+        hints in (prop_oneof![Just(0usize), 0usize..300], prop_oneof![Just(0usize), 0usize..300]),
+        absent in proptest::collection::vec(any::<u64>(), 0..40),
+    ) {
+        let dir = scratch("filters");
+        // The newer segment rewrites every `shadow`-th key with a new entry.
+        let newer: Vec<(Fingerprint, ChunkEntry)> = records
+            .iter()
+            .step_by(shadow)
+            .map(|(fp, e)| (*fp, ChunkEntry { len: e.len ^ 1, ..*e }))
+            .collect();
+        let absent: Vec<Fingerprint> = absent.iter().map(|&k| fp(k, HashAlgorithm::Md5)).collect();
+        let mut old = Segment::write(&dir, 1, hints.0, records.iter().copied()).expect("write");
+        let mut new = Segment::write(&dir, 2, hints.1, newer.iter().copied()).expect("write");
+        prop_assert_eq!(check_segment(&dir, 1, &mut old, &absent), records.clone());
+        prop_assert_eq!(check_segment(&dir, 2, &mut new, &absent), newer.clone());
+        let mut merged = merge_segments(&dir, 3, &mut [old, new]).expect("merge");
+        let mut want: BTreeMap<Fingerprint, ChunkEntry> = records.iter().copied().collect();
+        want.extend(newer.iter().copied());
+        prop_assert_eq!(check_segment(&dir, 3, &mut merged, &absent), Vec::from_iter(want));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A byte flipped inside the record region of a written segment, and
+    /// then the file cut short: every `get` either fails with a typed
+    /// error or returns exactly the entry that was written — never a panic,
+    /// never a wrong entry — and the damaged block's own keys do fail.
+    #[test]
+    fn a_corrupt_block_is_an_error_never_a_wrong_entry(
+        records in arb_records(),
+        pos in any::<u64>(),
+        flip in 1u8..=255,
+        cut in any::<u64>(),
+    ) {
+        prop_assume!(!records.is_empty());
+        let dir = scratch("corrupt");
+        let mut seg = Segment::write(&dir, 1, records.len(), records.iter().copied()).expect("write");
+        let path = Segment::path_for(&dir, 1);
+        let len = std::fs::metadata(&path).expect("stat").len();
+        // Records lie between the 14-byte header and the 8-byte checksum.
+        let records_region = 14..len - 8;
+        let pos = records_region.start + pos % (records_region.end - records_region.start);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[pos as usize] ^= flip;
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).expect("open");
+        file.seek(SeekFrom::Start(pos)).expect("seek");
+        file.write_all(&bytes[pos as usize..=pos as usize]).expect("flip");
+        let mut failed = 0;
+        for (fp, entry) in &records {
+            match seg.get(fp) {
+                Err(
+                    SegmentError::BadChecksum | SegmentError::Truncated | SegmentError::BadFingerprint,
+                ) => failed += 1,
+                Err(e) => panic!("untyped failure {e}"),
+                Ok(got) => prop_assert_eq!(got, Some(*entry)),
+            }
+        }
+        prop_assert!(failed > 0, "the flipped block was read back as clean");
+        file.set_len(records_region.start + cut % (records_region.end - records_region.start))
+            .expect("truncate");
+        for (fp, entry) in &records {
+            if let Ok(got) = seg.get(fp) {
+                prop_assert_eq!(got, Some(*entry));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// encode→decode is the identity, and re-encoding the decoded records
     /// reproduces the exact bytes (byte-stable).
     #[test]
