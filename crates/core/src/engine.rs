@@ -156,18 +156,20 @@ pub struct AaDedupeConfig {
     pub cdc: CdcParams,
     /// Chunking/hash policy per category (paper: Fig. 6).
     pub policy: DedupPolicy,
-    /// LRU capacity of each index partition, in entries: the write-back
-    /// cache budget when [`Self::index_dir`] gives the partitions a spill
-    /// tier, the modelled RAM budget (LRU victims stay in RAM and a later
-    /// hit on one is charged as a disk read) when it does not.
+    /// Cache capacity of each index partition, in entries. Every
+    /// partition is one cache over a RAM or disk tier: over the disk tier
+    /// ([`Self::index_dir`]) this bounds the write-back cache; over the
+    /// RAM tier it is the modelled RAM budget (a lookup the tier answers
+    /// while the partition outgrows it is charged as a disk read).
     pub ram_entries_per_partition: usize,
-    /// Root directory for the index's spill tier. `None` (the default)
-    /// keeps every entry in RAM with modelled disk accounting;
-    /// `Some(dir)` makes partitions evict entries beyond
-    /// [`Self::ram_entries_per_partition`] to real segment files under
-    /// `dir/p01..p13`, guarded by per-partition existence filters. Dedup
-    /// decisions are bit-identical either way — only the RAM/disk stat
-    /// classification and the actual memory footprint differ.
+    /// Root directory for the index's disk tier. `None` (the default)
+    /// puts a RAM tier behind every partition's cache, so every entry
+    /// stays in RAM with modelled disk accounting; `Some(dir)` puts a
+    /// disk tier there instead: the cache's victims go to real segment
+    /// files under `dir/p01..p13`, each guarded by its own existence
+    /// filter. Dedup decisions, and what each cache holds, are
+    /// bit-identical either way — only the RAM/disk stat classification
+    /// and the actual memory footprint differ.
     pub index_dir: Option<PathBuf>,
     /// Backup pipeline worker-pool settings (default: one worker per
     /// core, at most 8).
@@ -677,8 +679,8 @@ impl AaDedupe {
         Self::with_config(cloud, AaDedupeConfig::default())
     }
 
-    /// Engine with an explicit configuration: an index without a spill
-    /// tier by default, with one under [`AaDedupeConfig::index_dir`] when
+    /// Engine with an explicit configuration: an index over a RAM tier by
+    /// default, over a disk tier under [`AaDedupeConfig::index_dir`] when
     /// set.
     pub fn with_config(cloud: CloudSim, config: AaDedupeConfig) -> Self {
         let mut index = match &config.index_dir {

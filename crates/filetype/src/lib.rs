@@ -11,12 +11,11 @@
 //!   plus an `Other` catch-all.
 //! * [`Category`] — the paper's three dedup categories (§III.C):
 //!   compressed, static uncompressed, dynamic uncompressed.
-//! * [`classify`] / [`classify_with_content`] — extension tables plus
-//!   magic-byte sniffing.
+//! * [`classify`] — the extension tables: a file's type is its
+//!   extension, as in the paper.
 //! * [`DedupPolicy`] — the category → (chunking method, hash algorithm)
 //!   table of the paper's Fig. 6.
 
-pub mod magic;
 pub mod policy;
 pub mod source;
 
@@ -288,19 +287,6 @@ pub fn classify_extension(ext: &str) -> AppType {
     }
 }
 
-/// Classifies using the extension first, falling back to magic-byte
-/// sniffing of the content head when the extension is unknown.
-///
-/// This mirrors real backup clients: extensions are authoritative when
-/// present (users rename files rarely; applications never do), and content
-/// sniffing rescues extension-less files.
-pub fn classify_with_content(path: &Path, head: &[u8]) -> AppType {
-    match classify(path) {
-        AppType::Other => magic::sniff(head).unwrap_or(AppType::Other),
-        t => t,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,24 +346,6 @@ mod tests {
         assert!(txt.cdc_dr > txt.sc_dr, "CDC beats SC on dynamic TXT");
         let avi = AppType::Avi.profile();
         assert!(avi.sc_dr < 1.01, "compressed data has negligible sub-file redundancy");
-    }
-
-    #[test]
-    fn content_fallback() {
-        // Extension wins when known.
-        assert_eq!(
-            classify_with_content(&PathBuf::from("x.txt"), b"\xFF\xD8\xFF\xE0"),
-            AppType::Txt
-        );
-        // Magic rescues unknown extensions.
-        assert_eq!(
-            classify_with_content(&PathBuf::from("photo"), b"\xFF\xD8\xFF\xE0xxxx"),
-            AppType::Jpg
-        );
-        assert_eq!(
-            classify_with_content(&PathBuf::from("unknown"), b"garbage"),
-            AppType::Other
-        );
     }
 
     #[test]

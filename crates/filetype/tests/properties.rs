@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 
 use aadedupe_chunking::ChunkingMethod;
-use aadedupe_filetype::{classify, classify_extension, magic, AppType, Category, DedupPolicy};
+use aadedupe_filetype::{classify, classify_extension, AppType, Category, DedupPolicy};
 use aadedupe_hashing::HashAlgorithm;
 
 proptest! {
@@ -45,21 +45,5 @@ proptest! {
                 prop_assert_eq!(hash, HashAlgorithm::Sha1);
             }
         }
-    }
-
-    /// The magic sniffer never panics on arbitrary heads, and whatever it
-    /// returns is stable.
-    #[test]
-    fn sniffer_total_and_deterministic(head in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        let a = magic::sniff(&head);
-        let b = magic::sniff(&head);
-        prop_assert_eq!(a, b);
-    }
-
-    /// Extension always beats content sniffing when known.
-    #[test]
-    fn extension_is_authoritative(head in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let t = aadedupe_filetype::classify_with_content(&PathBuf::from("x.pdf"), &head);
-        prop_assert_eq!(t, AppType::Pdf);
     }
 }

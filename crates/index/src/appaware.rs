@@ -68,7 +68,7 @@ impl AppAwareIndex {
 
     /// Flushes every disk-backed partition's dirty cache slots to its
     /// segments ([`IndexPartition::persist`]). Stops at the first failing
-    /// partition; partitions without a spill tier are no-ops.
+    /// partition; partitions over a RAM tier are no-ops.
     pub fn persist(&self) -> Result<(), crate::segment::SegmentError> {
         for p in &self.partitions {
             p.persist()?;

@@ -13,18 +13,18 @@
 //! partitions can proceed in parallel.
 //!
 //! * [`ChunkEntry`] — the per-chunk metadata (length, container location).
-//! * [`IndexPartition`] — one store: a slot table plus an LRU, with an
-//!   optional spill tier (on-disk segments, each behind its own existence
-//!   filter)
-//!   and RAM/disk hit accounting — measured with the tier, modelled
-//!   without it.
+//! * [`IndexPartition`] — one cache over a RAM or disk tier: an LRU
+//!   cache of the most-recently-used entries, and behind it a RAM map or
+//!   on-disk segments, each behind its own existence filter. Each key is
+//!   held once; RAM/disk hit accounting is measured by the disk tier and
+//!   modelled by the RAM tier.
 //! * [`MonolithicIndex`] — single-partition baseline (Avamar-style): one
 //!   big [`IndexPartition`].
 //! * [`AppAwareIndex`] — per-application partitions (the paper's design).
 //! * [`codec`] — the write-only snapshot the paper's "periodical data
 //!   synchronization" uploads into the cloud.
 //!
-//! Nothing here is durable on its own: the spill tier is per-process
+//! Nothing here is durable on its own: the disk tier is per-process
 //! scratch space, and the index's durable home is the cloud — the session
 //! manifests the engine folds back into [`IndexPartition::reconcile`].
 //! Nothing reads a [`codec`] snapshot back. The manifests are also the
@@ -35,13 +35,13 @@
 pub mod appaware;
 pub mod codec;
 pub mod filter;
-pub mod lru;
+mod lru;
 pub mod partition;
 pub mod segment;
+mod tier;
 
 pub use appaware::AppAwareIndex;
 pub use filter::CuckooFilter;
-pub use lru::LruSet;
 pub use partition::{IndexPartition, LookupOutcome, RamFootprint};
 
 /// The monolithic (single, full, unclassified) chunk index baseline.
@@ -91,7 +91,7 @@ pub struct IndexStats {
     /// Lookups answered from the RAM cache.
     pub ram_hits: u64,
     /// Lookups that had to touch the on-disk index (real segment reads
-    /// with a spill tier, modelled without one).
+    /// by the disk tier, modelled by the RAM tier).
     pub disk_reads: u64,
     /// Entries inserted by the query path.
     pub inserts: u64,
@@ -101,10 +101,10 @@ pub struct IndexStats {
     /// query-path counts.
     pub recovered_entries: u64,
     /// Negative lookups the segments' existence filters answered without
-    /// any disk probe (spill tier only).
+    /// any disk probe (disk tier only).
     pub filter_hits: u64,
     /// Lookups a filter passed that then found nothing on disk — false
-    /// positives (spill tier only).
+    /// positives (disk tier only).
     pub filter_false_positives: u64,
 }
 

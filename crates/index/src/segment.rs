@@ -35,7 +35,7 @@
 //! its final name. Nothing is fsynced: no process ever reopens a segment.
 //!
 //! A segment is read only through the handle [`Segment::write`] returned:
-//! nothing opens a file an earlier process left behind. The spill tier is
+//! nothing opens a file an earlier process left behind. The disk tier is
 //! per-process scratch space and sweeps such files (recognised by
 //! [`Segment::owns_file_name`]) on its first flush.
 
@@ -401,7 +401,7 @@ impl Segment {
 
     /// Whether `name` is a file name this module writes: a segment
     /// ([`Segment::path_for`]) or the in-flight temp file of one. The
-    /// spill tier's first-flush sweep deletes these and nothing else —
+    /// disk tier's first-flush sweep deletes these and nothing else —
     /// the directory is a user-supplied path.
     pub fn owns_file_name(name: &str) -> bool {
         let name = name.strip_suffix(TMP_SUFFIX).unwrap_or(name);

@@ -63,7 +63,7 @@ const HASH_ORDER_METHODS: &[&str] = &[
 ];
 /// Ratchet on the vetted `disallowed_methods` sites in non-test code of
 /// those crates. May shrink, never grow.
-const MAX_DISALLOWED_EXPECTS: usize = 6;
+const MAX_DISALLOWED_EXPECTS: usize = 3;
 /// `disallowed-types` entries in every `clippy.toml`: every lock is an
 /// `aadedupe_lock::Lock`, which takes one lock per thread at a time.
 const LOCK_TYPES: &[&str] = &["std::sync::Mutex", "std::sync::RwLock"];
