@@ -137,7 +137,7 @@ impl CuckooFilter {
         let h = hash_fingerprint(fp);
         // Tag from the high bits, bucket from the low; tag 0 is reserved
         // for "empty slot".
-        let tag = (((h >> 48) as u16) | 1).max(1);
+        let tag = ((h >> 48) as u16).max(1);
         let mask = self.buckets - 1;
         let i1 = (h as usize) & mask;
         let i2 = i1 ^ (hash_tag(tag) as usize & mask);
