@@ -28,7 +28,8 @@
 //! filter is effectively full), [`CuckooFilter::insert`] returns
 //! [`FilterFull`]. That happens only while a segment is written, past
 //! its size hint, and the segment then builds its filter again through
-//! [`CuckooFilter::build`] by streaming its own finished file, so no
+//! [`CuckooFilter::build`] from its own finished file, read back one
+//! checked block at a time, before the file takes its final name, so no
 //! live filter ever overflows and its owner never rebuilds one. A filter
 //! is built from keys by the process that uses it, never edited down and
 //! never serialised.

@@ -862,7 +862,7 @@ mod tests {
         // temp file at sequence numbers this run will not reach, beside a
         // file the tier never wrote (the directory is a user's path).
         let stale =
-            Segment::write(&dir, 0xfff0, 1, [(fp(9_999), ChunkEntry::new(1, 0, 0))]).unwrap();
+            Segment::write(&dir, 0xfff0, 1, [Ok((fp(9_999), ChunkEntry::new(1, 0, 0)))]).unwrap();
         drop(stale);
         let stale_seg = Segment::path_for(&dir, 0xfff0);
         let stale_tmp = dir.join("seg-000000000000fff1.aaseg.tmp-write");

@@ -9,30 +9,33 @@
 //! k-way merge ([`merge_segments`]) that needs O(1) memory, which is what
 //! keeps the "sub-RAM index" claim honest.
 //!
-//! Per segment the RAM held is a sparse **fence index** — every
-//! [`FENCE_EVERY`]-th record's fingerprint, the byte offset of the block
-//! it starts, and a check over that block's bytes — plus the segment's
-//! own [`CuckooFilter`], built once while the segment is written, and one
-//! block-sized read buffer. A point lookup that passes the filter
-//! binary-searches the fences and reads exactly one block (≤
-//! `FENCE_EVERY` records) with one seek and one `read_exact`, checks it
-//! and parses it in place.
-//!
-//! File layout (all integers little-endian):
+//! A segment file is its records and nothing else: no header, no
+//! trailer. Records are sorted strictly ascending by fingerprint and
+//! written one block of [`FENCE_EVERY`] records at a time (all integers
+//! little-endian):
 //!
 //! ```text
-//! magic    "AASEG\x02"                   6 bytes
-//! count    u64                           record count
-//! per record (sorted strictly ascending by fingerprint):
-//!   fingerprint                          1 + digest_len bytes
-//!   len, container                       u64, u64
-//!   offset                               u32
-//! checksum  u64                          FNV-1a over the record bytes
+//! fingerprint                          1 + digest_len bytes
+//! len, container                       u64, u64
+//! offset                               u32
 //! ```
 //!
-//! Files are written under a temp name and renamed, so a crashed write
-//! leaves only a `.tmp-write` file, never a half-written segment under
-//! its final name. Nothing is fsynced: no process ever reopens a segment.
+//! What describes the file lives in RAM, in its [`Segment`] handle: the
+//! record count, where the records end, the segment's own
+//! [`CuckooFilter`] (built while the segment is written), one
+//! block-sized read buffer, and a sparse **fence index** — per block, its
+//! first fingerprint, its byte offset and a check over its bytes. Every
+//! read of the file is one block: one seek, one `read_exact`, checked
+//! against its fence before anything parses it. A point lookup that
+//! passes the filter reads the one block that can hold its key; merges,
+//! scans and filter rebuilds read every block in order
+//! ([`Segment::records`]). A damaged block is a typed error, never a
+//! wrong record.
+//!
+//! Files are written under a temp name and renamed only once complete, so
+//! a failed or crashed write — an input that fails mid-merge included —
+//! leaves at most a `.tmp-write` file, never a segment under its final
+//! name. Nothing is fsynced: no process ever reopens a segment.
 //!
 //! A segment is read only through the handle [`Segment::write`] returned:
 //! nothing opens a file an earlier process left behind. The disk tier is
@@ -44,33 +47,25 @@ use crate::ChunkEntry;
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic header identifying a segment file.
-pub const MAGIC: &[u8; 6] = b"AASEG\x02";
-
-/// One fence (fingerprint, byte offset) kept in RAM per this many records.
+/// One fence (fingerprint, byte offset, check) kept in RAM per this many
+/// records.
 pub const FENCE_EVERY: usize = 64;
-
-/// Byte offset where records start (magic + count).
-const RECORDS_START: u64 = 14;
 
 /// Suffix of in-flight atomic-write temp files (same discipline as
 /// `FsObjectStore`).
 const TMP_SUFFIX: &str = ".tmp-write";
 
-/// Segment encode/decode/IO failure.
+/// Segment write/read failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentError {
-    /// Missing/incorrect magic header.
-    BadMagic,
-    /// Input ended before the structure was complete.
+    /// The file ended before the block a read wanted.
     Truncated,
     /// A fingerprint failed to decode.
     BadFingerprint,
-    /// The trailing checksum, or a block's in-RAM check, did not match
-    /// the bytes read.
+    /// A block's bytes did not match its fence's check.
     BadChecksum,
     /// Records were not strictly ascending by fingerprint.
     Unsorted,
@@ -81,7 +76,6 @@ pub enum SegmentError {
 impl fmt::Display for SegmentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SegmentError::BadMagic => write!(f, "bad segment magic"),
             SegmentError::Truncated => write!(f, "truncated segment"),
             SegmentError::BadFingerprint => write!(f, "undecodable fingerprint in segment"),
             SegmentError::BadChecksum => write!(f, "segment checksum mismatch"),
@@ -97,33 +91,15 @@ fn io_err(path: &Path, what: &str, e: &io::Error) -> SegmentError {
     SegmentError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// FNV-1a 64-bit running state.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// The check a fence keeps over its block: FNV-1a's xor-multiply step
-/// over 8-byte words (the tail zero-padded), eight times fewer steps per
-/// lookup than the file's byte-wise checksum. Each step is a bijection
-/// of the running value, so a corruption confined to one word always
+/// over 8-byte words (the tail zero-padded). Each step is a bijection of
+/// the running value, so a corruption confined to one word always
 /// changes the check.
 fn block_check(block: &[u8]) -> u64 {
     let (words, tail) = block.as_chunks::<8>();
     let mut last = [0u8; 8];
     std::iter::zip(&mut last, tail).for_each(|(d, s)| *d = *s);
-    words.iter().chain([&last]).fold(Fnv::new().0, |h, w| {
+    words.iter().chain([&last]).fold(0xcbf2_9ce4_8422_2325, |h, w| {
         (h ^ u64::from_le_bytes(*w)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
@@ -135,14 +111,6 @@ struct Fence {
     first: Fingerprint,
     offset: u64,
     check: u64,
-}
-
-/// Serialises one record into `out`.
-fn encode_record(out: &mut Vec<u8>, fp: &Fingerprint, e: &ChunkEntry) {
-    fp.encode(out);
-    out.extend_from_slice(&e.len.to_le_bytes());
-    out.extend_from_slice(&e.container.to_le_bytes());
-    out.extend_from_slice(&e.offset.to_le_bytes());
 }
 
 /// Byte length of a record whose fingerprint carries algorithm `tag`:
@@ -170,43 +138,12 @@ fn parse_record(buf: &[u8]) -> Result<(Fingerprint, ChunkEntry, usize), SegmentE
     Ok((fp, entry, len))
 }
 
-/// Reads exactly `n` bytes, mapping EOF to [`SegmentError::Truncated`].
-fn read_exact_n(r: &mut impl Read, buf: &mut [u8]) -> Result<(), SegmentError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SegmentError::Truncated
-        } else {
-            SegmentError::Io(format!("segment read: {e}"))
-        }
-    })
-}
-
-/// Reads one record from a stream into `raw` (its bytes, for
-/// checksumming) and parses it.
-fn read_record(
-    r: &mut impl Read,
-    raw: &mut Vec<u8>,
-) -> Result<(Fingerprint, ChunkEntry), SegmentError> {
-    let mut tag = [0u8; 1];
-    read_exact_n(r, &mut tag)?;
-    raw.clear();
-    raw.resize(record_len(tag[0])?, tag[0]);
-    read_exact_n(r, raw.get_mut(1..).ok_or(SegmentError::Truncated)?)?;
-    let (fp, entry, _) = parse_record(raw)?;
-    Ok((fp, entry))
-}
-
-/// Streaming segment writer over any `Write + Seek` sink. Records must be
-/// pushed in strictly ascending fingerprint order; they are written a
-/// fence block at a time, and the fences are collected as a side product.
-/// What [`SegmentEncoder::finish`] hands back: the sink, the record
-/// count, the byte offset where records end, and the fence index.
-type FinishedWrite<W> = (W, u64, u64, Vec<Fence>);
-
-struct SegmentEncoder<W: Write + Seek> {
-    w: W,
-    fnv: Fnv,
+/// Writes records, strictly ascending by fingerprint, a fence block at a
+/// time, and collects the fences as it goes.
+struct Writer {
+    w: BufWriter<File>,
     count: u64,
+    /// Bytes written so far: where the block being filled starts.
     offset: u64,
     fences: Vec<Fence>,
     last: Option<Fingerprint>,
@@ -214,22 +151,7 @@ struct SegmentEncoder<W: Write + Seek> {
     block: Vec<u8>,
 }
 
-impl<W: Write + Seek> SegmentEncoder<W> {
-    fn new(mut w: W) -> Result<Self, SegmentError> {
-        let header_err = |e: &io::Error| SegmentError::Io(format!("segment write header: {e}"));
-        w.write_all(MAGIC).map_err(|e| header_err(&e))?;
-        w.write_all(&0u64.to_le_bytes()).map_err(|e| header_err(&e))?;
-        Ok(SegmentEncoder {
-            w,
-            fnv: Fnv::new(),
-            count: 0,
-            offset: RECORDS_START,
-            fences: Vec::new(),
-            last: None,
-            block: Vec::new(),
-        })
-    }
-
+impl Writer {
     fn push(&mut self, fp: Fingerprint, entry: &ChunkEntry) -> Result<(), SegmentError> {
         if self.last.is_some_and(|l| l >= fp) {
             return Err(SegmentError::Unsorted);
@@ -239,7 +161,10 @@ impl<W: Write + Seek> SegmentEncoder<W> {
             self.close_block()?;
             self.fences.push(Fence { first: fp, offset: self.offset, check: 0 });
         }
-        encode_record(&mut self.block, &fp, entry);
+        fp.encode(&mut self.block);
+        self.block.extend_from_slice(&entry.len.to_le_bytes());
+        self.block.extend_from_slice(&entry.container.to_le_bytes());
+        self.block.extend_from_slice(&entry.offset.to_le_bytes());
         self.count += 1;
         Ok(())
     }
@@ -249,7 +174,6 @@ impl<W: Write + Seek> SegmentEncoder<W> {
         self.w
             .write_all(&self.block)
             .map_err(|e| SegmentError::Io(format!("segment write block: {e}")))?;
-        self.fnv.update(&self.block);
         self.offset += self.block.len() as u64;
         if let Some(fence) = self.fences.last_mut() {
             fence.check = block_check(&self.block);
@@ -257,74 +181,6 @@ impl<W: Write + Seek> SegmentEncoder<W> {
         self.block.clear();
         Ok(())
     }
-
-    /// Writes the last block and the checksum, patches the record count
-    /// into the header, and returns `(sink, count, records_end, fences)`.
-    fn finish(mut self) -> Result<FinishedWrite<W>, SegmentError> {
-        self.close_block()?;
-        let fin_err = |what: &str, e: &io::Error| SegmentError::Io(format!("{what}: {e}"));
-        self.w
-            .write_all(&self.fnv.0.to_le_bytes())
-            .map_err(|e| fin_err("segment write checksum", &e))?;
-        self.w
-            .seek(SeekFrom::Start(6))
-            .map_err(|e| fin_err("segment seek header", &e))?;
-        self.w
-            .write_all(&self.count.to_le_bytes())
-            .map_err(|e| fin_err("segment patch count", &e))?;
-        Ok((self.w, self.count, self.offset, self.fences))
-    }
-}
-
-/// Encodes records (strictly ascending by fingerprint) into the segment
-/// file format, in memory. Pure counterpart of [`Segment::write`] — the
-/// two produce identical bytes, which the property suite pins.
-pub fn encode_segment(records: &[(Fingerprint, ChunkEntry)]) -> Result<Vec<u8>, SegmentError> {
-    let mut enc = SegmentEncoder::new(io::Cursor::new(Vec::new()))?;
-    for (fp, rec) in records {
-        enc.push(*fp, rec)?;
-    }
-    let (cursor, _, _, _) = enc.finish()?;
-    Ok(cursor.into_inner())
-}
-
-/// Decodes a full segment image, verifying magic, count, order, and
-/// checksum. Never panics on arbitrary input.
-pub fn decode_segment(buf: &[u8]) -> Result<Vec<(Fingerprint, ChunkEntry)>, SegmentError> {
-    let (magic, header) = buf.split_first_chunk::<6>().ok_or(SegmentError::Truncated)?;
-    if magic != MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
-    let (count, body) = header.split_first_chunk::<8>().ok_or(SegmentError::Truncated)?;
-    let (records_bytes, stored) = body.split_last_chunk::<8>().ok_or(SegmentError::Truncated)?;
-    let count = u64::from_le_bytes(*count);
-    // Each record is at least 33 bytes (12-byte digest); guard absurd
-    // counts from corrupt headers before allocating.
-    if count.saturating_mul(33) > buf.len() as u64 {
-        return Err(SegmentError::Truncated);
-    }
-    let mut rest = records_bytes;
-    let mut records = Vec::with_capacity(count as usize);
-    let mut last: Option<Fingerprint> = None;
-    for _ in 0..count {
-        let (fp, rec, used) = parse_record(rest)?;
-        rest = rest.get(used..).ok_or(SegmentError::Truncated)?;
-        if last.is_some_and(|l| l >= fp) {
-            return Err(SegmentError::Unsorted);
-        }
-        last = Some(fp);
-        records.push((fp, rec));
-    }
-    if !rest.is_empty() {
-        // Trailing garbage between the last record and the checksum.
-        return Err(SegmentError::Truncated);
-    }
-    let mut fnv = Fnv::new();
-    fnv.update(records_bytes);
-    if fnv.0 != u64::from_le_bytes(*stored) {
-        return Err(SegmentError::BadChecksum);
-    }
-    Ok(records)
 }
 
 /// An immutable on-disk segment plus its in-RAM fence index and filter.
@@ -333,8 +189,7 @@ pub struct Segment {
     file: File,
     fences: Vec<Fence>,
     filter: CuckooFilter,
-    /// The block the last [`Segment::get`] read, kept so a probe
-    /// allocates nothing.
+    /// The last block read, kept so a read allocates nothing.
     block: Vec<u8>,
     count: u64,
     records_end: u64,
@@ -345,31 +200,22 @@ impl Segment {
     /// `seq` under `dir`, atomically, and opens it for reading. The
     /// segment's filter is built as the records pass, sized for
     /// `capacity` keys; a short hint costs one more pass over the
-    /// finished file, at twice the record count and up.
+    /// finished file, at twice the record count and up. The first
+    /// failing record is the write's error, and no segment file is left.
     pub fn write(
         dir: &Path,
         seq: u64,
         capacity: usize,
-        records: impl IntoIterator<Item = (Fingerprint, ChunkEntry)>,
+        records: impl IntoIterator<Item = Result<(Fingerprint, ChunkEntry), SegmentError>>,
     ) -> Result<Segment, SegmentError> {
         let path = Self::path_for(dir, seq);
         let tmp = dir.join(format!("seg-{seq:016x}.aaseg{TMP_SUFFIX}"));
-        let mut filter = CuckooFilter::with_capacity(capacity);
-        let mut full = false;
-        let result = (|| {
-            let f = File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
-            let mut enc = SegmentEncoder::new(BufWriter::new(f))?;
-            for (fp, rec) in records {
-                enc.push(fp, &rec)?;
-                full = full || filter.insert(&fp).is_err();
-            }
-            let (w, count, records_end, fences) = enc.finish()?;
-            w.into_inner().map_err(|e| io_err(&tmp, "flush", e.error()))?;
+        let written = Self::write_file(&tmp, capacity, records).and_then(|mut seg| {
             fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename", &e))?;
-            let file = File::open(&path).map_err(|e| io_err(&path, "open", &e))?;
-            Ok((file, count, records_end, fences))
-        })();
-        if result.is_err() {
+            seg.path = path;
+            Ok(seg)
+        });
+        if written.is_err() {
             // Best-effort cleanup so a retry starts clean; the original
             // error is what matters.
             if let Err(rm) = fs::remove_file(&tmp) {
@@ -379,15 +225,46 @@ impl Segment {
                 );
             }
         }
-        let (file, count, records_end, fences) = result?;
-        let mut seg = Segment { path, file, fences, filter, block: Vec::new(), count, records_end };
+        written
+    }
+
+    /// [`Segment::write`]'s records and filter, under the temp name `tmp`.
+    fn write_file(
+        tmp: &Path,
+        capacity: usize,
+        records: impl IntoIterator<Item = Result<(Fingerprint, ChunkEntry), SegmentError>>,
+    ) -> Result<Segment, SegmentError> {
+        let file = File::options().read(true).write(true).create(true).truncate(true).open(tmp);
+        let file = file.map_err(|e| io_err(tmp, "create", &e))?;
+        let mut w = Writer {
+            w: BufWriter::new(file),
+            count: 0,
+            offset: 0,
+            fences: Vec::new(),
+            last: None,
+            block: Vec::new(),
+        };
+        let mut filter = CuckooFilter::with_capacity(capacity);
+        let mut full = false;
+        for record in records {
+            let (fp, entry) = record?;
+            w.push(fp, &entry)?;
+            full = full || filter.insert(&fp).is_err();
+        }
+        w.close_block()?;
+        let file = w.w.into_inner().map_err(|e| io_err(tmp, "flush", e.error()))?;
+        let mut seg = Segment {
+            path: tmp.to_path_buf(),
+            file,
+            fences: w.fences,
+            filter,
+            block: Vec::new(),
+            count: w.count,
+            records_end: w.offset,
+        };
         if full {
-            let filter = CuckooFilter::build(capacity.max(count as usize) * 2, |insert| {
-                let mut s = seg.stream()?;
-                while let Some((fp, _)) = s.next_record()? {
-                    insert(&fp);
-                }
-                Ok(())
+            let filter = CuckooFilter::build(capacity.max(w.count as usize) * 2, |insert| {
+                seg.records().try_for_each(|r| r.map(|(fp, _)| insert(&fp)))
             })?;
             seg.filter = filter;
         }
@@ -426,25 +303,34 @@ impl Segment {
         self.fences.len() * std::mem::size_of::<Fence>() + self.block.capacity()
     }
 
-    /// Point lookup; `Ok(None)` = fingerprint not in this segment. Reads
-    /// exactly the one fence block that can hold `fp` — one seek and one
-    /// `read_exact` — and checks it against its fence before parsing.
-    pub fn get(&mut self, fp: &Fingerprint) -> Result<Option<ChunkEntry>, SegmentError> {
-        let idx = self.fences.partition_point(|f| f.first <= *fp);
-        // The last fence at or below `fp`; none means `fp` sorts first.
-        let Some(&fence) = idx.checked_sub(1).and_then(|i| self.fences.get(i)) else {
-            return Ok(None);
-        };
-        let end = self.fences.get(idx).map_or(self.records_end, |next| next.offset);
+    /// Reads block `i` — from its fence to the next fence or the end of
+    /// the records — with one seek and one `read_exact`, and checks it
+    /// against its fence. Every read of the file goes through here.
+    fn read_block(&mut self, i: usize) -> Result<&[u8], SegmentError> {
+        let fence = *self.fences.get(i).ok_or(SegmentError::Truncated)?;
+        let end = self.fences.get(i + 1).map_or(self.records_end, |next| next.offset);
         self.block.resize((end - fence.offset) as usize, 0);
         self.file
             .seek(SeekFrom::Start(fence.offset))
             .map_err(|e| io_err(&self.path, "seek", &e))?;
-        read_exact_n(&mut self.file, &mut self.block)?;
+        self.file.read_exact(&mut self.block).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => SegmentError::Truncated,
+            _ => io_err(&self.path, "read", &e),
+        })?;
         if block_check(&self.block) != fence.check {
             return Err(SegmentError::BadChecksum);
         }
-        let mut rest = self.block.as_slice();
+        Ok(&self.block)
+    }
+
+    /// Point lookup; `Ok(None)` = fingerprint not in this segment. Reads
+    /// exactly the one block that can hold `fp`.
+    pub fn get(&mut self, fp: &Fingerprint) -> Result<Option<ChunkEntry>, SegmentError> {
+        // The last fence at or below `fp`; none means `fp` sorts first.
+        let Some(i) = self.fences.partition_point(|f| f.first <= *fp).checked_sub(1) else {
+            return Ok(None);
+        };
+        let mut rest = self.read_block(i)?;
         while !rest.is_empty() {
             let (cur, rec, used) = parse_record(rest)?;
             if cur == *fp {
@@ -458,17 +344,38 @@ impl Segment {
         Ok(None)
     }
 
-    /// Opens a sequential stream over all records (for merges and filter
-    /// rebuilds). The checksum is verified when the stream is drained.
-    pub fn stream(&mut self) -> Result<SegmentStream<'_>, SegmentError> {
-        self.file
-            .seek(SeekFrom::Start(RECORDS_START))
-            .map_err(|e| io_err(&self.path, "seek", &e))?;
-        Ok(SegmentStream {
-            r: BufReader::new(&mut self.file),
-            remaining: self.count,
-            fnv: Fnv::new(),
-            raw: Vec::with_capacity(64),
+    /// Every record in order, read a block at a time (for merges, scans
+    /// and filter rebuilds). The first error ends the walk.
+    pub fn records(
+        &mut self,
+    ) -> impl Iterator<Item = Result<(Fingerprint, ChunkEntry), SegmentError>> + '_ {
+        let blocks = self.fences.len();
+        // The next block to read, and the unread bytes of the last one.
+        let (mut next, mut pos, mut end) = (0, 0, 0);
+        std::iter::from_fn(move || {
+            if pos == end {
+                if next == blocks {
+                    return None;
+                }
+                match self.read_block(next) {
+                    Ok(block) => (pos, end) = (0, block.len()),
+                    Err(e) => {
+                        next = blocks;
+                        return Some(Err(e));
+                    }
+                }
+                next += 1;
+            }
+            match self.block.get(pos..end).ok_or(SegmentError::Truncated).and_then(parse_record) {
+                Ok((fp, entry, used)) => {
+                    pos += used;
+                    Some(Ok((fp, entry)))
+                }
+                Err(e) => {
+                    (next, pos) = (blocks, end);
+                    Some(Err(e))
+                }
+            }
         })
     }
 
@@ -478,88 +385,42 @@ impl Segment {
     }
 }
 
-/// Sequential record stream over one segment.
-pub struct SegmentStream<'a> {
-    r: BufReader<&'a mut File>,
-    remaining: u64,
-    fnv: Fnv,
-    raw: Vec<u8>,
-}
-
-impl SegmentStream<'_> {
-    /// The next record, or `None` when the stream is drained (at which
-    /// point the checksum has been verified).
-    pub fn next_record(&mut self) -> Result<Option<(Fingerprint, ChunkEntry)>, SegmentError> {
-        if self.remaining == 0 {
-            let mut stored = [0u8; 8];
-            read_exact_n(&mut self.r, &mut stored)?;
-            if u64::from_le_bytes(stored) != self.fnv.0 {
-                return Err(SegmentError::BadChecksum);
-            }
-            // Mark verified so repeated calls don't re-read the checksum.
-            self.fnv = Fnv::new();
-            self.remaining = u64::MAX;
-            return Ok(None);
-        }
-        if self.remaining == u64::MAX {
-            return Ok(None);
-        }
-        let (fp, rec) = read_record(&mut self.r, &mut self.raw)?;
-        self.fnv.update(&self.raw);
-        self.remaining -= 1;
-        Ok(Some((fp, rec)))
-    }
-}
-
 /// Streams a k-way merge of `segments` (oldest→newest order) into a new
 /// segment `seq` under `dir`, with newest-wins shadowing. Memory use is
 /// O(segments), not O(records); the merged filter is sized for the
-/// inputs' summed counts, an upper bound on the merged count.
+/// inputs' summed counts, an upper bound on the merged count. An input
+/// that fails to read fails the merge, and no file is left for `seq`.
 pub fn merge_segments(
     dir: &Path,
     seq: u64,
     segments: &mut [Segment],
 ) -> Result<Segment, SegmentError> {
-    // One cursor per segment, each holding its next undelivered record.
-    struct Cursor<'a> {
-        stream: SegmentStream<'a>,
-        head: Option<(Fingerprint, ChunkEntry)>,
-        age: usize, // position in `segments`: higher = newer
-    }
     let capacity = segments.iter().map(|s| s.count as usize).sum();
+    // One cursor per segment, oldest first, each holding its next
+    // undelivered record.
     let mut cursors = Vec::with_capacity(segments.len());
-    for (age, seg) in segments.iter_mut().enumerate() {
-        let mut stream = seg.stream()?;
-        let head = stream.next_record()?;
-        cursors.push(Cursor { stream, head, age });
+    for seg in segments {
+        let mut records = seg.records();
+        let head = records.next().transpose()?;
+        cursors.push((head, records));
     }
-
     // Pull the globally-smallest fingerprint each round; among equal
-    // fingerprints the newest segment wins and the others are skipped.
-    let mut merged_err: Option<SegmentError> = None;
-    let iter = std::iter::from_fn(|| {
-        let min_fp = cursors.iter().filter_map(|c| c.head.as_ref().map(|(fp, _)| *fp)).min()?;
-        let mut winner: Option<(usize, ChunkEntry)> = None;
-        for c in &mut cursors {
-            let Some((_, entry)) = c.head.take_if(|(fp, _)| *fp == min_fp) else { continue };
-            match c.stream.next_record() {
-                Ok(next) => c.head = next,
-                Err(e) => {
-                    merged_err = Some(e);
-                    return None;
-                }
+    // fingerprints the newest segment (the last cursor) wins and the
+    // others are skipped.
+    let merged = std::iter::from_fn(|| {
+        let min_fp = cursors.iter().filter_map(|(head, _)| head.map(|(fp, _)| fp)).min()?;
+        let mut winner = None;
+        for (head, records) in &mut cursors {
+            let Some((_, entry)) = head.take_if(|(fp, _)| *fp == min_fp) else { continue };
+            match records.next().transpose() {
+                Ok(next) => *head = next,
+                Err(e) => return Some(Err(e)),
             }
-            if winner.as_ref().is_none_or(|(age, _)| c.age > *age) {
-                winner = Some((c.age, entry));
-            }
+            winner = Some(entry);
         }
-        winner.map(|(_, entry)| (min_fp, entry))
+        winner.map(|entry| Ok((min_fp, entry)))
     });
-    let merged = Segment::write(dir, seq, capacity, iter);
-    match merged_err {
-        Some(e) => Err(e),
-        None => merged,
-    }
+    Segment::write(dir, seq, capacity, merged)
 }
 
 #[cfg(test)]
@@ -590,53 +451,54 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn encode_decode_round_trip() {
-        let recs = sorted_records(500);
-        let bytes = encode_segment(&recs).unwrap();
-        let back = decode_segment(&bytes).unwrap();
-        assert_eq!(back, recs);
-        // Byte stability: re-encoding the decode is identical.
-        assert_eq!(encode_segment(&back).unwrap(), bytes);
+    fn write(dir: &Path, seq: u64, recs: &[(Fingerprint, ChunkEntry)]) -> Result<Segment, SegmentError> {
+        Segment::write(dir, seq, recs.len(), recs.iter().copied().map(Ok))
+    }
+
+    fn drain(seg: &mut Segment) -> Result<Vec<(Fingerprint, ChunkEntry)>, SegmentError> {
+        seg.records().collect()
+    }
+
+    /// The names of the files in `dir`, sorted.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> =
+            fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+        names.sort_unstable();
+        names
+    }
+
+    /// Overwrites one byte of segment `seq`'s file in place; the open
+    /// handle reads the damaged byte.
+    fn flip(dir: &Path, seq: u64, at: u64) {
+        let path = Segment::path_for(dir, seq);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[at as usize] ^= 0x01;
+        fs::write(&path, bytes).unwrap();
     }
 
     #[test]
     fn encode_rejects_unsorted() {
+        let dir = temp_dir("unsorted");
         let mut recs = sorted_records(10);
         recs.swap(0, 5);
-        assert_eq!(encode_segment(&recs).err(), Some(SegmentError::Unsorted));
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let bytes = encode_segment(&sorted_records(100)).unwrap();
-        // Checksum catches any record-region flip.
-        let mut bad = bytes.clone();
-        bad[40] ^= 0x01;
-        assert!(decode_segment(&bad).is_err());
-        // Magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert_eq!(decode_segment(&bad).err(), Some(SegmentError::BadMagic));
-        // Truncation at every length never panics.
-        for n in 0..bytes.len() {
-            assert!(decode_segment(&bytes[..n]).is_err(), "prefix {n}");
-        }
+        assert_eq!(write(&dir, 1, &recs).err(), Some(SegmentError::Unsorted));
+        assert_eq!(files(&dir), Vec::<String>::new(), "a refused write leaves no file");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn file_round_trip_and_point_lookups() {
         let dir = temp_dir("rt");
         let recs = sorted_records(1000);
-        let mut seg = Segment::write(&dir, 1, recs.len(), recs.iter().copied()).unwrap();
+        let mut seg = write(&dir, 1, &recs).unwrap();
         assert_eq!(seg.count(), 1000);
         for (f, rec) in &recs {
             assert_eq!(seg.get(f).unwrap(), Some(*rec));
         }
         assert_eq!(seg.get(&fp(999_999)).unwrap(), None);
-        // File bytes match the pure encoder exactly.
-        let on_disk = fs::read(Segment::path_for(&dir, 1)).unwrap();
-        assert_eq!(on_disk, encode_segment(&recs).unwrap());
+        assert_eq!(drain(&mut seg).unwrap(), recs);
+        // The file is the records alone: 41 bytes per SHA-1 record.
+        assert_eq!(fs::metadata(Segment::path_for(&dir, 1)).unwrap().len(), 1000 * 41);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -644,13 +506,16 @@ mod tests {
     fn stream_verifies_checksum() {
         let dir = temp_dir("stream");
         let recs = sorted_records(300);
-        let mut seg = Segment::write(&dir, 1, recs.len(), recs.iter().copied()).unwrap();
-        let mut out = Vec::new();
-        let mut s = seg.stream().unwrap();
-        while let Some(r) = s.next_record().unwrap() {
-            out.push(r);
+        let mut seg = write(&dir, 1, &recs).unwrap();
+        // A `len` byte of record 100, in the second block: the record
+        // still parses, so only the block's check can tell.
+        flip(&dir, 1, 100 * 41 + 21);
+        let mut records = seg.records();
+        for rec in &recs[..FENCE_EVERY] {
+            assert_eq!(records.next(), Some(Ok(*rec)), "the first block is intact");
         }
-        assert_eq!(out, recs);
+        assert_eq!(records.next(), Some(Err(SegmentError::BadChecksum)));
+        assert_eq!(records.next(), None, "the first error ends the walk");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -662,8 +527,8 @@ mod tests {
         let mut newer =
             [(fp(50), ChunkEntry::new(5050, 7, 7)), (fp(100), ChunkEntry::new(100, 200, 100))];
         newer.sort_unstable_by_key(|(f, _)| *f);
-        let s1 = Segment::write(&dir, 1, old.len(), old.iter().copied()).unwrap();
-        let s2 = Segment::write(&dir, 2, newer.len(), newer.iter().copied()).unwrap();
+        let s1 = write(&dir, 1, &old).unwrap();
+        let s2 = write(&dir, 2, &newer).unwrap();
         let mut merged = merge_segments(&dir, 3, &mut [s1, s2]).unwrap();
         assert_eq!(merged.count(), 101, "a shadowed key is written once");
         assert_eq!(merged.get(&fp(50)).unwrap().unwrap().len, 5050, "newest wins");
@@ -673,9 +538,24 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_merge_leaves_no_output() {
+        let dir = temp_dir("merge-fail");
+        let s1 = write(&dir, 1, &sorted_records(300)).unwrap();
+        let s2 = write(&dir, 2, &sorted_records(10)).unwrap();
+        // The last block of the older input: the merge has written most
+        // of its output by the time it reads the damage.
+        flip(&dir, 1, 299 * 41 + 21);
+        let merged = merge_segments(&dir, 3, &mut [s1, s2]);
+        assert_eq!(merged.err(), Some(SegmentError::BadChecksum));
+        let names = files(&dir);
+        assert!(names.iter().all(|n| !n.starts_with("seg-0000000000000003")), "{names:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn fences_stay_sparse() {
         let dir = temp_dir("fence");
-        let seg = Segment::write(&dir, 1, 6400, sorted_records(6400).iter().copied()).unwrap();
+        let seg = write(&dir, 1, &sorted_records(6400)).unwrap();
         assert_eq!(seg.fences.len(), 100);
         assert!(seg.mem_bytes() < 6400, "fence RAM far below one entry per record");
         let _ = fs::remove_dir_all(&dir);
@@ -683,7 +563,8 @@ mod tests {
 
     #[test]
     fn mixed_algorithms_round_trip() {
-        let mut recs: Vec<(Fingerprint, ChunkEntry)> = (0..50u64)
+        let dir = temp_dir("mixed");
+        let mut recs: Vec<(Fingerprint, ChunkEntry)> = (0..150u64)
             .map(|i| {
                 let algo = match i % 3 {
                     0 => HashAlgorithm::Rabin96,
@@ -695,7 +576,11 @@ mod tests {
             .collect();
         recs.sort_unstable_by_key(|(f, _)| *f);
         recs.dedup_by_key(|(f, _)| *f);
-        let bytes = encode_segment(&recs).unwrap();
-        assert_eq!(decode_segment(&bytes).unwrap(), recs);
+        let mut seg = write(&dir, 1, &recs).unwrap();
+        assert_eq!(drain(&mut seg).unwrap(), recs);
+        for (f, rec) in &recs {
+            assert_eq!(seg.get(f).unwrap(), Some(*rec));
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -145,14 +145,16 @@ impl Tier {
             Tier::Ram(map) => merged.extend(&*map),
             Tier::Disk(sp) => {
                 for seg in &mut sp.segments {
-                    let streamed = seg.stream().and_then(|mut records| {
-                        while let Some((f, e)) = records.next_record()? {
-                            merged.insert(f, e);
+                    // The first error ends the segment's records.
+                    for record in seg.records() {
+                        match record {
+                            Ok((f, e)) => {
+                                merged.insert(f, e);
+                            }
+                            Err(e) => {
+                                sp.error.get_or_insert_with(|| e.to_string());
+                            }
                         }
-                        Ok(())
-                    });
-                    if let Err(e) = streamed {
-                        sp.error.get_or_insert_with(|| e.to_string());
                     }
                 }
                 merged.extend(sp.unflushed.iter().copied());
@@ -296,7 +298,7 @@ impl Spill {
     /// Writes `records` (strictly ascending) as the next, newest segment.
     fn write_segment(&mut self, records: &[(Fingerprint, ChunkEntry)]) -> Result<(), SegmentError> {
         self.init()?;
-        let seg = Segment::write(&self.dir, self.next_seq, records.len(), records.iter().copied())?;
+        let seg = Segment::write(&self.dir, self.next_seq, records.len(), records.iter().copied().map(Ok))?;
         self.next_seq += 1;
         self.segments.push(seg);
         Ok(())

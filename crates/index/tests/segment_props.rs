@@ -1,23 +1,25 @@
-//! Property tests for the on-disk segment codec and the existence filter.
+//! Property tests for on-disk segments and the existence filter.
 //!
-//! The segment format is what a disk-backed partition trusts for every
-//! spilled entry, so the codec must be *total*: encode→decode→encode
-//! is byte-stable, and arbitrarily truncated or corrupted input returns a
-//! typed [`SegmentError`] — it never panics and never silently yields
-//! wrong records. The cuckoo filter must never report a false negative
+//! A segment file is what a disk-backed partition trusts for every
+//! spilled entry. It holds the sorted records alone; the fences in RAM
+//! hold each block's offset and check. Every read is one checked block,
+//! so a written segment gives back exactly the records written, through
+//! [`Segment::get`], through [`Segment::records`] and through a merge,
+//! and a truncated or corrupted file yields a typed [`SegmentError`] on
+//! each of those paths — it never panics and never silently yields a
+//! wrong record. The cuckoo filter must never report a false negative
 //! and keep its false-positive rate within the sizing math documented in
-//! DESIGN.md. A written segment's own filter holds every key it wrote,
-//! whatever its size hint, and [`Segment::get`] — which reads one block —
-//! agrees with the full decode, or fails typed when that block is damaged.
+//! DESIGN.md; a written segment's own filter holds every key it wrote,
+//! whatever its size hint.
 
 use proptest::prelude::*;
 
 use aadedupe_hashing::{Fingerprint, HashAlgorithm};
-use aadedupe_index::segment::{decode_segment, encode_segment, merge_segments, Segment, SegmentError};
+use aadedupe_index::segment::{merge_segments, Segment, SegmentError};
 use aadedupe_index::{ChunkEntry, CuckooFilter};
 use std::collections::BTreeMap;
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn fp(seed: u64, algo: HashAlgorithm) -> Fingerprint {
     Fingerprint::compute(algo, &seed.to_le_bytes())
@@ -59,27 +61,34 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every key `seg` wrote passes its filter, and `get` returns exactly
-/// the entry the full decode of its file holds — `None` for `absent`.
-fn check_segment(dir: &Path, seq: u64, seg: &mut Segment, absent: &[Fingerprint]) -> Vec<(Fingerprint, ChunkEntry)> {
-    let decoded = decode_segment(&std::fs::read(Segment::path_for(dir, seq)).expect("read segment"))
-        .expect("a written segment decodes");
-    assert_eq!(decoded.len() as u64, seg.count());
-    for (fp, entry) in &decoded {
+/// Every key `seg` wrote passes its filter, `get` returns exactly the
+/// entry written — `None` for `absent` — and the records read back in
+/// order are exactly `written`.
+fn check_segment(seq: u64, seg: &mut Segment, written: &[(Fingerprint, ChunkEntry)], absent: &[Fingerprint]) {
+    assert_eq!(seg.count(), written.len() as u64);
+    for (fp, entry) in written {
         assert!(seg.filter().contains(fp), "false negative in segment {seq}");
         assert_eq!(seg.get(fp).expect("clean read"), Some(*entry));
     }
-    for fp in absent.iter().filter(|fp| decoded.binary_search_by_key(fp, |(f, _)| f).is_err()) {
+    for fp in absent.iter().filter(|fp| written.binary_search_by_key(fp, |(f, _)| f).is_err()) {
         assert_eq!(seg.get(fp).expect("clean read"), None);
     }
-    decoded
+    let read: Result<Vec<_>, _> = seg.records().collect();
+    assert_eq!(read.expect("clean read"), written);
+}
+
+/// Whether a failed read failed with one of the typed variants a damaged
+/// or cut file produces.
+fn damage_error(e: &SegmentError) -> bool {
+    matches!(e, SegmentError::BadChecksum | SegmentError::Truncated | SegmentError::BadFingerprint)
 }
 
 proptest! {
     /// Two overlapping segments, written under size hints that are often
     /// far below their record counts (hint 0 always is: the filter then
     /// overflows and is rebuilt from the finished file), and their merge:
-    /// no filter misses a key, and `get` agrees with `decode_segment`.
+    /// no filter misses a key, and `get` and the record walk give back
+    /// exactly what was written.
     #[test]
     fn segment_filters_hold_every_key_and_get_agrees_with_decode(
         records in arb_records(),
@@ -95,21 +104,22 @@ proptest! {
             .map(|(fp, e)| (*fp, ChunkEntry { len: e.len ^ 1, ..*e }))
             .collect();
         let absent: Vec<Fingerprint> = absent.iter().map(|&k| fp(k, HashAlgorithm::Md5)).collect();
-        let mut old = Segment::write(&dir, 1, hints.0, records.iter().copied()).expect("write");
-        let mut new = Segment::write(&dir, 2, hints.1, newer.iter().copied()).expect("write");
-        prop_assert_eq!(check_segment(&dir, 1, &mut old, &absent), records.clone());
-        prop_assert_eq!(check_segment(&dir, 2, &mut new, &absent), newer.clone());
+        let mut old = Segment::write(&dir, 1, hints.0, records.iter().copied().map(Ok)).expect("write");
+        let mut new = Segment::write(&dir, 2, hints.1, newer.iter().copied().map(Ok)).expect("write");
+        check_segment(1, &mut old, &records, &absent);
+        check_segment(2, &mut new, &newer, &absent);
         let mut merged = merge_segments(&dir, 3, &mut [old, new]).expect("merge");
         let mut want: BTreeMap<Fingerprint, ChunkEntry> = records.iter().copied().collect();
         want.extend(newer.iter().copied());
-        prop_assert_eq!(check_segment(&dir, 3, &mut merged, &absent), Vec::from_iter(want));
+        check_segment(3, &mut merged, &Vec::from_iter(want), &absent);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A byte flipped inside the record region of a written segment, and
-    /// then the file cut short: every `get` either fails with a typed
-    /// error or returns exactly the entry that was written — never a panic,
-    /// never a wrong entry — and the damaged block's own keys do fail.
+    /// A byte flipped anywhere in a written segment's file, and then the
+    /// file cut short: every `get`, the record walk and a merge of the
+    /// segment each either fail with a typed error or give back exactly
+    /// what was written — never a panic, never a wrong record — and the
+    /// damaged block's own keys do fail. A failed merge leaves no file.
     #[test]
     fn a_corrupt_block_is_an_error_never_a_wrong_entry(
         records in arb_records(),
@@ -119,12 +129,11 @@ proptest! {
     ) {
         prop_assume!(!records.is_empty());
         let dir = scratch("corrupt");
-        let mut seg = Segment::write(&dir, 1, records.len(), records.iter().copied()).expect("write");
+        let mut seg = Segment::write(&dir, 1, records.len(), records.iter().copied().map(Ok)).expect("write");
         let path = Segment::path_for(&dir, 1);
+        // The file is the records alone.
         let len = std::fs::metadata(&path).expect("stat").len();
-        // Records lie between the 14-byte header and the 8-byte checksum.
-        let records_region = 14..len - 8;
-        let pos = records_region.start + pos % (records_region.end - records_region.start);
+        let pos = pos % len;
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[pos as usize] ^= flip;
         let mut file = std::fs::OpenOptions::new().write(true).open(&path).expect("open");
@@ -133,84 +142,37 @@ proptest! {
         let mut failed = 0;
         for (fp, entry) in &records {
             match seg.get(fp) {
-                Err(
-                    SegmentError::BadChecksum | SegmentError::Truncated | SegmentError::BadFingerprint,
-                ) => failed += 1,
+                Err(e) if damage_error(&e) => failed += 1,
                 Err(e) => panic!("untyped failure {e}"),
                 Ok(got) => prop_assert_eq!(got, Some(*entry)),
             }
         }
         prop_assert!(failed > 0, "the flipped block was read back as clean");
-        file.set_len(records_region.start + cut % (records_region.end - records_region.start))
-            .expect("truncate");
-        for (fp, entry) in &records {
-            if let Ok(got) = seg.get(fp) {
-                prop_assert_eq!(got, Some(*entry));
+        for cut_len in [len, cut % len] {
+            file.set_len(cut_len).expect("truncate");
+            for (fp, entry) in &records {
+                if let Ok(got) = seg.get(fp) {
+                    prop_assert_eq!(got, Some(*entry));
+                }
+            }
+            let read: Result<Vec<_>, _> = seg.records().collect();
+            match read {
+                Err(e) => prop_assert!(damage_error(&e), "untyped failure {}", e),
+                Ok(read) => prop_assert_eq!(read, records.clone()),
+            }
+            match merge_segments(&dir, 2, std::slice::from_mut(&mut seg)) {
+                Err(e) => {
+                    prop_assert!(damage_error(&e), "untyped failure {}", e);
+                    prop_assert!(!Segment::path_for(&dir, 2).exists(), "a failed merge left its output");
+                }
+                Ok(mut merged) => {
+                    let read: Result<Vec<_>, _> = merged.records().collect();
+                    prop_assert_eq!(read.expect("a merge reads back"), records.clone());
+                    merged.remove().expect("remove");
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// encode→decode is the identity, and re-encoding the decoded records
-    /// reproduces the exact bytes (byte-stable).
-    #[test]
-    fn roundtrip_is_byte_stable(records in arb_records()) {
-        let bytes = encode_segment(&records).expect("sorted records encode");
-        let decoded = decode_segment(&bytes).expect("own output decodes");
-        prop_assert_eq!(&decoded, &records);
-        let again = encode_segment(&decoded).expect("re-encode");
-        prop_assert_eq!(again, bytes);
-    }
-
-    /// Every strict prefix fails with a typed error — never panics, never
-    /// "succeeds" with fewer records.
-    #[test]
-    fn truncation_is_detected(records in arb_records(), cut in 0usize..4096) {
-        let bytes = encode_segment(&records).expect("encode");
-        let cut = cut % bytes.len().max(1);
-        if cut < bytes.len() {
-            prop_assert!(decode_segment(&bytes[..cut]).is_err(), "prefix {cut} accepted");
-        }
-    }
-
-    /// Any single-byte corruption either fails with a typed error or — in
-    /// the one benign case, a fence-irrelevant padding-free format means
-    /// there are no benign cases past the checksum — decodes to the
-    /// original records. In practice the trailing FNV-1a checksum catches
-    /// every record-byte flip; header flips hit BadMagic/Truncated.
-    #[test]
-    fn corruption_never_panics_or_lies(
-        records in arb_records(),
-        pos in 0usize..4096,
-        flip in 1u8..=255,
-    ) {
-        let mut bytes = encode_segment(&records).expect("encode");
-        prop_assume!(!bytes.is_empty());
-        let pos = pos % bytes.len();
-        bytes[pos] ^= flip;
-        match decode_segment(&bytes) {
-            // A detected failure must be one of the typed variants.
-            Err(
-                SegmentError::BadMagic
-                | SegmentError::Truncated
-                | SegmentError::BadFingerprint
-                | SegmentError::BadChecksum
-                | SegmentError::Unsorted
-                | SegmentError::Io(_),
-            ) => {}
-            // Undetected implies the decode result is still exactly right
-            // (possible only if the flip cancelled out semantically —
-            // with a 64-bit FNV over all record bytes this effectively
-            // means the flip hit nothing load-bearing; if it ever decodes
-            // it MUST match).
-            Ok(decoded) => prop_assert_eq!(decoded, records, "corrupt decode differs"),
-        }
-    }
-
-    /// Arbitrary garbage input never panics.
-    #[test]
-    fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = decode_segment(&bytes);
     }
 
     /// The filter never reports a false negative for inserted keys.

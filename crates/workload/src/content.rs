@@ -62,9 +62,8 @@ impl BlockFile {
     /// Builds the block layout for a file of `len` bytes.
     ///
     /// Each block is drawn from the application pool (of `pool_size`
-    /// slots) with probability `dup_rate`, otherwise unique. `pool_tag`
-    /// must be distinct per application type.
-    pub fn new(seed: u64, len: usize, _pool_tag: u64, pool_size: u64, dup_rate: f64) -> Self {
+    /// slots) with probability `dup_rate`, otherwise unique.
+    pub fn new(seed: u64, len: usize, pool_size: u64, dup_rate: f64) -> Self {
         let mut r = Prng::derive(&[seed, 0xB2]);
         let nblocks = len.div_ceil(BLOCK).max(1);
         let tail_len = if len == 0 {
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn block_file_length_exact() {
         for len in [0usize, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 17] {
-            let f = BlockFile::new(3, len, 77, 32, 0.3);
+            let f = BlockFile::new(3, len, 32, 0.3);
             let got = f.materialize(77).len();
             if len == 0 {
                 // Zero-length spec yields a minimal single short block file.
@@ -343,20 +342,20 @@ mod tests {
     fn block_file_pool_blocks_duplicate_aligned() {
         // With a tiny pool and high dup rate, distinct files share aligned
         // blocks.
-        let a = BlockFile::new(1, 64 * BLOCK, 42, 4, 0.9).materialize(42);
-        let b = BlockFile::new(2, 64 * BLOCK, 42, 4, 0.9).materialize(42);
+        let a = BlockFile::new(1, 64 * BLOCK, 4, 0.9).materialize(42);
+        let b = BlockFile::new(2, 64 * BLOCK, 4, 0.9).materialize(42);
         let set: std::collections::HashSet<&[u8]> = a.chunks_exact(BLOCK).collect();
         let shared = b.chunks_exact(BLOCK).filter(|c| set.contains(c)).count();
         assert!(shared > 32, "aligned sharing expected, got {shared}/64");
         // Different pools never share.
-        let c = BlockFile::new(2, 64 * BLOCK, 43, 4, 0.9).materialize(43);
+        let c = BlockFile::new(2, 64 * BLOCK, 4, 0.9).materialize(43);
         let shared_other = c.chunks_exact(BLOCK).filter(|ch| set.contains(ch)).count();
         assert_eq!(shared_other, 0, "cross-pool sharing must be zero");
     }
 
     #[test]
     fn overwrite_preserves_length_and_other_blocks() {
-        let mut f = BlockFile::new(5, 32 * BLOCK, 9, 8, 0.2);
+        let mut f = BlockFile::new(5, 32 * BLOCK, 8, 0.2);
         let before = f.materialize(9);
         f.overwrite_blocks(1001, 3);
         let after = f.materialize(9);

@@ -201,13 +201,9 @@ impl Generator {
         let len = r.lognormal_mean(a.mean_file_size as f64, a.sigma).max(12.0 * 1024.0) as usize;
         let body = match a.app.category() {
             Category::Compressed => Body::Compressed { seed: r.next_u64(), len },
-            Category::StaticUncompressed => Body::Blocky(BlockFile::new(
-                r.next_u64(),
-                len,
-                Self::pool_tag(self.seed, a.app),
-                a.pool_size,
-                a.dup_rate,
-            )),
+            Category::StaticUncompressed => {
+                Body::Blocky(BlockFile::new(r.next_u64(), len, a.pool_size, a.dup_rate))
+            }
             Category::DynamicUncompressed => {
                 // Documents carry their redundancy as *versions*: users
                 // keep edited near-copies (report_v2.doc, thesis drafts).
